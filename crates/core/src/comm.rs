@@ -311,12 +311,15 @@ impl OptimStore {
     }
 }
 
-/// A stashed group awaiting its OP2 all-gather. Under ZeRO-2 only the
-/// owned chunk stays resident; the full buffer is rebuilt at gather time
-/// (the all-gather overwrites every other chunk from the wire, so zeros
-/// there are invisible to the result).
+/// A stashed group awaiting its OP2 all-gather: the group's circulating
+/// buffers parked comm-side between OP1 and OP2 (DESIGN.md §4.17).
 enum StashEntry {
-    Full(Vec<f32>),
+    /// The updated parameter buffer, plus the spent gradient buffer riding
+    /// along so the `Params` reply can hand both back.
+    Full { params: Vec<f32>, grads: Vec<f32> },
+    /// ZeRO-2: only the owned chunk stays resident; the full buffer is
+    /// rebuilt at gather time (the all-gather overwrites every other chunk
+    /// from the wire, so zeros there are invisible to the result).
     Shard {
         owned: Range<usize>,
         chunk: Vec<f32>,
@@ -325,9 +328,12 @@ enum StashEntry {
 }
 
 impl StashEntry {
-    fn into_full(self) -> Vec<f32> {
+    /// The full-length parameter buffer to all-gather, and the gradient
+    /// buffer to return with it (empty under ZeRO-2, whose reduce-scatter
+    /// consumed it — the training thread re-sizes an empty buffer).
+    fn into_buffers(self) -> (Vec<f32>, Vec<f32>) {
         match self {
-            StashEntry::Full(params) => params,
+            StashEntry::Full { params, grads } => (params, grads),
             StashEntry::Shard {
                 owned,
                 chunk,
@@ -335,7 +341,77 @@ impl StashEntry {
             } => {
                 let mut params = vec![0.0f32; elements];
                 params[owned].copy_from_slice(&chunk);
-                params
+                (params, Vec::new())
+            }
+        }
+    }
+}
+
+/// `OP1.UPD`: applies the optimizer to the part of one group this rank owns
+/// after the reduce-scatter — for every item, the intersection of its extent
+/// with `owned`. `gbuf` holds the reduced gradient sums starting at group
+/// coordinate `gshift` (zero for a full-length buffer, `owned.start` for
+/// ZeRO-2's compact shard) — pure index arithmetic, so every strategy
+/// computes bit-identical updates. Each intersection is updated over zipped
+/// sub-slices: the same per-element operations in the same order as an
+/// indexed loop, with the bounds checks hoisted out so the loop vectorises.
+#[allow(clippy::too_many_arguments)]
+fn update_owned_shard(
+    meta: &CommGroupMeta,
+    owned: &Range<usize>,
+    gbuf: &[f32],
+    gshift: usize,
+    params: &mut [f32],
+    store: &mut OptimStore,
+    hyper: &HyperParams,
+    inv_p: f32,
+    adam_step: u64,
+) {
+    let (lr, wd) = (hyper.lr, hyper.weight_decay);
+    // `(lo, hi, global offset of lo)` of every non-empty item ∩ owned run.
+    let runs = meta.items.iter().filter_map(|&(off, len, goff)| {
+        let lo = owned.start.max(off);
+        let hi = owned.end.min(off + len);
+        (lo < hi).then(|| (lo, hi, goff + (lo - off)))
+    });
+    match hyper.kind {
+        OptimKind::Sgd => {
+            let momentum = hyper.momentum;
+            for (lo, hi, gidx) in runs {
+                let vbase = store.base_index(gidx);
+                let velocity = &mut store.velocity[vbase..vbase + (hi - lo)];
+                let grads = &gbuf[lo - gshift..hi - gshift];
+                for ((p, &gsum), v) in params[lo..hi].iter_mut().zip(grads).zip(velocity) {
+                    let g = gsum * inv_p + wd * *p;
+                    *v = momentum * *v + g;
+                    *p -= lr * *v;
+                }
+            }
+        }
+        OptimKind::Adam { beta1, beta2, eps } => {
+            if store.second_moment.len() != store.resident_len() {
+                store.second_moment = vec![0.0; store.resident_len()];
+            }
+            // Bias correction in f64: 1 − βᵗ underflows f32 precision once
+            // βᵗ ≈ 1 − 1e-7 (β₂ = 0.999 reaches that within ~7 steps of t
+            // where f32 rounding shows).
+            let bias1 = (1.0 - f64::from(beta1).powi(adam_step as i32)) as f32;
+            let bias2 = (1.0 - f64::from(beta2).powi(adam_step as i32)) as f32;
+            for (lo, hi, gidx) in runs {
+                let vbase = store.base_index(gidx);
+                let first = &mut store.velocity[vbase..vbase + (hi - lo)];
+                let second = &mut store.second_moment[vbase..vbase + (hi - lo)];
+                let grads = &gbuf[lo - gshift..hi - gshift];
+                for (((p, &gsum), m), s) in
+                    params[lo..hi].iter_mut().zip(grads).zip(first).zip(second)
+                {
+                    let g = gsum * inv_p + wd * *p;
+                    *m = beta1 * *m + (1.0 - beta1) * g;
+                    *s = beta2 * *s + (1.0 - beta2) * g * g;
+                    let m_hat = *m / bias1;
+                    let v_hat = *s / bias2;
+                    *p -= lr * m_hat / (v_hat.sqrt() + eps);
+                }
             }
         }
     }
@@ -402,7 +478,9 @@ pub struct OptimState {
 #[derive(Debug)]
 pub enum CommJob {
     /// DeAR OP1: reduce-scatter `grads`, update the owned shard of
-    /// `params`, stash for the flush.
+    /// `params` in place, stash both for the flush. The job *moves* the
+    /// group's two circulating buffers to the comm thread; the matching
+    /// [`CommResult::Params`] moves them back (DESIGN.md §4.17).
     RsUpdate {
         /// Group id.
         group: usize,
@@ -414,7 +492,8 @@ pub enum CommJob {
     /// DeAR OP2: all-gather every stashed group's parameters, in reverse
     /// stash order (forward order), replying with one `Params` each.
     FlushAllGathers,
-    /// WFBP: all-reduce and average `grads`, replying with `Grads`.
+    /// WFBP: all-reduce and average `grads` in place, replying with `Grads`
+    /// carrying the same buffer.
     AllReduce {
         /// Group id.
         group: usize,
@@ -469,14 +548,22 @@ pub enum CommJob {
 /// Replies sent back to the training thread.
 #[derive(Debug)]
 pub enum CommResult {
-    /// Updated, fully-gathered parameters of one group (DeAR).
+    /// Updated, fully-gathered parameters of one group (DeAR), in the
+    /// buffer its `RsUpdate` shipped, together with that job's spent
+    /// gradient buffer.
     Params {
         /// Group id.
         group: usize,
         /// Flat parameters.
         params: Vec<f32>,
+        /// The group's gradient buffer, contents spent — the next
+        /// iteration's staging area. Empty under ZeRO-2, whose
+        /// reduce-scatter consumes the full-length buffer.
+        grads: Vec<f32>,
     },
-    /// Averaged gradients of one group (WFBP).
+    /// Averaged gradients of one group (WFBP), in the buffer its
+    /// `AllReduce` shipped — the next iteration's staging area once
+    /// installed.
     Grads {
         /// Group id.
         group: usize,
@@ -628,65 +715,36 @@ pub fn run_comm_thread<T: Transport>(
                 // Optimizer update on the owned shard only; every element is
                 // owned by exactly one rank, so the union of shards is the
                 // full S-SGD update of Eq. 2.
-                let inv_p = 1.0 / world as f32;
-                match hyper.kind {
-                    OptimKind::Sgd => {
-                        for &(off, len, goff) in &meta.items {
-                            let lo = owned.start.max(off);
-                            let hi = owned.end.min(off + len);
-                            if lo >= hi {
-                                continue;
-                            }
-                            let vbase = store.base_index(goff + (lo - off));
-                            for k in lo..hi {
-                                let vi = vbase + (k - lo);
-                                let g = gbuf[k - gshift] * inv_p + hyper.weight_decay * params[k];
-                                store.velocity[vi] = hyper.momentum * store.velocity[vi] + g;
-                                params[k] -= hyper.lr * store.velocity[vi];
-                            }
-                        }
-                    }
-                    OptimKind::Adam { beta1, beta2, eps } => {
-                        if store.second_moment.len() != store.resident_len() {
-                            store.second_moment = vec![0.0; store.resident_len()];
-                        }
-                        // Bias correction in f64: 1 − βᵗ underflows f32
-                        // precision once βᵗ ≈ 1 − 1e-7 (β₂ = 0.999 reaches
-                        // that within ~7 steps of t where f32 rounding shows).
-                        let bias1 = (1.0 - f64::from(beta1).powi(adam_step as i32)) as f32;
-                        let bias2 = (1.0 - f64::from(beta2).powi(adam_step as i32)) as f32;
-                        for &(off, len, goff) in &meta.items {
-                            let lo = owned.start.max(off);
-                            let hi = owned.end.min(off + len);
-                            if lo >= hi {
-                                continue;
-                            }
-                            let vbase = store.base_index(goff + (lo - off));
-                            for k in lo..hi {
-                                let vi = vbase + (k - lo);
-                                let g = gbuf[k - gshift] * inv_p + hyper.weight_decay * params[k];
-                                store.velocity[vi] = beta1 * store.velocity[vi] + (1.0 - beta1) * g;
-                                store.second_moment[vi] =
-                                    beta2 * store.second_moment[vi] + (1.0 - beta2) * g * g;
-                                let m_hat = store.velocity[vi] / bias1;
-                                let v_hat = store.second_moment[vi] / bias2;
-                                params[k] -= hyper.lr * m_hat / (v_hat.sqrt() + eps);
-                            }
-                        }
-                    }
-                }
+                update_owned_shard(
+                    meta,
+                    &owned,
+                    &gbuf,
+                    gshift,
+                    &mut params,
+                    &mut store,
+                    &hyper,
+                    1.0 / world as f32,
+                    adam_step,
+                );
                 upd.end();
                 let entry = if strategy.shards_grad_stash() {
                     // Only the owned chunk is live between OP1 and OP2: the
                     // all-gather redistributes it and overwrites the rest.
-                    let chunk = params[owned.clone()].to_vec();
+                    // The spent compact shard is exactly that long, so it
+                    // becomes the chunk's storage; the full-length parameter
+                    // buffer is released here.
+                    let mut chunk = gbuf;
+                    chunk.copy_from_slice(&params[owned.clone()]);
                     StashEntry::Shard {
                         owned,
                         chunk,
                         elements: meta.elements,
                     }
                 } else {
-                    StashEntry::Full(params)
+                    StashEntry::Full {
+                        params,
+                        grads: gbuf,
+                    }
                 };
                 stash.push((group, entry));
             }
@@ -703,7 +761,7 @@ pub fn run_comm_thread<T: Transport>(
                     // ZeRO-2 rematerializes the full buffer just-in-time:
                     // zeros everywhere except the owned chunk, which is all
                     // the ring all-gather ever reads from this rank.
-                    let mut params = entry.into_full();
+                    let (mut params, grads) = entry.into_buffers();
                     let op2 = trace::span(TaskKind::Communication, || format!("OP2.AG[g{group}]"));
                     match ring_all_gather_seg(
                         &transport,
@@ -714,7 +772,11 @@ pub fn run_comm_thread<T: Transport>(
                         Ok(()) => {
                             op2.end();
                             results
-                                .send(CommResult::Params { group, params })
+                                .send(CommResult::Params {
+                                    group,
+                                    params,
+                                    grads,
+                                })
                                 .expect("training thread hung up");
                         }
                         Err(e) => {
@@ -890,6 +952,152 @@ mod tests {
     use super::*;
     use crossbeam_channel::unbounded;
     use dear_collectives::LocalFabric;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The indexed scalar loops `update_owned_shard` replaced, kept as the
+    /// ground truth it must match bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn indexed_update(
+        meta: &CommGroupMeta,
+        owned: &Range<usize>,
+        gbuf: &[f32],
+        gshift: usize,
+        params: &mut [f32],
+        store: &mut OptimStore,
+        hyper: &HyperParams,
+        inv_p: f32,
+        adam_step: u64,
+    ) {
+        for &(off, len, goff) in &meta.items {
+            let lo = owned.start.max(off);
+            let hi = owned.end.min(off + len);
+            if lo >= hi {
+                continue;
+            }
+            let vbase = store.base_index(goff + (lo - off));
+            for k in lo..hi {
+                let vi = vbase + (k - lo);
+                let g = gbuf[k - gshift] * inv_p + hyper.weight_decay * params[k];
+                match hyper.kind {
+                    OptimKind::Sgd => {
+                        store.velocity[vi] = hyper.momentum * store.velocity[vi] + g;
+                        params[k] -= hyper.lr * store.velocity[vi];
+                    }
+                    OptimKind::Adam { beta1, beta2, eps } => {
+                        let bias1 = (1.0 - f64::from(beta1).powi(adam_step as i32)) as f32;
+                        let bias2 = (1.0 - f64::from(beta2).powi(adam_step as i32)) as f32;
+                        store.velocity[vi] = beta1 * store.velocity[vi] + (1.0 - beta1) * g;
+                        store.second_moment[vi] =
+                            beta2 * store.second_moment[vi] + (1.0 - beta2) * g * g;
+                        let m_hat = store.velocity[vi] / bias1;
+                        let v_hat = store.second_moment[vi] / bias2;
+                        params[k] -= hyper.lr * m_hat / (v_hat.sqrt() + eps);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_updates_match_the_indexed_loops_bitwise() {
+        // One group of ragged items whose global offsets are scattered, so
+        // every rank's owned chunk cuts items mid-way; full-length state
+        // (Ddp), packed state (Zero1) and packed state with a compact
+        // gradient shard, i.e. `gshift` ≠ 0 (Zero2); SGD with momentum and
+        // weight decay, and Adam over several steps.
+        let lens = [7usize, 1, 13, 5, 67, 3];
+        let goffs = [40usize, 0, 61, 8, 100, 1];
+        let total = 170;
+        let mut items = Vec::new();
+        let mut elements = 0;
+        for (&len, &goff) in lens.iter().zip(&goffs) {
+            items.push((elements, len, goff));
+            elements += len;
+        }
+        let layout = CommLayout {
+            groups: vec![CommGroupMeta { items, elements }],
+        };
+        let meta = &layout.groups[0];
+        let mut rng = StdRng::seed_from_u64(0xDEA2);
+        let mut random =
+            |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect() };
+        for kind in [OptimKind::Sgd, OptimKind::adam_default()] {
+            let hyper = HyperParams {
+                lr: 0.05,
+                momentum: 0.9,
+                weight_decay: 1e-2,
+                kind,
+            };
+            for strategy in [
+                ParallelismStrategy::Ddp,
+                ParallelismStrategy::Zero1,
+                ParallelismStrategy::Zero2,
+            ] {
+                for world in [2usize, 3, 5] {
+                    for rank in 0..world {
+                        let owned = chunk_range(elements, world, ring_owned_chunk(rank, world));
+                        // Zero2's gradient shard is compact: exactly the
+                        // owned chunk, based at `owned.start`.
+                        let (gshift, glen) = if strategy.shards_grad_stash() {
+                            (owned.start, owned.len())
+                        } else {
+                            (0, elements)
+                        };
+                        let mut fast = OptimStore::new(&strategy, &layout, rank, world, total);
+                        let mut slow = OptimStore::new(&strategy, &layout, rank, world, total);
+                        fast.velocity = random(fast.resident_len());
+                        slow.velocity = fast.velocity.clone();
+                        let mut fast_params = random(elements);
+                        let mut slow_params = fast_params.clone();
+                        for adam_step in 1..=3 {
+                            let gbuf = random(glen);
+                            if matches!(kind, OptimKind::Adam { .. }) && adam_step == 1 {
+                                slow.second_moment = vec![0.0; slow.resident_len()];
+                            }
+                            let inv_p = 1.0 / world as f32;
+                            update_owned_shard(
+                                meta,
+                                &owned,
+                                &gbuf,
+                                gshift,
+                                &mut fast_params,
+                                &mut fast,
+                                &hyper,
+                                inv_p,
+                                adam_step,
+                            );
+                            indexed_update(
+                                meta,
+                                &owned,
+                                &gbuf,
+                                gshift,
+                                &mut slow_params,
+                                &mut slow,
+                                &hyper,
+                                inv_p,
+                                adam_step,
+                            );
+                            let bits =
+                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            let case = format!("{kind:?} {strategy:?} rank {rank}/{world}");
+                            assert_eq!(bits(&fast_params), bits(&slow_params), "params: {case}");
+                            assert_eq!(
+                                bits(&fast.velocity),
+                                bits(&slow.velocity),
+                                "velocity: {case}"
+                            );
+                            assert_eq!(
+                                bits(&fast.second_moment),
+                                bits(&slow.second_moment),
+                                "second moment: {case}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn mid_step_resize_is_refused_not_honoured() {

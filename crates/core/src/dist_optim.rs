@@ -36,12 +36,20 @@ pub struct DistOptim {
     tracker: GroupTracker,
     jobs: Sender<CommJob>,
     results: Receiver<CommResult>,
-    /// Per-group gradient staging buffers (ready order concatenation).
+    /// Per-group gradient buffers (ready order concatenation). Each one
+    /// circulates: staged here, moved to the comm thread with the group's
+    /// job, moved back by its reply (DESIGN.md §4.17). Empty while away.
     grad_stage: Vec<Vec<f32>>,
-    /// Per-group parameter staging buffers (DeAR mode).
-    param_stage: Vec<Vec<f32>>,
-    /// Per-group received parameters awaiting installation (DeAR mode).
-    staged: Vec<Option<Vec<f32>>>,
+    /// Per-group parameter buffers (DeAR mode), circulating the same way.
+    group_params: Vec<Vec<f32>>,
+    /// Whether `group_params[g]` holds a `Params` delivery that has not been
+    /// shipped again. Set on delivery; `pre_forward` installs such a buffer,
+    /// which makes it bit-equal to the layers' parameters, so the same
+    /// step's `grad_ready` ships it as it is and clears the flag
+    /// (`synchronize` clears it on installing). It is therefore never set
+    /// while the caller has control and could touch the net: a step that
+    /// finds it clear re-stages the parameters item by item.
+    gathered: Vec<bool>,
     /// Whether each layer's parameters are current for this iteration.
     layer_synced: Vec<bool>,
     /// Outstanding `Params` results not yet received.
@@ -94,13 +102,7 @@ impl DistOptim {
         // stream so fw/bw spans pair with this worker's comm stream.
         trace::set_thread_stream(trace_scope, "compute");
         let tracker = GroupTracker::new(layout.plan());
-        let grad_stage = (0..layout.num_groups())
-            .map(|g| vec![0.0; layout.group_elements(g)])
-            .collect();
-        let param_stage = (0..layout.num_groups())
-            .map(|g| vec![0.0; layout.group_elements(g)])
-            .collect();
-        let staged = vec![None; layout.num_groups()];
+        let groups = layout.num_groups();
         DistOptim {
             rank,
             world,
@@ -109,9 +111,9 @@ impl DistOptim {
             tracker,
             jobs,
             results,
-            grad_stage,
-            param_stage,
-            staged,
+            grad_stage: vec![Vec::new(); groups],
+            group_params: vec![Vec::new(); groups],
+            gathered: vec![false; groups],
             layer_synced: vec![true; num_layers],
             pending: 0,
             local_optim,
@@ -154,21 +156,26 @@ impl DistOptim {
     }
 
     /// Records a comm-thread failure and releases every wait: the in-flight
-    /// iteration is abandoned, outstanding results will never arrive, and
-    /// missing parameter groups get placeholder zeros so the training
-    /// thread's control flow can unwind structurally. Anything the step
-    /// computed after this point is garbage — the caller must discard the
-    /// step and either resize or tear down.
+    /// iteration is abandoned and outstanding results will never arrive, so
+    /// the FeedPipe stops waiting and layers whose groups are missing keep
+    /// the parameters they have — the training thread's control flow
+    /// unwinds structurally. Anything the step computed after this point is
+    /// garbage — the caller must discard the step and either resize or tear
+    /// down.
     fn comm_fail(&mut self, e: CollectiveError) {
         if self.comm_failed.is_none() {
             self.comm_failed = Some(e);
         }
         self.pending = 0;
-        for g in 0..self.staged.len() {
-            if self.staged[g].is_none() {
-                self.staged[g] = Some(vec![0.0; self.layout.group_elements(g)]);
-            }
-        }
+    }
+
+    /// Takes delivery of one `Params` reply: both of the group's buffers
+    /// are back on this thread.
+    fn accept_params(&mut self, group: usize, params: Vec<f32>, grads: Vec<f32>) {
+        self.pending -= 1;
+        self.group_params[group] = params;
+        self.grad_stage[group] = grads;
+        self.gathered[group] = true;
     }
 
     /// Runs one training step — feed-forward (waiting just-in-time on the
@@ -259,25 +266,25 @@ impl DistOptim {
         if self.layer_synced[li] {
             return;
         }
-        let gating: Vec<usize> = self.layout.gating_groups(li).to_vec();
-        for g in gating {
-            self.wait_for_group(g);
+        for i in 0..self.layout.gating_groups(li).len() {
+            self.wait_for_group(self.layout.gating_groups(li)[i]);
         }
-        let params = layer.params_mut();
-        for (pi, p) in params.into_iter().enumerate() {
+        for (pi, p) in layer.params_mut().into_iter().enumerate() {
             let item = self.layout.item(self.layout.item_of(li, pi));
-            let src = self.staged[item.group]
-                .as_ref()
-                .expect("group staged by wait_for_group");
-            p.data_mut()
-                .copy_from_slice(&src[item.offset_in_group..item.offset_in_group + item.len]);
+            // Only an abandoned step leaves a gating group undelivered.
+            if self.gathered[item.group] {
+                let src = &self.group_params[item.group];
+                p.data_mut()
+                    .copy_from_slice(&src[item.offset_in_group..item.offset_in_group + item.len]);
+            }
         }
         self.layer_synced[li] = true;
     }
 
-    /// Blocks until group `g`'s parameters have arrived.
+    /// Blocks until group `g`'s parameters have arrived, or the step is
+    /// abandoned.
     fn wait_for_group(&mut self, g: usize) {
-        if self.staged[g].is_some() {
+        if self.gathered[g] || self.comm_failed.is_some() {
             return;
         }
         // Close the open feed-forward segment: time spent blocked here is a
@@ -287,14 +294,15 @@ impl DistOptim {
             trace::span_starting_at(seg, TaskKind::FeedForward, || format!("FF[{iter}]")).end();
             trace::span(TaskKind::Other, || format!("FFWAIT[g{g}]"))
         });
-        while self.staged[g].is_none() {
+        while !self.gathered[g] && self.comm_failed.is_none() {
             match self.results.recv().expect("comm thread hung up") {
-                CommResult::Params { group, params } => {
-                    self.pending -= 1;
-                    self.staged[group] = Some(params);
-                }
-                // The comm thread abandoned the step; `comm_fail` fills the
-                // missing groups with placeholders, ending this wait.
+                CommResult::Params {
+                    group,
+                    params,
+                    grads,
+                } => self.accept_params(group, params, grads),
+                // The comm thread abandoned the step; the latched failure
+                // ends this wait.
                 CommResult::Error(e) => self.comm_fail(e),
                 other => panic!("unexpected comm result during FeedPipe: {other:?}"),
             }
@@ -305,30 +313,33 @@ impl DistOptim {
         }
     }
 
-    /// BackPipe hook: stage layer `li`'s gradients (and parameters, in DeAR
-    /// mode); launch the group's communication once complete.
+    /// BackPipe hook: stage layer `li`'s gradients (and, in DeAR mode, its
+    /// parameters unless the group's gathered buffer already equals them);
+    /// launch the group's communication once complete, moving its buffers
+    /// to the comm thread.
     fn grad_ready(&mut self, li: usize, layer: &mut dyn Layer) {
         let grads = layer.grads();
         let params = layer.params();
         for pi in 0..grads.len() {
             let item_idx = self.layout.item_of(li, pi);
             let item = *self.layout.item(item_idx);
+            let elements = self.layout.group_elements(item.group);
             let dst = item.offset_in_group..item.offset_in_group + item.len;
-            self.grad_stage[item.group][dst.clone()].copy_from_slice(grads[pi].data());
-            if self.mode == PipelineMode::Dear {
-                self.param_stage[item.group][dst].copy_from_slice(params[pi].data());
+            staging(&mut self.grad_stage[item.group], elements)[dst.clone()]
+                .copy_from_slice(grads[pi].data());
+            if self.mode == PipelineMode::Dear && !self.gathered[item.group] {
+                staging(&mut self.group_params[item.group], elements)[dst]
+                    .copy_from_slice(params[pi].data());
             }
             if let Some(done) = self.tracker.mark_ready(item_idx) {
-                let elements = self.layout.group_elements(done);
-                let grads = std::mem::replace(&mut self.grad_stage[done], vec![0.0; elements]);
+                let grads = std::mem::take(&mut self.grad_stage[done]);
                 let job = match self.mode {
                     PipelineMode::Dear => {
-                        let params =
-                            std::mem::replace(&mut self.param_stage[done], vec![0.0; elements]);
+                        self.gathered[done] = false;
                         CommJob::RsUpdate {
                             group: done,
                             grads,
-                            params,
+                            params: std::mem::take(&mut self.group_params[done]),
                         }
                     }
                     PipelineMode::Wfbp => CommJob::AllReduce { group: done, grads },
@@ -352,7 +363,6 @@ impl DistOptim {
                     .send(CommJob::FlushAllGathers)
                     .expect("comm thread hung up");
                 self.pending += self.layout.num_groups();
-                self.staged.iter_mut().for_each(|s| *s = None);
                 self.layer_synced.iter_mut().for_each(|s| *s = false);
             }
             PipelineMode::Wfbp => {
@@ -360,6 +370,7 @@ impl DistOptim {
                     match self.results.recv().expect("comm thread hung up") {
                         CommResult::Grads { group, grads } => {
                             self.install_grads(net, group, &grads);
+                            self.grad_stage[group] = grads;
                         }
                         CommResult::Error(e) => {
                             // Remaining groups were abandoned comm-side;
@@ -400,7 +411,7 @@ impl DistOptim {
     /// wrapper.
     ///
     /// On `Err` the installed parameters are not trustworthy (missing
-    /// groups were filled with placeholders); roll back to a snapshot after
+    /// groups were never installed); roll back to a snapshot after
     /// resizing.
     ///
     /// # Errors
@@ -413,19 +424,23 @@ impl DistOptim {
     pub fn synchronize(&mut self, net: &mut Sequential) -> Result<(), CollectiveError> {
         while self.pending > 0 {
             match self.results.recv().expect("comm thread hung up") {
-                CommResult::Params { group, params } => {
-                    self.pending -= 1;
-                    self.staged[group] = Some(params);
-                }
+                CommResult::Params {
+                    group,
+                    params,
+                    grads,
+                } => self.accept_params(group, params, grads),
                 // `comm_fail` zeroes `pending`, ending the wait: the comm
                 // thread abandoned the flush, nothing more is coming.
                 CommResult::Error(e) => self.comm_fail(e),
                 other => panic!("unexpected comm result in synchronize: {other:?}"),
             }
         }
-        // Install everything staged.
+        // Install everything gathered. From here on the caller may touch
+        // the net, so no buffer counts as gathered any more: the next step
+        // re-stages the parameters into them.
         for g in 0..self.layout.num_groups() {
-            if let Some(flat) = self.staged[g].take() {
+            if std::mem::take(&mut self.gathered[g]) {
+                let flat = &self.group_params[g];
                 for &item_idx in self.layout.items_of_group(g) {
                     let item = self.layout.item(item_idx);
                     let src = &flat[item.offset_in_group..item.offset_in_group + item.len];
@@ -631,13 +646,9 @@ impl DistOptim {
             })
             .expect("comm thread hung up");
         self.tracker = GroupTracker::new(layout.plan());
-        self.grad_stage = (0..layout.num_groups())
-            .map(|g| vec![0.0; layout.group_elements(g)])
-            .collect();
-        self.param_stage = (0..layout.num_groups())
-            .map(|g| vec![0.0; layout.group_elements(g)])
-            .collect();
-        self.staged = vec![None; layout.num_groups()];
+        self.grad_stage = vec![Vec::new(); layout.num_groups()];
+        self.group_params = vec![Vec::new(); layout.num_groups()];
+        self.gathered = vec![false; layout.num_groups()];
         self.layout = layout;
     }
 
@@ -650,7 +661,8 @@ impl DistOptim {
     /// known-good snapshot, and [`DistOptim::rebalance_optim_state`].
     ///
     /// Stale results from the abandoned step (parameters, queued errors)
-    /// are drained and discarded — the FIFO job channel guarantees
+    /// are drained and discarded together with the group buffers they carry
+    /// (the next step allocates afresh) — the FIFO job channel guarantees
     /// everything enqueued before the resize replies first.
     ///
     /// # Errors
@@ -676,7 +688,6 @@ impl DistOptim {
                     self.world = change.new_world;
                     self.comm_failed = None;
                     self.pending = 0;
-                    self.staged.iter_mut().for_each(|s| *s = None);
                     self.layer_synced.iter_mut().for_each(|s| *s = true);
                     self.tracker.reset();
                     return Ok(change);
@@ -751,5 +762,153 @@ impl DistOptim {
         // both confirms its collectives succeeded and releases all ranks
         // past the rebalance together.
         self.barrier()
+    }
+}
+
+/// The staging view of a circulating group buffer: the buffer itself in
+/// steady state; allocated first if the group has none on this thread yet
+/// (new layout, lost with an abandoned step, or handed back empty by
+/// ZeRO-2's consuming reduce-scatter).
+fn staging(buf: &mut Vec<f32>, elements: usize) -> &mut [f32] {
+    if buf.len() != elements {
+        *buf = vec![0.0; elements];
+    }
+    buf
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam_channel::unbounded;
+    use dear_collectives::WorldChange;
+    use dear_minidnn::{Linear, Relu};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// What the step's `RsUpdate` jobs shipped as `params`, laid out like
+    /// `Sequential::flat_params`; the jobs' buffers are returned per group.
+    fn shipped(
+        jobs: &Receiver<CommJob>,
+        layout: &GroupLayout,
+    ) -> (Vec<f32>, Vec<(Vec<f32>, Vec<f32>)>) {
+        let mut flat = vec![f32::NAN; layout.total_elements()];
+        let mut buffers = vec![(Vec::new(), Vec::new()); layout.num_groups()];
+        for _ in 0..layout.num_groups() {
+            let CommJob::RsUpdate {
+                group,
+                grads,
+                params,
+            } = jobs.try_recv().expect("one job per group")
+            else {
+                panic!("expected an RsUpdate");
+            };
+            assert_eq!(grads.len(), layout.group_elements(group));
+            for &i in layout.items_of_group(group) {
+                let it = layout.item(i);
+                flat[it.global_offset..it.global_offset + it.len]
+                    .copy_from_slice(&params[it.offset_in_group..it.offset_in_group + it.len]);
+            }
+            buffers[group] = (params, grads);
+        }
+        assert!(matches!(jobs.try_recv(), Ok(CommJob::FlushAllGathers)));
+        (flat, buffers)
+    }
+
+    #[test]
+    fn only_delivered_parameters_are_ever_shipped_back() {
+        // The test plays the comm thread. Step 1 re-stages from the layers;
+        // two of its four groups are answered, then the fabric fails. Step 2
+        // must ship the delivered buffers for those two and the layers' own
+        // values for the rest — never a placeholder. After the resize and a
+        // rollback, step 3 must ship the rolled-back parameters, although
+        // buffers of an older state are still lying around.
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut net = Sequential::new()
+            .push(Linear::new(4, 3, &mut rng))
+            .push(Relu::new())
+            .push(Linear::new(3, 2, &mut rng));
+        let layout = GroupLayout::from_buffer(&net, None);
+        assert_eq!(layout.num_groups(), 4);
+        let (job_tx, job_rx) = unbounded();
+        let (res_tx, res_rx) = unbounded();
+        let mut optim = DistOptim::new(
+            0,
+            2,
+            PipelineMode::Dear,
+            layout.clone(),
+            job_tx,
+            res_rx,
+            None,
+            net.len(),
+            &trace::unique_scope(0),
+            DType::F32,
+        );
+        let x = Tensor::from_vec(&[2, 4], vec![0.5, -1.0, 0.25, 2.0, 1.0, 0.0, -0.5, 0.75]);
+        let labels = [0usize, 1];
+        // Nowhere zero, so a shipped placeholder could not pass for it.
+        let initial: Vec<f32> = (0..net.param_count())
+            .map(|i| 0.1 + 0.01 * i as f32)
+            .collect();
+        net.set_flat_params(&initial);
+
+        optim.train_step(&mut net, &x, &labels).unwrap();
+        let (flat, mut buffers) = shipped(&job_rx, &layout);
+        assert_eq!(flat, initial, "first step re-stages from the layers");
+
+        // Groups 3 and 2 (forward order) come back "updated"; then failure.
+        for group in [3, 2] {
+            let (mut params, grads) = std::mem::take(&mut buffers[group]);
+            params.iter_mut().for_each(|p| *p += 1.0);
+            res_tx
+                .send(CommResult::Params {
+                    group,
+                    params,
+                    grads,
+                })
+                .unwrap();
+        }
+        res_tx
+            .send(CommResult::Error(CollectiveError::Disconnected { peer: 1 }))
+            .unwrap();
+        assert!(optim.train_step(&mut net, &x, &labels).is_err());
+        let mut expected = initial.clone();
+        for group in [3, 2] {
+            for &i in layout.items_of_group(group) {
+                let it = layout.item(i);
+                expected[it.global_offset..it.global_offset + it.len]
+                    .iter_mut()
+                    .for_each(|p| *p += 1.0);
+            }
+        }
+        assert_eq!(net.flat_params(), expected, "delivered groups installed");
+        let (flat, _lost) = shipped(&job_rx, &layout);
+        assert_eq!(flat, expected, "the abandoned step shipped real values");
+
+        // A straggler of the abandoned step, then the resize reply.
+        res_tx
+            .send(CommResult::Params {
+                group: 0,
+                params: vec![0.0; layout.group_elements(0)],
+                grads: Vec::new(),
+            })
+            .unwrap();
+        res_tx
+            .send(CommResult::Resized(Ok(WorldChange {
+                old_rank: 0,
+                old_world: 2,
+                new_rank: 0,
+                new_world: 1,
+                generation: 1,
+            })))
+            .unwrap();
+        optim.resize_world(None).unwrap();
+        assert!(matches!(
+            job_rx.try_recv(),
+            Ok(CommJob::ResizeWorld { survivors: None })
+        ));
+        net.set_flat_params(&initial);
+        optim.train_step(&mut net, &x, &labels).unwrap();
+        let (flat, _) = shipped(&job_rx, &layout);
+        assert_eq!(flat, initial, "the rollback is what the next step ships");
     }
 }

@@ -76,9 +76,13 @@ impl Optimizer for Sgd {
     fn step(&mut self, net: &mut Sequential) {
         let mut tensor_idx = 0;
         for layer in net.layers_mut() {
-            // Collect grads first (immutable borrow), then update params.
-            let grads: Vec<Vec<f32>> = layer.grads().iter().map(|g| g.data().to_vec()).collect();
-            for (p, g) in layer.params_mut().into_iter().zip(grads) {
+            // A layer lends its gradients and its parameters mutably only
+            // one at a time, so the update runs as two sweeps instead of
+            // copying the gradients out: `v ← μv + (g + λw)` with both
+            // borrowed shared, then `w ← w − η·v`. Per element that is the
+            // arithmetic of the fused loop in the same order.
+            let first = tensor_idx;
+            for (p, g) in layer.params().into_iter().zip(layer.grads()) {
                 if self.velocity.len() <= tensor_idx {
                     self.velocity.push(vec![0.0; p.len()]);
                 }
@@ -88,13 +92,16 @@ impl Optimizer for Sgd {
                     p.len(),
                     "parameter tensor size changed between steps"
                 );
-                let data = p.data_mut();
-                for i in 0..data.len() {
-                    let grad = g[i] + self.weight_decay * data[i];
-                    v[i] = self.momentum * v[i] + grad;
-                    data[i] -= self.lr * v[i];
+                for ((v, &g), &w) in v.iter_mut().zip(g.data()).zip(p.data()) {
+                    let grad = g + self.weight_decay * w;
+                    *v = self.momentum * *v + grad;
                 }
                 tensor_idx += 1;
+            }
+            for (p, v) in layer.params_mut().into_iter().zip(&self.velocity[first..]) {
+                for (w, &v) in p.data_mut().iter_mut().zip(v) {
+                    *w -= self.lr * v;
+                }
             }
         }
     }

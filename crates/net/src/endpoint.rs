@@ -822,12 +822,15 @@ fn reader_loop(
                 return;
             }
             let payload_len = len - DATA_BODY_OVERHEAD;
+            // `take` hands out a cleared buffer with the capacity reserved;
+            // reading to the end of a length-limited view fills that spare
+            // capacity directly, without zero-filling it first.
             let mut buf = pool.take(payload_len);
-            buf.resize(payload_len, 0);
-            if r.read_exact(&mut buf).is_err() {
+            match (&mut r).take(payload_len as u64).read_to_end(&mut buf) {
+                Ok(n) if n == payload_len => (),
                 // Torn mid-body (peer died between header and payload):
                 // surfaces as Disconnected, never a hang.
-                return;
+                _ => return,
             }
             counters
                 .bytes_recv
