@@ -210,7 +210,7 @@ fn main() {
         inter.alpha_ns / 1e3,
         inter.beta_ns_per_byte
     );
-    let mut live = AlgoSelector::new(inter.clone(), Some(intra.clone()), Topology::Ring, 2, 2);
+    let mut live = AlgoSelector::new(inter, Some(intra), Topology::Ring, 2, 2);
     let mut confirmations = Vec::new();
     for &bytes in &[16u64 << 10, 1 << 20, 8 << 20] {
         let sel = live.select(bytes);

@@ -83,13 +83,15 @@ pub use hierarchical::{
 pub use reduce::ReduceOp;
 pub use rhd::{rhd_all_reduce, rhd_all_reduce_seg};
 pub use ring::{
-    ring_all_gather, ring_all_gather_seg, ring_all_reduce, ring_all_reduce_seg, ring_owned_chunk,
-    ring_reduce_scatter, ring_reduce_scatter_seg, ring_reduce_scatter_shard_seg,
+    compact_owned_shard, ring_advance, ring_all_gather, ring_all_gather_seg, ring_all_reduce,
+    ring_all_reduce_seg, ring_begin, ring_finish, ring_owned_chunk, ring_reduce_scatter,
+    ring_reduce_scatter_seg, ring_reduce_scatter_shard_seg, RingKind, RingOp,
 };
 pub use segment::{recv_segmented_copy, recv_segmented_reduce, send_segmented, SegmentConfig};
 pub use topology::{CommPattern, HostMap, Placement, Topology};
 pub use transport::{
     DelayFabric, GroupTransport, LocalEndpoint, LocalFabric, Message, Transport, WorldChange,
+    MIN_LINK_FRAMES,
 };
 pub use tree::{
     double_tree_all_reduce, double_tree_all_reduce_seg, double_tree_broadcast_phase,

@@ -22,6 +22,219 @@ pub fn ring_owned_chunk(rank: usize, world: usize) -> usize {
     (rank + 1) % world
 }
 
+/// Which ring collective a [`RingOp`] runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RingKind {
+    /// Reduce-scatter with the given operator: `P−1` rounds.
+    ReduceScatter(ReduceOp),
+    /// All-gather of the chunk this rank contributes: `P−1` rounds.
+    AllGather {
+        /// Index of the chunk this rank holds on entry (see
+        /// [`ring_all_gather`]).
+        owned_chunk: usize,
+    },
+    /// Reduce-scatter followed by the all-gather of the owned chunk:
+    /// `2(P−1)` rounds. The first all-gather send ships what the last
+    /// reduce-scatter receive produced, so the rounds chain like any other.
+    AllReduce(ReduceOp),
+}
+
+/// A ring collective in flight, between [`ring_begin`] and [`ring_finish`].
+///
+/// A ring collective is a chain of rounds — send one chunk to the next
+/// rank, receive one from the previous — in which round `r`'s send ships
+/// what round `r−1`'s receive produced. Only the *first* send is free of
+/// any receive, which is what the split-phase calls expose: a caller that
+/// runs several collectives back to back may post the next one's first
+/// send before it blocks on this one's last receive.
+///
+/// The op does not borrow the buffer; every call must be handed the same
+/// `data` (and the same transport and segment config) it was begun with.
+#[derive(Debug)]
+pub struct RingOp {
+    kind: RingKind,
+    /// Buffer length the op was begun with.
+    len: usize,
+    /// Rounds in total: `P−1`, or `2(P−1)` for an all-reduce.
+    rounds: usize,
+    /// Rounds whose send has been posted.
+    sent: usize,
+    /// Rounds whose receive has been consumed.
+    recvd: usize,
+}
+
+impl RingOp {
+    /// The collective this op runs.
+    #[must_use]
+    pub fn kind(&self) -> RingKind {
+        self.kind
+    }
+
+    /// Whether every send of this op has been posted. From then on the op
+    /// puts nothing more on the link, so a later op's first send may follow
+    /// without splitting this op's messages.
+    #[must_use]
+    pub fn all_sent(&self) -> bool {
+        self.sent == self.rounds
+    }
+
+    /// `(send chunk, receive chunk, reduction)` of round `r`; the reduction
+    /// is `None` in all-gather rounds, which copy.
+    fn round(&self, rank: usize, world: usize, r: usize) -> (usize, usize, Option<ReduceOp>) {
+        let (base, step, reduce) = match self.kind {
+            RingKind::ReduceScatter(op) => (rank, r, Some(op)),
+            RingKind::AllGather { owned_chunk } => (owned_chunk, r, None),
+            RingKind::AllReduce(op) if r < world - 1 => (rank, r, Some(op)),
+            RingKind::AllReduce(_) => (ring_owned_chunk(rank, world), r - (world - 1), None),
+        };
+        (
+            (base + world - step) % world,
+            (base + 2 * world - step - 1) % world,
+            reduce,
+        )
+    }
+
+    /// Posts the next round's send.
+    fn send_round<T: Transport>(
+        &mut self,
+        t: &T,
+        data: &mut [f32],
+        seg: SegmentConfig,
+    ) -> Result<(), CollectiveError> {
+        debug_assert_eq!(data.len(), self.len, "ring op handed a different buffer");
+        let (rank, world) = (t.rank(), t.world_size());
+        let (send_idx, _, _) = self.round(rank, world, self.sent);
+        let range = chunk_range(data.len(), world, send_idx);
+        send_segmented(t, (rank + 1) % world, &mut data[range], seg)?;
+        self.sent += 1;
+        Ok(())
+    }
+
+    /// Consumes the next round's receive, reducing or copying it in.
+    fn recv_round<T: Transport>(
+        &mut self,
+        t: &T,
+        data: &mut [f32],
+        seg: SegmentConfig,
+    ) -> Result<(), CollectiveError> {
+        debug_assert_eq!(data.len(), self.len, "ring op handed a different buffer");
+        let (rank, world) = (t.rank(), t.world_size());
+        let (_, recv_idx, reduce) = self.round(rank, world, self.recvd);
+        let range = chunk_range(data.len(), world, recv_idx);
+        let dst = &mut data[range];
+        let prev = (rank + world - 1) % world;
+        match reduce {
+            Some(op) => recv_segmented_reduce(t, prev, dst, op, seg)?,
+            None => recv_segmented_copy(t, prev, dst, seg)?,
+        }
+        self.recvd += 1;
+        Ok(())
+    }
+}
+
+/// Begins a ring collective over `data`: posts its first send — the only
+/// one that depends on no receive — and returns the op to drive with
+/// [`ring_advance`] and [`ring_finish`]. Never blocks on a receive.
+///
+/// `begin → advance → finish` on one op is exactly the monolithic
+/// `ring_*_seg` call (those *are* this composition). Across ops on one
+/// rank, a caller may interleave under one rule: **an op may be begun once
+/// every earlier op has posted its last send** ([`RingOp::all_sent`]), and
+/// ops are finished in the order they were begun. Each op's messages then
+/// stay contiguous on the link, in the order a sequential caller would have
+/// produced them, so the peers — whatever their own interleaving — receive
+/// the same byte sequence, only earlier.
+///
+/// # Errors
+///
+/// Propagates transport errors.
+pub fn ring_begin<T: Transport>(
+    t: &T,
+    kind: RingKind,
+    data: &mut [f32],
+    seg: SegmentConfig,
+) -> Result<RingOp, CollectiveError> {
+    let hops = t.world_size() - 1;
+    let mut ring = RingOp {
+        kind,
+        len: data.len(),
+        rounds: match kind {
+            RingKind::AllReduce(_) => 2 * hops,
+            RingKind::ReduceScatter(_) | RingKind::AllGather { .. } => hops,
+        },
+        sent: 0,
+        recvd: 0,
+    };
+    if !ring.all_sent() {
+        ring.send_round(t, data, seg)?;
+    }
+    Ok(ring)
+}
+
+/// Drives `ring` until its last send is posted: each remaining round's
+/// receive, then the send that ships what it produced. On return only the
+/// last receive is outstanding and [`RingOp::all_sent`] holds. A no-op for
+/// a reduce-scatter or all-gather on two ranks, whose single send
+/// [`ring_begin`] already posted.
+///
+/// # Errors
+///
+/// Propagates transport errors; returns [`CollectiveError::SizeMismatch`] if
+/// a peer sent a chunk of unexpected length. The op is then dead: drop it.
+pub fn ring_advance<T: Transport>(
+    t: &T,
+    ring: &mut RingOp,
+    data: &mut [f32],
+    seg: SegmentConfig,
+) -> Result<(), CollectiveError> {
+    while !ring.all_sent() {
+        ring.recv_round(t, data, seg)?;
+        ring.send_round(t, data, seg)?;
+    }
+    Ok(())
+}
+
+/// Completes `ring`: whatever [`ring_advance`] has left to do, then the last
+/// receive. Returns the range of `data` that now holds final values — the
+/// owned chunk after a reduce-scatter (the rest is partially-reduced
+/// garbage), the whole buffer after an all-gather or all-reduce.
+///
+/// # Errors
+///
+/// As [`ring_advance`].
+pub fn ring_finish<T: Transport>(
+    t: &T,
+    mut ring: RingOp,
+    data: &mut [f32],
+    seg: SegmentConfig,
+) -> Result<Range<usize>, CollectiveError> {
+    ring_advance(t, &mut ring, data, seg)?;
+    if ring.recvd < ring.rounds {
+        ring.recv_round(t, data, seg)?;
+    }
+    let (rank, world) = (t.rank(), t.world_size());
+    Ok(match ring.kind {
+        RingKind::ReduceScatter(_) => chunk_range(data.len(), world, ring_owned_chunk(rank, world)),
+        RingKind::AllGather { .. } | RingKind::AllReduce(_) => 0..data.len(),
+    })
+}
+
+/// One ring collective start to end, reported to the span hook as `name`.
+fn ring_run<T: Transport>(
+    t: &T,
+    kind: RingKind,
+    name: &'static str,
+    data: &mut [f32],
+    seg: SegmentConfig,
+) -> Result<Range<usize>, CollectiveError> {
+    // A one-rank world has nothing to time.
+    let span = (t.world_size() > 1).then(span_start).flatten();
+    let ring = ring_begin(t, kind, data, seg)?;
+    let valid = ring_finish(t, ring, data, seg)?;
+    span_end(name, data.len(), span);
+    Ok(valid)
+}
+
 /// Ring reduce-scatter over `data`, in place.
 ///
 /// After completion, the chunk [`ring_owned_chunk`]`(rank, world)` of `data`
@@ -57,25 +270,24 @@ pub fn ring_reduce_scatter_seg<T: Transport>(
     op: ReduceOp,
     seg: SegmentConfig,
 ) -> Result<Range<usize>, CollectiveError> {
-    let world = t.world_size();
-    let rank = t.rank();
-    let d = data.len();
-    if world == 1 {
-        return Ok(0..d);
-    }
-    let span = span_start();
-    let next = (rank + 1) % world;
-    let prev = (rank + world - 1) % world;
-    for step in 0..world - 1 {
-        let send_idx = (rank + world - step) % world;
-        let recv_idx = (rank + 2 * world - step - 1) % world;
-        let send_range = chunk_range(d, world, send_idx);
-        send_segmented(t, next, &mut data[send_range], seg)?;
-        let recv_range = chunk_range(d, world, recv_idx);
-        recv_segmented_reduce(t, prev, &mut data[recv_range], op, seg)?;
-    }
-    span_end("ring_reduce_scatter", d, span);
-    Ok(chunk_range(d, world, ring_owned_chunk(rank, world)))
+    ring_run(
+        t,
+        RingKind::ReduceScatter(op),
+        "ring_reduce_scatter",
+        data,
+        seg,
+    )
+}
+
+/// Releases everything of a reduce-scattered buffer but its owned chunk:
+/// the shard is moved to the front and the unowned capacity given back, so
+/// the returned vector holds (and keeps allocated) `owned.len()` elements.
+#[must_use]
+pub fn compact_owned_shard(mut data: Vec<f32>, owned: &Range<usize>) -> Vec<f32> {
+    data.copy_within(owned.clone(), 0);
+    data.truncate(owned.len());
+    data.shrink_to_fit();
+    data
 }
 
 /// The RS-only completion point of the segment pipeline: reduce-scatters
@@ -99,11 +311,8 @@ pub fn ring_reduce_scatter_shard_seg<T: Transport>(
     seg: SegmentConfig,
 ) -> Result<(Range<usize>, Vec<f32>), CollectiveError> {
     let owned = ring_reduce_scatter_seg(t, &mut data, op, seg)?;
-    // Compact in place, then release the unowned tail capacity.
-    data.copy_within(owned.clone(), 0);
-    data.truncate(owned.len());
-    data.shrink_to_fit();
-    Ok((owned, data))
+    let shard = compact_owned_shard(data, &owned);
+    Ok((owned, shard))
 }
 
 /// Ring all-gather over `data`, in place.
@@ -138,25 +347,14 @@ pub fn ring_all_gather_seg<T: Transport>(
     owned_chunk: usize,
     seg: SegmentConfig,
 ) -> Result<(), CollectiveError> {
-    let world = t.world_size();
-    let d = data.len();
-    if world == 1 {
-        return Ok(());
-    }
-    let span = span_start();
-    let rank = t.rank();
-    let next = (rank + 1) % world;
-    let prev = (rank + world - 1) % world;
-    for step in 0..world - 1 {
-        let send_idx = (owned_chunk + world - step) % world;
-        let recv_idx = (owned_chunk + 2 * world - step - 1) % world;
-        let send_range = chunk_range(d, world, send_idx);
-        send_segmented(t, next, &mut data[send_range], seg)?;
-        let recv_range = chunk_range(d, world, recv_idx);
-        recv_segmented_copy(t, prev, &mut data[recv_range], seg)?;
-    }
-    span_end("ring_all_gather", d, span);
-    Ok(())
+    ring_run(
+        t,
+        RingKind::AllGather { owned_chunk },
+        "ring_all_gather",
+        data,
+        seg,
+    )
+    .map(|_| ())
 }
 
 /// Ring all-reduce: [`ring_reduce_scatter`] followed by [`ring_all_gather`].
@@ -176,7 +374,9 @@ pub fn ring_all_reduce<T: Transport>(
 }
 
 /// [`ring_all_reduce`] with segment pipelining in both phases.
-/// Bit-identical to the monolithic call for any `seg`.
+/// Bit-identical to the monolithic call for any `seg`. Runs (and reports to
+/// the span hook) its two phases as two ops; [`RingKind::AllReduce`] is the
+/// same message sequence as one op.
 ///
 /// # Errors
 ///
@@ -362,6 +562,34 @@ mod tests {
                 assert_eq!(shard, expect[expected_range].to_vec(), "rank {rank}");
             }
         }
+    }
+
+    #[test]
+    fn only_a_two_rank_rs_or_ag_has_sent_everything_once_begun() {
+        // What decides how far a caller can send ahead: a reduce-scatter or
+        // all-gather on two ranks is a single send, so `begin` leaves
+        // nothing to post; an all-reduce's second send needs its first
+        // receive, and so does any op's on three ranks.
+        let sent_after_begin = |world: usize, kind: fn(usize) -> RingKind| {
+            run_world(world, |ep| {
+                let mut data = rank_data(ep.rank(), 12);
+                let seg = SegmentConfig::MONOLITHIC;
+                let ring = ring_begin(&ep, kind(ep.rank()), &mut data, seg).unwrap();
+                let sent = ring.all_sent();
+                ring_finish(&ep, ring, &mut data, seg).unwrap();
+                sent
+            })
+        };
+        let rs: fn(usize) -> RingKind = |_| RingKind::ReduceScatter(ReduceOp::Sum);
+        let ar: fn(usize) -> RingKind = |_| RingKind::AllReduce(ReduceOp::Sum);
+        let ag2: fn(usize) -> RingKind = |rank| RingKind::AllGather {
+            owned_chunk: ring_owned_chunk(rank, 2),
+        };
+        assert_eq!(sent_after_begin(2, rs), [true, true]);
+        assert_eq!(sent_after_begin(2, ag2), [true, true]);
+        assert_eq!(sent_after_begin(2, ar), [false, false]);
+        assert_eq!(sent_after_begin(3, rs), [false, false, false]);
+        assert_eq!(sent_after_begin(1, ar), [true], "nothing to send at all");
     }
 
     #[test]

@@ -172,11 +172,20 @@ pub struct WorldChange {
     pub generation: u64,
 }
 
+/// Fewest messages a [`Transport`] must accept on one link before `send`
+/// may wait for the peer to receive. Two ranks that each post this many
+/// sends to the other before either receives must both get through — the
+/// bound a caller that sends ahead of its receives (the comm thread's
+/// cross-group send-ahead, `dear-core`) sizes its window against, and the
+/// floor bounded transports clamp their queue depth to.
+pub const MIN_LINK_FRAMES: usize = 4;
+
 /// Point-to-point message transport between the workers of one job.
 ///
 /// Implementations must be usable from one thread per rank; `send` must not
-/// block indefinitely when the peer has not yet posted a receive (the
-/// in-process fabrics use unbounded buffering, mirroring eager-protocol MPI).
+/// block indefinitely when the peer has not yet posted a receive: at least
+/// [`MIN_LINK_FRAMES`] messages per link are buffered (the in-process
+/// fabrics use unbounded buffering, mirroring eager-protocol MPI).
 pub trait Transport {
     /// This endpoint's rank in `0..world_size()`.
     fn rank(&self) -> usize;
@@ -876,6 +885,49 @@ mod tests {
         assert_eq!(b.recv(0).unwrap(), vec![2.0]);
         // Two serialized messages: at least 2 × 2 ms of link time.
         assert!(t0.elapsed() >= std::time::Duration::from_millis(4));
+    }
+
+    #[test]
+    fn delay_fabric_link_never_idles_between_sends_queued_back_to_back() {
+        // The property cross-group send-ahead rests on. A message queued
+        // while the link is still busy starts serializing the instant its
+        // predecessor is done — delivery times differ by exactly its own
+        // wire time. A message sent only after a receive has returned (the
+        // one-op-at-a-time schedule: the receiver woke up late, then sent)
+        // finds the link idle and starts from *now*: the gap is lost.
+        let mut eps = LocalFabric::create(2);
+        let model = CostModel::new(20_000_000.0, 100.0, 0.0); // 20 ms + 100 ns/B
+        let scale = 0.5; // … halved, to stay fast
+        let b = DelayFabric::with_scale(eps.pop().unwrap(), model, scale);
+        let a = DelayFabric::with_scale(eps.pop().unwrap(), model, scale);
+        let wire = |elems: u64| Duration::from_secs_f64(model.p2p(4 * elems).as_secs_f64() * scale);
+        a.send(1, vec![1.0; 256].into()).unwrap();
+        a.send(1, vec![2.0; 1024].into()).unwrap();
+        // The stamps, read below the receiving decorator (which would
+        // serve the wait and clear them).
+        let first = b.inner().recv(0).unwrap().deliver_at().unwrap();
+        let second = b.inner().recv(0).unwrap().deliver_at().unwrap();
+        assert_eq!(second - first, wire(1024), "the link idled between sends");
+        // Now the sequential pattern: wait the message out, wake up a
+        // little late, and only then send the next.
+        a.send(1, vec![3.0; 256].into()).unwrap();
+        let third = {
+            let msg = b.inner().recv(0).unwrap();
+            msg.deliver_at().unwrap()
+        };
+        std::thread::sleep(third.saturating_duration_since(Instant::now()));
+        std::thread::sleep(Duration::from_micros(300)); // the late wake-up
+        let before = Instant::now();
+        a.send(1, vec![4.0; 256].into()).unwrap();
+        let fourth = b.inner().recv(0).unwrap().deliver_at().unwrap();
+        assert!(
+            fourth >= before + wire(256),
+            "a send on an idle link starts from now"
+        );
+        assert!(
+            fourth - third >= wire(256) + Duration::from_micros(300),
+            "the wake-up gap is time the link sat idle"
+        );
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! data, world sizes, and buffer lengths — and the decoupled RS∘AG
 //! composition must be *bitwise* identical to the fused ring all-reduce.
 
+use std::collections::VecDeque;
+
 use dear_collectives::{
     bf16_to_f32, chunk_ranges, f16_to_f32, f32_to_bf16, f32_to_f16, hierarchical_all_reduce,
-    ring_all_gather, ring_all_reduce, ring_all_reduce_seg, ring_owned_chunk, ring_reduce_scatter,
+    ring_advance, ring_all_gather, ring_all_gather_seg, ring_all_reduce, ring_all_reduce_seg,
+    ring_begin, ring_finish, ring_owned_chunk, ring_reduce_scatter, ring_reduce_scatter_seg,
     round_to_wire, run_cluster, run_cluster_with, AllReduceAlgorithm, ClusterShape, DType,
-    ReduceOp, SegmentConfig, Transport,
+    ReduceOp, RingKind, RingOp, SegmentConfig, Transport,
 };
 use proptest::prelude::*;
 
@@ -37,8 +40,118 @@ fn reference_sum(world: usize, d: usize, salt: u64) -> Vec<f32> {
     acc
 }
 
+/// Runs `ops` split-phase, up to `window` of them begun ahead of the one
+/// being finished, under the ordering rule of `ring_begin`: an op is begun
+/// only once every earlier op has posted its last send. `window` 0 is the
+/// plain `begin → advance → finish` composition, one op at a time.
+fn run_split_phase<T: Transport>(
+    t: &T,
+    ops: Vec<(RingKind, Vec<f32>)>,
+    seg: SegmentConfig,
+    window: usize,
+) -> Vec<Vec<f32>> {
+    let mut queued: VecDeque<_> = ops.into();
+    let mut inflight = VecDeque::new();
+    let mut done = Vec::new();
+    loop {
+        let mut fill = |inflight: &mut VecDeque<(RingOp, Vec<f32>)>| {
+            while inflight.len() <= window && inflight.back().is_none_or(|(r, _)| r.all_sent()) {
+                let Some((kind, mut data)) = queued.pop_front() else {
+                    break;
+                };
+                let ring = ring_begin(t, kind, &mut data, seg).unwrap();
+                inflight.push_back((ring, data));
+            }
+        };
+        fill(&mut inflight);
+        let Some((ring, data)) = inflight.front_mut() else {
+            return done;
+        };
+        ring_advance(t, ring, data, seg).unwrap();
+        fill(&mut inflight);
+        let (ring, mut data) = inflight.pop_front().unwrap();
+        let kind = ring.kind();
+        let valid = ring_finish(t, ring, &mut data, seg).unwrap();
+        let world = t.world_size();
+        let expect = match kind {
+            RingKind::ReduceScatter(_) => {
+                chunk_ranges(data.len(), world)[ring_owned_chunk(t.rank(), world)].clone()
+            }
+            _ => 0..data.len(),
+        };
+        assert_eq!(valid, expect, "{kind:?} reported the wrong valid range");
+        done.push(data);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn split_phase_ring_ops_are_bitwise_the_monolithic_calls(
+        world in 1usize..7,
+        d in 0usize..120,
+        max_segment_bytes in 0usize..48,
+        wire_idx in 0usize..3,
+        window in 0usize..3,
+        salt in any::<u64>(),
+    ) {
+        // All three ring collectives, twice over so that ops of one kind
+        // also follow each other: one at a time through the monolithic
+        // calls, and split-phase with up to `window` ops begun ahead. Same
+        // bits everywhere — partially-reduced garbage outside a
+        // reduce-scatter's owned chunk included, so the two paths did the
+        // same arithmetic in the same order, not merely reached the same
+        // sums. Segmented and not (0 = monolithic), f32 / bf16 / f16 wire.
+        let wire = [DType::F32, DType::Bf16, DType::F16][wire_idx];
+        let seg = SegmentConfig::new(max_segment_bytes).with_wire(wire);
+        let ops = |rank: usize| -> Vec<(RingKind, Vec<f32>)> {
+            let owned_chunk = ring_owned_chunk(rank, world);
+            [
+                RingKind::ReduceScatter(ReduceOp::Sum),
+                RingKind::ReduceScatter(ReduceOp::Max),
+                RingKind::AllGather { owned_chunk },
+                RingKind::AllGather { owned_chunk },
+                RingKind::AllReduce(ReduceOp::Sum),
+                RingKind::AllReduce(ReduceOp::Sum),
+                RingKind::ReduceScatter(ReduceOp::Sum),
+            ]
+            .into_iter()
+            .enumerate()
+            // Buffer lengths differ between ops, as fusion groups' do.
+            .map(|(i, kind)| (kind, rank_data(rank, d + 3 * i, salt.wrapping_add(i as u64))))
+            .collect()
+        };
+        let monolithic = run_cluster(world, |comm| {
+            let t = comm.transport();
+            ops(t.rank())
+                .into_iter()
+                .map(|(kind, mut data)| {
+                    match kind {
+                        RingKind::ReduceScatter(op) => {
+                            ring_reduce_scatter_seg(t, &mut data, op, seg).map(|_| ())
+                        }
+                        RingKind::AllGather { owned_chunk } => {
+                            ring_all_gather_seg(t, &mut data, owned_chunk, seg)
+                        }
+                        RingKind::AllReduce(op) => ring_all_reduce_seg(t, &mut data, op, seg),
+                    }
+                    .unwrap();
+                    data
+                })
+                .collect::<Vec<_>>()
+        });
+        let split = run_cluster(world, |comm| {
+            let t = comm.transport();
+            run_split_phase(t, ops(t.rank()), seg, window)
+        });
+        let bits = |runs: &[Vec<Vec<f32>>]| -> Vec<Vec<Vec<u32>>> {
+            runs.iter()
+                .map(|ops| ops.iter().map(|d| d.iter().map(|x| x.to_bits()).collect()).collect())
+                .collect()
+        };
+        prop_assert_eq!(bits(&monolithic), bits(&split));
+    }
 
     #[test]
     fn ring_all_reduce_matches_sum(world in 1usize..9, d in 0usize..200, salt in any::<u64>()) {

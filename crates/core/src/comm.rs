@@ -14,12 +14,13 @@
 
 use crossbeam_channel::{Receiver, Sender};
 
+use std::collections::VecDeque;
 use std::ops::Range;
 
 use dear_collectives::{
-    chunk_range, naive_all_reduce_seg, ring_all_gather_seg, ring_all_reduce_seg, ring_owned_chunk,
-    ring_reduce_scatter_seg, ring_reduce_scatter_shard_seg, tree_broadcast_seg, CollectiveError,
-    DType, ReduceOp, SegmentConfig, Transport, WorldChange,
+    chunk_range, compact_owned_shard, naive_all_reduce_seg, ring_advance, ring_all_reduce_seg,
+    ring_begin, ring_finish, ring_owned_chunk, tree_broadcast_seg, CollectiveError, DType,
+    ReduceOp, RingKind, RingOp, SegmentConfig, Transport, WorldChange, MIN_LINK_FRAMES,
 };
 
 use crate::layout::GroupLayout;
@@ -588,223 +589,394 @@ pub enum CommResult {
     /// Resident optimizer-state bytes on this rank (velocity plus second
     /// moment, at their current — full or shard-dense — lengths).
     OptimBytes(usize),
-    /// A collective failed. The job that posted it was abandoned, and any
-    /// iteration state stashed comm-side was discarded — the step cannot be
-    /// resumed. The transport stays broken until a successful
-    /// [`CommJob::ResizeWorld`] (or the worker tears down and restarts).
+    /// A collective failed. The job that posted it was abandoned, and so
+    /// was everything of the iteration held comm-side — ring ops begun
+    /// ahead, the stash — the step cannot be resumed. The transport stays
+    /// broken until a successful [`CommJob::ResizeWorld`] (or the worker
+    /// tears down and restarts); ring jobs posted before then are dropped
+    /// without a reply of their own.
     Error(CollectiveError),
 }
 
-/// Runs the comm-thread event loop until the job channel closes.
-///
-/// Collective failures do **not** kill this thread: the failing job is
-/// abandoned, the iteration's comm-side stash is discarded (the step cannot
-/// be resumed), and a [`CommResult::Error`] goes back to the training
-/// thread, which owns the recovery decision — resize the world in place
-/// ([`CommJob::ResizeWorld`]) or tear down.
-///
-/// # Panics
-///
-/// Panics only if the training thread hangs up while a successful reply is
-/// being delivered.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-pub fn run_comm_thread<T: Transport>(
-    mut transport: T,
-    mut layout: CommLayout,
-    mut hyper: HyperParams,
-    total_elements: usize,
-    segments: SegmentConfig,
-    strategy: &ParallelismStrategy,
-    trace_scope: &str,
-    jobs: &Receiver<CommJob>,
-    results: &Sender<CommResult>,
-) {
-    trace::set_thread_stream(trace_scope, "comm");
-    let mut world = transport.world_size();
-    let mut rank = transport.rank();
-    // The control path must stay bit-exact regardless of the run's wire
-    // dtype: `Broadcast` ships an f64 as two f32 bit-words (any rounding
-    // corrupts the value), and `Reconfigure` redistributes optimizer state
-    // that checkpoints expect unrounded. Only the gradient/parameter data
-    // path (RsUpdate / FlushAllGathers / AllReduce) uses the narrow wire.
-    let control = segments.with_wire(DType::F32);
-    // Optimizer state keyed by global flat offset: survives re-bucketing.
-    // `velocity` doubles as Adam's first moment; the second moment is
-    // allocated lazily only when Adam is selected. DDP keeps full-length
-    // vectors (zeros outside the shard); ZeRO packs the owned ranges.
-    let mut store = OptimStore::new(strategy, &layout, rank, world, total_elements);
-    let mut adam_step: u64 = 0;
-    // Groups stashed this iteration, in arrival (backward) order.
-    let mut stash: Vec<(usize, StashEntry)> = Vec::new();
+/// Ring ops the comm thread may have begun beyond the one it is finishing
+/// (DESIGN.md §4.18). A constant, not a knob: two covers the one software
+/// wake-up a receive costs, and every op ahead holds a wire buffer (and,
+/// under ZeRO-2, a rebuilt parameter buffer) alive.
+const SEND_AHEAD_WINDOW: usize = 2;
 
-    while let Ok(job) = jobs.recv() {
-        // On collective failure: drop the iteration's stash (the step is
-        // abandoned, not resumable), report, and keep serving jobs. The
-        // send is best-effort — if the training thread already panicked,
-        // its end of the channel is gone and there is nobody left to tell.
-        macro_rules! fail {
-            ($e:expr) => {{
-                stash.clear();
-                let _ = results.send(CommResult::Error($e));
-                continue;
-            }};
-        }
-        // Boundary violations used to be `assert!`s that panicked this
-        // thread (and with it the whole worker); they now fail only the
-        // offending request. Unlike `fail!`, the stash is kept — the step
-        // itself is still healthy and can be flushed normally.
-        macro_rules! boundary {
-            ($what:literal) => {
-                if !stash.is_empty() {
-                    let _ = results.send(CommResult::Error(CollectiveError::Reconfigure {
-                        reason: concat!(
-                            $what,
-                            " must happen at an iteration boundary; \
-                             a reduce-scattered group is still stashed"
-                        )
-                        .to_string(),
-                    }));
+// The head op and everything begun ahead of it each have one unreceived
+// message per link (per segment) at worst; a transport must take them all.
+const _: () = assert!(SEND_AHEAD_WINDOW < MIN_LINK_FRAMES);
+
+/// Elements of the largest chunk any group of `layout` splits into.
+fn largest_chunk(layout: &CommLayout, world: usize) -> usize {
+    layout
+        .groups
+        .iter()
+        .map(|g| chunk_range(g.elements, world, 0).len())
+        .max()
+        .unwrap_or(0)
+}
+
+/// How far ahead the comm thread may send when the largest chunk has
+/// `largest_chunk` elements: the full window while the head op plus a full
+/// window of ops ahead, each with that chunk's segments unreceived, fit
+/// the [`MIN_LINK_FRAMES`] every transport guarantees — else not at all (a
+/// segmented run falls back to one op at a time).
+fn send_ahead_window(largest_chunk: usize, segments: SegmentConfig) -> usize {
+    if (SEND_AHEAD_WINDOW + 1) * segments.num_segments(largest_chunk) <= MIN_LINK_FRAMES {
+        SEND_AHEAD_WINDOW
+    } else {
+        0
+    }
+}
+
+/// A ring collective the comm thread has begun and not yet finished,
+/// with the group buffers that travel with it.
+struct InFlight {
+    group: usize,
+    ring: RingOp,
+    /// The buffer on the wire: the group's gradients (reduce-scatter,
+    /// all-reduce) or its parameters (all-gather).
+    data: Vec<f32>,
+    /// The group's other circulating buffer, riding along: the parameters
+    /// behind a reduce-scatter, the spent gradients behind an all-gather,
+    /// nothing behind an all-reduce.
+    other: Vec<f32>,
+    /// The op's span, already open if it was begun with nothing in flight
+    /// (its own first send then belongs to it). An op begun ahead gets its
+    /// span when it becomes the head: its first send happened inside its
+    /// predecessor's span, and the comm stream stays serial.
+    span: Option<trace::Span>,
+}
+
+/// The span label of a ring op on `group`.
+fn op_label(kind: RingKind, group: usize) -> String {
+    match kind {
+        RingKind::ReduceScatter(_) => format!("OP1.RS[g{group}]"),
+        RingKind::AllGather { .. } => format!("OP2.AG[g{group}]"),
+        RingKind::AllReduce(_) => format!("AR[g{group}]"),
+    }
+}
+
+/// The state of one rank's comm thread (see [`run_comm_thread`]).
+struct CommThread<'a, T> {
+    transport: T,
+    layout: CommLayout,
+    hyper: HyperParams,
+    total_elements: usize,
+    /// Segmenting and wire dtype of the gradient/parameter data path.
+    segments: SegmentConfig,
+    /// The control path must stay bit-exact regardless of the run's wire
+    /// dtype: `Broadcast` ships an f64 as two f32 bit-words (any rounding
+    /// corrupts the value), and `Reconfigure` redistributes optimizer state
+    /// that checkpoints expect unrounded. Only the data path (RsUpdate /
+    /// FlushAllGathers / AllReduce) uses the narrow wire.
+    control: SegmentConfig,
+    strategy: &'a ParallelismStrategy,
+    jobs: &'a Receiver<CommJob>,
+    results: &'a Sender<CommResult>,
+    world: usize,
+    rank: usize,
+    /// Optimizer state keyed by global flat offset: survives re-bucketing.
+    /// DDP keeps full-length vectors (zeros outside the shard); ZeRO packs
+    /// the owned ranges.
+    store: OptimStore,
+    adam_step: u64,
+    /// Groups reduce-scattered this iteration, in arrival (backward) order.
+    stash: Vec<(usize, StashEntry)>,
+    /// Jobs taken off the channel and not yet started, in order.
+    backlog: VecDeque<CommJob>,
+    /// Ring ops begun and not yet finished, in order; the front is the one
+    /// being finished, the rest were begun ahead of it.
+    inflight: VecDeque<InFlight>,
+    /// A `FlushAllGathers` is being served: the next ring ops are the
+    /// stash's all-gathers, newest entry first.
+    flushing: bool,
+    /// A collective failed and no resize has succeeded since: the step was
+    /// abandoned, and what is left of it is dropped, not run.
+    broken: bool,
+    /// Ops that may be begun ahead of the head ([`send_ahead_window`]); set
+    /// by [`Self::open_window`].
+    window: usize,
+}
+
+impl<T: Transport> CommThread<'_, T> {
+    fn run(&mut self) {
+        self.open_window();
+        loop {
+            match self.pump() {
+                Ok(true) => continue,
+                Ok(false) => {}
+                Err(e) => {
+                    self.fail(e);
                     continue;
                 }
+            }
+            // No ring op in flight and none next in line.
+            let Some(job) = self.backlog.pop_front() else {
+                match self.jobs.recv() {
+                    // Through the pump first: it may be a ring job.
+                    Ok(job) => self.backlog.push_back(job),
+                    Err(_) => return,
+                }
+                continue;
             };
+            if let Err(e) = self.control(job) {
+                self.fail(e);
+            }
         }
-        match job {
-            CommJob::RsUpdate {
+    }
+
+    /// Sizes the send-ahead window for the current layout and world, and
+    /// stocks the transport's pool with the wire buffers a full window has
+    /// in use at once. How far ahead the thread actually gets depends on
+    /// when jobs arrive, so without the stock the first step to fill the
+    /// window — any step, however late — would have to allocate them.
+    fn open_window(&mut self) {
+        let chunk = largest_chunk(&self.layout, self.world);
+        self.window = send_ahead_window(chunk, self.segments);
+        let bytes = chunk * self.segments.wire.size_bytes();
+        let stock: Vec<_> = (0..=self.window)
+            .map(|_| self.transport.take_buffer(bytes))
+            .collect();
+        for buf in stock {
+            self.transport.recycle_buffer(buf);
+        }
+    }
+
+    /// Abandons the step after a collective failure: drops every op in
+    /// flight and the iteration's stash with their buffers (the step is not
+    /// resumable), and reports once. What is left of the step — in the
+    /// backlog or still to be posted — is dropped as it comes up, until a
+    /// resize succeeds. The send is best-effort: if the training thread
+    /// already panicked, there is nobody left to tell.
+    fn fail(&mut self, e: CollectiveError) {
+        self.inflight.clear();
+        self.stash.clear();
+        self.flushing = false;
+        self.broken = true;
+        let _ = self.results.send(CommResult::Error(e));
+    }
+
+    fn reply(&self, result: CommResult) {
+        self.results.send(result).expect("training thread hung up");
+    }
+
+    /// Finishes the ring op at the head of the pipeline, sending ahead for
+    /// the ops behind it. `Ok(false)` when there is no ring op to run: none
+    /// in flight, and the next job in line is not one.
+    fn pump(&mut self) -> Result<bool, CollectiveError> {
+        self.fill()?;
+        let Some(head) = self.inflight.front_mut() else {
+            return Ok(false);
+        };
+        let (kind, group) = (head.ring.kind(), head.group);
+        let span = head
+            .span
+            .take()
+            .unwrap_or_else(|| trace::span(TaskKind::Communication, || op_label(kind, group)));
+        ring_advance(
+            &self.transport,
+            &mut head.ring,
+            &mut head.data,
+            self.segments,
+        )?;
+        // The head has posted its last send: the ops behind it may post
+        // their first before it blocks on its last receive.
+        self.fill()?;
+        let InFlight {
+            ring,
+            mut data,
+            other,
+            ..
+        } = self.inflight.pop_front().expect("the head is in flight");
+        let valid = ring_finish(&self.transport, ring, &mut data, self.segments)?;
+        span.end();
+        match kind {
+            RingKind::ReduceScatter(_) => self.update_and_stash(group, valid, data, other),
+            RingKind::AllGather { .. } => self.reply(CommResult::Params {
                 group,
-                mut grads,
-                mut params,
-            } => {
-                let meta = &layout.groups[group];
-                debug_assert_eq!(grads.len(), meta.elements);
-                if stash.is_empty() {
-                    // First group of a new iteration: advance the Adam step
-                    // (bias correction is per-iteration, shared by shards).
-                    adam_step += 1;
-                }
-                let op1 = trace::span(TaskKind::Communication, || format!("OP1.RS[g{group}]"));
-                // ZeRO-2 takes the RS-only completion point: the reduced
-                // shard comes back compact and the full-length gradient
-                // buffer is released before the update even starts.
-                // `gshift` re-bases group coordinates into `gbuf` — zero
-                // when the buffer is full-length, `owned.start` when it is
-                // the compact shard. Pure index arithmetic, so every
-                // strategy computes bit-identical updates.
-                let (owned, gbuf, gshift) = if strategy.shards_grad_stash() {
-                    match ring_reduce_scatter_shard_seg(&transport, grads, ReduceOp::Sum, segments)
-                    {
-                        Ok((owned, shard)) => {
-                            let shift = owned.start;
-                            (owned, shard, shift)
-                        }
-                        Err(e) => {
-                            op1.end();
-                            fail!(e);
-                        }
-                    }
-                } else {
-                    match ring_reduce_scatter_seg(&transport, &mut grads, ReduceOp::Sum, segments) {
-                        Ok(owned) => (owned, grads, 0),
-                        Err(e) => {
-                            op1.end();
-                            fail!(e);
-                        }
-                    }
-                };
-                op1.end();
-                let upd = trace::span(TaskKind::Other, || format!("OP1.UPD[g{group}]"));
-                // Optimizer update on the owned shard only; every element is
-                // owned by exactly one rank, so the union of shards is the
-                // full S-SGD update of Eq. 2.
-                update_owned_shard(
-                    meta,
-                    &owned,
-                    &gbuf,
-                    gshift,
-                    &mut params,
-                    &mut store,
-                    &hyper,
-                    1.0 / world as f32,
-                    adam_step,
-                );
-                upd.end();
-                let entry = if strategy.shards_grad_stash() {
-                    // Only the owned chunk is live between OP1 and OP2: the
-                    // all-gather redistributes it and overwrites the rest.
-                    // The spent compact shard is exactly that long, so it
-                    // becomes the chunk's storage; the full-length parameter
-                    // buffer is released here.
-                    let mut chunk = gbuf;
-                    chunk.copy_from_slice(&params[owned.clone()]);
-                    StashEntry::Shard {
-                        owned,
-                        chunk,
-                        elements: meta.elements,
-                    }
-                } else {
-                    StashEntry::Full {
-                        params,
-                        grads: gbuf,
-                    }
-                };
-                stash.push((group, entry));
-            }
-            CommJob::FlushAllGathers => {
-                // Forward order = reverse of backward arrival order, so the
-                // first layers' parameters arrive first (FeedPipe).
-                let mut failed = None;
-                for (group, entry) in stash.drain(..).rev() {
-                    if failed.is_some() {
-                        // Keep draining: the rest of the abandoned step's
-                        // groups are dropped, not gathered.
-                        continue;
-                    }
-                    // ZeRO-2 rematerializes the full buffer just-in-time:
-                    // zeros everywhere except the owned chunk, which is all
-                    // the ring all-gather ever reads from this rank.
-                    let (mut params, grads) = entry.into_buffers();
-                    let op2 = trace::span(TaskKind::Communication, || format!("OP2.AG[g{group}]"));
-                    match ring_all_gather_seg(
-                        &transport,
-                        &mut params,
-                        ring_owned_chunk(rank, world),
-                        segments,
-                    ) {
-                        Ok(()) => {
-                            op2.end();
-                            results
-                                .send(CommResult::Params {
-                                    group,
-                                    params,
-                                    grads,
-                                })
-                                .expect("training thread hung up");
-                        }
-                        Err(e) => {
-                            op2.end();
-                            failed = Some(e);
-                        }
-                    }
-                }
-                if let Some(e) = failed {
-                    let _ = results.send(CommResult::Error(e));
-                }
-            }
-            CommJob::AllReduce { group, mut grads } => {
-                let ar = trace::span(TaskKind::Communication, || format!("AR[g{group}]"));
-                if let Err(e) = ring_all_reduce_seg(&transport, &mut grads, ReduceOp::Sum, segments)
-                {
-                    ar.end();
-                    fail!(e);
-                }
-                ar.end();
-                let inv_p = 1.0 / world as f32;
-                for g in &mut grads {
+                params: data,
+                grads: other,
+            }),
+            RingKind::AllReduce(_) => {
+                let inv_p = 1.0 / self.world as f32;
+                for g in &mut data {
                     *g *= inv_p;
                 }
-                results
-                    .send(CommResult::Grads { group, grads })
-                    .expect("training thread hung up");
+                self.reply(CommResult::Grads { group, grads: data });
             }
+        }
+        Ok(true)
+    }
+
+    /// Begins ring ops while the ordering rule and the window allow: the
+    /// next op's first send may go out once every op before it has posted
+    /// its last, and at most `window` ops run ahead of the head.
+    fn fill(&mut self) -> Result<(), CollectiveError> {
+        while self.inflight.len() <= self.window
+            && self.inflight.back().is_none_or(|op| op.ring.all_sent())
+        {
+            match self.begin_next()? {
+                Some(op) => self.inflight.push_back(op),
+                None => break,
+            }
+        }
+        Ok(())
+    }
+
+    /// Begins the next ring op in program order, if a ring op is what comes
+    /// next: the newest stashed group's all-gather while flushing (forward
+    /// order = reverse of backward arrival order, so the first layers'
+    /// parameters arrive first — FeedPipe), else the `RsUpdate` or
+    /// `AllReduce` at the front of the backlog.
+    fn begin_next(&mut self) -> Result<Option<InFlight>, CollectiveError> {
+        let flushed = if self.flushing {
+            self.stash.pop()
+        } else {
+            None
+        };
+        let (group, kind, mut data, other) = if let Some((group, entry)) = flushed {
+            // ZeRO-2 rematerializes the full buffer only now that its send
+            // is due: zeros everywhere except the owned chunk, which is all
+            // the ring all-gather ever reads from this rank.
+            let (params, grads) = entry.into_buffers();
+            let owned_chunk = ring_owned_chunk(self.rank, self.world);
+            (group, RingKind::AllGather { owned_chunk }, params, grads)
+        } else {
+            self.flushing = false;
+            while let Ok(job) = self.jobs.try_recv() {
+                self.backlog.push_back(job);
+            }
+            if self.broken {
+                return Ok(None);
+            }
+            match self.backlog.pop_front() {
+                Some(CommJob::RsUpdate {
+                    group,
+                    grads,
+                    params,
+                }) => (group, RingKind::ReduceScatter(ReduceOp::Sum), grads, params),
+                Some(CommJob::AllReduce { group, grads }) => {
+                    (group, RingKind::AllReduce(ReduceOp::Sum), grads, Vec::new())
+                }
+                // Any other job waits until nothing is in flight.
+                Some(other) => {
+                    self.backlog.push_front(other);
+                    return Ok(None);
+                }
+                None => return Ok(None),
+            }
+        };
+        debug_assert_eq!(data.len(), self.layout.groups[group].elements);
+        let span = self
+            .inflight
+            .is_empty()
+            .then(|| trace::span(TaskKind::Communication, || op_label(kind, group)));
+        let ring = ring_begin(&self.transport, kind, &mut data, self.segments)?;
+        Ok(Some(InFlight {
+            group,
+            ring,
+            data,
+            other,
+            span,
+        }))
+    }
+
+    /// The rest of DeAR's OP1 once the group's reduce-scatter has left
+    /// `owned` of `grads` reduced: `OP1.UPD`, then park the group for OP2.
+    fn update_and_stash(
+        &mut self,
+        group: usize,
+        owned: Range<usize>,
+        grads: Vec<f32>,
+        mut params: Vec<f32>,
+    ) {
+        let meta = &self.layout.groups[group];
+        if self.stash.is_empty() {
+            // First group of a new iteration: advance the Adam step (bias
+            // correction is per-iteration, shared by shards).
+            self.adam_step += 1;
+        }
+        // ZeRO-2 takes the RS-only completion point: the reduced shard is
+        // compacted and the full-length gradient buffer released before
+        // the update even starts. `gshift` re-bases group coordinates into
+        // `gbuf` — zero when the buffer is full-length, `owned.start` when
+        // it is the compact shard. Pure index arithmetic, so every strategy
+        // computes bit-identical updates.
+        let (gbuf, gshift) = if self.strategy.shards_grad_stash() {
+            (compact_owned_shard(grads, &owned), owned.start)
+        } else {
+            (grads, 0)
+        };
+        let upd = trace::span(TaskKind::Other, || format!("OP1.UPD[g{group}]"));
+        // Optimizer update on the owned shard only; every element is owned
+        // by exactly one rank, so the union of shards is the full S-SGD
+        // update of Eq. 2.
+        update_owned_shard(
+            meta,
+            &owned,
+            &gbuf,
+            gshift,
+            &mut params,
+            &mut self.store,
+            &self.hyper,
+            1.0 / self.world as f32,
+            self.adam_step,
+        );
+        upd.end();
+        let entry = if self.strategy.shards_grad_stash() {
+            // Only the owned chunk is live between OP1 and OP2: the
+            // all-gather redistributes it and overwrites the rest. The
+            // spent compact shard is exactly that long, so it becomes the
+            // chunk's storage; the full-length parameter buffer is released
+            // here.
+            let mut chunk = gbuf;
+            chunk.copy_from_slice(&params[owned.clone()]);
+            StashEntry::Shard {
+                owned,
+                chunk,
+                elements: meta.elements,
+            }
+        } else {
+            StashEntry::Full {
+                params,
+                grads: gbuf,
+            }
+        };
+        self.stash.push((group, entry));
+    }
+
+    /// Whether no reduce-scattered group is stashed, i.e. the thread is at
+    /// an iteration boundary. If not, fails the request for `what` — and
+    /// only the request: boundary violations used to be `assert!`s that
+    /// panicked this thread (and with it the whole worker). The stash is
+    /// kept; the step itself is still healthy and can be flushed normally.
+    fn at_boundary(&self, what: &str) -> bool {
+        if !self.stash.is_empty() {
+            let _ = self
+                .results
+                .send(CommResult::Error(CollectiveError::Reconfigure {
+                    reason: format!(
+                        "{what} must happen at an iteration boundary; \
+                         a reduce-scattered group is still stashed"
+                    ),
+                }));
+        }
+        self.stash.is_empty()
+    }
+
+    /// Serves a job that is not a ring op; only ever called with no ring op
+    /// in flight. An `Err` is a failed collective, for [`Self::fail`].
+    #[allow(clippy::too_many_lines)]
+    fn control(&mut self, job: CommJob) -> Result<(), CollectiveError> {
+        match job {
+            // The pump begins every ring job it finds at the front of the
+            // backlog — unless the transport is broken: the step these
+            // belong to was abandoned, and they go with it.
+            CommJob::RsUpdate { .. } | CommJob::AllReduce { .. } => debug_assert!(self.broken),
+            CommJob::FlushAllGathers => self.flushing = !self.broken,
             CommJob::Broadcast { root, value } => {
                 // The fabric carries f32, but BO broadcasts byte counts that
                 // exceed 2^24 (e.g. the paper's 25 MB buffer, 26_214_401
@@ -818,31 +990,22 @@ pub fn run_comm_thread<T: Transport>(
                     f32::from_bits((bits >> 32) as u32),
                     f32::from_bits(bits as u32),
                 ];
-                if let Err(e) = tree_broadcast_seg(&transport, &mut buf, root, control) {
-                    bc.end();
-                    fail!(e);
-                }
+                tree_broadcast_seg(&self.transport, &mut buf, root, self.control)?;
                 let bits = (u64::from(buf[0].to_bits()) << 32) | u64::from(buf[1].to_bits());
                 bc.end();
-                results
-                    .send(CommResult::Broadcast(f64::from_bits(bits)))
-                    .expect("training thread hung up");
+                self.reply(CommResult::Broadcast(f64::from_bits(bits)));
             }
             CommJob::Barrier => {
                 let sp = trace::span(TaskKind::Communication, || "BARRIER".to_string());
                 let mut token = [0.0f32];
-                if let Err(e) = naive_all_reduce_seg(&transport, &mut token, ReduceOp::Sum, control)
-                {
-                    sp.end();
-                    fail!(e);
-                }
+                naive_all_reduce_seg(&self.transport, &mut token, ReduceOp::Sum, self.control)?;
                 sp.end();
-                results
-                    .send(CommResult::BarrierDone)
-                    .expect("training thread hung up");
+                self.reply(CommResult::BarrierDone);
             }
-            CommJob::Reconfigure { layout: new_layout } => {
-                boundary!("re-bucketing");
+            CommJob::Reconfigure { layout } => {
+                if !self.at_boundary("re-bucketing") {
+                    return Ok(());
+                }
                 // Shard ownership changes with the group boundaries (or the
                 // world size, after an in-place resize), so the momentum
                 // state must move with it: each element's velocity lives
@@ -851,101 +1014,181 @@ pub fn run_comm_thread<T: Transport>(
                 // only the shards it owns under the new layout. A failure
                 // part-way leaves the state half-reduced — recovery must go
                 // through a snapshot import, never resume from here.
-                let mut full_velocity = store.export_velocity();
-                if let Err(e) =
-                    ring_all_reduce_seg(&transport, &mut full_velocity, ReduceOp::Sum, control)
-                {
-                    fail!(e);
-                }
-                let mut full_second = store.export_second_moment();
+                let mut full_velocity = self.store.export_velocity();
+                ring_all_reduce_seg(
+                    &self.transport,
+                    &mut full_velocity,
+                    ReduceOp::Sum,
+                    self.control,
+                )?;
+                let mut full_second = self.store.export_second_moment();
                 if !full_second.is_empty() {
-                    if let Err(e) =
-                        ring_all_reduce_seg(&transport, &mut full_second, ReduceOp::Sum, control)
-                    {
-                        fail!(e);
-                    }
+                    ring_all_reduce_seg(
+                        &self.transport,
+                        &mut full_second,
+                        ReduceOp::Sum,
+                        self.control,
+                    )?;
                 }
                 // Re-partition under the new layout (and the possibly-new
                 // world after an in-place resize): DDP re-masks the full
                 // vectors, ZeRO re-packs them to the new owned ranges.
-                store.adopt(&new_layout, rank, world, full_velocity, full_second);
-                layout = new_layout;
+                self.store
+                    .adopt(&layout, self.rank, self.world, full_velocity, full_second);
+                self.layout = layout;
+                self.open_window();
             }
-            CommJob::SetHyper(new_hyper) => {
-                boundary!("a hyper-parameter change");
-                hyper = new_hyper;
+            CommJob::SetHyper(hyper) => {
+                if self.at_boundary("a hyper-parameter change") {
+                    self.hyper = hyper;
+                }
             }
             CommJob::ExportOptimState => {
-                boundary!("an optimizer-state export");
-                // Always exported in the full-length exchange format (zeros
-                // outside the owned shard) regardless of strategy, so the
-                // checkpoint layout is strategy-independent and a run can
-                // resume under a different strategy than it saved with.
-                results
-                    .send(CommResult::OptimState(OptimState {
-                        velocity: store.export_velocity(),
-                        second_moment: store.export_second_moment(),
-                        adam_step,
-                    }))
-                    .expect("training thread hung up");
+                if self.at_boundary("an optimizer-state export") {
+                    // Always exported in the full-length exchange format
+                    // (zeros outside the owned shard) regardless of
+                    // strategy, so the checkpoint layout is
+                    // strategy-independent and a run can resume under a
+                    // different strategy than it saved with.
+                    self.reply(CommResult::OptimState(OptimState {
+                        velocity: self.store.export_velocity(),
+                        second_moment: self.store.export_second_moment(),
+                        adam_step: self.adam_step,
+                    }));
+                }
             }
             CommJob::ImportOptimState(state) => {
-                boundary!("an optimizer-state import");
-                assert_eq!(
-                    state.velocity.len(),
-                    total_elements,
-                    "imported velocity length must match the model"
-                );
-                assert!(
-                    state.second_moment.is_empty() || state.second_moment.len() == total_elements,
-                    "imported second moment must be empty or match the model"
-                );
-                store.import(state.velocity, state.second_moment);
-                adam_step = state.adam_step;
+                if self.at_boundary("an optimizer-state import") {
+                    assert_eq!(
+                        state.velocity.len(),
+                        self.total_elements,
+                        "imported velocity length must match the model"
+                    );
+                    assert!(
+                        state.second_moment.is_empty()
+                            || state.second_moment.len() == self.total_elements,
+                        "imported second moment must be empty or match the model"
+                    );
+                    self.store.import(state.velocity, state.second_moment);
+                    self.adam_step = state.adam_step;
+                }
             }
             CommJob::ResizeWorld { survivors } => {
-                if !stash.is_empty() {
+                if !self.stash.is_empty() {
                     // A mid-step resize fails the request, not the step:
                     // the stash is kept so the caller can still flush the
                     // iteration and retry at the boundary.
-                    let _ = results.send(CommResult::Resized(Err(CollectiveError::Reconfigure {
-                        reason: "in-place resize must happen at an iteration boundary; \
-                                 a reduce-scattered group is still stashed"
-                            .to_string(),
-                    })));
-                    continue;
+                    let _ =
+                        self.results
+                            .send(CommResult::Resized(Err(CollectiveError::Reconfigure {
+                                reason: "in-place resize must happen at an iteration boundary; \
+                                     a reduce-scattered group is still stashed"
+                                    .to_string(),
+                            })));
+                    return Ok(());
                 }
                 let sp = trace::span(TaskKind::Communication, || "RESIZE".to_string());
-                let outcome = transport.reconfigure(survivors.as_deref());
+                let outcome = self.transport.reconfigure(survivors.as_deref());
                 sp.end();
                 if let Ok(change) = &outcome {
-                    world = change.new_world;
-                    rank = change.new_rank;
+                    self.world = change.new_world;
+                    self.rank = change.new_rank;
+                    self.open_window();
+                    self.broken = false;
                 }
-                let _ = results.send(CommResult::Resized(outcome));
+                let _ = self.results.send(CommResult::Resized(outcome));
             }
             CommJob::AgreeStep(step) => {
                 let sp = trace::span(TaskKind::Communication, || "AGREE-STEP".to_string());
                 // Min over the f32 control path — exact for counters below
                 // 2^24, far beyond any run this harness drives.
                 let mut buf = [step as f32];
-                if let Err(e) = naive_all_reduce_seg(&transport, &mut buf, ReduceOp::Min, control) {
-                    sp.end();
-                    fail!(e);
-                }
+                naive_all_reduce_seg(&self.transport, &mut buf, ReduceOp::Min, self.control)?;
                 sp.end();
-                results
-                    .send(CommResult::Step(buf[0] as u64))
-                    .expect("training thread hung up");
+                self.reply(CommResult::Step(buf[0] as u64));
             }
             CommJob::QueryOptimBytes => {
-                results
-                    .send(CommResult::OptimBytes(store.resident_bytes()))
-                    .expect("training thread hung up");
+                self.reply(CommResult::OptimBytes(self.store.resident_bytes()));
             }
         }
+        Ok(())
     }
 }
+
+/// Runs the comm-thread event loop until the job channel closes.
+///
+/// **Cross-group send-ahead** (DESIGN.md §4.18). The ring jobs — DeAR's
+/// `RsUpdate` reduce-scatters and the all-gathers of `FlushAllGathers`,
+/// WFBP's `AllReduce`s — run split-phase
+/// ([`ring_begin`] → [`ring_advance`] → [`ring_finish`]), and the thread
+/// does not wait out one group's last receive before it looks at the next
+/// group: once the op it is finishing has posted its last send, it begins
+/// the ops queued behind it — up to [`SEND_AHEAD_WINDOW`] of them, each as
+/// soon as its predecessor has posted *its* last send. That one rule keeps
+/// every op's messages contiguous on the link, in the order of the
+/// one-group-at-a-time schedule, so the peers need no tags to tell the
+/// messages apart and results are bit-identical; the link simply no longer
+/// idles for a wake-up between groups. On two ranks a reduce-scatter or
+/// all-gather is a single send, so the whole window is on the wire while
+/// the head's receive is awaited; an all-reduce's second send needs its
+/// first receive, so only its last wait is overlapped, and so is any op on
+/// more than two ranks. Ops finish — update, stash, reply — strictly in
+/// order, one `OP1.RS` / `OP1.UPD` / `OP2.AG` / `AR` span per group, serial
+/// on the comm stream. Every other job runs with nothing in flight.
+///
+/// Collective failures do **not** kill this thread: the ops in flight and
+/// the iteration's comm-side stash are dropped (the step cannot be
+/// resumed), one [`CommResult::Error`] goes back to the training thread,
+/// which owns the recovery decision — resize the world in place
+/// ([`CommJob::ResizeWorld`]) or tear down — and until a resize succeeds
+/// the ring jobs still arriving from the abandoned step are dropped
+/// unrun.
+///
+/// # Panics
+///
+/// Panics only if the training thread hangs up while a successful reply is
+/// being delivered.
+#[allow(clippy::too_many_arguments)]
+pub fn run_comm_thread<T: Transport>(
+    transport: T,
+    layout: CommLayout,
+    hyper: HyperParams,
+    total_elements: usize,
+    segments: SegmentConfig,
+    strategy: &ParallelismStrategy,
+    trace_scope: &str,
+    jobs: &Receiver<CommJob>,
+    results: &Sender<CommResult>,
+) {
+    trace::set_thread_stream(trace_scope, "comm");
+    let world = transport.world_size();
+    let rank = transport.rank();
+    CommThread {
+        store: OptimStore::new(strategy, &layout, rank, world, total_elements),
+        window: 0,
+        transport,
+        layout,
+        hyper,
+        total_elements,
+        segments,
+        control: segments.with_wire(DType::F32),
+        strategy,
+        jobs,
+        results,
+        world,
+        rank,
+        adam_step: 0,
+        stash: Vec::new(),
+        backlog: VecDeque::new(),
+        inflight: VecDeque::new(),
+        flushing: false,
+        broken: false,
+    }
+    .run();
+}
+
+#[cfg(test)]
+mod send_ahead_tests;
 
 #[cfg(test)]
 mod tests {

@@ -785,12 +785,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One group's circulating `(params, grads)` buffers.
+    type GroupBuffers = (Vec<f32>, Vec<f32>);
+
     /// What the step's `RsUpdate` jobs shipped as `params`, laid out like
     /// `Sequential::flat_params`; the jobs' buffers are returned per group.
-    fn shipped(
-        jobs: &Receiver<CommJob>,
-        layout: &GroupLayout,
-    ) -> (Vec<f32>, Vec<(Vec<f32>, Vec<f32>)>) {
+    fn shipped(jobs: &Receiver<CommJob>, layout: &GroupLayout) -> (Vec<f32>, Vec<GroupBuffers>) {
         let mut flat = vec![f32::NAN; layout.total_elements()];
         let mut buffers = vec![(Vec::new(), Vec::new()); layout.num_groups()];
         for _ in 0..layout.num_groups() {

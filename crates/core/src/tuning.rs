@@ -974,6 +974,6 @@ mod tests {
         let pick = sel.select(25 << 20);
         assert_eq!(pick.choice, CollectiveChoice::Ring);
         let seg = pick.segment_bytes.expect("γ > 0 predicts a segment win");
-        assert!(seg >= 4 && seg < (25 << 20));
+        assert!((4..(25 << 20)).contains(&seg));
     }
 }

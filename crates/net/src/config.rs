@@ -5,7 +5,7 @@ use std::io;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dear_collectives::DType;
+use dear_collectives::{DType, MIN_LINK_FRAMES};
 use dear_core::trace::TRACE_ENV;
 use dear_core::ParallelismStrategy;
 
@@ -84,7 +84,12 @@ pub struct NetConfig {
     pub recv_timeout: Option<Duration>,
     /// Bounded per-peer outbox depth, in frames. `send` only blocks once
     /// this many frames are queued on one peer — enough that segmented
-    /// collectives never stall the comm thread in the steady state.
+    /// collectives never stall the comm thread in the steady state. Never
+    /// below [`MIN_LINK_FRAMES`]: the comm thread sends that far ahead of
+    /// its receives, and two ranks doing so to each other over a shallower
+    /// queue would both block in `send`. A segmented run additionally needs
+    /// room for one chunk's segments (they are all queued before the
+    /// chunk's receives).
     pub outbox_frames: usize,
     /// Heartbeat probe interval, or `None` to disable failure detection.
     /// When enabled, a monitor thread sends a liveness frame to every peer
@@ -230,10 +235,10 @@ impl NetConfig {
         self
     }
 
-    /// Sets the per-peer outbox depth (min 1 frame).
+    /// Sets the per-peer outbox depth (min [`MIN_LINK_FRAMES`]).
     #[must_use]
     pub fn with_outbox_frames(mut self, frames: usize) -> Self {
-        self.outbox_frames = frames.max(1);
+        self.outbox_frames = frames.max(MIN_LINK_FRAMES);
         self
     }
 
@@ -393,7 +398,7 @@ impl NetConfig {
             cfg.recv_timeout = (ms > 0).then(|| Duration::from_millis(ms));
         }
         if let Ok(n) = std::env::var("DEAR_OUTBOX_FRAMES") {
-            cfg.outbox_frames = parse::<usize>("DEAR_OUTBOX_FRAMES", &n)?.max(1);
+            cfg = cfg.with_outbox_frames(parse("DEAR_OUTBOX_FRAMES", &n)?);
         }
         if let Ok(ms) = std::env::var("DEAR_HEARTBEAT_MS") {
             let ms: u64 = parse("DEAR_HEARTBEAT_MS", &ms)?;
@@ -553,7 +558,7 @@ mod tests {
             .with_connect_timeout(Duration::from_secs(3))
             .with_send_timeout(Duration::from_secs(7))
             .with_recv_timeout(None)
-            .with_outbox_frames(0) // clamped to 1
+            .with_outbox_frames(0) // clamped to MIN_LINK_FRAMES
             .with_heartbeat(Some(Duration::from_millis(250)), 0) // misses clamped
             .with_generation(2)
             .with_resize_window(Duration::ZERO) // clamped to 1 ms
@@ -576,7 +581,7 @@ mod tests {
         assert_eq!(cfg.handshake_timeout, Duration::from_secs(3));
         assert_eq!(cfg.send_timeout, Duration::from_secs(7));
         assert_eq!(cfg.recv_timeout, None);
-        assert_eq!(cfg.outbox_frames, 1);
+        assert_eq!(cfg.outbox_frames, MIN_LINK_FRAMES);
         assert_eq!(cfg.heartbeat_interval, Some(Duration::from_millis(250)));
         assert_eq!(cfg.heartbeat_miss_budget, 1);
         assert_eq!(cfg.generation, 2);

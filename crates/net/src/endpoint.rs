@@ -65,7 +65,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dear_collectives::{CollectiveError, Message, Transport, WireBuf, WorldChange};
+use dear_collectives::{
+    CollectiveError, Message, Transport, WireBuf, WorldChange, MIN_LINK_FRAMES,
+};
 use dear_core::trace;
 
 use crate::affinity;
@@ -439,7 +441,7 @@ impl TcpEndpoint {
             let shutdown_handle = stream
                 .try_clone()
                 .map_err(|e| NetError::io(format!("cloning stream for rank {peer}"), e))?;
-            let (otx, orx) = mpsc::sync_channel(cfg.outbox_frames);
+            let (otx, orx) = mpsc::sync_channel(cfg.outbox_frames.max(MIN_LINK_FRAMES));
             let (itx, irx) = mpsc::channel();
             let wpool = Arc::clone(&pool);
             let wcounters = Arc::clone(&counters);

@@ -43,7 +43,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dear_collectives::{CollectiveError, Message, Transport, WorldChange};
+use dear_collectives::{CollectiveError, Message, Transport, WorldChange, MIN_LINK_FRAMES};
 
 use crate::config::NetConfig;
 
@@ -313,7 +313,8 @@ impl ShmFabric {
             cfg.world
         );
         let n = members.len();
-        let capacity = cfg.outbox_frames.max(2);
+        // The config field is public, so the builder's floor is re-applied.
+        let capacity = cfg.outbox_frames.max(MIN_LINK_FRAMES);
         let rings: Vec<Vec<Option<SpscRing>>> = (0..n)
             .map(|from| {
                 (0..n)
@@ -860,20 +861,25 @@ mod tests {
 
     #[test]
     fn full_ring_backpressure_times_out_against_a_stalled_peer() {
-        let mut cfg = fast_cfg(2).with_outbox_frames(2);
+        let mut cfg = fast_cfg(2).with_outbox_frames(0);
         cfg.heartbeat_interval = None;
         let eps = ShmFabric::with_config(&cfg, &[0, 1]);
-        // Rank 1 never receives: after the ring (capacity 2) fills, sends
-        // must fail with Timeout, not block forever.
+        // Rank 1 never receives: after the ring (at its smallest capacity,
+        // MIN_LINK_FRAMES) fills, sends must fail with Timeout, not block
+        // forever.
         let mut sent = 0;
         let err = loop {
             match eps[0].send(1, vec![1.0; 4].into()) {
                 Ok(()) => sent += 1,
                 Err(e) => break e,
             }
-            assert!(sent <= 2, "ring accepted more than its capacity");
+            assert!(
+                sent <= MIN_LINK_FRAMES,
+                "ring accepted more than its capacity"
+            );
         };
         assert!(matches!(err, CollectiveError::Timeout { peer: 1, .. }));
+        assert_eq!(sent, MIN_LINK_FRAMES, "the floor is the ring's capacity");
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn all_five<T: Transport>(t: &T, d: usize, salt: u64, seg: SegmentConfig) -> Vec
     let mut data = rank_data(t.rank(), d, salt);
     naive_all_reduce_seg(t, &mut data, ReduceOp::Sum, seg).unwrap();
     outs.push(data);
-    let nodes = (2..=world).find(|n| world % *n == 0).unwrap_or(1);
+    let nodes = (2..=world).find(|n| world.is_multiple_of(*n)).unwrap_or(1);
     let shape = ClusterShape::new(nodes, world / nodes);
     let mut data = rank_data(t.rank(), d, salt);
     hierarchical_all_reduce_seg(t, shape, &mut data, ReduceOp::Sum, seg).unwrap();
