@@ -195,8 +195,8 @@ impl WorkerHandle {
             layout,
             self.jobs,
             self.results,
+            self.config.optim,
             local_optim,
-            net.len(),
             &self.trace_scope,
             self.config.segments.wire,
         )
@@ -323,7 +323,6 @@ pub fn train_single_reference(
     let mut opt = Sgd::with_options(config.lr, config.momentum, config.weight_decay);
     let mut losses = Vec::new();
     for (x, labels) in batches {
-        net.zero_grads();
         let logits = net.forward(&x);
         let (loss, dloss) = dear_minidnn::softmax_cross_entropy(&logits, &labels);
         losses.push(loss);
@@ -533,7 +532,6 @@ mod tests {
         let mut opt = dear_minidnn::Adam::with_options(0.01, 0.9, 0.999, 1e-8, 1e-4);
         for step in 0..steps {
             let (x, labels) = data.batch(step, 32);
-            reference.zero_grads();
             let logits = reference.forward(&x);
             let (_, dloss) = dear_minidnn::softmax_cross_entropy(&logits, &labels);
             reference.backward(&dloss);
@@ -573,45 +571,69 @@ mod tests {
 
     #[test]
     fn adam_rebucketing_preserves_moments() {
+        // `set_fusion_buffer` mid-run (the BO path): the next step re-packs
+        // the network's store to the new groups and the comm thread
+        // re-partitions the moments. Trains 8 steps, re-buckets to `second`
+        // (if given), trains 8 more.
         let data = BlobDataset::new(6, 3, 0.4, 125);
-        let config = TrainConfig {
-            lr: 0.01,
-            fusion_buffer: Some(256),
-            optim: OptimKind::adam_default(),
-            ..TrainConfig::default()
+        let run = |world: usize, mode: PipelineMode, first: u64, second: Option<u64>| {
+            let config = TrainConfig {
+                lr: 0.01,
+                fusion_buffer: Some(first),
+                optim: OptimKind::adam_default(),
+                mode,
+                ..TrainConfig::default()
+            };
+            let mut out = run_training(world, config, |handle| {
+                let rank = handle.rank();
+                let mut net = build_net(8);
+                let mut optim = handle.into_optim(&net);
+                for step in 0..8 {
+                    let (x, labels) = data.shard(step, 30, rank, world);
+                    let _ = optim.train_step(&mut net, &x, &labels);
+                }
+                optim.synchronize(&mut net).unwrap();
+                if let Some(second) = second {
+                    optim.set_fusion_buffer(&net, Some(second));
+                }
+                for step in 8..16 {
+                    let (x, labels) = data.shard(step, 30, rank, world);
+                    let _ = optim.train_step(&mut net, &x, &labels);
+                }
+                optim.synchronize(&mut net).unwrap();
+                let packed = GroupLayout::from_buffer(&net, second.or(Some(first)));
+                assert_eq!(net.store().segmentation(), packed.segmentation());
+                (net.flat_params(), optim.export_optim_state())
+            });
+            for (p, _) in &out[1..] {
+                assert_eq!(&out[0].0, p, "ranks diverged after Adam re-bucketing");
+            }
+            out.swap_remove(0)
         };
-        let params = run_training(3, config, |handle| {
-            let rank = handle.rank();
-            let mut net = build_net(8);
-            let mut optim = handle.into_optim(&net);
-            for step in 0..8 {
-                let (x, labels) = data.shard(step, 30, rank, 3);
-                let _ = optim.train_step(&mut net, &x, &labels);
-            }
-            optim.synchronize(&mut net).unwrap();
-            optim.set_fusion_buffer(&net, Some(4096));
-            for step in 8..16 {
-                let (x, labels) = data.shard(step, 30, rank, 3);
-                let _ = optim.train_step(&mut net, &x, &labels);
-            }
-            optim.synchronize(&mut net).unwrap();
-            net.flat_params()
-        });
-        for p in &params[1..] {
-            assert_eq!(&params[0], p, "ranks diverged after Adam re-bucketing");
-        }
+        let (params, _) = run(3, PipelineMode::Dear, 256, Some(4096));
         let mut reference = build_net(8);
         let mut opt = dear_minidnn::Adam::new(0.01);
         for step in 0..16 {
             let (x, labels) = data.batch(step, 30);
-            reference.zero_grads();
             let logits = reference.forward(&x);
             let (_, dloss) = dear_minidnn::softmax_cross_entropy(&logits, &labels);
             reference.backward(&dloss);
             dear_minidnn::Optimizer::step(&mut opt, &mut reference);
         }
-        let diff = max_rel_diff(&params[0], &reference.flat_params());
+        let diff = max_rel_diff(&params, &reference.flat_params());
         assert!(diff < 1e-2, "max relative diff {diff}");
+        // On two ranks every reduced sum has two terms, and `a + b` does
+        // not depend on which rank's chunk it is computed in: the fusion
+        // plan cannot show in the arithmetic. So a run re-bucketed mid-way
+        // must equal the run under the final plan bit for bit — every
+        // parameter, and rank 0's shard of both moments and the step count.
+        for mode in [PipelineMode::Dear, PipelineMode::Wfbp] {
+            let rebucketed = run(2, mode, 256, Some(4096));
+            let fixed = run(2, mode, 4096, None);
+            let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&rebucketed.0), bits(&fixed.0), "{mode:?}: parameters");
+            assert_eq!(rebucketed.1, fixed.1, "{mode:?}: optimizer state");
+        }
     }
 
     #[test]
@@ -683,48 +705,73 @@ mod tests {
 
     #[test]
     fn lr_schedule_matches_reference() {
+        // A learning-rate decay mid-training under both update rules and
+        // both pipelines: the rule must stay what was configured (DeAR's
+        // sharded optimizer once turned into SGD here) and its state must
+        // carry on (WFBP's local optimizer once restarted from zero
+        // momentum). DeAR and WFBP do the same arithmetic on the same
+        // reduced sums, so they agree to the bit across the schedule step.
         let data = BlobDataset::new(6, 3, 0.4, 42);
-        let config = TrainConfig {
-            lr: 0.1,
-            momentum: 0.9,
-            fusion_buffer: Some(512),
-            ..TrainConfig::default()
-        };
-        let params = run_training(3, config, |handle| {
-            let rank = handle.rank();
-            let mut net = build_net(4);
-            let mut optim = handle.into_optim(&net);
-            for step in 0..16 {
-                if step == 8 {
-                    // Decay the learning rate mid-training, collectively.
+        for optim in [OptimKind::Sgd, OptimKind::adam_default()] {
+            let (lr, decayed) = match optim {
+                OptimKind::Sgd => (0.1, 0.01),
+                OptimKind::Adam { .. } => (0.01, 0.001),
+            };
+            let run = |mode: PipelineMode| {
+                let config = TrainConfig {
+                    lr,
+                    momentum: 0.9,
+                    fusion_buffer: Some(512),
+                    optim,
+                    mode,
+                    ..TrainConfig::default()
+                };
+                let mut params = run_training(3, config, |handle| {
+                    let rank = handle.rank();
+                    let mut net = build_net(4);
+                    let mut optim = handle.into_optim(&net);
+                    for step in 0..16 {
+                        if step == 8 {
+                            // Decay the learning rate, collectively.
+                            optim.synchronize(&mut net).unwrap();
+                            optim.set_hyper(decayed, 0.9, 0.0);
+                        }
+                        let (x, labels) = data.shard(step, 30, rank, 3);
+                        let _ = optim.train_step(&mut net, &x, &labels);
+                    }
                     optim.synchronize(&mut net).unwrap();
-                    optim.set_hyper(0.01, 0.9, 0.0);
+                    net.flat_params()
+                });
+                for p in &params[1..] {
+                    assert_eq!(&params[0], p, "ranks diverged under LR schedule");
                 }
-                let (x, labels) = data.shard(step, 30, rank, 3);
-                let _ = optim.train_step(&mut net, &x, &labels);
+                params.swap_remove(0)
+            };
+            let dear = run(PipelineMode::Dear);
+            let wfbp = run(PipelineMode::Wfbp);
+            let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&dear), bits(&wfbp), "{optim:?}: DeAR and WFBP differ");
+            // Reference applies the same schedule.
+            let mut reference = build_net(4);
+            let mut opt: Box<dyn dear_minidnn::Optimizer> = match optim {
+                OptimKind::Sgd => Box::new(Sgd::with_options(lr, 0.9, 0.0)),
+                OptimKind::Adam { beta1, beta2, eps } => {
+                    Box::new(dear_minidnn::Adam::with_options(lr, beta1, beta2, eps, 0.0))
+                }
+            };
+            for step in 0..16u64 {
+                if step == 8 {
+                    opt.set_hyper(decayed, 0.9, 0.0);
+                }
+                let (x, labels) = data.batch(step, 30);
+                let logits = reference.forward(&x);
+                let (_, dloss) = dear_minidnn::softmax_cross_entropy(&logits, &labels);
+                reference.backward(&dloss);
+                opt.step(&mut reference);
             }
-            optim.synchronize(&mut net).unwrap();
-            net.flat_params()
-        });
-        for p in &params[1..] {
-            assert_eq!(&params[0], p, "ranks diverged under LR schedule");
+            let diff = max_rel_diff(&dear, &reference.flat_params());
+            assert!(diff < 5e-3, "{optim:?}: max relative diff {diff}");
         }
-        // Reference applies the same schedule.
-        let mut reference = build_net(4);
-        let mut opt = Sgd::with_options(0.1, 0.9, 0.0);
-        for step in 0..16u64 {
-            if step == 8 {
-                opt.set_lr(0.01);
-            }
-            let (x, labels) = data.batch(step, 30);
-            reference.zero_grads();
-            let logits = reference.forward(&x);
-            let (_, dloss) = dear_minidnn::softmax_cross_entropy(&logits, &labels);
-            reference.backward(&dloss);
-            opt.step(&mut reference);
-        }
-        let diff = max_rel_diff(&params[0], &reference.flat_params());
-        assert!(diff < 5e-3, "max relative diff {diff}");
     }
 
     #[test]

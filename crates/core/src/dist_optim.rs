@@ -5,9 +5,9 @@ use crossbeam_channel::{Receiver, Sender};
 
 use dear_collectives::{CollectiveError, DType, WorldChange};
 use dear_fusion::GroupTracker;
-use dear_minidnn::{softmax_cross_entropy, Layer, Optimizer, Sequential, Tensor};
+use dear_minidnn::{softmax_cross_entropy, Optimizer, ParamStore, Sequential, Tensor};
 
-use crate::comm::{CommJob, CommLayout, CommResult, HyperParams, OptimState};
+use crate::comm::{CommJob, CommLayout, CommResult, HyperParams, OptimKind, OptimState};
 use crate::layout::GroupLayout;
 use crate::trace::{self, TaskKind};
 
@@ -28,6 +28,13 @@ pub enum PipelineMode {
 /// Mirrors the paper's Listing 1: construct once per worker, call
 /// [`DistOptim::train_step`] per mini-batch, and [`DistOptim::synchronize`]
 /// before evaluating or reading parameters.
+///
+/// There is one copy of the model (DESIGN.md §4.17): the network's
+/// [`ParamStore`], packed so that every fusion group is one segment. A
+/// completed group's parameter and gradient buffers are *taken* out of the
+/// store and moved to the comm thread; its reply *puts* them back. Between
+/// the two — after a DeAR `train_step`, until `synchronize` — the network
+/// cannot be read: that is a panic, not a stale value.
 pub struct DistOptim {
     rank: usize,
     world: usize,
@@ -36,24 +43,11 @@ pub struct DistOptim {
     tracker: GroupTracker,
     jobs: Sender<CommJob>,
     results: Receiver<CommResult>,
-    /// Per-group gradient buffers (ready order concatenation). Each one
-    /// circulates: staged here, moved to the comm thread with the group's
-    /// job, moved back by its reply (DESIGN.md §4.17). Empty while away.
-    grad_stage: Vec<Vec<f32>>,
-    /// Per-group parameter buffers (DeAR mode), circulating the same way.
-    group_params: Vec<Vec<f32>>,
-    /// Whether `group_params[g]` holds a `Params` delivery that has not been
-    /// shipped again. Set on delivery; `pre_forward` installs such a buffer,
-    /// which makes it bit-equal to the layers' parameters, so the same
-    /// step's `grad_ready` ships it as it is and clears the flag
-    /// (`synchronize` clears it on installing). It is therefore never set
-    /// while the caller has control and could touch the net: a step that
-    /// finds it clear re-stages the parameters item by item.
-    gathered: Vec<bool>,
-    /// Whether each layer's parameters are current for this iteration.
-    layer_synced: Vec<bool>,
     /// Outstanding `Params` results not yet received.
     pending: usize,
+    /// The configured update rule, re-sent with every hyper-parameter
+    /// change.
+    kind: OptimKind,
     /// Local optimizer for WFBP mode.
     local_optim: Option<Box<dyn Optimizer>>,
     /// Wire dtype of the data path — re-bucketing sizes groups in wire
@@ -93,8 +87,8 @@ impl DistOptim {
         layout: GroupLayout,
         jobs: Sender<CommJob>,
         results: Receiver<CommResult>,
+        kind: OptimKind,
         local_optim: Option<Box<dyn Optimizer>>,
-        num_layers: usize,
         trace_scope: &str,
         wire: DType,
     ) -> Self {
@@ -102,7 +96,6 @@ impl DistOptim {
         // stream so fw/bw spans pair with this worker's comm stream.
         trace::set_thread_stream(trace_scope, "compute");
         let tracker = GroupTracker::new(layout.plan());
-        let groups = layout.num_groups();
         DistOptim {
             rank,
             world,
@@ -111,11 +104,8 @@ impl DistOptim {
             tracker,
             jobs,
             results,
-            grad_stage: vec![Vec::new(); groups],
-            group_params: vec![Vec::new(); groups],
-            gathered: vec![false; groups],
-            layer_synced: vec![true; num_layers],
             pending: 0,
+            kind,
             local_optim,
             wire,
             iter: 0,
@@ -157,11 +147,11 @@ impl DistOptim {
 
     /// Records a comm-thread failure and releases every wait: the in-flight
     /// iteration is abandoned and outstanding results will never arrive, so
-    /// the FeedPipe stops waiting and layers whose groups are missing keep
-    /// the parameters they have — the training thread's control flow
-    /// unwinds structurally. Anything the step computed after this point is
-    /// garbage — the caller must discard the step and either resize or tear
-    /// down.
+    /// the FeedPipe stops waiting and the forward pass stops with it. The
+    /// buffers the comm thread held went down with the step: those groups'
+    /// segments stay absent from the store until the caller's rollback
+    /// (`set_flat_params`) re-creates them — the caller must discard the
+    /// step and either resize or tear down.
     fn comm_fail(&mut self, e: CollectiveError) {
         if self.comm_failed.is_none() {
             self.comm_failed = Some(e);
@@ -170,12 +160,18 @@ impl DistOptim {
     }
 
     /// Takes delivery of one `Params` reply: both of the group's buffers
-    /// are back on this thread.
-    fn accept_params(&mut self, group: usize, params: Vec<f32>, grads: Vec<f32>) {
+    /// are back in the store. (ZeRO-2 returns another parameter allocation
+    /// than it was sent, and no gradient buffer; the store makes one.)
+    fn accept_params(
+        &mut self,
+        store: &mut ParamStore,
+        group: usize,
+        params: Vec<f32>,
+        grads: Vec<f32>,
+    ) {
         self.pending -= 1;
-        self.group_params[group] = params;
-        self.grad_stage[group] = grads;
-        self.gathered[group] = true;
+        store.put_params(group, params);
+        store.put_grads(group, grads);
     }
 
     /// Runs one training step — feed-forward (waiting just-in-time on the
@@ -237,54 +233,51 @@ impl DistOptim {
 
     fn train_step_inner(&mut self, net: &mut Sequential, input: &Tensor, labels: &[usize]) -> f32 {
         let iter = self.iter;
-        // FeedPipe: per-layer just-in-time parameter installation. The FF
+        // A group's buffers are a segment's: pack the store to the layout
+        // the first time a step runs under it.
+        if net.store().segmentation() != self.layout.segmentation() {
+            net.store_mut().repack(self.layout.segmentation());
+        }
+        // FeedPipe: per-layer just-in-time parameter delivery. The FF
         // phase is recorded in segments that *exclude* the JIT waits
         // (`wait_for_group` closes the open segment), so stalled all-gather
         // time is not miscounted as hidden communication.
         if trace::enabled() {
             self.fw_seg = Some(std::time::Instant::now());
         }
-        let logits = net.forward_with_hook(input, |li, layer| self.pre_forward(li, layer));
-        let (loss, dloss) = softmax_cross_entropy(&logits, labels);
+        let logits = net.try_forward_with_hook(input, |li, store| self.pre_forward(li, store));
         if let Some(seg) = self.fw_seg.take() {
             trace::span_starting_at(seg, TaskKind::FeedForward, || format!("FF[{iter}]")).end();
         }
-        net.zero_grads();
+        // The comm thread abandoned the step; `train_step` reports why.
+        let Some(logits) = logits else {
+            return f32::NAN;
+        };
+        let (loss, dloss) = softmax_cross_entropy(&logits, labels);
         // BackPipe: communication launched as gradients become ready. The
         // hook never blocks (jobs go to an unbounded channel), so this span
         // is pure compute.
         let bp = trace::span(TaskKind::Backprop, || format!("BP[{iter}]"));
-        net.backward_with_hook(&dloss, |li, layer| self.grad_ready(li, layer));
+        net.backward_with_hook(&dloss, |li, store| self.grad_ready(li, store));
         bp.end();
         self.finish_iteration(net);
         loss
     }
 
-    /// FeedPipe hook: before layer `li` computes, make sure its parameters
-    /// reflect the previous iteration's update.
-    fn pre_forward(&mut self, li: usize, layer: &mut dyn Layer) {
-        if self.layer_synced[li] {
-            return;
-        }
+    /// FeedPipe hook: before layer `li` computes, make sure the parameters
+    /// of the previous iteration's update are back in the store. `false`
+    /// if they will never be: the step was abandoned.
+    fn pre_forward(&mut self, li: usize, store: &mut ParamStore) -> bool {
         for i in 0..self.layout.gating_groups(li).len() {
-            self.wait_for_group(self.layout.gating_groups(li)[i]);
+            self.wait_for_group(self.layout.gating_groups(li)[i], store);
         }
-        for (pi, p) in layer.params_mut().into_iter().enumerate() {
-            let item = self.layout.item(self.layout.item_of(li, pi));
-            // Only an abandoned step leaves a gating group undelivered.
-            if self.gathered[item.group] {
-                let src = &self.group_params[item.group];
-                p.data_mut()
-                    .copy_from_slice(&src[item.offset_in_group..item.offset_in_group + item.len]);
-            }
-        }
-        self.layer_synced[li] = true;
+        self.comm_failed.is_none()
     }
 
     /// Blocks until group `g`'s parameters have arrived, or the step is
     /// abandoned.
-    fn wait_for_group(&mut self, g: usize) {
-        if self.gathered[g] || self.comm_failed.is_some() {
+    fn wait_for_group(&mut self, g: usize, store: &mut ParamStore) {
+        if store.has_params(g) || self.comm_failed.is_some() {
             return;
         }
         // Close the open feed-forward segment: time spent blocked here is a
@@ -294,13 +287,13 @@ impl DistOptim {
             trace::span_starting_at(seg, TaskKind::FeedForward, || format!("FF[{iter}]")).end();
             trace::span(TaskKind::Other, || format!("FFWAIT[g{g}]"))
         });
-        while !self.gathered[g] && self.comm_failed.is_none() {
+        while !store.has_params(g) && self.comm_failed.is_none() {
             match self.results.recv().expect("comm thread hung up") {
                 CommResult::Params {
                     group,
                     params,
                     grads,
-                } => self.accept_params(group, params, grads),
+                } => self.accept_params(store, group, params, grads),
                 // The comm thread abandoned the step; the latched failure
                 // ends this wait.
                 CommResult::Error(e) => self.comm_fail(e),
@@ -313,45 +306,31 @@ impl DistOptim {
         }
     }
 
-    /// BackPipe hook: stage layer `li`'s gradients (and, in DeAR mode, its
-    /// parameters unless the group's gathered buffer already equals them);
-    /// launch the group's communication once complete, moving its buffers
-    /// to the comm thread.
-    fn grad_ready(&mut self, li: usize, layer: &mut dyn Layer) {
-        let grads = layer.grads();
-        let params = layer.params();
-        for pi in 0..grads.len() {
-            let item_idx = self.layout.item_of(li, pi);
-            let item = *self.layout.item(item_idx);
-            let elements = self.layout.group_elements(item.group);
-            let dst = item.offset_in_group..item.offset_in_group + item.len;
-            staging(&mut self.grad_stage[item.group], elements)[dst.clone()]
-                .copy_from_slice(grads[pi].data());
-            if self.mode == PipelineMode::Dear && !self.gathered[item.group] {
-                staging(&mut self.group_params[item.group], elements)[dst]
-                    .copy_from_slice(params[pi].data());
-            }
-            if let Some(done) = self.tracker.mark_ready(item_idx) {
-                let grads = std::mem::take(&mut self.grad_stage[done]);
-                let job = match self.mode {
-                    PipelineMode::Dear => {
-                        self.gathered[done] = false;
-                        CommJob::RsUpdate {
-                            group: done,
-                            grads,
-                            params: std::mem::take(&mut self.group_params[done]),
-                        }
-                    }
-                    PipelineMode::Wfbp => CommJob::AllReduce { group: done, grads },
-                };
-                self.jobs.send(job).expect("comm thread hung up");
-            }
+    /// BackPipe hook: layer `li` has written its gradients into the store.
+    /// Every group this completes is launched: its buffers leave the store
+    /// and move to the comm thread with the job.
+    fn grad_ready(&mut self, li: usize, store: &mut ParamStore) {
+        for pi in 0..self.layout.num_params(li) {
+            let Some(done) = self.tracker.mark_ready(self.layout.item_of(li, pi)) else {
+                continue;
+            };
+            let grads = store.take_grads(done);
+            let job = match self.mode {
+                PipelineMode::Dear => CommJob::RsUpdate {
+                    group: done,
+                    grads,
+                    params: store.take_params(done),
+                },
+                PipelineMode::Wfbp => CommJob::AllReduce { group: done, grads },
+            };
+            self.jobs.send(job).expect("comm thread hung up");
         }
     }
 
     /// Ends the iteration: DeAR flushes the all-gathers (consumed lazily by
-    /// the next forward); WFBP synchronously collects averaged gradients
-    /// and steps the local optimizer.
+    /// the next forward); WFBP synchronously collects the averaged
+    /// gradients — back in the store, where the local optimizer reads them
+    /// — and steps it.
     fn finish_iteration(&mut self, net: &mut Sequential) {
         assert!(
             self.tracker.all_complete(),
@@ -363,14 +342,12 @@ impl DistOptim {
                     .send(CommJob::FlushAllGathers)
                     .expect("comm thread hung up");
                 self.pending += self.layout.num_groups();
-                self.layer_synced.iter_mut().for_each(|s| *s = false);
             }
             PipelineMode::Wfbp => {
                 for _ in 0..self.layout.num_groups() {
                     match self.results.recv().expect("comm thread hung up") {
                         CommResult::Grads { group, grads } => {
-                            self.install_grads(net, group, &grads);
-                            self.grad_stage[group] = grads;
+                            net.store_mut().put_grads(group, grads);
                         }
                         CommResult::Error(e) => {
                             // Remaining groups were abandoned comm-side;
@@ -393,26 +370,16 @@ impl DistOptim {
         self.iter += 1;
     }
 
-    /// Writes averaged flat gradients back into the network (WFBP mode).
-    fn install_grads(&self, net: &mut Sequential, group: usize, flat: &[f32]) {
-        for &item_idx in self.layout.items_of_group(group) {
-            let item = self.layout.item(item_idx);
-            let src = &flat[item.offset_in_group..item.offset_in_group + item.len];
-            net.layers_mut()[item.layer].grads_mut()[item.param]
-                .data_mut()
-                .copy_from_slice(src);
-        }
-    }
-
-    /// Forces all outstanding communication to complete and installs the
-    /// latest parameters — the paper's `optim.synchronize()` before
-    /// validation (Listing 1, line 12). Canonical `Result`-returning form;
-    /// see [`DistOptim::synchronize_or_panic`] for the unrecoverable-caller
+    /// Forces all outstanding communication to complete, which brings every
+    /// group's buffers back into the store — the paper's
+    /// `optim.synchronize()` before validation (Listing 1, line 12).
+    /// Canonical `Result`-returning form; see
+    /// [`DistOptim::synchronize_or_panic`] for the unrecoverable-caller
     /// wrapper.
     ///
-    /// On `Err` the installed parameters are not trustworthy (missing
-    /// groups were never installed); roll back to a snapshot after
-    /// resizing.
+    /// On `Err` the groups that never arrived are absent from the store
+    /// (reading them panics); roll back to a snapshot with
+    /// `set_flat_params` after resizing.
     ///
     /// # Errors
     ///
@@ -428,29 +395,13 @@ impl DistOptim {
                     group,
                     params,
                     grads,
-                } => self.accept_params(group, params, grads),
+                } => self.accept_params(net.store_mut(), group, params, grads),
                 // `comm_fail` zeroes `pending`, ending the wait: the comm
                 // thread abandoned the flush, nothing more is coming.
                 CommResult::Error(e) => self.comm_fail(e),
                 other => panic!("unexpected comm result in synchronize: {other:?}"),
             }
         }
-        // Install everything gathered. From here on the caller may touch
-        // the net, so no buffer counts as gathered any more: the next step
-        // re-stages the parameters into them.
-        for g in 0..self.layout.num_groups() {
-            if std::mem::take(&mut self.gathered[g]) {
-                let flat = &self.group_params[g];
-                for &item_idx in self.layout.items_of_group(g) {
-                    let item = self.layout.item(item_idx);
-                    let src = &flat[item.offset_in_group..item.offset_in_group + item.len];
-                    net.layers_mut()[item.layer].params_mut()[item.param]
-                        .data_mut()
-                        .copy_from_slice(src);
-                }
-            }
-        }
-        self.layer_synced.iter_mut().for_each(|s| *s = true);
         match self.comm_failed.clone() {
             Some(e) => Err(e),
             None => Ok(()),
@@ -553,8 +504,10 @@ impl DistOptim {
     }
 
     /// Replaces the optimizer hyper-parameters (learning-rate schedules,
-    /// momentum changes). Must be called collectively at an iteration
-    /// boundary with the same values on every rank.
+    /// momentum changes) under the configured update rule, whose state —
+    /// velocity, Adam's moments and step count — carries on; `momentum` is
+    /// SGD's and ignored under Adam. Must be called collectively at an
+    /// iteration boundary with the same values on every rank.
     ///
     /// # Panics
     ///
@@ -572,15 +525,11 @@ impl DistOptim {
                 lr,
                 momentum,
                 weight_decay,
-                kind: crate::comm::OptimKind::Sgd,
+                kind: self.kind,
             }))
             .expect("comm thread hung up");
-        if self.local_optim.is_some() {
-            self.local_optim = Some(Box::new(dear_minidnn::Sgd::with_options(
-                lr,
-                momentum,
-                weight_decay,
-            )));
+        if let Some(local) = self.local_optim.as_mut() {
+            local.set_hyper(lr, momentum, weight_decay);
         }
     }
 
@@ -629,7 +578,8 @@ impl DistOptim {
     /// Installs a new fusion buffer size (the BO re-bucketing step). Must
     /// be called collectively at an iteration boundary after
     /// [`DistOptim::synchronize`], with the same value on every rank —
-    /// pair with [`DistOptim::broadcast_value`].
+    /// pair with [`DistOptim::broadcast_value`]. The next step re-packs the
+    /// network's store to the new groups; parameters carry over.
     ///
     /// # Panics
     ///
@@ -646,9 +596,6 @@ impl DistOptim {
             })
             .expect("comm thread hung up");
         self.tracker = GroupTracker::new(layout.plan());
-        self.grad_stage = vec![Vec::new(); layout.num_groups()];
-        self.group_params = vec![Vec::new(); layout.num_groups()];
-        self.gathered = vec![false; layout.num_groups()];
         self.layout = layout;
     }
 
@@ -662,8 +609,9 @@ impl DistOptim {
     ///
     /// Stale results from the abandoned step (parameters, queued errors)
     /// are drained and discarded together with the group buffers they carry
-    /// (the next step allocates afresh) — the FIFO job channel guarantees
-    /// everything enqueued before the resize replies first.
+    /// (the rollback's `set_flat_params` re-creates those segments) — the
+    /// FIFO job channel guarantees everything enqueued before the resize
+    /// replies first.
     ///
     /// # Errors
     ///
@@ -688,7 +636,6 @@ impl DistOptim {
                     self.world = change.new_world;
                     self.comm_failed = None;
                     self.pending = 0;
-                    self.layer_synced.iter_mut().for_each(|s| *s = true);
                     self.tracker.reset();
                     return Ok(change);
                 }
@@ -765,17 +712,6 @@ impl DistOptim {
     }
 }
 
-/// The staging view of a circulating group buffer: the buffer itself in
-/// steady state; allocated first if the group has none on this thread yet
-/// (new layout, lost with an abandoned step, or handed back empty by
-/// ZeRO-2's consuming reduce-scatter).
-fn staging(buf: &mut Vec<f32>, elements: usize) -> &mut [f32] {
-    if buf.len() != elements {
-        *buf = vec![0.0; elements];
-    }
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -816,12 +752,13 @@ mod tests {
 
     #[test]
     fn only_delivered_parameters_are_ever_shipped_back() {
-        // The test plays the comm thread. Step 1 re-stages from the layers;
-        // two of its four groups are answered, then the fabric fails. Step 2
-        // must ship the delivered buffers for those two and the layers' own
-        // values for the rest — never a placeholder. After the resize and a
-        // rollback, step 3 must ship the rolled-back parameters, although
-        // buffers of an older state are still lying around.
+        // The test plays the comm thread. Step 1 ships the store's own
+        // buffers; two of its four groups are answered, then the fabric
+        // fails. Step 2 must stop at the first layer whose group was lost:
+        // the delivered groups are back in the store, the lost ones are
+        // absent — reading them panics — and nothing is shipped, never a
+        // placeholder. A straggler drained by the resize does not bring a
+        // lost group back; the rollback does, and step 3 ships it.
         let mut rng = StdRng::seed_from_u64(3);
         let mut net = Sequential::new()
             .push(Linear::new(4, 3, &mut rng))
@@ -838,8 +775,8 @@ mod tests {
             layout.clone(),
             job_tx,
             res_rx,
+            OptimKind::Sgd,
             None,
-            net.len(),
             &trace::unique_scope(0),
             DType::F32,
         );
@@ -853,9 +790,11 @@ mod tests {
 
         optim.train_step(&mut net, &x, &labels).unwrap();
         let (flat, mut buffers) = shipped(&job_rx, &layout);
-        assert_eq!(flat, initial, "first step re-stages from the layers");
+        assert_eq!(flat, initial, "the first step ships the store's buffers");
+        assert!((0..4).all(|g| !net.store().has_params(g)), "by move");
 
-        // Groups 3 and 2 (forward order) come back "updated"; then failure.
+        // Groups 3 and 2 (layer 0, forward order) come back "updated"; then
+        // failure.
         for group in [3, 2] {
             let (mut params, grads) = std::mem::take(&mut buffers[group]);
             params.iter_mut().for_each(|p| *p += 1.0);
@@ -871,18 +810,26 @@ mod tests {
             .send(CommResult::Error(CollectiveError::Disconnected { peer: 1 }))
             .unwrap();
         assert!(optim.train_step(&mut net, &x, &labels).is_err());
-        let mut expected = initial.clone();
-        for group in [3, 2] {
-            for &i in layout.items_of_group(group) {
-                let it = layout.item(i);
-                expected[it.global_offset..it.global_offset + it.len]
-                    .iter_mut()
-                    .for_each(|p| *p += 1.0);
-            }
+        assert!(
+            job_rx.try_recv().is_err(),
+            "the abandoned step ships nothing"
+        );
+        for (pi, group) in [(0, 2), (1, 3)] {
+            let it = layout.item(layout.items_of_group(group)[0]);
+            let delivered: Vec<f32> = initial[it.global_offset..it.global_offset + it.len]
+                .iter()
+                .map(|p| p + 1.0)
+                .collect();
+            assert_eq!(
+                net.store().param(0, pi),
+                delivered,
+                "delivered group {group}"
+            );
         }
-        assert_eq!(net.flat_params(), expected, "delivered groups installed");
-        let (flat, _lost) = shipped(&job_rx, &layout);
-        assert_eq!(flat, expected, "the abandoned step shipped real values");
+        let lost = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.flat_params()))
+            .expect_err("reading a lost group must panic");
+        let message = lost.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("set_flat_params"), "{message}");
 
         // A straggler of the abandoned step, then the resize reply.
         res_tx
@@ -906,6 +853,7 @@ mod tests {
             job_rx.try_recv(),
             Ok(CommJob::ResizeWorld { survivors: None })
         ));
+        assert!(!net.store().has_params(0), "a straggler is not a delivery");
         net.set_flat_params(&initial);
         optim.train_step(&mut net, &x, &labels).unwrap();
         let (flat, _) = shipped(&job_rx, &layout);

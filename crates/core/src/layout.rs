@@ -42,6 +42,10 @@ pub struct GroupLayout {
     gating: Vec<Vec<usize>>,
     /// `item_of[layer][param]` = item index.
     item_of: Vec<Vec<usize>>,
+    /// The `(layer, param)` pairs of each group, in ready order: the
+    /// segmentation the network's `ParamStore` is packed to, so that a
+    /// group's buffers are a segment's.
+    segmentation: Vec<Vec<(usize, usize)>>,
     /// Total elements across the network.
     total_elements: usize,
 }
@@ -110,6 +114,15 @@ impl GroupLayout {
                 global_offset: global_offsets[layer][param],
             });
         }
+        let segmentation = group_items
+            .iter()
+            .map(|group: &Vec<usize>| {
+                group
+                    .iter()
+                    .map(|&i| (items[i].layer, items[i].param))
+                    .collect()
+            })
+            .collect();
         GroupLayout {
             plan,
             items,
@@ -117,6 +130,7 @@ impl GroupLayout {
             group_len,
             gating,
             item_of,
+            segmentation,
             total_elements,
         }
     }
@@ -206,10 +220,23 @@ impl GroupLayout {
         &self.items[idx]
     }
 
+    /// Number of parameter tensors of `layer`.
+    #[must_use]
+    pub fn num_params(&self, layer: usize) -> usize {
+        self.item_of[layer].len()
+    }
+
     /// The item index of `(layer, param)`.
     #[must_use]
     pub fn item_of(&self, layer: usize, param: usize) -> usize {
         self.item_of[layer][param]
+    }
+
+    /// The `(layer, param)` pairs of every group, in ready order — what
+    /// [`dear_minidnn::ParamStore::repack`] takes.
+    #[must_use]
+    pub fn segmentation(&self) -> &[Vec<(usize, usize)>] {
+        &self.segmentation
     }
 
     /// Groups whose all-gather gates `layer`'s feed-forward.
@@ -320,5 +347,29 @@ mod tests {
         let items = layout.items_of_group(0);
         assert_eq!(layout.item(items[0]).offset_in_group, 0);
         assert_eq!(layout.item(items[1]).offset_in_group, 16);
+    }
+
+    #[test]
+    fn a_store_packed_to_the_layout_has_the_groups_as_segments() {
+        let mut net = net();
+        let flat = net.flat_params();
+        let layout = GroupLayout::from_buffer(&net, Some(80));
+        assert_eq!(
+            layout.segmentation(),
+            &[vec![(2, 0), (2, 1)], vec![(0, 0)], vec![(0, 1)]]
+        );
+        net.store_mut().repack(layout.segmentation());
+        for g in 0..layout.num_groups() {
+            let buf = net.store_mut().take_params(g);
+            assert_eq!(buf.len(), layout.group_elements(g));
+            for &i in layout.items_of_group(g) {
+                let it = layout.item(i);
+                assert_eq!(
+                    buf[it.offset_in_group..it.offset_in_group + it.len],
+                    flat[it.global_offset..it.global_offset + it.len]
+                );
+            }
+            net.store_mut().put_params(g, buf);
+        }
     }
 }

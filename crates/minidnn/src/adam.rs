@@ -88,33 +88,39 @@ impl Optimizer for Adam {
         let t = self.step as i32;
         let bias1 = (1.0 - f64::from(self.beta1).powi(t)) as f32;
         let bias2 = (1.0 - f64::from(self.beta2).powi(t)) as f32;
-        let mut tensor_idx = 0;
-        for layer in net.layers_mut() {
-            let grads: Vec<Vec<f32>> = layer.grads().iter().map(|g| g.data().to_vec()).collect();
-            for (p, g) in layer.params_mut().into_iter().zip(grads) {
-                if self.m.len() <= tensor_idx {
-                    self.m.push(vec![0.0; p.len()]);
-                    self.v.push(vec![0.0; p.len()]);
-                }
-                let m = &mut self.m[tensor_idx];
-                let v = &mut self.v[tensor_idx];
-                assert_eq!(
-                    m.len(),
-                    p.len(),
-                    "parameter tensor size changed between steps"
-                );
-                let data = p.data_mut();
-                for i in 0..data.len() {
-                    let grad = g[i] + self.weight_decay * data[i];
-                    m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * grad;
-                    v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * grad * grad;
-                    let m_hat = m[i] / bias1;
-                    let v_hat = v[i] / bias2;
-                    data[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-                }
-                tensor_idx += 1;
+        let Adam {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            weight_decay,
+            ..
+        } = *self;
+        net.store_mut().update(|idx, p, g| {
+            if self.m.len() <= idx {
+                self.m.push(vec![0.0; p.len()]);
+                self.v.push(vec![0.0; p.len()]);
             }
-        }
+            let (m, v) = (&mut self.m[idx], &mut self.v[idx]);
+            assert_eq!(
+                m.len(),
+                p.len(),
+                "parameter tensor size changed between steps"
+            );
+            for (((w, &g), m), v) in p.iter_mut().zip(g).zip(m).zip(v) {
+                let grad = g + weight_decay * *w;
+                *m = beta1 * *m + (1.0 - beta1) * grad;
+                *v = beta2 * *v + (1.0 - beta2) * grad * grad;
+                let m_hat = *m / bias1;
+                let v_hat = *v / bias2;
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+        });
+    }
+
+    fn set_hyper(&mut self, lr: f32, _momentum: f32, weight_decay: f32) {
+        self.set_lr(lr);
+        self.weight_decay = weight_decay;
     }
 }
 
@@ -141,7 +147,6 @@ mod tests {
         let mut first = 0.0;
         let mut last = 0.0;
         for step in 0..300 {
-            net.zero_grads();
             let y = net.forward(&x);
             let (loss, dl) = mse(&y, &target);
             if step == 0 {
@@ -166,7 +171,6 @@ mod tests {
             let target = Tensor::from_vec(&[2, 1], vec![5., -5.]);
             let mut last = 0.0;
             for _ in 0..400 {
-                net.zero_grads();
                 let y = net.forward(&x);
                 let (loss, dl) = mse(&y, &target);
                 last = loss;
@@ -182,7 +186,6 @@ mod tests {
             let target = Tensor::from_vec(&[2, 1], vec![5., -5.]);
             let mut last = 0.0;
             for _ in 0..400 {
-                net.zero_grads();
                 let y = net.forward(&x);
                 let (loss, dl) = mse(&y, &target);
                 last = loss;
@@ -198,5 +201,62 @@ mod tests {
     #[should_panic(expected = "beta1")]
     fn invalid_beta_rejected() {
         let _ = Adam::with_options(0.1, 1.0, 0.999, 1e-8, 0.0);
+    }
+
+    #[test]
+    fn set_hyper_keeps_the_moments_and_the_step_count() {
+        let mut net = quadratic_net(2);
+        let mut opt = Adam::new(0.05);
+        net.store_mut().set_flat_grads(&[1.0; 3]);
+        opt.step(&mut net);
+        let (m, v) = (opt.m.clone(), opt.v.clone());
+        opt.set_hyper(0.01, 0.5, 1e-3);
+        assert_eq!((opt.m.clone(), opt.v.clone(), opt.steps()), (m, v, 1));
+        assert_eq!((opt.lr, opt.weight_decay, opt.beta1), (0.01, 1e-3, 0.9));
+    }
+
+    #[test]
+    fn fused_step_matches_the_indexed_loop_bitwise() {
+        // The per-tensor loop as it ran on a cloned gradient vector.
+        #[allow(clippy::too_many_arguments)]
+        fn indexed(
+            data: &mut [f32],
+            g: &[f32],
+            m: &mut [f32],
+            v: &mut [f32],
+            t: i32,
+            lr: f32,
+            (beta1, beta2, eps): (f32, f32, f32),
+            weight_decay: f32,
+        ) {
+            let bias1 = (1.0 - f64::from(beta1).powi(t)) as f32;
+            let bias2 = (1.0 - f64::from(beta2).powi(t)) as f32;
+            for i in 0..data.len() {
+                let grad = g[i] + weight_decay * data[i];
+                m[i] = beta1 * m[i] + (1.0 - beta1) * grad;
+                v[i] = beta2 * v[i] + (1.0 - beta2) * grad * grad;
+                let m_hat = m[i] / bias1;
+                let v_hat = v[i] / bias2;
+                data[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut net = Sequential::new()
+            .push(Linear::new(5, 7, &mut rng))
+            .push(Linear::new(7, 3, &mut rng));
+        let (lr, betas, wd) = (0.02, (0.9, 0.999, 1e-8), 1e-2);
+        let mut opt = Adam::with_options(lr, betas.0, betas.1, betas.2, wd);
+        let mut w = net.flat_params();
+        let (mut m, mut v) = (vec![0.0; w.len()], vec![0.0; w.len()]);
+        for step in 0..4 {
+            let g: Vec<f32> = (0..w.len())
+                .map(|i| ((i * 7 + step * 13) as f32 * 0.37).sin())
+                .collect();
+            net.store_mut().set_flat_grads(&g);
+            opt.step(&mut net);
+            indexed(&mut w, &g, &mut m, &mut v, step as i32 + 1, lr, betas, wd);
+            let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&net.flat_params()), bits(&w), "step {step}");
+        }
     }
 }

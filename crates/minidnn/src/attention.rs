@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use crate::layer::Layer;
+use crate::layer::{Layer, ParamShape};
 use crate::tensor::Tensor;
 
 /// Single-head scaled dot-product self-attention over fixed-length
@@ -19,14 +19,8 @@ use crate::tensor::Tensor;
 pub struct SelfAttention {
     seq: usize,
     dim: usize,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    wo: Tensor,
-    grad_wq: Tensor,
-    grad_wk: Tensor,
-    grad_wv: Tensor,
-    grad_wo: Tensor,
+    /// Initial `W_q`, `W_k`, `W_v`, `W_o`, until the layer is pushed.
+    init: Vec<Vec<f32>>,
     /// Cached forward intermediates, one entry per batch row:
     /// `(x, q, k, v, attn, context)` as `[seq, dim]` / `[seq, seq]` tensors.
     cache: Vec<(Tensor, Tensor, Tensor, Tensor, Tensor, Tensor)>,
@@ -42,23 +36,17 @@ impl SelfAttention {
     pub fn new(seq: usize, dim: usize, rng: &mut impl Rng) -> Self {
         assert!(seq > 0 && dim > 0, "dims must be positive");
         let limit = (3.0 / dim as f32).sqrt();
-        let mut mk = |_: &str| {
-            let data: Vec<f32> = (0..dim * dim)
-                .map(|_| rng.gen_range(-limit..=limit))
-                .collect();
-            Tensor::from_vec(&[dim, dim], data)
-        };
+        let init = (0..4)
+            .map(|_| {
+                (0..dim * dim)
+                    .map(|_| rng.gen_range(-limit..=limit))
+                    .collect()
+            })
+            .collect();
         SelfAttention {
             seq,
             dim,
-            wq: mk("q"),
-            wk: mk("k"),
-            wv: mk("v"),
-            wo: mk("o"),
-            grad_wq: Tensor::zeros(&[dim, dim]),
-            grad_wk: Tensor::zeros(&[dim, dim]),
-            grad_wv: Tensor::zeros(&[dim, dim]),
-            grad_wo: Tensor::zeros(&[dim, dim]),
+            init,
             cache: Vec::new(),
         }
     }
@@ -99,8 +87,19 @@ impl Layer for SelfAttention {
         format!("self_attention(seq {}, dim {})", self.seq, self.dim)
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn params(&self) -> Vec<ParamShape> {
+        vec![ParamShape::new(&[self.dim, self.dim]); 4]
+    }
+
+    fn take_init(&mut self) -> Vec<Vec<f32>> {
+        std::mem::take(&mut self.init)
+    }
+
+    fn forward(&mut self, params: &[&[f32]], input: &Tensor) -> Tensor {
         assert_eq!(input.cols(), self.features(), "attention feature mismatch");
+        let &[wq, wk, wv, wo] = params else {
+            panic!("self-attention has four parameter tensors");
+        };
         let batch = input.rows();
         let scale = 1.0 / (self.dim as f32).sqrt();
         let mut out = Tensor::zeros(&[batch, self.features()]);
@@ -108,14 +107,14 @@ impl Layer for SelfAttention {
         for b in 0..batch {
             let row = &input.data()[b * self.features()..(b + 1) * self.features()];
             let x = self.unflatten(row);
-            let q = x.matmul(&self.wq);
-            let k = x.matmul(&self.wk);
-            let v = x.matmul(&self.wv);
+            let q = x.matmul_slice(wq);
+            let k = x.matmul_slice(wk);
+            let v = x.matmul_slice(wv);
             let mut scores = q.matmul_t(&k);
             scores.map_inplace(|s| s * scale);
             let attn = Self::softmax_rows(&scores);
             let context = attn.matmul(&v);
-            let y = context.matmul(&self.wo);
+            let y = context.matmul_slice(wo);
             out.data_mut()[b * self.features()..(b + 1) * self.features()]
                 .copy_from_slice(y.data());
             self.cache.push((x, q, k, v, attn, context));
@@ -123,12 +122,32 @@ impl Layer for SelfAttention {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(
+        &mut self,
+        params: &[&[f32]],
+        grads: &mut [&mut [f32]],
+        grad_output: &Tensor,
+    ) -> Tensor {
         assert_eq!(
             self.cache.len(),
             grad_output.rows(),
             "backward called before forward"
         );
+        let &[wq, wk, wv, wo] = params else {
+            panic!("self-attention has four parameter tensors");
+        };
+        // Each gradient is a sum over the batch rows of per-row products.
+        for grad in grads.iter_mut() {
+            grad.fill(0.0);
+        }
+        let add = |grad: &mut [f32], term: Tensor| {
+            for (g, t) in grad.iter_mut().zip(term.data()) {
+                *g += t;
+            }
+        };
+        let [grad_wq, grad_wk, grad_wv, grad_wo] = grads else {
+            panic!("self-attention has four parameter tensors");
+        };
         let batch = grad_output.rows();
         let scale = 1.0 / (self.dim as f32).sqrt();
         let mut grad_in = Tensor::zeros(&[batch, self.features()]);
@@ -137,8 +156,8 @@ impl Layer for SelfAttention {
             let dy_row = &grad_output.data()[b * self.features()..(b + 1) * self.features()];
             let dy = self.unflatten(dy_row);
             // y = context · Wo
-            self.grad_wo.axpy(1.0, &context.t_matmul(&dy));
-            let dcontext = dy.matmul_t(&self.wo);
+            add(grad_wo, context.t_matmul(&dy));
+            let dcontext = dy.matmul_t_slice(wo);
             // context = attn · v
             let dattn = dcontext.matmul_t(v);
             let dv = attn.t_matmul(&dcontext);
@@ -154,34 +173,16 @@ impl Layer for SelfAttention {
             let dq = dscores.matmul(k);
             let dk = dscores.t_matmul(q);
             // q = x·Wq, k = x·Wk, v = x·Wv
-            self.grad_wq.axpy(1.0, &x.t_matmul(&dq));
-            self.grad_wk.axpy(1.0, &x.t_matmul(&dk));
-            self.grad_wv.axpy(1.0, &x.t_matmul(&dv));
-            let mut dx = dq.matmul_t(&self.wq);
-            dx.axpy(1.0, &dk.matmul_t(&self.wk));
-            dx.axpy(1.0, &dv.matmul_t(&self.wv));
+            add(grad_wq, x.t_matmul(&dq));
+            add(grad_wk, x.t_matmul(&dk));
+            add(grad_wv, x.t_matmul(&dv));
+            let mut dx = dq.matmul_t_slice(wq);
+            dx.axpy(1.0, &dk.matmul_t_slice(wk));
+            dx.axpy(1.0, &dv.matmul_t_slice(wv));
             grad_in.data_mut()[b * self.features()..(b + 1) * self.features()]
                 .copy_from_slice(dx.data());
         }
         grad_in
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.wq, &self.wk, &self.wv, &self.wo]
-    }
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo]
-    }
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_wq, &self.grad_wk, &self.grad_wv, &self.grad_wo]
-    }
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![
-            &mut self.grad_wq,
-            &mut self.grad_wk,
-            &mut self.grad_wv,
-            &mut self.grad_wo,
-        ]
     }
 }
 
@@ -200,11 +201,10 @@ mod tests {
         // of input tokens: outputs stay within the input min/max envelope.
         let mut rng = StdRng::seed_from_u64(0);
         let mut att = SelfAttention::new(3, 2, &mut rng);
-        let eye = vec![1.0, 0.0, 0.0, 1.0];
-        att.params_mut()[2].data_mut().copy_from_slice(&eye);
-        att.params_mut()[3].data_mut().copy_from_slice(&eye);
+        let init = att.take_init();
+        let eye = [1.0, 0.0, 0.0, 1.0];
         let x = Tensor::from_vec(&[1, 6], vec![0.0, 1.0, 2.0, -1.0, 0.5, 0.5]);
-        let y = att.forward(&x);
+        let y = att.forward(&[&init[0], &init[1], &eye, &eye], &x);
         let lo = x.data().iter().cloned().fold(f32::INFINITY, f32::min);
         let hi = x.data().iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         for &v in y.data() {
@@ -260,7 +260,6 @@ mod tests {
         let mut last = 0.0;
         for step in 0..120 {
             let (x, labels) = data.batch(step, 16);
-            net.zero_grads();
             let logits = net.forward(&x);
             let (loss, dloss) = softmax_cross_entropy(&logits, &labels);
             if step == 0 {

@@ -4,7 +4,7 @@
 
 use rand::Rng;
 
-use crate::layer::Layer;
+use crate::layer::{Layer, ParamShape};
 use crate::tensor::Tensor;
 
 /// A 2-D convolution with stride 1 and symmetric zero padding.
@@ -22,10 +22,8 @@ pub struct Conv2d {
     w: usize,
     k: usize,
     pad: usize,
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
+    /// Initial kernel and bias, until the layer is pushed.
+    init: Vec<Vec<f32>>,
     cached_input: Option<Tensor>,
 }
 
@@ -68,10 +66,7 @@ impl Conv2d {
             w,
             k,
             pad,
-            weight: Tensor::from_vec(&[out_c, in_c * k * k], weight_data),
-            bias: Tensor::zeros(&[out_c]),
-            grad_weight: Tensor::zeros(&[out_c, in_c * k * k]),
-            grad_bias: Tensor::zeros(&[out_c]),
+            init: vec![weight_data, vec![0.0; out_c]],
             cached_input: None,
         }
     }
@@ -102,9 +97,10 @@ impl Conv2d {
         x.at(b, c * self.h * self.w + ih as usize * self.w + iw as usize)
     }
 
+    /// Flat index into the `[out_c, in_c·k·k]` kernel.
     #[inline]
-    fn widx(&self, oc: usize, ic: usize, kh: usize, kw: usize) -> (usize, usize) {
-        (oc, ic * self.k * self.k + kh * self.k + kw)
+    fn widx(&self, oc: usize, ic: usize, kh: usize, kw: usize) -> usize {
+        (oc * self.in_c + ic) * self.k * self.k + kh * self.k + kw
     }
 }
 
@@ -116,12 +112,24 @@ impl Layer for Conv2d {
         )
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn params(&self) -> Vec<ParamShape> {
+        vec![
+            ParamShape::new(&[self.out_c, self.in_c * self.k * self.k]),
+            ParamShape::new(&[self.out_c]),
+        ]
+    }
+
+    fn take_init(&mut self) -> Vec<Vec<f32>> {
+        std::mem::take(&mut self.init)
+    }
+
+    fn forward(&mut self, params: &[&[f32]], input: &Tensor) -> Tensor {
         assert_eq!(
             input.cols(),
             self.in_c * self.h * self.w,
             "conv2d input feature mismatch"
         );
+        let (weight, bias) = (params[0], params[1]);
         let batch = input.rows();
         let (oh, ow) = (self.out_h(), self.out_w());
         let mut out = Tensor::zeros(&[batch, self.out_c * oh * ow]);
@@ -129,15 +137,14 @@ impl Layer for Conv2d {
             for oc in 0..self.out_c {
                 for y in 0..oh {
                     for x in 0..ow {
-                        let mut acc = self.bias.data()[oc];
+                        let mut acc = bias[oc];
                         for ic in 0..self.in_c {
                             for kh in 0..self.k {
                                 for kw in 0..self.k {
                                     let ih = y as isize + kh as isize - self.pad as isize;
                                     let iw = x as isize + kw as isize - self.pad as isize;
-                                    let (r, c) = self.widx(oc, ic, kh, kw);
-                                    acc +=
-                                        self.weight.at(r, c) * self.input_at(input, b, ic, ih, iw);
+                                    acc += weight[self.widx(oc, ic, kh, kw)]
+                                        * self.input_at(input, b, ic, ih, iw);
                                 }
                             }
                         }
@@ -150,11 +157,22 @@ impl Layer for Conv2d {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(
+        &mut self,
+        params: &[&[f32]],
+        grads: &mut [&mut [f32]],
+        grad_output: &Tensor,
+    ) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
             .expect("backward called before forward");
+        let weight = params[0];
+        let [grad_weight, grad_bias] = grads else {
+            panic!("conv2d has two parameter tensors");
+        };
+        grad_weight.fill(0.0);
+        grad_bias.fill(0.0);
         let batch = grad_output.rows();
         let (oh, ow) = (self.out_h(), self.out_w());
         assert_eq!(
@@ -171,7 +189,7 @@ impl Layer for Conv2d {
                         if dy == 0.0 {
                             continue;
                         }
-                        self.grad_bias.data_mut()[oc] += dy;
+                        grad_bias[oc] += dy;
                         for ic in 0..self.in_c {
                             for kh in 0..self.k {
                                 for kw in 0..self.k {
@@ -184,11 +202,11 @@ impl Layer for Conv2d {
                                     {
                                         continue;
                                     }
-                                    let (r, c) = self.widx(oc, ic, kh, kw);
+                                    let wi = self.widx(oc, ic, kh, kw);
                                     let in_idx =
                                         ic * self.h * self.w + ih as usize * self.w + iw as usize;
-                                    *self.grad_weight.at_mut(r, c) += dy * input.at(b, in_idx);
-                                    *grad_in.at_mut(b, in_idx) += dy * self.weight.at(r, c);
+                                    grad_weight[wi] += dy * input.at(b, in_idx);
+                                    *grad_in.at_mut(b, in_idx) += dy * weight[wi];
                                 }
                             }
                         }
@@ -197,19 +215,6 @@ impl Layer for Conv2d {
             }
         }
         grad_in
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.weight, &self.bias]
-    }
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_weight, &self.grad_bias]
-    }
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.grad_weight, &mut self.grad_bias]
     }
 }
 
@@ -227,9 +232,8 @@ mod tests {
         // A single-channel 1x1 kernel of weight 1 is the identity map.
         let mut rng = StdRng::seed_from_u64(0);
         let mut conv = Conv2d::new(1, 1, 3, 3, 1, 0, &mut rng);
-        conv.params_mut()[0].data_mut().copy_from_slice(&[1.0]);
         let x = Tensor::from_vec(&[1, 9], (0..9).map(|i| i as f32).collect());
-        let y = conv.forward(&x);
+        let y = conv.forward(&[&[1.0], &[0.0]], &x);
         assert_eq!(y.data(), x.data());
     }
 
@@ -239,9 +243,8 @@ mod tests {
         // 3x3 neighbourhood.
         let mut rng = StdRng::seed_from_u64(1);
         let mut conv = Conv2d::new(1, 1, 2, 2, 3, 1, &mut rng);
-        conv.params_mut()[0].data_mut().copy_from_slice(&[1.0; 9]);
         let x = Tensor::from_vec(&[1, 4], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = conv.forward(&x);
+        let y = conv.forward(&[&[1.0; 9], &[0.0]], &x);
         // All four taps see the whole image (2x2 inside 3x3 window).
         assert_eq!(y.data(), &[10.0, 10.0, 10.0, 10.0]);
         assert_eq!(conv.out_features(), 4);
@@ -298,7 +301,6 @@ mod tests {
         let mut last = 0.0;
         for step in 0..80 {
             let (x, labels) = data.batch(step, 16);
-            net.zero_grads();
             let logits = net.forward(&x);
             let (loss, dloss) = softmax_cross_entropy(&logits, &labels);
             if step == 0 {

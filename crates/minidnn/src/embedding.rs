@@ -3,7 +3,7 @@
 
 use rand::Rng;
 
-use crate::layer::Layer;
+use crate::layer::{Layer, ParamShape};
 use crate::tensor::Tensor;
 
 /// An embedding lookup: each input feature is a token id (carried as an
@@ -17,8 +17,8 @@ use crate::tensor::Tensor;
 pub struct Embedding {
     vocab: usize,
     dim: usize,
-    table: Tensor,
-    grad_table: Tensor,
+    /// Initial table, until the layer is pushed.
+    init: Vec<Vec<f32>>,
     cached_ids: Vec<Vec<usize>>,
 }
 
@@ -37,8 +37,7 @@ impl Embedding {
         Embedding {
             vocab,
             dim,
-            table: Tensor::from_vec(&[vocab, dim], data),
-            grad_table: Tensor::zeros(&[vocab, dim]),
+            init: vec![data],
             cached_ids: Vec::new(),
         }
     }
@@ -70,7 +69,16 @@ impl Layer for Embedding {
         format!("embedding({}x{})", self.vocab, self.dim)
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn params(&self) -> Vec<ParamShape> {
+        vec![ParamShape::new(&[self.vocab, self.dim])]
+    }
+
+    fn take_init(&mut self) -> Vec<Vec<f32>> {
+        std::mem::take(&mut self.init)
+    }
+
+    fn forward(&mut self, params: &[&[f32]], input: &Tensor) -> Tensor {
+        let table = params[0];
         let batch = input.rows();
         let seq = input.cols();
         let mut out = Tensor::zeros(&[batch, seq * self.dim]);
@@ -80,7 +88,7 @@ impl Layer for Embedding {
             for s in 0..seq {
                 let id = self.clamp_id(input.at(b, s));
                 ids.push(id);
-                let row = &self.table.data()[id * self.dim..(id + 1) * self.dim];
+                let row = &table[id * self.dim..(id + 1) * self.dim];
                 out.data_mut()[b * seq * self.dim + s * self.dim..][..self.dim]
                     .copy_from_slice(row);
             }
@@ -89,7 +97,12 @@ impl Layer for Embedding {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(
+        &mut self,
+        _params: &[&[f32]],
+        grads: &mut [&mut [f32]],
+        grad_output: &Tensor,
+    ) -> Tensor {
         let batch = grad_output.rows();
         assert_eq!(
             self.cached_ids.len(),
@@ -98,10 +111,12 @@ impl Layer for Embedding {
         );
         let seq = self.cached_ids.first().map_or(0, Vec::len);
         assert_eq!(grad_output.cols(), seq * self.dim, "embedding grad shape");
+        let grad_table = &mut *grads[0];
+        grad_table.fill(0.0);
         for (b, ids) in self.cached_ids.iter().enumerate() {
             for (s, &id) in ids.iter().enumerate() {
                 let dy = &grad_output.data()[b * seq * self.dim + s * self.dim..][..self.dim];
-                let row = &mut self.grad_table.data_mut()[id * self.dim..(id + 1) * self.dim];
+                let row = &mut grad_table[id * self.dim..(id + 1) * self.dim];
                 for (g, d) in row.iter_mut().zip(dy) {
                     *g += d;
                 }
@@ -109,19 +124,6 @@ impl Layer for Embedding {
         }
         // Token ids are not differentiable; the upstream gradient is zero.
         Tensor::zeros(&[batch, seq])
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.table]
-    }
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.table]
-    }
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_table]
-    }
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.grad_table]
     }
 }
 
@@ -135,11 +137,8 @@ mod tests {
     fn forward_looks_up_rows() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut emb = Embedding::new(4, 2, &mut rng);
-        emb.params_mut()[0]
-            .data_mut()
-            .copy_from_slice(&[0., 0., 1., 1., 2., 2., 3., 3.]);
         let ids = Tensor::from_vec(&[1, 3], vec![2.0, 0.0, 3.0]);
-        let y = emb.forward(&ids);
+        let y = emb.forward(&[&[0., 0., 1., 1., 2., 2., 3., 3.]], &ids);
         assert_eq!(y.data(), &[2., 2., 0., 0., 3., 3.]);
     }
 
@@ -147,11 +146,8 @@ mod tests {
     fn out_of_range_ids_map_to_padding() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut emb = Embedding::new(3, 1, &mut rng);
-        emb.params_mut()[0]
-            .data_mut()
-            .copy_from_slice(&[7., 8., 9.]);
         let ids = Tensor::from_vec(&[1, 4], vec![-1.0, 99.0, f32::NAN, 1.0]);
-        let y = emb.forward(&ids);
+        let y = emb.forward(&[&[7., 8., 9.]], &ids);
         assert_eq!(y.data(), &[7., 7., 7., 8.]);
     }
 
@@ -159,15 +155,15 @@ mod tests {
     fn backward_scatter_adds_per_token() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut emb = Embedding::new(3, 2, &mut rng);
+        let table = emb.take_init().remove(0);
         let ids = Tensor::from_vec(&[1, 3], vec![1.0, 1.0, 2.0]);
-        let _ = emb.forward(&ids);
+        let _ = emb.forward(&[&table], &ids);
         let dy = Tensor::from_vec(&[1, 6], vec![1., 2., 3., 4., 5., 6.]);
-        let dx = emb.backward(&dy);
+        let mut grad = [f32::NAN; 6];
+        let dx = emb.backward(&[&table], &mut [&mut grad], &dy);
         assert_eq!(dx.data(), &[0., 0., 0.]); // ids are not differentiable
-                                              // Token 1 used twice: gradients accumulate.
-        assert_eq!(&emb.grads()[0].data()[2..4], &[4., 6.]);
-        assert_eq!(&emb.grads()[0].data()[4..6], &[5., 6.]);
-        assert_eq!(&emb.grads()[0].data()[0..2], &[0., 0.]);
+                                              // Token 1 used twice: its rows add up; token 0 is unused.
+        assert_eq!(grad, [0., 0., 4., 6., 5., 6.]);
     }
 
     #[test]
@@ -190,7 +186,6 @@ mod tests {
                 .collect();
             let labels: Vec<usize> = ids.chunks(4).map(|c| c[0] as usize).collect();
             let x = Tensor::from_vec(&[4, 4], ids);
-            net.zero_grads();
             let logits = net.forward(&x);
             let (loss, dloss) = softmax_cross_entropy(&logits, &labels);
             if step == 0 {

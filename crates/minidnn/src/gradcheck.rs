@@ -29,19 +29,10 @@ pub fn check_gradients(
 ) -> GradCheckReport {
     assert!(stride > 0, "stride must be positive");
     // Analytic gradients.
-    net.zero_grads();
     let logits = net.forward(input);
     let (_, dloss) = softmax_cross_entropy(&logits, labels);
     net.backward(&dloss);
-    let analytic: Vec<f32> = {
-        let mut out = Vec::new();
-        for layer in net.layers() {
-            for g in layer.grads() {
-                out.extend_from_slice(g.data());
-            }
-        }
-        out
-    };
+    let analytic = net.store().flat_grads();
     let base = net.flat_params();
     let eps = 1e-2f32;
     let mut max_rel = 0.0f32;

@@ -1,8 +1,8 @@
-//! Concrete layers: fully-connected, ReLU, and Tanh.
+//! Concrete layers: fully-connected, ReLU, Tanh, and layer normalization.
 
 use rand::Rng;
 
-use crate::layer::Layer;
+use crate::layer::{Layer, ParamShape};
 use crate::tensor::Tensor;
 
 /// A fully-connected layer: `y = x·W + b`, with `W: [in, out]`, `b: [out]`.
@@ -14,10 +14,8 @@ use crate::tensor::Tensor;
 pub struct Linear {
     in_dim: usize,
     out_dim: usize,
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
+    /// Initial weight and bias, until the layer is pushed.
+    init: Vec<Vec<f32>>,
     cached_input: Option<Tensor>,
 }
 
@@ -34,16 +32,13 @@ impl Linear {
             "layer dimensions must be positive"
         );
         let limit = (6.0 / (in_dim + out_dim) as f32).sqrt();
-        let weight_data: Vec<f32> = (0..in_dim * out_dim)
+        let weight: Vec<f32> = (0..in_dim * out_dim)
             .map(|_| rng.gen_range(-limit..=limit))
             .collect();
         Linear {
             in_dim,
             out_dim,
-            weight: Tensor::from_vec(&[in_dim, out_dim], weight_data),
-            bias: Tensor::zeros(&[out_dim]),
-            grad_weight: Tensor::zeros(&[in_dim, out_dim]),
-            grad_bias: Tensor::zeros(&[out_dim]),
+            init: vec![weight, vec![0.0; out_dim]],
             cached_input: None,
         }
     }
@@ -66,7 +61,18 @@ impl Layer for Linear {
         format!("linear({}->{})", self.in_dim, self.out_dim)
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn params(&self) -> Vec<ParamShape> {
+        vec![
+            ParamShape::new(&[self.in_dim, self.out_dim]),
+            ParamShape::new(&[self.out_dim]),
+        ]
+    }
+
+    fn take_init(&mut self) -> Vec<Vec<f32>> {
+        std::mem::take(&mut self.init)
+    }
+
+    fn forward(&mut self, params: &[&[f32]], input: &Tensor) -> Tensor {
         assert_eq!(
             input.cols(),
             self.in_dim,
@@ -74,10 +80,9 @@ impl Layer for Linear {
             input.cols(),
             self.in_dim
         );
-        let mut out = input.matmul(&self.weight);
-        let b = self.bias.data();
+        let mut out = input.matmul_slice(params[0]);
         for r in 0..out.rows() {
-            for (c, bias) in b.iter().enumerate() {
+            for (c, bias) in params[1].iter().enumerate() {
                 *out.at_mut(r, c) += bias;
             }
         }
@@ -85,38 +90,27 @@ impl Layer for Linear {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(
+        &mut self,
+        params: &[&[f32]],
+        grads: &mut [&mut [f32]],
+        grad_output: &Tensor,
+    ) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
             .expect("backward called before forward");
-        // dW = xᵀ · dy
-        let dw = input.t_matmul(grad_output);
-        self.grad_weight.axpy(1.0, &dw);
+        // dW = xᵀ · dy, written where the store keeps it.
+        input.t_matmul_into(grad_output, grads[0]);
         // db = column sums of dy
+        grads[1].fill(0.0);
         for r in 0..grad_output.rows() {
-            for c in 0..self.out_dim {
-                self.grad_bias.data_mut()[c] += grad_output.at(r, c);
+            for (c, db) in grads[1].iter_mut().enumerate() {
+                *db += grad_output.at(r, c);
             }
         }
         // dx = dy · Wᵀ
-        grad_output.matmul_t(&self.weight)
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_weight, &self.grad_bias]
-    }
-
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.grad_weight, &mut self.grad_bias]
+        grad_output.matmul_t_slice(params[0])
     }
 }
 
@@ -139,14 +133,19 @@ impl Layer for Relu {
         "relu".to_owned()
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, _params: &[&[f32]], input: &Tensor) -> Tensor {
         self.cached_input = Some(input.clone());
         let mut out = input.clone();
         out.map_inplace(|x| x.max(0.0));
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(
+        &mut self,
+        _params: &[&[f32]],
+        _grads: &mut [&mut [f32]],
+        grad_output: &Tensor,
+    ) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
@@ -158,19 +157,6 @@ impl Layer for Relu {
             }
         }
         grad
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-    fn grads(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
     }
 }
 
@@ -193,14 +179,19 @@ impl Layer for Tanh {
         "tanh".to_owned()
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, _params: &[&[f32]], input: &Tensor) -> Tensor {
         let mut out = input.clone();
         out.map_inplace(f32::tanh);
         self.cached_output = Some(out.clone());
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(
+        &mut self,
+        _params: &[&[f32]],
+        _grads: &mut [&mut [f32]],
+        grad_output: &Tensor,
+    ) -> Tensor {
         let out = self
             .cached_output
             .as_ref()
@@ -211,19 +202,6 @@ impl Layer for Tanh {
         }
         grad
     }
-
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-    fn grads(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
 }
 
 /// Layer normalization (Ba et al.): per-row standardization followed by a
@@ -233,10 +211,6 @@ impl Layer for Tanh {
 pub struct LayerNorm {
     dim: usize,
     eps: f32,
-    gain: Tensor,
-    bias: Tensor,
-    grad_gain: Tensor,
-    grad_bias: Tensor,
     /// Cached per-row `(x - mean) / std` from the forward pass.
     cached_norm: Option<Tensor>,
     /// Cached per-row standard deviations.
@@ -255,10 +229,6 @@ impl LayerNorm {
         LayerNorm {
             dim,
             eps: 1e-5,
-            gain: Tensor::from_vec(&[dim], vec![1.0; dim]),
-            bias: Tensor::zeros(&[dim]),
-            grad_gain: Tensor::zeros(&[dim]),
-            grad_bias: Tensor::zeros(&[dim]),
             cached_norm: None,
             cached_std: Vec::new(),
         }
@@ -270,8 +240,17 @@ impl Layer for LayerNorm {
         format!("layernorm({})", self.dim)
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn params(&self) -> Vec<ParamShape> {
+        vec![ParamShape::new(&[self.dim]); 2]
+    }
+
+    fn take_init(&mut self) -> Vec<Vec<f32>> {
+        vec![vec![1.0; self.dim], vec![0.0; self.dim]]
+    }
+
+    fn forward(&mut self, params: &[&[f32]], input: &Tensor) -> Tensor {
         assert_eq!(input.cols(), self.dim, "layernorm dimension mismatch");
+        let (gain, bias) = (params[0], params[1]);
         let rows = input.rows();
         let mut norm = Tensor::zeros(&[rows, self.dim]);
         self.cached_std = Vec::with_capacity(rows);
@@ -287,18 +266,29 @@ impl Layer for LayerNorm {
             for c in 0..self.dim {
                 let n = (input.at(r, c) - mean) / std;
                 *norm.at_mut(r, c) = n;
-                *out.at_mut(r, c) = self.gain.data()[c] * n + self.bias.data()[c];
+                *out.at_mut(r, c) = gain[c] * n + bias[c];
             }
         }
         self.cached_norm = Some(norm);
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward(
+        &mut self,
+        params: &[&[f32]],
+        grads: &mut [&mut [f32]],
+        grad_output: &Tensor,
+    ) -> Tensor {
         let norm = self
             .cached_norm
             .as_ref()
             .expect("backward called before forward");
+        let gain = params[0];
+        let [grad_gain, grad_bias] = grads else {
+            panic!("layernorm has two parameter tensors");
+        };
+        grad_gain.fill(0.0);
+        grad_bias.fill(0.0);
         let rows = grad_output.rows();
         let d = self.dim as f32;
         let mut grad_in = Tensor::zeros(&[rows, self.dim]);
@@ -310,32 +300,19 @@ impl Layer for LayerNorm {
             let mut sum_gdy_n = 0.0f32;
             for c in 0..self.dim {
                 let dy = grad_output.at(r, c);
-                let gdy = self.gain.data()[c] * dy;
-                self.grad_gain.data_mut()[c] += dy * norm.at(r, c);
-                self.grad_bias.data_mut()[c] += dy;
+                let gdy = gain[c] * dy;
+                grad_gain[c] += dy * norm.at(r, c);
+                grad_bias[c] += dy;
                 sum_gdy += gdy;
                 sum_gdy_n += gdy * norm.at(r, c);
             }
             let std = self.cached_std[r];
-            for c in 0..self.dim {
-                let gdy = self.gain.data()[c] * grad_output.at(r, c);
+            for (c, gain) in gain.iter().enumerate() {
+                let gdy = gain * grad_output.at(r, c);
                 *grad_in.at_mut(r, c) = (gdy - sum_gdy / d - norm.at(r, c) * sum_gdy_n / d) / std;
             }
         }
         grad_in
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.gain, &self.bias]
-    }
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.gain, &mut self.bias]
-    }
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_gain, &self.grad_bias]
-    }
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.grad_gain, &mut self.grad_bias]
     }
 }
 
@@ -349,13 +326,8 @@ mod tests {
     fn linear_forward_computes_affine_map() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut l = Linear::new(2, 2, &mut rng);
-        // Overwrite params with known values.
-        l.params_mut()[0]
-            .data_mut()
-            .copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        l.params_mut()[1].data_mut().copy_from_slice(&[0.5, -0.5]);
         let x = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
-        let y = l.forward(&x);
+        let y = l.forward(&[&[1.0, 2.0, 3.0, 4.0], &[0.5, -0.5]], &x);
         assert_eq!(y.data(), &[4.5, 5.5]);
     }
 
@@ -363,23 +335,26 @@ mod tests {
     fn linear_backward_shapes_and_bias_grad() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut l = Linear::new(3, 2, &mut rng);
+        let init = l.take_init();
+        let params = [&init[0][..], &init[1][..]];
         let x = Tensor::from_vec(&[4, 3], (0..12).map(|i| i as f32 / 10.0).collect());
-        let _ = l.forward(&x);
+        let _ = l.forward(&params, &x);
         let dy = Tensor::from_vec(&[4, 2], vec![1.0; 8]);
-        let dx = l.backward(&dy);
+        let (mut dw, mut db) = ([0.0; 6], [0.0; 2]);
+        let dx = l.backward(&params, &mut [&mut dw, &mut db], &dy);
         assert_eq!(dx.shape(), &[4, 3]);
         // db = batch-sum of dy = 4 per output.
-        assert_eq!(l.grads()[1].data(), &[4.0, 4.0]);
+        assert_eq!(db, [4.0, 4.0]);
     }
 
     #[test]
     fn relu_masks_negative_inputs() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(&[1, 4], vec![-1.0, 0.0, 2.0, -3.0]);
-        let y = r.forward(&x);
+        let y = r.forward(&[], &x);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
         let dy = Tensor::from_vec(&[1, 4], vec![1.0; 4]);
-        let dx = r.backward(&dy);
+        let dx = r.backward(&[], &mut [], &dy);
         assert_eq!(dx.data(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
@@ -387,17 +362,18 @@ mod tests {
     fn tanh_gradient_uses_output() {
         let mut t = Tanh::new();
         let x = Tensor::from_vec(&[1, 1], vec![0.0]);
-        let y = t.forward(&x);
+        let y = t.forward(&[], &x);
         assert_eq!(y.data(), &[0.0]);
-        let dx = t.backward(&Tensor::from_vec(&[1, 1], vec![2.0]));
+        let dx = t.backward(&[], &mut [], &Tensor::from_vec(&[1, 1], vec![2.0]));
         assert_eq!(dx.data(), &[2.0]); // 1 - tanh(0)^2 = 1
     }
 
     #[test]
     fn layernorm_standardizes_rows() {
         let mut ln = LayerNorm::new(4);
+        let init = ln.take_init();
         let x = Tensor::from_vec(&[2, 4], vec![1., 2., 3., 4., 10., 10., 10., 10.]);
-        let y = ln.forward(&x);
+        let y = ln.forward(&[&init[0], &init[1]], &x);
         // Row 0: zero mean, unit variance (up to eps).
         let row0: Vec<f32> = (0..4).map(|c| y.at(0, c)).collect();
         let mean: f32 = row0.iter().sum::<f32>() / 4.0;
@@ -437,15 +413,20 @@ mod tests {
     }
 
     #[test]
-    fn zero_grads_resets_accumulators() {
+    fn backward_overwrites_whatever_the_gradient_slices_held() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut l = Linear::new(2, 2, &mut rng);
+        let init = l.take_init();
+        let params = [&init[0][..], &init[1][..]];
         let x = Tensor::from_vec(&[1, 2], vec![1.0, 2.0]);
-        let _ = l.forward(&x);
-        let _ = l.backward(&Tensor::from_vec(&[1, 2], vec![1.0, 1.0]));
-        assert!(l.grads()[0].norm_sq() > 0.0);
-        l.zero_grads();
-        assert_eq!(l.grads()[0].norm_sq(), 0.0);
+        let dy = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
+        let _ = l.forward(&params, &x);
+        let (mut dw, mut db) = ([0.0; 4], [0.0; 2]);
+        let _ = l.backward(&params, &mut [&mut dw, &mut db], &dy);
+        let (mut dw2, mut db2) = ([f32::NAN; 4], [7.0; 2]);
+        let _ = l.backward(&params, &mut [&mut dw2, &mut db2], &dy);
+        assert_eq!((dw, db), (dw2, db2));
+        assert_eq!(dw, [1.0, 1.0, 2.0, 2.0]);
         assert_eq!(l.param_count(), 6);
     }
 }

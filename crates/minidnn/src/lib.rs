@@ -6,7 +6,10 @@
 //! - [`Tensor`]: dense row-major `f32` tensors with the handful of ops an
 //!   MLP needs.
 //! - [`Layer`] / [`Linear`] / [`Relu`] / [`Tanh`]: layers with manual
-//!   forward/backward and externally visible parameter/gradient tensors.
+//!   forward/backward over parameter and gradient slices they borrow.
+//! - [`ParamStore`]: the one resident copy of a network's parameters and
+//!   gradients, segmented the way the communication runtime fuses them —
+//!   backward writes gradients where the collectives read them.
 //! - [`Sequential`]: a network container raising **GradReady** hooks during
 //!   backprop (last layer → first) and **PreForward** hooks during the
 //!   forward pass (first → last) — the two attachment points for DeAR's
@@ -36,12 +39,11 @@
 //! let mut last_loss = 0.0;
 //! for step in 0..100 {
 //!     let (x, labels) = data.batch(step, 32);
-//!     net.zero_grads();
 //!     let logits = net.forward(&x);
 //!     let (loss, dloss) = softmax_cross_entropy(&logits, &labels);
 //!     first_loss.get_or_insert(loss);
 //!     last_loss = loss;
-//!     net.backward(&dloss);
+//!     net.backward(&dloss); // writes the gradients: nothing to zero first
 //!     opt.step(&mut net);
 //! }
 //! assert!(last_loss < 0.5 * first_loss.unwrap());
@@ -61,6 +63,7 @@ mod layers;
 mod loss;
 mod network;
 mod optim;
+mod store;
 mod tensor;
 
 pub use adam::Adam;
@@ -68,9 +71,10 @@ pub use attention::SelfAttention;
 pub use conv::Conv2d;
 pub use data::BlobDataset;
 pub use embedding::Embedding;
-pub use layer::Layer;
+pub use layer::{Layer, ParamShape};
 pub use layers::{LayerNorm, Linear, Relu, Tanh};
 pub use loss::{accuracy, mse, softmax_cross_entropy};
 pub use network::Sequential;
 pub use optim::{Optimizer, Sgd};
+pub use store::ParamStore;
 pub use tensor::Tensor;

@@ -6,13 +6,20 @@
 //! During `forward`, a **PreForward** hook fires before each layer runs —
 //! first layer first, the synchronization point for DeAR's OP2
 //! (all-gather).
+//!
+//! The network owns its parameters and gradients in a [`ParamStore`] and
+//! lends each layer its slices for the duration of a call. The hooks get
+//! the store: that is where a distributed optimizer takes a finished
+//! group's buffers out and puts arriving ones back.
 
 use crate::layer::Layer;
+use crate::store::ParamStore;
 use crate::tensor::Tensor;
 
-/// A stack of layers applied in order.
+/// A stack of layers applied in order, and the store of their parameters.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    store: ParamStore,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -30,12 +37,31 @@ impl Sequential {
     /// Creates an empty network.
     #[must_use]
     pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
+        Sequential {
+            layers: Vec::new(),
+            store: ParamStore::default(),
+        }
     }
 
-    /// Appends a layer (builder style).
+    /// Appends a layer (builder style), moving its initial parameter
+    /// values into the store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer's initial values do not match the shapes it
+    /// declares.
     #[must_use]
-    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
+    pub fn push(mut self, mut layer: impl Layer + 'static) -> Self {
+        let init = layer.take_init();
+        let declared: Vec<usize> = layer.params().iter().map(|p| p.len()).collect();
+        let given: Vec<usize> = init.iter().map(Vec::len).collect();
+        assert_eq!(
+            given,
+            declared,
+            "{} does not initialise the tensors it declares",
+            layer.name()
+        );
+        self.store.push_layer(init);
         self.layers.push(Box::new(layer));
         self
     }
@@ -58,99 +84,104 @@ impl Sequential {
         &self.layers
     }
 
-    /// The layers, for parameter updates.
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
+    /// The parameters and gradients.
+    #[must_use]
+    pub fn store(&self) -> &ParamStore {
+        &self.store
+    }
+
+    /// The parameters and gradients, for updates and re-packing.
+    pub fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
     }
 
     /// Total learnable parameter count.
     #[must_use]
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
+        self.store.len()
     }
 
     /// Plain forward pass.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.forward_with_hook(input, |_layer_idx, _layer| {})
+        self.forward_with_hook(input, |_layer_idx, _store| {})
     }
 
     /// Forward pass raising the PreForward hook with each layer's index and
-    /// a mutable reference to the layer (front to back) before that layer
-    /// executes — the point where DeAR installs all-gathered parameters.
+    /// the store (front to back) before that layer executes — the point
+    /// where DeAR puts all-gathered parameters back.
     pub fn forward_with_hook(
         &mut self,
         input: &Tensor,
-        mut pre_forward: impl FnMut(usize, &mut dyn Layer),
+        mut pre_forward: impl FnMut(usize, &mut ParamStore),
     ) -> Tensor {
+        self.try_forward_with_hook(input, |idx, store| {
+            pre_forward(idx, store);
+            true
+        })
+        .expect("this hook never stops the pass")
+    }
+
+    /// [`Sequential::forward_with_hook`] with a hook that may stop the
+    /// pass by returning `false` — parameters it was waiting for will
+    /// never arrive. `None` if it did.
+    pub fn try_forward_with_hook(
+        &mut self,
+        input: &Tensor,
+        mut pre_forward: impl FnMut(usize, &mut ParamStore) -> bool,
+    ) -> Option<Tensor> {
         let mut x = input.clone();
         for (idx, layer) in self.layers.iter_mut().enumerate() {
-            pre_forward(idx, layer.as_mut());
-            x = layer.forward(&x);
+            if !pre_forward(idx, &mut self.store) {
+                return None;
+            }
+            x = layer.forward(&self.store.layer_params(idx), &x);
         }
-        x
+        Some(x)
     }
 
     /// Plain backward pass from the loss gradient.
     pub fn backward(&mut self, grad_loss: &Tensor) -> Tensor {
-        self.backward_with_hook(grad_loss, |_layer_idx, _layer| {})
+        self.backward_with_hook(grad_loss, |_layer_idx, _store| {})
     }
 
     /// Backward pass raising the GradReady hook with each layer's index and
-    /// a mutable reference to the layer (back to front) right after its
-    /// gradients are accumulated.
+    /// the store (back to front) right after the layer's gradients are
+    /// written — the point where DeAR takes a finished group's buffers.
     pub fn backward_with_hook(
         &mut self,
         grad_loss: &Tensor,
-        mut grad_ready: impl FnMut(usize, &mut dyn Layer),
+        mut grad_ready: impl FnMut(usize, &mut ParamStore),
     ) -> Tensor {
         let mut g = grad_loss.clone();
         for (idx, layer) in self.layers.iter_mut().enumerate().rev() {
-            g = layer.backward(&g);
-            grad_ready(idx, layer.as_mut());
+            let (params, mut grads) = self.store.layer_views(idx);
+            g = layer.backward(&params, &mut grads, &g);
+            grad_ready(idx, &mut self.store);
         }
         g
     }
 
-    /// Zeroes every layer's gradient buffers.
+    /// Zeroes every gradient. A backward pass overwrites the gradients, so
+    /// a training loop does not need this between steps.
     pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
+        self.store.zero_grads();
     }
 
     /// Flattens all parameters into one vector (deterministic layer order),
     /// used for cross-worker consistency checks.
     #[must_use]
     pub fn flat_params(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            for p in layer.params() {
-                out.extend_from_slice(p.data());
-            }
-        }
-        out
+        self.store.flat_params()
     }
 
     /// Overwrites all parameters from a flat vector (inverse of
-    /// [`Sequential::flat_params`]).
+    /// [`Sequential::flat_params`]); see [`ParamStore::set_flat_params`].
     ///
     /// # Panics
     ///
     /// Panics if `flat.len()` does not equal [`Sequential::param_count`].
     pub fn set_flat_params(&mut self, flat: &[f32]) {
-        assert_eq!(
-            flat.len(),
-            self.param_count(),
-            "flat parameter length mismatch"
-        );
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            for p in layer.params_mut() {
-                let n = p.len();
-                p.data_mut().copy_from_slice(&flat[offset..offset + n]);
-                offset += n;
-            }
-        }
+        self.store.set_flat_params(flat);
     }
 }
 

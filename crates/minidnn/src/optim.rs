@@ -3,11 +3,20 @@
 
 use crate::network::Sequential;
 
-/// A parameter-update rule applied from a network's accumulated gradients.
+/// A parameter-update rule applied from a network's gradients.
 pub trait Optimizer: Send {
     /// Applies one update step to every parameter of `net` from its
     /// current gradients.
     fn step(&mut self, net: &mut Sequential);
+
+    /// Changes the hyper-parameters (a learning-rate schedule step) and
+    /// keeps the accumulated state. `momentum` is SGD's; a rule without one
+    /// ignores it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value is out of the rule's range.
+    fn set_hyper(&mut self, lr: f32, momentum: f32, weight_decay: f32);
 }
 
 /// Plain mini-batch SGD (Eq. 1) with optional momentum and L2 weight decay.
@@ -74,36 +83,35 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, net: &mut Sequential) {
-        let mut tensor_idx = 0;
-        for layer in net.layers_mut() {
-            // A layer lends its gradients and its parameters mutably only
-            // one at a time, so the update runs as two sweeps instead of
-            // copying the gradients out: `v ← μv + (g + λw)` with both
-            // borrowed shared, then `w ← w − η·v`. Per element that is the
-            // arithmetic of the fused loop in the same order.
-            let first = tensor_idx;
-            for (p, g) in layer.params().into_iter().zip(layer.grads()) {
-                if self.velocity.len() <= tensor_idx {
-                    self.velocity.push(vec![0.0; p.len()]);
-                }
-                let v = &mut self.velocity[tensor_idx];
-                assert_eq!(
-                    v.len(),
-                    p.len(),
-                    "parameter tensor size changed between steps"
-                );
-                for ((v, &g), &w) in v.iter_mut().zip(g.data()).zip(p.data()) {
-                    let grad = g + self.weight_decay * w;
-                    *v = self.momentum * *v + grad;
-                }
-                tensor_idx += 1;
+        let Sgd {
+            lr,
+            momentum,
+            weight_decay,
+            ..
+        } = *self;
+        net.store_mut().update(|idx, p, g| {
+            if self.velocity.len() <= idx {
+                self.velocity.push(vec![0.0; p.len()]);
             }
-            for (p, v) in layer.params_mut().into_iter().zip(&self.velocity[first..]) {
-                for (w, &v) in p.data_mut().iter_mut().zip(v) {
-                    *w -= self.lr * v;
-                }
+            let v = &mut self.velocity[idx];
+            assert_eq!(
+                v.len(),
+                p.len(),
+                "parameter tensor size changed between steps"
+            );
+            for ((w, &g), v) in p.iter_mut().zip(g).zip(v) {
+                let grad = g + weight_decay * *w;
+                *v = momentum * *v + grad;
+                *w -= lr * *v;
             }
-        }
+        });
+    }
+
+    fn set_hyper(&mut self, lr: f32, momentum: f32, weight_decay: f32) {
+        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
+        self.set_lr(lr);
+        self.momentum = momentum;
+        self.weight_decay = weight_decay;
     }
 }
 
@@ -129,7 +137,6 @@ mod tests {
         let target = Tensor::from_vec(&[4, 1], vec![1., 2., 3., 1.5]);
         let mut losses = Vec::new();
         for _ in 0..200 {
-            net.zero_grads();
             let y = net.forward(&x);
             let (loss, dl) = mse(&y, &target);
             losses.push(loss);
@@ -151,7 +158,6 @@ mod tests {
             let target = Tensor::from_vec(&[2, 1], vec![5., -5.]);
             let mut last = 0.0;
             for _ in 0..50 {
-                net.zero_grads();
                 let y = net.forward(&x);
                 let (loss, dl) = mse(&y, &target);
                 last = loss;
@@ -188,5 +194,51 @@ mod tests {
         let mut opt = Sgd::new(0.1);
         opt.set_lr(0.5);
         assert_eq!(opt.lr(), 0.5);
+    }
+
+    #[test]
+    fn set_hyper_keeps_the_velocity() {
+        let mut net = quadratic_net(2);
+        let mut opt = Sgd::with_options(0.1, 0.9, 0.0);
+        net.store_mut().set_flat_grads(&[1.0; 3]);
+        opt.step(&mut net);
+        let velocity = opt.velocity.clone();
+        Optimizer::set_hyper(&mut opt, 0.01, 0.5, 1e-3);
+        assert_eq!(opt.velocity, velocity);
+        assert_eq!((opt.lr, opt.momentum, opt.weight_decay), (0.01, 0.5, 1e-3));
+    }
+
+    #[test]
+    fn fused_step_matches_the_two_sweep_loops_bitwise() {
+        // The update as it ran before parameters and gradients could be
+        // borrowed together: `v ← μv + (g + λw)` for a whole tensor, then
+        // `w ← w − η·v`.
+        fn two_sweeps(w: &mut [f32], g: &[f32], v: &mut [f32], lr: f32, mu: f32, wd: f32) {
+            for ((v, &g), &w) in v.iter_mut().zip(g).zip(w.iter()) {
+                let grad = g + wd * w;
+                *v = mu * *v + grad;
+            }
+            for (w, &v) in w.iter_mut().zip(v.iter()) {
+                *w -= lr * v;
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut net = Sequential::new()
+            .push(Linear::new(5, 7, &mut rng))
+            .push(Linear::new(7, 3, &mut rng));
+        let (lr, mu, wd) = (0.05, 0.9, 1e-2);
+        let mut opt = Sgd::with_options(lr, mu, wd);
+        let mut w = net.flat_params();
+        let mut v = vec![0.0; w.len()];
+        for step in 0..4 {
+            let g: Vec<f32> = (0..w.len())
+                .map(|i| ((i * 7 + step * 13) as f32 * 0.37).sin())
+                .collect();
+            net.store_mut().set_flat_grads(&g);
+            opt.step(&mut net);
+            two_sweeps(&mut w, &g, &mut v, lr, mu, wd);
+            let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&net.flat_params()), bits(&w), "step {step}");
+        }
     }
 }

@@ -132,9 +132,23 @@ impl Tensor {
     /// Panics if inner dimensions disagree.
     #[must_use]
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let (m, k) = (self.rows(), self.cols());
-        let (k2, n) = (other.rows(), other.cols());
+        let (k, k2) = (self.cols(), other.rows());
         assert_eq!(k, k2, "matmul inner dimensions {k} vs {k2}");
+        self.matmul_slice(&other.data)
+    }
+
+    /// [`Tensor::matmul`] against a row-major `[self.cols(), n]` matrix
+    /// given as a flat slice — a layer's weight, borrowed from the
+    /// [`crate::ParamStore`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rhs.len()` is not a multiple of `self.cols()`.
+    #[must_use]
+    pub fn matmul_slice(&self, rhs: &[f32]) -> Tensor {
+        let (m, k) = (self.rows(), self.cols());
+        assert_eq!(rhs.len() % k, 0, "matmul operand is not {k} rows");
+        let n = rhs.len() / k;
         let mut out = Tensor::zeros(&[m, n]);
         // i-k-j loop order for cache-friendly row-major access.
         for i in 0..m {
@@ -143,7 +157,7 @@ impl Tensor {
                 if a == 0.0 {
                     continue;
                 }
-                let row = &other.data[kk * n..(kk + 1) * n];
+                let row = &rhs[kk * n..(kk + 1) * n];
                 let out_row = &mut out.data[i * n..(i + 1) * n];
                 for (o, b) in out_row.iter_mut().zip(row) {
                     *o += a * b;
@@ -160,24 +174,51 @@ impl Tensor {
     /// Panics if the row counts disagree.
     #[must_use]
     pub fn t_matmul(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(&[self.cols(), other.cols()]);
+        self.t_matmul_into(other, &mut out.data);
+        out
+    }
+
+    /// Writes `selfᵀ @ other` into `out`, whatever `out` held: a weight
+    /// gradient produced where the collective reads it. Every element is
+    /// the chain `0.0 + Σᵢ self[i][k]·other[i][j]` over the rows `i` with
+    /// `self[i][k] ≠ 0`, in row order — what accumulating into a zeroed
+    /// buffer computes, without the zeroing sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row counts disagree or `out` is not `[cols, cols]`
+    /// of the operands.
+    pub fn t_matmul_into(&self, other: &Tensor, out: &mut [f32]) {
         let (m, k) = (self.rows(), self.cols());
         let (m2, n) = (other.rows(), other.cols());
         assert_eq!(m, m2, "t_matmul row counts {m} vs {m2}");
-        let mut out = Tensor::zeros(&[k, n]);
-        for i in 0..m {
-            for kk in 0..k {
+        assert_eq!(out.len(), k * n, "t_matmul output is not {k}x{n}");
+        for (kk, out_row) in out.chunks_exact_mut(n).enumerate() {
+            let mut written = false;
+            for i in 0..m {
                 let a = self.data[i * k + kk];
                 if a == 0.0 {
                     continue;
                 }
                 let row = &other.data[i * n..(i + 1) * n];
-                let out_row = &mut out.data[kk * n..(kk + 1) * n];
-                for (o, b) in out_row.iter_mut().zip(row) {
-                    *o += a * b;
+                if written {
+                    for (o, b) in out_row.iter_mut().zip(row) {
+                        *o += a * b;
+                    }
+                } else {
+                    // `0.0 +` is not a no-op: it turns a `-0.0` product
+                    // into the `+0.0` the accumulating form yields.
+                    for (o, b) in out_row.iter_mut().zip(row) {
+                        *o = 0.0 + a * b;
+                    }
+                    written = true;
                 }
             }
+            if !written {
+                out_row.fill(0.0);
+            }
         }
-        out
     }
 
     /// `self @ otherᵀ` (used for input gradients: `dy · Wᵀ`).
@@ -187,14 +228,27 @@ impl Tensor {
     /// Panics if the column counts disagree.
     #[must_use]
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
-        let (m, k) = (self.rows(), self.cols());
-        let (n, k2) = (other.rows(), other.cols());
+        let (k, k2) = (self.cols(), other.cols());
         assert_eq!(k, k2, "matmul_t column counts {k} vs {k2}");
+        self.matmul_t_slice(&other.data)
+    }
+
+    /// [`Tensor::matmul_t`] against a row-major `[n, self.cols()]` matrix
+    /// given as a flat slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rhs.len()` is not a multiple of `self.cols()`.
+    #[must_use]
+    pub fn matmul_t_slice(&self, rhs: &[f32]) -> Tensor {
+        let (m, k) = (self.rows(), self.cols());
+        assert_eq!(rhs.len() % k, 0, "matmul_t operand is not {k} columns");
+        let n = rhs.len() / k;
         let mut out = Tensor::zeros(&[m, n]);
         for i in 0..m {
             for j in 0..n {
                 let a_row = &self.data[i * k..(i + 1) * k];
-                let b_row = &other.data[j * k..(j + 1) * k];
+                let b_row = &rhs[j * k..(j + 1) * k];
                 out.data[i * n + j] = a_row.iter().zip(b_row).map(|(a, b)| a * b).sum();
             }
         }
@@ -218,17 +272,6 @@ impl Tensor {
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += alpha * b;
         }
-    }
-
-    /// Sets every element to zero.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
-    }
-
-    /// Squared L2 norm of the buffer.
-    #[must_use]
-    pub fn norm_sq(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum()
     }
 }
 
@@ -285,8 +328,6 @@ mod tests {
         assert_eq!(a.data(), &[6., 7., 8.]);
         a.map_inplace(|x| x * 2.0);
         assert_eq!(a.data(), &[12., 14., 16.]);
-        a.fill_zero();
-        assert_eq!(a.norm_sq(), 0.0);
     }
 
     #[test]

@@ -402,10 +402,14 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                 if let Some(t) = tuning.as_mut() {
                     t.resume();
                 }
-                eprintln!(
+                // One write per line, like the hash lines it is printed
+                // next to: a fragment of this one in front of a peer's hash
+                // line would hide that line from whoever parses stderr.
+                let line = format!(
                     "dear-demo rank={rank} world={world} generation={generation} \
-                     resumed at step {step}"
+                     resumed at step {step}\n"
                 );
+                let _ = std::io::Write::write_all(&mut std::io::stderr(), line.as_bytes());
             }};
         }
             'run: loop {

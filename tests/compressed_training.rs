@@ -31,27 +31,14 @@ fn train_compressed(compressor: impl Compressor + Clone + Send + Sync, steps: u6
         let mut feedback = ErrorFeedback::new();
         for step in 0..steps {
             let (x, labels) = data.shard(step, global_batch, comm.rank(), world);
-            net.zero_grads();
             let logits = net.forward(&x);
             let (_, dloss) = softmax_cross_entropy(&logits, &labels);
             net.backward(&dloss);
             // Flatten all gradients, aggregate compressed, write back.
-            let mut flat: Vec<f32> = Vec::new();
-            for layer in net.layers() {
-                for g in layer.grads() {
-                    flat.extend_from_slice(g.data());
-                }
-            }
+            let mut flat = net.store().flat_grads();
             compressed_aggregate(comm.transport(), &mut flat, &compressor, &mut feedback)
                 .expect("aggregation failed");
-            let mut offset = 0;
-            for layer in net.layers_mut() {
-                for g in layer.grads_mut() {
-                    let n = g.len();
-                    g.data_mut().copy_from_slice(&flat[offset..offset + n]);
-                    offset += n;
-                }
-            }
+            net.store_mut().set_flat_grads(&flat);
             opt.step(&mut net);
         }
         let (x, labels) = data.batch(9_999, 256);

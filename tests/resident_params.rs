@@ -1,12 +1,18 @@
-//! The validity rule of resident parameters (DESIGN.md §4.17): a gathered
-//! group buffer doubles as the next step's `params` only inside one
-//! `train_step`; whenever the caller has had control of the net, the step
-//! re-stages from the layers. Both paths must compute the same parameters,
-//! and a buffer left over from an older state must never come back.
+//! The ownership rule of the one resident copy (DESIGN.md §4.17): a group's
+//! parameters live in the network's store, leave it for the comm thread
+//! when the group's gradients are complete and come back with the
+//! all-gather. Whether the caller takes them all back every step
+//! (`synchronize`) or lets the next forward pass collect them just in time,
+//! the same parameters must result; whatever the caller writes into the
+//! store at a boundary is what trains on; and between a DeAR `train_step`
+//! and `synchronize` the network cannot be read at all.
 
+use dear::collectives::LocalFabric;
 use dear::minidnn::{BlobDataset, Linear, Optimizer, Relu, Sequential, Tanh};
 use dear::net::hash_params;
-use dear::{run_training, train_single_reference, OptimKind, ParallelismStrategy, TrainConfig};
+use dear::{
+    run_training, run_worker, train_single_reference, OptimKind, ParallelismStrategy, TrainConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,7 +37,8 @@ fn max_rel_diff(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Trains `STEPS` steps on `world` ranks and returns rank 0's parameters
-/// (all ranks asserted equal). `sync_every_step` forces the re-stage path.
+/// (all ranks asserted equal). `sync_every_step` brings every buffer home
+/// between steps instead of layer by layer during the next forward pass.
 fn train(world: usize, config: &TrainConfig, sync_every_step: bool) -> Vec<f32> {
     let data = BlobDataset::new(10, 4, 0.5, 21);
     let mut params = run_training(world, config.clone(), |handle| {
@@ -83,7 +90,6 @@ fn resident_and_restaged_parameters_train_identically() {
                     base.weight_decay,
                 );
                 for (x, labels) in batches() {
-                    reference.zero_grads();
                     let logits = reference.forward(&x);
                     let (_, dloss) = dear::minidnn::softmax_cross_entropy(&logits, &labels);
                     reference.backward(&dloss);
@@ -117,9 +123,9 @@ fn resident_and_restaged_parameters_train_identically() {
 #[test]
 fn parameters_set_after_synchronize_are_what_the_next_step_trains() {
     // Train, synchronize, overwrite the net with `other`, train on: the
-    // group buffers still hold the pre-overwrite parameters, and must not
-    // resurrect them. Momentum 0 keeps the optimizer stateless, so the run
-    // must equal one that simply started from `other`.
+    // store is the only copy, so nothing can resurrect the pre-overwrite
+    // parameters. Momentum 0 keeps the optimizer stateless, so the run must
+    // equal one that simply started from `other`.
     let world = 2;
     let data = BlobDataset::new(10, 4, 0.5, 33);
     let config = TrainConfig {
@@ -149,4 +155,34 @@ fn parameters_set_after_synchronize_are_what_the_next_step_trains() {
         })
     };
     assert_eq!(run(5), run(0));
+}
+
+/// One DeAR step on a one-rank world, on the calling thread (so a panic is
+/// this test's), without the `synchronize` that must follow; then `read`.
+fn read_right_after_a_step(read: impl FnOnce(&mut Sequential)) {
+    let data = BlobDataset::new(10, 4, 0.5, 3);
+    let config = TrainConfig {
+        fusion_buffer: Some(1 << 10),
+        ..TrainConfig::default()
+    };
+    run_worker(LocalFabric::create(1).remove(0), config, |handle| {
+        let mut net = build_net(9);
+        let mut optim = handle.into_optim(&net);
+        let (x, labels) = data.batch(0, GLOBAL_BATCH);
+        optim.train_step(&mut net, &x, &labels).unwrap();
+        read(&mut net);
+    });
+}
+
+#[test]
+#[should_panic(expected = "synchronize")]
+fn reading_parameters_without_synchronize_panics() {
+    read_right_after_a_step(|net| drop(net.flat_params()));
+}
+
+#[test]
+#[should_panic(expected = "synchronize")]
+fn evaluating_without_synchronize_panics() {
+    let (x, _) = BlobDataset::new(10, 4, 0.5, 3).batch(1, 2);
+    read_right_after_a_step(|net| drop(net.forward(&x)));
 }

@@ -60,7 +60,6 @@ fn transformer_block_trains_and_matches_reference_under_dear() {
     let mut opt = dear_minidnn::Adam::new(0.005);
     for step in 0..steps {
         let (x, labels) = data.batch(step, 32);
-        reference.zero_grads();
         let logits = reference.forward(&x);
         let (_, dloss) = dear_minidnn::softmax_cross_entropy(&logits, &labels);
         reference.backward(&dloss);
