@@ -48,7 +48,7 @@ fn measure(strategy: &ParallelismStrategy) -> Vec<(f64, usize, Vec<f32>)> {
         lr: 0.05,
         momentum: 0.9,
         fusion_buffer: Some(2048),
-        strategy: strategy.clone(),
+        strategy: *strategy,
         ..TrainConfig::default()
     };
     let data = BlobDataset::new(6, 3, 0.4, 99);

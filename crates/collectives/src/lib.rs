@@ -90,8 +90,8 @@ pub use ring::{
 pub use segment::{recv_segmented_copy, recv_segmented_reduce, send_segmented, SegmentConfig};
 pub use topology::{CommPattern, HostMap, Placement, Topology};
 pub use transport::{
-    DelayFabric, GroupTransport, LocalEndpoint, LocalFabric, Message, Transport, WorldChange,
-    MIN_LINK_FRAMES,
+    BufferPool, DelayFabric, GroupTransport, LocalEndpoint, LocalFabric, Message, Transport,
+    WorldChange, MIN_LINK_FRAMES,
 };
 pub use tree::{
     double_tree_all_reduce, double_tree_all_reduce_seg, double_tree_broadcast_phase,

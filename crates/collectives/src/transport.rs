@@ -184,8 +184,12 @@ pub const MIN_LINK_FRAMES: usize = 4;
 ///
 /// Implementations must be usable from one thread per rank; `send` must not
 /// block indefinitely when the peer has not yet posted a receive: at least
-/// [`MIN_LINK_FRAMES`] messages per link are buffered (the in-process
-/// fabrics use unbounded buffering, mirroring eager-protocol MPI).
+/// [`MIN_LINK_FRAMES`] messages per link get through first. Each fabric
+/// says who guarantees that: the in-process fabrics queue without bound
+/// (eager-protocol MPI), the shm rings are at least [`MIN_LINK_FRAMES`]
+/// deep, and on TCP the *peer's reader thread* drains the socket into an
+/// unbounded inbox whatever the peer's caller is doing, so the sending
+/// thread writes its own frame and waits on nobody's `recv`.
 pub trait Transport {
     /// This endpoint's rank in `0..world_size()`.
     fn rank(&self) -> usize;
@@ -284,9 +288,56 @@ pub trait Transport {
     }
 }
 
-/// Buffers kept per endpoint; bounds pool memory at roughly
-/// `POOL_CAP × largest-segment` bytes.
+/// Buffers a [`BufferPool`] keeps.
 const POOL_CAP: usize = 64;
+
+/// Largest capacity a pooled buffer keeps. Sized to hold any sensible
+/// segment; together with [`POOL_CAP`] it bounds a pool at 256 MiB.
+const POOL_MAX_BUF_BYTES: usize = 4 << 20;
+
+/// The reusable wire-byte buffers behind [`Transport::take_buffer`] /
+/// [`Transport::recycle_buffer`], one per endpoint on every fabric. Ring
+/// rounds are symmetric (each received payload is recycled and each send
+/// takes one out), so the pool reaches a steady state after the first round
+/// and the data path stops allocating.
+#[derive(Debug, Default)]
+pub struct BufferPool {
+    bufs: Mutex<Vec<Vec<u8>>>,
+}
+
+impl BufferPool {
+    /// An empty buffer with room for `capacity_bytes`, reused if one is
+    /// pooled.
+    #[must_use]
+    pub fn take(&self, capacity_bytes: usize) -> Vec<u8> {
+        let mut pool = self.bufs.lock().expect("buffer pool poisoned");
+        match pool.pop() {
+            Some(mut buf) => {
+                buf.clear();
+                buf.reserve(capacity_bytes);
+                buf
+            }
+            None => Vec::with_capacity(capacity_bytes),
+        }
+    }
+
+    /// Returns `buf` for reuse. A buffer grown past 4 MiB is shrunk first,
+    /// so one outsized collective cannot pin its high-water allocation for
+    /// the rest of the run; beyond 64 pooled buffers it is dropped.
+    pub fn recycle(&self, mut buf: Vec<u8>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        if buf.capacity() > POOL_MAX_BUF_BYTES {
+            buf.clear();
+            buf.shrink_to(POOL_MAX_BUF_BYTES);
+        }
+        let mut pool = self.bufs.lock().expect("buffer pool poisoned");
+        if pool.len() < POOL_CAP {
+            pool.push(buf);
+        }
+    }
+}
 
 /// Marker payload of the local fabric's resize flush handshake (see
 /// [`LocalEndpoint`]'s `reconfigure`). Opaque bytes that no collective
@@ -301,11 +352,7 @@ pub struct LocalEndpoint {
     senders: Vec<Option<Sender<Message>>>,
     /// `receivers[from]` carries messages from `from` to this rank.
     receivers: Vec<Option<Receiver<Message>>>,
-    /// Reusable wire-byte buffers. Ring rounds are symmetric (each received
-    /// payload is recycled here and each send takes one out), so the pool
-    /// reaches a steady state after the first round and sends stop
-    /// allocating.
-    pool: Mutex<Vec<Vec<u8>>>,
+    pool: BufferPool,
     /// Optional deadline applied to every `recv` (see
     /// [`Transport::set_recv_timeout`]).
     recv_timeout: Mutex<Option<Duration>>,
@@ -380,7 +427,7 @@ impl LocalFabric {
                 world,
                 senders,
                 receivers,
-                pool: Mutex::new(Vec::new()),
+                pool: BufferPool::default(),
                 recv_timeout: Mutex::new(None),
                 marker_seen: Mutex::new(vec![false; world]),
             })
@@ -451,25 +498,11 @@ impl Transport for LocalEndpoint {
     }
 
     fn take_buffer(&self, capacity_bytes: usize) -> Vec<u8> {
-        let mut pool = self.pool.lock().expect("buffer pool poisoned");
-        match pool.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.reserve(capacity_bytes);
-                buf
-            }
-            None => Vec::with_capacity(capacity_bytes),
-        }
+        self.pool.take(capacity_bytes)
     }
 
     fn recycle_buffer(&self, buf: Vec<u8>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let mut pool = self.pool.lock().expect("buffer pool poisoned");
-        if pool.len() < POOL_CAP {
-            pool.push(buf);
-        }
+        self.pool.recycle(buf);
     }
 
     /// Shrinks the fabric to `survivors` (global ranks, this rank included):
@@ -960,6 +993,41 @@ mod tests {
             f32_elapsed >= Duration::from_micros(160),
             "f32 delivered in {f32_elapsed:?}"
         );
+    }
+
+    #[test]
+    fn buffer_pool_reuses_bounds_and_decays() {
+        let pool = BufferPool::default();
+        // Reuse: the allocation comes back, cleared.
+        let mut buf = pool.take(512);
+        buf.extend_from_slice(&[1, 2, 3]);
+        let (cap, ptr) = (buf.capacity(), buf.as_ptr());
+        pool.recycle(buf);
+        let again = pool.take(8);
+        assert!(again.is_empty());
+        assert_eq!((again.capacity(), again.as_ptr()), (cap, ptr));
+        // Zero-capacity buffers are not worth a slot.
+        pool.recycle(Vec::new());
+        assert_eq!(pool.take(0).capacity(), 0);
+        // Decay: an outsized buffer is shrunk on return instead of pinning
+        // its high-water allocation, and still serves takes at any size.
+        let mut big = pool.take(POOL_MAX_BUF_BYTES + (1 << 20));
+        big.resize(POOL_MAX_BUF_BYTES + (1 << 20), 7);
+        pool.recycle(big);
+        let shrunk = pool.take(0);
+        assert!(shrunk.is_empty());
+        assert!(
+            (1..=POOL_MAX_BUF_BYTES).contains(&shrunk.capacity()),
+            "pool retained {} bytes",
+            shrunk.capacity()
+        );
+        pool.recycle(shrunk);
+        assert!(pool.take(POOL_MAX_BUF_BYTES + 1).capacity() > POOL_MAX_BUF_BYTES);
+        // Bound: the pool keeps POOL_CAP buffers and drops the rest.
+        for _ in 0..POOL_CAP + 8 {
+            pool.recycle(Vec::with_capacity(16));
+        }
+        assert_eq!(pool.bufs.lock().unwrap().len(), POOL_CAP);
     }
 
     #[test]

@@ -22,9 +22,6 @@ pub struct DelayConfig {
 }
 
 /// Training configuration shared by all workers.
-///
-/// Not `Copy`: [`TrainConfig::strategy`] reserves a composed
-/// [`ParallelismStrategy::Hybrid`] variant that owns heap data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Learning rate.
@@ -153,7 +150,7 @@ impl WorkerHandle {
     /// # Panics
     ///
     /// Panics if the configured strategy cannot run under the configured
-    /// pipeline mode (ZeRO requires DeAR; `Hybrid` is reserved) — reject
+    /// pipeline mode (ZeRO requires DeAR) — reject
     /// earlier with [`ParallelismStrategy::validate_mode`] for a typed
     /// error.
     #[must_use]
@@ -227,7 +224,7 @@ where
     let hyper = config.hyper();
     let delay = config.delay;
     let segments = config.segments;
-    let strategy = config.strategy.clone();
+    let strategy = config.strategy;
     // Unique per worker so concurrent in-process clusters never share a
     // trace stream (see `trace`'s stream-naming contract).
     let trace_scope = crate::trace::unique_scope(rank);
@@ -237,7 +234,7 @@ where
     let (layout_tx, layout_rx) = unbounded::<(CommLayout, usize)>();
     // Comm thread: waits for the worker's layout, then serves jobs until
     // the worker drops its job sender.
-    let comm = std::thread::spawn(move || {
+    let comm_main = move || {
         let Ok((layout, total)) = layout_rx.recv() else {
             return; // worker dropped its handle without training
         };
@@ -250,7 +247,7 @@ where
                     hyper,
                     total,
                     segments,
-                    &strategy,
+                    strategy,
                     &comm_scope,
                     &job_rx,
                     &res_tx,
@@ -262,13 +259,17 @@ where
                 hyper,
                 total,
                 segments,
-                &strategy,
+                strategy,
                 &comm_scope,
                 &job_rx,
                 &res_tx,
             ),
         }
-    });
+    };
+    let comm = std::thread::Builder::new()
+        .name(format!("dear-comm-r{rank}"))
+        .spawn(comm_main)
+        .expect("spawning the comm thread");
     let handle = WorkerHandle {
         rank,
         world,
@@ -330,13 +331,6 @@ pub fn train_single_reference(
         opt.step(net);
     }
     losses
-}
-
-/// Keeps `DelayFabric` and `Transport` in the public docs' reach without
-/// re-exporting the whole collectives crate.
-#[doc(hidden)]
-pub fn _transport_assertions<T: Transport>(t: &T) -> (usize, usize) {
-    (t.rank(), t.world_size())
 }
 
 #[cfg(test)]
@@ -904,7 +898,7 @@ mod tests {
             };
             let ddp = run(ParallelismStrategy::Ddp);
             for strategy in [ParallelismStrategy::Zero1, ParallelismStrategy::Zero2] {
-                let zero = run(strategy.clone());
+                let zero = run(strategy);
                 for rank in 0..world {
                     assert_eq!(
                         ddp[rank].0, zero[rank].0,

@@ -200,14 +200,16 @@ struct OptimStore {
     /// `Some` when the strategy shards optimizer state.
     map: Option<ShardMap>,
     total: usize,
+    /// Allocated by the first update — a comm thread that never updates
+    /// (WFBP: the training thread's optimizer does) holds no state.
     velocity: Vec<f32>,
-    /// Allocated lazily on the first Adam step.
+    /// Allocated by the first Adam update.
     second_moment: Vec<f32>,
 }
 
 impl OptimStore {
     fn new(
-        strategy: &ParallelismStrategy,
+        strategy: ParallelismStrategy,
         layout: &CommLayout,
         rank: usize,
         world: usize,
@@ -216,11 +218,10 @@ impl OptimStore {
         let map = strategy
             .shards_optimizer_state()
             .then(|| ShardMap::build(layout, rank, world));
-        let len = map.as_ref().map_or(total, ShardMap::dense_len);
         OptimStore {
             map,
             total,
-            velocity: vec![0.0f32; len],
+            velocity: Vec::new(),
             second_moment: Vec::new(),
         }
     }
@@ -243,8 +244,12 @@ impl OptimStore {
         }
     }
 
-    /// Full-length (exchange-format) copy of the velocity vector.
+    /// Full-length (exchange-format) copy of the velocity vector; zeros if
+    /// no update has run.
     fn export_velocity(&self) -> Vec<f32> {
+        if self.velocity.is_empty() {
+            return vec![0.0; self.total];
+        }
         match &self.map {
             Some(m) => m.expand(&self.velocity, self.total),
             None => self.velocity.clone(),
@@ -369,6 +374,9 @@ fn update_owned_shard(
     adam_step: u64,
 ) {
     let (lr, wd) = (hyper.lr, hyper.weight_decay);
+    if store.velocity.len() != store.resident_len() {
+        store.velocity = vec![0.0; store.resident_len()];
+    }
     // `(lo, hi, global offset of lo)` of every non-empty item ∩ owned run.
     let runs = meta.items.iter().filter_map(|&(off, len, goff)| {
         let lo = owned.start.max(off);
@@ -673,7 +681,7 @@ struct CommThread<'a, T> {
     /// that checkpoints expect unrounded. Only the data path (RsUpdate /
     /// FlushAllGathers / AllReduce) uses the narrow wire.
     control: SegmentConfig,
-    strategy: &'a ParallelismStrategy,
+    strategy: ParallelismStrategy,
     jobs: &'a Receiver<CommJob>,
     results: &'a Sender<CommResult>,
     world: usize,
@@ -1155,7 +1163,7 @@ pub fn run_comm_thread<T: Transport>(
     hyper: HyperParams,
     total_elements: usize,
     segments: SegmentConfig,
-    strategy: &ParallelismStrategy,
+    strategy: ParallelismStrategy,
     trace_scope: &str,
     jobs: &Receiver<CommJob>,
     results: &Sender<CommResult>,
@@ -1287,8 +1295,8 @@ mod tests {
                         } else {
                             (0, elements)
                         };
-                        let mut fast = OptimStore::new(&strategy, &layout, rank, world, total);
-                        let mut slow = OptimStore::new(&strategy, &layout, rank, world, total);
+                        let mut fast = OptimStore::new(strategy, &layout, rank, world, total);
+                        let mut slow = OptimStore::new(strategy, &layout, rank, world, total);
                         fast.velocity = random(fast.resident_len());
                         slow.velocity = fast.velocity.clone();
                         let mut fast_params = random(elements);
@@ -1372,7 +1380,7 @@ mod tests {
                 hyper,
                 4,
                 SegmentConfig::MONOLITHIC,
-                &ParallelismStrategy::Ddp,
+                ParallelismStrategy::Ddp,
                 &scope,
                 &job_rx,
                 &res_tx,

@@ -91,7 +91,7 @@ fn run_one_at_a_time<T: Transport>(
     hyper: HyperParams,
     total_elements: usize,
     segments: SegmentConfig,
-    strategy: &ParallelismStrategy,
+    strategy: ParallelismStrategy,
     _trace_scope: &str,
     jobs: &Receiver<CommJob>,
     results: &Sender<CommResult>,
@@ -228,7 +228,7 @@ type CommFn = fn(
     HyperParams,
     usize,
     SegmentConfig,
-    &ParallelismStrategy,
+    ParallelismStrategy,
     &str,
     &Receiver<CommJob>,
     &Sender<CommResult>,
@@ -236,9 +236,9 @@ type CommFn = fn(
 
 /// How a test world's comm threads are run.
 #[derive(Clone, Copy)]
-struct Setup<'a> {
+struct Setup {
     comm: CommFn,
-    strategy: &'a ParallelismStrategy,
+    strategy: ParallelismStrategy,
     segments: SegmentConfig,
 }
 
@@ -248,7 +248,7 @@ fn spawn_comm<'scope, 'env>(
     s: &'scope std::thread::Scope<'scope, 'env>,
     ep: LocalEndpoint,
     fail_recv: Option<usize>,
-    setup: Setup<'env>,
+    setup: Setup,
     queue: impl FnOnce(&Sender<CommJob>),
 ) -> (Sender<CommJob>, Receiver<CommResult>, Arc<Mutex<SendLog>>) {
     let (layout, total) = test_layout();
@@ -324,7 +324,7 @@ fn drive_step(
 fn run_world(
     world: usize,
     mode: PipelineMode,
-    setup: Setup<'_>,
+    setup: Setup,
     jitter_seed: Option<u64>,
     steps: Range<u64>,
 ) -> Vec<(SendLog, Vec<Vec<f32>>)> {
@@ -394,7 +394,7 @@ fn send_ahead_keeps_every_link_in_sequential_order_and_every_bit() {
         SegmentConfig::new(64),
     ];
     for world in [2usize, 3, 4] {
-        for (mode, strategy) in &cases {
+        for &(mode, strategy) in &cases {
             for (i, &segments) in wires.iter().enumerate() {
                 let case = format!("world {world} {mode:?} {strategy:?} {segments:?}");
                 let setup = |comm| Setup {
@@ -402,11 +402,11 @@ fn send_ahead_keeps_every_link_in_sequential_order_and_every_bit() {
                     strategy,
                     segments,
                 };
-                let reference = run_world(world, *mode, setup(run_one_at_a_time), None, 0..STEPS);
+                let reference = run_world(world, mode, setup(run_one_at_a_time), None, 0..STEPS);
                 for seed in 0..2u64 {
                     let seed = seed + 10 * i as u64 + 100 * world as u64;
                     let ahead =
-                        run_world(world, *mode, setup(run_comm_thread), Some(seed), 0..STEPS);
+                        run_world(world, mode, setup(run_comm_thread), Some(seed), 0..STEPS);
                     for (rank, (got, want)) in ahead.iter().zip(&reference).enumerate() {
                         for (to, (g, w)) in got.0.iter().zip(&want.0).enumerate() {
                             assert_eq!(g, w, "{case} seed {seed}: link {rank}→{to}");
@@ -466,7 +466,7 @@ fn failure_with_ops_in_flight_abandons_the_step_once_and_recovers() {
     // What a healthy world makes of step 1 from a clean optimizer state.
     let setup = |comm| Setup {
         comm,
-        strategy: &ParallelismStrategy::Ddp,
+        strategy: ParallelismStrategy::Ddp,
         segments: SegmentConfig::MONOLITHIC,
     };
     let healthy = run_world(2, PipelineMode::Dear, setup(run_one_at_a_time), None, 1..2);

@@ -15,7 +15,7 @@
 /// [`ParallelismStrategy::Zero2`], of the between-phase gradient /
 /// parameter stash); the collective schedule is the same decoupled
 /// RS ∘ AG pipeline in every case.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelismStrategy {
     /// Plain data parallelism: every rank keeps full-length optimizer
     /// vectors (entries outside its shard stay zero). Today's behaviour,
@@ -31,10 +31,6 @@ pub enum ParallelismStrategy {
     /// OP2.AG — only the owned chunk of each fused group is kept; the
     /// full buffer is rematerialized just-in-time for the all-gather.
     Zero2,
-    /// Reserved for composed strategies (e.g. ZeRO × tensor parallel).
-    /// Constructible for forward compatibility but rejected by every
-    /// runtime entry point and by the parser.
-    Hybrid(Vec<ParallelismStrategy>),
 }
 
 /// Typed rejection of a strategy string or an unusable strategy/mode
@@ -71,34 +67,24 @@ impl ParallelismStrategy {
     }
 
     /// The canonical spelling accepted back by [`str::parse`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`ParallelismStrategy::Hybrid`], which has no canonical
-    /// config spelling yet (it is reserved and unparsable).
     #[must_use]
     pub fn as_str(&self) -> &'static str {
         match self {
             ParallelismStrategy::Ddp => "ddp",
             ParallelismStrategy::Zero1 => "zero1",
             ParallelismStrategy::Zero2 => "zero2",
-            ParallelismStrategy::Hybrid(_) => panic!("Hybrid is reserved and has no spelling"),
         }
     }
 
     /// Rejects combinations the runtime cannot execute: ZeRO needs the
     /// decoupled DeAR pipeline (WFBP all-reduces full gradients and
-    /// updates locally — there is no shard to own), and `Hybrid` is
-    /// reserved.
+    /// updates locally — there is no shard to own).
     ///
     /// # Errors
     ///
     /// Returns a [`StrategyError`] naming the unusable combination.
     pub fn validate_mode(&self, mode: crate::PipelineMode) -> Result<(), StrategyError> {
         match self {
-            ParallelismStrategy::Hybrid(_) => Err(StrategyError {
-                reason: "Hybrid is reserved and not yet runnable".to_string(),
-            }),
             ParallelismStrategy::Zero1 | ParallelismStrategy::Zero2
                 if mode != crate::PipelineMode::Dear =>
             {
@@ -116,36 +102,20 @@ impl ParallelismStrategy {
 
 impl std::fmt::Display for ParallelismStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParallelismStrategy::Hybrid(parts) => {
-                write!(f, "hybrid(")?;
-                for (i, p) in parts.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "+")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                write!(f, ")")
-            }
-            other => f.write_str(other.as_str()),
-        }
+        f.write_str(self.as_str())
     }
 }
 
 impl std::str::FromStr for ParallelismStrategy {
     type Err = StrategyError;
 
-    /// Accepts `ddp`, `zero1`/`zero-1`, `zero2`/`zero-2` (case-insensitive).
-    /// `hybrid` is recognized but refused as reserved; anything else is
-    /// rejected with the list of valid spellings.
+    /// Accepts `ddp`, `zero1`/`zero-1`, `zero2`/`zero-2` (case-insensitive);
+    /// anything else is rejected with the list of valid spellings.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "ddp" => Ok(ParallelismStrategy::Ddp),
             "zero1" | "zero-1" => Ok(ParallelismStrategy::Zero1),
             "zero2" | "zero-2" => Ok(ParallelismStrategy::Zero2),
-            "hybrid" => Err(StrategyError {
-                reason: "'hybrid' is reserved and not yet runnable".to_string(),
-            }),
             other => Err(StrategyError {
                 reason: format!("unknown strategy {other:?} (expected ddp, zero1 or zero2)"),
             }),
@@ -191,8 +161,6 @@ mod tests {
         let err = "zero3".parse::<ParallelismStrategy>().unwrap_err();
         assert!(err.reason.contains("zero3"), "{err}");
         assert!(err.to_string().contains("invalid parallelism strategy"));
-        let err = "hybrid".parse::<ParallelismStrategy>().unwrap_err();
-        assert!(err.reason.contains("reserved"), "{err}");
     }
 
     #[test]
@@ -207,10 +175,6 @@ mod tests {
             .validate_mode(PipelineMode::Wfbp)
             .unwrap_err();
         assert!(err.reason.contains("DeAR pipeline"), "{err}");
-        let err = ParallelismStrategy::Hybrid(vec![ParallelismStrategy::Zero1])
-            .validate_mode(PipelineMode::Dear)
-            .unwrap_err();
-        assert!(err.reason.contains("reserved"), "{err}");
     }
 
     #[test]

@@ -599,8 +599,7 @@ pub struct StrategyForecast {
 ///
 /// # Panics
 ///
-/// Panics if `world == 0` or `strategy` is not runnable
-/// ([`ParallelismStrategy::Hybrid`] is reserved).
+/// Panics if `world == 0`.
 #[must_use]
 pub fn forecast_strategy(
     strategy: &ParallelismStrategy,
@@ -611,10 +610,6 @@ pub fn forecast_strategy(
     update_ns_per_element: f64,
 ) -> StrategyForecast {
     assert!(world > 0, "world must be positive");
-    assert!(
-        !matches!(strategy, ParallelismStrategy::Hybrid(_)),
-        "hybrid strategies are reserved and cannot be forecast"
-    );
     let bytes = (param_elements * 4) as u64;
     let shard_elements = param_elements.div_ceil(world);
     let mut tl = Timeline::new();
@@ -667,7 +662,7 @@ pub fn forecast_strategy(
         param_elements
     };
     StrategyForecast {
-        strategy: strategy.clone(),
+        strategy: *strategy,
         step_time: tl.makespan(),
         optim_state_bytes: state_elements * state_vectors * 4,
         stash_bytes: stash_elements * 4,
@@ -948,19 +943,6 @@ mod tests {
         assert_eq!(ddp.stash_bytes, n * 4);
         assert_eq!(z1.stash_bytes, n * 4);
         assert_eq!(z2.stash_bytes, n.div_ceil(world) * 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "reserved")]
-    fn hybrid_strategies_cannot_be_forecast() {
-        let _ = forecast_strategy(
-            &ParallelismStrategy::Hybrid(vec![ParallelismStrategy::Zero1]),
-            &CostModel::ten_gbe(),
-            4,
-            1000,
-            1,
-            0.5,
-        );
     }
 
     #[test]

@@ -70,9 +70,9 @@ pub struct NetConfig {
     pub connect_timeout: Duration,
     /// Per-socket read/write deadline during the rendezvous handshake.
     pub handshake_timeout: Duration,
-    /// Deadline for [`send`] when a peer's outbox stays full (backpressure
-    /// from a stalled peer); also the socket write deadline of the writer
-    /// threads.
+    /// Deadline for [`send`] against a peer that stopped taking bytes: the
+    /// socket write deadline (`SO_SNDTIMEO`) on TCP, the wait on a full
+    /// ring on shm.
     ///
     /// [`send`]: dear_collectives::Transport::send
     pub send_timeout: Duration,
@@ -82,18 +82,18 @@ pub struct NetConfig {
     /// [`recv`]: dear_collectives::Transport::recv
     /// [`CollectiveError::Timeout`]: dear_collectives::CollectiveError::Timeout
     pub recv_timeout: Option<Duration>,
-    /// Bounded per-peer outbox depth, in frames. `send` only blocks once
-    /// this many frames are queued on one peer — enough that segmented
-    /// collectives never stall the comm thread in the steady state. Never
-    /// below [`MIN_LINK_FRAMES`]: the comm thread sends that far ahead of
-    /// its receives, and two ranks doing so to each other over a shallower
-    /// queue would both block in `send`. A segmented run additionally needs
+    /// Depth of each shm ring, in frames: `send` to a co-located rank only
+    /// waits once this many frames are queued on that link. Never below
+    /// [`MIN_LINK_FRAMES`]: the comm thread sends that far ahead of its
+    /// receives, and two ranks doing so to each other over a shallower
+    /// ring would both block in `send`. A segmented run additionally needs
     /// room for one chunk's segments (they are all queued before the
-    /// chunk's receives).
+    /// chunk's receives). TCP links do not read it — their depth is the
+    /// kernel's socket buffers plus the peer's unbounded inbox.
     pub outbox_frames: usize,
     /// Heartbeat probe interval, or `None` to disable failure detection.
-    /// When enabled, a monitor thread sends a liveness frame to every peer
-    /// each interval and declares a peer dead once nothing (data or
+    /// When enabled, a monitor thread sends a liveness frame to every idle
+    /// peer each interval and declares a peer dead once nothing (data or
     /// heartbeat) has arrived from it for
     /// [`NetConfig::heartbeat_miss_budget`] consecutive intervals.
     pub heartbeat_interval: Option<Duration>,
@@ -129,17 +129,12 @@ pub struct NetConfig {
     /// on the wire), which degrades gracefully to all-TCP.
     /// Env: `DEAR_HOST_ID`.
     pub host_id: Option<u64>,
-    /// CPU core the per-peer comm threads (readers and writers) are pinned
-    /// to, or `None` for no pinning. On a dedicated comm core this keeps
+    /// CPU core the per-peer reader threads are pinned to, or `None` for
+    /// no pinning. On a dedicated comm core this keeps
     /// the byte hot path's cache state warm across frames; best-effort —
     /// an impossible core is ignored, not an error.
     /// Env: `DEAR_PIN_COMM`; CLI: `--pin-comm CORE`.
     pub pin_comm: Option<usize>,
-    /// Largest per-buffer capacity the endpoint buffer pools retain
-    /// (bytes, min 1); recycled buffers above it are shrunk on return so
-    /// one outsized collective cannot pin high-water memory for the run.
-    /// Env: `DEAR_POOL_MAX_BUF`.
-    pub pool_max_buf_bytes: usize,
     /// How model state is partitioned across the world: classic data
     /// parallelism (`ddp`, the default) or ZeRO-style optimizer-state
     /// sharding (`zero1`/`zero2`) on the same decoupled pipeline. Passed
@@ -177,7 +172,7 @@ impl NetConfig {
 
     /// A configuration for `world` ranks with rendezvous at `master_addr`,
     /// defaulting to loopback-friendly timeouts (10 s connect/handshake,
-    /// 30 s send/recv, 128-frame outboxes).
+    /// 30 s send/recv, 128-frame shm rings).
     #[must_use]
     pub fn new(world: usize, rank: usize, master_addr: impl Into<String>) -> Self {
         NetConfig {
@@ -198,7 +193,6 @@ impl NetConfig {
             elastic_resize: false,
             host_id: None,
             pin_comm: None,
-            pool_max_buf_bytes: crate::endpoint::POOL_MAX_BUF_BYTES,
             strategy: ParallelismStrategy::Ddp,
             trace: None,
             demo: DemoOptions::default(),
@@ -221,7 +215,7 @@ impl NetConfig {
         self
     }
 
-    /// Sets the send deadline (outbox backpressure + socket writes).
+    /// Sets the send deadline (socket writes, full shm rings).
     #[must_use]
     pub fn with_send_timeout(mut self, timeout: Duration) -> Self {
         self.send_timeout = timeout;
@@ -235,7 +229,7 @@ impl NetConfig {
         self
     }
 
-    /// Sets the per-peer outbox depth (min [`MIN_LINK_FRAMES`]).
+    /// Sets the shm ring depth (min [`MIN_LINK_FRAMES`]).
     #[must_use]
     pub fn with_outbox_frames(mut self, frames: usize) -> Self {
         self.outbox_frames = frames.max(MIN_LINK_FRAMES);
@@ -297,18 +291,10 @@ impl NetConfig {
         self
     }
 
-    /// Pins the per-peer comm threads to `core` (`None` = no pinning).
+    /// Pins the per-peer reader threads to `core` (`None` = no pinning).
     #[must_use]
     pub fn with_pin_comm(mut self, core: Option<usize>) -> Self {
         self.pin_comm = core;
-        self
-    }
-
-    /// Sets the largest per-buffer capacity the buffer pools retain
-    /// (min 1 byte).
-    #[must_use]
-    pub fn with_pool_max_buf_bytes(mut self, bytes: usize) -> Self {
-        self.pool_max_buf_bytes = bytes.max(1);
         self
     }
 
@@ -340,8 +326,9 @@ impl NetConfig {
     /// `127.0.0.1`), `MASTER_PORT` (default 29400). Endpoint knobs:
     /// `DEAR_LISTEN_HOST`, `DEAR_CONNECT_TIMEOUT_MS`,
     /// `DEAR_SEND_TIMEOUT_MS`, `DEAR_RECV_TIMEOUT_MS` (0 disables the recv
-    /// deadline), `DEAR_OUTBOX_FRAMES`, `DEAR_HEARTBEAT_MS` (0 disables
-    /// the failure detector), `DEAR_HEARTBEAT_MISSES`, `DEAR_GENERATION`
+    /// deadline), `DEAR_OUTBOX_FRAMES` (shm ring depth), `DEAR_HEARTBEAT_MS`
+    /// (0 disables the failure detector), `DEAR_HEARTBEAT_MISSES`,
+    /// `DEAR_GENERATION`
     /// (set by the elastic launcher to the restart attempt number),
     /// `DEAR_WIRE_DTYPE` (`f32`/`bf16`/`f16`, the mixed-precision knob),
     /// `DEAR_RESIZE_WINDOW_MS` (membership window of an in-place resize
@@ -349,9 +336,8 @@ impl NetConfig {
     /// shrinking the world in place instead of restarting), and
     /// `DEAR_HOST_ID` (this rank's physical-host identity, for the
     /// shared-memory tier; unset = every rank on its own pseudo-host),
-    /// `DEAR_PIN_COMM` (CPU core to pin the comm threads to; unset = no
-    /// pinning), `DEAR_POOL_MAX_BUF` (largest per-buffer capacity the
-    /// buffer pools retain, in bytes), `DEAR_STRATEGY`
+    /// `DEAR_PIN_COMM` (CPU core to pin the reader threads to; unset = no
+    /// pinning), `DEAR_STRATEGY`
     /// (`ddp`/`zero1`/`zero2`, the parallelism strategy; an unknown name
     /// is a typed [`NetError::Config`], not a silent fallback), and
     /// `DEAR_TRACE` (Chrome-trace path prefix; empty/unset = recorder
@@ -422,9 +408,6 @@ impl NetConfig {
         }
         if let Ok(c) = std::env::var("DEAR_PIN_COMM") {
             cfg.pin_comm = Some(parse("DEAR_PIN_COMM", &c)?);
-        }
-        if let Ok(b) = std::env::var("DEAR_POOL_MAX_BUF") {
-            cfg.pool_max_buf_bytes = parse::<usize>("DEAR_POOL_MAX_BUF", &b)?.max(1);
         }
         if let Ok(name) = std::env::var("DEAR_WIRE_DTYPE") {
             let wire = DType::parse(&name).ok_or_else(|| {
@@ -546,7 +529,6 @@ mod tests {
         assert!(!cfg.elastic_resize, "resize is opt-in");
         assert_eq!(cfg.host_id, None, "host identity is opt-in");
         assert_eq!(cfg.pin_comm, None, "core pinning is opt-in");
-        assert!(cfg.pool_max_buf_bytes >= 1 << 20);
         assert_eq!(cfg.strategy, ParallelismStrategy::Ddp, "DDP is the default");
         assert_eq!(cfg.trace, None, "tracing is opt-in");
     }
@@ -565,7 +547,6 @@ mod tests {
             .with_elastic_resize(true)
             .with_host_id(Some(42))
             .with_pin_comm(Some(0))
-            .with_pool_max_buf_bytes(0) // clamped to 1
             .with_wire(DType::Bf16)
             .with_strategy(ParallelismStrategy::Zero2)
             .with_trace(Some(PathBuf::from("/tmp/trace/dear")))
@@ -589,7 +570,6 @@ mod tests {
         assert!(cfg.elastic_resize);
         assert_eq!(cfg.host_id, Some(42));
         assert_eq!(cfg.pin_comm, Some(0));
-        assert_eq!(cfg.pool_max_buf_bytes, 1);
         assert_eq!(cfg.wire, DType::Bf16);
         assert_eq!(cfg.strategy, ParallelismStrategy::Zero2);
         assert_eq!(cfg.trace, Some(PathBuf::from("/tmp/trace/dear")));

@@ -317,7 +317,7 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
         ..TrainConfig::default()
     }
     .with_wire(cfg.wire)
-    .with_strategy(cfg.strategy.clone());
+    .with_strategy(cfg.strategy);
     let fusion_hint = train_cfg.fusion_buffer.unwrap_or(0) as f64;
     // Optional throughput measurement over BO-style tuning windows
     // (`tune_window` steps per window, 0 = off). Checkpoint saves are
@@ -527,7 +527,7 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
         world,
         eval_loss,
         params_hash,
-        strategy: cfg.strategy.clone(),
+        strategy: cfg.strategy,
         optim_bytes,
     })
 }

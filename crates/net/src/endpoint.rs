@@ -24,30 +24,40 @@
 //!
 //! # Data path
 //!
-//! Per peer, the endpoint runs a **writer thread** draining a bounded
-//! outbox (so [`Transport::send`] never blocks the comm thread's
-//! collectives until `outbox_frames` of backpressure have accumulated) and
-//! a **reader thread** demultiplexing incoming frames into that peer's
-//! inbox (so [`Transport::recv`] stays ordered per peer). Payload buffers
-//! come from a shared pool ([`Transport::take_buffer`] /
-//! [`Transport::recycle_buffer`]), so the steady-state hot path is
-//! allocation-free on both sides of the socket.
+//! A link has one thread and one queue, both on the receiving side: per
+//! peer, a **reader thread** drains the socket into that peer's unbounded
+//! inbox (so [`Transport::recv`] stays ordered per peer) whatever the
+//! thread that calls `recv` is doing. That is what lets
+//! [`Transport::send`] write its frame on the calling thread: it takes the
+//! peer's link lock, puts the whole frame on the socket in one vectored
+//! write and returns — it can wait for the peer's reader, bounded by the
+//! socket's `SO_SNDTIMEO` ([`NetConfig::send_timeout`]), never for the
+//! peer's `recv`. A link's depth is the kernel's socket buffers plus the
+//! peer's inbox. Payload buffers come from a shared pool
+//! ([`Transport::take_buffer`] / [`Transport::recycle_buffer`]), so the
+//! steady-state hot path is allocation-free on both sides of the socket.
 //!
 //! Failures never hang: sends and receives carry configurable deadlines
 //! surfacing as [`CollectiveError::Timeout`], a dead peer surfaces as
 //! [`CollectiveError::Disconnected`], and dropping the endpoint sends
-//! shutdown frames, force-closes the sockets, and joins every thread.
+//! shutdown frames, closes the sockets, and joins every thread. A write
+//! that fails or times out may have torn its frame, so it closes the
+//! socket: the link is latched dead, later sends fail at once, and the
+//! reader stops, so `recv` reports `Disconnected` once the inbox is
+//! drained.
 //!
 //! # Failure detection and world generations
 //!
 //! When [`NetConfig::heartbeat_interval`] is set, a **monitor thread**
-//! queues a heartbeat frame to every peer each interval and watches frame
-//! arrival times (any frame counts as liveness, so busy data links need no
-//! heartbeats). A peer silent for `heartbeat_miss_budget` consecutive
-//! intervals — without having sent a graceful shutdown — is declared dead:
-//! the monitor records the verdict and force-closes every socket, so all
-//! blocked sends and receives fail fast with [`CollectiveError::Aborted`]
-//! instead of each waiting out its own deadline.
+//! writes a heartbeat frame to every peer each interval — skipping a link
+//! whose lock is held, since a data frame going out is liveness by itself —
+//! and watches frame arrival times (any frame counts as liveness, so busy
+//! data links need no heartbeats). A peer silent for
+//! `heartbeat_miss_budget` consecutive intervals — without having sent a
+//! graceful shutdown — is declared dead: the monitor records the verdict
+//! and force-closes every socket, so all blocked sends and receives fail
+//! fast with [`CollectiveError::Aborted`] instead of each waiting out its
+//! own deadline.
 //!
 //! Every data frame is stamped with the world **generation** (the elastic
 //! launcher's restart counter, [`NetConfig::generation`]). The rendezvous
@@ -57,17 +67,15 @@
 //! corrupt a live collective.
 
 use std::fmt;
-use std::io::{BufReader, Read};
+use std::io::{self, BufReader, Read};
 use std::net::{IpAddr, Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dear_collectives::{
-    CollectiveError, Message, Transport, WireBuf, WorldChange, MIN_LINK_FRAMES,
-};
+use dear_collectives::{BufferPool, CollectiveError, Message, Transport, WireBuf, WorldChange};
 use dear_core::trace;
 
 use crate::affinity;
@@ -82,13 +90,12 @@ use crate::frame::{
 /// traffic-counter arithmetic.
 const FRAME_HEADER_BYTES: u64 = crate::frame::FRAME_HEADER_BYTES as u64;
 
-/// Per-peer traffic counters, bumped lock-free by the reader/writer threads
-/// and the send path. Snapshot via [`TcpEndpoint::stats`].
+/// Per-peer traffic counters, bumped lock-free by the reader threads, the
+/// send path and the monitor. Snapshot via [`TcpEndpoint::stats`].
 #[derive(Default)]
 struct PeerCounters {
     bytes_sent: AtomicU64,
     bytes_recv: AtomicU64,
-    send_retries: AtomicU64,
 }
 
 /// A snapshot of one peer link's traffic from [`TcpEndpoint::stats`].
@@ -100,8 +107,6 @@ pub struct PeerStats {
     pub bytes_sent: u64,
     /// Wire bytes read from this peer (headers included).
     pub bytes_recv: u64,
-    /// Times a send found the outbox full and had to back off.
-    pub send_retries: u64,
 }
 
 /// The wire size of a data body carrying `wire_bytes` of encoded payload
@@ -113,82 +118,27 @@ fn oversize_bytes(wire_bytes: usize) -> Option<u64> {
     (bytes > MAX_FRAME_BYTES as u64).then_some(bytes)
 }
 
-/// Buffers kept in the shared pool; bounds pool memory at roughly
-/// `POOL_CAP × largest-segment` bytes (matches `LocalEndpoint`).
-const POOL_CAP: usize = 64;
-
-/// Default per-buffer capacity ceiling retained by the pool
-/// ([`NetConfig::pool_max_buf_bytes`]). Sized to hold any sensible
-/// segment; a one-off giant collective no longer pins its high-water
-/// allocation for the rest of the run.
-pub(crate) const POOL_MAX_BUF_BYTES: usize = 4 << 20;
-
-/// Shared reusable wire-byte pool; reader threads take from it for
-/// incoming payloads, writer threads and `recycle_buffer` return to it.
-/// Buffers over `max_buf_bytes` are shrunk on return, so retained memory
-/// decays back to the cap after an outsized collective.
-struct BufferPool {
-    bufs: Mutex<Vec<Vec<u8>>>,
-    max_buf_bytes: usize,
+/// The sending side of one peer connection, shared by [`Transport::send`],
+/// the heartbeat monitor and `teardown`.
+struct Link {
+    /// Held for exactly one whole frame, so frames of different writers
+    /// never interleave on the wire.
+    writer: Mutex<TcpStream>,
+    /// The same socket outside the lock: lets the monitor close it under a
+    /// writer blocked on a wedged peer.
+    closer: TcpStream,
 }
 
-impl Default for BufferPool {
-    fn default() -> Self {
-        BufferPool::with_max(POOL_MAX_BUF_BYTES)
+/// Passes a frame write's result through, closing the socket first if it
+/// failed: a failed or timed-out write may have put part of a frame on the
+/// wire, and nothing may follow a torn frame. With the socket closed the
+/// link is latched dead — the reader sees end of stream and later writes
+/// fail at once.
+fn latch_on_error<T>(stream: &TcpStream, wrote: io::Result<T>) -> io::Result<T> {
+    if wrote.is_err() {
+        let _ = stream.shutdown(Shutdown::Both);
     }
-}
-
-impl BufferPool {
-    fn with_max(max_buf_bytes: usize) -> BufferPool {
-        BufferPool {
-            bufs: Mutex::new(Vec::new()),
-            max_buf_bytes: max_buf_bytes.max(1),
-        }
-    }
-
-    fn take(&self, capacity_bytes: usize) -> Vec<u8> {
-        let mut pool = self.bufs.lock().expect("buffer pool poisoned");
-        match pool.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.reserve(capacity_bytes);
-                buf
-            }
-            None => Vec::with_capacity(capacity_bytes),
-        }
-    }
-
-    fn recycle(&self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        if buf.capacity() > self.max_buf_bytes {
-            buf.clear();
-            buf.shrink_to(self.max_buf_bytes);
-        }
-        let mut pool = self.bufs.lock().expect("buffer pool poisoned");
-        if pool.len() < POOL_CAP {
-            pool.push(buf);
-        }
-    }
-
-    /// Largest retained buffer capacity — test hook for the decay
-    /// guarantee.
-    #[cfg(test)]
-    fn high_water_bytes(&self) -> usize {
-        let pool = self.bufs.lock().expect("buffer pool poisoned");
-        pool.iter().map(Vec::capacity).max().unwrap_or(0)
-    }
-}
-
-/// Commands consumed by a peer's writer thread.
-enum WriterCmd {
-    /// Frame this payload and put it on the wire, then recycle the buffer.
-    Data(WireBuf),
-    /// Write a liveness probe (the failure detector's periodic frame).
-    Heartbeat,
-    /// Write a graceful shutdown frame and exit.
-    Shutdown,
+    wrote
 }
 
 /// Liveness bookkeeping shared by the reader threads, the heartbeat
@@ -257,19 +207,16 @@ pub struct TcpEndpoint {
     generation: u64,
     send_timeout: Duration,
     recv_timeout: Mutex<Option<Duration>>,
-    /// `outboxes[p]` feeds peer `p`'s writer thread. `None` at own rank.
-    outboxes: Vec<Option<SyncSender<WriterCmd>>>,
+    /// `links[p]` writes to peer `p`. `None` at own rank.
+    links: Arc<Vec<Option<Link>>>,
     /// `inboxes[p]` is fed by peer `p`'s reader thread. `None` at own rank.
     inboxes: Vec<Option<Mutex<Receiver<WireBuf>>>>,
     pool: Arc<BufferPool>,
     health: Arc<Health>,
     counters: Arc<Vec<PeerCounters>>,
-    writers: Vec<JoinHandle<()>>,
     readers: Vec<JoinHandle<()>>,
     /// The heartbeat monitor: a stop channel plus its join handle.
     monitor: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
-    /// Stream clones used by `Drop` to force blocked readers out.
-    peer_streams: Vec<TcpStream>,
     /// Host placement and previous-generation identity tables from the
     /// WELCOME; see [`TcpEndpoint::host_ids`] / [`TcpEndpoint::prev_ranks`].
     tables: MeshTables,
@@ -353,29 +300,12 @@ impl TcpEndpoint {
             return Err(NetError::Config("world size must be positive".to_string()));
         }
         if cfg.world == 1 {
-            let mut stored = cfg.clone();
-            stored.rank = Some(0);
-            return Ok(TcpEndpoint {
-                rank: 0,
-                world: 1,
-                generation: cfg.generation,
-                send_timeout: cfg.send_timeout,
-                recv_timeout: Mutex::new(cfg.recv_timeout),
-                outboxes: vec![None],
-                inboxes: vec![None],
-                pool: Arc::new(BufferPool::default()),
-                health: Arc::new(Health::new(1)),
-                counters: Arc::new(vec![PeerCounters::default()]),
-                writers: Vec::new(),
-                readers: Vec::new(),
-                monitor: None,
-                peer_streams: Vec::new(),
-                tables: MeshTables {
-                    host_ids: vec![cfg.host_id.unwrap_or_else(|| pseudo_host(0))],
-                    prev_ranks: vec![0],
-                },
-                cfg: stored,
-            });
+            // A mesh of no links: no sockets, no threads.
+            let tables = MeshTables {
+                host_ids: vec![cfg.host_id.unwrap_or_else(|| pseudo_host(0))],
+                prev_ranks: vec![0],
+            };
+            return Self::from_mesh(0, cfg, vec![None], tables);
         }
         let t0 = Instant::now();
         let (rank, streams, tables) = match cfg.rank {
@@ -394,8 +324,8 @@ impl TcpEndpoint {
         Self::from_mesh(rank, cfg, streams, tables)
     }
 
-    /// Spawns the per-peer reader/writer threads over an established mesh,
-    /// plus the heartbeat monitor when failure detection is enabled.
+    /// Spawns the per-peer reader threads over an established mesh, plus
+    /// the heartbeat monitor when failure detection is enabled.
     fn from_mesh(
         rank: usize,
         cfg: &NetConfig,
@@ -403,15 +333,13 @@ impl TcpEndpoint {
         tables: MeshTables,
     ) -> Result<TcpEndpoint, NetError> {
         let world = cfg.world;
-        let pool = Arc::new(BufferPool::with_max(cfg.pool_max_buf_bytes));
+        let pool: Arc<BufferPool> = Arc::default();
         let health = Arc::new(Health::new(world));
         let counters: Arc<Vec<PeerCounters>> =
             Arc::new((0..world).map(|_| PeerCounters::default()).collect());
-        let mut outboxes = Vec::with_capacity(world);
+        let mut links = Vec::with_capacity(world);
         let mut inboxes = Vec::with_capacity(world);
-        let mut writers = Vec::new();
         let mut readers = Vec::new();
-        let mut peer_streams = Vec::new();
         for (peer, slot) in streams.into_iter().enumerate() {
             let Some(stream) = slot else {
                 if peer != rank {
@@ -419,7 +347,7 @@ impl TcpEndpoint {
                         "rendezvous left no connection to rank {peer}"
                     )));
                 }
-                outboxes.push(None);
+                links.push(None);
                 inboxes.push(None);
                 continue;
             };
@@ -427,64 +355,65 @@ impl TcpEndpoint {
                 .set_nodelay(true)
                 .map_err(|e| NetError::io(format!("setting TCP_NODELAY for rank {peer}"), e))?;
             // Handshake deadlines no longer apply: readers block until
-            // woken (Drop force-closes the socket), writers are bounded by
-            // the send deadline.
+            // woken (teardown closes the socket), every frame write is
+            // bounded by the send deadline. Both are options of the socket,
+            // so they hold for each handle cloned below.
             stream
                 .set_read_timeout(None)
                 .map_err(|e| NetError::io(format!("clearing read deadline for rank {peer}"), e))?;
-            let wstream = stream
-                .try_clone()
-                .map_err(|e| NetError::io(format!("cloning stream for rank {peer}"), e))?;
-            wstream
+            stream
                 .set_write_timeout(Some(cfg.send_timeout))
                 .map_err(|e| NetError::io(format!("setting write deadline for rank {peer}"), e))?;
-            let shutdown_handle = stream
-                .try_clone()
-                .map_err(|e| NetError::io(format!("cloning stream for rank {peer}"), e))?;
-            let (otx, orx) = mpsc::sync_channel(cfg.outbox_frames.max(MIN_LINK_FRAMES));
-            let (itx, irx) = mpsc::channel();
-            let wpool = Arc::clone(&pool);
-            let wcounters = Arc::clone(&counters);
-            let generation = cfg.generation;
-            let pin_core = cfg.pin_comm;
-            writers.push(std::thread::spawn(move || {
-                writer_loop(wstream, generation, orx, &wpool, &wcounters[peer], pin_core)
+            let clone = || {
+                stream
+                    .try_clone()
+                    .map_err(|e| NetError::io(format!("cloning stream for rank {peer}"), e))
+            };
+            links.push(Some(Link {
+                writer: Mutex::new(clone()?),
+                closer: clone()?,
             }));
+            let (itx, irx) = mpsc::channel();
             let rpool = Arc::clone(&pool);
             let rhealth = Arc::clone(&health);
             let rcounters = Arc::clone(&counters);
-            readers.push(std::thread::spawn(move || {
-                reader_loop(
-                    stream,
-                    peer,
-                    generation,
-                    itx,
-                    &rpool,
-                    &rhealth,
-                    &rcounters[peer],
-                    pin_core,
-                )
-            }));
-            outboxes.push(Some(otx));
+            let generation = cfg.generation;
+            let pin_core = cfg.pin_comm;
+            let reader = std::thread::Builder::new()
+                .name(format!("dear-tcp-r{rank}-p{peer}"))
+                .spawn(move || {
+                    reader_loop(
+                        stream,
+                        peer,
+                        generation,
+                        itx,
+                        &rpool,
+                        &rhealth,
+                        &rcounters[peer],
+                        pin_core,
+                    )
+                })
+                .map_err(|e| NetError::io(format!("spawning the reader for rank {peer}"), e))?;
+            readers.push(reader);
             inboxes.push(Some(Mutex::new(irx)));
-            peer_streams.push(shutdown_handle);
         }
+        let links = Arc::new(links);
         let monitor = match cfg.heartbeat_interval {
             Some(interval) if world > 1 => {
                 let (stop_tx, stop_rx) = mpsc::channel();
                 let mhealth = Arc::clone(&health);
-                let mouts: Vec<Option<SyncSender<WriterCmd>>> = outboxes.clone();
-                let msockets: Vec<TcpStream> = peer_streams
-                    .iter()
-                    .map(|s| {
-                        s.try_clone()
-                            .map_err(|e| NetError::io("cloning stream for the monitor", e))
-                    })
-                    .collect::<Result<_, _>>()?;
+                let mlinks = Arc::clone(&links);
+                let mcounters = Arc::clone(&counters);
+                let generation = cfg.generation;
                 let budget = cfg.heartbeat_miss_budget.max(1);
-                let handle = std::thread::spawn(move || {
-                    heartbeat_monitor(interval, budget, &mhealth, &mouts, &msockets, &stop_rx)
-                });
+                let handle = std::thread::Builder::new()
+                    .name(format!("dear-hb-r{rank}"))
+                    .spawn(move || {
+                        heartbeat_monitor(
+                            interval, budget, generation, &mhealth, &mlinks, &mcounters, &stop_rx,
+                        )
+                    })
+                    .map_err(|e| NetError::io("spawning the heartbeat monitor", e))?;
                 Some((stop_tx, handle))
             }
             _ => None,
@@ -504,15 +433,13 @@ impl TcpEndpoint {
             generation: cfg.generation,
             send_timeout: cfg.send_timeout,
             recv_timeout: Mutex::new(cfg.recv_timeout),
-            outboxes,
+            links,
             inboxes,
             pool,
             health,
             counters,
-            writers,
             readers,
             monitor,
-            peer_streams,
             tables,
             cfg: stored,
         })
@@ -540,8 +467,8 @@ impl TcpEndpoint {
     }
 
     /// Per-peer wire traffic so far, in rank order (own rank omitted):
-    /// bytes written, bytes read, and send-side backoff retries. Cheap —
-    /// relaxed atomic reads — so callers may poll it mid-run.
+    /// bytes written and bytes read. Cheap — relaxed atomic reads — so
+    /// callers may poll it mid-run.
     #[must_use]
     pub fn stats(&self) -> Vec<PeerStats> {
         self.counters
@@ -552,7 +479,6 @@ impl TcpEndpoint {
                 peer,
                 bytes_sent: c.bytes_sent.load(Ordering::Relaxed),
                 bytes_recv: c.bytes_recv.load(Ordering::Relaxed),
-                send_retries: c.send_retries.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -593,35 +519,28 @@ impl TcpEndpoint {
             .collect()
     }
 
-    /// Stops the monitor, drains and joins the writer threads, force-closes
-    /// every socket, and joins the readers. Idempotent; shared by `Drop`
-    /// and the in-place resize path (which tears the old mesh down before
-    /// re-running rendezvous at the next generation).
+    /// Stops the monitor, says goodbye on every link, closes the sockets,
+    /// and joins the readers. Idempotent; shared by `Drop` and the in-place
+    /// resize path (which tears the old mesh down before re-running
+    /// rendezvous at the next generation).
     fn teardown(&mut self) {
-        // Stop the heartbeat monitor first: it holds socket clones and
-        // must not race the orderly writer drain below by force-closing
-        // sockets over a false death verdict mid-teardown.
+        // Stop the heartbeat monitor first: it must not force-close the
+        // sockets over a false death verdict under the goodbyes below.
         if let Some((stop_tx, handle)) = self.monitor.take() {
             let _ = stop_tx.send(());
             let _ = handle.join();
         }
-        // Queue a graceful shutdown frame where the outbox has room, then
-        // close every outbox: writers drain all queued data, write the
-        // shutdown frame, and exit (their write deadline bounds this even
-        // against a wedged peer).
-        for tx in self.outboxes.iter_mut() {
-            if let Some(tx) = tx.take() {
-                let _ = tx.try_send(WriterCmd::Shutdown);
-            }
-        }
-        for h in self.writers.drain(..) {
-            let _ = h.join();
-        }
-        // Force readers out of blocking reads. All frames we were owed have
-        // been consumed by completed collectives, so nothing of value is
-        // discarded.
-        for s in self.peer_streams.drain(..) {
-            let _ = s.shutdown(Shutdown::Both);
+        // Every frame a `send` accepted is already with the kernel, which
+        // delivers it ahead of the close. The shutdown frame tells the peer
+        // this is a departure, not a death (its write is bounded by the
+        // send deadline even against a wedged peer); closing the socket
+        // then forces our reader out of its blocking read. All frames we
+        // were owed have been consumed by completed collectives, so nothing
+        // of value is discarded.
+        for link in self.links.iter().flatten() {
+            let mut stream = link.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            let _ = write_frame(&mut *stream, FrameKind::Shutdown, &[]);
+            let _ = stream.shutdown(Shutdown::Both);
         }
         for h in self.readers.drain(..) {
             let _ = h.join();
@@ -671,17 +590,18 @@ impl TcpEndpoint {
     }
 }
 
-/// The failure-detector thread: each interval, queue a heartbeat to every
-/// live peer and check arrival times. A peer silent for `budget` intervals
-/// (and not gracefully departed) is declared dead — the verdict is
-/// recorded and every socket force-closed so all blocked operations
+/// The failure-detector thread: each interval, check arrival times, then
+/// write a heartbeat to every idle link. A peer silent for `budget`
+/// intervals (and not gracefully departed) is declared dead — the verdict
+/// is recorded and every socket force-closed so all blocked operations
 /// surface [`CollectiveError::Aborted`] immediately.
 fn heartbeat_monitor(
     interval: Duration,
     budget: u32,
+    generation: u64,
     health: &Health,
-    outboxes: &[Option<SyncSender<WriterCmd>>],
-    sockets: &[TcpStream],
+    links: &[Option<Link>],
+    counters: &[PeerCounters],
     stop: &Receiver<()>,
 ) {
     let allowance = interval * budget;
@@ -691,15 +611,10 @@ fn heartbeat_monitor(
             // Stop requested or the endpoint is gone either way.
             Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => return,
         }
-        // Probe: a full outbox means data is flowing, which is liveness
-        // enough on its own — skip rather than block the monitor.
-        let mut probes = 0usize;
-        for tx in outboxes.iter().flatten() {
-            if tx.try_send(WriterCmd::Heartbeat).is_ok() {
-                probes += 1;
-            }
-        }
-        trace::add_counter("net.heartbeat_probes", probes as f64);
+        // Judge before probing: a probe can block for one write deadline
+        // (both kernel buffers full toward a wedged peer while no data
+        // write holds the lock), which may delay a verdict but must never
+        // lose it.
         let now = Instant::now();
         let verdict = {
             let mut h = health.inner.lock().expect("health poisoned");
@@ -712,7 +627,7 @@ fn heartbeat_monitor(
                 .enumerate()
                 .find(|&(p, &seen)| {
                     !h.departed[p]
-                        && outboxes.get(p).is_some_and(Option::is_some)
+                        && links.get(p).is_some_and(Option::is_some)
                         && now.duration_since(seen) > allowance
                 })
                 .map(|(p, _)| p);
@@ -723,66 +638,34 @@ fn heartbeat_monitor(
         };
         if verdict.is_some() {
             // Tear the endpoint down: closing the sockets pops readers out
-            // of blocked reads and fails writer writes, so every pending
+            // of blocked reads and fails blocked writes, so every pending
             // send/recv resolves now instead of at its own deadline.
-            for s in sockets {
-                let _ = s.shutdown(Shutdown::Both);
+            for link in links.iter().flatten() {
+                let _ = link.closer.shutdown(Shutdown::Both);
             }
             return;
         }
-    }
-}
-
-/// Writer thread: frames and flushes each queued payload, recycling the
-/// buffer. Exits on a `Shutdown` command (writing a graceful shutdown
-/// frame), on channel close (endpoint dropped), or on a write error —
-/// writes carry a socket deadline, so a wedged peer cannot block forever.
-fn writer_loop(
-    mut stream: TcpStream,
-    generation: u64,
-    orx: Receiver<WriterCmd>,
-    pool: &BufferPool,
-    counters: &PeerCounters,
-    pin_core: Option<usize>,
-) {
-    if let Some(core) = pin_core {
-        affinity::pin_current_thread(core);
-    }
-    // No userspace write buffering: every command is one whole frame, and
-    // the vectored data path already lands header + payload in a single
-    // syscall, so a BufWriter would only re-copy the payload.
-    while let Ok(cmd) = orx.recv() {
-        match cmd {
-            WriterCmd::Data(payload) => {
-                let wrote = write_data_frame(&mut stream, generation, &payload);
-                pool.recycle(payload.into_bytes());
-                match wrote {
-                    Ok(n) => {
-                        counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
-                    }
-                    // Dropping orx signals Disconnected to senders.
-                    Err(_) => return,
-                }
-            }
-            WriterCmd::Heartbeat => {
-                if write_frame(
-                    &mut stream,
-                    FrameKind::Heartbeat,
-                    &encode_generation(generation),
-                )
-                .is_err()
-                {
-                    return;
-                }
+        // Probe: a held lock means a data frame is going out, which is
+        // liveness enough on its own — skip rather than block the monitor.
+        let mut probes = 0usize;
+        for (link, counters) in links.iter().zip(counters) {
+            let Some(link) = link else { continue };
+            let Ok(mut stream) = link.writer.try_lock() else {
+                continue;
+            };
+            let probe = write_frame(
+                &mut *stream,
+                FrameKind::Heartbeat,
+                &encode_generation(generation),
+            );
+            if latch_on_error(&stream, probe).is_ok() {
                 counters
                     .bytes_sent
                     .fetch_add(FRAME_HEADER_BYTES + 8, Ordering::Relaxed);
-            }
-            WriterCmd::Shutdown => {
-                let _ = write_frame(&mut stream, FrameKind::Shutdown, &[]);
-                return;
+                probes += 1;
             }
         }
+        trace::add_counter("net.heartbeat_probes", probes as f64);
     }
 }
 
@@ -917,34 +800,31 @@ impl Transport for TcpEndpoint {
                 max: MAX_FRAME_BYTES as u64,
             });
         }
-        let tx = self.outboxes[to].as_ref().expect("validated peer");
         // A fabric-local deliver-at stamp must never reach the wire; this
         // surfaces the composition bug as a typed error (see
         // `Message::into_wire_payload`).
-        let mut cmd = WriterCmd::Data(msg.into_wire_payload()?);
-        let deadline = Instant::now() + self.send_timeout;
-        loop {
-            match tx.try_send(cmd) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Full(c)) => {
-                    self.counters[to]
-                        .send_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    if Instant::now() >= deadline {
-                        return Err(CollectiveError::Timeout {
-                            peer: to,
-                            millis: self.send_timeout.as_millis() as u64,
-                        });
-                    }
-                    cmd = c;
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    return Err(self
-                        .failure_verdict(to)
-                        .unwrap_or(CollectiveError::Disconnected { peer: to }))
-                }
+        let payload = msg.into_wire_payload()?;
+        let link = self.links[to].as_ref().expect("validated peer");
+        let wrote = {
+            let mut stream = link.writer.lock().expect("link poisoned");
+            let wrote = write_data_frame(&mut *stream, self.generation, &payload);
+            latch_on_error(&stream, wrote)
+        };
+        self.pool.recycle(payload.into_bytes());
+        match wrote {
+            Ok(n) => {
+                self.counters[to]
+                    .bytes_sent
+                    .fetch_add(n as u64, Ordering::Relaxed);
+                Ok(())
             }
+            Err(e) => Err(self.failure_verdict(to).unwrap_or(match e.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => CollectiveError::Timeout {
+                    peer: to,
+                    millis: self.send_timeout.as_millis() as u64,
+                },
+                _ => CollectiveError::Disconnected { peer: to },
+            })),
         }
     }
 
@@ -1105,10 +985,6 @@ impl Drop for TcpEndpoint {
                 let p = st.peer;
                 trace::add_counter(&format!("net.r{r}.p{p}.bytes_sent"), st.bytes_sent as f64);
                 trace::add_counter(&format!("net.r{r}.p{p}.bytes_recv"), st.bytes_recv as f64);
-                trace::add_counter(
-                    &format!("net.r{r}.p{p}.send_retries"),
-                    st.send_retries as f64,
-                );
             }
         }
     }
@@ -1147,10 +1023,12 @@ fn connect_with_retry(addr: &str, cfg: &NetConfig) -> Result<TcpStream, NetError
 }
 
 /// Accepts one connection with a deadline (std listeners have no accept
-/// timeout, so this polls in non-blocking mode).
+/// timeout, so this polls in non-blocking mode). `window` is the wait the
+/// deadline closes, for the error to report.
 fn accept_deadline(
     listener: &TcpListener,
     deadline: Instant,
+    window: Duration,
     what: &str,
 ) -> Result<(TcpStream, std::net::SocketAddr), NetError> {
     listener
@@ -1167,7 +1045,7 @@ fn accept_deadline(
                 if Instant::now() >= deadline {
                     return Err(NetError::Timeout {
                         context: format!("waiting to accept {what}"),
-                        after: Duration::ZERO,
+                        after: window,
                     });
                 }
                 std::thread::sleep(Duration::from_millis(2));
@@ -1218,7 +1096,8 @@ fn rendezvous_master(
     let mut body = Vec::new();
     let mut pending: Vec<(TcpStream, Hello, IpAddr)> = Vec::with_capacity(world - 1);
     while pending.len() < world - 1 {
-        let (mut s, peer) = accept_deadline(&listener, deadline, "a worker HELLO")?;
+        let (mut s, peer) =
+            accept_deadline(&listener, deadline, cfg.handshake_timeout, "a worker HELLO")?;
         set_handshake_deadlines(&s, cfg)?;
         expect_frame(&mut s, FrameKind::Hello, &mut body, "worker")?;
         let hello = Hello::decode(&body).map_err(|e| NetError::io("decoding HELLO", e))?;
@@ -1427,7 +1306,8 @@ fn worker_mesh(
     // Accept every higher rank.
     let deadline = Instant::now() + cfg.handshake_timeout;
     for _ in rank + 1..world {
-        let (mut s, _) = accept_deadline(&listener, deadline, "a peer IDENT")?;
+        let (mut s, _) =
+            accept_deadline(&listener, deadline, cfg.handshake_timeout, "a peer IDENT")?;
         set_handshake_deadlines(&s, cfg)?;
         expect_frame(&mut s, FrameKind::Ident, &mut body, "peer")?;
         let peer = decode_ident(&body).map_err(|e| NetError::io("decoding IDENT", e))? as usize;
@@ -1530,7 +1410,8 @@ fn resize_master(
     let mut body = Vec::new();
     let mut pending: Vec<(TcpStream, Hello, IpAddr)> = Vec::new();
     loop {
-        let (mut s, peer) = match accept_deadline(listener, deadline, "a resize HELLO") {
+        let accepted = accept_deadline(listener, deadline, cfg.resize_window, "a resize HELLO");
+        let (mut s, peer) = match accepted {
             Ok(conn) => conn,
             // The membership window closed; whoever is in is in.
             Err(NetError::Timeout { .. }) => break,
@@ -1666,8 +1547,8 @@ mod tests {
         b.set_recv_timeout(Some(Duration::from_secs(5)));
         let err = b.recv(0).unwrap_err();
         assert_eq!(err, CollectiveError::Disconnected { peer: 0 });
-        // Sending to the departed peer eventually fails too (the writer
-        // thread may still accept a queued frame before noticing).
+        // Sending to the departed peer eventually fails too (the kernel
+        // may still take a frame before the peer's reset arrives).
         let mut saw_error = false;
         for _ in 0..200 {
             if b.send(0, vec![1.0].into()).is_err() {
@@ -1734,29 +1615,200 @@ mod tests {
 
     #[test]
     fn stats_count_wire_bytes_both_ways() {
-        let mut eps = tcp_loopback(2).unwrap();
+        let mut eps = tcp_loopback_with(2, |cfg| cfg.with_heartbeat(None, 1)).unwrap();
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         a.send(1, vec![1.0, 2.0].into()).unwrap();
+        // One data frame: 5-byte header + 9-byte stamp/dtype + 2 × 4 payload.
+        // Heartbeats are off: they ride the same counters.
+        let expect = FRAME_HEADER_BYTES + DATA_BODY_OVERHEAD as u64 + 8;
+        let sent = PeerStats {
+            peer: 1,
+            bytes_sent: expect,
+            bytes_recv: 0,
+        };
+        assert_eq!(a.stats(), [sent], "exact the moment send returns");
         let msg = b.recv(0).unwrap();
         assert_eq!(msg.len(), 2);
-        // One data frame: 5-byte header + 9-byte stamp/dtype + 2 × 4 payload.
-        let expect = FRAME_HEADER_BYTES + DATA_BODY_OVERHEAD as u64 + 8;
+        // The reader counts a frame before it hands it over.
+        let received = PeerStats {
+            peer: 0,
+            bytes_sent: 0,
+            bytes_recv: expect,
+        };
+        assert_eq!(b.stats(), [received]);
+    }
+
+    /// `n` f32 elements of arbitrary bit patterns (NaNs included), distinct
+    /// per `tag`, as the payload they travel in.
+    fn noise(n: usize, tag: u32) -> WireBuf {
+        let elems: Vec<f32> = (0..n as u32)
+            .map(|j| f32::from_bits(j.wrapping_mul(2_654_435_761).wrapping_add(tag)))
+            .collect();
+        WireBuf::from_f32(&elems)
+    }
+
+    #[test]
+    fn symmetric_flood_is_bounded_by_the_readers_alone() {
+        // Both ranks put 16 MiB on the link before either takes a byte
+        // off — more than loopback's socket buffers hold, so every send
+        // returns only because the peer's *reader* drains the socket while
+        // the peer's caller is itself still sending.
+        const FRAMES: u32 = 16;
+        const ELEMS: usize = (1 << 20) / 4;
+        let eps =
+            tcp_loopback_with(2, |cfg| cfg.with_send_timeout(Duration::from_secs(2))).unwrap();
+        let all_sent = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for ep in &eps {
+                let all_sent = &all_sent;
+                s.spawn(move || {
+                    let (me, peer) = (ep.rank() as u32, 1 - ep.rank());
+                    for i in 0..FRAMES {
+                        ep.send(peer, Message::new(noise(ELEMS, me * FRAMES + i)))
+                            .unwrap_or_else(|e| panic!("rank {me} send {i}: {e}"));
+                    }
+                    all_sent.wait();
+                    for i in 0..FRAMES {
+                        let got = ep.recv(peer).unwrap().into_payload();
+                        let want = noise(ELEMS, peer as u32 * FRAMES + i);
+                        assert!(got == want, "rank {me} frame {i} reordered or corrupt");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn heartbeat_probes_never_tear_a_data_frame() {
+        // The monitor shares each link with `send`. Probing every
+        // millisecond against a stream of 64 KiB frames, a probe written
+        // inside a data frame would desynchronize the peer's decoder.
+        const FRAMES: u32 = 2000;
+        const ELEMS: usize = (64 << 10) / 4;
+        // A miss budget this patient never declares a busy test host dead.
+        let mut eps = tcp_loopback_with(2, |cfg| {
+            cfg.with_heartbeat(Some(Duration::from_millis(1)), 30_000)
+        })
+        .unwrap();
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..FRAMES {
+                    a.send(1, Message::new(noise(ELEMS, i))).unwrap();
+                }
+            });
+            for i in 0..FRAMES {
+                let got = b.recv(0).unwrap().into_payload();
+                assert!(got == noise(ELEMS, i), "frame {i} corrupt");
+                b.recycle_buffer(got.into_bytes());
+            }
+        });
+        // Every byte written was a whole frame the peer decoded: the two
+        // ends of the link agree once the probe in flight has landed.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let sent = a.stats().iter().map(|s| s.bytes_sent).sum::<u64>();
-            let recv = b.stats().iter().map(|s| s.bytes_recv).sum::<u64>();
-            if sent >= expect && recv >= expect {
+            let (sent, recv) = (a.stats()[0].bytes_sent, b.stats()[0].bytes_recv);
+            if sent == recv {
                 break;
             }
-            assert!(
-                Instant::now() < deadline,
-                "counters never reached {expect}: sent={sent} recv={recv}"
-            );
-            std::thread::sleep(Duration::from_millis(2));
+            assert!(Instant::now() < deadline, "sent {sent}, received {recv}");
+            std::thread::yield_now();
         }
-        assert_eq!(a.stats()[0].peer, 1);
-        assert_eq!(b.stats()[0].peer, 0);
+        let data_frame = FRAME_HEADER_BYTES + (DATA_BODY_OVERHEAD + 4 * ELEMS) as u64;
+        assert!(
+            a.stats()[0].bytes_sent > u64::from(FRAMES) * data_frame,
+            "no probe was written next to the data"
+        );
+    }
+
+    #[test]
+    fn a_failed_write_latches_the_link() {
+        const ELEMS: usize = (256 << 10) / 4;
+        let send_deadline = Duration::from_secs(2);
+        let mut eps = tcp_loopback_with(2, |cfg| {
+            cfg.with_send_timeout(send_deadline).with_heartbeat(None, 1)
+        })
+        .unwrap();
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        // Something for rank 0 to drain after the link has died.
+        b.send(0, vec![7.0].into()).unwrap();
+        while a.stats()[0].bytes_recv == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::scope(|s| {
+            let streaming = s.spawn(|| {
+                // Far more than the peer will live to read.
+                for i in 0..100_000 {
+                    let start = Instant::now();
+                    let sent = a.send(1, Message::new(noise(ELEMS, i)));
+                    assert!(
+                        start.elapsed() < send_deadline + Duration::from_secs(1),
+                        "send {i} outlived its deadline: {:?}",
+                        start.elapsed()
+                    );
+                    if let Err(e) = sent {
+                        return e;
+                    }
+                }
+                panic!("sends to a dropped peer never failed");
+            });
+            // The peer drops mid-stream.
+            while b.stats()[0].bytes_recv < 4 * 4 * ELEMS as u64 {
+                std::thread::yield_now();
+            }
+            drop(b);
+            assert_eq!(
+                streaming.join().unwrap(),
+                CollectiveError::Disconnected { peer: 1 }
+            );
+        });
+        // Latched: no later send reaches the socket's deadline.
+        let start = Instant::now();
+        for _ in 0..10 {
+            assert_eq!(
+                a.send(1, vec![1.0].into()).unwrap_err(),
+                CollectiveError::Disconnected { peer: 1 }
+            );
+        }
+        assert!(start.elapsed() < Duration::from_secs(1));
+        // What arrived before the link died is still delivered.
+        a.set_recv_timeout(Some(Duration::from_secs(5)));
+        assert_eq!(a.recv(1).unwrap(), vec![7.0]);
+        assert_eq!(
+            a.recv(1).unwrap_err(),
+            CollectiveError::Disconnected { peer: 1 }
+        );
+    }
+
+    #[test]
+    fn a_wedged_peer_times_the_write_out_and_latches_the_link() {
+        // The peer holds its socket open and never reads: once the kernel's
+        // buffers are full, a send must give up at its deadline, typed.
+        let (ours, _theirs) = raw_pair();
+        let mut cfg = NetConfig::new(2, 0, "127.0.0.1:0");
+        cfg.heartbeat_interval = None;
+        cfg.send_timeout = Duration::from_millis(200);
+        let ep = endpoint_over(ours, &cfg);
+        let err = (0..1024)
+            .find_map(|i| ep.send(1, Message::new(noise(1 << 18, i))).err())
+            .expect("a socket nobody reads took 1 GiB");
+        assert_eq!(
+            err,
+            CollectiveError::Timeout {
+                peer: 1,
+                millis: 200
+            }
+        );
+        // The timed-out write tore a frame, so nothing may follow it.
+        let start = Instant::now();
+        assert_eq!(
+            ep.send(1, vec![1.0].into()).unwrap_err(),
+            CollectiveError::Disconnected { peer: 1 }
+        );
+        assert!(start.elapsed() < Duration::from_millis(200));
     }
 
     #[test]
@@ -1781,27 +1833,6 @@ mod tests {
     /// lets tests drive the far side with raw frames.
     fn endpoint_over(stream: TcpStream, cfg: &NetConfig) -> TcpEndpoint {
         TcpEndpoint::from_mesh(0, cfg, vec![None, Some(stream)], MeshTables::pseudo(2)).unwrap()
-    }
-
-    #[test]
-    fn pool_capacity_decays_after_an_outsized_collective() {
-        let pool = BufferPool::with_max(1024);
-        // A modest buffer is retained with its capacity intact…
-        pool.recycle(Vec::with_capacity(512));
-        assert_eq!(pool.high_water_bytes(), 512);
-        // …but an outsized one is shrunk on return instead of pinning its
-        // high-water allocation in the pool for the rest of the run.
-        let mut big = pool.take(64 * 1024);
-        big.resize(64 * 1024, 7);
-        pool.recycle(big);
-        assert!(
-            pool.high_water_bytes() <= 1024,
-            "pool retained {} bytes past the 1024-byte cap",
-            pool.high_water_bytes()
-        );
-        // Shrunk buffers still serve takes at any size.
-        let again = pool.take(64 * 1024);
-        assert!(again.capacity() >= 64 * 1024);
     }
 
     #[test]
@@ -1956,6 +1987,17 @@ mod tests {
             err,
             NetError::Timeout { .. } | NetError::Io { .. }
         ));
+    }
+
+    #[test]
+    fn rendezvous_nobody_joins_reports_the_window_it_waited() {
+        let mut cfg = NetConfig::new(2, 0, "127.0.0.1:0");
+        cfg.handshake_timeout = Duration::from_millis(200);
+        let err = TcpEndpoint::connect(&cfg).unwrap_err();
+        assert!(
+            err.to_string().starts_with("timed out after 200ms"),
+            "{err}"
+        );
     }
 
     #[test]

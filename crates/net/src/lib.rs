@@ -8,8 +8,9 @@
 //! [`Transport`](dear_collectives::Transport) trait. The pieces:
 //!
 //! - [`TcpEndpoint`] — one rank's full mesh of TCP peer connections, with
-//!   rank-0 rendezvous, per-peer writer/reader threads, bounded outboxes,
-//!   pooled buffers, and timeouts that surface as
+//!   rank-0 rendezvous, one reader thread and one inbox per peer (`send`
+//!   writes its frame on the calling thread), pooled buffers, a heartbeat
+//!   failure detector, and timeouts that surface as
 //!   [`CollectiveError`](dear_collectives::CollectiveError) instead of
 //!   hangs (see [`endpoint`] for the protocol);
 //! - [`NetConfig`] — explicit or `torchrun`-style environment

@@ -43,12 +43,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dear_collectives::{CollectiveError, Message, Transport, WorldChange, MIN_LINK_FRAMES};
+use dear_collectives::{
+    BufferPool, CollectiveError, Message, Transport, WorldChange, MIN_LINK_FRAMES,
+};
 
 use crate::config::NetConfig;
-
-/// Buffers kept per endpoint pool; matches the TCP endpoint's bound.
-const POOL_CAP: usize = 64;
 
 /// Iterations of busy-spinning before a waiter starts yielding between
 /// polls — long enough to catch a peer already in its send, short enough
@@ -353,12 +352,15 @@ impl ShmFabric {
                     let stop = Arc::new(AtomicBool::new(false));
                     let hb_inner = Arc::clone(&inner);
                     let hb_stop = Arc::clone(&stop);
-                    let handle = std::thread::spawn(move || {
-                        while !hb_stop.load(Ordering::Relaxed) {
-                            hb_inner.beat(slot);
-                            std::thread::sleep(interval.min(Duration::from_millis(200)));
-                        }
-                    });
+                    let handle = std::thread::Builder::new()
+                        .name(format!("dear-shm-hb-r{rank}"))
+                        .spawn(move || {
+                            while !hb_stop.load(Ordering::Relaxed) {
+                                hb_inner.beat(slot);
+                                std::thread::sleep(interval.min(Duration::from_millis(200)));
+                            }
+                        })
+                        .expect("spawning the shm heartbeat thread");
                     Heartbeat {
                         stop,
                         handle: Some(handle),
@@ -375,8 +377,7 @@ impl ShmFabric {
                     send_timeout: cfg.send_timeout,
                     recv_timeout: Mutex::new(cfg.recv_timeout),
                     heartbeat,
-                    pool: Mutex::new(Vec::new()),
-                    pool_max_buf_bytes: cfg.pool_max_buf_bytes.max(1),
+                    pool: BufferPool::default(),
                 }
             })
             .collect()
@@ -415,10 +416,7 @@ pub struct ShmEndpoint {
     send_timeout: Duration,
     recv_timeout: Mutex<Option<Duration>>,
     heartbeat: Option<Heartbeat>,
-    pool: Mutex<Vec<Vec<u8>>>,
-    /// Largest per-buffer capacity retained by the pool
-    /// ([`NetConfig::pool_max_buf_bytes`] — parity with `TcpEndpoint`).
-    pool_max_buf_bytes: usize,
+    pool: BufferPool,
 }
 
 impl fmt::Debug for ShmEndpoint {
@@ -632,8 +630,8 @@ impl Transport for ShmEndpoint {
                 Ok(()) => return Ok(()),
                 Err(back) => msg = back,
             }
-            // Full ring: the peer is not consuming. Distinguish dead from
-            // slow exactly as the TCP writer does.
+            // Full ring: the peer is not consuming. Distinguish departed
+            // and wedged from slow.
             if self.fabric.members[slot].departed.load(Ordering::Acquire) {
                 return Err(CollectiveError::Disconnected { peer: to });
             }
@@ -706,31 +704,11 @@ impl Transport for ShmEndpoint {
     }
 
     fn take_buffer(&self, capacity_bytes: usize) -> Vec<u8> {
-        let mut pool = self.pool.lock().expect("buffer pool poisoned");
-        match pool.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.reserve(capacity_bytes);
-                buf
-            }
-            None => Vec::with_capacity(capacity_bytes),
-        }
+        self.pool.take(capacity_bytes)
     }
 
-    fn recycle_buffer(&self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        // Shrink outsized returns so one giant collective cannot pin its
-        // high-water allocation in the pool (parity with `TcpEndpoint`).
-        if buf.capacity() > self.pool_max_buf_bytes {
-            buf.clear();
-            buf.shrink_to(self.pool_max_buf_bytes);
-        }
-        let mut pool = self.pool.lock().expect("buffer pool poisoned");
-        if pool.len() < POOL_CAP {
-            pool.push(buf);
-        }
+    fn recycle_buffer(&self, buf: Vec<u8>) {
+        self.pool.recycle(buf);
     }
 
     /// Shrinks a **whole-world** fabric to `survivors` (global ranks, this
@@ -962,21 +940,6 @@ mod tests {
         assert!(again.is_empty());
         assert_eq!(again.capacity(), cap);
         assert_eq!(again.as_ptr(), ptr);
-    }
-
-    #[test]
-    fn pool_capacity_decays_above_the_configured_cap() {
-        let cfg = NetConfig::new(2, 0, "127.0.0.1:0").with_pool_max_buf_bytes(1024);
-        let eps = ShmFabric::with_config(&cfg, &[0, 1]);
-        let mut big = eps[0].take_buffer(32 * 1024);
-        big.resize(32 * 1024, 0);
-        eps[0].recycle_buffer(big);
-        let retained = eps[0].take_buffer(0);
-        assert!(
-            retained.capacity() <= 1024,
-            "shm pool retained {} bytes past the 1024-byte cap",
-            retained.capacity()
-        );
     }
 
     #[test]

@@ -147,7 +147,7 @@ fn steady_state_step_adds_no_large_allocation() {
         (PipelineMode::Dear, ParallelismStrategy::Zero1),
         (PipelineMode::Wfbp, ParallelismStrategy::Ddp),
     ] {
-        let got = distributed_steps(config(mode, strategy.clone()));
+        let got = distributed_steps(config(mode, strategy));
         assert!(
             got <= WORLD * plain,
             "{mode:?}/{strategy:?}: {got} large allocations in {STEPS} steps on {WORLD} ranks, \

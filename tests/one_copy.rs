@@ -121,12 +121,12 @@ fn a_rank_at_rest_holds_one_copy_of_the_model() {
         dear <= 3.5,
         "DeAR: a rank at rest holds {dear:.2} models' worth of large buffers"
     );
-    // WFBP: parameters + gradients + the local optimizer's velocity, the
-    // comm thread's (allocated, never touched) and the wire stock: 4.33 —
-    // one gradient copy, where staging made it two.
+    // WFBP: parameters + gradients + the local optimizer's velocity and
+    // the wire stock: 3.33 — the comm thread, which never updates, holds no
+    // optimizer state.
     let wfbp = resident_model_copies(PipelineMode::Wfbp);
     assert!(
-        wfbp <= 4.5,
+        wfbp <= 3.5,
         "WFBP: a rank at rest holds {wfbp:.2} models' worth of large buffers"
     );
 }

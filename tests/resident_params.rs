@@ -104,7 +104,7 @@ fn resident_and_restaged_parameters_train_identically() {
                 ParallelismStrategy::Zero1,
                 ParallelismStrategy::Zero2,
             ] {
-                let config = base.clone().with_strategy(strategy.clone());
+                let config = base.clone().with_strategy(strategy);
                 let resident = train(world, &config, false);
                 let restaged = train(world, &config, true);
                 let case = format!("{optim:?} {strategy:?} world {world}");
