@@ -618,6 +618,19 @@ impl Transport for LocalEndpoint {
     }
 }
 
+/// The last stretch of a [`DelayFabric`] delivery wait, polled instead of
+/// slept. `thread::sleep` returns late by a timer slack plus a wake-up: on
+/// the 2-vCPU reference host a 0.5–2 ms sleep overshoots by p50 105–138 µs /
+/// p90 140–210 µs when the CPUs are idle (p50 72 µs / p90 84–97 µs under
+/// two busy threads). The receiver sends its next message only after the
+/// wake-up and an idle link starts from *now*, so every late wake-up is
+/// time the emulated link sits idle — an α = 50 µs link behaves like a
+/// 150–250 µs one, and worse the less compute keeps the CPUs awake. The
+/// tail covers the idle p90 with a margin (at 150 µs one run in three still
+/// fell into the late mode); it costs at most this much of one CPU per
+/// message.
+const POLL_TAIL: Duration = Duration::from_micros(250);
+
 /// A transport decorator that injects α-β wall-clock delays, so that real
 /// threaded runs show network-like behaviour (startup latency per message
 /// plus per-byte serialization time).
@@ -627,7 +640,7 @@ impl Transport for LocalEndpoint {
 /// the link finishes serializing the message — `max(now, link busy-until) +
 /// p2p(bytes)` — stamps that instant on the [`Message`], advances the link
 /// clock, and forwards immediately without blocking. The **receiver's**
-/// `recv` then sleeps until the stamp before handing the payload over.
+/// `recv` then waits until the stamp before handing the payload over.
 ///
 /// `bytes` is the payload's **actual wire size**
 /// ([`Message::wire_bytes`]), so a bf16 payload is charged half the β-cost
@@ -640,6 +653,11 @@ impl Transport for LocalEndpoint {
 /// onto the link while the receiver is still reducing segment `k−1` — the
 /// overlap that NCCL-style segmentation exploits. Both sides of a link must
 /// be wrapped for the delay to be observed.
+///
+/// The wait is **sleep, then poll**: `recv` sleeps to within 250 µs of the
+/// stamp and reads the clock in a spin loop for the rest, so a
+/// message is handed over at its stamp — never before it, and not a
+/// scheduler wake-up after it.
 #[derive(Debug)]
 pub struct DelayFabric<T> {
     inner: T,
@@ -714,9 +732,12 @@ impl<T: Transport> Transport for DelayFabric<T> {
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
         let msg = self.inner.recv(from)?;
         if let Some(at) = msg.deliver_at() {
-            let now = Instant::now();
-            if at > now {
-                std::thread::sleep(at - now);
+            let ahead = at.saturating_duration_since(Instant::now());
+            if let Some(sleep) = ahead.checked_sub(POLL_TAIL) {
+                std::thread::sleep(sleep);
+            }
+            while Instant::now() < at {
+                std::hint::spin_loop();
             }
         }
         Ok(msg.without_deliver_at())

@@ -81,9 +81,9 @@ impl Layer for Linear {
             self.in_dim
         );
         let mut out = input.matmul_slice(params[0]);
-        for r in 0..out.rows() {
-            for (c, bias) in params[1].iter().enumerate() {
-                *out.at_mut(r, c) += bias;
+        for row in out.data_mut().chunks_exact_mut(self.out_dim) {
+            for (o, bias) in row.iter_mut().zip(params[1]) {
+                *o += bias;
             }
         }
         self.cached_input = Some(input.clone());
@@ -104,9 +104,9 @@ impl Layer for Linear {
         input.t_matmul_into(grad_output, grads[0]);
         // db = column sums of dy
         grads[1].fill(0.0);
-        for r in 0..grad_output.rows() {
-            for (c, db) in grads[1].iter_mut().enumerate() {
-                *db += grad_output.at(r, c);
+        for row in grad_output.data().chunks_exact(self.out_dim) {
+            for (db, g) in grads[1].iter_mut().zip(row) {
+                *db += g;
             }
         }
         // dx = dy · Wᵀ
@@ -135,8 +135,10 @@ impl Layer for Relu {
 
     fn forward(&mut self, _params: &[&[f32]], input: &Tensor) -> Tensor {
         self.cached_input = Some(input.clone());
-        let mut out = input.clone();
-        out.map_inplace(|x| x.max(0.0));
+        let mut out = Tensor::zeros(input.shape());
+        for (o, &x) in out.data_mut().iter_mut().zip(input.data()) {
+            *o = x.max(0.0);
+        }
         out
     }
 

@@ -183,7 +183,9 @@ impl Tensor {
     /// gradient produced where the collective reads it. Every element is
     /// the chain `0.0 + Σᵢ self[i][k]·other[i][j]` over the rows `i` with
     /// `self[i][k] ≠ 0`, in row order — what accumulating into a zeroed
-    /// buffer computes, without the zeroing sweep.
+    /// buffer computes, without the zeroing sweep and without a pass over
+    /// the output row per batch row: a block of columns accumulates over
+    /// the batch in registers and is written once.
     ///
     /// # Panics
     ///
@@ -194,29 +196,51 @@ impl Tensor {
         let (m2, n) = (other.rows(), other.cols());
         assert_eq!(m, m2, "t_matmul row counts {m} vs {m2}");
         assert_eq!(out.len(), k * n, "t_matmul output is not {k}x{n}");
+        let dy = &other.data[..];
+        let n_blocks = n - n % T_BLOCK;
+        // The rows of one row block that contribute to gradient row `kk`:
+        // (activation, offset of the row in `dy`). Gathered once per `kk`,
+        // so the column blocks below run without a data-dependent branch.
+        let mut live = [(0.0f32, 0usize); ROW_BLOCK];
         for (kk, out_row) in out.chunks_exact_mut(n).enumerate() {
-            let mut written = false;
-            for i in 0..m {
-                let a = self.data[i * k + kk];
-                if a == 0.0 {
-                    continue;
+            // `max(1)`: an empty batch still writes its zeros.
+            for i0 in (0..m.max(1)).step_by(ROW_BLOCK) {
+                let mut count = 0;
+                for i in i0..m.min(i0 + ROW_BLOCK) {
+                    let a = self.data[i * k + kk];
+                    live[count] = (a, i * n);
+                    count += usize::from(a != 0.0);
                 }
-                let row = &other.data[i * n..(i + 1) * n];
-                if written {
-                    for (o, b) in out_row.iter_mut().zip(row) {
+                let live = &live[..count];
+                // A chain starts from `0.0` (a `-0.0` first product comes
+                // out `+0.0`, an untouched element stays `0.0`), runs in
+                // registers and is stored once; only a batch longer than a
+                // row block picks it up from `out` again.
+                for (block, j0) in out_row
+                    .chunks_exact_mut(T_BLOCK)
+                    .zip((0..).step_by(T_BLOCK))
+                {
+                    let mut acc = [0.0f32; T_BLOCK];
+                    if i0 > 0 {
+                        acc.copy_from_slice(block);
+                    }
+                    for &(a, at) in live {
+                        for (s, b) in acc.iter_mut().zip(&dy[at + j0..][..T_BLOCK]) {
+                            *s += a * b;
+                        }
+                    }
+                    block.copy_from_slice(&acc);
+                }
+                // The `n % T_BLOCK` last columns, accumulated in place.
+                let tail = &mut out_row[n_blocks..];
+                if i0 == 0 {
+                    tail.fill(0.0);
+                }
+                for &(a, at) in live {
+                    for (o, b) in tail.iter_mut().zip(&dy[at + n_blocks..at + n]) {
                         *o += a * b;
                     }
-                } else {
-                    // `0.0 +` is not a no-op: it turns a `-0.0` product
-                    // into the `+0.0` the accumulating form yields.
-                    for (o, b) in out_row.iter_mut().zip(row) {
-                        *o = 0.0 + a * b;
-                    }
-                    written = true;
                 }
-            }
-            if !written {
-                out_row.fill(0.0);
             }
         }
     }
@@ -236,6 +260,12 @@ impl Tensor {
     /// [`Tensor::matmul_t`] against a row-major `[n, self.cols()]` matrix
     /// given as a flat slice.
     ///
+    /// Every output element is the strictly ordered dot product
+    /// `Σₖ self[i][k]·rhs[j][k]`, `k` ascending from `Iterator::sum`'s start
+    /// value. A single such chain cannot be vectorised without reordering
+    /// it, so the kernel runs `LANES` of them — output columns — side by
+    /// side over a transposed panel of `rhs` (DESIGN.md §4.3).
+    ///
     /// # Panics
     ///
     /// Panics if `rhs.len()` is not a multiple of `self.cols()`.
@@ -244,12 +274,31 @@ impl Tensor {
         let (m, k) = (self.rows(), self.cols());
         assert_eq!(rhs.len() % k, 0, "matmul_t operand is not {k} columns");
         let n = rhs.len() / k;
-        let mut out = Tensor::zeros(&[m, n]);
-        for i in 0..m {
-            for j in 0..n {
-                let a_row = &self.data[i * k..(i + 1) * k];
+        // Every chain starts where `Iterator::sum` starts an `f32` one and
+        // is carried from k-block to k-block through `out`.
+        let start: f32 = std::iter::empty::<f32>().sum();
+        let mut out = Tensor::from_vec(&[m, n], vec![start; m * n]);
+        let mut panel = [[0.0f32; LANES]; K_BLOCK];
+        let n_lanes = n - n % LANES;
+        for j0 in (0..n_lanes).step_by(LANES) {
+            for k0 in (0..k).step_by(K_BLOCK) {
+                let panel = &mut panel[..K_BLOCK.min(k - k0)];
+                pack_panel(panel, &rhs[j0 * k + k0..], k);
+                for i in (0..m).step_by(2) {
+                    let a = &self.data[i * k + k0..];
+                    let out = &mut out.data[i * n + j0..];
+                    if i + 1 < m {
+                        advance_chains::<2>(panel, a, k, out, n);
+                    } else {
+                        advance_chains::<1>(panel, a, k, out, n);
+                    }
+                }
+            }
+        }
+        for (a_row, out_row) in self.data.chunks_exact(k).zip(out.data.chunks_exact_mut(n)) {
+            for (j, o) in out_row.iter_mut().enumerate().skip(n_lanes) {
                 let b_row = &rhs[j * k..(j + 1) * k];
-                out.data[i * n + j] = a_row.iter().zip(b_row).map(|(a, b)| a * b).sum();
+                *o = a_row.iter().zip(b_row).map(|(a, b)| a * b).sum();
             }
         }
         out
@@ -272,6 +321,69 @@ impl Tensor {
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += alpha * b;
         }
+    }
+}
+
+/// Output columns [`Tensor::matmul_t_slice`] runs side by side, one
+/// strictly ordered sum per lane.
+const LANES: usize = 16;
+/// Depth of the transposed weight panel: `K_BLOCK × LANES` floats, 4 KiB of
+/// stack, packed once per k-block and read by every batch row.
+const K_BLOCK: usize = 64;
+/// Output columns [`Tensor::t_matmul_into`] accumulates in registers.
+const T_BLOCK: usize = 32;
+/// Batch rows it gathers per pass; a longer batch carries through `out`.
+const ROW_BLOCK: usize = 32;
+
+/// `panel[kk][lane] = w[lane * k + kk]`: `LANES` rows of a row-major matrix
+/// of row length `k`, transposed so that one k step of all lanes is one
+/// contiguous row. Moved as 4×4 tiles, which compile to shuffles: an
+/// element at a time, the pack costs more than the arithmetic at batch 2.
+fn pack_panel(panel: &mut [[f32; LANES]], w: &[f32], k: usize) {
+    let depth = panel.len();
+    for l0 in (0..LANES).step_by(4) {
+        let rows: [&[f32]; 4] = std::array::from_fn(|r| &w[(l0 + r) * k..][..depth]);
+        let mut tiles = panel.chunks_exact_mut(4);
+        for (t, tile) in tiles.by_ref().enumerate() {
+            let src: [[f32; 4]; 4] =
+                std::array::from_fn(|r| std::array::from_fn(|c| rows[r][4 * t + c]));
+            for (c, p) in tile.iter_mut().enumerate() {
+                p[l0..l0 + 4].copy_from_slice(&[src[0][c], src[1][c], src[2][c], src[3][c]]);
+            }
+        }
+        for (p, kk) in tiles.into_remainder().iter_mut().zip(depth - depth % 4..) {
+            for (r, row) in rows.iter().enumerate() {
+                p[l0 + r] = row[kk];
+            }
+        }
+    }
+}
+
+/// Advances the `LANES` chains of `R` consecutive batch rows by one k-block:
+/// `out[r * n + lane] += a[r * k + kk] · panel[kk][lane]`, `kk` ascending —
+/// per element the order of the scalar dot product, with the lanes
+/// independent so the adds vectorise.
+fn advance_chains<const R: usize>(
+    panel: &[[f32; LANES]],
+    a: &[f32],
+    k: usize,
+    out: &mut [f32],
+    n: usize,
+) {
+    let a: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..][..panel.len()]);
+    let mut acc = [[0.0f32; LANES]; R];
+    for (r, acc) in acc.iter_mut().enumerate() {
+        acc.copy_from_slice(&out[r * n..][..LANES]);
+    }
+    for (kk, p) in panel.iter().enumerate() {
+        for (acc, a) in acc.iter_mut().zip(a) {
+            for (s, w) in acc.iter_mut().zip(p) {
+                *s += a[kk] * w;
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        out[r * n..][..LANES].copy_from_slice(acc);
     }
 }
 
