@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use dear_collectives::{naive_all_reduce, ReduceOp, Transport};
+use dear_collectives::{naive_all_reduce_seg, ReduceOp, SegmentConfig, Transport};
 use dear_core::{run_worker, CheckpointStore, OptimState, TrainCheckpoint, TrainConfig};
 use dear_minidnn::{BlobDataset, Linear, Relu, Sequential};
 use dear_net::tcp_loopback;
@@ -138,14 +138,17 @@ fn one_restart(dir: &std::path::Path) -> (Duration, Duration) {
                 let store = CheckpointStore::new(dir, rank).expect("store");
                 let ckpt = store.latest_valid().expect("seeded checkpoint");
                 let mut offer = [ckpt.step as f32];
-                naive_all_reduce(&ep, &mut offer, ReduceOp::Min).expect("agreement");
+                naive_all_reduce_seg(&ep, &mut offer, ReduceOp::Min, SegmentConfig::MONOLITHIC)
+                    .expect("agreement");
                 assert_eq!(offer[0] as u64, ckpt.step, "stores were seeded in sync");
                 let resume = ckpt.step;
                 run_worker(ep, config, move |handle| {
                     let mut net = demo_net(7);
                     let mut optim = handle.into_optim(&net);
                     net.set_flat_params(&ckpt.params);
-                    optim.import_optim_state(ckpt.optim);
+                    optim
+                        .import_optim_state(ckpt.optim)
+                        .expect("the seeded checkpoint is this model's");
                     let (x, labels) = data.shard(resume, 8 * WORLD, rank, WORLD);
                     let _ = optim.train_step(&mut net, &x, &labels);
                     optim.synchronize(&mut net).unwrap();

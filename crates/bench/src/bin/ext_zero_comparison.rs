@@ -3,10 +3,11 @@
 //! 1. **Volume argument (simulated)** — the paper's claim: *parameter*
 //!    sharding pays two all-gathers plus one reduce-scatter (1.5× the
 //!    all-reduce volume) versus DeAR's exactly one all-reduce worth.
-//! 2. **DES forecast per `--strategy`** — what this repo actually ships:
-//!    *optimizer-state* sharding (`zero1`/`zero2`) riding the decoupled
-//!    pipeline's own RS/AG, which the DES predicts costs **zero** extra
-//!    step time while cutting per-rank optimizer bytes by ~world.
+//! 2. **Model forecast per `--strategy`** — what this repo actually
+//!    ships: *optimizer-state* sharding riding the decoupled pipeline's
+//!    own RS/AG (every strategy under DeAR; `zero2` also shards the
+//!    stash), which the cost model predicts costs **zero** extra step
+//!    time at ~1/world of the optimizer bytes per rank.
 //! 3. **Runtime confirmation** — real 4-rank TCP loopback runs per
 //!    strategy: measured step times, measured resident optimizer bytes,
 //!    and bit-identical final parameters across strategies.
@@ -17,7 +18,7 @@
 use std::time::Instant;
 
 use dear_bench::{write_json, TableBuilder};
-use dear_collectives::{CostModel, Transport};
+use dear_collectives::{CollectiveError, CostModel, Transport};
 use dear_core::{forecast_strategy, run_worker, ParallelismStrategy, TrainConfig};
 use dear_minidnn::{BlobDataset, Linear, Relu, Sequential};
 use dear_models::Model;
@@ -70,28 +71,31 @@ fn measure(strategy: &ParallelismStrategy) -> Vec<(f64, usize, Vec<f32>)> {
                                 t0 = Instant::now();
                             }
                             let (x, labels) = data.shard(step, 8 * WORLD, rank, WORLD);
-                            optim.train_step_or_panic(&mut net, &x, &labels);
+                            optim.train_step(&mut net, &x, &labels)?;
                             if step + 1 == STEPS {
                                 measured =
                                     t0.elapsed().as_secs_f64() * 1e3 / (STEPS - WARMUP) as f64;
                             }
                         }
-                        optim.synchronize_or_panic(&mut net);
+                        optim.synchronize(&mut net)?;
                         let bytes = optim.optim_state_bytes();
-                        (measured, bytes, net.flat_params())
+                        Ok::<_, CollectiveError>((measured, bytes, net.flat_params()))
                     })
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("bench rank panicked"))
+            .map(|h| {
+                let rank = h.join().expect("bench rank panicked");
+                rank.expect("collective failed during the measured run")
+            })
             .collect()
     })
 }
 
 fn main() {
-    println!("Extension: DeAR vs ZeRO — volume argument, DES forecast, runtime\n");
+    println!("Extension: DeAR vs ZeRO — volume argument, model forecast, runtime\n");
     let mut artifact = Vec::new();
 
     // -- 1: the paper's §VII-B volume argument (parameter sharding). --
@@ -136,7 +140,7 @@ fn main() {
         println!();
     }
 
-    // -- 2: DES forecast for this repo's optimizer-state sharding. --
+    // -- 2: model forecast for this repo's optimizer-state sharding. --
     let strategies = [
         ParallelismStrategy::Ddp,
         ParallelismStrategy::Zero1,
@@ -144,12 +148,12 @@ fn main() {
     ];
     let net_elements = bench_net(7).flat_params().len();
     println!(
-        "== DES forecast: --strategy on the decoupled pipeline \
+        "== model forecast: --strategy on the decoupled pipeline \
          ({WORLD} ranks, n = {net_elements}) =="
     );
     let mut table = TableBuilder::new(&[
         "strategy",
-        "DES step (us)",
+        "model step (us)",
         "optim state (B/rank)",
         "stash (B/rank)",
     ]);
@@ -223,10 +227,11 @@ fn main() {
     println!(
         "§VII-B's trade, completed: *parameter* sharding (ZeRO-3 style) pays\n\
          ~1.5x DeAR's volume, while the *optimizer-state* sharding shipped\n\
-         here (--strategy zero1/zero2) reuses OP1's reduce-scatter and OP2's\n\
-         all-gather verbatim — the DES predicts zero step-time cost and a\n\
-         ~1/world memory cut, and the loopback runtime confirms both, with\n\
-         final parameters bit-identical to DDP."
+         here reuses OP1's reduce-scatter and OP2's all-gather verbatim —\n\
+         the model predicts zero step-time cost at ~1/world of the optimizer\n\
+         bytes (every strategy under DeAR; zero2 also shards the stash), and\n\
+         the loopback runtime confirms both, with final parameters\n\
+         bit-identical across strategies."
     );
     let path = write_json("ext_zero_comparison", &serde_json::json!(artifact));
     println!("wrote {path}");

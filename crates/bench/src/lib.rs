@@ -17,7 +17,12 @@
 //! | `fig10_search_cost` | Fig. 10 — tuning cost of BO/random/grid |
 //! | `fig11_batch_size` | Fig. 11 — batch-size sweep |
 //! | `eq9_analysis` | Eq. 9 — analytical DeAR-vs-baseline gap |
-//! | `realtime_pipeline` | wall-clock validation of BackPipe/FeedPipe |
+//!
+//! Wall-clock measurement of the runtime itself — DeAR vs WFBP over an
+//! emulated link, per-fabric throughput, kernel and framing rates — is the
+//! `spine/` package's job (`delay2_dear` / `delay2_wfbp`,
+//! `runtime.dear_over_wfbp`, `collectives.simd.*`, `net.frame.*`), not a
+//! binary here.
 
 pub mod table;
 

@@ -9,6 +9,7 @@ use crate::ring::{
     ring_all_gather_seg, ring_all_reduce_seg, ring_owned_chunk, ring_reduce_scatter_seg,
 };
 use crate::segment::SegmentConfig;
+use crate::topology::Placement;
 use crate::transport::{LocalEndpoint, LocalFabric, Transport};
 use crate::tree::{
     double_tree_all_reduce_seg, naive_all_reduce_seg, tree_broadcast_seg, tree_reduce_seg,
@@ -170,7 +171,8 @@ impl<T: Transport> Communicator<T> {
         data: &mut [f32],
         op: ReduceOp,
     ) -> Result<(), CollectiveError> {
-        hierarchical_all_reduce_seg(&self.transport, shape, data, op, self.segments)
+        let placement = Placement::from_shape(shape);
+        hierarchical_all_reduce_seg(&self.transport, &placement, data, op, self.segments)
     }
 
     /// Tree reduce to `root`.

@@ -91,53 +91,38 @@ impl ClusterShape {
     }
 }
 
-/// Hierarchical ring all-reduce over `data`, in place.
+/// Hierarchical ring all-reduce over `data`, in place, on the contiguous
+/// `nodes × gpus_per_node` rank blocks of `shape`:
+/// [`hierarchical_all_reduce_seg`] over [`Placement::from_shape`],
+/// unsegmented.
 ///
 /// # Errors
 ///
-/// Propagates transport errors; returns
-/// [`CollectiveError::UnsupportedWorld`] if the transport's world size does
-/// not match `shape`.
+/// As [`hierarchical_all_reduce_seg`].
 pub fn hierarchical_all_reduce<T: Transport>(
     t: &T,
     shape: ClusterShape,
     data: &mut [f32],
     op: ReduceOp,
 ) -> Result<(), CollectiveError> {
-    hierarchical_all_reduce_seg(t, shape, data, op, SegmentConfig::MONOLITHIC)
+    let placement = Placement::from_shape(shape);
+    hierarchical_all_reduce_seg(t, &placement, data, op, SegmentConfig::MONOLITHIC)
 }
 
-/// [`hierarchical_all_reduce`] with segment pipelining passed through to
-/// every ring phase. Bit-identical to the monolithic call.
-///
-/// # Errors
-///
-/// As [`hierarchical_all_reduce`].
-pub fn hierarchical_all_reduce_seg<T: Transport>(
-    t: &T,
-    shape: ClusterShape,
-    data: &mut [f32],
-    op: ReduceOp,
-    seg: SegmentConfig,
-) -> Result<(), CollectiveError> {
-    check_shape(t, shape)?;
-    hierarchical_all_reduce_placed_seg(t, &Placement::from_shape(shape), data, op, seg)
-}
-
-/// [`hierarchical_all_reduce_seg`] over an explicit host-locality
-/// [`Placement`]: the intra-node ring is the set of ranks that actually
-/// share a host, not a contiguous rank block. With
-/// [`Placement::from_shape`] this is bit-identical to the shape-based
-/// call; with a placement derived from a real [`HostMap`](crate::HostMap)
-/// the intra phases stay on the fast intra-host tier whatever the rank
-/// numbering.
+/// Hierarchical ring all-reduce over `data`, in place, with segment
+/// pipelining passed through to every ring phase (bit-identical for any
+/// `seg`). The intra-node ring is the set of ranks `placement` says share
+/// a host: contiguous rank blocks under [`Placement::from_shape`], the
+/// ranks that actually do under a placement derived from a real
+/// [`HostMap`](crate::HostMap) — the intra phases then stay on the fast
+/// intra-host tier whatever the rank numbering.
 ///
 /// # Errors
 ///
 /// Propagates transport errors; returns
 /// [`CollectiveError::UnsupportedWorld`] if the transport's world size does
 /// not match the placement's.
-pub fn hierarchical_all_reduce_placed_seg<T: Transport>(
+pub fn hierarchical_all_reduce_seg<T: Transport>(
     t: &T,
     placement: &Placement,
     data: &mut [f32],
@@ -145,33 +130,19 @@ pub fn hierarchical_all_reduce_placed_seg<T: Transport>(
     seg: SegmentConfig,
 ) -> Result<(), CollectiveError> {
     check_placement(t, placement)?;
-    let rank = t.rank();
-    let g = placement.gpus_per_node();
-
-    // Phase 1: intra-node ring reduce-scatter.
-    let intra_members = Arc::new(placement.node_group(rank).to_vec());
-    let intra = GroupTransport::new(t, intra_members).expect("rank is in its own node group");
-    let local_rank = intra.rank();
+    let intra = intra_group(t, placement);
     let owned = ring_reduce_scatter_seg(&intra, data, op, seg)?;
-
-    // Phase 2: inter-node ring all-reduce over the owned shard.
-    if placement.nodes() > 1 {
-        let cross_members = Arc::new(placement.cross_group(rank));
-        let cross = GroupTransport::new(t, cross_members).expect("rank is in its own cross group");
+    if let Some(cross) = cross_group(t, placement) {
         let mut shard = data[owned.clone()].to_vec();
         ring_all_reduce_seg(&cross, &mut shard, op, seg)?;
         data[owned].copy_from_slice(&shard);
     }
-
-    // Phase 3: intra-node ring all-gather.
-    let intra_members = Arc::new(placement.node_group(rank).to_vec());
-    let intra = GroupTransport::new(t, intra_members).expect("rank is in its own node group");
-    ring_all_gather_seg(&intra, data, ring_owned_chunk(local_rank, g), seg)?;
-    Ok(())
+    let owned_chunk = ring_owned_chunk(intra.rank(), placement.gpus_per_node());
+    ring_all_gather_seg(&intra, data, owned_chunk, seg)
 }
 
-fn check_shape<T: Transport>(t: &T, shape: ClusterShape) -> Result<(), CollectiveError> {
-    if t.world_size() != shape.world() {
+fn check_placement<T: Transport>(t: &T, placement: &Placement) -> Result<(), CollectiveError> {
+    if t.world_size() != placement.world() {
         return Err(CollectiveError::UnsupportedWorld {
             world: t.world_size(),
             requirement: "world == nodes * gpus_per_node",
@@ -180,18 +151,22 @@ fn check_shape<T: Transport>(t: &T, shape: ClusterShape) -> Result<(), Collectiv
     Ok(())
 }
 
-fn check_placement<T: Transport>(t: &T, placement: &Placement) -> Result<(), CollectiveError> {
-    if t.world_size() != placement.world() {
-        return Err(CollectiveError::UnsupportedWorld {
-            world: t.world_size(),
-            requirement: "world == placement's nodes * gpus_per_node",
-        });
-    }
-    Ok(())
+/// The ring of ranks sharing this rank's host.
+fn intra_group<'a, T: Transport>(t: &'a T, placement: &Placement) -> GroupTransport<'a, T> {
+    let members = Arc::new(placement.node_group(t.rank()).to_vec());
+    GroupTransport::new(t, members).expect("rank is in its own node group")
+}
+
+/// The inter-node ring this rank takes part in; `None` on a single node.
+fn cross_group<'a, T: Transport>(t: &'a T, placement: &Placement) -> Option<GroupTransport<'a, T>> {
+    (placement.nodes() > 1).then(|| {
+        let members = Arc::new(placement.cross_group(t.rank()));
+        GroupTransport::new(t, members).expect("rank is in its own cross group")
+    })
 }
 
 /// Bookkeeping carried between the two decoupled phases of the
-/// hierarchical all-reduce (see [`hierarchical_reduce_scatter_phase`]).
+/// hierarchical all-reduce (see [`hierarchical_reduce_scatter_phase_seg`]).
 #[derive(Debug, Clone)]
 pub struct HierarchicalShard {
     /// Element range of `data` this rank owns after the intra-node
@@ -208,46 +183,13 @@ pub struct HierarchicalShard {
 /// flat ring's OP1.
 ///
 /// Pass the returned [`HierarchicalShard`] to
-/// [`hierarchical_all_gather_phase`]; `data`'s non-owned chunks must be
+/// [`hierarchical_all_gather_phase_seg`]; `data`'s non-owned chunks must be
 /// treated as garbage in between.
 ///
 /// # Errors
 ///
-/// Propagates transport errors; returns
-/// [`CollectiveError::UnsupportedWorld`] on a shape mismatch.
-pub fn hierarchical_reduce_scatter_phase<T: Transport>(
-    t: &T,
-    shape: ClusterShape,
-    data: &mut [f32],
-    op: ReduceOp,
-) -> Result<HierarchicalShard, CollectiveError> {
-    hierarchical_reduce_scatter_phase_seg(t, shape, data, op, SegmentConfig::MONOLITHIC)
-}
-
-/// [`hierarchical_reduce_scatter_phase`] with segment pipelining passed
-/// through to both ring phases.
-///
-/// # Errors
-///
-/// As [`hierarchical_reduce_scatter_phase`].
+/// As [`hierarchical_all_reduce_seg`].
 pub fn hierarchical_reduce_scatter_phase_seg<T: Transport>(
-    t: &T,
-    shape: ClusterShape,
-    data: &mut [f32],
-    op: ReduceOp,
-    seg: SegmentConfig,
-) -> Result<HierarchicalShard, CollectiveError> {
-    check_shape(t, shape)?;
-    hierarchical_reduce_scatter_phase_placed_seg(t, &Placement::from_shape(shape), data, op, seg)
-}
-
-/// [`hierarchical_reduce_scatter_phase_seg`] over an explicit host-locality
-/// [`Placement`] (see [`hierarchical_all_reduce_placed_seg`]).
-///
-/// # Errors
-///
-/// As [`hierarchical_reduce_scatter_phase`].
-pub fn hierarchical_reduce_scatter_phase_placed_seg<T: Transport>(
     t: &T,
     placement: &Placement,
     data: &mut [f32],
@@ -255,14 +197,9 @@ pub fn hierarchical_reduce_scatter_phase_placed_seg<T: Transport>(
     seg: SegmentConfig,
 ) -> Result<HierarchicalShard, CollectiveError> {
     check_placement(t, placement)?;
-    let rank = t.rank();
-    let intra_members = Arc::new(placement.node_group(rank).to_vec());
-    let intra = GroupTransport::new(t, intra_members).expect("rank is in its own node group");
-    let intra_owned = ring_reduce_scatter_seg(&intra, data, op, seg)?;
+    let intra_owned = ring_reduce_scatter_seg(&intra_group(t, placement), data, op, seg)?;
     let mut shard = data[intra_owned.clone()].to_vec();
-    if placement.nodes() > 1 {
-        let cross_members = Arc::new(placement.cross_group(rank));
-        let cross = GroupTransport::new(t, cross_members).expect("rank is in its own cross group");
+    if let Some(cross) = cross_group(t, placement) {
         ring_reduce_scatter_seg(&cross, &mut shard, op, seg)?;
     }
     Ok(HierarchicalShard { intra_owned, shard })
@@ -274,40 +211,8 @@ pub fn hierarchical_reduce_scatter_phase_placed_seg<T: Transport>(
 ///
 /// # Errors
 ///
-/// Propagates transport errors.
-pub fn hierarchical_all_gather_phase<T: Transport>(
-    t: &T,
-    shape: ClusterShape,
-    data: &mut [f32],
-    carry: HierarchicalShard,
-) -> Result<(), CollectiveError> {
-    hierarchical_all_gather_phase_seg(t, shape, data, carry, SegmentConfig::MONOLITHIC)
-}
-
-/// [`hierarchical_all_gather_phase`] with segment pipelining passed through
-/// to both ring phases.
-///
-/// # Errors
-///
-/// As [`hierarchical_all_gather_phase`].
+/// As [`hierarchical_all_reduce_seg`].
 pub fn hierarchical_all_gather_phase_seg<T: Transport>(
-    t: &T,
-    shape: ClusterShape,
-    data: &mut [f32],
-    carry: HierarchicalShard,
-    seg: SegmentConfig,
-) -> Result<(), CollectiveError> {
-    check_shape(t, shape)?;
-    hierarchical_all_gather_phase_placed_seg(t, &Placement::from_shape(shape), data, carry, seg)
-}
-
-/// [`hierarchical_all_gather_phase_seg`] over an explicit host-locality
-/// [`Placement`] (see [`hierarchical_all_reduce_placed_seg`]).
-///
-/// # Errors
-///
-/// As [`hierarchical_all_gather_phase`].
-pub fn hierarchical_all_gather_phase_placed_seg<T: Transport>(
     t: &T,
     placement: &Placement,
     data: &mut [f32],
@@ -315,25 +220,14 @@ pub fn hierarchical_all_gather_phase_placed_seg<T: Transport>(
     seg: SegmentConfig,
 ) -> Result<(), CollectiveError> {
     check_placement(t, placement)?;
-    let rank = t.rank();
-    let g = placement.gpus_per_node();
-    if placement.nodes() > 1 {
-        let cross_members = Arc::new(placement.cross_group(rank));
-        let cross = GroupTransport::new(t, cross_members).expect("rank is in its own cross group");
-        let cross_rank = cross.rank();
-        ring_all_gather_seg(
-            &cross,
-            &mut carry.shard,
-            ring_owned_chunk(cross_rank, placement.nodes()),
-            seg,
-        )?;
+    if let Some(cross) = cross_group(t, placement) {
+        let owned_chunk = ring_owned_chunk(cross.rank(), placement.nodes());
+        ring_all_gather_seg(&cross, &mut carry.shard, owned_chunk, seg)?;
     }
     data[carry.intra_owned].copy_from_slice(&carry.shard);
-    let intra_members = Arc::new(placement.node_group(rank).to_vec());
-    let intra = GroupTransport::new(t, intra_members).expect("rank is in its own node group");
-    let local_rank = intra.rank();
-    ring_all_gather_seg(&intra, data, ring_owned_chunk(local_rank, g), seg)?;
-    Ok(())
+    let intra = intra_group(t, placement);
+    let owned_chunk = ring_owned_chunk(intra.rank(), placement.gpus_per_node());
+    ring_all_gather_seg(&intra, data, owned_chunk, seg)
 }
 
 #[cfg(test)]
@@ -399,20 +293,24 @@ mod tests {
         let _ = ClusterShape::new(0, 4);
     }
 
+    const MONO: SegmentConfig = SegmentConfig::MONOLITHIC;
+
     #[test]
     fn decoupled_phases_compose_to_hierarchical_all_reduce() {
         for (nodes, g) in [(1, 3), (2, 2), (3, 4)] {
-            let shape = ClusterShape::new(nodes, g);
-            let world = shape.world();
+            let placement = Placement::from_shape(ClusterShape::new(nodes, g));
+            let world = placement.world();
             let d = 29;
             let expect = expected_sum(world, d);
             let results = run_world(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
-                let carry = hierarchical_reduce_scatter_phase(&ep, shape, &mut data, ReduceOp::Sum)
-                    .unwrap();
+                let op = ReduceOp::Sum;
+                let carry =
+                    hierarchical_reduce_scatter_phase_seg(&ep, &placement, &mut data, op, MONO)
+                        .unwrap();
                 // ... in DeAR, backprop of earlier layers and the next
                 // iteration's feed-forward happen between the phases ...
-                hierarchical_all_gather_phase(&ep, shape, &mut data, carry).unwrap();
+                hierarchical_all_gather_phase_seg(&ep, &placement, &mut data, carry, MONO).unwrap();
                 data
             });
             for (rank, data) in results.into_iter().enumerate() {
@@ -436,14 +334,8 @@ mod tests {
             let placement = placement.clone();
             let results = run_world(world, move |ep| {
                 let mut data = rank_data(ep.rank(), d);
-                hierarchical_all_reduce_placed_seg(
-                    &ep,
-                    &placement,
-                    &mut data,
-                    ReduceOp::Sum,
-                    SegmentConfig::MONOLITHIC,
-                )
-                .unwrap();
+                hierarchical_all_reduce_seg(&ep, &placement, &mut data, ReduceOp::Sum, MONO)
+                    .unwrap();
                 data
             });
             for (rank, data) in results.into_iter().enumerate() {
@@ -462,22 +354,10 @@ mod tests {
         let expect = expected_sum(world, d);
         let results = run_world(world, move |ep| {
             let mut data = rank_data(ep.rank(), d);
-            let carry = hierarchical_reduce_scatter_phase_placed_seg(
-                &ep,
-                &placement,
-                &mut data,
-                ReduceOp::Sum,
-                SegmentConfig::MONOLITHIC,
-            )
-            .unwrap();
-            hierarchical_all_gather_phase_placed_seg(
-                &ep,
-                &placement,
-                &mut data,
-                carry,
-                SegmentConfig::MONOLITHIC,
-            )
-            .unwrap();
+            let op = ReduceOp::Sum;
+            let carry = hierarchical_reduce_scatter_phase_seg(&ep, &placement, &mut data, op, MONO)
+                .unwrap();
+            hierarchical_all_gather_phase_seg(&ep, &placement, &mut data, carry, MONO).unwrap();
             data
         });
         for (rank, data) in results.into_iter().enumerate() {
@@ -507,8 +387,15 @@ mod tests {
         let expect = expected_sum(world, d);
         let results = run_world(world, |ep| {
             let mut data = rank_data(ep.rank(), d);
-            let carry =
-                hierarchical_reduce_scatter_phase(&ep, shape, &mut data, ReduceOp::Sum).unwrap();
+            let placement = Placement::from_shape(shape);
+            let carry = hierarchical_reduce_scatter_phase_seg(
+                &ep,
+                &placement,
+                &mut data,
+                ReduceOp::Sum,
+                MONO,
+            )
+            .unwrap();
             (ep.rank(), carry)
         });
         for (rank, carry) in results {

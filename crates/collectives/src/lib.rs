@@ -11,10 +11,14 @@
 //! - [`ring_reduce_scatter`] / [`ring_all_gather`] / [`ring_all_reduce`]:
 //!   the decomposition DeAR exploits — `AR = RS ∘ AG` with identical cost
 //!   halves (paper Eqs. 3–5).
-//! - [`rhd_all_reduce`], [`double_tree_all_reduce`],
-//!   [`hierarchical_all_reduce`], [`naive_all_reduce`]: the other all-reduce
-//!   families discussed in §VII-A, all of which also decouple into two
-//!   continuous operations.
+//! - [`rhd_all_reduce_seg`], [`double_tree_all_reduce_seg`],
+//!   [`hierarchical_all_reduce_seg`], [`naive_all_reduce_seg`]: the other
+//!   all-reduce families discussed in §VII-A, all of which also decouple
+//!   into two continuous operations.
+//!
+//! One function per collective: the one that takes a [`SegmentConfig`]
+//! ([`SegmentConfig::MONOLITHIC`] for one message per hop). Only the ring
+//! trio and [`hierarchical_all_reduce`] keep an unsegmented spelling.
 //! - [`CostModel`] / [`NetworkPreset`]: α-β(-γ) cost functions calibrated to
 //!   the paper's quoted 10GbE / 100GbIB measurements.
 //! - [`Communicator`] / [`run_cluster`]: a high-level API and a one-call
@@ -74,18 +78,15 @@ pub use error::CollectiveError;
 pub use obs::{set_collective_span_hook, CollectiveSpanFn};
 
 pub use hierarchical::{
-    hierarchical_all_gather_phase, hierarchical_all_gather_phase_placed_seg,
-    hierarchical_all_gather_phase_seg, hierarchical_all_reduce, hierarchical_all_reduce_placed_seg,
-    hierarchical_all_reduce_seg, hierarchical_reduce_scatter_phase,
-    hierarchical_reduce_scatter_phase_placed_seg, hierarchical_reduce_scatter_phase_seg,
-    ClusterShape, HierarchicalShard,
+    hierarchical_all_gather_phase_seg, hierarchical_all_reduce, hierarchical_all_reduce_seg,
+    hierarchical_reduce_scatter_phase_seg, ClusterShape, HierarchicalShard,
 };
 pub use reduce::ReduceOp;
-pub use rhd::{rhd_all_reduce, rhd_all_reduce_seg};
+pub use rhd::rhd_all_reduce_seg;
 pub use ring::{
     compact_owned_shard, ring_advance, ring_all_gather, ring_all_gather_seg, ring_all_reduce,
     ring_all_reduce_seg, ring_begin, ring_finish, ring_owned_chunk, ring_reduce_scatter,
-    ring_reduce_scatter_seg, ring_reduce_scatter_shard_seg, RingKind, RingOp,
+    ring_reduce_scatter_seg, RingKind, RingOp,
 };
 pub use segment::{recv_segmented_copy, recv_segmented_reduce, send_segmented, SegmentConfig};
 pub use topology::{CommPattern, HostMap, Placement, Topology};
@@ -94,9 +95,7 @@ pub use transport::{
     WorldChange, MIN_LINK_FRAMES,
 };
 pub use tree::{
-    double_tree_all_reduce, double_tree_all_reduce_seg, double_tree_broadcast_phase,
-    double_tree_broadcast_phase_seg, double_tree_reduce_phase, double_tree_reduce_phase_seg,
-    naive_all_reduce, naive_all_reduce_seg, tree_broadcast, tree_broadcast_seg, tree_reduce,
-    tree_reduce_seg,
+    double_tree_all_reduce_seg, double_tree_broadcast_phase_seg, double_tree_reduce_phase_seg,
+    naive_all_reduce_seg, tree_broadcast_seg, tree_reduce_seg,
 };
 pub use wire::{bf16_to_f32, f16_to_f32, f32_to_bf16, f32_to_f16, round_to_wire, DType, WireBuf};

@@ -14,7 +14,9 @@ use crate::reduce::ReduceOp;
 use crate::segment::{recv_segmented_copy, recv_segmented_reduce, send_segmented, SegmentConfig};
 use crate::transport::Transport;
 
-/// Recursive halving-doubling all-reduce over `data`, in place.
+/// Recursive halving-doubling all-reduce over `data`, in place, each
+/// exchanged half split per `seg` (see [`crate::SegmentConfig`];
+/// bit-identical for any `seg`).
 ///
 /// After the call every rank's `data` holds the element-wise reduction
 /// across all ranks. Works for any world size ≥ 1.
@@ -23,20 +25,6 @@ use crate::transport::Transport;
 ///
 /// Propagates transport errors; returns [`CollectiveError::SizeMismatch`]
 /// if peers disagree on buffer lengths.
-pub fn rhd_all_reduce<T: Transport>(
-    t: &T,
-    data: &mut [f32],
-    op: ReduceOp,
-) -> Result<(), CollectiveError> {
-    rhd_all_reduce_seg(t, data, op, SegmentConfig::MONOLITHIC)
-}
-
-/// [`rhd_all_reduce`] with each exchanged half split per `seg` (see
-/// [`crate::SegmentConfig`]). Bit-identical to the monolithic call.
-///
-/// # Errors
-///
-/// As [`rhd_all_reduce`].
 pub fn rhd_all_reduce_seg<T: Transport>(
     t: &T,
     data: &mut [f32],
@@ -158,7 +146,8 @@ mod tests {
                 let expect = expected_sum(world, d);
                 let results = run_world(world, |ep| {
                     let mut data = rank_data(ep.rank(), d);
-                    rhd_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
+                    rhd_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC)
+                        .unwrap();
                     data
                 });
                 for (rank, data) in results.into_iter().enumerate() {
@@ -175,7 +164,8 @@ mod tests {
             let expect = expected_sum(world, d);
             let results = run_world(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
-                rhd_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
+                rhd_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC)
+                    .unwrap();
                 data
             });
             for (rank, data) in results.into_iter().enumerate() {
@@ -192,7 +182,8 @@ mod tests {
             let expect = expected_sum(world, d);
             let results = run_world(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
-                rhd_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
+                rhd_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC)
+                    .unwrap();
                 data
             });
             for data in results {
@@ -206,7 +197,8 @@ mod tests {
         for world in [2, 4, 6] {
             let results = run_world(world, |ep| {
                 let mut data: Vec<f32> = Vec::new();
-                rhd_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
+                rhd_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC)
+                    .unwrap();
                 data.len()
             });
             assert!(results.into_iter().all(|n| n == 0));

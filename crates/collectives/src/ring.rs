@@ -290,31 +290,6 @@ pub fn compact_owned_shard(mut data: Vec<f32>, owned: &Range<usize>) -> Vec<f32>
     data
 }
 
-/// The RS-only completion point of the segment pipeline: reduce-scatters
-/// `data`, then *consumes* the full-length buffer and returns only the
-/// owned shard, compacted into its own allocation. This is what a
-/// ZeRO-style caller wants — after the reduce-scatter nothing outside the
-/// owned chunk is meaningful, so holding the other `P−1` chunks between
-/// OP1 and OP2 is pure waste. Returns the owned element range (in the
-/// original buffer's coordinates) alongside the compact shard.
-///
-/// Bit-identical to [`ring_reduce_scatter_seg`] on the owned range.
-///
-/// # Errors
-///
-/// As [`ring_reduce_scatter`]; on error the buffer is dropped (its
-/// contents are partially-reduced garbage either way).
-pub fn ring_reduce_scatter_shard_seg<T: Transport>(
-    t: &T,
-    mut data: Vec<f32>,
-    op: ReduceOp,
-    seg: SegmentConfig,
-) -> Result<(Range<usize>, Vec<f32>), CollectiveError> {
-    let owned = ring_reduce_scatter_seg(t, &mut data, op, seg)?;
-    let shard = compact_owned_shard(data, &owned);
-    Ok((owned, shard))
-}
-
 /// Ring all-gather over `data`, in place.
 ///
 /// On entry, the chunk with index `owned_chunk` (per [`chunk_range`]) must
@@ -543,16 +518,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_completion_point_matches_in_place_reduce_scatter() {
-        // The consuming RS must return exactly the owned range's reduced
-        // values, bitwise, and a buffer sized to the shard alone.
+    fn compacted_shard_is_the_owned_range_in_its_own_allocation() {
+        // What a ZeRO-style caller keeps between OP1 and OP2: exactly the
+        // owned range's reduced values, bitwise, in a buffer sized to them.
         for world in [2, 3, 4, 7] {
             let d = 23;
             let expect = expected_sum(world, d);
             let results = run_world(world, |ep| {
-                let data = rank_data(ep.rank(), d);
-                ring_reduce_scatter_shard_seg(&ep, data, ReduceOp::Sum, SegmentConfig::new(8))
-                    .unwrap()
+                let mut data = rank_data(ep.rank(), d);
+                let seg = SegmentConfig::new(8);
+                let owned = ring_reduce_scatter_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
+                let shard = compact_owned_shard(data, &owned);
+                (owned, shard)
             });
             for (rank, (range, shard)) in results.into_iter().enumerate() {
                 let expected_range = chunk_range(d, world, ring_owned_chunk(rank, world));

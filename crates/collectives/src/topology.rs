@@ -182,7 +182,7 @@ impl HostMap {
 
 /// A validated host-locality placement: `world` ranks over `nodes` hosts of
 /// `gpus_per_node` ranks each, where node groups come from actual host
-/// locality (not rank arithmetic). Consumed by the `*_placed` hierarchical
+/// locality (not rank arithmetic). Consumed by the hierarchical
 /// collectives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
@@ -196,8 +196,7 @@ pub struct Placement {
 
 impl Placement {
     /// Builds the placement for a contiguous-blocks [`ClusterShape`] —
-    /// identical groups to `ClusterShape::node_group`/`cross_group`, so the
-    /// placed collectives are bit-identical to the shape-based ones there.
+    /// identical groups to `ClusterShape::node_group`/`cross_group`.
     #[must_use]
     pub fn from_shape(shape: ClusterShape) -> Self {
         HostMap::uniform(shape.nodes, shape.gpus_per_node)

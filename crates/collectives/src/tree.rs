@@ -14,28 +14,14 @@ use crate::transport::Transport;
 
 /// Binomial-tree reduce: after the call, `root` holds the element-wise
 /// reduction of `data` across all ranks; other ranks' buffers are unchanged
-/// except having been read.
+/// except having been read. Each hop's message is split per `seg`
+/// (bit-identical for any `seg`).
 ///
 /// # Errors
 ///
 /// Propagates transport errors; returns [`CollectiveError::SizeMismatch`]
 /// if peers disagree on buffer length, and
 /// [`CollectiveError::InvalidRank`] if `root` is out of range.
-pub fn tree_reduce<T: Transport>(
-    t: &T,
-    data: &mut [f32],
-    root: usize,
-    op: ReduceOp,
-) -> Result<(), CollectiveError> {
-    tree_reduce_seg(t, data, root, op, SegmentConfig::MONOLITHIC)
-}
-
-/// [`tree_reduce`] with each hop's message split per `seg`. Bit-identical
-/// to the monolithic call.
-///
-/// # Errors
-///
-/// As [`tree_reduce`].
 pub fn tree_reduce_seg<T: Transport>(
     t: &T,
     data: &mut [f32],
@@ -71,27 +57,14 @@ pub fn tree_reduce_seg<T: Transport>(
 }
 
 /// Binomial-tree broadcast from `root`: after the call every rank's `data`
-/// equals `root`'s.
+/// equals `root`'s. Each hop's message is split per `seg` (bit-identical
+/// for any `seg`).
 ///
 /// # Errors
 ///
 /// Propagates transport errors; returns [`CollectiveError::SizeMismatch`]
 /// if peers disagree on buffer length, and
 /// [`CollectiveError::InvalidRank`] if `root` is out of range.
-pub fn tree_broadcast<T: Transport>(
-    t: &T,
-    data: &mut [f32],
-    root: usize,
-) -> Result<(), CollectiveError> {
-    tree_broadcast_seg(t, data, root, SegmentConfig::MONOLITHIC)
-}
-
-/// [`tree_broadcast`] with each hop's message split per `seg`.
-/// Bit-identical to the monolithic call.
-///
-/// # Errors
-///
-/// As [`tree_broadcast`].
 pub fn tree_broadcast_seg<T: Transport>(
     t: &T,
     data: &mut [f32],
@@ -132,22 +105,9 @@ pub fn tree_broadcast_seg<T: Transport>(
     Ok(())
 }
 
-/// Naive all-reduce: [`tree_reduce`] to rank 0 followed by
-/// [`tree_broadcast`] from rank 0. Used as a latency-optimal baseline for
-/// tiny messages and as a correctness cross-check.
-///
-/// # Errors
-///
-/// Propagates errors from the two phases.
-pub fn naive_all_reduce<T: Transport>(
-    t: &T,
-    data: &mut [f32],
-    op: ReduceOp,
-) -> Result<(), CollectiveError> {
-    naive_all_reduce_seg(t, data, op, SegmentConfig::MONOLITHIC)
-}
-
-/// [`naive_all_reduce`] with each hop's message split per `seg`.
+/// Naive all-reduce: [`tree_reduce_seg`] to rank 0 followed by
+/// [`tree_broadcast_seg`] from rank 0. Used as a latency-optimal baseline
+/// for tiny messages and as a correctness cross-check.
 ///
 /// # Errors
 ///
@@ -168,21 +128,9 @@ pub fn naive_all_reduce_seg<T: Transport>(
 /// concurrently and every rank does useful work in both trees.
 ///
 /// The decoupled phases are exposed separately as
-/// [`double_tree_reduce_phase`] and [`double_tree_broadcast_phase`], which
-/// is exactly the OP1/OP2 split DeAR's §VII-A describes for this algorithm.
-///
-/// # Errors
-///
-/// Propagates errors from the phases.
-pub fn double_tree_all_reduce<T: Transport>(
-    t: &T,
-    data: &mut [f32],
-    op: ReduceOp,
-) -> Result<(), CollectiveError> {
-    double_tree_all_reduce_seg(t, data, op, SegmentConfig::MONOLITHIC)
-}
-
-/// [`double_tree_all_reduce`] with each hop's message split per `seg`.
+/// [`double_tree_reduce_phase_seg`] and [`double_tree_broadcast_phase_seg`],
+/// which is exactly the OP1/OP2 split DeAR's §VII-A describes for this
+/// algorithm. Each hop's message is split per `seg`.
 ///
 /// # Errors
 ///
@@ -207,19 +155,6 @@ fn double_tree_roots(world: usize) -> (usize, usize) {
 ///
 /// After this phase, the first half is fully reduced on rank 0 and the
 /// second half on rank `world−1`; other ranks hold partial sums.
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn double_tree_reduce_phase<T: Transport>(
-    t: &T,
-    data: &mut [f32],
-    op: ReduceOp,
-) -> Result<(), CollectiveError> {
-    double_tree_reduce_phase_seg(t, data, op, SegmentConfig::MONOLITHIC)
-}
-
-/// [`double_tree_reduce_phase`] with each hop's message split per `seg`.
 ///
 /// # Errors
 ///
@@ -252,18 +187,6 @@ pub fn double_tree_reduce_phase_seg<T: Transport>(
 /// # Errors
 ///
 /// Propagates transport errors.
-pub fn double_tree_broadcast_phase<T: Transport>(
-    t: &T,
-    data: &mut [f32],
-) -> Result<(), CollectiveError> {
-    double_tree_broadcast_phase_seg(t, data, SegmentConfig::MONOLITHIC)
-}
-
-/// [`double_tree_broadcast_phase`] with each hop's message split per `seg`.
-///
-/// # Errors
-///
-/// Propagates transport errors.
 pub fn double_tree_broadcast_phase_seg<T: Transport>(
     t: &T,
     data: &mut [f32],
@@ -286,6 +209,8 @@ mod tests {
     use super::*;
     use crate::testutil::run_world;
 
+    const MONO: SegmentConfig = SegmentConfig::MONOLITHIC;
+
     fn rank_data(rank: usize, d: usize) -> Vec<f32> {
         (0..d).map(|i| (rank * d + i) as f32).collect()
     }
@@ -304,7 +229,7 @@ mod tests {
                 let expect = expected_sum(world, d);
                 let results = run_world(world, |ep| {
                     let mut data = rank_data(ep.rank(), d);
-                    tree_reduce(&ep, &mut data, root, ReduceOp::Sum).unwrap();
+                    tree_reduce_seg(&ep, &mut data, root, ReduceOp::Sum, MONO).unwrap();
                     (ep.rank(), data)
                 });
                 for (rank, data) in results {
@@ -327,7 +252,7 @@ mod tests {
                     } else {
                         vec![0.0; d]
                     };
-                    tree_broadcast(&ep, &mut data, root).unwrap();
+                    tree_broadcast_seg(&ep, &mut data, root, MONO).unwrap();
                     data
                 });
                 for data in results {
@@ -344,7 +269,7 @@ mod tests {
             let expect = expected_sum(world, d);
             let results = run_world(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
-                naive_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
+                naive_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, MONO).unwrap();
                 data
             });
             for data in results {
@@ -360,7 +285,7 @@ mod tests {
                 let expect = expected_sum(world, d);
                 let results = run_world(world, |ep| {
                     let mut data = rank_data(ep.rank(), d);
-                    double_tree_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
+                    double_tree_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, MONO).unwrap();
                     data
                 });
                 for data in results {
@@ -377,8 +302,8 @@ mod tests {
         let expect = expected_sum(world, d);
         let results = run_world(world, |ep| {
             let mut data = rank_data(ep.rank(), d);
-            double_tree_reduce_phase(&ep, &mut data, ReduceOp::Sum).unwrap();
-            double_tree_broadcast_phase(&ep, &mut data).unwrap();
+            double_tree_reduce_phase_seg(&ep, &mut data, ReduceOp::Sum, MONO).unwrap();
+            double_tree_broadcast_phase_seg(&ep, &mut data, MONO).unwrap();
             data
         });
         for data in results {
@@ -390,7 +315,7 @@ mod tests {
     fn invalid_root_is_rejected() {
         let results = run_world(2, |ep| {
             let mut data = vec![0.0];
-            tree_reduce(&ep, &mut data, 9, ReduceOp::Sum).unwrap_err()
+            tree_reduce_seg(&ep, &mut data, 9, ReduceOp::Sum, MONO).unwrap_err()
         });
         for err in results {
             assert!(matches!(err, CollectiveError::InvalidRank { rank: 9, .. }));

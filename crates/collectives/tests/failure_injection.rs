@@ -5,14 +5,15 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dear_collectives::{
-    double_tree_all_reduce, double_tree_all_reduce_seg, hierarchical_all_gather_phase,
-    hierarchical_all_reduce, hierarchical_all_reduce_seg, hierarchical_reduce_scatter_phase,
-    naive_all_reduce, naive_all_reduce_seg, rhd_all_reduce, rhd_all_reduce_seg, ring_all_gather,
-    ring_all_gather_seg, ring_all_reduce, ring_all_reduce_seg, ring_reduce_scatter,
-    ring_reduce_scatter_seg, tree_broadcast, tree_broadcast_seg, tree_reduce, tree_reduce_seg,
-    ClusterShape, CollectiveError, LocalEndpoint, LocalFabric, Message, ReduceOp, SegmentConfig,
-    Transport,
+    double_tree_all_reduce_seg, hierarchical_all_gather_phase_seg, hierarchical_all_reduce,
+    hierarchical_all_reduce_seg, hierarchical_reduce_scatter_phase_seg, naive_all_reduce_seg,
+    rhd_all_reduce_seg, ring_all_gather, ring_all_gather_seg, ring_all_reduce, ring_all_reduce_seg,
+    ring_reduce_scatter, ring_reduce_scatter_seg, tree_broadcast_seg, tree_reduce_seg,
+    ClusterShape, CollectiveError, LocalEndpoint, LocalFabric, Message, Placement, ReduceOp,
+    SegmentConfig, Transport,
 };
+
+const MONO: SegmentConfig = SegmentConfig::MONOLITHIC;
 
 /// Small enough that every 16-element test buffer splits into several wire
 /// segments, exercising the mid-collective segment loops.
@@ -105,35 +106,41 @@ fn tree_collectives_surface_send_failure() {
     // In a tree, leaves send first and the root only receives; with a zero
     // send budget every non-root rank errors on its own send, and the root
     // errors on recv (its children died). Either way: an error, no panic.
-    let results = run_failing(4, 0, |t| {
-        let mut data = vec![1.0f32; 4];
-        let reduce_err = tree_reduce(&t, &mut data, 0, ReduceOp::Sum).is_err();
-        // Broadcast from a root that cannot send.
-        let bcast_err = tree_broadcast(&t, &mut data, t.rank()).is_err();
-        (t.rank(), reduce_err, bcast_err)
-    });
-    // Rank 0 (root) may legitimately succeed at reduce only if all its
-    // children's messages arrived — impossible here, so everyone errs.
-    for (_, reduce_err, bcast_err) in results {
-        assert!(reduce_err);
-        assert!(bcast_err);
+    for seg in [MONO, SEG] {
+        let results = run_failing(4, 0, |t| {
+            let mut data = vec![1.0f32; 16];
+            let reduce_err = tree_reduce_seg(&t, &mut data, 0, ReduceOp::Sum, seg).is_err();
+            // Broadcast from a root that cannot send.
+            let bcast_err = tree_broadcast_seg(&t, &mut data, t.rank(), seg).is_err();
+            (reduce_err, bcast_err)
+        });
+        // Rank 0 (root) may legitimately succeed at reduce only if all its
+        // children's messages arrived — impossible here, so everyone errs.
+        for (reduce_err, bcast_err) in results {
+            assert!(reduce_err && bcast_err, "seg {seg:?}");
+        }
     }
 }
 
 #[test]
 fn remaining_all_reduce_variants_surface_send_failure() {
-    let errs = run_failing(4, 0, |t| {
-        let mut a = vec![1.0f32; 8];
-        let mut b = vec![1.0f32; 8];
-        let mut c = vec![1.0f32; 8];
-        (
-            rhd_all_reduce(&t, &mut a, ReduceOp::Sum).is_err(),
-            double_tree_all_reduce(&t, &mut b, ReduceOp::Sum).is_err(),
-            naive_all_reduce(&t, &mut c, ReduceOp::Sum).is_err(),
-        )
-    });
-    for (rhd, dt, naive) in errs {
-        assert!(rhd && dt && naive);
+    let placement = Placement::from_shape(ClusterShape::new(2, 2));
+    for seg in [MONO, SEG] {
+        let errs = run_failing(4, 0, |t| {
+            let mut a = vec![1.0f32; 16];
+            let mut b = vec![1.0f32; 16];
+            let mut c = vec![1.0f32; 16];
+            let mut d = vec![1.0f32; 16];
+            (
+                rhd_all_reduce_seg(&t, &mut a, ReduceOp::Sum, seg).is_err(),
+                double_tree_all_reduce_seg(&t, &mut b, ReduceOp::Sum, seg).is_err(),
+                naive_all_reduce_seg(&t, &mut c, ReduceOp::Sum, seg).is_err(),
+                hierarchical_all_reduce_seg(&t, &placement, &mut d, ReduceOp::Sum, seg).is_err(),
+            )
+        });
+        for (rhd, dt, naive, hier) in errs {
+            assert!(rhd && dt && naive && hier, "seg {seg:?}");
+        }
     }
 }
 
@@ -180,40 +187,6 @@ fn segmented_ring_collectives_surface_send_failure() {
 }
 
 #[test]
-fn segmented_tree_collectives_surface_send_failure() {
-    let results = run_failing(4, 0, |t| {
-        let mut data = vec![1.0f32; 16];
-        let reduce_err = tree_reduce_seg(&t, &mut data, 0, ReduceOp::Sum, SEG).is_err();
-        let bcast_err = tree_broadcast_seg(&t, &mut data, t.rank(), SEG).is_err();
-        (reduce_err, bcast_err)
-    });
-    for (reduce_err, bcast_err) in results {
-        assert!(reduce_err);
-        assert!(bcast_err);
-    }
-}
-
-#[test]
-fn segmented_all_reduce_variants_surface_send_failure() {
-    let errs = run_failing(4, 0, |t| {
-        let mut a = vec![1.0f32; 16];
-        let mut b = vec![1.0f32; 16];
-        let mut c = vec![1.0f32; 16];
-        let mut d = vec![1.0f32; 16];
-        (
-            rhd_all_reduce_seg(&t, &mut a, ReduceOp::Sum, SEG).is_err(),
-            double_tree_all_reduce_seg(&t, &mut b, ReduceOp::Sum, SEG).is_err(),
-            naive_all_reduce_seg(&t, &mut c, ReduceOp::Sum, SEG).is_err(),
-            hierarchical_all_reduce_seg(&t, ClusterShape::new(2, 2), &mut d, ReduceOp::Sum, SEG)
-                .is_err(),
-        )
-    });
-    for (rhd, dt, naive, hier) in errs {
-        assert!(rhd && dt && naive && hier);
-    }
-}
-
-#[test]
 fn segmented_partial_budget_failures_error_on_every_rank_without_hanging() {
     // A few sends succeed, so the failure lands mid-collective — between
     // segments of one chunk, the hardest spot to unwind from.
@@ -235,18 +208,12 @@ fn hierarchical_partial_budget_failures_error_on_every_rank_without_hanging() {
     // send, 1–2 = mid intra ring, 3 = inter-node phase (the full monolithic
     // 2×2 collective completes in 4 sends per rank, so 3 is the last
     // failing budget there).
+    let placement = Placement::from_shape(ClusterShape::new(2, 2));
     for budget in [0usize, 1, 2, 3] {
-        for seg in [SegmentConfig::MONOLITHIC, SEG] {
+        for seg in [MONO, SEG] {
             let errs = run_failing(4, budget, |t| {
                 let mut data = vec![1.0f32; 16];
-                hierarchical_all_reduce_seg(
-                    &t,
-                    ClusterShape::new(2, 2),
-                    &mut data,
-                    ReduceOp::Sum,
-                    seg,
-                )
-                .is_err()
+                hierarchical_all_reduce_seg(&t, &placement, &mut data, ReduceOp::Sum, seg).is_err()
             });
             assert!(
                 errs.into_iter().all(|e| e),
@@ -261,9 +228,10 @@ fn hierarchical_phase_pair_surfaces_send_failure_in_either_phase() {
     // The decoupled OP1/OP2 pair (what DeAR actually overlaps): whichever
     // phase hits the exhausted budget must error; a shard obtained from a
     // successful OP1 must still surface OP2's failure.
+    let placement = Placement::from_shape(ClusterShape::new(2, 2));
     let errs = run_failing(4, 0, |t| {
         let mut data = vec![1.0f32; 8];
-        hierarchical_reduce_scatter_phase(&t, ClusterShape::new(2, 2), &mut data, ReduceOp::Sum)
+        hierarchical_reduce_scatter_phase_seg(&t, &placement, &mut data, ReduceOp::Sum, MONO)
             .unwrap_err()
     });
     for e in errs {
@@ -273,9 +241,11 @@ fn hierarchical_phase_pair_surfaces_send_failure_in_either_phase() {
     // world 2×2 with monolithic segments) but not OP2.
     let results = run_failing(4, 2, |t| {
         let mut data = vec![1.0f32; 8];
-        let shape = ClusterShape::new(2, 2);
-        match hierarchical_reduce_scatter_phase(&t, shape, &mut data, ReduceOp::Sum) {
-            Ok(shard) => hierarchical_all_gather_phase(&t, shape, &mut data, shard).is_err(),
+        match hierarchical_reduce_scatter_phase_seg(&t, &placement, &mut data, ReduceOp::Sum, MONO)
+        {
+            Ok(shard) => {
+                hierarchical_all_gather_phase_seg(&t, &placement, &mut data, shard, MONO).is_err()
+            }
             Err(_) => true, // budget exhausted already in OP1 on this rank
         }
     });

@@ -819,7 +819,7 @@ mod tests {
             let resume = optim.agree_min_step(6).expect("step agreement failed");
             assert_eq!(resume, 6);
             net.set_flat_params(&snap_params);
-            optim.import_optim_state(snap_optim);
+            optim.import_optim_state(snap_optim).unwrap();
             optim
                 .rebalance_optim_state()
                 .expect("shard rebalance failed");
@@ -859,15 +859,65 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_of_another_model_is_refused_and_training_goes_on() {
+        // A well-formed optimizer state of the wrong length must never
+        // reach the comm thread (which could only die of it, and take the
+        // worker down at its next job): it is refused with a typed error,
+        // nothing is imported, and the same `DistOptim` trains on exactly
+        // as if it had never been asked.
+        use crate::comm::OptimState;
+        use dear_collectives::CollectiveError;
+        let data = BlobDataset::new(6, 3, 0.4, 11);
+        let run = |foreign_checkpoints: bool| {
+            let config = TrainConfig {
+                momentum: 0.9,
+                fusion_buffer: Some(512),
+                ..TrainConfig::default()
+            };
+            run_training(2, config, |handle| {
+                let rank = handle.rank();
+                let mut net = build_net(7);
+                let mut optim = handle.into_optim(&net);
+                let n = net.param_count();
+                let (x, labels) = data.shard(0, 16, rank, 2);
+                optim.train_step(&mut net, &x, &labels).unwrap();
+                optim.synchronize(&mut net).unwrap();
+                if foreign_checkpoints {
+                    for (velocity, second, actual) in [(n + 3, 0, n + 3), (n, 1, 1), (0, 0, 0)] {
+                        let state = OptimState {
+                            velocity: vec![0.5; velocity],
+                            second_moment: vec![0.5; second],
+                            adam_step: 7,
+                        };
+                        let expected = n;
+                        assert_eq!(
+                            optim.import_optim_state(state),
+                            Err(CollectiveError::SizeMismatch { expected, actual })
+                        );
+                    }
+                }
+                for step in 1..4 {
+                    let (x, labels) = data.shard(step, 16, rank, 2);
+                    optim.train_step(&mut net, &x, &labels).unwrap();
+                }
+                optim.synchronize(&mut net).unwrap();
+                (net.flat_params(), optim.export_optim_state())
+            })
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
     fn zero_strategies_match_ddp_bitwise_and_shrink_optimizer_state() {
-        // The tentpole acceptance check, in-process: Zero1/Zero2 must be
-        // bit-identical to DDP on the f32 wire — same per-step losses, same
-        // final parameters, same exported optimizer state (which also pins
-        // the ZeRO partition to the checkpoint shard partition) — while the
-        // resident optimizer-state bytes drop by ~world_size.
+        // In-process acceptance check of the strategy API: Ddp, Zero1 and
+        // Zero2 must be bit-identical on the f32 wire — same per-step
+        // losses, same final parameters, same exported optimizer state
+        // (which also pins the partition to the checkpoint shard
+        // partition) — and under DeAR all three keep only the owned shard
+        // of the optimizer state resident: the shards partition the model.
         let world = 4;
         let data = BlobDataset::new(6, 3, 0.4, 321);
-        for optim_kind in [OptimKind::Sgd, OptimKind::adam_default()] {
+        for (optim_kind, vectors) in [(OptimKind::Sgd, 1), (OptimKind::adam_default(), 2)] {
             let run = |strategy: ParallelismStrategy| {
                 let config = TrainConfig {
                     lr: 0.05,
@@ -893,34 +943,48 @@ mod tests {
                         net.flat_params(),
                         optim.optim_state_bytes(),
                         optim.export_optim_state(),
+                        optim.num_groups(),
                     )
                 })
             };
             let ddp = run(ParallelismStrategy::Ddp);
-            for strategy in [ParallelismStrategy::Zero1, ParallelismStrategy::Zero2] {
-                let zero = run(strategy);
+            for strategy in [
+                ParallelismStrategy::Ddp,
+                ParallelismStrategy::Zero1,
+                ParallelismStrategy::Zero2,
+            ] {
+                let out = run(strategy);
+                let (model, groups) = (out[0].1.len(), out[0].4);
+                // A rank owns one chunk of every group: ⌈model/world⌉
+                // elements per state vector, plus at most one element of
+                // rounding per group.
+                let cap = (model.div_ceil(world) + groups) * vectors * 4;
                 for rank in 0..world {
                     assert_eq!(
-                        ddp[rank].0, zero[rank].0,
+                        ddp[rank].0, out[rank].0,
                         "{strategy:?} losses diverged from DDP ({optim_kind:?})"
                     );
                     assert_eq!(
-                        ddp[rank].1, zero[rank].1,
+                        ddp[rank].1, out[rank].1,
                         "{strategy:?} parameters diverged from DDP ({optim_kind:?})"
                     );
                     assert_eq!(
-                        ddp[rank].3, zero[rank].3,
+                        ddp[rank].3, out[rank].3,
                         "{strategy:?} exported optimizer state diverged ({optim_kind:?})"
                     );
-                    // ~world_size memory drop, with slack for chunk rounding.
                     assert!(
-                        (zero[rank].2 as f64) * (world as f64) <= (ddp[rank].2 as f64) * 1.25,
-                        "{strategy:?} rank {rank}: resident {} bytes vs DDP {} — \
-                         expected a ~{world}x reduction",
-                        zero[rank].2,
-                        ddp[rank].2
+                        out[rank].2 <= cap,
+                        "{strategy:?} rank {rank}: resident {} bytes, a 1/{world} shard of \
+                         {vectors} vector(s) is at most {cap}",
+                        out[rank].2
                     );
                 }
+                let resident: usize = out.iter().map(|r| r.2).sum();
+                assert_eq!(
+                    resident,
+                    vectors * model * 4,
+                    "{strategy:?} ({optim_kind:?}): the shards must partition the model"
+                );
             }
         }
     }
@@ -1025,7 +1089,7 @@ mod tests {
             assert_eq!(change.new_world, 3);
             let resume = optim.agree_min_step(6).expect("step agreement failed");
             net.set_flat_params(&snap_params);
-            optim.import_optim_state(snap_optim);
+            optim.import_optim_state(snap_optim).unwrap();
             optim
                 .rebalance_optim_state()
                 .expect("shard rebalance failed");

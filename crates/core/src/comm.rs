@@ -178,27 +178,14 @@ impl ShardMap {
         }
         dense
     }
-
-    /// Zeroes every element of `full` outside the owned ranges (the DDP
-    /// full-length resident form after a repartition).
-    pub fn mask_full(&self, full: &mut [f32]) {
-        let mut keep = 0usize;
-        for &(s, e, _) in &self.ranges {
-            full[keep..s].iter_mut().for_each(|v| *v = 0.0);
-            keep = e;
-        }
-        full[keep..].iter_mut().for_each(|v| *v = 0.0);
-    }
 }
 
-/// The comm thread's resident optimizer storage: full-length with zeros
-/// outside the shard (DDP — today's layout, bit-for-bit), or packed dense
-/// over the owned ranges (ZeRO-1/2). The update math is identical either
-/// way; only the indexing differs, so every strategy produces bit-identical
-/// parameters on an f32 wire.
+/// The comm thread's resident optimizer storage: packed dense over the
+/// ranges this rank owns, for every strategy — `OP1.UPD` never touches an
+/// element outside them, so `Ddp` under DeAR is `Zero1`'s layout. The
+/// exchange format (checkpoints, re-partitioning) stays full-length.
 struct OptimStore {
-    /// `Some` when the strategy shards optimizer state.
-    map: Option<ShardMap>,
+    map: ShardMap,
     total: usize,
     /// Allocated by the first update — a comm thread that never updates
     /// (WFBP: the training thread's optimizer does) holds no state.
@@ -208,40 +195,18 @@ struct OptimStore {
 }
 
 impl OptimStore {
-    fn new(
-        strategy: ParallelismStrategy,
-        layout: &CommLayout,
-        rank: usize,
-        world: usize,
-        total: usize,
-    ) -> OptimStore {
-        let map = strategy
-            .shards_optimizer_state()
-            .then(|| ShardMap::build(layout, rank, world));
+    fn new(layout: &CommLayout, rank: usize, world: usize, total: usize) -> OptimStore {
         OptimStore {
-            map,
+            map: ShardMap::build(layout, rank, world),
             total,
             velocity: Vec::new(),
             second_moment: Vec::new(),
         }
     }
 
-    /// Resident length of each state vector under the current partition.
-    fn resident_len(&self) -> usize {
-        self.map.as_ref().map_or(self.total, ShardMap::dense_len)
-    }
-
     /// Resident optimizer-state bytes on this rank right now.
     fn resident_bytes(&self) -> usize {
         (self.velocity.len() + self.second_moment.len()) * std::mem::size_of::<f32>()
-    }
-
-    /// Index into the state vectors for global flat offset `gidx`.
-    fn base_index(&self, gidx: usize) -> usize {
-        match &self.map {
-            Some(m) => m.dense_of(gidx),
-            None => gidx,
-        }
     }
 
     /// Full-length (exchange-format) copy of the velocity vector; zeros if
@@ -250,10 +215,7 @@ impl OptimStore {
         if self.velocity.is_empty() {
             return vec![0.0; self.total];
         }
-        match &self.map {
-            Some(m) => m.expand(&self.velocity, self.total),
-            None => self.velocity.clone(),
-        }
+        self.map.expand(&self.velocity, self.total)
     }
 
     /// Full-length copy of the second moment; empty if Adam never stepped.
@@ -261,59 +223,17 @@ impl OptimStore {
         if self.second_moment.is_empty() {
             return Vec::new();
         }
-        match &self.map {
-            Some(m) => m.expand(&self.second_moment, self.total),
-            None => self.second_moment.clone(),
-        }
+        self.map.expand(&self.second_moment, self.total)
     }
 
-    /// Installs full-length (exchange-format) state, packing if sharded.
-    fn import(&mut self, velocity: Vec<f32>, second_moment: Vec<f32>) {
-        match &self.map {
-            Some(m) => {
-                self.velocity = m.pack(&velocity);
-                self.second_moment = if second_moment.is_empty() {
-                    Vec::new()
-                } else {
-                    m.pack(&second_moment)
-                };
-            }
-            None => {
-                self.velocity = velocity;
-                self.second_moment = second_moment;
-            }
-        }
-    }
-
-    /// Adopts a new partition (re-bucketing or post-resize rebalance) from
-    /// fully-reconstructed state: pack to the new shard when sharding,
-    /// otherwise keep full length with non-owned elements zeroed — exactly
-    /// the pre-strategy DDP behaviour.
-    fn adopt(
-        &mut self,
-        layout: &CommLayout,
-        rank: usize,
-        world: usize,
-        mut full_velocity: Vec<f32>,
-        mut full_second_moment: Vec<f32>,
-    ) {
-        let map = ShardMap::build(layout, rank, world);
-        if self.map.is_some() {
-            self.velocity = map.pack(&full_velocity);
-            self.second_moment = if full_second_moment.is_empty() {
-                Vec::new()
-            } else {
-                map.pack(&full_second_moment)
-            };
-            self.map = Some(map);
+    /// Installs full-length (exchange-format) state, packed to the shard.
+    fn import(&mut self, velocity: &[f32], second_moment: &[f32]) {
+        self.velocity = self.map.pack(velocity);
+        self.second_moment = if second_moment.is_empty() {
+            Vec::new()
         } else {
-            map.mask_full(&mut full_velocity);
-            if !full_second_moment.is_empty() {
-                map.mask_full(&mut full_second_moment);
-            }
-            self.velocity = full_velocity;
-            self.second_moment = full_second_moment;
-        }
+            self.map.pack(second_moment)
+        };
     }
 }
 
@@ -374,8 +294,9 @@ fn update_owned_shard(
     adam_step: u64,
 ) {
     let (lr, wd) = (hyper.lr, hyper.weight_decay);
-    if store.velocity.len() != store.resident_len() {
-        store.velocity = vec![0.0; store.resident_len()];
+    let resident = store.map.dense_len();
+    if store.velocity.len() != resident {
+        store.velocity = vec![0.0; resident];
     }
     // `(lo, hi, global offset of lo)` of every non-empty item ∩ owned run.
     let runs = meta.items.iter().filter_map(|&(off, len, goff)| {
@@ -387,7 +308,7 @@ fn update_owned_shard(
         OptimKind::Sgd => {
             let momentum = hyper.momentum;
             for (lo, hi, gidx) in runs {
-                let vbase = store.base_index(gidx);
+                let vbase = store.map.dense_of(gidx);
                 let velocity = &mut store.velocity[vbase..vbase + (hi - lo)];
                 let grads = &gbuf[lo - gshift..hi - gshift];
                 for ((p, &gsum), v) in params[lo..hi].iter_mut().zip(grads).zip(velocity) {
@@ -398,8 +319,8 @@ fn update_owned_shard(
             }
         }
         OptimKind::Adam { beta1, beta2, eps } => {
-            if store.second_moment.len() != store.resident_len() {
-                store.second_moment = vec![0.0; store.resident_len()];
+            if store.second_moment.len() != resident {
+                store.second_moment = vec![0.0; resident];
             }
             // Bias correction in f64: 1 − βᵗ underflows f32 precision once
             // βᵗ ≈ 1 − 1e-7 (β₂ = 0.999 reaches that within ~7 steps of t
@@ -407,7 +328,7 @@ fn update_owned_shard(
             let bias1 = (1.0 - f64::from(beta1).powi(adam_step as i32)) as f32;
             let bias2 = (1.0 - f64::from(beta2).powi(adam_step as i32)) as f32;
             for (lo, hi, gidx) in runs {
-                let vbase = store.base_index(gidx);
+                let vbase = store.map.dense_of(gidx);
                 let first = &mut store.velocity[vbase..vbase + (hi - lo)];
                 let second = &mut store.second_moment[vbase..vbase + (hi - lo)];
                 let grads = &gbuf[lo - gshift..hi - gshift];
@@ -595,7 +516,7 @@ pub enum CommResult {
     /// The agreed (minimum) step across the world.
     Step(u64),
     /// Resident optimizer-state bytes on this rank (velocity plus second
-    /// moment, at their current — full or shard-dense — lengths).
+    /// moment, dense over the owned shard).
     OptimBytes(usize),
     /// A collective failed. The job that posted it was abandoned, and so
     /// was everything of the iteration held comm-side — ring ops begun
@@ -672,7 +593,6 @@ struct CommThread<'a, T> {
     transport: T,
     layout: CommLayout,
     hyper: HyperParams,
-    total_elements: usize,
     /// Segmenting and wire dtype of the gradient/parameter data path.
     segments: SegmentConfig,
     /// The control path must stay bit-exact regardless of the run's wire
@@ -686,9 +606,7 @@ struct CommThread<'a, T> {
     results: &'a Sender<CommResult>,
     world: usize,
     rank: usize,
-    /// Optimizer state keyed by global flat offset: survives re-bucketing.
-    /// DDP keeps full-length vectors (zeros outside the shard); ZeRO packs
-    /// the owned ranges.
+    /// Optimizer state of the owned shard; re-packed on re-bucketing.
     store: OptimStore,
     adam_step: u64,
     /// Groups reduce-scattered this iteration, in arrival (backward) order.
@@ -1038,11 +956,10 @@ impl<T: Transport> CommThread<'_, T> {
                         self.control,
                     )?;
                 }
-                // Re-partition under the new layout (and the possibly-new
-                // world after an in-place resize): DDP re-masks the full
-                // vectors, ZeRO re-packs them to the new owned ranges.
-                self.store
-                    .adopt(&layout, self.rank, self.world, full_velocity, full_second);
+                // Re-pack to the owned ranges of the new layout (and the
+                // possibly-new world after an in-place resize).
+                self.store.map = ShardMap::build(&layout, self.rank, self.world);
+                self.store.import(&full_velocity, &full_second);
                 self.layout = layout;
                 self.open_window();
             }
@@ -1066,18 +983,9 @@ impl<T: Transport> CommThread<'_, T> {
                 }
             }
             CommJob::ImportOptimState(state) => {
+                // `DistOptim::import_optim_state` has checked the lengths.
                 if self.at_boundary("an optimizer-state import") {
-                    assert_eq!(
-                        state.velocity.len(),
-                        self.total_elements,
-                        "imported velocity length must match the model"
-                    );
-                    assert!(
-                        state.second_moment.is_empty()
-                            || state.second_moment.len() == self.total_elements,
-                        "imported second moment must be empty or match the model"
-                    );
-                    self.store.import(state.velocity, state.second_moment);
+                    self.store.import(&state.velocity, &state.second_moment);
                     self.adam_step = state.adam_step;
                 }
             }
@@ -1172,12 +1080,11 @@ pub fn run_comm_thread<T: Transport>(
     let world = transport.world_size();
     let rank = transport.rank();
     CommThread {
-        store: OptimStore::new(strategy, &layout, rank, world, total_elements),
+        store: OptimStore::new(&layout, rank, world, total_elements),
         window: 0,
         transport,
         layout,
         hyper,
-        total_elements,
         segments,
         control: segments.with_wire(DType::F32),
         strategy,
@@ -1226,7 +1133,7 @@ mod tests {
             if lo >= hi {
                 continue;
             }
-            let vbase = store.base_index(goff + (lo - off));
+            let vbase = store.map.dense_of(goff + (lo - off));
             for k in lo..hi {
                 let vi = vbase + (k - lo);
                 let g = gbuf[k - gshift] * inv_p + hyper.weight_decay * params[k];
@@ -1253,10 +1160,10 @@ mod tests {
     #[test]
     fn slice_updates_match_the_indexed_loops_bitwise() {
         // One group of ragged items whose global offsets are scattered, so
-        // every rank's owned chunk cuts items mid-way; full-length state
-        // (Ddp), packed state (Zero1) and packed state with a compact
-        // gradient shard, i.e. `gshift` ≠ 0 (Zero2); SGD with momentum and
-        // weight decay, and Adam over several steps.
+        // every rank's owned chunk cuts items mid-way; a full-length
+        // gradient buffer (Ddp, Zero1) and a compact gradient shard, i.e.
+        // `gshift` ≠ 0 (Zero2); SGD with momentum and weight decay, and
+        // Adam over several steps.
         let lens = [7usize, 1, 13, 5, 67, 3];
         let goffs = [40usize, 0, 61, 8, 100, 1];
         let total = 170;
@@ -1295,16 +1202,16 @@ mod tests {
                         } else {
                             (0, elements)
                         };
-                        let mut fast = OptimStore::new(strategy, &layout, rank, world, total);
-                        let mut slow = OptimStore::new(strategy, &layout, rank, world, total);
-                        fast.velocity = random(fast.resident_len());
+                        let mut fast = OptimStore::new(&layout, rank, world, total);
+                        let mut slow = OptimStore::new(&layout, rank, world, total);
+                        fast.velocity = random(fast.map.dense_len());
                         slow.velocity = fast.velocity.clone();
                         let mut fast_params = random(elements);
                         let mut slow_params = fast_params.clone();
                         for adam_step in 1..=3 {
                             let gbuf = random(glen);
                             if matches!(kind, OptimKind::Adam { .. }) && adam_step == 1 {
-                                slow.second_moment = vec![0.0; slow.resident_len()];
+                                slow.second_moment = vec![0.0; slow.map.dense_len()];
                             }
                             let inv_p = 1.0 / world as f32;
                             update_owned_shard(

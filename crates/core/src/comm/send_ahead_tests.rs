@@ -8,8 +8,7 @@ use std::time::Duration;
 
 use crossbeam_channel::unbounded;
 use dear_collectives::{
-    ring_all_gather_seg, ring_reduce_scatter_seg, ring_reduce_scatter_shard_seg, LocalEndpoint,
-    LocalFabric, Message,
+    ring_all_gather_seg, ring_reduce_scatter_seg, LocalEndpoint, LocalFabric, Message,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -97,7 +96,7 @@ fn run_one_at_a_time<T: Transport>(
     results: &Sender<CommResult>,
 ) {
     let (rank, world) = (transport.rank(), transport.world_size());
-    let mut store = OptimStore::new(strategy, &layout, rank, world, total_elements);
+    let mut store = OptimStore::new(&layout, rank, world, total_elements);
     let mut adam_step = 0;
     let mut stash: Vec<(usize, StashEntry)> = Vec::new();
     while let Ok(job) = jobs.recv() {
@@ -111,17 +110,13 @@ fn run_one_at_a_time<T: Transport>(
                 if stash.is_empty() {
                     adam_step += 1;
                 }
-                let (owned, gbuf, gshift) = if strategy.shards_grad_stash() {
-                    let (owned, shard) =
-                        ring_reduce_scatter_shard_seg(&transport, grads, ReduceOp::Sum, segments)
-                            .unwrap();
-                    let shift = owned.start;
-                    (owned, shard, shift)
+                let owned =
+                    ring_reduce_scatter_seg(&transport, &mut grads, ReduceOp::Sum, segments)
+                        .unwrap();
+                let (gbuf, gshift) = if strategy.shards_grad_stash() {
+                    (compact_owned_shard(grads, &owned), owned.start)
                 } else {
-                    let owned =
-                        ring_reduce_scatter_seg(&transport, &mut grads, ReduceOp::Sum, segments)
-                            .unwrap();
-                    (owned, grads, 0)
+                    (grads, 0)
                 };
                 update_owned_shard(
                     meta,

@@ -184,8 +184,7 @@ impl DistOptim {
     /// instead of a panic. On `Err` the step — and possibly the previous
     /// step's parameter update — is invalid: roll back to a known-good
     /// snapshot, [`DistOptim::resize_world`], agree on the resume step, and
-    /// retry. Callers that cannot recover use
-    /// [`DistOptim::train_step_or_panic`].
+    /// retry.
     ///
     /// # Errors
     ///
@@ -209,25 +208,6 @@ impl DistOptim {
         match self.comm_failed.clone() {
             Some(e) => Err(e),
             None => Ok(loss),
-        }
-    }
-
-    /// Thin panicking wrapper over [`DistOptim::train_step`] for callers
-    /// with no recovery path (single-shot examples, reference runs): any
-    /// collective failure aborts the process with the error message.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any collective failure, or as [`DistOptim::train_step`].
-    pub fn train_step_or_panic(
-        &mut self,
-        net: &mut Sequential,
-        input: &Tensor,
-        labels: &[usize],
-    ) -> f32 {
-        match self.train_step(net, input, labels) {
-            Ok(loss) => loss,
-            Err(e) => panic!("collective failed during training step: {e}"),
         }
     }
 
@@ -373,9 +353,6 @@ impl DistOptim {
     /// Forces all outstanding communication to complete, which brings every
     /// group's buffers back into the store — the paper's
     /// `optim.synchronize()` before validation (Listing 1, line 12).
-    /// Canonical `Result`-returning form; see
-    /// [`DistOptim::synchronize_or_panic`] for the unrecoverable-caller
-    /// wrapper.
     ///
     /// On `Err` the groups that never arrived are absent from the store
     /// (reading them panics); roll back to a snapshot with
@@ -408,18 +385,6 @@ impl DistOptim {
         }
     }
 
-    /// Thin panicking wrapper over [`DistOptim::synchronize`] for callers
-    /// with no recovery path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any collective failure, or as [`DistOptim::synchronize`].
-    pub fn synchronize_or_panic(&mut self, net: &mut Sequential) {
-        if let Err(e) = self.synchronize(net) {
-            panic!("collective failed during synchronize: {e}");
-        }
-    }
-
     /// Broadcasts `value` from `root` to all ranks (used to agree on a new
     /// BO-suggested buffer size). Must be called at an iteration boundary
     /// after [`DistOptim::synchronize`], collectively by all ranks.
@@ -440,8 +405,7 @@ impl DistOptim {
     }
 
     /// Synchronizes all ranks. Must be called collectively at an iteration
-    /// boundary. Canonical `Result`-returning form; see
-    /// [`DistOptim::barrier_or_panic`] for the unrecoverable-caller wrapper.
+    /// boundary.
     ///
     /// # Errors
     ///
@@ -466,23 +430,11 @@ impl DistOptim {
         }
     }
 
-    /// Thin panicking wrapper over [`DistOptim::barrier`] for callers with
-    /// no recovery path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any collective failure, or as [`DistOptim::barrier`].
-    pub fn barrier_or_panic(&mut self) {
-        if let Err(e) = self.barrier() {
-            panic!("barrier failed: {e}");
-        }
-    }
-
     /// The resident optimizer-state bytes on this rank right now (velocity
-    /// plus Adam second moment, at their current full or shard-dense
-    /// lengths). Purely local — no communication. This is what the ZeRO
-    /// memory assertions read: under `Zero1`/`Zero2` it is ~`1/world` of
-    /// the DDP figure.
+    /// plus Adam second moment, dense over the owned shard: ~`1/world` of
+    /// the model per vector under every strategy; zero in WFBP mode, whose
+    /// comm thread never updates). Purely local — no communication. This
+    /// is what the ZeRO memory assertions read.
     ///
     /// # Panics
     ///
@@ -561,18 +513,35 @@ impl DistOptim {
     /// resume). Must be called at an iteration boundary before the next
     /// [`DistOptim::train_step`]. Purely local — no communication.
     ///
+    /// # Errors
+    ///
+    /// Returns [`CollectiveError::SizeMismatch`] if a vector of `state` is
+    /// not as long as the model (the second moment may also be empty): a
+    /// checkpoint of another model. Nothing was imported; the optimizer
+    /// goes on as it was.
+    ///
     /// # Panics
     ///
     /// Panics if called with communication outstanding, or if the comm
-    /// thread has died (a length mismatch panics the comm thread).
-    pub fn import_optim_state(&mut self, state: OptimState) {
+    /// thread has died.
+    pub fn import_optim_state(&mut self, state: OptimState) -> Result<(), CollectiveError> {
         assert_eq!(
             self.pending, 0,
             "optimizer-state import requires a synchronized state"
         );
+        let expected = self.layout.total_elements();
+        if state.velocity.len() != expected {
+            let actual = state.velocity.len();
+            return Err(CollectiveError::SizeMismatch { expected, actual });
+        }
+        if !state.second_moment.is_empty() && state.second_moment.len() != expected {
+            let actual = state.second_moment.len();
+            return Err(CollectiveError::SizeMismatch { expected, actual });
+        }
         self.jobs
             .send(CommJob::ImportOptimState(state))
             .expect("comm thread hung up");
+        Ok(())
     }
 
     /// Installs a new fusion buffer size (the BO re-bucketing step). Must

@@ -7,8 +7,12 @@
 //! already updates only that shard and OP2.AG redistributes the updated
 //! parameters. The strategies below only change *what state is resident*
 //! between those two points — the wire traffic is identical for all of
-//! them, so `Zero1`/`Zero2` are bit-identical to `Ddp` on an f32 wire
-//! while per-rank optimizer-state bytes drop by ~`world_size`.
+//! them, so `Zero1`/`Zero2` are bit-identical to `Ddp` on an f32 wire.
+//! Under DeAR the optimizer state of every strategy is the owned shard,
+//! stored densely (~`1/world_size` of the model per state vector): the
+//! update never reads an element outside it, so `Ddp` there is `Zero1`'s
+//! layout under another name. In WFBP mode — `Ddp` only — the training
+//! thread's optimizer keeps full-length state.
 
 /// How training state is partitioned across ranks. Selects the resident
 /// layout of the comm thread's optimizer state (and, for
@@ -17,14 +21,13 @@
 /// RS ∘ AG pipeline in every case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelismStrategy {
-    /// Plain data parallelism: every rank keeps full-length optimizer
-    /// vectors (entries outside its shard stay zero). Today's behaviour,
-    /// bit-for-bit.
+    /// Plain data parallelism, the only strategy WFBP runs. Under DeAR it
+    /// is [`ParallelismStrategy::Zero1`].
     #[default]
     Ddp,
     /// ZeRO stage 1: optimizer state (momentum / Adam moments) is stored
-    /// densely for the owned shard only — resident bytes drop by
-    /// ~`world_size` with zero extra collectives.
+    /// densely for the owned shard only — ~`1/world_size` of the model
+    /// per state vector, with zero extra collectives.
     Zero1,
     /// ZeRO stage 2: [`ParallelismStrategy::Zero1`] plus sharded residency
     /// of the comm-side gradient/parameter stash between OP1.RS and
@@ -50,15 +53,6 @@ impl std::fmt::Display for StrategyError {
 impl std::error::Error for StrategyError {}
 
 impl ParallelismStrategy {
-    /// Whether optimizer state is stored densely for the owned shard only.
-    #[must_use]
-    pub fn shards_optimizer_state(&self) -> bool {
-        matches!(
-            self,
-            ParallelismStrategy::Zero1 | ParallelismStrategy::Zero2
-        )
-    }
-
     /// Whether the comm-side stash between OP1.RS and OP2.AG keeps only
     /// the owned chunk of each group.
     #[must_use]
@@ -178,11 +172,9 @@ mod tests {
     }
 
     #[test]
-    fn sharding_predicates_match_the_stage_definitions() {
-        assert!(!ParallelismStrategy::Ddp.shards_optimizer_state());
-        assert!(ParallelismStrategy::Zero1.shards_optimizer_state());
+    fn only_zero2_shards_the_stash() {
+        assert!(!ParallelismStrategy::Ddp.shards_grad_stash());
         assert!(!ParallelismStrategy::Zero1.shards_grad_stash());
-        assert!(ParallelismStrategy::Zero2.shards_optimizer_state());
         assert!(ParallelismStrategy::Zero2.shards_grad_stash());
     }
 }

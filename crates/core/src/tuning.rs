@@ -2,15 +2,15 @@
 //! buffer size (§IV-B, [`OnlineTuning`]), and online selection of the
 //! all-reduce algorithm per (message size, topology) ([`AlgoSelector`]) —
 //! predict with the Table II α-β models dilated by the physical
-//! topology's link stress, cross-check with the DES simulator, then
-//! correct the predictions from measured step times.
+//! topology's link stress, then correct the predictions from measured
+//! step times.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use dear_collectives::{CommPattern, CostModel, Topology};
 use dear_fusion::Tuner;
-use dear_sim::{SimDuration, TaskKind, Timeline};
+use dear_sim::SimDuration;
 
 use crate::strategy::ParallelismStrategy;
 
@@ -279,17 +279,13 @@ pub struct Selection {
 
 /// Online per-(message size, topology) algorithm selection (§VII).
 ///
-/// Three layers of evidence, cheapest first:
+/// Two layers of evidence, cheapest first:
 ///
 /// 1. **Analytic prediction** — each candidate's Table II cost under the
 ///    measured inter-node α-β, with the β term dilated by
 ///    [`Topology::link_stress`] for the pattern the algorithm drives, so
 ///    the winner shifts with the wiring and not just the size.
-/// 2. **DES confirmation** — [`AlgoSelector::simulate`] replays the same
-///    algorithm round-by-round on a [`Timeline`] NIC stream; its makespan
-///    must agree with the closed form (they share the α-β inputs, so any
-///    gap is a decomposition bug, not noise).
-/// 3. **Runtime correction** — [`AlgoSelector::observe`] folds measured
+/// 2. **Runtime correction** — [`AlgoSelector::observe`] folds measured
 ///    wall times into a per-(size-bucket, algorithm) EWMA ratio that
 ///    multiplies future predictions, so a model that flatters an
 ///    algorithm loses its lead after a few real steps.
@@ -469,96 +465,11 @@ impl AlgoSelector {
     fn bucket(bytes: u64) -> u32 {
         bytes.max(1).ilog2()
     }
-
-    /// Replays `choice` round-by-round on a DES [`Timeline`] and returns
-    /// the makespan. The decomposition schedules one task per
-    /// communication round on a single serialized NIC stream, so the
-    /// makespan must reproduce the closed-form prediction exactly — the
-    /// cross-check that the analytic table and the simulator agree before
-    /// the runtime is asked to confirm either.
-    #[must_use]
-    pub fn simulate(&self, choice: CollectiveChoice, bytes: u64) -> SimDuration {
-        let m = self.stressed_model(choice);
-        let world = self.world();
-        let mut tl = Timeline::new();
-        let nic = tl.add_stream("nic");
-        // Schedules a phase's total cost as `rounds` back-to-back NIC
-        // tasks (the remainder of the integer split lands in the last
-        // round, so the phase total is preserved to the nanosecond).
-        let phase = |tl: &mut Timeline, label: &str, total: SimDuration, rounds: u64| {
-            let rounds = rounds.max(1);
-            let per = total / rounds;
-            for r in 0..rounds {
-                let d = if r + 1 == rounds {
-                    total - per * (rounds - 1)
-                } else {
-                    per
-                };
-                tl.schedule(
-                    nic,
-                    format!("{label}[{r}]"),
-                    TaskKind::Communication,
-                    d,
-                    &[],
-                );
-            }
-        };
-        match choice {
-            CollectiveChoice::Ring => {
-                let rounds = world.saturating_sub(1) as u64;
-                phase(&mut tl, "RS", m.ring_reduce_scatter(bytes, world), rounds);
-                phase(&mut tl, "AG", m.ring_all_gather(bytes, world), rounds);
-            }
-            CollectiveChoice::RecursiveHalvingDoubling => {
-                let rounds = u64::from(world.trailing_zeros());
-                phase(&mut tl, "RH", m.rhd_reduce_scatter(bytes, world), rounds);
-                phase(&mut tl, "RD", m.rhd_all_gather(bytes, world), rounds);
-            }
-            CollectiveChoice::DoubleBinaryTree => {
-                let rounds = 2 * (world.max(2) as f64).log2().ceil() as u64;
-                phase(
-                    &mut tl,
-                    "DBT",
-                    m.double_binary_tree_all_reduce(bytes, world),
-                    rounds,
-                );
-            }
-            CollectiveChoice::NaiveTree => {
-                let rounds = (world.max(2) as f64).log2().ceil() as u64;
-                phase(&mut tl, "RED", m.tree_reduce(bytes, world), rounds);
-                phase(&mut tl, "BC", m.tree_broadcast(bytes, world), rounds);
-            }
-            CollectiveChoice::Hierarchical => {
-                let intra = self.intra.as_ref().unwrap_or(&m);
-                let shard = bytes / self.gpus_per_node.max(1) as u64;
-                let g = self.gpus_per_node;
-                phase(
-                    &mut tl,
-                    "intraRS",
-                    intra.ring_reduce_scatter(bytes, g),
-                    g.saturating_sub(1) as u64,
-                );
-                phase(
-                    &mut tl,
-                    "interAR",
-                    m.ring_all_reduce(shard, self.nodes),
-                    2 * self.nodes.saturating_sub(1) as u64,
-                );
-                phase(
-                    &mut tl,
-                    "intraAG",
-                    intra.ring_all_gather(bytes, g),
-                    g.saturating_sub(1) as u64,
-                );
-            }
-        }
-        tl.makespan()
-    }
 }
 
-/// What the DES expects one [`ParallelismStrategy`] to cost at runtime:
-/// the per-step makespan of the decoupled pipeline's communication +
-/// update critical path, and the per-rank memory it leaves resident.
+/// What the cost model expects one [`ParallelismStrategy`] to cost at
+/// runtime: the per-step length of the decoupled pipeline's critical path
+/// (communication and update), and the per-rank memory it leaves resident.
 /// Produced by [`forecast_strategy`]; the `ext_zero_comparison` bench
 /// records these next to the measured TCP-runtime numbers so the
 /// prediction is confirmed, not just asserted.
@@ -574,9 +485,10 @@ pub struct StrategyForecast {
     /// makes that zero-overhead claim explicit and testable.
     pub step_time: SimDuration,
     /// Predicted resident optimizer-state bytes per rank (f32 vectors):
-    /// the full model under `ddp`, one `⌈n/world⌉` chunk per state vector
-    /// under `zero1`/`zero2`. Group-boundary rounding at runtime can move
-    /// this by a few elements per bucket, never by a factor.
+    /// one `⌈n/world⌉` chunk per state vector under every strategy — the
+    /// update only ever touches the owned shard. Group-boundary rounding
+    /// at runtime can move this by a few elements per bucket, never by a
+    /// factor.
     pub optim_state_bytes: usize,
     /// Predicted peak bytes of parameters parked on the comm thread
     /// between OP1 and OP2: the full model under `ddp`/`zero1`, only the
@@ -586,16 +498,15 @@ pub struct StrategyForecast {
     pub stash_bytes: usize,
 }
 
-/// DES forecast of one DeAR training step under `strategy` on `world`
-/// ranks: replays OP1 (ring reduce-scatter, `world − 1` NIC rounds), the
-/// owned-shard optimizer update (a dependent CPU task of
-/// `update_ns_per_element · ⌈n/world⌉ · (1 + state_vectors)` ns), and OP2
-/// (ring all-gather) on a [`Timeline`], and pairs the makespan with the
-/// closed-form per-rank memory of the strategy. `param_elements` is the
-/// flat model size `n`; `state_vectors` how many f32 state vectors the
-/// optimizer keeps per parameter (1 for SGD momentum, 2 for Adam);
-/// gradients are costed at 4 bytes/element (the f32 wire, where the
-/// bit-identity guarantee holds).
+/// Forecast of one DeAR training step under `strategy` on `world` ranks:
+/// OP1 (ring reduce-scatter), the owned-shard optimizer update that
+/// depends on it (`update_ns_per_element · ⌈n/world⌉ · (1 + state_vectors)`
+/// ns), and OP2 (ring all-gather) gated on the update — one serial chain,
+/// so the step is their sum — paired with the closed-form per-rank memory
+/// of the strategy. `param_elements` is the flat model size `n`;
+/// `state_vectors` how many f32 state vectors the optimizer keeps per
+/// parameter (1 for SGD momentum, 2 for Adam); gradients are costed at
+/// 4 bytes/element (the f32 wire, where the bit-identity guarantee holds).
 ///
 /// # Panics
 ///
@@ -612,50 +523,9 @@ pub fn forecast_strategy(
     assert!(world > 0, "world must be positive");
     let bytes = (param_elements * 4) as u64;
     let shard_elements = param_elements.div_ceil(world);
-    let mut tl = Timeline::new();
-    let nic = tl.add_stream("nic");
-    let cpu = tl.add_stream("cpu");
-    let rounds = world.saturating_sub(1).max(1) as u64;
-    // OP1: the RS rounds back-to-back on the NIC (remainder in the last
-    // round so the phase total is exact, as in `AlgoSelector::simulate`).
-    let rs_total = model.ring_reduce_scatter(bytes, world);
-    let per = rs_total / rounds;
-    let mut last = None;
-    for r in 0..rounds {
-        let d = if r + 1 == rounds {
-            rs_total - per * (rounds - 1)
-        } else {
-            per
-        };
-        last = Some(tl.schedule(nic, format!("RS[{r}]"), TaskKind::Communication, d, &[]));
-    }
     // OP1.UPD: every strategy updates only the owned shard — reading the
     // reduced gradient and touching each state vector once.
     let upd_ns = update_ns_per_element * shard_elements as f64 * (1 + state_vectors) as f64;
-    let upd = tl.schedule(
-        cpu,
-        "UPD".to_string(),
-        TaskKind::Other,
-        SimDuration::from_nanos(upd_ns.round() as u64),
-        &[last.expect("at least one RS round")],
-    );
-    // OP2: the AG rounds, gated on the update.
-    let ag_total = model.ring_all_gather(bytes, world);
-    let per = ag_total / rounds;
-    let mut deps = vec![upd];
-    for r in 0..rounds {
-        let d = if r + 1 == rounds {
-            ag_total - per * (rounds - 1)
-        } else {
-            per
-        };
-        deps = vec![tl.schedule(nic, format!("AG[{r}]"), TaskKind::Communication, d, &deps)];
-    }
-    let state_elements = if strategy.shards_optimizer_state() {
-        shard_elements
-    } else {
-        param_elements
-    };
     let stash_elements = if strategy.shards_grad_stash() {
         shard_elements
     } else {
@@ -663,8 +533,10 @@ pub fn forecast_strategy(
     };
     StrategyForecast {
         strategy: *strategy,
-        step_time: tl.makespan(),
-        optim_state_bytes: state_elements * state_vectors * 4,
+        step_time: model.ring_reduce_scatter(bytes, world)
+            + SimDuration::from_nanos(upd_ns.round() as u64)
+            + model.ring_all_gather(bytes, world),
+        optim_state_bytes: shard_elements * state_vectors * 4,
         stash_bytes: stash_elements * 4,
     }
 }
@@ -878,29 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn des_simulation_reproduces_the_closed_form() {
-        let sel = AlgoSelector::new(
-            CostModel::ten_gbe(),
-            Some(CostModel::nvlink()),
-            Topology::Ring,
-            4,
-            4,
-        );
-        for choice in sel.candidates() {
-            for bytes in [1u64 << 10, 1 << 17, 25 << 20] {
-                let analytic = sel.predict(choice, bytes);
-                let des = sel.simulate(choice, bytes);
-                assert_eq!(
-                    analytic,
-                    des,
-                    "{} at {bytes} B: analytic {analytic} vs DES {des}",
-                    choice.label()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn observations_correct_a_flattering_model() {
         let mut sel = flat_selector(16, 1);
         let bytes = 1u64 << 20;
@@ -920,7 +769,7 @@ mod tests {
 
     #[test]
     fn strategy_forecast_predicts_free_sharding_and_the_memory_drop() {
-        // The ZeRO-on-DeAR claim, stated by the DES: every strategy rides
+        // The ZeRO-on-DeAR claim, stated by the model: every strategy rides
         // the same RS → UPD → AG critical path (zero time overhead), while
         // the resident memory scales down with the world.
         let world = 8;
@@ -934,11 +783,13 @@ mod tests {
         // And the step is RS + UPD + AG end to end on the critical path.
         let comm =
             m.ring_reduce_scatter((n * 4) as u64, world) + m.ring_all_gather((n * 4) as u64, world);
-        assert!(ddp.step_time >= comm, "update must extend the makespan");
-        // Memory: DDP keeps 2 full vectors; ZeRO one ⌈n/world⌉ chunk each.
-        assert_eq!(ddp.optim_state_bytes, n * 2 * 4);
-        assert_eq!(z1.optim_state_bytes, n.div_ceil(world) * 2 * 4);
-        assert_eq!(z1.optim_state_bytes, z2.optim_state_bytes);
+        let update = SimDuration::from_nanos((0.5 * n.div_ceil(world) as f64 * 3.0) as u64);
+        assert_eq!(ddp.step_time, comm + update);
+        // Memory: one ⌈n/world⌉ chunk per state vector, whatever the
+        // strategy — the update never touches more.
+        assert_eq!(ddp.optim_state_bytes, n.div_ceil(world) * 2 * 4);
+        assert_eq!(z1.optim_state_bytes, ddp.optim_state_bytes);
+        assert_eq!(z2.optim_state_bytes, ddp.optim_state_bytes);
         // Stash: only zero2 sheds the parked parameters.
         assert_eq!(ddp.stash_bytes, n * 4);
         assert_eq!(z1.stash_bytes, n * 4);

@@ -2,7 +2,7 @@
 //! over a real [`TcpEndpoint`], used by the multi-process smoke tests and
 //! as a copy-paste template for real deployments.
 
-use dear_collectives::{naive_all_reduce, ReduceOp, Transport};
+use dear_collectives::{naive_all_reduce_seg, CollectiveError, ReduceOp, SegmentConfig, Transport};
 use dear_core::fusion::RandomSearch;
 use dear_core::trace::{self, OverlapSummary};
 use dear_core::tuning::OnlineTuning;
@@ -137,8 +137,11 @@ fn demo_net(seed: u64) -> Sequential {
 ///
 /// # Errors
 ///
-/// Returns [`NetError`] when rendezvous fails or the checkpoint directory
-/// is unusable.
+/// Returns [`NetError`] when rendezvous fails, the checkpoint directory
+/// is unusable, the resumed checkpoint's optimizer state is not this
+/// model's, or a collective fails mid-training and elastic resize is off
+/// — e.g. a peer died and the configured recv deadline or a disconnect
+/// surfaced.
 ///
 /// With [`NetConfig::elastic_resize`] set, a mid-training collective
 /// failure does **not** kill the survivors: each one prints a
@@ -158,11 +161,9 @@ fn demo_net(seed: u64) -> Sequential {
 ///
 /// # Panics
 ///
-/// Panics (taking the process down with a non-zero status) when a
-/// collective fails mid-training and elastic resize is off — e.g. a peer
-/// died and the configured recv deadline or a disconnect surfaced — when
-/// an attempted in-place resize itself fails (e.g. quorum loss), or when
-/// a checkpoint write fails.
+/// Panics (taking the process down with a non-zero status) when an
+/// attempted in-place resize itself fails (e.g. quorum loss), or when a
+/// checkpoint write fails.
 pub fn run_demo_worker(cfg: &NetConfig, steps: u64) -> Result<DemoSummary, NetError> {
     run_demo_on(TcpEndpoint::connect(cfg)?, cfg, steps)
 }
@@ -187,8 +188,7 @@ pub fn run_demo_worker(cfg: &NetConfig, steps: u64) -> Result<DemoSummary, NetEr
 ///
 /// # Panics
 ///
-/// Panics when a rank thread panics (e.g. a collective failed
-/// mid-training; elastic resize is not supported under `--hosts`).
+/// Panics when a rank thread panics (see [`run_demo_worker`]).
 pub fn run_demo_host(
     base: &NetConfig,
     steps: u64,
@@ -252,15 +252,14 @@ pub fn run_demo_host(
 ///
 /// # Errors
 ///
-/// Returns [`NetError`] when the checkpoint store is unusable or the
-/// resume-step agreement fails; see [`run_demo_worker`] for the full
-/// behaviour contract.
+/// Returns [`NetError`] when the checkpoint store is unusable, the
+/// resume-step agreement fails, or training fails with elastic resize
+/// off; see [`run_demo_worker`] for the full behaviour contract.
 ///
 /// # Panics
 ///
-/// Same panics as [`run_demo_worker`]: a mid-training collective failure
-/// with elastic resize off, a failed in-place resize, or a failed
-/// checkpoint write.
+/// Same panics as [`run_demo_worker`]: a failed in-place resize or a
+/// failed checkpoint write.
 pub fn run_demo_on<T: Transport + Send + 'static>(
     transport: T,
     cfg: &NetConfig,
@@ -287,8 +286,13 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
         Some(store) => {
             let mine = store.latest_valid();
             let mut offer = [mine.as_ref().map_or(-1.0, |c| c.step as f32)];
-            naive_all_reduce(&transport, &mut offer, ReduceOp::Min)
-                .map_err(|e| NetError::Protocol(format!("resume-step agreement: {e}")))?;
+            naive_all_reduce_seg(
+                &transport,
+                &mut offer,
+                ReduceOp::Min,
+                SegmentConfig::MONOLITHIC,
+            )
+            .map_err(|e| NetError::Protocol(format!("resume-step agreement: {e}")))?;
             if offer[0] < 0.0 {
                 (0, None)
             } else {
@@ -335,7 +339,7 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                 .then(|| OnlineTuning::new(None, tune_window, (8 * world) as f64, fusion_hint));
             if let Some(ckpt) = resume {
                 net.set_flat_params(&ckpt.params);
-                optim.import_optim_state(ckpt.optim);
+                optim.import_optim_state(ckpt.optim)?;
             }
             // Rollback anchors for in-place resize: the last TWO boundaries
             // this rank passed. A ring collective can complete on some
@@ -394,7 +398,7 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                     ),
                 }
                 net.set_flat_params(&snap_params);
-                optim.import_optim_state(snap_optim.clone());
+                optim.import_optim_state(snap_optim.clone())?;
                 optim
                     .rebalance_optim_state()
                     .unwrap_or_else(|err| panic!("optimizer-shard rebalance failed: {err}"));
@@ -421,13 +425,12 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                     // The boundary snapshot is the in-memory rollback anchor;
                     // the hash line lets an observer compare ranks.
                     if step > start && step % ckpt_every == 0 {
-                        if elastic {
-                            if let Err(e) = optim.synchronize(&mut net) {
+                        match optim.synchronize(&mut net) {
+                            Err(e) if elastic => {
                                 recover!(e);
                                 continue;
                             }
-                        } else {
-                            optim.synchronize_or_panic(&mut net);
+                            outcome => outcome?,
                         }
                         prev_step = snap_step;
                         prev_params = std::mem::replace(&mut snap_params, net.flat_params());
@@ -466,14 +469,13 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                         std::process::exit(41);
                     }
                     let (x, labels) = data.shard(step, 8 * world, rank, world);
-                    if elastic {
-                        if let Err(e) = optim.train_step(&mut net, &x, &labels) {
+                    match optim.train_step(&mut net, &x, &labels) {
+                        Err(e) if elastic => {
                             recover!(e);
                             continue;
                         }
-                    } else {
-                        optim.train_step_or_panic(&mut net, &x, &labels);
-                    }
+                        outcome => outcome?,
+                    };
                     if let Some(t) = tuning.as_mut() {
                         if let Some(throughput) = t.on_step() {
                             eprintln!(
@@ -484,30 +486,25 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                     }
                     step += 1;
                 }
-                if elastic {
-                    if let Err(e) = optim.synchronize(&mut net) {
+                match optim.synchronize(&mut net) {
+                    Err(e) if elastic => {
                         recover!(e);
                         continue;
                     }
-                } else {
-                    optim.synchronize_or_panic(&mut net);
+                    outcome => outcome?,
                 }
                 break 'run;
             }
             // Queried after the final synchronize, so the figure reflects the
-            // steady resident state (dense shard under ZeRO, full under DDP).
+            // steady resident state (the dense owned shard).
             let optim_bytes = optim.optim_state_bytes();
             let (x, labels) = data.batch(1_000_000, 64);
             let logits = net.forward(&x);
             let (loss, _) = softmax_cross_entropy(&logits, &labels);
-            (
-                loss,
-                hash_params(&net.flat_params()),
-                optim_bytes,
-                rank,
-                world,
-            )
-        });
+            let hash = hash_params(&net.flat_params());
+            Ok::<_, CollectiveError>((loss, hash, optim_bytes, rank, world))
+        })
+        .map_err(|e| NetError::Protocol(format!("training: {e}")))?;
     // End-of-run trace dump: one Perfetto-loadable file per rank plus a
     // greppable overlap summary line on stderr.
     if let Some(prefix) = trace::configured_path() {

@@ -7,7 +7,8 @@ use std::time::Duration;
 
 use dear_collectives::{
     hierarchical_all_reduce_seg, rhd_all_reduce_seg, ring_all_reduce_seg, tree_broadcast_seg,
-    tree_reduce_seg, ClusterShape, DType, LocalFabric, ReduceOp, SegmentConfig, Transport,
+    tree_reduce_seg, ClusterShape, DType, LocalFabric, Placement, ReduceOp, SegmentConfig,
+    Transport,
 };
 use dear_net::tcp_loopback_with;
 use proptest::prelude::*;
@@ -58,9 +59,9 @@ fn all_algorithms<T: Transport>(t: &T, d: usize, salt: u64, seg: SegmentConfig) 
     // Hierarchical needs a factorisation of the world; use the smallest
     // non-trivial node count so both the intra- and inter-node phases run.
     let nodes = (2..=world).find(|n| world.is_multiple_of(*n)).unwrap_or(1);
-    let shape = ClusterShape::new(nodes, world / nodes);
+    let placement = Placement::from_shape(ClusterShape::new(nodes, world / nodes));
     let mut data = rank_data(t.rank(), d, salt);
-    hierarchical_all_reduce_seg(t, shape, &mut data, ReduceOp::Sum, seg).unwrap();
+    hierarchical_all_reduce_seg(t, &placement, &mut data, ReduceOp::Sum, seg).unwrap();
     outs.push(data);
     let mut data = rank_data(t.rank(), d, salt);
     ring_all_reduce_seg(t, &mut data, ReduceOp::Max, seg).unwrap();

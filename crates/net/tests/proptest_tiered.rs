@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use dear_collectives::{
     double_tree_all_reduce_seg, hierarchical_all_reduce_seg, naive_all_reduce_seg,
-    rhd_all_reduce_seg, ring_all_reduce_seg, ClusterShape, DType, LocalFabric, ReduceOp,
-    SegmentConfig, Transport,
+    rhd_all_reduce_seg, ring_all_reduce_seg, ClusterShape, DType, HostMap, LocalFabric, Placement,
+    ReduceOp, SegmentConfig, Transport,
 };
 use dear_net::{tiered_loopback_with, ShmFabric};
 use proptest::prelude::*;
@@ -45,10 +45,15 @@ where
 
 /// All five all-reduce families, back to back on the same endpoints: ring,
 /// recursive halving-doubling, double binary tree, naive (reduce +
-/// broadcast), and hierarchical. Reusing one fabric across all of them
-/// also proves no collective leaves stray frames behind.
-fn all_five<T: Transport>(t: &T, d: usize, salt: u64, seg: SegmentConfig) -> Vec<Vec<f32>> {
-    let world = t.world_size();
+/// broadcast), and hierarchical over `placement`. Reusing one fabric across
+/// all of them also proves no collective leaves stray frames behind.
+fn all_five<T: Transport>(
+    t: &T,
+    placement: &Placement,
+    d: usize,
+    salt: u64,
+    seg: SegmentConfig,
+) -> Vec<Vec<f32>> {
     let mut outs = Vec::new();
     let mut data = rank_data(t.rank(), d, salt);
     ring_all_reduce_seg(t, &mut data, ReduceOp::Sum, seg).unwrap();
@@ -62,10 +67,8 @@ fn all_five<T: Transport>(t: &T, d: usize, salt: u64, seg: SegmentConfig) -> Vec
     let mut data = rank_data(t.rank(), d, salt);
     naive_all_reduce_seg(t, &mut data, ReduceOp::Sum, seg).unwrap();
     outs.push(data);
-    let nodes = (2..=world).find(|n| world.is_multiple_of(*n)).unwrap_or(1);
-    let shape = ClusterShape::new(nodes, world / nodes);
     let mut data = rank_data(t.rank(), d, salt);
-    hierarchical_all_reduce_seg(t, shape, &mut data, ReduceOp::Sum, seg).unwrap();
+    hierarchical_all_reduce_seg(t, placement, &mut data, ReduceOp::Sum, seg).unwrap();
     outs.push(data);
     outs
 }
@@ -111,10 +114,14 @@ proptest! {
     ) {
         let wire = [DType::F32, DType::Bf16, DType::F16][wire_idx];
         let seg = SegmentConfig::new(max_segment_bytes).with_wire(wire);
+        let nodes = (2..=world).find(|n| world.is_multiple_of(*n)).unwrap_or(1);
+        let placement = &Placement::from_shape(ClusterShape::new(nodes, world / nodes));
         let local = run_ranks(LocalFabric::create(world), |ep| {
-            all_five(ep, d, salt, seg)
+            all_five(ep, placement, d, salt, seg)
         });
-        let shm = run_ranks(ShmFabric::create(world), |ep| all_five(ep, d, salt, seg));
+        let shm = run_ranks(ShmFabric::create(world), |ep| {
+            all_five(ep, placement, d, salt, seg)
+        });
         assert_bit_identical(&local, &shm, "shm")?;
     }
 
@@ -130,18 +137,21 @@ proptest! {
         // Every collective here spans both tiers at once: intra-host hops
         // ride the shm rings while inter-host hops ride real sockets, and
         // the result must still land bit-for-bit on LocalFabric's answer.
+        // The hierarchical groups are the rendezvous' own host table, so
+        // its intra-node rings are exactly the shm tier.
         let wire = [DType::F32, DType::Bf16, DType::F16][wire_idx];
         let seg = SegmentConfig::new(max_segment_bytes).with_wire(wire);
-        let world = hosts * ranks_per_host;
-        let local = run_ranks(LocalFabric::create(world), |ep| {
-            all_five(ep, d, salt, seg)
-        });
         let tiered_eps = tiered_loopback_with(hosts, ranks_per_host, |mut cfg| {
             cfg.recv_timeout = Some(Duration::from_secs(60)); // hang guard
             cfg
         })
         .unwrap();
-        let tiered = run_ranks(tiered_eps, |ep| all_five(ep, d, salt, seg));
+        let placement = &HostMap::new(tiered_eps[0].host_ids().to_vec()).placement().unwrap();
+        prop_assert_eq!((placement.nodes(), placement.gpus_per_node()), (hosts, ranks_per_host));
+        let local = run_ranks(LocalFabric::create(hosts * ranks_per_host), |ep| {
+            all_five(ep, placement, d, salt, seg)
+        });
+        let tiered = run_ranks(tiered_eps, |ep| all_five(ep, placement, d, salt, seg));
         assert_bit_identical(&local, &tiered, "tiered")?;
     }
 }
