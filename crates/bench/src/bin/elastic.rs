@@ -106,7 +106,9 @@ fn prepare_stores(dir: &std::path::Path, steps: u64) {
                         .save(&TrainCheckpoint {
                             step: steps,
                             params: net.flat_params(),
-                            optim: optim.export_optim_state(),
+                            optim: optim
+                                .export_optim_state()
+                                .expect("a synchronized, healthy world"),
                             rng: Vec::new(),
                             tuner: None,
                         })

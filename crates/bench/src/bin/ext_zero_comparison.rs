@@ -78,7 +78,7 @@ fn measure(strategy: &ParallelismStrategy) -> Vec<(f64, usize, Vec<f32>)> {
                             }
                         }
                         optim.synchronize(&mut net)?;
-                        let bytes = optim.optim_state_bytes();
+                        let bytes = optim.optim_state_bytes()?;
                         Ok::<_, CollectiveError>((measured, bytes, net.flat_params()))
                     })
                 })

@@ -56,7 +56,6 @@ mod compress;
 mod cost;
 mod error;
 mod hierarchical;
-mod obs;
 mod reduce;
 mod rhd;
 mod ring;
@@ -75,8 +74,6 @@ pub use compress::{
 };
 pub use cost::{CostModel, NetworkPreset};
 pub use error::CollectiveError;
-pub use obs::{set_collective_span_hook, CollectiveSpanFn};
-
 pub use hierarchical::{
     hierarchical_all_gather_phase_seg, hierarchical_all_reduce, hierarchical_all_reduce_seg,
     hierarchical_reduce_scatter_phase_seg, ClusterShape, HierarchicalShard,

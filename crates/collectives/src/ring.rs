@@ -10,7 +10,6 @@ use std::ops::Range;
 
 use crate::chunk::chunk_range;
 use crate::error::CollectiveError;
-use crate::obs::{span_end, span_start};
 use crate::reduce::ReduceOp;
 use crate::segment::{recv_segmented_copy, recv_segmented_reduce, send_segmented, SegmentConfig};
 use crate::transport::Transport;
@@ -219,22 +218,6 @@ pub fn ring_finish<T: Transport>(
     })
 }
 
-/// One ring collective start to end, reported to the span hook as `name`.
-fn ring_run<T: Transport>(
-    t: &T,
-    kind: RingKind,
-    name: &'static str,
-    data: &mut [f32],
-    seg: SegmentConfig,
-) -> Result<Range<usize>, CollectiveError> {
-    // A one-rank world has nothing to time.
-    let span = (t.world_size() > 1).then(span_start).flatten();
-    let ring = ring_begin(t, kind, data, seg)?;
-    let valid = ring_finish(t, ring, data, seg)?;
-    span_end(name, data.len(), span);
-    Ok(valid)
-}
-
 /// Ring reduce-scatter over `data`, in place.
 ///
 /// After completion, the chunk [`ring_owned_chunk`]`(rank, world)` of `data`
@@ -270,13 +253,8 @@ pub fn ring_reduce_scatter_seg<T: Transport>(
     op: ReduceOp,
     seg: SegmentConfig,
 ) -> Result<Range<usize>, CollectiveError> {
-    ring_run(
-        t,
-        RingKind::ReduceScatter(op),
-        "ring_reduce_scatter",
-        data,
-        seg,
-    )
+    let ring = ring_begin(t, RingKind::ReduceScatter(op), data, seg)?;
+    ring_finish(t, ring, data, seg)
 }
 
 /// Releases everything of a reduce-scattered buffer but its owned chunk:
@@ -322,14 +300,8 @@ pub fn ring_all_gather_seg<T: Transport>(
     owned_chunk: usize,
     seg: SegmentConfig,
 ) -> Result<(), CollectiveError> {
-    ring_run(
-        t,
-        RingKind::AllGather { owned_chunk },
-        "ring_all_gather",
-        data,
-        seg,
-    )
-    .map(|_| ())
+    let ring = ring_begin(t, RingKind::AllGather { owned_chunk }, data, seg)?;
+    ring_finish(t, ring, data, seg).map(|_| ())
 }
 
 /// Ring all-reduce: [`ring_reduce_scatter`] followed by [`ring_all_gather`].
@@ -349,9 +321,9 @@ pub fn ring_all_reduce<T: Transport>(
 }
 
 /// [`ring_all_reduce`] with segment pipelining in both phases.
-/// Bit-identical to the monolithic call for any `seg`. Runs (and reports to
-/// the span hook) its two phases as two ops; [`RingKind::AllReduce`] is the
-/// same message sequence as one op.
+/// Bit-identical to the monolithic call for any `seg`. Runs its two phases
+/// as two ops; [`RingKind::AllReduce`] is the same message sequence as one
+/// op.
 ///
 /// # Errors
 ///

@@ -2,14 +2,18 @@
 //! bf16/f16 encode-round/decode loops that sit on every collective's
 //! critical path.
 //!
-//! Each kernel exists twice: a portable scalar reference in [`scalar`]
-//! (also the fallback on machines without the required ISA) and a
-//! vectorized variant gated by **runtime feature detection** — the
-//! top-level functions here dispatch per call via
-//! `is_x86_feature_detected!`, so one binary runs everywhere and uses
-//! AVX2 where the CPU has it. `std::simd` is still nightly-only, so the
-//! vector bodies are written against stable `core::arch::x86_64`
-//! intrinsics.
+//! Every kernel has a portable scalar reference in [`scalar`] (also the
+//! fallback on machines without the required ISA). A hand-written twin
+//! stays only where it beats the same source compiled for AVX2
+//! (DESIGN.md §4.15 has the table): the six encode and f16 kernels keep an
+//! intrinsic body — `std::simd` is still nightly-only, so they are written
+//! against stable `core::arch::x86_64` — gated by **runtime feature
+//! detection**, the top-level functions dispatching per call via
+//! `is_x86_feature_detected!` so one binary runs everywhere. `sum_bf16`
+//! and `decode_bf16` dispatch the same way to their *scalar* body compiled
+//! under `#[target_feature(enable = "avx2")]`; the f32 accumulates, which
+//! the compiler vectorises as well for the baseline ISA, call the scalar
+//! body directly.
 //!
 //! **Bit-identity is a hard contract**: for every input — NaN payloads,
 //! denormals, ±inf, round-to-nearest-even ties, signed zeros — the vector
@@ -78,7 +82,7 @@ macro_rules! dispatch {
 /// Panics if the slices differ in length (validated callers only).
 pub fn sum_f32(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "sum_f32 requires equal-length slices");
-    dispatch!(avx2::sum_f32(dst, src), scalar::sum_f32(dst, src))
+    scalar::sum_f32(dst, src);
 }
 
 /// `dst[i] += f32::from_le_bytes(src[4i..])` — fused decode-accumulate
@@ -89,10 +93,7 @@ pub fn sum_f32(dst: &mut [f32], src: &[f32]) {
 /// Panics if `src.len() != 4 * dst.len()`.
 pub fn sum_f32_bytes(dst: &mut [f32], src: &[u8]) {
     assert_eq!(src.len(), dst.len() * 4, "sum_f32_bytes length mismatch");
-    dispatch!(
-        avx2::sum_f32_bytes(dst, src),
-        scalar::sum_f32_bytes(dst, src)
-    )
+    scalar::sum_f32_bytes(dst, src);
 }
 
 /// `dst[i] += bf16_to_f32(src[2i..])` — fused widen-accumulate from a
@@ -253,6 +254,7 @@ pub mod scalar {
     }
 
     /// Scalar fused bf16 widen-accumulate.
+    #[inline(always)]
     pub fn sum_bf16(dst: &mut [f32], src: &[u8]) {
         for (d, c) in dst.iter_mut().zip(src.chunks_exact(2)) {
             *d += bf16_to_f32(u16::from_le_bytes([c[0], c[1]]));
@@ -297,6 +299,7 @@ pub mod scalar {
     }
 
     /// Scalar bf16 decode.
+    #[inline(always)]
     pub fn decode_bf16(src: &[u8], dst: &mut [f32]) {
         for (d, c) in dst.iter_mut().zip(src.chunks_exact(2)) {
             *d = bf16_to_f32(u16::from_le_bytes([c[0], c[1]]));
@@ -331,7 +334,9 @@ pub mod scalar {
 /// throughout (slices carry no alignment guarantee), scalar tail for the
 /// trailing `len % 8` elements. Every function is `unsafe` because it is
 /// compiled with `#[target_feature(enable = "avx2")]`; the dispatchers
-/// only call in after `is_x86_feature_detected!("avx2")`.
+/// only call in after `is_x86_feature_detected!("avx2")`. `sum_bf16` and
+/// `decode_bf16` are the scalar bodies themselves, inlined and compiled for
+/// AVX2: bit-identical by construction.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::scalar;
@@ -445,43 +450,8 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sum_f32(dst: &mut [f32], src: &[f32]) {
-        let n = dst.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, s));
-            i += 8;
-        }
-        scalar::sum_f32(&mut dst[i..], &src[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sum_f32_bytes(dst: &mut [f32], src: &[u8]) {
-        let n = dst.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm256_loadu_ps(src.as_ptr().add(i * 4).cast());
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, s));
-            i += 8;
-        }
-        scalar::sum_f32_bytes(&mut dst[i..], &src[i * 4..]);
-    }
-
-    #[target_feature(enable = "avx2")]
     pub unsafe fn sum_bf16(dst: &mut [f32], src: &[u8]) {
-        let n = dst.len();
-        let mut i = 0;
-        while i + 8 <= n {
-            let w = bf16_widen_8(load_8xu16(src.as_ptr().add(i * 2)));
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            let sum = _mm256_add_ps(d, _mm256_castsi256_ps(w));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), sum);
-            i += 8;
-        }
-        scalar::sum_bf16(&mut dst[i..], &src[i * 2..]);
+        scalar::sum_bf16(dst, src);
     }
 
     #[target_feature(enable = "avx2")]
@@ -528,39 +498,7 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     pub unsafe fn decode_bf16(src: &[u8], dst: &mut [f32]) {
-        let n = dst.len();
-        let zero = _mm256_setzero_si256();
-        // Peel a scalar head until the destination is 32-byte aligned:
-        // allocations only guarantee 4-byte alignment for `[f32]`, and a
-        // misaligned 256-bit store splits a cache line every other
-        // iteration, which costs more than the whole widen.
-        let mis = dst.as_ptr().align_offset(32).min(n);
-        scalar::decode_bf16(&src[..mis * 2], &mut dst[..mis]);
-        let mut i = mis;
-        while i + 16 <= n {
-            // 16 lanes per iteration: interleaving a zero u16 *below* each
-            // input u16 IS the `<< 16` widen, so one 256-bit load feeds two
-            // unpacks plus two cross-lane fixups (unpack works per 128-bit
-            // half, leaving lanes 0-3/8-11 in `lo` and 4-7/12-15 in `hi`).
-            let v = _mm256_loadu_si256(src.as_ptr().add(i * 2).cast());
-            let lo = _mm256_unpacklo_epi16(zero, v);
-            let hi = _mm256_unpackhi_epi16(zero, v);
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(i).cast(),
-                _mm256_permute2x128_si256(lo, hi, 0x20),
-            );
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(i + 8).cast(),
-                _mm256_permute2x128_si256(lo, hi, 0x31),
-            );
-            i += 16;
-        }
-        while i + 8 <= n {
-            let w = bf16_widen_8(load_8xu16(src.as_ptr().add(i * 2)));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_castsi256_ps(w));
-            i += 8;
-        }
-        scalar::decode_bf16(&src[i * 2..], &mut dst[i..]);
+        scalar::decode_bf16(src, dst);
     }
 
     #[target_feature(enable = "avx2")]

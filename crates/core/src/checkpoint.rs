@@ -122,10 +122,10 @@ impl std::error::Error for CheckpointError {
 /// catch torn writes and bit rot (this guards against accidents, not
 /// adversaries).
 #[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub fn fnv1a64(bytes: impl IntoIterator<Item = impl std::borrow::Borrow<u8>>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
+    for b in bytes {
+        hash ^= u64::from(*b.borrow());
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash

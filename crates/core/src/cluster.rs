@@ -4,22 +4,13 @@
 
 use crossbeam_channel::unbounded;
 
-use dear_collectives::{CostModel, DelayFabric, LocalFabric, SegmentConfig, Transport};
+use dear_collectives::{LocalFabric, SegmentConfig, Transport};
 use dear_minidnn::{Sequential, Sgd};
 
 use crate::comm::{run_comm_thread, CommJob, CommLayout, CommResult, HyperParams, OptimKind};
 use crate::dist_optim::{DistOptim, PipelineMode};
 use crate::layout::GroupLayout;
 use crate::strategy::ParallelismStrategy;
-
-/// Optional wall-clock network emulation for the fabric.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelayConfig {
-    /// The α-β model whose `p2p` cost is injected per message.
-    pub model: CostModel,
-    /// Scale factor on the injected delays (use < 1 to keep runs fast).
-    pub scale: f64,
-}
 
 /// Training configuration shared by all workers.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,8 +27,6 @@ pub struct TrainConfig {
     pub optim: OptimKind,
     /// DeAR or the WFBP baseline.
     pub mode: PipelineMode,
-    /// Optional injected network delays.
-    pub delay: Option<DelayConfig>,
     /// Segment-pipelining config for the comm thread's collectives,
     /// including the wire dtype. Monolithic f32 by default, where results
     /// are bit-identical to unsegmented collectives; a narrow wire
@@ -62,7 +51,6 @@ impl Default for TrainConfig {
             fusion_buffer: Some(25 << 20),
             optim: OptimKind::Sgd,
             mode: PipelineMode::Dear,
-            delay: None,
             segments: SegmentConfig::MONOLITHIC,
             strategy: ParallelismStrategy::Ddp,
         }
@@ -111,7 +99,7 @@ pub struct WorkerHandle {
     config: TrainConfig,
     jobs: crossbeam_channel::Sender<CommJob>,
     results: crossbeam_channel::Receiver<CommResult>,
-    layout_tx: crossbeam_channel::Sender<(CommLayout, usize)>,
+    layout_tx: crossbeam_channel::Sender<CommLayout>,
     trace_scope: String,
 }
 
@@ -164,7 +152,7 @@ impl WorkerHandle {
             self.config.segments.wire,
         );
         self.layout_tx
-            .send((CommLayout::from(&layout), layout.total_elements()))
+            .send(CommLayout::from(&layout))
             .expect("comm thread hung up before initialization");
         let local_optim: Option<Box<dyn dear_minidnn::Optimizer>> = match self.config.mode {
             PipelineMode::Wfbp => Some(match self.config.optim {
@@ -207,13 +195,14 @@ impl WorkerHandle {
 /// — build a transport (e.g. `dear-net`'s `TcpEndpoint` from `RANK` /
 /// `WORLD_SIZE` / `MASTER_ADDR`) and hand it here; [`run_training`] is the
 /// in-process convenience that calls this once per rank over a
-/// [`LocalFabric`].
+/// [`LocalFabric`]. To train over an emulated link, wrap every rank's
+/// endpoint in a [`dear_collectives::DelayFabric`] before handing it here.
 ///
 /// # Panics
 ///
-/// Panics if the comm thread panicked (e.g. a collective failed with a
-/// transport error) — by then the worker closure has usually already
-/// panicked itself on the dead job channel.
+/// Panics if the comm thread panicked — a bug, not a failed collective,
+/// which it reports and outlives; by then the worker closure has usually
+/// already panicked itself on the dead job channel.
 pub fn run_worker<T, F, R>(transport: T, config: TrainConfig, f: F) -> R
 where
     T: Transport + Send + 'static,
@@ -222,7 +211,6 @@ where
     let rank = transport.rank();
     let world = transport.world_size();
     let hyper = config.hyper();
-    let delay = config.delay;
     let segments = config.segments;
     let strategy = config.strategy;
     // Unique per worker so concurrent in-process clusters never share a
@@ -231,40 +219,23 @@ where
     let comm_scope = trace_scope.clone();
     let (job_tx, job_rx) = unbounded::<CommJob>();
     let (res_tx, res_rx) = unbounded::<CommResult>();
-    let (layout_tx, layout_rx) = unbounded::<(CommLayout, usize)>();
+    let (layout_tx, layout_rx) = unbounded::<CommLayout>();
     // Comm thread: waits for the worker's layout, then serves jobs until
     // the worker drops its job sender.
     let comm_main = move || {
-        let Ok((layout, total)) = layout_rx.recv() else {
+        let Ok(layout) = layout_rx.recv() else {
             return; // worker dropped its handle without training
         };
-        match delay {
-            Some(d) => {
-                let t = DelayFabric::with_scale(transport, d.model, d.scale);
-                run_comm_thread(
-                    t,
-                    layout,
-                    hyper,
-                    total,
-                    segments,
-                    strategy,
-                    &comm_scope,
-                    &job_rx,
-                    &res_tx,
-                );
-            }
-            None => run_comm_thread(
-                transport,
-                layout,
-                hyper,
-                total,
-                segments,
-                strategy,
-                &comm_scope,
-                &job_rx,
-                &res_tx,
-            ),
-        }
+        run_comm_thread(
+            transport,
+            layout,
+            hyper,
+            segments,
+            strategy,
+            &comm_scope,
+            &job_rx,
+            &res_tx,
+        );
     };
     let comm = std::thread::Builder::new()
         .name(format!("dear-comm-r{rank}"))
@@ -375,6 +346,31 @@ mod tests {
             .zip(b)
             .map(|(x, y)| (x - y).abs() / x.abs().max(y.abs()).max(1e-3))
             .fold(0.0, f32::max)
+    }
+
+    /// `run_training` for worlds that lose a rank: every endpoint gets a
+    /// receive deadline. The local fabric has no failure detector; the
+    /// deadline is what turns a silent dead neighbor into a typed error the
+    /// recovery loop can act on.
+    fn run_with_recv_deadline<R: Send>(
+        world: usize,
+        config: &TrainConfig,
+        worker: impl Fn(WorkerHandle) -> R + Copy + Send,
+    ) -> Vec<R> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = LocalFabric::create(world)
+                .into_iter()
+                .map(|ep| {
+                    ep.set_recv_timeout(Some(std::time::Duration::from_millis(500)));
+                    let config = config.clone();
+                    s.spawn(move || run_worker(ep, config, worker))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread panicked"))
+                .collect()
+        })
     }
 
     #[test]
@@ -597,7 +593,7 @@ mod tests {
                 optim.synchronize(&mut net).unwrap();
                 let packed = GroupLayout::from_buffer(&net, second.or(Some(first)));
                 assert_eq!(net.store().segmentation(), packed.segmentation());
-                (net.flat_params(), optim.export_optim_state())
+                (net.flat_params(), optim.export_optim_state().unwrap())
             });
             for (p, _) in &out[1..] {
                 assert_eq!(&out[0].0, p, "ranks diverged after Adam re-bucketing");
@@ -691,10 +687,41 @@ mod tests {
                 let net = build_net(3);
                 let mut optim = handle.into_optim(&net);
                 let sent = if optim.rank() == 1 { probe } else { 0.0 };
-                optim.broadcast_value(1, sent)
+                optim.broadcast_value(1, sent).unwrap()
             });
             assert_eq!(got, vec![probe; 4], "broadcast of {probe} not exact");
         }
+    }
+
+    #[test]
+    fn a_broadcast_to_a_dead_peer_is_an_error_and_the_survivor_trains_on() {
+        // Rank 1 leaves before the collective: rank 0's broadcast must come
+        // back as a typed error — it used to panic the training thread —
+        // and latch, after which the usual recovery works: resize to the
+        // survivor, roll back, train.
+        let data = BlobDataset::new(6, 3, 0.4, 9);
+        let worker = |handle: WorkerHandle| {
+            let rank = handle.rank();
+            let mut net = build_net(3);
+            let mut optim = handle.into_optim(&net);
+            if rank == 1 {
+                return None;
+            }
+            let snapshot = net.flat_params();
+            let failure = optim.broadcast_value(1, 0.0).unwrap_err();
+            assert_eq!(optim.comm_failed(), Some(&failure));
+            let change = optim.resize_world(Some(vec![0])).unwrap();
+            assert_eq!((change.new_rank, change.new_world), (0, 1));
+            net.set_flat_params(&snapshot);
+            optim.rebalance_optim_state().unwrap();
+            let (x, labels) = data.shard(0, 16, 0, 1);
+            let loss = optim.train_step(&mut net, &x, &labels).unwrap();
+            optim.synchronize(&mut net).unwrap();
+            assert!(loss.is_finite());
+            Some(net.flat_params() != snapshot)
+        };
+        let out = run_with_recv_deadline(2, &TrainConfig::default(), worker);
+        assert_eq!(out, [Some(true), None], "the survivor trained a step");
     }
 
     #[test]
@@ -794,7 +821,7 @@ mod tests {
             optim.synchronize(&mut net).unwrap();
             // Boundary snapshot — the rollback target after peer loss.
             let snap_params = net.flat_params();
-            let snap_optim = optim.export_optim_state();
+            let snap_optim = optim.export_optim_state().unwrap();
             optim.barrier().unwrap();
             if rank == 2 {
                 // Dies abruptly: returning drops the endpoint, and the
@@ -831,23 +858,7 @@ mod tests {
             optim.synchronize(&mut net).unwrap();
             Some(net.flat_params())
         };
-        let out: Vec<Option<Vec<f32>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = dear_collectives::LocalFabric::create(4)
-                .into_iter()
-                .map(|ep| {
-                    // The local fabric has no failure detector; the receive
-                    // deadline is what turns a silent dead neighbor into a
-                    // typed error the recovery loop can act on.
-                    ep.set_recv_timeout(Some(std::time::Duration::from_millis(500)));
-                    let config = config.clone();
-                    s.spawn(move || run_worker(ep, config, worker))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
+        let out = run_with_recv_deadline(4, &config, worker);
         let survivors: Vec<_> = out.into_iter().flatten().collect();
         assert_eq!(survivors.len(), 3, "exactly the three survivors finish");
         for p in &survivors[1..] {
@@ -901,7 +912,7 @@ mod tests {
                     optim.train_step(&mut net, &x, &labels).unwrap();
                 }
                 optim.synchronize(&mut net).unwrap();
-                (net.flat_params(), optim.export_optim_state())
+                (net.flat_params(), optim.export_optim_state().unwrap())
             })
         };
         assert_eq!(run(true), run(false));
@@ -941,8 +952,8 @@ mod tests {
                     (
                         losses,
                         net.flat_params(),
-                        optim.optim_state_bytes(),
-                        optim.export_optim_state(),
+                        optim.optim_state_bytes().unwrap(),
+                        optim.export_optim_state().unwrap(),
                         optim.num_groups(),
                     )
                 })
@@ -1013,7 +1024,7 @@ mod tests {
                 let _ = optim.train_step(&mut net, &x, &labels);
             }
             optim.synchronize(&mut net).unwrap();
-            optim.export_optim_state()
+            optim.export_optim_state().unwrap()
         });
         let net = build_net(7);
         let layout = GroupLayout::from_buffer(&net, Some(256));
@@ -1070,7 +1081,7 @@ mod tests {
             }
             optim.synchronize(&mut net).unwrap();
             let snap_params = net.flat_params();
-            let snap_optim = optim.export_optim_state();
+            let snap_optim = optim.export_optim_state().unwrap();
             optim.barrier().unwrap();
             if rank == 2 {
                 return None;
@@ -1094,7 +1105,7 @@ mod tests {
                 .rebalance_optim_state()
                 .expect("shard rebalance failed");
             // The dense shard now reflects a 3-way partition.
-            let bytes = optim.optim_state_bytes();
+            let bytes = optim.optim_state_bytes().unwrap();
             let total_bytes = net.flat_params().len() * std::mem::size_of::<f32>();
             assert!(
                 (bytes as f64) * 3.0 <= (total_bytes as f64) * 1.25,
@@ -1108,20 +1119,7 @@ mod tests {
             optim.synchronize(&mut net).unwrap();
             Some(net.flat_params())
         };
-        let out: Vec<Option<Vec<f32>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = dear_collectives::LocalFabric::create(4)
-                .into_iter()
-                .map(|ep| {
-                    ep.set_recv_timeout(Some(std::time::Duration::from_millis(500)));
-                    let config = config.clone();
-                    s.spawn(move || run_worker(ep, config, worker))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
+        let out = run_with_recv_deadline(4, &config, worker);
         let survivors: Vec<_> = out.into_iter().flatten().collect();
         assert_eq!(survivors.len(), 3);
         for p in &survivors[1..] {
@@ -1148,7 +1146,7 @@ mod tests {
             }
             // Re-bucket (as DeAR-BO does), agree via broadcast, continue.
             optim.synchronize(&mut net).unwrap();
-            let new_buffer = optim.broadcast_value(0, 2048.0) as u64;
+            let new_buffer = optim.broadcast_value(0, 2048.0).unwrap() as u64;
             optim.set_fusion_buffer(&net, Some(new_buffer));
             for step in 10..20 {
                 let (x, labels) = data.shard(step, 30, rank, 3);

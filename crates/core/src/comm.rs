@@ -195,10 +195,10 @@ struct OptimStore {
 }
 
 impl OptimStore {
-    fn new(layout: &CommLayout, rank: usize, world: usize, total: usize) -> OptimStore {
+    fn new(layout: &CommLayout, rank: usize, world: usize) -> OptimStore {
         OptimStore {
             map: ShardMap::build(layout, rank, world),
-            total,
+            total: layout.groups.iter().map(|g| g.elements).sum(),
             velocity: Vec::new(),
             second_moment: Vec::new(),
         }
@@ -675,18 +675,21 @@ impl<T: Transport> CommThread<'_, T> {
     /// flight and the iteration's stash with their buffers (the step is not
     /// resumable), and reports once. What is left of the step — in the
     /// backlog or still to be posted — is dropped as it comes up, until a
-    /// resize succeeds. The send is best-effort: if the training thread
-    /// already panicked, there is nobody left to tell.
+    /// resize succeeds.
     fn fail(&mut self, e: CollectiveError) {
         self.inflight.clear();
         self.stash.clear();
         self.flushing = false;
         self.broken = true;
-        let _ = self.results.send(CommResult::Error(e));
+        self.reply(CommResult::Error(e));
     }
 
+    /// Best-effort: a training thread that dropped its `DistOptim` has
+    /// nobody left to tell, and its peers still need this rank's part of
+    /// the collectives already posted — the thread serves on until the job
+    /// channel closes.
     fn reply(&self, result: CommResult) {
-        self.results.send(result).expect("training thread hung up");
+        let _ = self.results.send(result);
     }
 
     /// Finishes the ring op at the head of the pipeline, sending ahead for
@@ -881,14 +884,12 @@ impl<T: Transport> CommThread<'_, T> {
     /// kept; the step itself is still healthy and can be flushed normally.
     fn at_boundary(&self, what: &str) -> bool {
         if !self.stash.is_empty() {
-            let _ = self
-                .results
-                .send(CommResult::Error(CollectiveError::Reconfigure {
-                    reason: format!(
-                        "{what} must happen at an iteration boundary; \
-                         a reduce-scattered group is still stashed"
-                    ),
-                }));
+            self.reply(CommResult::Error(CollectiveError::Reconfigure {
+                reason: format!(
+                    "{what} must happen at an iteration boundary; \
+                     a reduce-scattered group is still stashed"
+                ),
+            }));
         }
         self.stash.is_empty()
     }
@@ -940,6 +941,7 @@ impl<T: Transport> CommThread<'_, T> {
                 // only the shards it owns under the new layout. A failure
                 // part-way leaves the state half-reduced — recovery must go
                 // through a snapshot import, never resume from here.
+                let sp = trace::span(TaskKind::Communication, || "REBALANCE".to_string());
                 let mut full_velocity = self.store.export_velocity();
                 ring_all_reduce_seg(
                     &self.transport,
@@ -956,6 +958,7 @@ impl<T: Transport> CommThread<'_, T> {
                         self.control,
                     )?;
                 }
+                sp.end();
                 // Re-pack to the owned ranges of the new layout (and the
                 // possibly-new world after an in-place resize).
                 self.store.map = ShardMap::build(&layout, self.rank, self.world);
@@ -994,13 +997,11 @@ impl<T: Transport> CommThread<'_, T> {
                     // A mid-step resize fails the request, not the step:
                     // the stash is kept so the caller can still flush the
                     // iteration and retry at the boundary.
-                    let _ =
-                        self.results
-                            .send(CommResult::Resized(Err(CollectiveError::Reconfigure {
-                                reason: "in-place resize must happen at an iteration boundary; \
-                                     a reduce-scattered group is still stashed"
-                                    .to_string(),
-                            })));
+                    self.reply(CommResult::Resized(Err(CollectiveError::Reconfigure {
+                        reason: "in-place resize must happen at an iteration boundary; \
+                                 a reduce-scattered group is still stashed"
+                            .to_string(),
+                    })));
                     return Ok(());
                 }
                 let sp = trace::span(TaskKind::Communication, || "RESIZE".to_string());
@@ -1012,7 +1013,7 @@ impl<T: Transport> CommThread<'_, T> {
                     self.open_window();
                     self.broken = false;
                 }
-                let _ = self.results.send(CommResult::Resized(outcome));
+                self.reply(CommResult::Resized(outcome));
             }
             CommJob::AgreeStep(step) => {
                 let sp = trace::span(TaskKind::Communication, || "AGREE-STEP".to_string());
@@ -1060,16 +1061,13 @@ impl<T: Transport> CommThread<'_, T> {
 /// the ring jobs still arriving from the abandoned step are dropped
 /// unrun.
 ///
-/// # Panics
-///
-/// Panics only if the training thread hangs up while a successful reply is
-/// being delivered.
+/// Nor does a training thread that hangs up: replies to nobody are dropped,
+/// and the thread returns when the job channel closes.
 #[allow(clippy::too_many_arguments)]
 pub fn run_comm_thread<T: Transport>(
     transport: T,
     layout: CommLayout,
     hyper: HyperParams,
-    total_elements: usize,
     segments: SegmentConfig,
     strategy: ParallelismStrategy,
     trace_scope: &str,
@@ -1080,7 +1078,7 @@ pub fn run_comm_thread<T: Transport>(
     let world = transport.world_size();
     let rank = transport.rank();
     CommThread {
-        store: OptimStore::new(&layout, rank, world, total_elements),
+        store: OptimStore::new(&layout, rank, world),
         window: 0,
         transport,
         layout,
@@ -1166,7 +1164,6 @@ mod tests {
         // Adam over several steps.
         let lens = [7usize, 1, 13, 5, 67, 3];
         let goffs = [40usize, 0, 61, 8, 100, 1];
-        let total = 170;
         let mut items = Vec::new();
         let mut elements = 0;
         for (&len, &goff) in lens.iter().zip(&goffs) {
@@ -1202,8 +1199,8 @@ mod tests {
                         } else {
                             (0, elements)
                         };
-                        let mut fast = OptimStore::new(&layout, rank, world, total);
-                        let mut slow = OptimStore::new(&layout, rank, world, total);
+                        let mut fast = OptimStore::new(&layout, rank, world);
+                        let mut slow = OptimStore::new(&layout, rank, world);
                         fast.velocity = random(fast.map.dense_len());
                         slow.velocity = fast.velocity.clone();
                         let mut fast_params = random(elements);
@@ -1285,7 +1282,6 @@ mod tests {
                 ep,
                 layout,
                 hyper,
-                4,
                 SegmentConfig::MONOLITHIC,
                 ParallelismStrategy::Ddp,
                 &scope,

@@ -88,7 +88,6 @@ fn run_one_at_a_time<T: Transport>(
     transport: T,
     layout: CommLayout,
     hyper: HyperParams,
-    total_elements: usize,
     segments: SegmentConfig,
     strategy: ParallelismStrategy,
     _trace_scope: &str,
@@ -96,7 +95,7 @@ fn run_one_at_a_time<T: Transport>(
     results: &Sender<CommResult>,
 ) {
     let (rank, world) = (transport.rank(), transport.world_size());
-    let mut store = OptimStore::new(&layout, rank, world, total_elements);
+    let mut store = OptimStore::new(&layout, rank, world);
     let mut adam_step = 0;
     let mut stash: Vec<(usize, StashEntry)> = Vec::new();
     while let Ok(job) = jobs.recv() {
@@ -221,7 +220,6 @@ type CommFn = fn(
     Probe,
     CommLayout,
     HyperParams,
-    usize,
     SegmentConfig,
     ParallelismStrategy,
     &str,
@@ -246,7 +244,7 @@ fn spawn_comm<'scope, 'env>(
     setup: Setup,
     queue: impl FnOnce(&Sender<CommJob>),
 ) -> (Sender<CommJob>, Receiver<CommResult>, Arc<Mutex<SendLog>>) {
-    let (layout, total) = test_layout();
+    let (layout, _) = test_layout();
     let (probe, sent) = Probe::new(ep, fail_recv);
     let (job_tx, job_rx) = unbounded();
     let (res_tx, res_rx) = unbounded();
@@ -257,7 +255,6 @@ fn spawn_comm<'scope, 'env>(
             probe,
             layout,
             test_hyper(),
-            total,
             setup.segments,
             setup.strategy,
             &scope,

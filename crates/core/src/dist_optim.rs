@@ -35,6 +35,11 @@ pub enum PipelineMode {
 /// store and moved to the comm thread; its reply *puts* them back. Between
 /// the two — after a DeAR `train_step`, until `synchronize` — the network
 /// cannot be read: that is a panic, not a stale value.
+///
+/// A failure of the fabric never panics a method here: it comes back as a
+/// typed error and latches until [`DistOptim::resize_world`]. The comm
+/// thread outlives such failures; only if it has itself died of a bug does
+/// every method that talks to it panic.
 pub struct DistOptim {
     rank: usize,
     world: usize,
@@ -43,7 +48,8 @@ pub struct DistOptim {
     tracker: GroupTracker,
     jobs: Sender<CommJob>,
     results: Receiver<CommResult>,
-    /// Outstanding `Params` results not yet received.
+    /// Outstanding data results (`Params`, or WFBP's `Grads`) not yet
+    /// received.
     pending: usize,
     /// The configured update rule, re-sent with every hyper-parameter
     /// change.
@@ -159,19 +165,91 @@ impl DistOptim {
         self.pending = 0;
     }
 
-    /// Takes delivery of one `Params` reply: both of the group's buffers
-    /// are back in the store. (ZeRO-2 returns another parameter allocation
-    /// than it was sent, and no gradient buffer; the store makes one.)
-    fn accept_params(
+    /// `Err` with the latched failure while the fabric is broken.
+    fn check(&self) -> Result<(), CollectiveError> {
+        self.comm_failed.clone().map_or(Ok(()), Err)
+    }
+
+    /// Every control call is collective and made at an iteration boundary;
+    /// one made with communication outstanding is a bug in the caller.
+    fn assert_synchronized(&self, what: &str) {
+        assert_eq!(self.pending, 0, "{what} requires a synchronized state");
+    }
+
+    /// Posts a job that has no reply of its own. The comm thread outlives
+    /// every failure of the fabric; it is gone only if it panicked.
+    fn post(&self, job: CommJob) {
+        self.jobs.send(job).expect("comm thread hung up");
+    }
+
+    /// The one place results come off the channel. `take` has first
+    /// refusal; what it leaves is filed here: a group's buffers go back
+    /// into `store` (ZeRO-2 returns another parameter allocation than it
+    /// was sent, and no gradient buffer; the store makes one), an `Error`
+    /// latches. Anything else — a reply nobody asked for, buffers with no
+    /// store to put them in — means the two threads of this crate disagree
+    /// about their protocol. `None` unless `take` took the result.
+    fn recv<R>(
         &mut self,
-        store: &mut ParamStore,
-        group: usize,
-        params: Vec<f32>,
-        grads: Vec<f32>,
-    ) {
-        self.pending -= 1;
-        store.put_params(group, params);
-        store.put_grads(group, grads);
+        store: Option<&mut ParamStore>,
+        take: impl FnOnce(CommResult) -> Result<R, CommResult>,
+    ) -> Option<R> {
+        let result = self.results.recv().expect("comm thread hung up");
+        let unexpected = match (take(result), store) {
+            (Ok(reply), _) => return Some(reply),
+            (
+                Err(CommResult::Params {
+                    group,
+                    params,
+                    grads,
+                }),
+                Some(store),
+            ) => {
+                self.pending -= 1;
+                store.put_params(group, params);
+                store.put_grads(group, grads);
+                return None;
+            }
+            (Err(CommResult::Grads { group, grads }), Some(store)) => {
+                self.pending -= 1;
+                store.put_grads(group, grads);
+                return None;
+            }
+            (Err(CommResult::Error(e)), _) => {
+                self.comm_fail(e);
+                return None;
+            }
+            (Err(other), _) => other,
+        };
+        panic!("unexpected comm result: {unexpected:?}");
+    }
+
+    /// Receives until no result is outstanding — each one filed in `store`
+    /// — or the step is abandoned (`comm_fail` zeroes `pending`: nothing
+    /// more is coming).
+    fn drain(&mut self, store: &mut ParamStore) {
+        while self.pending > 0 {
+            self.recv(Some(&mut *store), Err::<(), _>);
+        }
+    }
+
+    /// The one door for control calls: posts `job` and waits for the reply
+    /// `take` accepts. Refused with the latched error while the fabric is
+    /// broken — the result channel may then hold stragglers of the
+    /// abandoned step, which only [`DistOptim::resize_world`] drains — and
+    /// a [`CommResult::Error`] in place of the reply latches and is
+    /// returned.
+    fn request<R>(
+        &mut self,
+        what: &str,
+        job: CommJob,
+        take: impl FnOnce(CommResult) -> Result<R, CommResult>,
+    ) -> Result<R, CollectiveError> {
+        self.assert_synchronized(what);
+        self.check()?;
+        self.post(job);
+        let reply = self.recv(None, take);
+        reply.ok_or_else(|| self.comm_failed.clone().expect("an `Error` reply latches"))
     }
 
     /// Runs one training step — feed-forward (waiting just-in-time on the
@@ -201,14 +279,9 @@ impl DistOptim {
         input: &Tensor,
         labels: &[usize],
     ) -> Result<f32, CollectiveError> {
-        if let Some(e) = self.comm_failed.clone() {
-            return Err(e);
-        }
+        self.check()?;
         let loss = self.train_step_inner(net, input, labels);
-        match self.comm_failed.clone() {
-            Some(e) => Err(e),
-            None => Ok(loss),
-        }
+        self.check().map(|()| loss)
     }
 
     fn train_step_inner(&mut self, net: &mut Sequential, input: &Tensor, labels: &[usize]) -> f32 {
@@ -267,18 +340,10 @@ impl DistOptim {
             trace::span_starting_at(seg, TaskKind::FeedForward, || format!("FF[{iter}]")).end();
             trace::span(TaskKind::Other, || format!("FFWAIT[g{g}]"))
         });
+        // If the comm thread abandons the step, the latched failure ends
+        // this wait.
         while !store.has_params(g) && self.comm_failed.is_none() {
-            match self.results.recv().expect("comm thread hung up") {
-                CommResult::Params {
-                    group,
-                    params,
-                    grads,
-                } => self.accept_params(store, group, params, grads),
-                // The comm thread abandoned the step; the latched failure
-                // ends this wait.
-                CommResult::Error(e) => self.comm_fail(e),
-                other => panic!("unexpected comm result during FeedPipe: {other:?}"),
-            }
+            self.recv(Some(&mut *store), Err::<(), _>);
         }
         if let Some(w) = wait {
             w.end();
@@ -303,7 +368,7 @@ impl DistOptim {
                 },
                 PipelineMode::Wfbp => CommJob::AllReduce { group: done, grads },
             };
-            self.jobs.send(job).expect("comm thread hung up");
+            self.post(job);
         }
     }
 
@@ -318,26 +383,14 @@ impl DistOptim {
         );
         match self.mode {
             PipelineMode::Dear => {
-                self.jobs
-                    .send(CommJob::FlushAllGathers)
-                    .expect("comm thread hung up");
+                self.post(CommJob::FlushAllGathers);
                 self.pending += self.layout.num_groups();
             }
             PipelineMode::Wfbp => {
-                for _ in 0..self.layout.num_groups() {
-                    match self.results.recv().expect("comm thread hung up") {
-                        CommResult::Grads { group, grads } => {
-                            net.store_mut().put_grads(group, grads);
-                        }
-                        CommResult::Error(e) => {
-                            // Remaining groups were abandoned comm-side;
-                            // skip the update — the step is discarded.
-                            self.comm_fail(e);
-                            break;
-                        }
-                        other => panic!("unexpected comm result in WFBP sync: {other:?}"),
-                    }
-                }
+                self.pending += self.layout.num_groups();
+                self.drain(net.store_mut());
+                // On a failure the remaining groups were abandoned
+                // comm-side; skip the update — the step is discarded.
                 if self.comm_failed.is_none() {
                     self.local_optim
                         .as_mut()
@@ -366,42 +419,31 @@ impl DistOptim {
     ///
     /// Panics if the comm thread has died.
     pub fn synchronize(&mut self, net: &mut Sequential) -> Result<(), CollectiveError> {
-        while self.pending > 0 {
-            match self.results.recv().expect("comm thread hung up") {
-                CommResult::Params {
-                    group,
-                    params,
-                    grads,
-                } => self.accept_params(net.store_mut(), group, params, grads),
-                // `comm_fail` zeroes `pending`, ending the wait: the comm
-                // thread abandoned the flush, nothing more is coming.
-                CommResult::Error(e) => self.comm_fail(e),
-                other => panic!("unexpected comm result in synchronize: {other:?}"),
-            }
-        }
-        match self.comm_failed.clone() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.drain(net.store_mut());
+        self.check()
     }
 
     /// Broadcasts `value` from `root` to all ranks (used to agree on a new
     /// BO-suggested buffer size). Must be called at an iteration boundary
     /// after [`DistOptim::synchronize`], collectively by all ranks.
     ///
+    /// # Errors
+    ///
+    /// Returns the collective failure that broke the broadcast, or the
+    /// latched one if the fabric was already broken.
+    ///
     /// # Panics
     ///
     /// Panics if called with communication outstanding.
-    pub fn broadcast_value(&mut self, root: usize, value: f64) -> f64 {
-        assert_eq!(self.pending, 0, "broadcast requires a synchronized state");
-        self.jobs
-            .send(CommJob::Broadcast { root, value })
-            .expect("comm thread hung up");
-        match self.results.recv().expect("comm thread hung up") {
-            CommResult::Broadcast(v) => v,
-            CommResult::Error(e) => panic!("broadcast failed: {e}"),
-            other => panic!("unexpected comm result in broadcast: {other:?}"),
-        }
+    pub fn broadcast_value(&mut self, root: usize, value: f64) -> Result<f64, CollectiveError> {
+        self.request(
+            "broadcast",
+            CommJob::Broadcast { root, value },
+            |r| match r {
+                CommResult::Broadcast(v) => Ok(v),
+                other => Err(other),
+            },
+        )
     }
 
     /// Synchronizes all ranks. Must be called collectively at an iteration
@@ -409,25 +451,17 @@ impl DistOptim {
     ///
     /// # Errors
     ///
-    /// Returns the collective failure that broke the barrier.
+    /// Returns the collective failure that broke the barrier, or the
+    /// latched one if the fabric was already broken.
     ///
     /// # Panics
     ///
-    /// Panics if called with communication outstanding or the comm thread
-    /// has died.
+    /// Panics if called with communication outstanding.
     pub fn barrier(&mut self) -> Result<(), CollectiveError> {
-        assert_eq!(self.pending, 0, "barrier requires a synchronized state");
-        self.jobs
-            .send(CommJob::Barrier)
-            .expect("comm thread hung up");
-        match self.results.recv().expect("comm thread hung up") {
+        self.request("barrier", CommJob::Barrier, |r| match r {
             CommResult::BarrierDone => Ok(()),
-            CommResult::Error(e) => {
-                self.comm_fail(e.clone());
-                Err(e)
-            }
-            other => panic!("unexpected comm result in barrier: {other:?}"),
-        }
+            other => Err(other),
+        })
     }
 
     /// The resident optimizer-state bytes on this rank right now (velocity
@@ -436,23 +470,22 @@ impl DistOptim {
     /// comm thread never updates). Purely local — no communication. This
     /// is what the ZeRO memory assertions read.
     ///
+    /// # Errors
+    ///
+    /// Returns the latched failure while the fabric is broken.
+    ///
     /// # Panics
     ///
-    /// Panics if called with communication outstanding or the comm thread
-    /// has died.
-    #[must_use]
-    pub fn optim_state_bytes(&mut self) -> usize {
-        assert_eq!(
-            self.pending, 0,
-            "optimizer-byte query requires a synchronized state"
-        );
-        self.jobs
-            .send(CommJob::QueryOptimBytes)
-            .expect("comm thread hung up");
-        match self.results.recv().expect("comm thread hung up") {
-            CommResult::OptimBytes(bytes) => bytes,
-            other => panic!("unexpected comm result in byte query: {other:?}"),
-        }
+    /// Panics if called with communication outstanding.
+    pub fn optim_state_bytes(&mut self) -> Result<usize, CollectiveError> {
+        self.request(
+            "optimizer-byte query",
+            CommJob::QueryOptimBytes,
+            |r| match r {
+                CommResult::OptimBytes(bytes) => Ok(bytes),
+                other => Err(other),
+            },
+        )
     }
 
     /// Replaces the optimizer hyper-parameters (learning-rate schedules,
@@ -466,20 +499,15 @@ impl DistOptim {
     /// Panics if called with communication outstanding, or if the values
     /// are invalid (non-positive learning rate, momentum outside `[0, 1)`).
     pub fn set_hyper(&mut self, lr: f32, momentum: f32, weight_decay: f32) {
-        assert_eq!(
-            self.pending, 0,
-            "hyper change requires a synchronized state"
-        );
+        self.assert_synchronized("hyper change");
         assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        self.jobs
-            .send(CommJob::SetHyper(HyperParams {
-                lr,
-                momentum,
-                weight_decay,
-                kind: self.kind,
-            }))
-            .expect("comm thread hung up");
+        self.post(CommJob::SetHyper(HyperParams {
+            lr,
+            momentum,
+            weight_decay,
+            kind: self.kind,
+        }));
         if let Some(local) = self.local_optim.as_mut() {
             local.set_hyper(lr, momentum, weight_decay);
         }
@@ -489,24 +517,22 @@ impl DistOptim {
     /// Must be called at an iteration boundary after
     /// [`DistOptim::synchronize`]. Purely local — no communication.
     ///
+    /// # Errors
+    ///
+    /// Returns the latched failure while the fabric is broken.
+    ///
     /// # Panics
     ///
-    /// Panics if called with communication outstanding, or if the comm
-    /// thread has died.
-    #[must_use]
-    pub fn export_optim_state(&mut self) -> OptimState {
-        assert_eq!(
-            self.pending, 0,
-            "optimizer-state export requires a synchronized state"
-        );
-        self.jobs
-            .send(CommJob::ExportOptimState)
-            .expect("comm thread hung up");
-        match self.results.recv().expect("comm thread hung up") {
-            CommResult::OptimState(state) => state,
-            CommResult::Error(e) => panic!("optimizer-state export refused: {e}"),
-            other => panic!("unexpected comm result in optimizer export: {other:?}"),
-        }
+    /// Panics if called with communication outstanding.
+    pub fn export_optim_state(&mut self) -> Result<OptimState, CollectiveError> {
+        self.request(
+            "optimizer-state export",
+            CommJob::ExportOptimState,
+            |r| match r {
+                CommResult::OptimState(state) => Ok(state),
+                other => Err(other),
+            },
+        )
     }
 
     /// Replaces the comm thread's sharded optimizer state (checkpoint
@@ -522,13 +548,9 @@ impl DistOptim {
     ///
     /// # Panics
     ///
-    /// Panics if called with communication outstanding, or if the comm
-    /// thread has died.
+    /// Panics if called with communication outstanding.
     pub fn import_optim_state(&mut self, state: OptimState) -> Result<(), CollectiveError> {
-        assert_eq!(
-            self.pending, 0,
-            "optimizer-state import requires a synchronized state"
-        );
+        self.assert_synchronized("optimizer-state import");
         let expected = self.layout.total_elements();
         if state.velocity.len() != expected {
             let actual = state.velocity.len();
@@ -538,9 +560,7 @@ impl DistOptim {
             let actual = state.second_moment.len();
             return Err(CollectiveError::SizeMismatch { expected, actual });
         }
-        self.jobs
-            .send(CommJob::ImportOptimState(state))
-            .expect("comm thread hung up");
+        self.post(CommJob::ImportOptimState(state));
         Ok(())
     }
 
@@ -554,16 +574,11 @@ impl DistOptim {
     ///
     /// Panics if called with communication outstanding.
     pub fn set_fusion_buffer(&mut self, net: &Sequential, buffer_bytes: Option<u64>) {
-        assert_eq!(
-            self.pending, 0,
-            "re-bucketing requires a synchronized state"
-        );
+        self.assert_synchronized("re-bucketing");
         let layout = GroupLayout::from_buffer_wire(net, buffer_bytes, self.wire);
-        self.jobs
-            .send(CommJob::Reconfigure {
-                layout: CommLayout::from(&layout),
-            })
-            .expect("comm thread hung up");
+        self.post(CommJob::Reconfigure {
+            layout: CommLayout::from(&layout),
+        });
         self.tracker = GroupTracker::new(layout.plan());
         self.layout = layout;
     }
@@ -576,8 +591,9 @@ impl DistOptim {
     /// boundary; pair with [`DistOptim::agree_min_step`], a rollback to a
     /// known-good snapshot, and [`DistOptim::rebalance_optim_state`].
     ///
-    /// Stale results from the abandoned step (parameters, queued errors)
-    /// are drained and discarded together with the group buffers they carry
+    /// This is the one call that talks to a broken comm thread: stale
+    /// results from the abandoned step (parameters, queued errors) are
+    /// drained and discarded together with the group buffers they carry
     /// (the rollback's `set_flat_params` re-creates those segments) — the
     /// FIFO job channel guarantees everything enqueued before the resize
     /// replies first.
@@ -587,32 +603,29 @@ impl DistOptim {
     /// Returns [`CollectiveError::Reconfigure`] if the resize was refused
     /// (mid-step, no quorum) or the rendezvous failed; the failed state is
     /// left latched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the comm thread has died.
     pub fn resize_world(
         &mut self,
         survivors: Option<Vec<usize>>,
     ) -> Result<WorldChange, CollectiveError> {
-        self.jobs
-            .send(CommJob::ResizeWorld { survivors })
-            .expect("comm thread hung up");
-        loop {
-            match self.results.recv().expect("comm thread hung up") {
-                CommResult::Resized(Ok(change)) => {
-                    self.rank = change.new_rank;
-                    self.world = change.new_world;
-                    self.comm_failed = None;
-                    self.pending = 0;
-                    self.tracker.reset();
-                    return Ok(change);
-                }
-                CommResult::Resized(Err(e)) => return Err(e),
-                // Stragglers from the abandoned step — drop them.
-                _stale => (),
+        self.post(CommJob::ResizeWorld { survivors });
+        let change = loop {
+            // `take` takes every result: stragglers are dropped right here.
+            let resized = self.recv(None, |r| {
+                Ok(match r {
+                    CommResult::Resized(outcome) => Some(outcome),
+                    _straggler => None,
+                })
+            });
+            if let Some(outcome) = resized.flatten() {
+                break outcome?;
             }
-        }
+        };
+        self.rank = change.new_rank;
+        self.world = change.new_world;
+        self.comm_failed = None;
+        self.pending = 0;
+        self.tracker.reset();
+        Ok(change)
     }
 
     /// Min-allreduces `step` so every rank resumes from the same point
@@ -622,28 +635,17 @@ impl DistOptim {
     ///
     /// # Errors
     ///
-    /// Returns the collective failure if the agreement itself failed.
+    /// Returns the collective failure if the agreement itself failed, or
+    /// the latched one if the fabric was already broken.
     ///
     /// # Panics
     ///
-    /// Panics if called with communication outstanding or the comm thread
-    /// has died.
+    /// Panics if called with communication outstanding.
     pub fn agree_min_step(&mut self, step: u64) -> Result<u64, CollectiveError> {
-        assert_eq!(
-            self.pending, 0,
-            "step agreement requires a synchronized state"
-        );
-        self.jobs
-            .send(CommJob::AgreeStep(step))
-            .expect("comm thread hung up");
-        match self.results.recv().expect("comm thread hung up") {
+        self.request("step agreement", CommJob::AgreeStep(step), |r| match r {
             CommResult::Step(s) => Ok(s),
-            CommResult::Error(e) => {
-                self.comm_fail(e.clone());
-                Err(e)
-            }
-            other => panic!("unexpected comm result in step agreement: {other:?}"),
-        }
+            other => Err(other),
+        })
     }
 
     /// Repartitions the sharded optimizer state across the (possibly just
@@ -658,25 +660,21 @@ impl DistOptim {
     ///
     /// Returns the collective failure if the rebalance broke mid-flight; in
     /// that case the optimizer state is half-reduced and only a snapshot
-    /// import may repair it.
+    /// import may repair it. Returns the latched failure, with nothing
+    /// posted, if the fabric was already broken.
     ///
     /// # Panics
     ///
-    /// Panics if called with communication outstanding or the comm thread
-    /// has died.
+    /// Panics if called with communication outstanding.
     pub fn rebalance_optim_state(&mut self) -> Result<(), CollectiveError> {
-        assert_eq!(
-            self.pending, 0,
-            "shard rebalance requires a synchronized state"
-        );
-        self.jobs
-            .send(CommJob::Reconfigure {
-                layout: CommLayout::from(&self.layout),
-            })
-            .expect("comm thread hung up");
-        // `Reconfigure` carries no reply of its own; the trailing barrier
-        // both confirms its collectives succeeded and releases all ranks
-        // past the rebalance together.
+        self.assert_synchronized("shard rebalance");
+        self.check()?;
+        self.post(CommJob::Reconfigure {
+            layout: CommLayout::from(&self.layout),
+        });
+        // `Reconfigure` carries no reply of its own; the barrier queued
+        // behind it both confirms its collectives succeeded and releases
+        // all ranks past the rebalance together.
         self.barrier()
     }
 }
@@ -719,17 +717,18 @@ mod tests {
         (flat, buffers)
     }
 
-    #[test]
-    fn only_delivered_parameters_are_ever_shipped_back() {
-        // The test plays the comm thread. Step 1 ships the store's own
-        // buffers; two of its four groups are answered, then the fabric
-        // fails. Step 2 must stop at the first layer whose group was lost:
-        // the delivered groups are back in the store, the lost ones are
-        // absent — reading them panics — and nothing is shipped, never a
-        // placeholder. A straggler drained by the resize does not bring a
-        // lost group back; the rollback does, and step 3 ships it.
+    /// Rank 0 of 2 under DeAR over a four-group network, with the test
+    /// holding the comm thread's ends of both channels.
+    #[allow(clippy::type_complexity)]
+    fn played() -> (
+        DistOptim,
+        Sequential,
+        GroupLayout,
+        Receiver<CommJob>,
+        Sender<CommResult>,
+    ) {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut net = Sequential::new()
+        let net = Sequential::new()
             .push(Linear::new(4, 3, &mut rng))
             .push(Relu::new())
             .push(Linear::new(3, 2, &mut rng));
@@ -737,7 +736,7 @@ mod tests {
         assert_eq!(layout.num_groups(), 4);
         let (job_tx, job_rx) = unbounded();
         let (res_tx, res_rx) = unbounded();
-        let mut optim = DistOptim::new(
+        let optim = DistOptim::new(
             0,
             2,
             PipelineMode::Dear,
@@ -749,6 +748,29 @@ mod tests {
             &trace::unique_scope(0),
             DType::F32,
         );
+        (optim, net, layout, job_rx, res_tx)
+    }
+
+    fn resized_to_one() -> CommResult {
+        CommResult::Resized(Ok(WorldChange {
+            old_rank: 0,
+            old_world: 2,
+            new_rank: 0,
+            new_world: 1,
+            generation: 1,
+        }))
+    }
+
+    #[test]
+    fn only_delivered_parameters_are_ever_shipped_back() {
+        // The test plays the comm thread. Step 1 ships the store's own
+        // buffers; two of its four groups are answered, then the fabric
+        // fails. Step 2 must stop at the first layer whose group was lost:
+        // the delivered groups are back in the store, the lost ones are
+        // absent — reading them panics — and nothing is shipped, never a
+        // placeholder. A straggler drained by the resize does not bring a
+        // lost group back; the rollback does, and step 3 ships it.
+        let (mut optim, mut net, layout, job_rx, res_tx) = played();
         let x = Tensor::from_vec(&[2, 4], vec![0.5, -1.0, 0.25, 2.0, 1.0, 0.0, -0.5, 0.75]);
         let labels = [0usize, 1];
         // Nowhere zero, so a shipped placeholder could not pass for it.
@@ -808,15 +830,7 @@ mod tests {
                 grads: Vec::new(),
             })
             .unwrap();
-        res_tx
-            .send(CommResult::Resized(Ok(WorldChange {
-                old_rank: 0,
-                old_world: 2,
-                new_rank: 0,
-                new_world: 1,
-                generation: 1,
-            })))
-            .unwrap();
+        res_tx.send(resized_to_one()).unwrap();
         optim.resize_world(None).unwrap();
         assert!(matches!(
             job_rx.try_recv(),
@@ -827,5 +841,51 @@ mod tests {
         optim.train_step(&mut net, &x, &labels).unwrap();
         let (flat, _) = shipped(&job_rx, &layout);
         assert_eq!(flat, initial, "the rollback is what the next step ships");
+    }
+
+    #[test]
+    fn a_latched_failure_shuts_the_door_until_the_resize_drains() {
+        // The test plays the comm thread. A step fails; behind the error a
+        // `Params` straggler and a second `Error` are still queued. Every
+        // control call is refused with the latched error — nothing posted,
+        // nothing read: the straggler is not theirs to receive — and the
+        // resize, the one call that talks to a broken comm thread, drains
+        // both and succeeds.
+        let (mut optim, mut net, layout, job_rx, res_tx) = played();
+        let x = Tensor::from_vec(&[2, 4], vec![0.5, -1.0, 0.25, 2.0, 1.0, 0.0, -0.5, 0.75]);
+        optim.train_step(&mut net, &x, &[0, 1]).unwrap();
+        shipped(&job_rx, &layout);
+        let latched = CollectiveError::Disconnected { peer: 1 };
+        res_tx.send(CommResult::Error(latched.clone())).unwrap();
+        assert_eq!(optim.synchronize(&mut net), Err(latched.clone()));
+        res_tx
+            .send(CommResult::Params {
+                group: 0,
+                params: vec![0.0; layout.group_elements(0)],
+                grads: Vec::new(),
+            })
+            .unwrap();
+        let second = CollectiveError::Timeout {
+            peer: 1,
+            millis: 10,
+        };
+        res_tx.send(CommResult::Error(second)).unwrap();
+
+        assert_eq!(optim.export_optim_state(), Err(latched.clone()));
+        assert_eq!(optim.optim_state_bytes(), Err(latched.clone()));
+        assert_eq!(optim.barrier(), Err(latched.clone()));
+        assert_eq!(optim.agree_min_step(3), Err(latched.clone()));
+        assert_eq!(optim.broadcast_value(0, 1.0), Err(latched.clone()));
+        assert_eq!(optim.rebalance_optim_state(), Err(latched.clone()));
+        assert!(job_rx.try_recv().is_err(), "a refused call posts nothing");
+        assert_eq!(optim.comm_failed(), Some(&latched), "the first error stays");
+
+        res_tx.send(resized_to_one()).unwrap();
+        assert_eq!(optim.resize_world(None).unwrap().new_world, 1);
+        assert!(optim.comm_failed().is_none());
+        assert!(!net.store().has_params(0), "a straggler is not a delivery");
+        // The channel is empty again: the next reply is the barrier's own.
+        res_tx.send(CommResult::BarrierDone).unwrap();
+        optim.barrier().unwrap();
     }
 }

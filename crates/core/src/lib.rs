@@ -60,9 +60,7 @@ pub mod trace;
 pub mod tuning;
 
 pub use checkpoint::{CheckpointError, CheckpointStore, TrainCheckpoint};
-pub use cluster::{
-    run_training, run_worker, train_single_reference, DelayConfig, TrainConfig, WorkerHandle,
-};
+pub use cluster::{run_training, run_worker, train_single_reference, TrainConfig, WorkerHandle};
 pub use comm::{CommLayout, HyperParams, OptimKind, OptimState, ShardMap};
 pub use dear_collectives::{DType, SegmentConfig};
 pub use dear_fusion as fusion;

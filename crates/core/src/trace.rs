@@ -3,8 +3,8 @@
 //! DeAR's claim is that OP1 (reduce-scatter) hides behind backprop and OP2
 //! (all-gather) behind the next feed-forward. The simulator can *predict*
 //! that overlap; this module *measures* it. The training thread, the comm
-//! thread, the checkpoint store, the TCP endpoint and the segment-pipelined
-//! collectives all emit spans into one process-wide recorder; at the end of
+//! thread, the checkpoint store and the TCP endpoint all emit spans into
+//! one process-wide recorder; at the end of
 //! a run the spans are replayed into a [`dear_sim::Timeline`] so the exact
 //! same interval arithmetic ([`Timeline::exposed_time`]), no-overlap
 //! assertions ([`Timeline::assert_streams_serial`]) and Chrome-trace export
@@ -23,10 +23,11 @@
 //! Streams are named `scope/role` — e.g. `s0.r2/compute`, `s0.r2/comm` —
 //! where the scope is unique per worker (so concurrent in-process clusters
 //! never interleave on one stream) and the role identifies the emitting
-//! thread. Collective-internal transfer spans go to `scope/comm#xfer` so
-//! they can nest under the comm thread's per-bucket OP1/OP2 spans without
-//! violating the one-task-at-a-time invariant of either stream. Overlap
-//! reports measure the `…/comm` streams only.
+//! thread. The comm thread's per-group `OP1.RS` / `OP2.AG` / `AR` spans
+//! *are* the transfers — one split-phase ring op each — and every control
+//! collective has a span of its own (`BCAST`, `BARRIER`, `RESIZE`,
+//! `AGREE-STEP`, `REBALANCE`). Overlap reports measure the `…/comm` streams
+//! only.
 //!
 //! # Usage
 //!
@@ -79,9 +80,6 @@ static NEXT_SCOPE: AtomicU64 = AtomicU64::new(0);
 
 fn tracer() -> &'static Tracer {
     TRACER.get_or_init(|| {
-        // Collectives sit below this crate; give them a forwarding hook so
-        // segment-pipelined transfers show up as nested spans.
-        dear_collectives::set_collective_span_hook(collective_hook);
         let (tx, rx) = unbounded();
         Tracer {
             enabled: AtomicBool::new(false),
@@ -93,21 +91,6 @@ fn tracer() -> &'static Tracer {
             path: Mutex::new(None),
         }
     })
-}
-
-fn collective_hook(op: &'static str, elements: usize, start: Instant, end: Instant) {
-    let t = tracer();
-    if !t.enabled.load(Ordering::Relaxed) {
-        return;
-    }
-    let stream = with_streams(|s| s.xfer.clone());
-    t.push(
-        stream,
-        format!("{op}[{elements}]"),
-        TaskKind::Communication,
-        start,
-        end,
-    );
 }
 
 impl Tracer {
@@ -132,32 +115,15 @@ impl Tracer {
     }
 }
 
-struct ThreadStreams {
-    main: Arc<str>,
-    xfer: Arc<str>,
-}
-
 thread_local! {
-    static STREAMS: RefCell<ThreadStreams> = RefCell::new(ThreadStreams {
-        main: Arc::from("main/other"),
-        xfer: Arc::from("main/comm#xfer"),
-    });
-}
-
-fn with_streams<R>(f: impl FnOnce(&ThreadStreams) -> R) -> R {
-    STREAMS.with(|s| f(&s.borrow()))
+    /// The stream the calling thread's spans land on.
+    static STREAM: RefCell<Arc<str>> = RefCell::new(Arc::from("main/other"));
 }
 
 /// Names the calling thread's stream `scope/role` (e.g. `s0.r1/comm`);
-/// subsequent [`span`] calls from this thread land on that stream, and
-/// collective-internal transfer spans on `scope/role#xfer`.
+/// subsequent [`span`] calls from this thread land on that stream.
 pub fn set_thread_stream(scope: &str, role: &str) {
-    STREAMS.with(|s| {
-        *s.borrow_mut() = ThreadStreams {
-            main: Arc::from(format!("{scope}/{role}")),
-            xfer: Arc::from(format!("{scope}/{role}#xfer")),
-        };
-    });
+    STREAM.with(|s| *s.borrow_mut() = Arc::from(format!("{scope}/{role}")));
 }
 
 /// Returns a process-unique scope name for one worker, `s<N>.r<rank>`.
@@ -224,7 +190,7 @@ pub fn span(kind: TaskKind, label: impl FnOnce() -> String) -> Span {
     if !t.enabled.load(Ordering::Relaxed) {
         return Span { rec: None };
     }
-    let stream = with_streams(|s| s.main.clone());
+    let stream = STREAM.with(|s| s.borrow().clone());
     Span {
         rec: Some((stream, label(), kind, Instant::now())),
     }
@@ -238,7 +204,7 @@ pub fn span_starting_at(start: Instant, kind: TaskKind, label: impl FnOnce() -> 
     if !t.enabled.load(Ordering::Relaxed) {
         return Span { rec: None };
     }
-    let stream = with_streams(|s| s.main.clone());
+    let stream = STREAM.with(|s| s.borrow().clone());
     Span {
         rec: Some((stream, label(), kind, start)),
     }
@@ -350,8 +316,7 @@ pub fn timeline_groups() -> Vec<(String, Timeline)> {
 /// whatever is not covered by feed-forward or backprop spans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapSummary {
-    /// Total per-bucket communication time (`…/comm` streams only, so
-    /// nested `…#xfer` transfer spans are not double-counted).
+    /// Total per-bucket communication time (`…/comm` streams only).
     pub comm: SimDuration,
     /// The part of `comm` not hidden behind compute.
     pub exposed: SimDuration,
@@ -532,30 +497,6 @@ mod tests {
         assert_eq!(s.exposed, SimDuration::from_micros(40));
         assert_eq!(s.hidden(), SimDuration::from_micros(60));
         assert!((s.overlap_ratio() - 0.6).abs() < 1e-12);
-        assert_eq!(s.comm_spans, 1);
-    }
-
-    #[test]
-    fn xfer_streams_do_not_double_count_communication() {
-        let mut tl = Timeline::new();
-        let comm = tl.add_stream("r/comm");
-        let xfer = tl.add_stream("r/comm#xfer");
-        tl.record_span(
-            comm,
-            "OP2.AG[g0]",
-            TaskKind::Communication,
-            SimTime::ZERO,
-            SimTime::from_nanos(50000),
-        );
-        tl.record_span(
-            xfer,
-            "ring_all_gather[1024]",
-            TaskKind::Communication,
-            SimTime::from_nanos(5000),
-            SimTime::from_nanos(45000),
-        );
-        let s = OverlapSummary::from_timeline(&tl);
-        assert_eq!(s.comm, SimDuration::from_micros(50));
         assert_eq!(s.comm_spans, 1);
     }
 

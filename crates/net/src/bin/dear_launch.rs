@@ -53,9 +53,6 @@ options:
                        parameter shard resident between reduce-scatter
                        and all-gather — same losses bit-for-bit on the
                        f32 wire, ~1/world the optimizer memory per rank)
-  --pin-comm CORE      pin every rank's comm threads (TCP reader/writer)
-                       to CPU core CORE (sets DEAR_PIN_COMM; best effort,
-                       silently unpinned where the OS refuses)
 
 elastic options (any of these selects the supervised-restart path):
   --elastic-resize     survive peer loss by resizing in place: rank
@@ -178,11 +175,6 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
                     .map_err(|e| format!("bad --strategy {v}: {e}"))?;
                 opts.env
                     .push(("DEAR_STRATEGY".to_string(), parsed.as_str().to_string()));
-            }
-            "--pin-comm" => {
-                let v = take_value(&args, &mut i, "--pin-comm")?;
-                let _: usize = v.parse().map_err(|_| format!("bad --pin-comm {v}"))?;
-                opts.env.push(("DEAR_PIN_COMM".to_string(), v));
             }
             "--ckpt-dir" => {
                 let v = take_value(&args, &mut i, "--ckpt-dir")?;

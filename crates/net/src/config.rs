@@ -129,12 +129,6 @@ pub struct NetConfig {
     /// on the wire), which degrades gracefully to all-TCP.
     /// Env: `DEAR_HOST_ID`.
     pub host_id: Option<u64>,
-    /// CPU core the per-peer reader threads are pinned to, or `None` for
-    /// no pinning. On a dedicated comm core this keeps
-    /// the byte hot path's cache state warm across frames; best-effort —
-    /// an impossible core is ignored, not an error.
-    /// Env: `DEAR_PIN_COMM`; CLI: `--pin-comm CORE`.
-    pub pin_comm: Option<usize>,
     /// How model state is partitioned across the world: classic data
     /// parallelism (`ddp`, the default) or ZeRO-style optimizer-state
     /// sharding (`zero1`/`zero2`) on the same decoupled pipeline. Passed
@@ -192,7 +186,6 @@ impl NetConfig {
             resize_window: Duration::from_secs(2),
             elastic_resize: false,
             host_id: None,
-            pin_comm: None,
             strategy: ParallelismStrategy::Ddp,
             trace: None,
             demo: DemoOptions::default(),
@@ -291,13 +284,6 @@ impl NetConfig {
         self
     }
 
-    /// Pins the per-peer reader threads to `core` (`None` = no pinning).
-    #[must_use]
-    pub fn with_pin_comm(mut self, core: Option<usize>) -> Self {
-        self.pin_comm = core;
-        self
-    }
-
     /// Selects the parallelism strategy (`ddp`/`zero1`/`zero2`).
     #[must_use]
     pub fn with_strategy(mut self, strategy: ParallelismStrategy) -> Self {
@@ -336,8 +322,7 @@ impl NetConfig {
     /// shrinking the world in place instead of restarting), and
     /// `DEAR_HOST_ID` (this rank's physical-host identity, for the
     /// shared-memory tier; unset = every rank on its own pseudo-host),
-    /// `DEAR_PIN_COMM` (CPU core to pin the reader threads to; unset = no
-    /// pinning), `DEAR_STRATEGY`
+    /// `DEAR_STRATEGY`
     /// (`ddp`/`zero1`/`zero2`, the parallelism strategy; an unknown name
     /// is a typed [`NetError::Config`], not a silent fallback), and
     /// `DEAR_TRACE` (Chrome-trace path prefix; empty/unset = recorder
@@ -405,9 +390,6 @@ impl NetConfig {
         }
         if let Ok(h) = std::env::var("DEAR_HOST_ID") {
             cfg.host_id = Some(parse("DEAR_HOST_ID", &h)?);
-        }
-        if let Ok(c) = std::env::var("DEAR_PIN_COMM") {
-            cfg.pin_comm = Some(parse("DEAR_PIN_COMM", &c)?);
         }
         if let Ok(name) = std::env::var("DEAR_WIRE_DTYPE") {
             let wire = DType::parse(&name).ok_or_else(|| {
@@ -528,7 +510,6 @@ mod tests {
         assert_eq!(cfg.resize_window, Duration::from_secs(2));
         assert!(!cfg.elastic_resize, "resize is opt-in");
         assert_eq!(cfg.host_id, None, "host identity is opt-in");
-        assert_eq!(cfg.pin_comm, None, "core pinning is opt-in");
         assert_eq!(cfg.strategy, ParallelismStrategy::Ddp, "DDP is the default");
         assert_eq!(cfg.trace, None, "tracing is opt-in");
     }
@@ -546,7 +527,6 @@ mod tests {
             .with_resize_window(Duration::ZERO) // clamped to 1 ms
             .with_elastic_resize(true)
             .with_host_id(Some(42))
-            .with_pin_comm(Some(0))
             .with_wire(DType::Bf16)
             .with_strategy(ParallelismStrategy::Zero2)
             .with_trace(Some(PathBuf::from("/tmp/trace/dear")))
@@ -569,7 +549,6 @@ mod tests {
         assert_eq!(cfg.resize_window, Duration::from_millis(1));
         assert!(cfg.elastic_resize);
         assert_eq!(cfg.host_id, Some(42));
-        assert_eq!(cfg.pin_comm, Some(0));
         assert_eq!(cfg.wire, DType::Bf16);
         assert_eq!(cfg.strategy, ParallelismStrategy::Zero2);
         assert_eq!(cfg.trace, Some(PathBuf::from("/tmp/trace/dear")));

@@ -3,6 +3,7 @@
 //! as a copy-paste template for real deployments.
 
 use dear_collectives::{naive_all_reduce_seg, CollectiveError, ReduceOp, SegmentConfig, Transport};
+use dear_core::checkpoint::fnv1a64;
 use dear_core::fusion::RandomSearch;
 use dear_core::trace::{self, OverlapSummary};
 use dear_core::tuning::OnlineTuning;
@@ -62,14 +63,7 @@ impl DemoSummary {
 /// Hashes parameter bits order-sensitively (FNV-1a over the `f32` bits).
 #[must_use]
 pub fn hash_params(params: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for p in params {
-        for b in p.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
+    fnv1a64(params.iter().flat_map(|p| p.to_bits().to_le_bytes()))
 }
 
 /// Which retained boundary snapshot matches the agreed resume step after
@@ -356,7 +350,7 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
             let mut step = start;
             let mut snap_step = start;
             let mut snap_params = net.flat_params();
-            let mut snap_optim = optim.export_optim_state();
+            let mut snap_optim = optim.export_optim_state()?;
             let mut prev_step = snap_step;
             let mut prev_params = snap_params.clone();
             let mut prev_optim = snap_optim.clone();
@@ -434,7 +428,8 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                         }
                         prev_step = snap_step;
                         prev_params = std::mem::replace(&mut snap_params, net.flat_params());
-                        prev_optim = std::mem::replace(&mut snap_optim, optim.export_optim_state());
+                        prev_optim =
+                            std::mem::replace(&mut snap_optim, optim.export_optim_state()?);
                         snap_step = step;
                         // One write_all per line: stderr is unbuffered, so a
                         // multi-fragment eprintln! from 4 ranks sharing the
@@ -497,7 +492,7 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
             }
             // Queried after the final synchronize, so the figure reflects the
             // steady resident state (the dense owned shard).
-            let optim_bytes = optim.optim_state_bytes();
+            let optim_bytes = optim.optim_state_bytes()?;
             let (x, labels) = data.batch(1_000_000, 64);
             let logits = net.forward(&x);
             let (loss, _) = softmax_cross_entropy(&logits, &labels);

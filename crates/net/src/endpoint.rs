@@ -78,7 +78,6 @@ use std::time::{Duration, Instant};
 use dear_collectives::{BufferPool, CollectiveError, Message, Transport, WireBuf, WorldChange};
 use dear_core::trace;
 
-use crate::affinity;
 use crate::config::{NetConfig, NetError};
 use crate::frame::{
     decode_generation, decode_ident, encode_generation, encode_ident, read_frame,
@@ -378,7 +377,6 @@ impl TcpEndpoint {
             let rhealth = Arc::clone(&health);
             let rcounters = Arc::clone(&counters);
             let generation = cfg.generation;
-            let pin_core = cfg.pin_comm;
             let reader = std::thread::Builder::new()
                 .name(format!("dear-tcp-r{rank}-p{peer}"))
                 .spawn(move || {
@@ -390,7 +388,6 @@ impl TcpEndpoint {
                         &rpool,
                         &rhealth,
                         &rcounters[peer],
-                        pin_core,
                     )
                 })
                 .map_err(|e| NetError::io(format!("spawning the reader for rank {peer}"), e))?;
@@ -677,7 +674,6 @@ fn heartbeat_monitor(
 /// [`CollectiveError::StaleGeneration`] on the receive side). Dropping the
 /// inbox sender is what turns a dead peer into
 /// [`CollectiveError::Disconnected`].
-#[allow(clippy::too_many_arguments)]
 fn reader_loop(
     stream: TcpStream,
     peer: usize,
@@ -686,11 +682,7 @@ fn reader_loop(
     pool: &BufferPool,
     health: &Health,
     counters: &PeerCounters,
-    pin_core: Option<usize>,
 ) {
-    if let Some(core) = pin_core {
-        affinity::pin_current_thread(core);
-    }
     let mut r = BufReader::with_capacity(64 * 1024, stream);
     let mut body = Vec::new();
     loop {

@@ -226,36 +226,6 @@ pub fn read_frame<R: Read>(r: &mut R, body: &mut Vec<u8>) -> io::Result<FrameKin
     Ok(kind)
 }
 
-/// Encodes `elems` as the LE byte body of a [`FrameKind::Data`] frame into
-/// `out` (cleared and reused).
-pub fn encode_f32s(elems: &[f32], out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(elems.len() * 4);
-    for x in elems {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-/// Decodes a [`FrameKind::Data`] body into `out` (cleared and reused).
-///
-/// # Errors
-///
-/// Returns `InvalidData` if the body length is not a multiple of 4.
-pub fn decode_f32s(body: &[u8], out: &mut Vec<f32>) -> io::Result<()> {
-    if !body.len().is_multiple_of(4) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("data frame of {} bytes is not whole f32s", body.len()),
-        ));
-    }
-    out.clear();
-    out.reserve(body.len() / 4);
-    for chunk in body.chunks_exact(4) {
-        out.push(f32::from_le_bytes(chunk.try_into().expect("4-byte chunk")));
-    }
-    Ok(())
-}
-
 /// Bytes of [`FrameKind::Data`] body overhead before the element bytes:
 /// the 8-byte generation stamp plus the 1-byte dtype tag.
 pub const DATA_BODY_OVERHEAD: usize = 9;
@@ -560,20 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_codec_is_bit_exact() {
-        let elems = [0.0f32, -1.5, f32::MIN_POSITIVE, f32::NAN, 1e30, -0.0];
-        let mut bytes = Vec::new();
-        encode_f32s(&elems, &mut bytes);
-        assert_eq!(bytes.len(), elems.len() * 4);
-        let mut back = Vec::new();
-        decode_f32s(&bytes, &mut back).unwrap();
-        for (a, b) in elems.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert!(decode_f32s(&bytes[..3], &mut back).is_err());
-    }
-
-    #[test]
     fn hello_welcome_roundtrip() {
         let hello = Hello {
             rank: u32::MAX,
@@ -614,8 +570,11 @@ mod tests {
         let (generation, dtype, raw) = split_data_body(&body).unwrap();
         assert_eq!(generation, 41);
         assert_eq!(dtype, DType::F32);
-        let mut back = Vec::new();
-        decode_f32s(raw, &mut back).unwrap();
+        let mut back = [0.0f32; 3];
+        WireBuf::from_raw(dtype, raw.to_vec())
+            .unwrap()
+            .decode_into(&mut back)
+            .unwrap();
         for (a, b) in elems.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

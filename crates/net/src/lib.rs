@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod affinity;
 pub mod chaos;
 mod config;
 mod demo;

@@ -4,7 +4,6 @@
 //! the DeAR reproduction to model distributed-training iteration timelines:
 //!
 //! - [`SimTime`] / [`SimDuration`]: integer-nanosecond clock types.
-//! - [`EventSim`]: a classic event-heap kernel with FIFO tie-breaking.
 //! - [`Timeline`]: dependency-driven placement of tasks onto
 //!   serially-occupied streams (GPU compute stream, NIC communication
 //!   stream), with breakdown queries such as *exposed communication time* —
@@ -48,12 +47,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod engine;
 pub mod stats;
 mod time;
 mod timeline;
 pub mod trace;
 
-pub use engine::EventSim;
 pub use time::{SimDuration, SimTime};
 pub use timeline::{StreamId, Task, TaskId, TaskKind, Timeline};

@@ -1,8 +1,8 @@
 //! Property-based tests for the simulation substrate: timeline stream
-//! serialization, exposed-time interval arithmetic against a brute-force
-//! oracle, and event-kernel ordering.
+//! serialization and exposed-time interval arithmetic against a brute-force
+//! oracle.
 
-use dear_sim::{EventSim, SimDuration, SimTime, TaskKind, Timeline};
+use dear_sim::{SimDuration, SimTime, TaskKind, Timeline};
 use proptest::prelude::*;
 
 /// A random task description: (stream, kind, duration_ns, dep_back).
@@ -118,25 +118,5 @@ proptest! {
         .map(|&k| tl.busy_time(k).as_nanos())
         .sum();
         prop_assert_eq!(total, by_kind);
-    }
-
-    #[test]
-    fn event_kernel_delivers_sorted(
-        times in prop::collection::vec(0u64..1_000_000, 1..100),
-    ) {
-        let mut sim = EventSim::new();
-        for (i, &t) in times.iter().enumerate() {
-            sim.schedule_at(SimTime::from_nanos(t), (t, i));
-        }
-        let mut seen: Vec<(u64, usize)> = Vec::new();
-        sim.run(|s, ev| {
-            assert_eq!(s.now().as_nanos(), ev.0);
-            seen.push(ev);
-        });
-        // Delivered sorted by time, FIFO within equal times.
-        for w in seen.windows(2) {
-            prop_assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
-        }
-        prop_assert_eq!(seen.len(), times.len());
     }
 }

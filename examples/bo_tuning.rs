@@ -59,7 +59,7 @@ fn main() {
                     // Window closed: rank 0 suggests, everyone adopts.
                     optim.synchronize(&mut net).unwrap();
                     let suggestion = tuning.next_suggestion(throughput);
-                    let agreed = optim.broadcast_value(0, suggestion);
+                    let agreed = optim.broadcast_value(0, suggestion).unwrap();
                     tuning.adopt(agreed);
                     optim.set_fusion_buffer(&net, Some(agreed as u64));
                     if rank == 0 {

@@ -2,9 +2,9 @@
 //! collectives) training real models on real threads, checked against
 //! single-process S-SGD.
 
-use dear::collectives::CostModel;
+use dear::collectives::{CostModel, DelayFabric, LocalFabric};
 use dear::minidnn::{accuracy, BlobDataset, Linear, Relu, Sequential, Tanh};
-use dear::{run_training, train_single_reference, DelayConfig, PipelineMode, TrainConfig};
+use dear::{run_training, run_worker, train_single_reference, PipelineMode, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -96,18 +96,16 @@ fn dear_and_wfbp_modes_agree_with_each_other() {
 #[test]
 fn training_over_emulated_network_still_converges() {
     // Inject small α-β delays (scaled down to keep the test quick): the
-    // pipelining must not affect correctness, only timing.
+    // pipelining must not affect correctness, only timing. Every rank's
+    // endpoint is wrapped — a delay is observed at the receiver.
     let data = BlobDataset::new(10, 4, 0.4, 55);
     let config = TrainConfig {
         lr: 0.1,
         fusion_buffer: Some(4 << 10),
-        delay: Some(DelayConfig {
-            model: CostModel::new(20_000.0, 0.01, 0.0),
-            scale: 0.05,
-        }),
         ..TrainConfig::default()
     };
-    let accs = run_training(3, config, |handle| {
+    let model = CostModel::new(20_000.0, 0.01, 0.0);
+    let worker = |handle: dear::WorkerHandle| {
         let rank = handle.rank();
         let mut net = build_net(2);
         let mut optim = handle.into_optim(&net);
@@ -118,6 +116,17 @@ fn training_over_emulated_network_still_converges() {
         optim.synchronize(&mut net).unwrap();
         let (x, labels) = data.batch(99_999, 200);
         accuracy(&net.forward(&x), &labels)
+    };
+    let accs: Vec<f32> = std::thread::scope(|s| {
+        let ranks: Vec<_> = LocalFabric::create(3)
+            .into_iter()
+            .map(|ep| {
+                let link = DelayFabric::with_scale(ep, model, 0.05);
+                let config = config.clone();
+                s.spawn(move || run_worker(link, config, worker))
+            })
+            .collect();
+        ranks.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (rank, acc) in accs.iter().enumerate() {
         assert!(*acc > 0.8, "rank {rank}: accuracy {acc}");
