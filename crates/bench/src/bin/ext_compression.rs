@@ -9,8 +9,8 @@
 
 use dear_bench::{write_json, TableBuilder};
 use dear_collectives::{
-    compressed_aggregate, compressed_aggregate_wire_bytes, run_cluster, Compressor, ErrorFeedback,
-    ReduceOp, TopK, Uniform8,
+    compressed_aggregate, compressed_aggregate_wire_bytes, ring_all_reduce, run_cluster,
+    Compressor, ErrorFeedback, ReduceOp, TopK, Transport, Uniform8,
 };
 use dear_models::Model;
 
@@ -61,22 +61,22 @@ fn main() {
     let mut fidelity = TableBuilder::new(&["compressor", "ratio", "rel. L2 error"]);
     let world = 8;
     let elems = 100_000;
-    let exact = run_cluster(world, |comm| {
+    let exact = run_cluster(world, |ep| {
         let mut data: Vec<f32> = (0..elems)
-            .map(|i| ((comm.rank() * elems + i) as f32 * 0.001).sin())
+            .map(|i| ((ep.rank() * elems + i) as f32 * 0.001).sin())
             .collect();
-        comm.all_reduce(&mut data, ReduceOp::Sum).unwrap();
+        ring_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
         data.iter_mut().for_each(|x| *x /= world as f32);
         data
     })
     .remove(0);
     let run_one = |name: &str, ratio: f64, c: &(dyn Fn() -> Box<dyn CompressorObj> + Sync)| {
-        let approx = run_cluster(world, |comm| {
+        let approx = run_cluster(world, |ep| {
             let mut data: Vec<f32> = (0..elems)
-                .map(|i| ((comm.rank() * elems + i) as f32 * 0.001).sin())
+                .map(|i| ((ep.rank() * elems + i) as f32 * 0.001).sin())
                 .collect();
             let mut ef = ErrorFeedback::new();
-            c().aggregate(comm.transport(), &mut data, &mut ef);
+            c().aggregate(&ep, &mut data, &mut ef);
             data
         })
         .remove(0);

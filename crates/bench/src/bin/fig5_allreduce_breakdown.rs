@@ -10,7 +10,10 @@
 use std::time::Instant;
 
 use dear_bench::{write_json, TableBuilder};
-use dear_collectives::{run_cluster, CostModel, ReduceOp};
+use dear_collectives::{
+    ring_all_gather, ring_all_reduce, ring_owned_chunk, ring_reduce_scatter, run_cluster,
+    CostModel, ReduceOp, Transport,
+};
 
 fn model_view(artifact: &mut Vec<serde_json::Value>) {
     println!("(a/b) alpha-beta model, 64 workers, 10GbE\n");
@@ -70,9 +73,9 @@ fn real_view(artifact: &mut Vec<serde_json::Value>) {
     let mut table = TableBuilder::new(&["elements", "AR (ms)", "RSAG (ms)", "RSAG/AR"]);
     // Discarded warmup: the first collective in a fresh process pays
     // allocator/page-fault costs that would bias whichever side runs first.
-    let _ = run_cluster(world, |comm| {
+    let _ = run_cluster(world, |ep| {
         let mut data = vec![1.0f32; 1_000_000];
-        comm.all_reduce(&mut data, ReduceOp::Sum).unwrap();
+        ring_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
     });
     let median3 = |f: &dyn Fn() -> f64| {
         let mut xs = [f(), f(), f()];
@@ -81,17 +84,19 @@ fn real_view(artifact: &mut Vec<serde_json::Value>) {
     };
     for &elems in &[1_000usize, 10_000, 100_000, 1_000_000] {
         let ar = median3(&|| {
-            run_cluster(world, |comm| {
+            run_cluster(world, |ep| {
                 let mut data = vec![1.0f32; elems];
-                timed(reps, || comm.all_reduce(&mut data, ReduceOp::Sum).unwrap())
+                timed(reps, || {
+                    ring_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap()
+                })
             })[0]
         });
         let rsag = median3(&|| {
-            run_cluster(world, |comm| {
+            run_cluster(world, |ep| {
                 let mut data = vec![1.0f32; elems];
                 timed(reps, || {
-                    comm.reduce_scatter(&mut data, ReduceOp::Sum).unwrap();
-                    comm.all_gather(&mut data).unwrap();
+                    ring_reduce_scatter(&ep, &mut data, ReduceOp::Sum).unwrap();
+                    ring_all_gather(&ep, &mut data, ring_owned_chunk(ep.rank(), world)).unwrap();
                 })
             })[0]
         });

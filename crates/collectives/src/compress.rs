@@ -360,7 +360,7 @@ pub fn compressed_aggregate_wire_bytes(bytes: u64, ratio: f64, world: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::run_world;
+    use crate::transport::run_cluster;
 
     #[test]
     fn topk_keeps_largest_magnitudes() {
@@ -459,7 +459,7 @@ mod tests {
 
     #[test]
     fn variable_all_gather_collects_all_payloads() {
-        let results = run_world(4, |ep| {
+        let results = run_cluster(4, |ep| {
             let own = WireBuf::from_raw(DType::U8, vec![ep.rank() as u8; ep.rank() + 1]).unwrap();
             ring_all_gather_variable(&ep, own).unwrap()
         });
@@ -475,7 +475,7 @@ mod tests {
     fn compressed_aggregate_with_full_ratio_matches_mean() {
         let world = 4;
         let d = 20;
-        let results = run_world(world, |ep| {
+        let results = run_cluster(world, |ep| {
             let mut data: Vec<f32> = (0..d).map(|i| (ep.rank() * d + i) as f32).collect();
             let mut ef = ErrorFeedback::new();
             compressed_aggregate(&ep, &mut data, &TopK::new(1.0), &mut ef).unwrap();
@@ -495,7 +495,7 @@ mod tests {
     fn compressed_aggregate_quantized_is_close_to_mean() {
         let world = 3;
         let d = 64;
-        let results = run_world(world, |ep| {
+        let results = run_cluster(world, |ep| {
             let mut data: Vec<f32> = (0..d)
                 .map(|i| ((ep.rank() + i) as f32 * 0.1).cos())
                 .collect();

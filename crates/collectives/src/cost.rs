@@ -14,8 +14,6 @@
 use dear_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::segment::SegmentConfig;
-
 /// An α-β(-γ) cost model for one interconnect.
 ///
 /// # Examples
@@ -190,112 +188,6 @@ impl CostModel {
         let gamma = if reduce { self.gamma_ns_per_byte } else { 0.0 };
         let per_round = self.alpha_ns + bytes_per_round * (self.beta_ns_per_byte + gamma);
         SimDuration::from_nanos((rounds * per_round).round() as u64)
-    }
-
-    /// How many wire segments a `bytes`-byte chunk travels as under `seg`.
-    fn segments_per_round(bytes_per_round: f64, seg: SegmentConfig) -> f64 {
-        if seg.max_segment_bytes == 0 || bytes_per_round <= 0.0 {
-            1.0
-        } else {
-            (bytes_per_round / seg.max_segment_bytes as f64)
-                .ceil()
-                .max(1.0)
-        }
-    }
-
-    /// Pipelined round cost: `S·α + c·β + (c/S)·γ` for a chunk of `c`
-    /// bytes in `S` segments. The reductions of segments `1..S−1` overlap
-    /// the serialization of the following segment, so only the **last**
-    /// segment's reduction is exposed; each segment still pays its own
-    /// startup `α`. Degenerates to the monolithic `α + c·(β+γ)` at `S = 1`.
-    fn segmented_rounds(
-        &self,
-        rounds: f64,
-        bytes_per_round: f64,
-        reduce: bool,
-        seg: SegmentConfig,
-    ) -> SimDuration {
-        let s = Self::segments_per_round(bytes_per_round, seg);
-        let gamma = if reduce { self.gamma_ns_per_byte } else { 0.0 };
-        let per_round = s * self.alpha_ns
-            + bytes_per_round * self.beta_ns_per_byte
-            + (bytes_per_round / s) * gamma;
-        SimDuration::from_nanos((rounds * per_round).round() as u64)
-    }
-
-    /// Point-to-point cost of `bytes` split per `seg`: `S·α + bytes·β`.
-    #[must_use]
-    pub fn p2p_segmented(&self, bytes: u64, seg: SegmentConfig) -> SimDuration {
-        let s = Self::segments_per_round(bytes as f64, seg);
-        SimDuration::from_nanos(
-            (s * self.alpha_ns + bytes as f64 * self.beta_ns_per_byte).round() as u64,
-        )
-    }
-
-    /// Segment-pipelined ring reduce-scatter (Eq. 3 with per-step
-    /// pipelining): `(P−1)·(S·α + (d/P)·β + (d/(P·S))·γ)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `world == 0`.
-    #[must_use]
-    pub fn ring_reduce_scatter_segmented(
-        &self,
-        bytes: u64,
-        world: usize,
-        seg: SegmentConfig,
-    ) -> SimDuration {
-        assert!(world > 0, "world size must be positive");
-        if world == 1 {
-            return SimDuration::ZERO;
-        }
-        self.segmented_rounds((world - 1) as f64, bytes as f64 / world as f64, true, seg)
-    }
-
-    /// Segment-pipelined ring all-gather. No reduction, so segmentation
-    /// only adds startup terms: `(P−1)·(S·α + (d/P)·β)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `world == 0`.
-    #[must_use]
-    pub fn ring_all_gather_segmented(
-        &self,
-        bytes: u64,
-        world: usize,
-        seg: SegmentConfig,
-    ) -> SimDuration {
-        assert!(world > 0, "world size must be positive");
-        if world == 1 {
-            return SimDuration::ZERO;
-        }
-        self.segmented_rounds((world - 1) as f64, bytes as f64 / world as f64, false, seg)
-    }
-
-    /// Segment-pipelined ring all-reduce: both phases segmented.
-    #[must_use]
-    pub fn ring_all_reduce_segmented(
-        &self,
-        bytes: u64,
-        world: usize,
-        seg: SegmentConfig,
-    ) -> SimDuration {
-        self.ring_reduce_scatter_segmented(bytes, world, seg)
-            + self.ring_all_gather_segmented(bytes, world, seg)
-    }
-
-    /// Segment size minimizing the pipelined round cost for a chunk of
-    /// `chunk_bytes`: differentiating `S·α + c·β + (c/S)·γ` in `S` gives
-    /// `S* = √(c·γ/α)`, i.e. a segment of `√(c·α/γ)` bytes. Returns `None`
-    /// when the model predicts no win (`γ = 0`, reductions are free in the
-    /// paper's Eq. 3, or `α = 0`, startups are free so any split works).
-    #[must_use]
-    pub fn optimal_segment_bytes(&self, chunk_bytes: u64) -> Option<u64> {
-        if self.gamma_ns_per_byte <= 0.0 || self.alpha_ns <= 0.0 || chunk_bytes == 0 {
-            return None;
-        }
-        let seg = (chunk_bytes as f64 * self.alpha_ns / self.gamma_ns_per_byte).sqrt();
-        Some((seg.round() as u64).clamp(4, chunk_bytes))
     }
 
     /// Ring reduce-scatter of `bytes` over `world` workers (Eq. 3):
@@ -713,77 +605,6 @@ mod tests {
         let m = CostModel::new(100.0, 2.0, 0.0);
         assert_eq!(m.p2p(0).as_nanos(), 100);
         assert_eq!(m.p2p(50).as_nanos(), 200);
-    }
-
-    #[test]
-    fn monolithic_segmentation_matches_unsegmented_cost() {
-        let m = CostModel::new(10_000.0, 0.5, 0.2);
-        let seg = SegmentConfig::MONOLITHIC;
-        for world in [2, 8, 64] {
-            for bytes in [1_000, MB, 25 * MB] {
-                assert_eq!(
-                    m.ring_reduce_scatter_segmented(bytes, world, seg),
-                    m.ring_reduce_scatter(bytes, world)
-                );
-                assert_eq!(
-                    m.ring_all_reduce_segmented(bytes, world, seg),
-                    m.ring_all_reduce(bytes, world)
-                );
-            }
-        }
-        // A segment at least as large as the chunk also degenerates.
-        let huge = SegmentConfig::new(usize::MAX);
-        assert_eq!(
-            m.ring_all_reduce_segmented(MB, 8, huge),
-            m.ring_all_reduce(MB, 8)
-        );
-    }
-
-    #[test]
-    fn segmentation_hides_reduction_when_gamma_positive() {
-        // With γ > 0, splitting a large chunk overlaps reduction with
-        // serialization; the extra (S−1)·α must be cheaper than the hidden
-        // (1−1/S)·c·γ for the sizes the paper pipelines (tens of MB).
-        let m = CostModel::new(22_500.0, 0.8, 0.4);
-        let seg = SegmentConfig::new(MB as usize);
-        let bytes = 64 * MB;
-        assert!(
-            m.ring_all_reduce_segmented(bytes, 8, seg) < m.ring_all_reduce(bytes, 8),
-            "segmented should beat monolithic at 64MB"
-        );
-        // Tiny messages: segmentation cannot win (S = 1 anyway).
-        assert_eq!(
-            m.ring_all_reduce_segmented(1_000, 8, seg),
-            m.ring_all_reduce(1_000, 8)
-        );
-    }
-
-    #[test]
-    fn optimal_segment_balances_alpha_against_gamma() {
-        let m = CostModel::new(22_500.0, 0.8, 0.4);
-        let chunk = 8 * MB;
-        let best = m.optimal_segment_bytes(chunk).unwrap();
-        let t_best = m.ring_all_reduce_segmented(chunk * 8, 8, SegmentConfig::new(best as usize));
-        // The analytic optimum should beat both a much finer and a much
-        // coarser split.
-        for other in [best / 16, best * 16] {
-            let t = m.ring_all_reduce_segmented(chunk * 8, 8, SegmentConfig::new(other as usize));
-            assert!(t_best <= t, "seg {best} should beat {other}");
-        }
-        // No reduction cost => no predicted win => no recommendation.
-        assert_eq!(CostModel::ten_gbe().optimal_segment_bytes(chunk), None);
-    }
-
-    #[test]
-    fn p2p_segmented_charges_one_alpha_per_segment() {
-        let m = CostModel::new(100.0, 1.0, 0.0);
-        let seg = SegmentConfig::new(1_000);
-        // 4000 bytes => 4 segments => 4α + 4000β.
-        assert_eq!(m.p2p_segmented(4_000, seg).as_nanos(), 4 * 100 + 4_000);
-        assert_eq!(
-            m.p2p_segmented(4_000, SegmentConfig::MONOLITHIC),
-            m.p2p(4_000)
-        );
     }
 
     #[test]

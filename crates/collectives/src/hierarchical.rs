@@ -233,7 +233,7 @@ pub fn hierarchical_all_gather_phase_seg<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::run_world;
+    use crate::transport::run_cluster;
 
     fn rank_data(rank: usize, d: usize) -> Vec<f32> {
         (0..d).map(|i| (rank * d + i) as f32).collect()
@@ -252,7 +252,7 @@ mod tests {
             let world = shape.world();
             for d in [1, 16, 37] {
                 let expect = expected_sum(world, d);
-                let results = run_world(world, |ep| {
+                let results = run_cluster(world, |ep| {
                     let mut data = rank_data(ep.rank(), d);
                     hierarchical_all_reduce(&ep, shape, &mut data, ReduceOp::Sum).unwrap();
                     data
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn shape_mismatch_is_rejected() {
-        let results = run_world(4, |ep| {
+        let results = run_cluster(4, |ep| {
             let mut data = vec![0.0];
             hierarchical_all_reduce(&ep, ClusterShape::new(3, 2), &mut data, ReduceOp::Sum)
                 .unwrap_err()
@@ -302,7 +302,7 @@ mod tests {
             let world = placement.world();
             let d = 29;
             let expect = expected_sum(world, d);
-            let results = run_world(world, |ep| {
+            let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
                 let op = ReduceOp::Sum;
                 let carry =
@@ -332,7 +332,7 @@ mod tests {
         for d in [1, 16, 37] {
             let expect = expected_sum(world, d);
             let placement = placement.clone();
-            let results = run_world(world, move |ep| {
+            let results = run_cluster(world, move |ep| {
                 let mut data = rank_data(ep.rank(), d);
                 hierarchical_all_reduce_seg(&ep, &placement, &mut data, ReduceOp::Sum, MONO)
                     .unwrap();
@@ -352,7 +352,7 @@ mod tests {
         let world = placement.world();
         let d = 29;
         let expect = expected_sum(world, d);
-        let results = run_world(world, move |ep| {
+        let results = run_cluster(world, move |ep| {
             let mut data = rank_data(ep.rank(), d);
             let op = ReduceOp::Sum;
             let carry = hierarchical_reduce_scatter_phase_seg(&ep, &placement, &mut data, op, MONO)
@@ -385,7 +385,7 @@ mod tests {
         let world = shape.world();
         let d = 16;
         let expect = expected_sum(world, d);
-        let results = run_world(world, |ep| {
+        let results = run_cluster(world, |ep| {
             let mut data = rank_data(ep.rank(), d);
             let placement = Placement::from_shape(shape);
             let carry = hierarchical_reduce_scatter_phase_seg(

@@ -16,27 +16,30 @@
 //!   all-reduce families discussed in §VII-A, all of which also decouple
 //!   into two continuous operations.
 //!
+//! - [`CostModel`] / [`NetworkPreset`]: α-β(-γ) cost functions calibrated to
+//!   the paper's quoted 10GbE / 100GbIB measurements.
+//! - [`run_cluster`]: a one-call harness that spawns one thread per rank,
+//!   each with its [`LocalEndpoint`].
+//!
 //! One function per collective: the one that takes a [`SegmentConfig`]
 //! ([`SegmentConfig::MONOLITHIC`] for one message per hop). Only the ring
 //! trio and [`hierarchical_all_reduce`] keep an unsegmented spelling.
-//! - [`CostModel`] / [`NetworkPreset`]: α-β(-γ) cost functions calibrated to
-//!   the paper's quoted 10GbE / 100GbIB measurements.
-//! - [`Communicator`] / [`run_cluster`]: a high-level API and a one-call
-//!   harness that spawns one thread per rank.
 //!
 //! # Examples
 //!
 //! Verify the paper's zero-overhead decoupling claim numerically:
 //!
 //! ```
-//! use dear_collectives::{run_cluster, ReduceOp};
+//! use dear_collectives::{
+//!     ring_all_gather, ring_owned_chunk, ring_reduce_scatter, run_cluster, ReduceOp, Transport,
+//! };
 //!
-//! let results = run_cluster(8, |comm| {
+//! let results = run_cluster(8, |ep| {
 //!     let mut grad = vec![0.5f32; 1000];
 //!     // OP1 during backprop...
-//!     comm.reduce_scatter(&mut grad, ReduceOp::Sum).unwrap();
+//!     ring_reduce_scatter(&ep, &mut grad, ReduceOp::Sum).unwrap();
 //!     // ...OP2 during the next iteration's feed-forward.
-//!     comm.all_gather(&mut grad).unwrap();
+//!     ring_all_gather(&ep, &mut grad, ring_owned_chunk(ep.rank(), 8)).unwrap();
 //!     grad
 //! });
 //! for grad in results {
@@ -47,11 +50,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-#[cfg(test)]
-pub(crate) mod testutil;
-
 mod chunk;
-mod communicator;
 mod compress;
 mod cost;
 mod error;
@@ -67,7 +66,6 @@ mod tree;
 mod wire;
 
 pub use chunk::{chunk_range, chunk_ranges};
-pub use communicator::{run_cluster, run_cluster_with, AllReduceAlgorithm, Communicator};
 pub use compress::{
     compressed_aggregate, compressed_aggregate_wire_bytes, ring_all_gather_variable, Compressed,
     Compressor, ErrorFeedback, TopK, Uniform8,
@@ -86,10 +84,10 @@ pub use ring::{
     ring_reduce_scatter_seg, RingKind, RingOp,
 };
 pub use segment::{recv_segmented_copy, recv_segmented_reduce, send_segmented, SegmentConfig};
-pub use topology::{CommPattern, HostMap, Placement, Topology};
+pub use topology::{HostMap, Placement};
 pub use transport::{
-    BufferPool, DelayFabric, GroupTransport, LocalEndpoint, LocalFabric, Message, Transport,
-    WorldChange, MIN_LINK_FRAMES,
+    run_cluster, BufferPool, DelayFabric, GroupTransport, LocalEndpoint, LocalFabric, Message,
+    Transport, WorldChange, MIN_LINK_FRAMES,
 };
 pub use tree::{
     double_tree_all_reduce_seg, double_tree_broadcast_phase_seg, double_tree_reduce_phase_seg,

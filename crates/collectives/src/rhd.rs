@@ -127,7 +127,7 @@ fn prev_power_of_two(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::run_world;
+    use crate::transport::run_cluster;
 
     fn rank_data(rank: usize, d: usize) -> Vec<f32> {
         (0..d).map(|i| (rank * d + i) as f32).collect()
@@ -144,7 +144,7 @@ mod tests {
         for world in [1, 2, 4, 8, 16] {
             for d in [1, 8, 33, 128] {
                 let expect = expected_sum(world, d);
-                let results = run_world(world, |ep| {
+                let results = run_cluster(world, |ep| {
                     let mut data = rank_data(ep.rank(), d);
                     rhd_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC)
                         .unwrap();
@@ -162,7 +162,7 @@ mod tests {
         for world in [3, 5, 6, 7, 12] {
             let d = 64;
             let expect = expected_sum(world, d);
-            let results = run_world(world, |ep| {
+            let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
                 rhd_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC)
                     .unwrap();
@@ -180,7 +180,7 @@ mod tests {
         for d in [1, 3, 7, 13] {
             let world = 8;
             let expect = expected_sum(world, d);
-            let results = run_world(world, |ep| {
+            let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
                 rhd_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC)
                     .unwrap();
@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn zero_length_buffers_are_fine() {
         for world in [2, 4, 6] {
-            let results = run_world(world, |ep| {
+            let results = run_cluster(world, |ep| {
                 let mut data: Vec<f32> = Vec::new();
                 rhd_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC)
                     .unwrap();

@@ -342,7 +342,7 @@ pub fn ring_all_reduce_seg<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::run_world;
+    use crate::transport::run_cluster;
 
     fn rank_data(rank: usize, d: usize) -> Vec<f32> {
         (0..d).map(|i| (rank * d + i) as f32).collect()
@@ -359,7 +359,7 @@ mod tests {
         for world in [2, 3, 4, 7] {
             let d = 23;
             let expect = expected_sum(world, d);
-            let results = run_world(world, |ep| {
+            let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
                 let range = ring_reduce_scatter(&ep, &mut data, ReduceOp::Sum).unwrap();
                 (ep.rank(), range.clone(), data[range].to_vec())
@@ -377,7 +377,7 @@ mod tests {
         for world in [1, 2, 3, 5, 8] {
             for d in [0, 1, 7, 64, 100] {
                 let expect = expected_sum(world, d);
-                let results = run_world(world, |ep| {
+                let results = run_cluster(world, |ep| {
                     let mut data = rank_data(ep.rank(), d);
                     ring_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
                     data
@@ -393,7 +393,7 @@ mod tests {
     fn all_reduce_max() {
         let world = 4;
         let d = 9;
-        let results = run_world(world, |ep| {
+        let results = run_cluster(world, |ep| {
             let mut data: Vec<f32> = (0..d)
                 .map(|i| {
                     if i % world == ep.rank() {
@@ -413,7 +413,7 @@ mod tests {
 
     #[test]
     fn single_rank_is_identity() {
-        let results = run_world(1, |ep| {
+        let results = run_cluster(1, |ep| {
             let mut data = vec![1.0, 2.0, 3.0];
             ring_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
             data
@@ -427,7 +427,7 @@ mod tests {
         let world = 6;
         let d = 3;
         let expect = expected_sum(world, d);
-        let results = run_world(world, |ep| {
+        let results = run_cluster(world, |ep| {
             let mut data = rank_data(ep.rank(), d);
             ring_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
             data
@@ -445,7 +445,7 @@ mod tests {
         let d = 23;
         let seg = SegmentConfig::new(8);
         let expect = expected_sum(world, d);
-        let results = run_world(world, |ep| {
+        let results = run_cluster(world, |ep| {
             let mut data = rank_data(ep.rank(), d);
             ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
             data
@@ -461,7 +461,7 @@ mod tests {
         let d = 12; // 4-element chunks = 16 bytes, far below the segment cap
         let seg = SegmentConfig::new(1 << 20);
         let expect = expected_sum(world, d);
-        let results = run_world(world, |ep| {
+        let results = run_cluster(world, |ep| {
             let mut data = rank_data(ep.rank(), d);
             ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
             data
@@ -479,7 +479,7 @@ mod tests {
         let d = 3;
         let seg = SegmentConfig::new(4);
         let expect = expected_sum(world, d);
-        let results = run_world(world, |ep| {
+        let results = run_cluster(world, |ep| {
             let mut data = rank_data(ep.rank(), d);
             ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
             data
@@ -496,7 +496,7 @@ mod tests {
         for world in [2, 3, 4, 7] {
             let d = 23;
             let expect = expected_sum(world, d);
-            let results = run_world(world, |ep| {
+            let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
                 let seg = SegmentConfig::new(8);
                 let owned = ring_reduce_scatter_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
@@ -520,7 +520,7 @@ mod tests {
         // nothing to post; an all-reduce's second send needs its first
         // receive, and so does any op's on three ranks.
         let sent_after_begin = |world: usize, kind: fn(usize) -> RingKind| {
-            run_world(world, |ep| {
+            run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), 12);
                 let seg = SegmentConfig::MONOLITHIC;
                 let ring = ring_begin(&ep, kind(ep.rank()), &mut data, seg).unwrap();
@@ -548,7 +548,7 @@ mod tests {
         let world = 5;
         let d = 17;
         let expect = expected_sum(world, d);
-        let results = run_world(world, |ep| {
+        let results = run_cluster(world, |ep| {
             let mut data = rank_data(ep.rank(), d);
             let _ = ring_reduce_scatter(&ep, &mut data, ReduceOp::Sum).unwrap();
             // ... in DeAR, backprop of other layers happens here ...

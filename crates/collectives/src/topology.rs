@@ -1,105 +1,14 @@
-//! Physical topology and host-placement model for topology-aware
-//! collectives.
+//! Host placement for topology-aware collectives: where ranks physically
+//! are.
 //!
-//! Two concerns live here:
-//!
-//! 1. **Where ranks physically are** — a [`HostMap`] records which host
-//!    each global rank runs on, and a [`Placement`] derived from it groups
-//!    ranks by host locality. `hierarchical.rs` consumes a `Placement`, so
-//!    the intra-node ring is the set of ranks that actually share a host
-//!    (and thus a shared-memory fabric), not whatever ranks happen to be
-//!    adjacent in rank order.
-//! 2. **How the inter-node fabric is wired** — a [`Topology`] names the
-//!    physical interconnect shape (ring, tree, butterfly/hypercube,
-//!    2-D mesh). Each collective algorithm induces a communication
-//!    *pattern*; [`Topology::link_stress`] estimates how well a pattern
-//!    embeds into the wiring as a multiplicative β penalty (average link
-//!    dilation), which is what lets the online selector's winner shift
-//!    with the topology and not just the message size.
-//!
-//! The dilation numbers are deliberately simple closed forms (documented
-//! per arm) — they capture the first-order effect (a hypercube exchange on
-//! a physical ring crosses many links; a neighbor ring on a mesh crosses
-//! one) without modelling routing or adaptive congestion.
+//! A [`HostMap`] records which host each global rank runs on, and a
+//! [`Placement`] derived from it groups ranks by host locality.
+//! `hierarchical.rs` consumes a `Placement`, so the intra-node ring is the
+//! set of ranks that actually share a host (and thus a shared-memory
+//! fabric), not whatever ranks happen to be adjacent in rank order.
 
 use crate::error::CollectiveError;
 use crate::hierarchical::ClusterShape;
-
-/// Physical interconnect shape of the inter-node fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
-    /// Nodes wired in a cycle; neighbor traffic is free of contention.
-    Ring,
-    /// A (binary) tree of switches/nodes; up-down traffic matches it.
-    Tree,
-    /// Butterfly / hypercube wiring: distance-`2^k` exchanges are direct.
-    Butterfly,
-    /// A `rows × cols` 2-D mesh (torus-less).
-    Mesh2D(usize, usize),
-}
-
-/// The communication pattern a collective algorithm induces, used to score
-/// how it embeds into a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommPattern {
-    /// Each rank talks to its `±1` neighbor (ring RS/AG).
-    NeighborRing,
-    /// Distance-`2^k` pairwise exchanges (recursive halving-doubling).
-    Hypercube,
-    /// Parent/child up-down traffic (binomial and binary trees).
-    TreeUpDown,
-}
-
-impl Topology {
-    /// Short label for result tables.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Topology::Ring => "ring",
-            Topology::Tree => "tree",
-            Topology::Butterfly => "butterfly",
-            Topology::Mesh2D(..) => "mesh2d",
-        }
-    }
-
-    /// Average link dilation (≥ 1) of running `pattern` over `world` nodes
-    /// wired as `self`: the mean number of physical links one logical
-    /// message crosses. Multiplies the β term of a cost model — a message
-    /// that crosses `k` links occupies `k` links' worth of bandwidth.
-    ///
-    /// Closed forms, per arm:
-    ///
-    /// - neighbor traffic on a ring or (snake-ordered) mesh is direct
-    ///   (dilation 1); on a tree adjacent leaves sit under different
-    ///   subtrees on average ~2 hops apart; on a butterfly, ranks `i` and
-    ///   `i+1` differ in ~`log₂(P)/2` address bits on average;
-    /// - hypercube exchanges are direct on a butterfly; on a ring the
-    ///   distance-`2^k` rounds average `(P−1)/log₂(P)` links; on a mesh
-    ///   they average a quarter of the perimeter; on a tree ~`log₂(P)`;
-    /// - tree up-down traffic is direct on a tree, ~`log₂(P)`-cheap on a
-    ///   butterfly (a binomial tree embeds in a hypercube with unit
-    ///   dilation), and pays root congestion on rings/meshes.
-    #[must_use]
-    pub fn link_stress(&self, pattern: CommPattern, world: usize) -> f64 {
-        let p = world.max(2) as f64;
-        let log_p = p.log2().max(1.0);
-        let stress = match (self, pattern) {
-            (Topology::Ring, CommPattern::NeighborRing) => 1.0,
-            (Topology::Ring, CommPattern::Hypercube) => (p - 1.0) / log_p,
-            (Topology::Ring, CommPattern::TreeUpDown) => p / 4.0,
-            (Topology::Tree, CommPattern::NeighborRing) => 2.0,
-            (Topology::Tree, CommPattern::Hypercube) => log_p,
-            (Topology::Tree, CommPattern::TreeUpDown) => 1.0,
-            (Topology::Butterfly, CommPattern::NeighborRing) => (log_p / 2.0).max(1.0),
-            (Topology::Butterfly, CommPattern::Hypercube) => 1.0,
-            (Topology::Butterfly, CommPattern::TreeUpDown) => 1.0,
-            (Topology::Mesh2D(..), CommPattern::NeighborRing) => 1.0,
-            (Topology::Mesh2D(r, c), CommPattern::Hypercube) => ((*r + *c) as f64 / 4.0).max(1.0),
-            (Topology::Mesh2D(r, c), CommPattern::TreeUpDown) => ((*r + *c) as f64 / 4.0).max(1.0),
-        };
-        stress.max(1.0)
-    }
-}
 
 /// Which host each global rank runs on, by opaque host id. This is the raw
 /// fact the transport layer learns at rendezvous (`DEAR_HOST_ID`); derive a
@@ -377,51 +286,5 @@ mod tests {
         let err = Placement::for_world(0, 2).unwrap_err();
         assert!(matches!(err, CollectiveError::UnevenGroups { .. }));
         assert!(Placement::for_world(8, 4).is_ok());
-    }
-
-    #[test]
-    fn link_stress_prefers_the_matching_pattern() {
-        let world = 16;
-        // Each topology's native pattern is its cheapest.
-        for (topo, native) in [
-            (Topology::Ring, CommPattern::NeighborRing),
-            (Topology::Butterfly, CommPattern::Hypercube),
-            (Topology::Tree, CommPattern::TreeUpDown),
-        ] {
-            for other in [
-                CommPattern::NeighborRing,
-                CommPattern::Hypercube,
-                CommPattern::TreeUpDown,
-            ] {
-                assert!(
-                    topo.link_stress(native, world) <= topo.link_stress(other, world),
-                    "{topo:?}: {native:?} should be no worse than {other:?}"
-                );
-            }
-        }
-        // Stress is never below 1 (a message crosses at least one link).
-        for topo in [
-            Topology::Ring,
-            Topology::Tree,
-            Topology::Butterfly,
-            Topology::Mesh2D(4, 4),
-        ] {
-            for pat in [
-                CommPattern::NeighborRing,
-                CommPattern::Hypercube,
-                CommPattern::TreeUpDown,
-            ] {
-                assert!(topo.link_stress(pat, world) >= 1.0);
-            }
-        }
-    }
-
-    #[test]
-    fn hypercube_on_a_ring_gets_worse_with_scale() {
-        let small = Topology::Ring.link_stress(CommPattern::Hypercube, 8);
-        let large = Topology::Ring.link_stress(CommPattern::Hypercube, 64);
-        assert!(large > small, "{large} <= {small}");
-        assert_eq!(Topology::Ring.label(), "ring");
-        assert_eq!(Topology::Mesh2D(2, 3).label(), "mesh2d");
     }
 }

@@ -435,6 +435,41 @@ impl LocalFabric {
     }
 }
 
+/// Spawns `world` threads, each with its [`LocalEndpoint`] of one shared
+/// [`LocalFabric`], runs `f` on every rank, and returns the per-rank
+/// results in rank order.
+///
+/// # Examples
+///
+/// ```
+/// use dear_collectives::{ring_all_reduce, run_cluster, ReduceOp, Transport};
+///
+/// let results = run_cluster(4, |ep| {
+///     let mut grad = vec![ep.rank() as f32; 8];
+///     ring_all_reduce(&ep, &mut grad, ReduceOp::Sum).unwrap();
+///     grad[0]
+/// });
+/// assert_eq!(results, vec![6.0; 4]); // 0+1+2+3
+/// ```
+///
+/// # Panics
+///
+/// Panics if any rank's closure panics.
+pub fn run_cluster<F, R>(world: usize, f: F) -> Vec<R>
+where
+    F: Fn(LocalEndpoint) -> R + Sync,
+    R: Send,
+{
+    let eps = LocalFabric::create(world);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = eps.into_iter().map(|ep| s.spawn(|| f(ep))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("cluster rank panicked"))
+            .collect()
+    })
+}
+
 impl Transport for LocalEndpoint {
     fn rank(&self) -> usize {
         self.rank

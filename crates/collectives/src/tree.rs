@@ -207,7 +207,7 @@ pub fn double_tree_broadcast_phase_seg<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::run_world;
+    use crate::transport::run_cluster;
 
     const MONO: SegmentConfig = SegmentConfig::MONOLITHIC;
 
@@ -227,7 +227,7 @@ mod tests {
             for root in 0..world {
                 let d = 11;
                 let expect = expected_sum(world, d);
-                let results = run_world(world, |ep| {
+                let results = run_cluster(world, |ep| {
                     let mut data = rank_data(ep.rank(), d);
                     tree_reduce_seg(&ep, &mut data, root, ReduceOp::Sum, MONO).unwrap();
                     (ep.rank(), data)
@@ -246,7 +246,7 @@ mod tests {
         for world in [1, 2, 3, 6, 8] {
             for root in 0..world {
                 let d = 5;
-                let results = run_world(world, |ep| {
+                let results = run_cluster(world, |ep| {
                     let mut data = if ep.rank() == root {
                         vec![42.0; d]
                     } else {
@@ -267,7 +267,7 @@ mod tests {
         for world in [1, 2, 4, 7] {
             let d = 13;
             let expect = expected_sum(world, d);
-            let results = run_world(world, |ep| {
+            let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
                 naive_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, MONO).unwrap();
                 data
@@ -283,7 +283,7 @@ mod tests {
         for world in [1, 2, 3, 4, 8] {
             for d in [0, 1, 2, 13, 64] {
                 let expect = expected_sum(world, d);
-                let results = run_world(world, |ep| {
+                let results = run_cluster(world, |ep| {
                     let mut data = rank_data(ep.rank(), d);
                     double_tree_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, MONO).unwrap();
                     data
@@ -300,7 +300,7 @@ mod tests {
         let world = 6;
         let d = 20;
         let expect = expected_sum(world, d);
-        let results = run_world(world, |ep| {
+        let results = run_cluster(world, |ep| {
             let mut data = rank_data(ep.rank(), d);
             double_tree_reduce_phase_seg(&ep, &mut data, ReduceOp::Sum, MONO).unwrap();
             double_tree_broadcast_phase_seg(&ep, &mut data, MONO).unwrap();
@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn invalid_root_is_rejected() {
-        let results = run_world(2, |ep| {
+        let results = run_cluster(2, |ep| {
             let mut data = vec![0.0];
             tree_reduce_seg(&ep, &mut data, 9, ReduceOp::Sum, MONO).unwrap_err()
         });

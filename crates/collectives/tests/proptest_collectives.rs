@@ -6,13 +6,26 @@
 use std::collections::VecDeque;
 
 use dear_collectives::{
-    bf16_to_f32, chunk_ranges, f16_to_f32, f32_to_bf16, f32_to_f16, hierarchical_all_reduce,
-    ring_advance, ring_all_gather, ring_all_gather_seg, ring_all_reduce, ring_all_reduce_seg,
-    ring_begin, ring_finish, ring_owned_chunk, ring_reduce_scatter, ring_reduce_scatter_seg,
-    round_to_wire, run_cluster, run_cluster_with, AllReduceAlgorithm, ClusterShape, DType,
-    ReduceOp, RingKind, RingOp, SegmentConfig, Transport,
+    bf16_to_f32, chunk_ranges, double_tree_all_reduce_seg, f16_to_f32, f32_to_bf16, f32_to_f16,
+    hierarchical_all_reduce, naive_all_reduce_seg, rhd_all_reduce_seg, ring_advance,
+    ring_all_gather, ring_all_gather_seg, ring_all_reduce, ring_all_reduce_seg, ring_begin,
+    ring_finish, ring_owned_chunk, ring_reduce_scatter, ring_reduce_scatter_seg, round_to_wire,
+    run_cluster, ClusterShape, CollectiveError, DType, LocalEndpoint, ReduceOp, RingKind, RingOp,
+    SegmentConfig, Transport,
 };
 use proptest::prelude::*;
+
+/// One all-reduce family's segmented entry point; all four share it.
+type AllReduceSeg =
+    fn(&LocalEndpoint, &mut [f32], ReduceOp, SegmentConfig) -> Result<(), CollectiveError>;
+
+/// Every flat all-reduce family, by name.
+const FAMILIES: [(&str, AllReduceSeg); 4] = [
+    ("ring", ring_all_reduce_seg),
+    ("rhd", rhd_all_reduce_seg),
+    ("double_binary_tree", double_tree_all_reduce_seg),
+    ("naive", naive_all_reduce_seg),
+];
 
 /// Per-rank deterministic pseudo-random data.
 fn rank_data(rank: usize, d: usize, salt: u64) -> Vec<f32> {
@@ -122,28 +135,26 @@ proptest! {
             .map(|(i, kind)| (kind, rank_data(rank, d + 3 * i, salt.wrapping_add(i as u64))))
             .collect()
         };
-        let monolithic = run_cluster(world, |comm| {
-            let t = comm.transport();
-            ops(t.rank())
+        let monolithic = run_cluster(world, |ep| {
+            ops(ep.rank())
                 .into_iter()
                 .map(|(kind, mut data)| {
                     match kind {
                         RingKind::ReduceScatter(op) => {
-                            ring_reduce_scatter_seg(t, &mut data, op, seg).map(|_| ())
+                            ring_reduce_scatter_seg(&ep, &mut data, op, seg).map(|_| ())
                         }
                         RingKind::AllGather { owned_chunk } => {
-                            ring_all_gather_seg(t, &mut data, owned_chunk, seg)
+                            ring_all_gather_seg(&ep, &mut data, owned_chunk, seg)
                         }
-                        RingKind::AllReduce(op) => ring_all_reduce_seg(t, &mut data, op, seg),
+                        RingKind::AllReduce(op) => ring_all_reduce_seg(&ep, &mut data, op, seg),
                     }
                     .unwrap();
                     data
                 })
                 .collect::<Vec<_>>()
         });
-        let split = run_cluster(world, |comm| {
-            let t = comm.transport();
-            run_split_phase(t, ops(t.rank()), seg, window)
+        let split = run_cluster(world, |ep| {
+            run_split_phase(&ep, ops(ep.rank()), seg, window)
         });
         let bits = |runs: &[Vec<Vec<f32>>]| -> Vec<Vec<Vec<u32>>> {
             runs.iter()
@@ -156,9 +167,9 @@ proptest! {
     #[test]
     fn ring_all_reduce_matches_sum(world in 1usize..9, d in 0usize..200, salt in any::<u64>()) {
         let expect = reference_sum(world, d, salt);
-        let results = run_cluster(world, |comm| {
-            let mut data = rank_data(comm.rank(), d, salt);
-            comm.all_reduce(&mut data, ReduceOp::Sum).unwrap();
+        let results = run_cluster(world, |ep| {
+            let mut data = rank_data(ep.rank(), d, salt);
+            ring_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
             data
         });
         for data in results {
@@ -171,15 +182,10 @@ proptest! {
     #[test]
     fn all_algorithms_agree_with_each_other(world in 1usize..9, d in 1usize..128, salt in any::<u64>()) {
         let mut outputs = Vec::new();
-        for algo in [
-            AllReduceAlgorithm::Ring,
-            AllReduceAlgorithm::RecursiveHalvingDoubling,
-            AllReduceAlgorithm::DoubleBinaryTree,
-            AllReduceAlgorithm::NaiveTree,
-        ] {
-            let results = run_cluster_with(world, algo, |comm| {
-                let mut data = rank_data(comm.rank(), d, salt);
-                comm.all_reduce(&mut data, ReduceOp::Sum).unwrap();
+        for (_, all_reduce) in FAMILIES {
+            let results = run_cluster(world, |ep| {
+                let mut data = rank_data(ep.rank(), d, salt);
+                all_reduce(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC).unwrap();
                 data
             });
             outputs.push(results[0].clone());
@@ -196,15 +202,15 @@ proptest! {
         // The zero-overhead decoupling property at the numerical level:
         // running RS then AG as two separate calls produces the exact same
         // bits as the fused ring all-reduce (same summation order).
-        let fused = run_cluster(world, |comm| {
-            let mut data = rank_data(comm.rank(), d, salt);
-            comm.all_reduce(&mut data, ReduceOp::Sum).unwrap();
+        let fused = run_cluster(world, |ep| {
+            let mut data = rank_data(ep.rank(), d, salt);
+            ring_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
             data
         });
-        let decoupled = run_cluster(world, |comm| {
-            let mut data = rank_data(comm.rank(), d, salt);
-            comm.reduce_scatter(&mut data, ReduceOp::Sum).unwrap();
-            comm.all_gather(&mut data).unwrap();
+        let decoupled = run_cluster(world, |ep| {
+            let mut data = rank_data(ep.rank(), d, salt);
+            ring_reduce_scatter(&ep, &mut data, ReduceOp::Sum).unwrap();
+            ring_all_gather(&ep, &mut data, ring_owned_chunk(ep.rank(), world)).unwrap();
             data
         });
         prop_assert_eq!(fused, decoupled);
@@ -232,9 +238,9 @@ proptest! {
         let shape = ClusterShape::new(nodes, g);
         let world = shape.world();
         let expect = reference_sum(world, d, salt);
-        let results = run_cluster(world, |comm| {
-            let mut data = rank_data(comm.rank(), d, salt);
-            hierarchical_all_reduce(comm.transport(), shape, &mut data, ReduceOp::Sum).unwrap();
+        let results = run_cluster(world, |ep| {
+            let mut data = rank_data(ep.rank(), d, salt);
+            hierarchical_all_reduce(&ep, shape, &mut data, ReduceOp::Sum).unwrap();
             data
         });
         for data in results {
@@ -253,9 +259,9 @@ proptest! {
                     .fold(f32::NEG_INFINITY, f32::max)
             })
             .collect();
-        let results = run_cluster(world, |comm| {
-            let mut data = rank_data(comm.rank(), d, salt);
-            comm.all_reduce(&mut data, ReduceOp::Max).unwrap();
+        let results = run_cluster(world, |ep| {
+            let mut data = rank_data(ep.rank(), d, salt);
+            ring_all_reduce(&ep, &mut data, ReduceOp::Max).unwrap();
             data
         });
         for data in results {
@@ -267,10 +273,9 @@ proptest! {
     fn manual_rs_then_ag_with_explicit_chunks(world in 2usize..8, d in 1usize..100, salt in any::<u64>()) {
         // Exercise the lower-level entry points the DeAR runtime uses.
         let expect = reference_sum(world, d, salt);
-        let results = run_cluster(world, |comm| {
-            let t = comm.transport();
-            let mut data = rank_data(t.rank(), d, salt);
-            let owned_range = ring_reduce_scatter(t, &mut data, ReduceOp::Sum).unwrap();
+        let results = run_cluster(world, |ep| {
+            let mut data = rank_data(ep.rank(), d, salt);
+            let owned_range = ring_reduce_scatter(&ep, &mut data, ReduceOp::Sum).unwrap();
             // Scrub non-owned chunks to prove AG rewrites them all.
             let (a, b) = (owned_range.start, owned_range.end);
             for (i, x) in data.iter_mut().enumerate() {
@@ -278,7 +283,7 @@ proptest! {
                     *x = f32::NAN;
                 }
             }
-            ring_all_gather(t, &mut data, ring_owned_chunk(t.rank(), world)).unwrap();
+            ring_all_gather(&ep, &mut data, ring_owned_chunk(ep.rank(), world)).unwrap();
             data
         });
         for data in results {
@@ -301,49 +306,39 @@ proptest! {
         // bit of the result, for any segment size — including segments that
         // don't divide the chunk, sub-element segment sizes (rounded up to
         // one element), and segments larger than the whole chunk.
-        let monolithic = run_cluster(world, |comm| {
-            let mut data = rank_data(comm.rank(), d, salt);
-            ring_all_reduce(comm.transport(), &mut data, ReduceOp::Sum).unwrap();
+        let monolithic = run_cluster(world, |ep| {
+            let mut data = rank_data(ep.rank(), d, salt);
+            ring_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
             data
         });
         let seg = SegmentConfig::new(max_segment_bytes);
-        let segmented = run_cluster(world, |comm| {
-            let mut data = rank_data(comm.rank(), d, salt);
-            ring_all_reduce_seg(comm.transport(), &mut data, ReduceOp::Sum, seg).unwrap();
+        let segmented = run_cluster(world, |ep| {
+            let mut data = rank_data(ep.rank(), d, salt);
+            ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
             data
         });
         prop_assert_eq!(monolithic, segmented);
     }
 
     #[test]
-    fn segmented_communicator_agrees_across_algorithms(
+    fn every_family_is_bitwise_identical_segmented(
         world in 1usize..7,
         d in 0usize..96,
         max_segment_bytes in 4usize..64,
         salt in any::<u64>(),
     ) {
-        // Same property through the facade, for every algorithm family:
-        // a segmented communicator must produce the same bits as an
-        // unsegmented one.
-        for algo in [
-            AllReduceAlgorithm::Ring,
-            AllReduceAlgorithm::RecursiveHalvingDoubling,
-            AllReduceAlgorithm::DoubleBinaryTree,
-            AllReduceAlgorithm::NaiveTree,
-        ] {
-            let plain = run_cluster_with(world, algo, |comm| {
-                let mut data = rank_data(comm.rank(), d, salt);
-                comm.all_reduce(&mut data, ReduceOp::Sum).unwrap();
-                data
-            });
-            let seg = SegmentConfig::new(max_segment_bytes);
-            let segmented = run_cluster_with(world, algo, |comm| {
-                let comm = comm.with_segments(seg);
-                let mut data = rank_data(comm.rank(), d, salt);
-                comm.all_reduce(&mut data, ReduceOp::Sum).unwrap();
-                data
-            });
-            prop_assert_eq!(plain, segmented);
+        // Same property for every all-reduce family: segmenting a family's
+        // messages must produce the same bits as sending them whole.
+        let seg = SegmentConfig::new(max_segment_bytes);
+        for (family, all_reduce) in FAMILIES {
+            let run = |seg| {
+                run_cluster(world, |ep| {
+                    let mut data = rank_data(ep.rank(), d, salt);
+                    all_reduce(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
+                    data
+                })
+            };
+            prop_assert_eq!(run(SegmentConfig::MONOLITHIC), run(seg), "{}", family);
         }
     }
 
@@ -384,9 +379,9 @@ proptest! {
     ) {
         let wire = [DType::Bf16, DType::F16][wire_idx];
         let seg = SegmentConfig::new(max_segment_bytes).with_wire(wire);
-        let results = run_cluster(world, |comm| {
-            let mut data = rank_data(comm.rank(), d, salt);
-            ring_all_reduce_seg(comm.transport(), &mut data, ReduceOp::Sum, seg).unwrap();
+        let results = run_cluster(world, |ep| {
+            let mut data = rank_data(ep.rank(), d, salt);
+            ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
             data
         });
         // Lossy-at-the-sender: every rank must end bit-identical, because
@@ -446,9 +441,9 @@ proptest! {
             _ => f16_to_f32(f32_to_f16(v)),
         };
         let seg = SegmentConfig::new(16).with_wire(wire);
-        let results = run_cluster(2, |comm| {
-            let mut data = rank_data(comm.rank(), d, salt);
-            ring_all_reduce_seg(comm.transport(), &mut data, ReduceOp::Sum, seg).unwrap();
+        let results = run_cluster(2, |ep| {
+            let mut data = rank_data(ep.rank(), d, salt);
+            ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
             data
         });
         let x: Vec<Vec<f32>> = (0..2).map(|r| rank_data(r, d, salt)).collect();
@@ -465,20 +460,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fused_equals_composition_even_under_all_reduce_alias(world in 1usize..8, d in 0usize..64, salt in any::<u64>()) {
-        let via_fn = run_cluster(world, |comm| {
-            let mut data = rank_data(comm.rank(), d, salt);
-            ring_all_reduce(comm.transport(), &mut data, ReduceOp::Sum).unwrap();
-            data
-        });
-        let via_comm = run_cluster(world, |comm| {
-            let mut data = rank_data(comm.rank(), d, salt);
-            comm.all_reduce(&mut data, ReduceOp::Sum).unwrap();
-            data
-        });
-        prop_assert_eq!(via_fn, via_comm);
     }
 }

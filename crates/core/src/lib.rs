@@ -67,6 +67,4 @@ pub use dear_fusion as fusion;
 pub use dist_optim::{DistOptim, PipelineMode};
 pub use layout::{GroupLayout, ItemSpec};
 pub use strategy::{ParallelismStrategy, StrategyError};
-pub use tuning::{
-    forecast_strategy, AlgoSelector, CollectiveChoice, OnlineTuning, Selection, StrategyForecast,
-};
+pub use tuning::{forecast_strategy, OnlineTuning, StrategyForecast};

@@ -1,14 +1,10 @@
 //! Online tuning during training: Bayesian optimization of the fusion
-//! buffer size (§IV-B, [`OnlineTuning`]), and online selection of the
-//! all-reduce algorithm per (message size, topology) ([`AlgoSelector`]) —
-//! predict with the Table II α-β models dilated by the physical
-//! topology's link stress, then correct the predictions from measured
-//! step times.
+//! buffer size (§IV-B, [`OnlineTuning`]), and the cost model's forecast of
+//! a parallelism strategy's step time and memory ([`forecast_strategy`]).
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use dear_collectives::{CommPattern, CostModel, Topology};
+use dear_collectives::CostModel;
 use dear_fusion::Tuner;
 use dear_sim::SimDuration;
 
@@ -203,267 +199,6 @@ impl<T: Tuner, C: Clock> OnlineTuning<T, C> {
     /// Adopts the broadcast value (all ranks).
     pub fn adopt(&mut self, value: f64) {
         self.current = value;
-    }
-}
-
-/// One all-reduce algorithm family the selector can pick. Each maps to a
-/// Table II cost expression and to the [`CommPattern`] it induces on the
-/// inter-node fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CollectiveChoice {
-    /// Bandwidth-optimal ring (Eq. 5): `2(P−1)α + 2(P−1)/P·d·β`.
-    Ring,
-    /// Recursive halving-doubling (Rabenseifner): `2log₂(P)α + 2(P−1)/P·d·β`.
-    /// Latency-optimal; requires a power-of-two world.
-    RecursiveHalvingDoubling,
-    /// Double binary tree (NCCL at scale): `2⌈log₂P⌉α + 2dβ`.
-    DoubleBinaryTree,
-    /// Binomial reduce + broadcast: `2⌈log₂P⌉(α + dβ)`. The baseline that
-    /// should never win past tiny sizes — a sanity anchor.
-    NaiveTree,
-    /// Two-level: intra-node ring phases over the shm tier, inter-node
-    /// ring over the shard. Requires multiple hosts *and* multiple ranks
-    /// per host (and a measured intra-node model).
-    Hierarchical,
-}
-
-impl CollectiveChoice {
-    /// All algorithm families, in display order.
-    pub const ALL: [CollectiveChoice; 5] = [
-        CollectiveChoice::Ring,
-        CollectiveChoice::RecursiveHalvingDoubling,
-        CollectiveChoice::DoubleBinaryTree,
-        CollectiveChoice::NaiveTree,
-        CollectiveChoice::Hierarchical,
-    ];
-
-    /// Short label for result tables.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            CollectiveChoice::Ring => "ring",
-            CollectiveChoice::RecursiveHalvingDoubling => "rhd",
-            CollectiveChoice::DoubleBinaryTree => "double_binary_tree",
-            CollectiveChoice::NaiveTree => "naive",
-            CollectiveChoice::Hierarchical => "hierarchical",
-        }
-    }
-
-    /// The communication pattern this algorithm drives over the
-    /// *inter-node* fabric.
-    #[must_use]
-    pub fn pattern(self) -> CommPattern {
-        match self {
-            // The hierarchical inter-node phase is itself a ring.
-            CollectiveChoice::Ring | CollectiveChoice::Hierarchical => CommPattern::NeighborRing,
-            CollectiveChoice::RecursiveHalvingDoubling => CommPattern::Hypercube,
-            CollectiveChoice::DoubleBinaryTree | CollectiveChoice::NaiveTree => {
-                CommPattern::TreeUpDown
-            }
-        }
-    }
-}
-
-/// The selector's verdict for one message size: the winning algorithm and
-/// what the model expects it to cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Selection {
-    /// The winning algorithm family.
-    pub choice: CollectiveChoice,
-    /// Corrected model prediction for the winner.
-    pub predicted: SimDuration,
-    /// Pipelining segment size for ring phases, when the model predicts a
-    /// win from segmenting (`S* = √(c·α/γ)`); `None` ⇒ monolithic.
-    pub segment_bytes: Option<u64>,
-}
-
-/// Online per-(message size, topology) algorithm selection (§VII).
-///
-/// Two layers of evidence, cheapest first:
-///
-/// 1. **Analytic prediction** — each candidate's Table II cost under the
-///    measured inter-node α-β, with the β term dilated by
-///    [`Topology::link_stress`] for the pattern the algorithm drives, so
-///    the winner shifts with the wiring and not just the size.
-/// 2. **Runtime correction** — [`AlgoSelector::observe`] folds measured
-///    wall times into a per-(size-bucket, algorithm) EWMA ratio that
-///    multiplies future predictions, so a model that flatters an
-///    algorithm loses its lead after a few real steps.
-///
-/// The candidate set respects hard constraints: halving-doubling needs a
-/// power-of-two world; hierarchical needs ≥ 2 hosts, ≥ 2 ranks per host,
-/// and a measured intra-node model.
-#[derive(Debug, Clone)]
-pub struct AlgoSelector {
-    inter: CostModel,
-    intra: Option<CostModel>,
-    topology: Topology,
-    nodes: usize,
-    gpus_per_node: usize,
-    /// EWMA of measured/predicted per (log₂-size bucket, algorithm).
-    corrections: HashMap<(u32, CollectiveChoice), f64>,
-    /// EWMA smoothing weight for new observations.
-    gain: f64,
-}
-
-impl AlgoSelector {
-    /// Creates a selector for a cluster of `nodes × gpus_per_node` ranks
-    /// wired as `topology`, with the measured inter-node model `inter` and
-    /// (when the shm tier measured one) the intra-node model `intra`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0` or `gpus_per_node == 0`.
-    #[must_use]
-    pub fn new(
-        inter: CostModel,
-        intra: Option<CostModel>,
-        topology: Topology,
-        nodes: usize,
-        gpus_per_node: usize,
-    ) -> Self {
-        assert!(
-            nodes > 0 && gpus_per_node > 0,
-            "cluster dims must be positive"
-        );
-        AlgoSelector {
-            inter,
-            intra,
-            topology,
-            nodes,
-            gpus_per_node,
-            corrections: HashMap::new(),
-            gain: 0.25,
-        }
-    }
-
-    /// Total ranks.
-    #[must_use]
-    pub fn world(&self) -> usize {
-        self.nodes * self.gpus_per_node
-    }
-
-    /// The algorithms eligible on this cluster, hard constraints applied.
-    #[must_use]
-    pub fn candidates(&self) -> Vec<CollectiveChoice> {
-        CollectiveChoice::ALL
-            .into_iter()
-            .filter(|c| match c {
-                CollectiveChoice::RecursiveHalvingDoubling => self.world().is_power_of_two(),
-                CollectiveChoice::Hierarchical => {
-                    self.nodes > 1 && self.gpus_per_node > 1 && self.intra.is_some()
-                }
-                _ => true,
-            })
-            .collect()
-    }
-
-    /// The inter-node model with its β dilated by the topology's link
-    /// stress for `choice`'s pattern — bandwidth spent crossing extra
-    /// physical links is bandwidth an ill-fitting algorithm pays for.
-    #[must_use]
-    pub fn stressed_model(&self, choice: CollectiveChoice) -> CostModel {
-        let stress = self
-            .topology
-            .link_stress(choice.pattern(), self.nodes.max(2));
-        CostModel::new(
-            self.inter.alpha_ns,
-            self.inter.beta_ns_per_byte * stress,
-            self.inter.gamma_ns_per_byte,
-        )
-    }
-
-    /// Uncorrected analytic prediction for `choice` on a `bytes`-byte
-    /// all-reduce.
-    #[must_use]
-    pub fn predict(&self, choice: CollectiveChoice, bytes: u64) -> SimDuration {
-        let m = self.stressed_model(choice);
-        let world = self.world();
-        match choice {
-            CollectiveChoice::Ring => m.ring_all_reduce(bytes, world),
-            CollectiveChoice::RecursiveHalvingDoubling => m.rhd_all_reduce(bytes, world),
-            CollectiveChoice::DoubleBinaryTree => m.double_binary_tree_all_reduce(bytes, world),
-            CollectiveChoice::NaiveTree => m.naive_all_reduce(bytes, world),
-            CollectiveChoice::Hierarchical => m.hierarchical_all_reduce(
-                self.intra.as_ref().unwrap_or(&m),
-                bytes,
-                self.nodes,
-                self.gpus_per_node,
-            ),
-        }
-    }
-
-    /// Prediction for `choice` with the runtime EWMA correction applied.
-    #[must_use]
-    pub fn corrected(&self, choice: CollectiveChoice, bytes: u64) -> SimDuration {
-        let ratio = self
-            .corrections
-            .get(&(Self::bucket(bytes), choice))
-            .copied()
-            .unwrap_or(1.0);
-        SimDuration::from_secs_f64(self.predict(choice, bytes).as_secs_f64() * ratio)
-    }
-
-    /// Picks the cheapest eligible algorithm for a `bytes`-byte all-reduce
-    /// under the corrected predictions, plus the ring segment size when
-    /// segmenting is predicted to help.
-    #[must_use]
-    pub fn select(&self, bytes: u64) -> Selection {
-        let choice = self
-            .candidates()
-            .into_iter()
-            .min_by(|&a, &b| {
-                self.corrected(a, bytes)
-                    .as_secs_f64()
-                    .total_cmp(&self.corrected(b, bytes).as_secs_f64())
-            })
-            .expect("ring and naive are always eligible");
-        let segment_bytes = match choice {
-            CollectiveChoice::Ring | CollectiveChoice::Hierarchical => self
-                .stressed_model(choice)
-                .optimal_segment_bytes(bytes / self.world().max(1) as u64)
-                .filter(|&s| s < bytes),
-            _ => None,
-        };
-        Selection {
-            choice,
-            predicted: self.corrected(choice, bytes),
-            segment_bytes,
-        }
-    }
-
-    /// Folds a measured wall time into the EWMA correction for
-    /// `(bucket(bytes), choice)`. Degenerate measurements (zero predicted
-    /// or measured time) are ignored.
-    pub fn observe(&mut self, choice: CollectiveChoice, bytes: u64, measured: Duration) {
-        let predicted = self.predict(choice, bytes).as_secs_f64();
-        let measured = measured.as_secs_f64();
-        if predicted <= 0.0 || measured <= 0.0 {
-            return;
-        }
-        let ratio = measured / predicted;
-        let entry = self
-            .corrections
-            .entry((Self::bucket(bytes), choice))
-            .or_insert(1.0);
-        *entry += self.gain * (ratio - *entry);
-    }
-
-    /// The EWMA correction currently applied to `(bytes, choice)`, 1.0
-    /// when unobserved. Exposed for result tables.
-    #[must_use]
-    pub fn correction(&self, choice: CollectiveChoice, bytes: u64) -> f64 {
-        self.corrections
-            .get(&(Self::bucket(bytes), choice))
-            .copied()
-            .unwrap_or(1.0)
-    }
-
-    /// The log₂ size bucket runtime corrections are keyed by: one EWMA
-    /// cell per power of two, so a correction learned at 1 MB does not
-    /// leak onto 1 KB messages whose α/β balance is entirely different.
-    fn bucket(bytes: u64) -> u32 {
-        bytes.max(1).ilog2()
     }
 }
 
@@ -691,82 +426,6 @@ mod tests {
         let _: OnlineTuning<RandomSearch> = OnlineTuning::new(None, 0, 1.0, 1.0);
     }
 
-    // ---- AlgoSelector ----
-
-    fn flat_selector(nodes: usize, gpus: usize) -> AlgoSelector {
-        AlgoSelector::new(CostModel::ten_gbe(), None, Topology::Ring, nodes, gpus)
-    }
-
-    #[test]
-    fn selector_switches_regimes_with_message_size() {
-        // 10GbE, 16 flat ranks on a physical ring: latency-bound small
-        // messages must NOT pick the ring (2(P−1)α startups), while
-        // bandwidth-bound large messages must (optimal 2(P−1)/P·dβ).
-        let sel = flat_selector(16, 1);
-        let small = sel.select(1 << 10).choice;
-        let large = sel.select(25 << 20).choice;
-        assert_ne!(small, CollectiveChoice::Ring, "1 KB is latency-bound");
-        assert_eq!(large, CollectiveChoice::Ring, "25 MB is bandwidth-bound");
-    }
-
-    #[test]
-    fn selector_respects_hard_constraints() {
-        // World of 6: not a power of two, so RHD is ineligible.
-        let sel = flat_selector(6, 1);
-        assert!(!sel
-            .candidates()
-            .contains(&CollectiveChoice::RecursiveHalvingDoubling));
-        // Flat cluster (1 rank per host, no intra model): no hierarchical.
-        assert!(!sel.candidates().contains(&CollectiveChoice::Hierarchical));
-        let tiered = AlgoSelector::new(
-            CostModel::ten_gbe(),
-            Some(CostModel::nvlink()),
-            Topology::Ring,
-            4,
-            4,
-        );
-        assert!(tiered
-            .candidates()
-            .contains(&CollectiveChoice::Hierarchical));
-    }
-
-    #[test]
-    fn topology_shifts_the_winner_at_fixed_size() {
-        // At a mid size on 32 ranks, the physical wiring decides: a ring
-        // favors the neighbor pattern, a butterfly makes the hypercube
-        // exchanges direct while dilating neighbor traffic.
-        let bytes = 256 << 10;
-        let on_ring = AlgoSelector::new(CostModel::ten_gbe(), None, Topology::Ring, 32, 1);
-        let on_butterfly =
-            AlgoSelector::new(CostModel::ten_gbe(), None, Topology::Butterfly, 32, 1);
-        let ring_pick = on_ring.select(bytes).choice;
-        let butterfly_pick = on_butterfly.select(bytes).choice;
-        assert_eq!(
-            butterfly_pick,
-            CollectiveChoice::RecursiveHalvingDoubling,
-            "hypercube exchanges are free on a butterfly"
-        );
-        assert_ne!(ring_pick, butterfly_pick, "the wiring must matter");
-    }
-
-    #[test]
-    fn observations_correct_a_flattering_model() {
-        let mut sel = flat_selector(16, 1);
-        let bytes = 1u64 << 20;
-        let winner = sel.select(bytes).choice;
-        // The runtime keeps clocking the predicted winner 10× slower than
-        // the model claims; after a few windows the selector must demote it.
-        let predicted = sel.predict(winner, bytes);
-        let slow = Duration::from_secs_f64(predicted.as_secs_f64() * 10.0);
-        for _ in 0..20 {
-            sel.observe(winner, bytes, slow);
-        }
-        assert!(sel.correction(winner, bytes) > 5.0);
-        assert_ne!(sel.select(bytes).choice, winner, "the EWMA must demote it");
-        // A different size bucket is untouched.
-        assert_eq!(sel.correction(winner, 1 << 10), 1.0);
-    }
-
     #[test]
     fn strategy_forecast_predicts_free_sharding_and_the_memory_drop() {
         // The ZeRO-on-DeAR claim, stated by the model: every strategy rides
@@ -794,19 +453,5 @@ mod tests {
         assert_eq!(ddp.stash_bytes, n * 4);
         assert_eq!(z1.stash_bytes, n * 4);
         assert_eq!(z2.stash_bytes, n.div_ceil(world) * 4);
-    }
-
-    #[test]
-    fn selection_reports_a_segment_only_when_it_helps() {
-        // γ = 0 (the paper's Eq. 3 default): no segmenting win predicted.
-        let sel = flat_selector(8, 1);
-        assert_eq!(sel.select(25 << 20).segment_bytes, None);
-        // With a reduction cost, large ring messages segment.
-        let gamma = CostModel::new(22_500.0, 0.8, 0.05);
-        let sel = AlgoSelector::new(gamma, None, Topology::Ring, 8, 1);
-        let pick = sel.select(25 << 20);
-        assert_eq!(pick.choice, CollectiveChoice::Ring);
-        let seg = pick.segment_bytes.expect("γ > 0 predicts a segment win");
-        assert!((4..(25 << 20)).contains(&seg));
     }
 }

@@ -15,9 +15,9 @@
 //! Host locality is not configured twice: it comes from the TCP
 //! rendezvous. Every rank's HELLO carries its host id (`--hosts` /
 //! `DEAR_HOST_ID`), the master republishes the full table in the WELCOME,
-//! and [`TcpEndpoint::host_ids`] exposes it — so the tiered router, the
-//! topology-aware hierarchical groups, and the online algorithm selector
-//! all agree on who is co-located with whom.
+//! and [`TcpEndpoint::host_ids`] exposes it — so the tiered router and the
+//! topology-aware hierarchical groups agree on who is co-located with
+//! whom.
 //!
 //! Elastic resize keeps working across tiers. `reconfigure` lets the TCP
 //! rendezvous adjudicate the new world first (it alone can see every
@@ -271,12 +271,13 @@ where
 /// mean: queueing noise only ever adds latency), and feeds the
 /// `(bytes, ns)` samples to [`CostModel::fit`].
 ///
-/// Both ranks of the pair call this concurrently naming each other; the
-/// lower rank serves first (recv → send), the higher initiates
-/// (send → recv), so the call is symmetric and returns the same samples
-/// on both sides. Run it over a [`ShmEndpoint`] pair and a cross-host
-/// pair separately to get the per-tier models the online algorithm
-/// selector consumes.
+/// Both ranks of the pair call this concurrently naming each other. Each
+/// size runs two passes: in the first the higher rank times `reps` round
+/// trips while the lower echoes, in the second the roles swap. Every rank
+/// fits from the best of the `reps` round trips it timed itself, so the
+/// call is symmetric: both sides see the same link and return models of
+/// it within noise. Run it over a [`ShmEndpoint`] pair and a cross-host
+/// pair separately to get per-tier models.
 ///
 /// # Errors
 ///
@@ -289,46 +290,28 @@ pub fn probe_alpha_beta<T: Transport + ?Sized>(
     reps: usize,
 ) -> Result<CostModel, CollectiveError> {
     ep.check_peer(peer)?;
-    let initiator = ep.rank() > peer;
     let reps = reps.max(1);
     let mut samples = Vec::with_capacity(sizes_bytes.len());
     for &bytes in sizes_bytes {
         let elems = (bytes / 4).max(1);
         let payload = vec![1.0f32; elems];
         let mut best_ns = u64::MAX;
-        for _ in 0..reps {
-            if initiator {
-                let start = Instant::now();
-                ep.send(peer, payload.clone().into())?;
-                let echo = ep.recv(peer)?;
-                let rtt = start.elapsed();
-                drop(echo);
-                best_ns = best_ns.min((rtt.as_nanos() / 2) as u64);
-            } else {
-                let msg = ep.recv(peer)?;
-                ep.send(peer, msg)?;
+        for initiator in [ep.rank() > peer, ep.rank() < peer] {
+            for _ in 0..reps {
+                if initiator {
+                    let start = Instant::now();
+                    ep.send(peer, payload.clone().into())?;
+                    let echo = ep.recv(peer)?;
+                    let rtt = start.elapsed();
+                    drop(echo);
+                    best_ns = best_ns.min((rtt.as_nanos() / 2) as u64);
+                } else {
+                    let msg = ep.recv(peer)?;
+                    ep.send(peer, msg)?;
+                }
             }
         }
-        if initiator {
-            samples.push((elems as u64 * 4, best_ns as f64));
-        } else {
-            // The server echoes timings it cannot take itself; recompute
-            // locally so both sides return a model. One extra round trip
-            // per size keeps the protocol symmetric without a side channel.
-            let start = Instant::now();
-            ep.send(peer, payload.clone().into())?;
-            let _ = ep.recv(peer)?;
-            samples.push((
-                elems as u64 * 4,
-                (start.elapsed().as_nanos() / 2) as u64 as f64,
-            ));
-        }
-        if !initiator {
-            continue;
-        }
-        // Mirror the server's extra round trip.
-        let msg = ep.recv(peer)?;
-        ep.send(peer, msg)?;
+        samples.push((elems as u64 * 4, best_ns as f64));
     }
     if samples.len() < 2 || samples.iter().all(|&(b, _)| b == samples[0].0) {
         return Err(CollectiveError::Reconfigure {
@@ -337,9 +320,9 @@ pub fn probe_alpha_beta<T: Transport + ?Sized>(
     }
     // A degenerate least-squares fit (negative slope or intercept before
     // clamping — loopback noise made the big probe beat the small one)
-    // would poison every AlgoSelector cost comparison with a zero-α or
-    // zero-β model. Fall back to the preset that best explains the
-    // samples instead of trusting a fit the data cannot support.
+    // would report a link with free startups or free bytes, which no
+    // link has. Fall back to the preset that best explains the samples
+    // instead of trusting a fit the data cannot support.
     Ok(CostModel::fit_checked(&samples).unwrap_or_else(|| preset_fallback(&samples)))
 }
 
@@ -486,6 +469,69 @@ mod tests {
         assert!(
             matches!(err, NetError::Config(ref m) if m.contains("places it on host")),
             "{err}"
+        );
+    }
+
+    /// Holds every other send of rank 0 back by [`HELD_BACK`] before it
+    /// leaves, so some of its round trips are slow and some are not.
+    struct SlowEveryOtherSend<T> {
+        inner: T,
+        sends: std::sync::atomic::AtomicUsize,
+    }
+
+    const HELD_BACK: Duration = Duration::from_millis(5);
+
+    impl<T: Transport> Transport for SlowEveryOtherSend<T> {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+
+        fn world_size(&self) -> usize {
+            self.inner.world_size()
+        }
+
+        fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
+            let n = self
+                .sends
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if self.rank() == 0 && n % 2 == 1 {
+                std::thread::sleep(HELD_BACK);
+            }
+            self.inner.send(to, msg)
+        }
+
+        fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
+            self.inner.recv(from)
+        }
+    }
+
+    #[test]
+    fn alpha_beta_probe_fits_the_same_link_on_both_ranks() {
+        // A 0.5 ms + 10 ns/B link, precise to the delivery stamp. Some of
+        // rank 0's sends are held back 5 ms, but every probe size still
+        // has undelayed round trips in both directions: each rank's best
+        // of its own round trips is the link, so the two fits must agree.
+        // A rank that times a single round trip fits α ≈ 3 ms instead.
+        let link = CostModel::new(500_000.0, 10.0, 0.0);
+        let eps: Vec<_> = dear_collectives::LocalFabric::create(2)
+            .into_iter()
+            .map(|ep| SlowEveryOtherSend {
+                inner: dear_collectives::DelayFabric::new(ep, link),
+                sends: Default::default(),
+            })
+            .collect();
+        let sizes = [1usize << 10, 1 << 16];
+        let models: Vec<CostModel> = std::thread::scope(|s| {
+            let handles: Vec<_> = eps
+                .iter()
+                .map(|ep| s.spawn(move || probe_alpha_beta(ep, 1 - ep.rank(), &sizes, 9).unwrap()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let (a0, a1) = (models[0].alpha_ns, models[1].alpha_ns);
+        assert!(
+            (a0 - a1).abs() <= 0.1 * a0.max(a1),
+            "rank 0 fitted α = {a0} ns, rank 1 α = {a1} ns: {models:?}"
         );
     }
 

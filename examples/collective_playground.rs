@@ -7,51 +7,56 @@
 //! Run with: `cargo run --release --example collective_playground`
 
 use dear::collectives::{
-    hierarchical_all_reduce, run_cluster_with, AllReduceAlgorithm, ClusterShape, CostModel,
-    ReduceOp,
+    double_tree_all_reduce_seg, hierarchical_all_reduce, naive_all_reduce_seg, rhd_all_reduce_seg,
+    ring_all_reduce_seg, run_cluster, ClusterShape, CollectiveError, CostModel, LocalEndpoint,
+    ReduceOp, SegmentConfig, Transport,
 };
+
+/// One all-reduce family's segmented entry point; all four share it.
+type AllReduceSeg =
+    fn(&LocalEndpoint, &mut [f32], ReduceOp, SegmentConfig) -> Result<(), CollectiveError>;
 
 fn main() {
     let world = 8;
     let elems = 10_000;
 
     println!("== real execution: {world} ranks, {elems} elements per rank ==\n");
-    let algorithms = [
-        AllReduceAlgorithm::Ring,
-        AllReduceAlgorithm::RecursiveHalvingDoubling,
-        AllReduceAlgorithm::DoubleBinaryTree,
-        AllReduceAlgorithm::NaiveTree,
+    let families: [(&str, AllReduceSeg); 4] = [
+        ("ring", ring_all_reduce_seg),
+        ("rhd", rhd_all_reduce_seg),
+        ("double_binary_tree", double_tree_all_reduce_seg),
+        ("naive", naive_all_reduce_seg),
     ];
     let mut outputs = Vec::new();
-    for algo in algorithms {
-        let results = run_cluster_with(world, algo, |comm| {
+    for (family, all_reduce) in families {
+        let results = run_cluster(world, |ep| {
             let mut data: Vec<f32> = (0..elems)
-                .map(|i| ((comm.rank() + 1) * (i % 17 + 1)) as f32)
+                .map(|i| ((ep.rank() + 1) * (i % 17 + 1)) as f32)
                 .collect();
-            comm.all_reduce(&mut data, ReduceOp::Sum).unwrap();
+            all_reduce(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC).unwrap();
             data
         });
         println!(
-            "{algo:?}: rank agreement {}",
+            "{family}: rank agreement {}",
             results.windows(2).all(|w| w[0] == w[1])
         );
         outputs.push(results[0].clone());
     }
     let reference = &outputs[0];
-    for (algo, out) in algorithms.iter().zip(&outputs) {
+    for ((family, _), out) in families.iter().zip(&outputs) {
         let max_diff = out
             .iter()
             .zip(reference)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
-        println!("{algo:?} vs Ring: max |diff| = {max_diff}");
+        println!("{family} vs ring: max |diff| = {max_diff}");
     }
 
     println!("\n== hierarchical (2 nodes x 4 GPUs) ==");
     let shape = ClusterShape::new(2, 4);
-    let results = run_cluster_with(shape.world(), AllReduceAlgorithm::Ring, |comm| {
-        let mut data = vec![comm.rank() as f32; 64];
-        hierarchical_all_reduce(comm.transport(), shape, &mut data, ReduceOp::Sum).unwrap();
+    let results = run_cluster(shape.world(), |ep| {
+        let mut data = vec![ep.rank() as f32; 64];
+        hierarchical_all_reduce(&ep, shape, &mut data, ReduceOp::Sum).unwrap();
         data[0]
     });
     println!("sum of ranks 0..8 = {} (expected 28)", results[0]);

@@ -5,7 +5,7 @@
 
 use dear::collectives::{
     compressed_aggregate, compressed_aggregate_wire_bytes, run_cluster, Compressor, ErrorFeedback,
-    TopK, Uniform8,
+    TopK, Transport, Uniform8,
 };
 use dear::minidnn::{accuracy, softmax_cross_entropy, BlobDataset, Linear, Relu, Sequential, Sgd};
 use rand::rngs::StdRng;
@@ -25,18 +25,18 @@ fn train_compressed(compressor: impl Compressor + Clone + Send + Sync, steps: u6
     let world = 4;
     let global_batch = 32;
     let data = BlobDataset::new(8, 4, 0.4, 17);
-    let accs = run_cluster(world, |comm| {
+    let accs = run_cluster(world, |ep| {
         let mut net = build_net(1);
         let mut opt = Sgd::new(0.1);
         let mut feedback = ErrorFeedback::new();
         for step in 0..steps {
-            let (x, labels) = data.shard(step, global_batch, comm.rank(), world);
+            let (x, labels) = data.shard(step, global_batch, ep.rank(), world);
             let logits = net.forward(&x);
             let (_, dloss) = softmax_cross_entropy(&logits, &labels);
             net.backward(&dloss);
             // Flatten all gradients, aggregate compressed, write back.
             let mut flat = net.store().flat_grads();
-            compressed_aggregate(comm.transport(), &mut flat, &compressor, &mut feedback)
+            compressed_aggregate(&ep, &mut flat, &compressor, &mut feedback)
                 .expect("aggregation failed");
             net.store_mut().set_flat_grads(&flat);
             opt.step(&mut net);
