@@ -154,25 +154,6 @@ impl WorkerHandle {
         self.layout_tx
             .send(CommLayout::from(&layout))
             .expect("comm thread hung up before initialization");
-        let local_optim: Option<Box<dyn dear_minidnn::Optimizer>> = match self.config.mode {
-            PipelineMode::Wfbp => Some(match self.config.optim {
-                OptimKind::Sgd => Box::new(Sgd::with_options(
-                    self.config.lr,
-                    self.config.momentum,
-                    self.config.weight_decay,
-                )) as Box<dyn dear_minidnn::Optimizer>,
-                OptimKind::Adam { beta1, beta2, eps } => {
-                    Box::new(dear_minidnn::Adam::with_options(
-                        self.config.lr,
-                        beta1,
-                        beta2,
-                        eps,
-                        self.config.weight_decay,
-                    ))
-                }
-            }),
-            PipelineMode::Dear => None,
-        };
         DistOptim::new(
             self.rank,
             self.world,
@@ -181,7 +162,6 @@ impl WorkerHandle {
             self.jobs,
             self.results,
             self.config.optim,
-            local_optim,
             &self.trace_scope,
             self.config.segments.wire,
         )
@@ -213,6 +193,7 @@ where
     let hyper = config.hyper();
     let segments = config.segments;
     let strategy = config.strategy;
+    let mode = config.mode;
     // Unique per worker so concurrent in-process clusters never share a
     // trace stream (see `trace`'s stream-naming contract).
     let trace_scope = crate::trace::unique_scope(rank);
@@ -232,6 +213,7 @@ where
             hyper,
             segments,
             strategy,
+            mode,
             &comm_scope,
             &job_rx,
             &res_tx,
@@ -307,9 +289,11 @@ pub fn train_single_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::OptimState;
     use dear_minidnn::{BlobDataset, Linear, Relu};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::ops::Range;
 
     fn build_net(seed: u64) -> Sequential {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -622,6 +606,13 @@ mod tests {
             let fixed = run(2, mode, 4096, None);
             let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&rebucketed.0), bits(&fixed.0), "{mode:?}: parameters");
+            // All-zero state would compare equal whatever re-bucketing did.
+            let state = &rebucketed.1;
+            assert!(
+                state.velocity.iter().any(|&m| m != 0.0)
+                    && state.second_moment.iter().any(|&v| v != 0.0),
+                "{mode:?}: the exported moments are all zero"
+            );
             assert_eq!(rebucketed.1, fixed.1, "{mode:?}: optimizer state");
         }
     }
@@ -727,11 +718,11 @@ mod tests {
     #[test]
     fn lr_schedule_matches_reference() {
         // A learning-rate decay mid-training under both update rules and
-        // both pipelines: the rule must stay what was configured (DeAR's
+        // both pipelines: the rule must stay what was configured (the
         // sharded optimizer once turned into SGD here) and its state must
-        // carry on (WFBP's local optimizer once restarted from zero
-        // momentum). DeAR and WFBP do the same arithmetic on the same
-        // reduced sums, so they agree to the bit across the schedule step.
+        // carry on (WFBP's optimizer once restarted from zero momentum).
+        // DeAR and WFBP do the same arithmetic on the same reduced sums, so
+        // they agree to the bit across the schedule step.
         let data = BlobDataset::new(6, 3, 0.4, 42);
         for optim in [OptimKind::Sgd, OptimKind::adam_default()] {
             let (lr, decayed) = match optim {
@@ -772,23 +763,25 @@ mod tests {
             let wfbp = run(PipelineMode::Wfbp);
             let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&dear), bits(&wfbp), "{optim:?}: DeAR and WFBP differ");
-            // Reference applies the same schedule.
+            // Reference applies the same schedule; only the rate changes.
             let mut reference = build_net(4);
-            let mut opt: Box<dyn dear_minidnn::Optimizer> = match optim {
-                OptimKind::Sgd => Box::new(Sgd::with_options(lr, 0.9, 0.0)),
-                OptimKind::Adam { beta1, beta2, eps } => {
-                    Box::new(dear_minidnn::Adam::with_options(lr, beta1, beta2, eps, 0.0))
-                }
-            };
+            let mut sgd = Sgd::with_options(lr, 0.9, 0.0);
+            let mut adam = dear_minidnn::Adam::new(lr);
             for step in 0..16u64 {
                 if step == 8 {
-                    opt.set_hyper(decayed, 0.9, 0.0);
+                    sgd.set_lr(decayed);
+                    adam.set_lr(decayed);
                 }
                 let (x, labels) = data.batch(step, 30);
                 let logits = reference.forward(&x);
                 let (_, dloss) = dear_minidnn::softmax_cross_entropy(&logits, &labels);
                 reference.backward(&dloss);
-                opt.step(&mut reference);
+                match optim {
+                    OptimKind::Sgd => sgd.step(&mut reference),
+                    OptimKind::Adam { .. } => {
+                        dear_minidnn::Optimizer::step(&mut adam, &mut reference)
+                    }
+                }
             }
             let diff = max_rel_diff(&dear, &reference.flat_params());
             assert!(diff < 5e-3, "{optim:?}: max relative diff {diff}");
@@ -802,14 +795,9 @@ mod tests {
         // failure through a typed step error, resize the world in place,
         // agree on the resume step, roll back to the boundary snapshot,
         // rebalance the optimizer shards, and keep training on 3 ranks —
-        // no restart, and the survivors stay bitwise-identical.
+        // no restart, and the survivors stay bitwise-identical. Under both
+        // pipelines: WFBP's rollback imports the whole state on every rank.
         let data = BlobDataset::new(6, 3, 0.4, 77);
-        let config = TrainConfig {
-            lr: 0.05,
-            momentum: 0.9,
-            fusion_buffer: Some(512),
-            ..TrainConfig::default()
-        };
         let worker = |handle: WorkerHandle| {
             let rank = handle.rank();
             let mut net = build_net(5);
@@ -858,14 +846,152 @@ mod tests {
             optim.synchronize(&mut net).unwrap();
             Some(net.flat_params())
         };
-        let out = run_with_recv_deadline(4, &config, worker);
-        let survivors: Vec<_> = out.into_iter().flatten().collect();
-        assert_eq!(survivors.len(), 3, "exactly the three survivors finish");
-        for p in &survivors[1..] {
+        for mode in [PipelineMode::Dear, PipelineMode::Wfbp] {
+            let config = TrainConfig {
+                lr: 0.05,
+                momentum: 0.9,
+                fusion_buffer: Some(512),
+                mode,
+                ..TrainConfig::default()
+            };
+            let out = run_with_recv_deadline(4, &config, worker);
+            let survivors: Vec<_> = out.into_iter().flatten().collect();
             assert_eq!(
-                &survivors[0], p,
-                "survivors diverged after the in-place resize"
+                survivors.len(),
+                3,
+                "{mode:?}: exactly the three survivors finish"
             );
+            for p in &survivors[1..] {
+                assert_eq!(
+                    &survivors[0], p,
+                    "{mode:?}: survivors diverged after the in-place resize"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wfbp_optimizer_state_is_the_sum_of_the_dear_shards() {
+        // WFBP updates every element on every rank with DeAR's rule, so its
+        // state is the whole of what DeAR keeps in shards: each rank's
+        // export is the sum of the DeAR ranks' exports, the Adam step is
+        // the step count, and every rank holds the full vectors. On two
+        // ranks each reduced sum has two terms in either pipeline, so the
+        // parameters agree to the bit as well.
+        const STEPS: u64 = 5;
+        let world = 2;
+        let data = BlobDataset::new(6, 3, 0.4, 29);
+        for (kind, vectors) in [(OptimKind::Sgd, 1), (OptimKind::adam_default(), 2)] {
+            let run = |mode: PipelineMode| {
+                let config = TrainConfig {
+                    lr: 0.05,
+                    momentum: 0.9,
+                    weight_decay: 1e-4,
+                    fusion_buffer: Some(512),
+                    optim: kind,
+                    mode,
+                    ..TrainConfig::default()
+                };
+                run_training(world, config, |handle| {
+                    let rank = handle.rank();
+                    let mut net = build_net(3);
+                    let mut optim = handle.into_optim(&net);
+                    for step in 0..STEPS {
+                        let (x, labels) = data.shard(step, 32, rank, world);
+                        optim.train_step(&mut net, &x, &labels).unwrap();
+                    }
+                    optim.synchronize(&mut net).unwrap();
+                    (
+                        net.flat_params(),
+                        optim.export_optim_state().unwrap(),
+                        optim.optim_state_bytes().unwrap(),
+                    )
+                })
+            };
+            let dear = run(PipelineMode::Dear);
+            let wfbp = run(PipelineMode::Wfbp);
+            let sum = |pick: fn(&OptimState) -> &Vec<f32>| -> Vec<u32> {
+                let (a, b) = (pick(&dear[0].1), pick(&dear[1].1));
+                a.iter().zip(b).map(|(x, y)| (x + y).to_bits()).collect()
+            };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let n = dear[0].0.len();
+            for (rank, (params, state, bytes)) in wfbp.iter().enumerate() {
+                let case = format!("{kind:?} rank {rank}");
+                assert_eq!(bits(params), bits(&dear[0].0), "{case}: parameters");
+                assert!(
+                    state.velocity.iter().any(|&v| v != 0.0),
+                    "{case}: velocity is all zero"
+                );
+                assert_eq!(
+                    bits(&state.velocity),
+                    sum(|s| &s.velocity),
+                    "{case}: velocity"
+                );
+                assert_eq!(
+                    bits(&state.second_moment),
+                    sum(|s| &s.second_moment),
+                    "{case}: second moment"
+                );
+                assert_eq!(state.adam_step, STEPS, "{case}: Adam step");
+                assert_eq!(*bytes, vectors * n * 4, "{case}: resident bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn resume_from_an_exported_state_is_bitwise_exact() {
+        // Run A trains K steps, snapshots parameters and optimizer state,
+        // and trains on to 2K; run B is a fresh world that installs the
+        // snapshot and trains K..2K. Nothing else carries over, so B must
+        // end where A did — momentum and both Adam moments included, under
+        // both pipelines (WFBP once dropped the imported state silently).
+        const K: u64 = 4;
+        let world = 2;
+        let data = BlobDataset::new(6, 3, 0.4, 31);
+        for mode in [PipelineMode::Dear, PipelineMode::Wfbp] {
+            for kind in [OptimKind::Sgd, OptimKind::adam_default()] {
+                let config = TrainConfig {
+                    lr: 0.05,
+                    momentum: 0.9,
+                    fusion_buffer: Some(512),
+                    optim: kind,
+                    mode,
+                    ..TrainConfig::default()
+                };
+                let train = |optim: &mut DistOptim, net: &mut Sequential, steps: Range<u64>| {
+                    for step in steps {
+                        let (x, labels) = data.shard(step, 32, optim.rank(), world);
+                        optim.train_step(net, &x, &labels).unwrap();
+                    }
+                    optim.synchronize(net).unwrap();
+                };
+                let a = run_training(world, config.clone(), |handle| {
+                    let mut net = build_net(9);
+                    let mut optim = handle.into_optim(&net);
+                    train(&mut optim, &mut net, 0..K);
+                    let snapshot = (net.flat_params(), optim.export_optim_state().unwrap());
+                    train(&mut optim, &mut net, K..2 * K);
+                    (snapshot, net.flat_params())
+                });
+                let b = run_training(world, config, |handle| {
+                    let mut net = build_net(9);
+                    let mut optim = handle.into_optim(&net);
+                    let (params, state) = &a[optim.rank()].0;
+                    net.set_flat_params(params);
+                    optim.import_optim_state(state.clone()).unwrap();
+                    train(&mut optim, &mut net, K..2 * K);
+                    net.flat_params()
+                });
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for (rank, (resumed, (_, whole))) in b.iter().zip(&a).enumerate() {
+                    assert_eq!(
+                        bits(resumed),
+                        bits(whole),
+                        "{mode:?} {kind:?} rank {rank}: the resumed run diverged"
+                    );
+                }
+            }
         }
     }
 
@@ -876,7 +1002,6 @@ mod tests {
         // worker down at its next job): it is refused with a typed error,
         // nothing is imported, and the same `DistOptim` trains on exactly
         // as if it had never been asked.
-        use crate::comm::OptimState;
         use dear_collectives::CollectiveError;
         let data = BlobDataset::new(6, 3, 0.4, 11);
         let run = |foreign_checkpoints: bool| {

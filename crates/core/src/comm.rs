@@ -7,10 +7,11 @@
 //! backprop (BackPipe) and all-gathers overlap the next feed-forward
 //! (FeedPipe) in *real wall-clock time*.
 //!
-//! In DeAR mode the comm thread also performs the optimizer update on the
+//! The comm thread is also the only optimizer: in DeAR mode it updates the
 //! parameter shard this rank owns after the reduce-scatter (the paper's
 //! implementation updates sharded parameters and all-gathers the *updated
-//! parameters*, the design §VII-B relates to ZeRO/FSDP).
+//! parameters*, the design §VII-B relates to ZeRO/FSDP), in WFBP mode every
+//! group, whole, after the step's last all-reduce.
 
 use crossbeam_channel::{Receiver, Sender};
 
@@ -23,6 +24,7 @@ use dear_collectives::{
     ReduceOp, RingKind, RingOp, SegmentConfig, Transport, WorldChange, MIN_LINK_FRAMES,
 };
 
+use crate::dist_optim::PipelineMode;
 use crate::layout::GroupLayout;
 use crate::strategy::ParallelismStrategy;
 use crate::trace::{self, TaskKind};
@@ -182,20 +184,25 @@ impl ShardMap {
 
 /// The comm thread's resident optimizer storage: packed dense over the
 /// ranges this rank owns, for every strategy — `OP1.UPD` never touches an
-/// element outside them, so `Ddp` under DeAR is `Zero1`'s layout. The
-/// exchange format (checkpoints, re-partitioning) stays full-length.
+/// element outside them, so `Ddp` under DeAR is `Zero1`'s layout. WFBP
+/// updates every element on every rank: its map is the world-1 one, the
+/// whole model. The exchange format (checkpoints, re-partitioning) stays
+/// full-length.
 struct OptimStore {
     map: ShardMap,
     total: usize,
-    /// Allocated by the first update — a comm thread that never updates
-    /// (WFBP: the training thread's optimizer does) holds no state.
+    /// Allocated by the first update.
     velocity: Vec<f32>,
     /// Allocated by the first Adam update.
     second_moment: Vec<f32>,
 }
 
 impl OptimStore {
-    fn new(layout: &CommLayout, rank: usize, world: usize) -> OptimStore {
+    fn new(layout: &CommLayout, rank: usize, world: usize, mode: PipelineMode) -> OptimStore {
+        let (rank, world) = match mode {
+            PipelineMode::Dear => (rank, world),
+            PipelineMode::Wfbp => (0, 1),
+        };
         OptimStore {
             map: ShardMap::build(layout, rank, world),
             total: layout.groups.iter().map(|g| g.elements).sum(),
@@ -237,11 +244,13 @@ impl OptimStore {
     }
 }
 
-/// A stashed group awaiting its OP2 all-gather: the group's circulating
-/// buffers parked comm-side between OP1 and OP2 (DESIGN.md §4.17).
+/// A stashed group awaiting the flush: the group's circulating buffers
+/// parked comm-side between OP1 and OP2 (DESIGN.md §4.17), or under WFBP
+/// between its all-reduce and the update.
 enum StashEntry {
-    /// The updated parameter buffer, plus the spent gradient buffer riding
-    /// along so the `Params` reply can hand both back.
+    /// The parameter buffer (DeAR's updated, WFBP's to update) plus the
+    /// gradient buffer (spent, or WFBP's sums) riding along so the `Params`
+    /// reply can hand both back.
     Full { params: Vec<f32>, grads: Vec<f32> },
     /// ZeRO-2: only the owned chunk stays resident; the full buffer is
     /// rebuilt at gather time (the all-gather overwrites every other chunk
@@ -275,10 +284,11 @@ impl StashEntry {
 
 /// `OP1.UPD`: applies the optimizer to the part of one group this rank owns
 /// after the reduce-scatter — for every item, the intersection of its extent
-/// with `owned`. `gbuf` holds the reduced gradient sums starting at group
-/// coordinate `gshift` (zero for a full-length buffer, `owned.start` for
-/// ZeRO-2's compact shard) — pure index arithmetic, so every strategy
-/// computes bit-identical updates. Each intersection is updated over zipped
+/// with `owned` (WFBP owns the whole group). `gbuf` holds the reduced
+/// gradient sums starting at group coordinate `gshift` (zero for a
+/// full-length buffer, `owned.start` for ZeRO-2's compact shard) — pure
+/// index arithmetic, so every strategy computes bit-identical updates.
+/// Each intersection is updated over zipped
 /// sub-slices: the same per-element operations in the same order as an
 /// indexed loop, with the bounds checks hoisted out so the loop vectorises.
 #[allow(clippy::too_many_arguments)]
@@ -376,7 +386,7 @@ impl OptimKind {
     }
 }
 
-/// Optimizer hyper-parameters applied comm-side in DeAR mode.
+/// Optimizer hyper-parameters of the comm thread's update.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperParams {
     /// Learning rate.
@@ -393,7 +403,8 @@ pub struct HyperParams {
 /// checkpointing and importable on resume. `velocity` doubles as Adam's
 /// first moment; `second_moment` is empty unless Adam has stepped. All
 /// vectors are keyed by **global flat offset**, with non-owned elements
-/// zero — each rank checkpoints and restores its own shard.
+/// zero — each rank checkpoints and restores its own shard (under WFBP,
+/// every rank's shard is the whole model).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OptimState {
     /// SGD velocity / Adam first moment, one element per model parameter.
@@ -419,16 +430,21 @@ pub enum CommJob {
         /// Flat parameters (group order).
         params: Vec<f32>,
     },
-    /// DeAR OP2: all-gather every stashed group's parameters, in reverse
-    /// stash order (forward order), replying with one `Params` each.
-    FlushAllGathers,
-    /// WFBP: all-reduce and average `grads` in place, replying with `Grads`
-    /// carrying the same buffer.
+    /// The end of a step's communication, replying with one `Params` per
+    /// stashed group, in reverse stash order (forward order). DeAR: OP2,
+    /// the all-gather of every group's updated parameters. WFBP: the
+    /// update of every group, whole, from its all-reduced sums.
+    Flush,
+    /// WFBP: all-reduce `grads` in place to their sums and stash both
+    /// buffers for the flush's update. Like `RsUpdate`, the job moves the
+    /// group's two circulating buffers to the comm thread.
     AllReduce {
         /// Group id.
         group: usize,
         /// Flat gradients (group order).
         grads: Vec<f32>,
+        /// Flat parameters (group order).
+        params: Vec<f32>,
     },
     /// Broadcast `value` from `root` to all ranks (BO buffer-size sync).
     Broadcast {
@@ -478,8 +494,8 @@ pub enum CommJob {
 /// Replies sent back to the training thread.
 #[derive(Debug)]
 pub enum CommResult {
-    /// Updated, fully-gathered parameters of one group (DeAR), in the
-    /// buffer its `RsUpdate` shipped, together with that job's spent
+    /// Updated, complete parameters of one group, in the buffer its
+    /// `RsUpdate` or `AllReduce` shipped, together with that job's spent
     /// gradient buffer.
     Params {
         /// Group id.
@@ -489,15 +505,6 @@ pub enum CommResult {
         /// The group's gradient buffer, contents spent — the next
         /// iteration's staging area. Empty under ZeRO-2, whose
         /// reduce-scatter consumes the full-length buffer.
-        grads: Vec<f32>,
-    },
-    /// Averaged gradients of one group (WFBP), in the buffer its
-    /// `AllReduce` shipped — the next iteration's staging area once
-    /// installed.
-    Grads {
-        /// Group id.
-        group: usize,
-        /// Flat gradients.
         grads: Vec<f32>,
     },
     /// The broadcast value.
@@ -569,8 +576,8 @@ struct InFlight {
     /// all-reduce) or its parameters (all-gather).
     data: Vec<f32>,
     /// The group's other circulating buffer, riding along: the parameters
-    /// behind a reduce-scatter, the spent gradients behind an all-gather,
-    /// nothing behind an all-reduce.
+    /// behind a reduce-scatter or an all-reduce, the spent gradients behind
+    /// an all-gather.
     other: Vec<f32>,
     /// The op's span, already open if it was begun with nothing in flight
     /// (its own first send then belongs to it). An op begun ahead gets its
@@ -599,9 +606,10 @@ struct CommThread<'a, T> {
     /// dtype: `Broadcast` ships an f64 as two f32 bit-words (any rounding
     /// corrupts the value), and `Reconfigure` redistributes optimizer state
     /// that checkpoints expect unrounded. Only the data path (RsUpdate /
-    /// FlushAllGathers / AllReduce) uses the narrow wire.
+    /// Flush / AllReduce) uses the narrow wire.
     control: SegmentConfig,
     strategy: ParallelismStrategy,
+    mode: PipelineMode,
     jobs: &'a Receiver<CommJob>,
     results: &'a Sender<CommResult>,
     world: usize,
@@ -609,15 +617,15 @@ struct CommThread<'a, T> {
     /// Optimizer state of the owned shard; re-packed on re-bucketing.
     store: OptimStore,
     adam_step: u64,
-    /// Groups reduce-scattered this iteration, in arrival (backward) order.
+    /// Groups reduced this iteration, in arrival (backward) order.
     stash: Vec<(usize, StashEntry)>,
     /// Jobs taken off the channel and not yet started, in order.
     backlog: VecDeque<CommJob>,
     /// Ring ops begun and not yet finished, in order; the front is the one
     /// being finished, the rest were begun ahead of it.
     inflight: VecDeque<InFlight>,
-    /// A `FlushAllGathers` is being served: the next ring ops are the
-    /// stash's all-gathers, newest entry first.
+    /// A DeAR `Flush` is being served: the next ring ops are the stash's
+    /// all-gathers, newest entry first.
     flushing: bool,
     /// A collective failed and no resize has succeeded since: the step was
     /// abandoned, and what is left of it is dropped, not run.
@@ -729,13 +737,14 @@ impl<T: Transport> CommThread<'_, T> {
                 params: data,
                 grads: other,
             }),
-            RingKind::AllReduce(_) => {
-                let inv_p = 1.0 / self.world as f32;
-                for g in &mut data {
-                    *g *= inv_p;
-                }
-                self.reply(CommResult::Grads { group, grads: data });
-            }
+            // WFBP: the sums wait in the stash for the flush's update.
+            RingKind::AllReduce(_) => self.stash.push((
+                group,
+                StashEntry::Full {
+                    params: other,
+                    grads: data,
+                },
+            )),
         }
         Ok(true)
     }
@@ -787,9 +796,11 @@ impl<T: Transport> CommThread<'_, T> {
                     grads,
                     params,
                 }) => (group, RingKind::ReduceScatter(ReduceOp::Sum), grads, params),
-                Some(CommJob::AllReduce { group, grads }) => {
-                    (group, RingKind::AllReduce(ReduceOp::Sum), grads, Vec::new())
-                }
+                Some(CommJob::AllReduce {
+                    group,
+                    grads,
+                    params,
+                }) => (group, RingKind::AllReduce(ReduceOp::Sum), grads, params),
                 // Any other job waits until nothing is in flight.
                 Some(other) => {
                     self.backlog.push_front(other);
@@ -822,7 +833,6 @@ impl<T: Transport> CommThread<'_, T> {
         grads: Vec<f32>,
         mut params: Vec<f32>,
     ) {
-        let meta = &self.layout.groups[group];
         if self.stash.is_empty() {
             // First group of a new iteration: advance the Adam step (bias
             // correction is per-iteration, shared by shards).
@@ -839,22 +849,10 @@ impl<T: Transport> CommThread<'_, T> {
         } else {
             (grads, 0)
         };
-        let upd = trace::span(TaskKind::Other, || format!("OP1.UPD[g{group}]"));
         // Optimizer update on the owned shard only; every element is owned
         // by exactly one rank, so the union of shards is the full S-SGD
         // update of Eq. 2.
-        update_owned_shard(
-            meta,
-            &owned,
-            &gbuf,
-            gshift,
-            &mut params,
-            &mut self.store,
-            &self.hyper,
-            1.0 / self.world as f32,
-            self.adam_step,
-        );
-        upd.end();
+        self.update(group, &owned, &gbuf, gshift, &mut params);
         let entry = if self.strategy.shards_grad_stash() {
             // Only the owned chunk is live between OP1 and OP2: the
             // all-gather redistributes it and overwrites the rest. The
@@ -866,7 +864,7 @@ impl<T: Transport> CommThread<'_, T> {
             StashEntry::Shard {
                 owned,
                 chunk,
-                elements: meta.elements,
+                elements: self.layout.groups[group].elements,
             }
         } else {
             StashEntry::Full {
@@ -877,7 +875,48 @@ impl<T: Transport> CommThread<'_, T> {
         self.stash.push((group, entry));
     }
 
-    /// Whether no reduce-scattered group is stashed, i.e. the thread is at
+    /// WFBP's flush, one per step: every all-reduced group is updated
+    /// whole — the world-1 shard map owns every element — and goes back to
+    /// the training thread.
+    fn update_stash(&mut self) {
+        self.adam_step += 1;
+        while let Some((group, entry)) = self.stash.pop() {
+            let (mut params, grads) = entry.into_buffers();
+            self.update(group, &(0..params.len()), &grads, 0, &mut params);
+            self.reply(CommResult::Params {
+                group,
+                params,
+                grads,
+            });
+        }
+    }
+
+    /// `OP1.UPD` of `owned` of `group` from the reduced sums in `gbuf`
+    /// (based at group coordinate `gshift`), under its own span.
+    fn update(
+        &mut self,
+        group: usize,
+        owned: &Range<usize>,
+        gbuf: &[f32],
+        gshift: usize,
+        params: &mut [f32],
+    ) {
+        let upd = trace::span(TaskKind::Other, || format!("OP1.UPD[g{group}]"));
+        update_owned_shard(
+            &self.layout.groups[group],
+            owned,
+            gbuf,
+            gshift,
+            params,
+            &mut self.store,
+            &self.hyper,
+            1.0 / self.world as f32,
+            self.adam_step,
+        );
+        upd.end();
+    }
+
+    /// Whether no reduced group is stashed, i.e. the thread is at
     /// an iteration boundary. If not, fails the request for `what` — and
     /// only the request: boundary violations used to be `assert!`s that
     /// panicked this thread (and with it the whole worker). The stash is
@@ -887,7 +926,7 @@ impl<T: Transport> CommThread<'_, T> {
             self.reply(CommResult::Error(CollectiveError::Reconfigure {
                 reason: format!(
                     "{what} must happen at an iteration boundary; \
-                     a reduce-scattered group is still stashed"
+                     a reduced group is still stashed"
                 ),
             }));
         }
@@ -903,7 +942,11 @@ impl<T: Transport> CommThread<'_, T> {
             // backlog — unless the transport is broken: the step these
             // belong to was abandoned, and they go with it.
             CommJob::RsUpdate { .. } | CommJob::AllReduce { .. } => debug_assert!(self.broken),
-            CommJob::FlushAllGathers => self.flushing = !self.broken,
+            CommJob::Flush if self.broken => {}
+            CommJob::Flush => match self.mode {
+                PipelineMode::Dear => self.flushing = true,
+                PipelineMode::Wfbp => self.update_stash(),
+            },
             CommJob::Broadcast { root, value } => {
                 // The fabric carries f32, but BO broadcasts byte counts that
                 // exceed 2^24 (e.g. the paper's 25 MB buffer, 26_214_401
@@ -933,36 +976,39 @@ impl<T: Transport> CommThread<'_, T> {
                 if !self.at_boundary("re-bucketing") {
                     return Ok(());
                 }
-                // Shard ownership changes with the group boundaries (or the
-                // world size, after an in-place resize), so the momentum
-                // state must move with it: each element's velocity lives
-                // only on its owner (zero elsewhere), so a sum all-reduce
-                // reconstructs the full state, after which each rank keeps
-                // only the shards it owns under the new layout. A failure
-                // part-way leaves the state half-reduced — recovery must go
-                // through a snapshot import, never resume from here.
-                let sp = trace::span(TaskKind::Communication, || "REBALANCE".to_string());
-                let mut full_velocity = self.store.export_velocity();
-                ring_all_reduce_seg(
-                    &self.transport,
-                    &mut full_velocity,
-                    ReduceOp::Sum,
-                    self.control,
-                )?;
-                let mut full_second = self.store.export_second_moment();
-                if !full_second.is_empty() {
+                // WFBP's world-1 map owns every element under any layout
+                // and world: nothing moves.
+                if self.mode == PipelineMode::Dear {
+                    // Shard ownership changes with the group boundaries (or
+                    // the world size, after an in-place resize), so the
+                    // optimizer state must move with it: each element's
+                    // state lives only on its owner (zero elsewhere), so a
+                    // sum all-reduce reconstructs the full state, after
+                    // which each rank keeps only the shards it owns under
+                    // the new layout. A failure part-way leaves the state
+                    // half-reduced — recovery must go through a snapshot
+                    // import, never resume from here.
+                    let sp = trace::span(TaskKind::Communication, || "REBALANCE".to_string());
+                    let mut full_velocity = self.store.export_velocity();
                     ring_all_reduce_seg(
                         &self.transport,
-                        &mut full_second,
+                        &mut full_velocity,
                         ReduceOp::Sum,
                         self.control,
                     )?;
+                    let mut full_second = self.store.export_second_moment();
+                    if !full_second.is_empty() {
+                        ring_all_reduce_seg(
+                            &self.transport,
+                            &mut full_second,
+                            ReduceOp::Sum,
+                            self.control,
+                        )?;
+                    }
+                    sp.end();
+                    self.store.map = ShardMap::build(&layout, self.rank, self.world);
+                    self.store.import(&full_velocity, &full_second);
                 }
-                sp.end();
-                // Re-pack to the owned ranges of the new layout (and the
-                // possibly-new world after an in-place resize).
-                self.store.map = ShardMap::build(&layout, self.rank, self.world);
-                self.store.import(&full_velocity, &full_second);
                 self.layout = layout;
                 self.open_window();
             }
@@ -999,7 +1045,7 @@ impl<T: Transport> CommThread<'_, T> {
                     // iteration and retry at the boundary.
                     self.reply(CommResult::Resized(Err(CollectiveError::Reconfigure {
                         reason: "in-place resize must happen at an iteration boundary; \
-                                 a reduce-scattered group is still stashed"
+                                 a reduced group is still stashed"
                             .to_string(),
                     })));
                     return Ok(());
@@ -1035,8 +1081,8 @@ impl<T: Transport> CommThread<'_, T> {
 /// Runs the comm-thread event loop until the job channel closes.
 ///
 /// **Cross-group send-ahead** (DESIGN.md §4.18). The ring jobs — DeAR's
-/// `RsUpdate` reduce-scatters and the all-gathers of `FlushAllGathers`,
-/// WFBP's `AllReduce`s — run split-phase
+/// `RsUpdate` reduce-scatters and the all-gathers of its `Flush`, WFBP's
+/// `AllReduce`s — run split-phase
 /// ([`ring_begin`] → [`ring_advance`] → [`ring_finish`]), and the thread
 /// does not wait out one group's last receive before it looks at the next
 /// group: once the op it is finishing has posted its last send, it begins
@@ -1051,7 +1097,8 @@ impl<T: Transport> CommThread<'_, T> {
 /// first receive, so only its last wait is overlapped, and so is any op on
 /// more than two ranks. Ops finish — update, stash, reply — strictly in
 /// order, one `OP1.RS` / `OP1.UPD` / `OP2.AG` / `AR` span per group, serial
-/// on the comm stream. Every other job runs with nothing in flight.
+/// on the comm stream. Every other job runs with nothing in flight — so
+/// does WFBP's `Flush`, whose `OP1.UPD` spans follow the last `AR`.
 ///
 /// Collective failures do **not** kill this thread: the ops in flight and
 /// the iteration's comm-side stash are dropped (the step cannot be
@@ -1070,6 +1117,7 @@ pub fn run_comm_thread<T: Transport>(
     hyper: HyperParams,
     segments: SegmentConfig,
     strategy: ParallelismStrategy,
+    mode: PipelineMode,
     trace_scope: &str,
     jobs: &Receiver<CommJob>,
     results: &Sender<CommResult>,
@@ -1078,7 +1126,7 @@ pub fn run_comm_thread<T: Transport>(
     let world = transport.world_size();
     let rank = transport.rank();
     CommThread {
-        store: OptimStore::new(&layout, rank, world),
+        store: OptimStore::new(&layout, rank, world, mode),
         window: 0,
         transport,
         layout,
@@ -1086,6 +1134,7 @@ pub fn run_comm_thread<T: Transport>(
         segments,
         control: segments.with_wire(DType::F32),
         strategy,
+        mode,
         jobs,
         results,
         world,
@@ -1199,8 +1248,8 @@ mod tests {
                         } else {
                             (0, elements)
                         };
-                        let mut fast = OptimStore::new(&layout, rank, world);
-                        let mut slow = OptimStore::new(&layout, rank, world);
+                        let mut fast = OptimStore::new(&layout, rank, world, PipelineMode::Dear);
+                        let mut slow = OptimStore::new(&layout, rank, world, PipelineMode::Dear);
                         fast.velocity = random(fast.map.dense_len());
                         slow.velocity = fast.velocity.clone();
                         let mut fast_params = random(elements);
@@ -1284,6 +1333,7 @@ mod tests {
                 hyper,
                 SegmentConfig::MONOLITHIC,
                 ParallelismStrategy::Ddp,
+                PipelineMode::Dear,
                 &scope,
                 &job_rx,
                 &res_tx,
@@ -1321,7 +1371,7 @@ mod tests {
             other => panic!("expected a refused hyper change, got {other:?}"),
         }
         // The stash was kept: the step still flushes normally.
-        job_tx.send(CommJob::FlushAllGathers).unwrap();
+        job_tx.send(CommJob::Flush).unwrap();
         match res_rx.recv().unwrap() {
             CommResult::Params { group: 0, .. } => {}
             other => panic!("expected the flushed group, got {other:?}"),

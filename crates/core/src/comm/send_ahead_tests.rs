@@ -82,7 +82,7 @@ impl Transport for Probe {
 
 /// The schedule send-ahead replaced: every ring job runs start to end
 /// through the monolithic calls before the next one is looked at. Serves
-/// the three ring jobs only.
+/// the three ring jobs and the flush only.
 #[allow(clippy::too_many_arguments)]
 fn run_one_at_a_time<T: Transport>(
     transport: T,
@@ -90,12 +90,14 @@ fn run_one_at_a_time<T: Transport>(
     hyper: HyperParams,
     segments: SegmentConfig,
     strategy: ParallelismStrategy,
+    mode: PipelineMode,
     _trace_scope: &str,
     jobs: &Receiver<CommJob>,
     results: &Sender<CommResult>,
 ) {
     let (rank, world) = (transport.rank(), transport.world_size());
-    let mut store = OptimStore::new(&layout, rank, world);
+    let inv_p = 1.0 / world as f32;
+    let mut store = OptimStore::new(&layout, rank, world, mode);
     let mut adam_step = 0;
     let mut stash: Vec<(usize, StashEntry)> = Vec::new();
     while let Ok(job) = jobs.recv() {
@@ -125,7 +127,7 @@ fn run_one_at_a_time<T: Transport>(
                     &mut params,
                     &mut store,
                     &hyper,
-                    1.0 / world as f32,
+                    inv_p,
                     adam_step,
                 );
                 let entry = if strategy.shards_grad_stash() {
@@ -144,7 +146,31 @@ fn run_one_at_a_time<T: Transport>(
                 };
                 stash.push((group, entry));
             }
-            CommJob::FlushAllGathers => {
+            CommJob::Flush if mode == PipelineMode::Wfbp => {
+                adam_step += 1;
+                for (group, entry) in stash.drain(..).rev() {
+                    let (mut params, grads) = entry.into_buffers();
+                    update_owned_shard(
+                        &layout.groups[group],
+                        &(0..params.len()),
+                        &grads,
+                        0,
+                        &mut params,
+                        &mut store,
+                        &hyper,
+                        inv_p,
+                        adam_step,
+                    );
+                    results
+                        .send(CommResult::Params {
+                            group,
+                            params,
+                            grads,
+                        })
+                        .unwrap();
+                }
+            }
+            CommJob::Flush => {
                 for (group, entry) in stash.drain(..).rev() {
                     let (mut params, grads) = entry.into_buffers();
                     let owned_chunk = ring_owned_chunk(rank, world);
@@ -158,13 +184,13 @@ fn run_one_at_a_time<T: Transport>(
                         .unwrap();
                 }
             }
-            CommJob::AllReduce { group, mut grads } => {
+            CommJob::AllReduce {
+                group,
+                mut grads,
+                params,
+            } => {
                 ring_all_reduce_seg(&transport, &mut grads, ReduceOp::Sum, segments).unwrap();
-                let inv_p = 1.0 / world as f32;
-                for g in &mut grads {
-                    *g *= inv_p;
-                }
-                results.send(CommResult::Grads { group, grads }).unwrap();
+                stash.push((group, StashEntry::Full { params, grads }));
             }
             other => panic!("the reference serves ring jobs only, got {other:?}"),
         }
@@ -222,6 +248,7 @@ type CommFn = fn(
     HyperParams,
     SegmentConfig,
     ParallelismStrategy,
+    PipelineMode,
     &str,
     &Receiver<CommJob>,
     &Sender<CommResult>,
@@ -231,6 +258,7 @@ type CommFn = fn(
 #[derive(Clone, Copy)]
 struct Setup {
     comm: CommFn,
+    mode: PipelineMode,
     strategy: ParallelismStrategy,
     segments: SegmentConfig,
 }
@@ -257,6 +285,7 @@ fn spawn_comm<'scope, 'env>(
             test_hyper(),
             setup.segments,
             setup.strategy,
+            setup.mode,
             &scope,
             &job_rx,
             &res_tx,
@@ -268,8 +297,8 @@ fn spawn_comm<'scope, 'env>(
 /// One training step's worth of jobs for `rank`, posted in backward order
 /// with a seeded random pause before each (`jitter` set), so that how far
 /// the comm thread has got when a job arrives differs by rank, step and
-/// seed. Returns the parameters (DeAR) or averaged gradients (WFBP) the
-/// replies carried, per group.
+/// seed, then the flush. Returns the updated parameters the replies
+/// carried, per group.
 fn drive_step(
     mode: PipelineMode,
     rank: usize,
@@ -292,18 +321,19 @@ fn drive_step(
                 grads,
                 params: params[group].clone(),
             },
-            PipelineMode::Wfbp => CommJob::AllReduce { group, grads },
+            PipelineMode::Wfbp => CommJob::AllReduce {
+                group,
+                grads,
+                params: params[group].clone(),
+            },
         })
         .unwrap();
     }
-    if mode == PipelineMode::Dear {
-        jobs.send(CommJob::FlushAllGathers).unwrap();
-    }
+    jobs.send(CommJob::Flush).unwrap();
     let mut out = vec![Vec::new(); groups];
     for _ in 0..groups {
         match results.recv().unwrap() {
             CommResult::Params { group, params, .. } => out[group] = params,
-            CommResult::Grads { group, grads } => out[group] = grads,
             other => panic!("unexpected reply {other:?}"),
         }
     }
@@ -315,7 +345,6 @@ fn drive_step(
 /// per-group values.
 fn run_world(
     world: usize,
-    mode: PipelineMode,
     setup: Setup,
     jitter_seed: Option<u64>,
     steps: Range<u64>,
@@ -332,8 +361,8 @@ fn run_world(
                         jitter_seed.map(|seed| StdRng::seed_from_u64(seed ^ (rank as u64) << 32));
                     let mut params = initial_params();
                     for step in steps {
-                        let out = drive_step(
-                            mode,
+                        params = drive_step(
+                            setup.mode,
                             rank,
                             step,
                             &params,
@@ -341,16 +370,6 @@ fn run_world(
                             &job_tx,
                             &res_rx,
                         );
-                        match mode {
-                            PipelineMode::Dear => params = out,
-                            // A plain SGD step, so that later all-reduces
-                            // depend on earlier ones' results.
-                            PipelineMode::Wfbp => {
-                                for (p, g) in params.iter_mut().zip(&out) {
-                                    p.iter_mut().zip(g).for_each(|(p, g)| *p -= 0.05 * g);
-                                }
-                            }
-                        }
                     }
                     drop(job_tx);
                     let frames = sent.lock().unwrap().clone();
@@ -391,14 +410,14 @@ fn send_ahead_keeps_every_link_in_sequential_order_and_every_bit() {
                 let case = format!("world {world} {mode:?} {strategy:?} {segments:?}");
                 let setup = |comm| Setup {
                     comm,
+                    mode,
                     strategy,
                     segments,
                 };
-                let reference = run_world(world, mode, setup(run_one_at_a_time), None, 0..STEPS);
+                let reference = run_world(world, setup(run_one_at_a_time), None, 0..STEPS);
                 for seed in 0..2u64 {
                     let seed = seed + 10 * i as u64 + 100 * world as u64;
-                    let ahead =
-                        run_world(world, mode, setup(run_comm_thread), Some(seed), 0..STEPS);
+                    let ahead = run_world(world, setup(run_comm_thread), Some(seed), 0..STEPS);
                     for (rank, (got, want)) in ahead.iter().zip(&reference).enumerate() {
                         for (to, (g, w)) in got.0.iter().zip(&want.0).enumerate() {
                             assert_eq!(g, w, "{case} seed {seed}: link {rank}→{to}");
@@ -458,10 +477,11 @@ fn failure_with_ops_in_flight_abandons_the_step_once_and_recovers() {
     // What a healthy world makes of step 1 from a clean optimizer state.
     let setup = |comm| Setup {
         comm,
+        mode: PipelineMode::Dear,
         strategy: ParallelismStrategy::Ddp,
         segments: SegmentConfig::MONOLITHIC,
     };
-    let healthy = run_world(2, PipelineMode::Dear, setup(run_one_at_a_time), None, 1..2);
+    let healthy = run_world(2, setup(run_one_at_a_time), None, 1..2);
 
     std::thread::scope(|s| {
         let mut eps = LocalFabric::create(2);
@@ -479,7 +499,7 @@ fn failure_with_ops_in_flight_abandons_the_step_once_and_recovers() {
             });
         let (jobs1, results1, _) = spawn_comm(s, ep1, None, setup(run_comm_thread), |jobs| {
             post_rs(jobs, 1, 0, 0..groups);
-            jobs.send(CommJob::FlushAllGathers).unwrap();
+            jobs.send(CommJob::Flush).unwrap();
         });
         match results0.recv().unwrap() {
             CommResult::Error(CollectiveError::Disconnected { peer: 1 }) => {}
@@ -490,7 +510,7 @@ fn failure_with_ops_in_flight_abandons_the_step_once_and_recovers() {
         // The rest of the abandoned step still arrives; it must neither
         // run nor wedge the thread.
         post_rs(&jobs0, 0, 0, 0..2);
-        jobs0.send(CommJob::FlushAllGathers).unwrap();
+        jobs0.send(CommJob::Flush).unwrap();
         match results1.recv().unwrap() {
             CommResult::Error(CollectiveError::Timeout { peer: 0, .. }) => {}
             other => panic!("expected rank 1 to time out on its quiet peer, got {other:?}"),
@@ -524,7 +544,7 @@ fn failure_with_ops_in_flight_abandons_the_step_once_and_recovers() {
             }))
             .unwrap();
             post_rs(jobs, rank, 1, 0..groups);
-            jobs.send(CommJob::FlushAllGathers).unwrap();
+            jobs.send(CommJob::Flush).unwrap();
         }
         for (rank, (_, results)) in ends.iter().enumerate() {
             let mut got = vec![Vec::new(); groups];

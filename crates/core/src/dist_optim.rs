@@ -5,7 +5,7 @@ use crossbeam_channel::{Receiver, Sender};
 
 use dear_collectives::{CollectiveError, DType, WorldChange};
 use dear_fusion::GroupTracker;
-use dear_minidnn::{softmax_cross_entropy, Optimizer, ParamStore, Sequential, Tensor};
+use dear_minidnn::{softmax_cross_entropy, ParamStore, Sequential, Tensor};
 
 use crate::comm::{CommJob, CommLayout, CommResult, HyperParams, OptimKind, OptimState};
 use crate::layout::GroupLayout;
@@ -17,8 +17,10 @@ pub enum PipelineMode {
     /// DeAR: reduce-scatter during backprop, shard update comm-side,
     /// all-gather of updated parameters during the next feed-forward.
     Dear,
-    /// WFBP baseline: per-group all-reduce during backprop, synchronous
-    /// local update before the next iteration.
+    /// WFBP baseline: per-group all-reduce during backprop; once the last
+    /// group is reduced the comm thread updates every group, whole, with
+    /// the same update rule and state layout as DeAR's world-1 shard, and
+    /// the step waits for it.
     Wfbp,
 }
 
@@ -48,14 +50,11 @@ pub struct DistOptim {
     tracker: GroupTracker,
     jobs: Sender<CommJob>,
     results: Receiver<CommResult>,
-    /// Outstanding data results (`Params`, or WFBP's `Grads`) not yet
-    /// received.
+    /// Outstanding `Params` results not yet received.
     pending: usize,
     /// The configured update rule, re-sent with every hyper-parameter
     /// change.
     kind: OptimKind,
-    /// Local optimizer for WFBP mode.
-    local_optim: Option<Box<dyn Optimizer>>,
     /// Wire dtype of the data path — re-bucketing sizes groups in wire
     /// bytes, so the fusion search must know what a parameter costs on
     /// the wire.
@@ -94,7 +93,6 @@ impl DistOptim {
         jobs: Sender<CommJob>,
         results: Receiver<CommResult>,
         kind: OptimKind,
-        local_optim: Option<Box<dyn Optimizer>>,
         trace_scope: &str,
         wire: DType,
     ) -> Self {
@@ -112,7 +110,6 @@ impl DistOptim {
             results,
             pending: 0,
             kind,
-            local_optim,
             wire,
             iter: 0,
             fw_seg: None,
@@ -207,11 +204,6 @@ impl DistOptim {
             ) => {
                 self.pending -= 1;
                 store.put_params(group, params);
-                store.put_grads(group, grads);
-                return None;
-            }
-            (Err(CommResult::Grads { group, grads }), Some(store)) => {
-                self.pending -= 1;
                 store.put_grads(group, grads);
                 return None;
             }
@@ -359,45 +351,35 @@ impl DistOptim {
             let Some(done) = self.tracker.mark_ready(self.layout.item_of(li, pi)) else {
                 continue;
             };
-            let grads = store.take_grads(done);
+            let (grads, params) = (store.take_grads(done), store.take_params(done));
             let job = match self.mode {
                 PipelineMode::Dear => CommJob::RsUpdate {
                     group: done,
                     grads,
-                    params: store.take_params(done),
+                    params,
                 },
-                PipelineMode::Wfbp => CommJob::AllReduce { group: done, grads },
+                PipelineMode::Wfbp => CommJob::AllReduce {
+                    group: done,
+                    grads,
+                    params,
+                },
             };
             self.post(job);
         }
     }
 
-    /// Ends the iteration: DeAR flushes the all-gathers (consumed lazily by
-    /// the next forward); WFBP synchronously collects the averaged
-    /// gradients — back in the store, where the local optimizer reads them
-    /// — and steps it.
+    /// Ends the iteration with the flush: DeAR's all-gathers are consumed
+    /// lazily by the next forward; WFBP's update is part of the step, so
+    /// its updated groups are collected before it returns.
     fn finish_iteration(&mut self, net: &mut Sequential) {
         assert!(
             self.tracker.all_complete(),
             "not all gradients were produced"
         );
-        match self.mode {
-            PipelineMode::Dear => {
-                self.post(CommJob::FlushAllGathers);
-                self.pending += self.layout.num_groups();
-            }
-            PipelineMode::Wfbp => {
-                self.pending += self.layout.num_groups();
-                self.drain(net.store_mut());
-                // On a failure the remaining groups were abandoned
-                // comm-side; skip the update — the step is discarded.
-                if self.comm_failed.is_none() {
-                    self.local_optim
-                        .as_mut()
-                        .expect("WFBP mode carries a local optimizer")
-                        .step(net);
-                }
-            }
+        self.post(CommJob::Flush);
+        self.pending += self.layout.num_groups();
+        if self.mode == PipelineMode::Wfbp {
+            self.drain(net.store_mut());
         }
         self.tracker.reset();
         self.iter += 1;
@@ -465,10 +447,11 @@ impl DistOptim {
     }
 
     /// The resident optimizer-state bytes on this rank right now (velocity
-    /// plus Adam second moment, dense over the owned shard: ~`1/world` of
-    /// the model per vector under every strategy; zero in WFBP mode, whose
-    /// comm thread never updates). Purely local — no communication. This
-    /// is what the ZeRO memory assertions read.
+    /// plus Adam second moment, dense over the owned shard: under DeAR
+    /// ~`1/world` of the model per vector under every strategy, under WFBP
+    /// the whole model per vector on every rank). Zero before the first
+    /// update. Purely local — no communication. This is what the ZeRO
+    /// memory assertions read.
     ///
     /// # Errors
     ///
@@ -508,12 +491,10 @@ impl DistOptim {
             weight_decay,
             kind: self.kind,
         }));
-        if let Some(local) = self.local_optim.as_mut() {
-            local.set_hyper(lr, momentum, weight_decay);
-        }
     }
 
-    /// Clones the comm thread's sharded optimizer state for checkpointing.
+    /// Clones the comm thread's sharded optimizer state for checkpointing
+    /// (under WFBP every rank's shard is the whole model).
     /// Must be called at an iteration boundary after
     /// [`DistOptim::synchronize`]. Purely local — no communication.
     ///
@@ -713,7 +694,7 @@ mod tests {
             }
             buffers[group] = (params, grads);
         }
-        assert!(matches!(jobs.try_recv(), Ok(CommJob::FlushAllGathers)));
+        assert!(matches!(jobs.try_recv(), Ok(CommJob::Flush)));
         (flat, buffers)
     }
 
@@ -744,7 +725,6 @@ mod tests {
             job_tx,
             res_rx,
             OptimKind::Sgd,
-            None,
             &trace::unique_scope(0),
             DType::F32,
         );

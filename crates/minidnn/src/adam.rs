@@ -117,11 +117,6 @@ impl Optimizer for Adam {
             }
         });
     }
-
-    fn set_hyper(&mut self, lr: f32, _momentum: f32, weight_decay: f32) {
-        self.set_lr(lr);
-        self.weight_decay = weight_decay;
-    }
 }
 
 #[cfg(test)]
@@ -201,18 +196,6 @@ mod tests {
     #[should_panic(expected = "beta1")]
     fn invalid_beta_rejected() {
         let _ = Adam::with_options(0.1, 1.0, 0.999, 1e-8, 0.0);
-    }
-
-    #[test]
-    fn set_hyper_keeps_the_moments_and_the_step_count() {
-        let mut net = quadratic_net(2);
-        let mut opt = Adam::new(0.05);
-        net.store_mut().set_flat_grads(&[1.0; 3]);
-        opt.step(&mut net);
-        let (m, v) = (opt.m.clone(), opt.v.clone());
-        opt.set_hyper(0.01, 0.5, 1e-3);
-        assert_eq!((opt.m.clone(), opt.v.clone(), opt.steps()), (m, v, 1));
-        assert_eq!((opt.lr, opt.weight_decay, opt.beta1), (0.01, 1e-3, 0.9));
     }
 
     #[test]

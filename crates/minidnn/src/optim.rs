@@ -8,15 +8,6 @@ pub trait Optimizer: Send {
     /// Applies one update step to every parameter of `net` from its
     /// current gradients.
     fn step(&mut self, net: &mut Sequential);
-
-    /// Changes the hyper-parameters (a learning-rate schedule step) and
-    /// keeps the accumulated state. `momentum` is SGD's; a rule without one
-    /// ignores it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a value is out of the rule's range.
-    fn set_hyper(&mut self, lr: f32, momentum: f32, weight_decay: f32);
 }
 
 /// Plain mini-batch SGD (Eq. 1) with optional momentum and L2 weight decay.
@@ -106,13 +97,6 @@ impl Optimizer for Sgd {
             }
         });
     }
-
-    fn set_hyper(&mut self, lr: f32, momentum: f32, weight_decay: f32) {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        self.set_lr(lr);
-        self.momentum = momentum;
-        self.weight_decay = weight_decay;
-    }
 }
 
 #[cfg(test)]
@@ -194,18 +178,6 @@ mod tests {
         let mut opt = Sgd::new(0.1);
         opt.set_lr(0.5);
         assert_eq!(opt.lr(), 0.5);
-    }
-
-    #[test]
-    fn set_hyper_keeps_the_velocity() {
-        let mut net = quadratic_net(2);
-        let mut opt = Sgd::with_options(0.1, 0.9, 0.0);
-        net.store_mut().set_flat_grads(&[1.0; 3]);
-        opt.step(&mut net);
-        let velocity = opt.velocity.clone();
-        Optimizer::set_hyper(&mut opt, 0.01, 0.5, 1e-3);
-        assert_eq!(opt.velocity, velocity);
-        assert_eq!((opt.lr, opt.momentum, opt.weight_decay), (0.01, 0.5, 1e-3));
     }
 
     #[test]

@@ -34,8 +34,9 @@ pub struct DemoSummary {
     /// The parallelism strategy the run trained under.
     pub strategy: ParallelismStrategy,
     /// Bytes of optimizer state resident on this rank's comm thread at the
-    /// end of the run — under `zero1`/`zero2` roughly `1/world` of the DDP
-    /// figure, which the strategy smoke test asserts.
+    /// end of the run — under DeAR, every strategy's owned shard, roughly
+    /// `1/world` of the model per state vector, which the strategy smoke
+    /// test asserts.
     pub optim_bytes: usize,
 }
 

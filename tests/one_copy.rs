@@ -123,9 +123,8 @@ fn a_rank_at_rest_holds_one_copy_of_the_model() {
         dear <= 3.0,
         "DeAR: a rank at rest holds {dear:.2} models' worth of large buffers"
     );
-    // WFBP: parameters + gradients + the local optimizer's velocity and
-    // the wire stock: 3.33 — the comm thread, which never updates, holds no
-    // optimizer state.
+    // WFBP: parameters + gradients + the comm thread's full-length
+    // velocity (every rank updates every element) and the wire stock: 3.34.
     let wfbp = resident_model_copies(PipelineMode::Wfbp);
     assert!(
         wfbp <= 3.5,
