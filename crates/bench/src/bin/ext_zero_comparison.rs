@@ -141,11 +141,7 @@ fn main() {
     }
 
     // -- 2: model forecast for this repo's optimizer-state sharding. --
-    let strategies = [
-        ParallelismStrategy::Ddp,
-        ParallelismStrategy::Zero1,
-        ParallelismStrategy::Zero2,
-    ];
+    let strategies = [ParallelismStrategy::Ddp, ParallelismStrategy::Zero2];
     let net_elements = bench_net(7).flat_params().len();
     println!(
         "== model forecast: --strategy on the decoupled pipeline \

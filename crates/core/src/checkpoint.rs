@@ -16,10 +16,10 @@
 //! resumed run continues on the same trajectory as an uninterrupted one.
 //!
 //! The format is also **strategy-independent**: [`OptimState`] is always
-//! the full-length exchange form (zeros outside this rank's shard), even
-//! when the run stores it densely sharded in memory under
-//! `ParallelismStrategy::Zero1`/`Zero2` — the comm thread expands through
-//! its `ShardMap` on export and re-packs on import. A run checkpointed
+//! the full-length exchange form, keyed by global offset (zeros outside
+//! this rank's shard), although the comm thread keeps the state in group
+//! coordinates — only the ranges it updates, group after group — and
+//! translates through the layout's items on export and import. A run checkpointed
 //! under one strategy therefore resumes under any other without a version
 //! bump, and elastic rebalancing re-partitions the same full-length form.
 

@@ -7,7 +7,7 @@ use crossbeam_channel::unbounded;
 use dear_collectives::{LocalFabric, SegmentConfig, Transport};
 use dear_minidnn::{Sequential, Sgd};
 
-use crate::comm::{run_comm_thread, CommJob, CommLayout, CommResult, HyperParams, OptimKind};
+use crate::comm::{run_comm_thread, CommJob, CommResult, HyperParams, OptimKind};
 use crate::dist_optim::{DistOptim, PipelineMode};
 use crate::layout::GroupLayout;
 use crate::strategy::ParallelismStrategy;
@@ -37,8 +37,7 @@ pub struct TrainConfig {
     pub segments: SegmentConfig,
     /// What, beyond data parallelism, is sharded across the world (ZeRO
     /// stage selection). `Ddp` by default — bit-identical to the
-    /// pre-strategy runtime. `Zero1`/`Zero2` require
-    /// [`PipelineMode::Dear`].
+    /// pre-strategy runtime. `Zero2` requires [`PipelineMode::Dear`].
     pub strategy: ParallelismStrategy,
 }
 
@@ -99,7 +98,7 @@ pub struct WorkerHandle {
     config: TrainConfig,
     jobs: crossbeam_channel::Sender<CommJob>,
     results: crossbeam_channel::Receiver<CommResult>,
-    layout_tx: crossbeam_channel::Sender<CommLayout>,
+    layout_tx: crossbeam_channel::Sender<GroupLayout>,
     trace_scope: String,
 }
 
@@ -138,7 +137,7 @@ impl WorkerHandle {
     /// # Panics
     ///
     /// Panics if the configured strategy cannot run under the configured
-    /// pipeline mode (ZeRO requires DeAR) — reject
+    /// pipeline mode (ZeRO-2 requires DeAR) — reject
     /// earlier with [`ParallelismStrategy::validate_mode`] for a typed
     /// error.
     #[must_use]
@@ -152,7 +151,7 @@ impl WorkerHandle {
             self.config.segments.wire,
         );
         self.layout_tx
-            .send(CommLayout::from(&layout))
+            .send(layout.clone())
             .expect("comm thread hung up before initialization");
         DistOptim::new(
             self.rank,
@@ -200,7 +199,7 @@ where
     let comm_scope = trace_scope.clone();
     let (job_tx, job_rx) = unbounded::<CommJob>();
     let (res_tx, res_rx) = unbounded::<CommResult>();
-    let (layout_tx, layout_rx) = unbounded::<CommLayout>();
+    let (layout_tx, layout_rx) = unbounded::<GroupLayout>();
     // Comm thread: waits for the worker's layout, then serves jobs until
     // the worker drops its job sender.
     let comm_main = move || {
@@ -1045,11 +1044,11 @@ mod tests {
 
     #[test]
     fn zero_strategies_match_ddp_bitwise_and_shrink_optimizer_state() {
-        // In-process acceptance check of the strategy API: Ddp, Zero1 and
-        // Zero2 must be bit-identical on the f32 wire — same per-step
+        // In-process acceptance check of the strategy API: Ddp and Zero2
+        // must be bit-identical on the f32 wire — same per-step
         // losses, same final parameters, same exported optimizer state
         // (which also pins the partition to the checkpoint shard
-        // partition) — and under DeAR all three keep only the owned shard
+        // partition) — and under DeAR both keep only the owned shard
         // of the optimizer state resident: the shards partition the model.
         let world = 4;
         let data = BlobDataset::new(6, 3, 0.4, 321);
@@ -1084,11 +1083,7 @@ mod tests {
                 })
             };
             let ddp = run(ParallelismStrategy::Ddp);
-            for strategy in [
-                ParallelismStrategy::Ddp,
-                ParallelismStrategy::Zero1,
-                ParallelismStrategy::Zero2,
-            ] {
+            for strategy in [ParallelismStrategy::Ddp, ParallelismStrategy::Zero2] {
                 let out = run(strategy);
                 let (model, groups) = (out[0].1.len(), out[0].4);
                 // A rank owns one chunk of every group: ⌈model/world⌉
@@ -1128,11 +1123,10 @@ mod tests {
     #[test]
     fn zero_shard_partition_equals_checkpoint_shard_partition() {
         // The exported (checkpoint) optimizer state is nonzero only inside
-        // this rank's owned global ranges, and those ranges are exactly
-        // what `ShardMap` stores densely: pack ∘ expand must be the
-        // identity on every exported vector, the ranges must be disjoint
-        // across ranks, and their union must cover the whole model.
-        use crate::comm::ShardMap;
+        // this rank's owned global runs — per group, the ring's owned chunk
+        // cut by each item and mapped through its global offset — and the
+        // runs are disjoint across ranks and cover the whole model.
+        use dear_collectives::{chunk_range, ring_owned_chunk};
         let world = 3;
         let data = BlobDataset::new(6, 3, 0.4, 55);
         let config = TrainConfig {
@@ -1151,34 +1145,127 @@ mod tests {
             optim.synchronize(&mut net).unwrap();
             optim.export_optim_state().unwrap()
         });
-        let net = build_net(7);
-        let layout = GroupLayout::from_buffer(&net, Some(256));
-        let comm_layout = CommLayout::from(&layout);
+        let layout = GroupLayout::from_buffer(&build_net(7), Some(256));
+        assert!(layout.num_groups() > 1, "the model spans several groups");
         let total = layout.total_elements();
-        let mut covered = vec![false; total];
+        let mut owner = vec![None; total];
         for (rank, state) in states.iter().enumerate() {
-            let map = ShardMap::build(&comm_layout, rank, world);
-            // Support of the checkpoint shard ⊆ owned ranges, bitwise.
-            assert_eq!(
-                map.expand(&map.pack(&state.velocity), total),
-                state.velocity,
-                "rank {rank}: checkpoint shard leaks outside the ZeRO partition"
-            );
+            for g in 0..layout.num_groups() {
+                let owned = chunk_range(
+                    layout.group_elements(g),
+                    world,
+                    ring_owned_chunk(rank, world),
+                );
+                for &i in layout.items_of_group(g) {
+                    let item = layout.item(i);
+                    let lo = owned.start.max(item.offset_in_group);
+                    let hi = owned.end.min(item.offset_in_group + item.len);
+                    let global = item.global_offset + (lo - item.offset_in_group);
+                    let run = global..global + hi.saturating_sub(lo);
+                    for (slot, k) in owner[run.clone()].iter_mut().zip(run) {
+                        assert_eq!(*slot, None, "element {k} owned by two ranks");
+                        *slot = Some(rank);
+                    }
+                }
+            }
             // Momentum after 3 steps is nonzero somewhere in the shard.
             assert!(
                 state.velocity.iter().any(|&v| v != 0.0),
                 "rank {rank}: exported shard is all zeros"
             );
-            for r in map.owned_ranges() {
-                for k in r {
-                    assert!(!covered[k], "element {k} owned by two ranks");
-                    covered[k] = true;
-                }
-            }
         }
         assert!(
-            covered.iter().all(|&c| c),
+            owner.iter().all(Option::is_some),
             "partition does not cover the model"
+        );
+        for (rank, state) in states.iter().enumerate() {
+            for (k, &v) in state.velocity.iter().enumerate() {
+                assert!(
+                    v == 0.0 || owner[k] == Some(rank),
+                    "rank {rank}: checkpoint shard leaks outside the ZeRO partition at {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_optimizer_state_exchange_format_is_pinned() {
+        // The full-length, global-offset-keyed `OptimState` is what
+        // checkpoints store and what a rebalance re-partitions, whatever
+        // layout the comm thread keeps the state in. Hash every rank's
+        // export of a world-3, fusion-256 run: a change to the exchange
+        // format — or to the arithmetic behind it — breaks the pin.
+        use crate::checkpoint::fnv1a64;
+        let world = 3;
+        let data = BlobDataset::new(6, 3, 0.4, 57);
+        let cases = [
+            (OptimKind::Sgd, PipelineMode::Dear, ParallelismStrategy::Ddp),
+            (
+                OptimKind::Sgd,
+                PipelineMode::Dear,
+                ParallelismStrategy::Zero2,
+            ),
+            (OptimKind::Sgd, PipelineMode::Wfbp, ParallelismStrategy::Ddp),
+            (
+                OptimKind::adam_default(),
+                PipelineMode::Dear,
+                ParallelismStrategy::Ddp,
+            ),
+            (
+                OptimKind::adam_default(),
+                PipelineMode::Dear,
+                ParallelismStrategy::Zero2,
+            ),
+            (
+                OptimKind::adam_default(),
+                PipelineMode::Wfbp,
+                ParallelismStrategy::Ddp,
+            ),
+        ];
+        let mut got = Vec::new();
+        for (optim, mode, strategy) in cases {
+            let config = TrainConfig {
+                lr: 0.01,
+                momentum: 0.9,
+                weight_decay: 1e-4,
+                fusion_buffer: Some(256),
+                optim,
+                mode,
+                strategy,
+                ..TrainConfig::default()
+            };
+            let states = run_training(world, config, |handle| {
+                let rank = handle.rank();
+                let mut net = build_net(7);
+                let mut optim = handle.into_optim(&net);
+                for step in 0..3 {
+                    let (x, labels) = data.shard(step, 30, rank, world);
+                    optim.train_step(&mut net, &x, &labels).unwrap();
+                }
+                optim.synchronize(&mut net).unwrap();
+                optim.export_optim_state().unwrap()
+            });
+            got.push(fnv1a64(states.iter().flat_map(|s| {
+                let moments = s.velocity.iter().chain(&s.second_moment);
+                moments
+                    .flat_map(|x| x.to_bits().to_le_bytes())
+                    .chain(s.adam_step.to_le_bytes())
+                    .collect::<Vec<u8>>()
+            })));
+        }
+        let got: Vec<String> = got.iter().map(|h| format!("{h:016x}")).collect();
+        // `Ddp` and `Zero2` differ only in what the stash keeps resident,
+        // so their exports agree.
+        assert_eq!(
+            got,
+            [
+                "0a2eae2b51ac8e00",
+                "0a2eae2b51ac8e00",
+                "ec875208184d6ca0",
+                "f9089e8abb443f39",
+                "f9089e8abb443f39",
+                "b89ac27b0d8c7b59",
+            ]
         );
     }
 

@@ -29,168 +29,18 @@ use crate::layout::GroupLayout;
 use crate::strategy::ParallelismStrategy;
 use crate::trace::{self, TaskKind};
 
-/// Per-group metadata the comm thread needs: `(offset_in_group, len,
-/// global_offset)` per item, in group order.
-#[derive(Debug, Clone)]
-pub struct CommGroupMeta {
-    /// Item extents within the group's flat buffer.
-    pub items: Vec<(usize, usize, usize)>,
-    /// Total flat elements.
-    pub elements: usize,
-}
-
-/// The comm thread's view of the fusion layout.
-#[derive(Debug, Clone)]
-pub struct CommLayout {
-    /// One entry per group.
-    pub groups: Vec<CommGroupMeta>,
-}
-
-impl From<&GroupLayout> for CommLayout {
-    fn from(layout: &GroupLayout) -> Self {
-        let groups = (0..layout.num_groups())
-            .map(|g| CommGroupMeta {
-                items: layout
-                    .items_of_group(g)
-                    .iter()
-                    .map(|&i| {
-                        let it = layout.item(i);
-                        (it.offset_in_group, it.len, it.global_offset)
-                    })
-                    .collect(),
-                elements: layout.group_elements(g),
-            })
-            .collect();
-        CommLayout { groups }
-    }
-}
-
-impl CommLayout {
-    /// The global flat ranges owned by `rank` under this layout in a world
-    /// of `world` ranks: per group, the ring reduce-scatter's owned chunk
-    /// intersected with each item's extent, mapped through the item's
-    /// global offset. Sorted by start, adjacent ranges merged.
-    ///
-    /// This is THE shard partition of the system — the ZeRO strategies
-    /// store optimizer state densely over exactly these ranges, and (by
-    /// construction from the same `chunk_range` arithmetic) it equals the
-    /// nonzero pattern of the sharded optimizer-state checkpoints of
-    /// `CommJob::ExportOptimState`.
-    #[must_use]
-    pub fn owned_global_ranges(&self, rank: usize, world: usize) -> Vec<Range<usize>> {
-        let mut ranges: Vec<Range<usize>> = Vec::new();
-        for meta in &self.groups {
-            let owned = chunk_range(meta.elements, world, ring_owned_chunk(rank, world));
-            for &(off, len, goff) in &meta.items {
-                let lo = owned.start.max(off);
-                let hi = owned.end.min(off + len);
-                if lo < hi {
-                    ranges.push(goff + (lo - off)..goff + (hi - off));
-                }
-            }
-        }
-        ranges.sort_by_key(|r| r.start);
-        let mut merged: Vec<Range<usize>> = Vec::new();
-        for r in ranges {
-            match merged.last_mut() {
-                // Items are globally disjoint, so only exact adjacency
-                // occurs; `max` keeps this robust to degenerate layouts.
-                Some(last) if last.end >= r.start => last.end = last.end.max(r.end),
-                _ => merged.push(r),
-            }
-        }
-        merged
-    }
-}
-
-/// Dense index map of one rank's ZeRO shard: the ranges of
-/// [`CommLayout::owned_global_ranges`] packed back-to-back. Sharded
-/// optimizer vectors hold [`ShardMap::dense_len`] elements;
-/// [`ShardMap::dense_of`] translates a global flat offset into them.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShardMap {
-    /// `(global_start, global_end, dense_start)`, sorted by start.
-    ranges: Vec<(usize, usize, usize)>,
-    dense_len: usize,
-}
-
-impl ShardMap {
-    /// Builds the map for `rank` of `world` under `layout`.
-    #[must_use]
-    pub fn build(layout: &CommLayout, rank: usize, world: usize) -> ShardMap {
-        let mut ranges = Vec::new();
-        let mut cursor = 0usize;
-        for r in layout.owned_global_ranges(rank, world) {
-            ranges.push((r.start, r.end, cursor));
-            cursor += r.end - r.start;
-        }
-        ShardMap {
-            ranges,
-            dense_len: cursor,
-        }
-    }
-
-    /// Packed element count of this rank's shard.
-    #[must_use]
-    pub fn dense_len(&self) -> usize {
-        self.dense_len
-    }
-
-    /// The owned global ranges, sorted and merged.
-    #[must_use]
-    pub fn owned_ranges(&self) -> Vec<Range<usize>> {
-        self.ranges.iter().map(|&(s, e, _)| s..e).collect()
-    }
-
-    /// Dense index of global flat offset `gidx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gidx` is not owned by this shard.
-    #[must_use]
-    pub fn dense_of(&self, gidx: usize) -> usize {
-        let i = self.ranges.partition_point(|&(s, _, _)| s <= gidx);
-        assert!(i > 0, "global offset {gidx} below every owned range");
-        let (s, e, d) = self.ranges[i - 1];
-        assert!(
-            gidx < e,
-            "global offset {gidx} not owned (nearest {s}..{e})"
-        );
-        d + (gidx - s)
-    }
-
-    /// Expands a packed shard vector to full length `total`, zeros outside
-    /// the owned ranges — the exchange/checkpoint format of PR 3.
-    #[must_use]
-    pub fn expand(&self, dense: &[f32], total: usize) -> Vec<f32> {
-        assert_eq!(dense.len(), self.dense_len, "packed length mismatch");
-        let mut full = vec![0.0f32; total];
-        for &(s, e, d) in &self.ranges {
-            full[s..e].copy_from_slice(&dense[d..d + (e - s)]);
-        }
-        full
-    }
-
-    /// Packs a full-length vector down to the owned ranges.
-    #[must_use]
-    pub fn pack(&self, full: &[f32]) -> Vec<f32> {
-        let mut dense = vec![0.0f32; self.dense_len];
-        for &(s, e, d) in &self.ranges {
-            dense[d..d + (e - s)].copy_from_slice(&full[s..e]);
-        }
-        dense
-    }
-}
-
-/// The comm thread's resident optimizer storage: packed dense over the
-/// ranges this rank owns, for every strategy — `OP1.UPD` never touches an
-/// element outside them, so `Ddp` under DeAR is `Zero1`'s layout. WFBP
-/// updates every element on every rank: its map is the world-1 one, the
-/// whole model. The exchange format (checkpoints, re-partitioning) stays
-/// full-length.
+/// The comm thread's resident optimizer storage, in group coordinates:
+/// per group, the range this rank updates — DeAR's owned ring chunk,
+/// WFBP's whole group — with the state vectors holding those ranges back
+/// to back, group after group. `OP1.UPD` never touches an element outside
+/// them, so every strategy keeps the same layout. Items (global offsets)
+/// are read only at the exchange boundary: export and import speak the
+/// full-length format checkpoints and re-partitioning use.
 struct OptimStore {
-    map: ShardMap,
-    total: usize,
+    /// Per group: the range this rank updates, and where it starts in the
+    /// state vectors.
+    groups: Vec<(Range<usize>, usize)>,
+    dense_len: usize,
     /// Allocated by the first update.
     velocity: Vec<f32>,
     /// Allocated by the first Adam update.
@@ -198,14 +48,25 @@ struct OptimStore {
 }
 
 impl OptimStore {
-    fn new(layout: &CommLayout, rank: usize, world: usize, mode: PipelineMode) -> OptimStore {
-        let (rank, world) = match mode {
-            PipelineMode::Dear => (rank, world),
-            PipelineMode::Wfbp => (0, 1),
-        };
+    fn new(layout: &GroupLayout, rank: usize, world: usize, mode: PipelineMode) -> OptimStore {
+        let mut dense_len = 0;
+        let groups = (0..layout.num_groups())
+            .map(|g| {
+                let elements = layout.group_elements(g);
+                let owned = match mode {
+                    PipelineMode::Dear => {
+                        chunk_range(elements, world, ring_owned_chunk(rank, world))
+                    }
+                    PipelineMode::Wfbp => 0..elements,
+                };
+                let at = dense_len;
+                dense_len += owned.len();
+                (owned, at)
+            })
+            .collect();
         OptimStore {
-            map: ShardMap::build(layout, rank, world),
-            total: layout.groups.iter().map(|g| g.elements).sum(),
+            groups,
+            dense_len,
             velocity: Vec::new(),
             second_moment: Vec::new(),
         }
@@ -216,31 +77,82 @@ impl OptimStore {
         (self.velocity.len() + self.second_moment.len()) * std::mem::size_of::<f32>()
     }
 
+    /// The range of `group` this rank updates, and the group's velocity
+    /// and second-moment slices — the latter empty until Adam allocates
+    /// it. Allocates the vectors on first use.
+    fn group_state(&mut self, group: usize, adam: bool) -> (Range<usize>, &mut [f32], &mut [f32]) {
+        if self.velocity.len() != self.dense_len {
+            self.velocity = vec![0.0; self.dense_len];
+        }
+        if adam && self.second_moment.len() != self.dense_len {
+            self.second_moment = vec![0.0; self.dense_len];
+        }
+        let (owned, at) = self.groups[group].clone();
+        let dense = at..at + owned.len();
+        let second = self
+            .second_moment
+            .get_mut(dense.clone())
+            .unwrap_or_default();
+        (owned, &mut self.velocity[dense], second)
+    }
+
+    /// Calls `f(dense, global)` for every run of an item inside a range
+    /// this rank updates: `dense` indexes the state vectors, `global` the
+    /// exchange format.
+    fn for_each_run(&self, layout: &GroupLayout, mut f: impl FnMut(Range<usize>, Range<usize>)) {
+        for (g, (owned, at)) in self.groups.iter().enumerate() {
+            for &i in layout.items_of_group(g) {
+                let item = layout.item(i);
+                let lo = owned.start.max(item.offset_in_group);
+                let hi = owned.end.min(item.offset_in_group + item.len);
+                if lo < hi {
+                    let dense = at + (lo - owned.start);
+                    let global = item.global_offset + (lo - item.offset_in_group);
+                    f(dense..dense + (hi - lo), global..global + (hi - lo));
+                }
+            }
+        }
+    }
+
+    /// `dense` in the full-length exchange format, zeros outside the
+    /// ranges this rank updates.
+    fn expand(&self, layout: &GroupLayout, dense: &[f32]) -> Vec<f32> {
+        let mut full = vec![0.0f32; layout.total_elements()];
+        self.for_each_run(layout, |d, g| full[g].copy_from_slice(&dense[d]));
+        full
+    }
+
     /// Full-length (exchange-format) copy of the velocity vector; zeros if
     /// no update has run.
-    fn export_velocity(&self) -> Vec<f32> {
+    fn export_velocity(&self, layout: &GroupLayout) -> Vec<f32> {
         if self.velocity.is_empty() {
-            return vec![0.0; self.total];
+            return vec![0.0; layout.total_elements()];
         }
-        self.map.expand(&self.velocity, self.total)
+        self.expand(layout, &self.velocity)
     }
 
     /// Full-length copy of the second moment; empty if Adam never stepped.
-    fn export_second_moment(&self) -> Vec<f32> {
+    fn export_second_moment(&self, layout: &GroupLayout) -> Vec<f32> {
         if self.second_moment.is_empty() {
             return Vec::new();
         }
-        self.map.expand(&self.second_moment, self.total)
+        self.expand(layout, &self.second_moment)
     }
 
-    /// Installs full-length (exchange-format) state, packed to the shard.
-    fn import(&mut self, velocity: &[f32], second_moment: &[f32]) {
-        self.velocity = self.map.pack(velocity);
-        self.second_moment = if second_moment.is_empty() {
+    /// Installs full-length (exchange-format) state, keeping the ranges
+    /// this rank updates.
+    fn import(&mut self, layout: &GroupLayout, velocity: &[f32], second_moment: &[f32]) {
+        let pack = |full: &[f32]| {
+            let mut dense = vec![0.0f32; self.dense_len];
+            self.for_each_run(layout, |d, g| dense[d].copy_from_slice(&full[g]));
+            dense
+        };
+        let second_moment = if second_moment.is_empty() {
             Vec::new()
         } else {
-            self.map.pack(second_moment)
+            pack(second_moment)
         };
+        (self.velocity, self.second_moment) = (pack(velocity), second_moment);
     }
 }
 
@@ -282,76 +194,50 @@ impl StashEntry {
     }
 }
 
-/// `OP1.UPD`: applies the optimizer to the part of one group this rank owns
-/// after the reduce-scatter — for every item, the intersection of its extent
-/// with `owned` (WFBP owns the whole group). `gbuf` holds the reduced
-/// gradient sums starting at group coordinate `gshift` (zero for a
-/// full-length buffer, `owned.start` for ZeRO-2's compact shard) — pure
-/// index arithmetic, so every strategy computes bit-identical updates.
-/// Each intersection is updated over zipped
-/// sub-slices: the same per-element operations in the same order as an
-/// indexed loop, with the bounds checks hoisted out so the loop vectorises.
-#[allow(clippy::too_many_arguments)]
+/// `OP1.UPD`: applies the optimizer to the part of one group this rank
+/// updates after the reduce-scatter (WFBP: the whole group). `params` and
+/// `grads` (the reduced sums) are that range of the group's buffers,
+/// `velocity` and `second_moment` the group's state slices (the second
+/// moment is read under Adam only). One zipped pass: the same per-element
+/// operations in the same order as an indexed loop, with the bounds checks
+/// hoisted out so the loop vectorises.
 fn update_owned_shard(
-    meta: &CommGroupMeta,
-    owned: &Range<usize>,
-    gbuf: &[f32],
-    gshift: usize,
     params: &mut [f32],
-    store: &mut OptimStore,
+    grads: &[f32],
+    velocity: &mut [f32],
+    second_moment: &mut [f32],
     hyper: &HyperParams,
     inv_p: f32,
     adam_step: u64,
 ) {
     let (lr, wd) = (hyper.lr, hyper.weight_decay);
-    let resident = store.map.dense_len();
-    if store.velocity.len() != resident {
-        store.velocity = vec![0.0; resident];
-    }
-    // `(lo, hi, global offset of lo)` of every non-empty item ∩ owned run.
-    let runs = meta.items.iter().filter_map(|&(off, len, goff)| {
-        let lo = owned.start.max(off);
-        let hi = owned.end.min(off + len);
-        (lo < hi).then(|| (lo, hi, goff + (lo - off)))
-    });
     match hyper.kind {
         OptimKind::Sgd => {
             let momentum = hyper.momentum;
-            for (lo, hi, gidx) in runs {
-                let vbase = store.map.dense_of(gidx);
-                let velocity = &mut store.velocity[vbase..vbase + (hi - lo)];
-                let grads = &gbuf[lo - gshift..hi - gshift];
-                for ((p, &gsum), v) in params[lo..hi].iter_mut().zip(grads).zip(velocity) {
-                    let g = gsum * inv_p + wd * *p;
-                    *v = momentum * *v + g;
-                    *p -= lr * *v;
-                }
+            for ((p, &gsum), v) in params.iter_mut().zip(grads).zip(velocity) {
+                let g = gsum * inv_p + wd * *p;
+                *v = momentum * *v + g;
+                *p -= lr * *v;
             }
         }
         OptimKind::Adam { beta1, beta2, eps } => {
-            if store.second_moment.len() != resident {
-                store.second_moment = vec![0.0; resident];
-            }
             // Bias correction in f64: 1 − βᵗ underflows f32 precision once
             // βᵗ ≈ 1 − 1e-7 (β₂ = 0.999 reaches that within ~7 steps of t
             // where f32 rounding shows).
             let bias1 = (1.0 - f64::from(beta1).powi(adam_step as i32)) as f32;
             let bias2 = (1.0 - f64::from(beta2).powi(adam_step as i32)) as f32;
-            for (lo, hi, gidx) in runs {
-                let vbase = store.map.dense_of(gidx);
-                let first = &mut store.velocity[vbase..vbase + (hi - lo)];
-                let second = &mut store.second_moment[vbase..vbase + (hi - lo)];
-                let grads = &gbuf[lo - gshift..hi - gshift];
-                for (((p, &gsum), m), s) in
-                    params[lo..hi].iter_mut().zip(grads).zip(first).zip(second)
-                {
-                    let g = gsum * inv_p + wd * *p;
-                    *m = beta1 * *m + (1.0 - beta1) * g;
-                    *s = beta2 * *s + (1.0 - beta2) * g * g;
-                    let m_hat = *m / bias1;
-                    let v_hat = *s / bias2;
-                    *p -= lr * m_hat / (v_hat.sqrt() + eps);
-                }
+            for (((p, &gsum), m), s) in params
+                .iter_mut()
+                .zip(grads)
+                .zip(velocity)
+                .zip(second_moment)
+            {
+                let g = gsum * inv_p + wd * *p;
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *s = beta2 * *s + (1.0 - beta2) * g * g;
+                let m_hat = *m / bias1;
+                let v_hat = *s / bias2;
+                *p -= lr * m_hat / (v_hat.sqrt() + eps);
             }
         }
     }
@@ -418,11 +304,14 @@ pub struct OptimState {
 /// Jobs posted by the training thread.
 #[derive(Debug)]
 pub enum CommJob {
-    /// DeAR OP1: reduce-scatter `grads`, update the owned shard of
-    /// `params` in place, stash both for the flush. The job *moves* the
-    /// group's two circulating buffers to the comm thread; the matching
-    /// [`CommResult::Params`] moves them back (DESIGN.md §4.17).
-    RsUpdate {
+    /// A group's gradients are ready: the job *moves* the group's two
+    /// circulating buffers to the comm thread; the matching
+    /// [`CommResult::Params`] moves them back (DESIGN.md §4.17). DeAR
+    /// (OP1): reduce-scatter `grads`, update the owned shard of `params` in
+    /// place, stash both for the flush's all-gather. WFBP: all-reduce
+    /// `grads` in place to their sums and stash both for the flush's
+    /// update.
+    Reduce {
         /// Group id.
         group: usize,
         /// Flat gradients (group order).
@@ -435,17 +324,6 @@ pub enum CommJob {
     /// the all-gather of every group's updated parameters. WFBP: the
     /// update of every group, whole, from its all-reduced sums.
     Flush,
-    /// WFBP: all-reduce `grads` in place to their sums and stash both
-    /// buffers for the flush's update. Like `RsUpdate`, the job moves the
-    /// group's two circulating buffers to the comm thread.
-    AllReduce {
-        /// Group id.
-        group: usize,
-        /// Flat gradients (group order).
-        grads: Vec<f32>,
-        /// Flat parameters (group order).
-        params: Vec<f32>,
-    },
     /// Broadcast `value` from `root` to all ranks (BO buffer-size sync).
     Broadcast {
         /// Root rank.
@@ -455,11 +333,13 @@ pub enum CommJob {
     },
     /// Synchronize all ranks.
     Barrier,
-    /// Install a new fusion layout (BO re-bucketing). Optimizer state is
-    /// keyed by global offsets, so it survives.
+    /// Install a new fusion layout (BO re-bucketing), or re-partition the
+    /// optimizer state after a resize under the current one. The state is
+    /// exported under the old layout and imported under the new one, so
+    /// it survives.
     Reconfigure {
         /// The new layout.
-        layout: CommLayout,
+        layout: GroupLayout,
     },
     /// Replace the optimizer hyper-parameters (e.g. a learning-rate
     /// schedule step). Applies to subsequent updates.
@@ -468,7 +348,7 @@ pub enum CommJob {
     /// [`CommResult::OptimState`]. Must be posted at an iteration boundary.
     ExportOptimState,
     /// Replace the sharded optimizer state (checkpoint resume). Must be
-    /// posted at an iteration boundary, before the first `RsUpdate`.
+    /// posted at an iteration boundary, before the first `Reduce`.
     ImportOptimState(OptimState),
     /// In-place elastic resize: re-run rendezvous through
     /// [`Transport::reconfigure`] and adopt the surviving world's new rank
@@ -495,8 +375,7 @@ pub enum CommJob {
 #[derive(Debug)]
 pub enum CommResult {
     /// Updated, complete parameters of one group, in the buffer its
-    /// `RsUpdate` or `AllReduce` shipped, together with that job's spent
-    /// gradient buffer.
+    /// `Reduce` shipped, together with that job's spent gradient buffer.
     Params {
         /// Group id.
         group: usize,
@@ -545,11 +424,9 @@ const SEND_AHEAD_WINDOW: usize = 2;
 const _: () = assert!(SEND_AHEAD_WINDOW < MIN_LINK_FRAMES);
 
 /// Elements of the largest chunk any group of `layout` splits into.
-fn largest_chunk(layout: &CommLayout, world: usize) -> usize {
-    layout
-        .groups
-        .iter()
-        .map(|g| chunk_range(g.elements, world, 0).len())
+fn largest_chunk(layout: &GroupLayout, world: usize) -> usize {
+    (0..layout.num_groups())
+        .map(|g| chunk_range(layout.group_elements(g), world, 0).len())
         .max()
         .unwrap_or(0)
 }
@@ -598,15 +475,15 @@ fn op_label(kind: RingKind, group: usize) -> String {
 /// The state of one rank's comm thread (see [`run_comm_thread`]).
 struct CommThread<'a, T> {
     transport: T,
-    layout: CommLayout,
+    layout: GroupLayout,
     hyper: HyperParams,
     /// Segmenting and wire dtype of the gradient/parameter data path.
     segments: SegmentConfig,
     /// The control path must stay bit-exact regardless of the run's wire
     /// dtype: `Broadcast` ships an f64 as two f32 bit-words (any rounding
     /// corrupts the value), and `Reconfigure` redistributes optimizer state
-    /// that checkpoints expect unrounded. Only the data path (RsUpdate /
-    /// Flush / AllReduce) uses the narrow wire.
+    /// that checkpoints expect unrounded. Only the data path (`Reduce` and
+    /// `Flush`) uses the narrow wire.
     control: SegmentConfig,
     strategy: ParallelismStrategy,
     mode: PipelineMode,
@@ -614,7 +491,7 @@ struct CommThread<'a, T> {
     results: &'a Sender<CommResult>,
     world: usize,
     rank: usize,
-    /// Optimizer state of the owned shard; re-packed on re-bucketing.
+    /// Optimizer state of the owned shard; re-packed on `Reconfigure`.
     store: OptimStore,
     adam_step: u64,
     /// Groups reduced this iteration, in arrival (backward) order.
@@ -767,8 +644,9 @@ impl<T: Transport> CommThread<'_, T> {
     /// Begins the next ring op in program order, if a ring op is what comes
     /// next: the newest stashed group's all-gather while flushing (forward
     /// order = reverse of backward arrival order, so the first layers'
-    /// parameters arrive first — FeedPipe), else the `RsUpdate` or
-    /// `AllReduce` at the front of the backlog.
+    /// parameters arrive first — FeedPipe), else the `Reduce` at the front
+    /// of the backlog: a reduce-scatter under DeAR, an all-reduce under
+    /// WFBP.
     fn begin_next(&mut self) -> Result<Option<InFlight>, CollectiveError> {
         let flushed = if self.flushing {
             self.stash.pop()
@@ -791,16 +669,17 @@ impl<T: Transport> CommThread<'_, T> {
                 return Ok(None);
             }
             match self.backlog.pop_front() {
-                Some(CommJob::RsUpdate {
+                Some(CommJob::Reduce {
                     group,
                     grads,
                     params,
-                }) => (group, RingKind::ReduceScatter(ReduceOp::Sum), grads, params),
-                Some(CommJob::AllReduce {
-                    group,
-                    grads,
-                    params,
-                }) => (group, RingKind::AllReduce(ReduceOp::Sum), grads, params),
+                }) => {
+                    let kind = match self.mode {
+                        PipelineMode::Dear => RingKind::ReduceScatter(ReduceOp::Sum),
+                        PipelineMode::Wfbp => RingKind::AllReduce(ReduceOp::Sum),
+                    };
+                    (group, kind, grads, params)
+                }
                 // Any other job waits until nothing is in flight.
                 Some(other) => {
                     self.backlog.push_front(other);
@@ -809,7 +688,7 @@ impl<T: Transport> CommThread<'_, T> {
                 None => return Ok(None),
             }
         };
-        debug_assert_eq!(data.len(), self.layout.groups[group].elements);
+        debug_assert_eq!(data.len(), self.layout.group_elements(group));
         let span = self
             .inflight
             .is_empty()
@@ -864,7 +743,7 @@ impl<T: Transport> CommThread<'_, T> {
             StashEntry::Shard {
                 owned,
                 chunk,
-                elements: self.layout.groups[group].elements,
+                elements: self.layout.group_elements(group),
             }
         } else {
             StashEntry::Full {
@@ -876,8 +755,8 @@ impl<T: Transport> CommThread<'_, T> {
     }
 
     /// WFBP's flush, one per step: every all-reduced group is updated
-    /// whole — the world-1 shard map owns every element — and goes back to
-    /// the training thread.
+    /// whole — the store's range of every group is all of it — and goes
+    /// back to the training thread.
     fn update_stash(&mut self) {
         self.adam_step += 1;
         while let Some((group, entry)) = self.stash.pop() {
@@ -892,7 +771,13 @@ impl<T: Transport> CommThread<'_, T> {
     }
 
     /// `OP1.UPD` of `owned` of `group` from the reduced sums in `gbuf`
-    /// (based at group coordinate `gshift`), under its own span.
+    /// (based at group coordinate `gshift`: zero for a full-length buffer,
+    /// `owned.start` for ZeRO-2's compact shard), under its own span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owned` is not the range the store keeps state for — a
+    /// resize not followed by a rebalance.
     fn update(
         &mut self,
         group: usize,
@@ -902,13 +787,18 @@ impl<T: Transport> CommThread<'_, T> {
         params: &mut [f32],
     ) {
         let upd = trace::span(TaskKind::Other, || format!("OP1.UPD[g{group}]"));
+        let adam = matches!(self.hyper.kind, OptimKind::Adam { .. });
+        let (kept, velocity, second_moment) = self.store.group_state(group, adam);
+        assert_eq!(
+            *owned, kept,
+            "group {group}: the ring's owned range is not the optimizer state's \
+             (a resize must be followed by a rebalance)"
+        );
         update_owned_shard(
-            &self.layout.groups[group],
-            owned,
-            gbuf,
-            gshift,
-            params,
-            &mut self.store,
+            &mut params[owned.clone()],
+            &gbuf[owned.start - gshift..owned.end - gshift],
+            velocity,
+            second_moment,
             &self.hyper,
             1.0 / self.world as f32,
             self.adam_step,
@@ -941,7 +831,7 @@ impl<T: Transport> CommThread<'_, T> {
             // The pump begins every ring job it finds at the front of the
             // backlog — unless the transport is broken: the step these
             // belong to was abandoned, and they go with it.
-            CommJob::RsUpdate { .. } | CommJob::AllReduce { .. } => debug_assert!(self.broken),
+            CommJob::Reduce { .. } => debug_assert!(self.broken),
             CommJob::Flush if self.broken => {}
             CommJob::Flush => match self.mode {
                 PipelineMode::Dear => self.flushing = true,
@@ -976,8 +866,10 @@ impl<T: Transport> CommThread<'_, T> {
                 if !self.at_boundary("re-bucketing") {
                     return Ok(());
                 }
-                // WFBP's world-1 map owns every element under any layout
-                // and world: nothing moves.
+                let mut velocity = self.store.export_velocity(&self.layout);
+                let mut second_moment = self.store.export_second_moment(&self.layout);
+                // WFBP keeps the whole state on every rank: the new layout
+                // only re-orders it.
                 if self.mode == PipelineMode::Dear {
                     // Shard ownership changes with the group boundaries (or
                     // the world size, after an in-place resize), so the
@@ -989,26 +881,20 @@ impl<T: Transport> CommThread<'_, T> {
                     // half-reduced — recovery must go through a snapshot
                     // import, never resume from here.
                     let sp = trace::span(TaskKind::Communication, || "REBALANCE".to_string());
-                    let mut full_velocity = self.store.export_velocity();
-                    ring_all_reduce_seg(
-                        &self.transport,
-                        &mut full_velocity,
-                        ReduceOp::Sum,
-                        self.control,
-                    )?;
-                    let mut full_second = self.store.export_second_moment();
-                    if !full_second.is_empty() {
-                        ring_all_reduce_seg(
-                            &self.transport,
-                            &mut full_second,
-                            ReduceOp::Sum,
-                            self.control,
-                        )?;
+                    for full in [&mut velocity, &mut second_moment] {
+                        if !full.is_empty() {
+                            ring_all_reduce_seg(
+                                &self.transport,
+                                full,
+                                ReduceOp::Sum,
+                                self.control,
+                            )?;
+                        }
                     }
                     sp.end();
-                    self.store.map = ShardMap::build(&layout, self.rank, self.world);
-                    self.store.import(&full_velocity, &full_second);
                 }
+                self.store = OptimStore::new(&layout, self.rank, self.world, self.mode);
+                self.store.import(&layout, &velocity, &second_moment);
                 self.layout = layout;
                 self.open_window();
             }
@@ -1025,8 +911,8 @@ impl<T: Transport> CommThread<'_, T> {
                     // strategy-independent and a run can resume under a
                     // different strategy than it saved with.
                     self.reply(CommResult::OptimState(OptimState {
-                        velocity: self.store.export_velocity(),
-                        second_moment: self.store.export_second_moment(),
+                        velocity: self.store.export_velocity(&self.layout),
+                        second_moment: self.store.export_second_moment(&self.layout),
                         adam_step: self.adam_step,
                     }));
                 }
@@ -1034,7 +920,8 @@ impl<T: Transport> CommThread<'_, T> {
             CommJob::ImportOptimState(state) => {
                 // `DistOptim::import_optim_state` has checked the lengths.
                 if self.at_boundary("an optimizer-state import") {
-                    self.store.import(&state.velocity, &state.second_moment);
+                    self.store
+                        .import(&self.layout, &state.velocity, &state.second_moment);
                     self.adam_step = state.adam_step;
                 }
             }
@@ -1080,9 +967,9 @@ impl<T: Transport> CommThread<'_, T> {
 
 /// Runs the comm-thread event loop until the job channel closes.
 ///
-/// **Cross-group send-ahead** (DESIGN.md §4.18). The ring jobs — DeAR's
-/// `RsUpdate` reduce-scatters and the all-gathers of its `Flush`, WFBP's
-/// `AllReduce`s — run split-phase
+/// **Cross-group send-ahead** (DESIGN.md §4.18). The ring jobs — the
+/// `Reduce`s (DeAR's reduce-scatters, WFBP's all-reduces) and the
+/// all-gathers of DeAR's `Flush` — run split-phase
 /// ([`ring_begin`] → [`ring_advance`] → [`ring_finish`]), and the thread
 /// does not wait out one group's last receive before it looks at the next
 /// group: once the op it is finishing has posted its last send, it begins
@@ -1113,7 +1000,7 @@ impl<T: Transport> CommThread<'_, T> {
 #[allow(clippy::too_many_arguments)]
 pub fn run_comm_thread<T: Transport>(
     transport: T,
-    layout: CommLayout,
+    layout: GroupLayout,
     hyper: HyperParams,
     segments: SegmentConfig,
     strategy: ParallelismStrategy,
@@ -1157,48 +1044,58 @@ mod tests {
     use super::*;
     use crossbeam_channel::unbounded;
     use dear_collectives::LocalFabric;
+    use dear_fusion::FusionPlan;
+    use dear_minidnn::{Embedding, Sequential};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The indexed scalar loops `update_owned_shard` replaced, kept as the
-    /// ground truth it must match bit for bit.
+    /// A real layout with one tensor per entry of `lens`, given in group
+    /// (ready) order and grouped by `plan` — `FusionPlan::singletons` or
+    /// `FusionPlan::single_group`: a network of `Embedding::new(n, 1, ..)`
+    /// layers, pushed last-first. Global offsets run against group order.
+    pub(super) fn layout_of(lens: &[usize], plan: fn(usize) -> FusionPlan) -> GroupLayout {
+        let mut rng = StdRng::seed_from_u64(0);
+        let net = lens.iter().rev().fold(Sequential::new(), |net, &n| {
+            net.push(Embedding::new(n, 1, &mut rng))
+        });
+        GroupLayout::new(&net, plan(lens.len()))
+    }
+
+    /// Ragged items, so that every rank's owned chunk cuts items mid-way.
+    const RAGGED: [usize; 6] = [7, 1, 13, 5, 67, 3];
+
+    /// The indexed scalar loop `update_owned_shard` replaced, kept as the
+    /// ground truth it must match bit for bit: `owned` of a group's
+    /// `params`, from reduced sums `gbuf` based at group coordinate
+    /// `gshift`, with state slices that start at `owned.start`.
     #[allow(clippy::too_many_arguments)]
     fn indexed_update(
-        meta: &CommGroupMeta,
         owned: &Range<usize>,
         gbuf: &[f32],
         gshift: usize,
         params: &mut [f32],
-        store: &mut OptimStore,
+        velocity: &mut [f32],
+        second_moment: &mut [f32],
         hyper: &HyperParams,
         inv_p: f32,
         adam_step: u64,
     ) {
-        for &(off, len, goff) in &meta.items {
-            let lo = owned.start.max(off);
-            let hi = owned.end.min(off + len);
-            if lo >= hi {
-                continue;
-            }
-            let vbase = store.map.dense_of(goff + (lo - off));
-            for k in lo..hi {
-                let vi = vbase + (k - lo);
-                let g = gbuf[k - gshift] * inv_p + hyper.weight_decay * params[k];
-                match hyper.kind {
-                    OptimKind::Sgd => {
-                        store.velocity[vi] = hyper.momentum * store.velocity[vi] + g;
-                        params[k] -= hyper.lr * store.velocity[vi];
-                    }
-                    OptimKind::Adam { beta1, beta2, eps } => {
-                        let bias1 = (1.0 - f64::from(beta1).powi(adam_step as i32)) as f32;
-                        let bias2 = (1.0 - f64::from(beta2).powi(adam_step as i32)) as f32;
-                        store.velocity[vi] = beta1 * store.velocity[vi] + (1.0 - beta1) * g;
-                        store.second_moment[vi] =
-                            beta2 * store.second_moment[vi] + (1.0 - beta2) * g * g;
-                        let m_hat = store.velocity[vi] / bias1;
-                        let v_hat = store.second_moment[vi] / bias2;
-                        params[k] -= hyper.lr * m_hat / (v_hat.sqrt() + eps);
-                    }
+        for k in owned.clone() {
+            let vi = k - owned.start;
+            let g = gbuf[k - gshift] * inv_p + hyper.weight_decay * params[k];
+            match hyper.kind {
+                OptimKind::Sgd => {
+                    velocity[vi] = hyper.momentum * velocity[vi] + g;
+                    params[k] -= hyper.lr * velocity[vi];
+                }
+                OptimKind::Adam { beta1, beta2, eps } => {
+                    let bias1 = (1.0 - f64::from(beta1).powi(adam_step as i32)) as f32;
+                    let bias2 = (1.0 - f64::from(beta2).powi(adam_step as i32)) as f32;
+                    velocity[vi] = beta1 * velocity[vi] + (1.0 - beta1) * g;
+                    second_moment[vi] = beta2 * second_moment[vi] + (1.0 - beta2) * g * g;
+                    let m_hat = velocity[vi] / bias1;
+                    let v_hat = second_moment[vi] / bias2;
+                    params[k] -= hyper.lr * m_hat / (v_hat.sqrt() + eps);
                 }
             }
         }
@@ -1206,38 +1103,24 @@ mod tests {
 
     #[test]
     fn slice_updates_match_the_indexed_loops_bitwise() {
-        // One group of ragged items whose global offsets are scattered, so
-        // every rank's owned chunk cuts items mid-way; a full-length
-        // gradient buffer (Ddp, Zero1) and a compact gradient shard, i.e.
-        // `gshift` ≠ 0 (Zero2); SGD with momentum and weight decay, and
-        // Adam over several steps.
-        let lens = [7usize, 1, 13, 5, 67, 3];
-        let goffs = [40usize, 0, 61, 8, 100, 1];
-        let mut items = Vec::new();
-        let mut elements = 0;
-        for (&len, &goff) in lens.iter().zip(&goffs) {
-            items.push((elements, len, goff));
-            elements += len;
-        }
-        let layout = CommLayout {
-            groups: vec![CommGroupMeta { items, elements }],
-        };
-        let meta = &layout.groups[0];
+        // One group of ragged items, cut by every rank's owned chunk; a
+        // full-length gradient buffer (Ddp) and a compact gradient shard,
+        // i.e. `gshift` ≠ 0 (Zero2); SGD with momentum and weight decay,
+        // and Adam over several steps.
+        let layout = layout_of(&RAGGED, FusionPlan::single_group);
+        let elements = layout.group_elements(0);
         let mut rng = StdRng::seed_from_u64(0xDEA2);
         let mut random =
             |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect() };
         for kind in [OptimKind::Sgd, OptimKind::adam_default()] {
+            let adam = matches!(kind, OptimKind::Adam { .. });
             let hyper = HyperParams {
                 lr: 0.05,
                 momentum: 0.9,
                 weight_decay: 1e-2,
                 kind,
             };
-            for strategy in [
-                ParallelismStrategy::Ddp,
-                ParallelismStrategy::Zero1,
-                ParallelismStrategy::Zero2,
-            ] {
+            for strategy in [ParallelismStrategy::Ddp, ParallelismStrategy::Zero2] {
                 for world in [2usize, 3, 5] {
                     for rank in 0..world {
                         let owned = chunk_range(elements, world, ring_owned_chunk(rank, world));
@@ -1249,35 +1132,35 @@ mod tests {
                             (0, elements)
                         };
                         let mut fast = OptimStore::new(&layout, rank, world, PipelineMode::Dear);
-                        let mut slow = OptimStore::new(&layout, rank, world, PipelineMode::Dear);
-                        fast.velocity = random(fast.map.dense_len());
-                        slow.velocity = fast.velocity.clone();
+                        fast.velocity = random(fast.dense_len);
+                        let mut velocity = fast.velocity.clone();
+                        let mut second_moment = Vec::new();
                         let mut fast_params = random(elements);
                         let mut slow_params = fast_params.clone();
                         for adam_step in 1..=3 {
                             let gbuf = random(glen);
-                            if matches!(kind, OptimKind::Adam { .. }) && adam_step == 1 {
-                                slow.second_moment = vec![0.0; slow.map.dense_len()];
+                            if adam && adam_step == 1 {
+                                second_moment = vec![0.0; fast.dense_len];
                             }
                             let inv_p = 1.0 / world as f32;
+                            let (kept, v, m) = fast.group_state(0, adam);
+                            assert_eq!(kept, owned);
                             update_owned_shard(
-                                meta,
-                                &owned,
-                                &gbuf,
-                                gshift,
-                                &mut fast_params,
-                                &mut fast,
+                                &mut fast_params[owned.clone()],
+                                &gbuf[owned.start - gshift..owned.end - gshift],
+                                v,
+                                m,
                                 &hyper,
                                 inv_p,
                                 adam_step,
                             );
                             indexed_update(
-                                meta,
                                 &owned,
                                 &gbuf,
                                 gshift,
                                 &mut slow_params,
-                                &mut slow,
+                                &mut velocity,
+                                &mut second_moment,
                                 &hyper,
                                 inv_p,
                                 adam_step,
@@ -1286,14 +1169,10 @@ mod tests {
                                 |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                             let case = format!("{kind:?} {strategy:?} rank {rank}/{world}");
                             assert_eq!(bits(&fast_params), bits(&slow_params), "params: {case}");
-                            assert_eq!(
-                                bits(&fast.velocity),
-                                bits(&slow.velocity),
-                                "velocity: {case}"
-                            );
+                            assert_eq!(bits(&fast.velocity), bits(&velocity), "velocity: {case}");
                             assert_eq!(
                                 bits(&fast.second_moment),
-                                bits(&slow.second_moment),
+                                bits(&second_moment),
                                 "second moment: {case}"
                             );
                         }
@@ -1301,6 +1180,112 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn import_then_export_round_trips_the_exchange_format() {
+        // One group of ragged items whose global offsets run against group
+        // order: the store keeps its range in group coordinates, and only
+        // export and import translate through the items.
+        let layout = layout_of(&RAGGED, FusionPlan::single_group);
+        let total = layout.total_elements();
+        assert_eq!(layout.item(0).global_offset, total - RAGGED[0]);
+        // The state of group coordinate `k`, at its global offset.
+        let mut full = vec![0.0f32; total];
+        for &i in layout.items_of_group(0) {
+            let item = layout.item(i);
+            for k in 0..item.len {
+                full[item.global_offset + k] = 1.0 + (item.offset_in_group + k) as f32;
+            }
+        }
+        for (mode, world) in [
+            (PipelineMode::Dear, 2usize),
+            (PipelineMode::Dear, 3),
+            (PipelineMode::Dear, 5),
+            (PipelineMode::Wfbp, 3),
+        ] {
+            let mut summed = vec![0.0f32; total];
+            for rank in 0..world {
+                let case = format!("{mode:?} rank {rank}/{world}");
+                let mut store = OptimStore::new(&layout, rank, world, mode);
+                let negated: Vec<f32> = full.iter().map(|x| -x).collect();
+                store.import(&layout, &full, &negated);
+                let kept = store.groups[0].0.clone();
+                let in_group: Vec<f32> = kept.map(|k| 1.0 + k as f32).collect();
+                assert_eq!(store.velocity, in_group, "{case}: group coordinates");
+                let velocity = store.export_velocity(&layout);
+                let second = store.export_second_moment(&layout);
+                for (k, (&v, &m)) in velocity.iter().zip(&second).enumerate() {
+                    assert!(v == full[k] || v == 0.0, "{case}: element {k}");
+                    assert_eq!(m, -v, "{case}: element {k}");
+                    summed[k] += v;
+                }
+                // What a rank exports, it imports back unchanged.
+                let mut again = OptimStore::new(&layout, rank, world, mode);
+                again.import(&layout, &velocity, &second);
+                assert_eq!(again.velocity, store.velocity, "{case}: round trip");
+                if mode == PipelineMode::Wfbp {
+                    assert_eq!(velocity, full, "{case}: WFBP keeps everything");
+                }
+            }
+            // Every value is ≥ 1: an element kept twice would show doubled.
+            if mode == PipelineMode::Dear {
+                assert_eq!(
+                    summed, full,
+                    "world {world}: the shards partition the model"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_update_after_a_resize_without_a_rebalance_panics() {
+        // Rank 0 of 2 survives alone. Its ring now owns the whole group,
+        // its optimizer state still only the old world's chunk: the update
+        // must refuse to run on state it does not have, never index it.
+        let mut eps = LocalFabric::create(2);
+        drop(eps.pop());
+        let ep = eps.pop().unwrap();
+        let (job_tx, job_rx) = unbounded();
+        let (res_tx, res_rx) = unbounded();
+        let comm = std::thread::spawn(move || {
+            run_comm_thread(
+                ep,
+                layout_of(&[6], FusionPlan::singletons),
+                HyperParams {
+                    lr: 0.1,
+                    momentum: 0.9,
+                    weight_decay: 0.0,
+                    kind: OptimKind::Sgd,
+                },
+                SegmentConfig::MONOLITHIC,
+                ParallelismStrategy::Ddp,
+                PipelineMode::Dear,
+                &crate::trace::unique_scope(0),
+                &job_rx,
+                &res_tx,
+            );
+        });
+        job_tx
+            .send(CommJob::ResizeWorld {
+                survivors: Some(vec![0]),
+            })
+            .unwrap();
+        match res_rx.recv().unwrap() {
+            CommResult::Resized(Ok(change)) => assert_eq!(change.new_world, 1),
+            other => panic!("expected the resize, got {other:?}"),
+        }
+        job_tx
+            .send(CommJob::Reduce {
+                group: 0,
+                grads: vec![1.0; 6],
+                params: vec![0.0; 6],
+            })
+            .unwrap();
+        drop(job_tx);
+        let panic = comm.join().expect_err("the update must panic");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("followed by a rebalance"), "{message}");
     }
 
     #[test]
@@ -1313,12 +1298,7 @@ mod tests {
         let ep = LocalFabric::create(1).remove(0);
         let (job_tx, job_rx) = unbounded();
         let (res_tx, res_rx) = unbounded();
-        let layout = CommLayout {
-            groups: vec![CommGroupMeta {
-                items: vec![(0, 4, 0)],
-                elements: 4,
-            }],
-        };
+        let layout = layout_of(&[4], FusionPlan::singletons);
         let hyper = HyperParams {
             lr: 0.1,
             momentum: 0.0,
@@ -1340,7 +1320,7 @@ mod tests {
             );
         });
         job_tx
-            .send(CommJob::RsUpdate {
+            .send(CommJob::Reduce {
                 group: 0,
                 grads: vec![1.0; 4],
                 params: vec![0.0; 4],

@@ -13,8 +13,10 @@ use dear_collectives::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::tests::layout_of;
 use super::*;
 use crate::PipelineMode;
+use dear_fusion::FusionPlan;
 
 /// What one message looks like on the link: element count and the first
 /// eight payload bytes.
@@ -82,11 +84,11 @@ impl Transport for Probe {
 
 /// The schedule send-ahead replaced: every ring job runs start to end
 /// through the monolithic calls before the next one is looked at. Serves
-/// the three ring jobs and the flush only.
+/// the ring job and the flush only.
 #[allow(clippy::too_many_arguments)]
 fn run_one_at_a_time<T: Transport>(
     transport: T,
-    layout: CommLayout,
+    layout: GroupLayout,
     hyper: HyperParams,
     segments: SegmentConfig,
     strategy: ParallelismStrategy,
@@ -97,17 +99,32 @@ fn run_one_at_a_time<T: Transport>(
 ) {
     let (rank, world) = (transport.rank(), transport.world_size());
     let inv_p = 1.0 / world as f32;
+    let adam = matches!(hyper.kind, OptimKind::Adam { .. });
     let mut store = OptimStore::new(&layout, rank, world, mode);
     let mut adam_step = 0;
     let mut stash: Vec<(usize, StashEntry)> = Vec::new();
+    let update = |store: &mut OptimStore, group, params: &mut [f32], gbuf: &[f32], gshift, step| {
+        let (owned, velocity, second_moment) = store.group_state(group, adam);
+        update_owned_shard(
+            &mut params[owned.clone()],
+            &gbuf[owned.start - gshift..owned.end - gshift],
+            velocity,
+            second_moment,
+            &hyper,
+            inv_p,
+            step,
+        );
+    };
     while let Ok(job) = jobs.recv() {
-        match job {
-            CommJob::RsUpdate {
-                group,
-                mut grads,
-                mut params,
-            } => {
-                let meta = &layout.groups[group];
+        match (job, mode) {
+            (
+                CommJob::Reduce {
+                    group,
+                    mut grads,
+                    mut params,
+                },
+                PipelineMode::Dear,
+            ) => {
                 if stash.is_empty() {
                     adam_step += 1;
                 }
@@ -119,24 +136,14 @@ fn run_one_at_a_time<T: Transport>(
                 } else {
                     (grads, 0)
                 };
-                update_owned_shard(
-                    meta,
-                    &owned,
-                    &gbuf,
-                    gshift,
-                    &mut params,
-                    &mut store,
-                    &hyper,
-                    inv_p,
-                    adam_step,
-                );
+                update(&mut store, group, &mut params, &gbuf, gshift, adam_step);
                 let entry = if strategy.shards_grad_stash() {
                     let mut chunk = gbuf;
                     chunk.copy_from_slice(&params[owned.clone()]);
                     StashEntry::Shard {
                         owned,
                         chunk,
-                        elements: meta.elements,
+                        elements: layout.group_elements(group),
                     }
                 } else {
                     StashEntry::Full {
@@ -146,21 +153,22 @@ fn run_one_at_a_time<T: Transport>(
                 };
                 stash.push((group, entry));
             }
-            CommJob::Flush if mode == PipelineMode::Wfbp => {
+            (
+                CommJob::Reduce {
+                    group,
+                    mut grads,
+                    params,
+                },
+                PipelineMode::Wfbp,
+            ) => {
+                ring_all_reduce_seg(&transport, &mut grads, ReduceOp::Sum, segments).unwrap();
+                stash.push((group, StashEntry::Full { params, grads }));
+            }
+            (CommJob::Flush, PipelineMode::Wfbp) => {
                 adam_step += 1;
                 for (group, entry) in stash.drain(..).rev() {
                     let (mut params, grads) = entry.into_buffers();
-                    update_owned_shard(
-                        &layout.groups[group],
-                        &(0..params.len()),
-                        &grads,
-                        0,
-                        &mut params,
-                        &mut store,
-                        &hyper,
-                        inv_p,
-                        adam_step,
-                    );
+                    update(&mut store, group, &mut params, &grads, 0, adam_step);
                     results
                         .send(CommResult::Params {
                             group,
@@ -170,7 +178,7 @@ fn run_one_at_a_time<T: Transport>(
                         .unwrap();
                 }
             }
-            CommJob::Flush => {
+            (CommJob::Flush, PipelineMode::Dear) => {
                 for (group, entry) in stash.drain(..).rev() {
                     let (mut params, grads) = entry.into_buffers();
                     let owned_chunk = ring_owned_chunk(rank, world);
@@ -184,15 +192,7 @@ fn run_one_at_a_time<T: Transport>(
                         .unwrap();
                 }
             }
-            CommJob::AllReduce {
-                group,
-                mut grads,
-                params,
-            } => {
-                ring_all_reduce_seg(&transport, &mut grads, ReduceOp::Sum, segments).unwrap();
-                stash.push((group, StashEntry::Full { params, grads }));
-            }
-            other => panic!("the reference serves ring jobs only, got {other:?}"),
+            (other, _) => panic!("the reference serves ring jobs only, got {other:?}"),
         }
     }
 }
@@ -202,17 +202,9 @@ fn run_one_at_a_time<T: Transport>(
 const GROUP_ELEMENTS: [usize; 7] = [37, 2, 64, 1, 129, 16, 5];
 const STEPS: u64 = 4;
 
-fn test_layout() -> (CommLayout, usize) {
-    let mut groups = Vec::new();
-    let mut total = 0;
-    for &elements in &GROUP_ELEMENTS {
-        groups.push(CommGroupMeta {
-            items: vec![(0, elements, total)],
-            elements,
-        });
-        total += elements;
-    }
-    (CommLayout { groups }, total)
+/// One group per entry of [`GROUP_ELEMENTS`], one tensor each.
+fn test_layout() -> GroupLayout {
+    layout_of(&GROUP_ELEMENTS, FusionPlan::singletons)
 }
 
 fn test_hyper() -> HyperParams {
@@ -244,7 +236,7 @@ fn initial_params() -> Vec<Vec<f32>> {
 /// What a comm thread is run as: [`run_comm_thread`] or the reference.
 type CommFn = fn(
     Probe,
-    CommLayout,
+    GroupLayout,
     HyperParams,
     SegmentConfig,
     ParallelismStrategy,
@@ -272,7 +264,7 @@ fn spawn_comm<'scope, 'env>(
     setup: Setup,
     queue: impl FnOnce(&Sender<CommJob>),
 ) -> (Sender<CommJob>, Receiver<CommResult>, Arc<Mutex<SendLog>>) {
-    let (layout, _) = test_layout();
+    let layout = test_layout();
     let (probe, sent) = Probe::new(ep, fail_recv);
     let (job_tx, job_rx) = unbounded();
     let (res_tx, res_rx) = unbounded();
@@ -300,7 +292,6 @@ fn spawn_comm<'scope, 'env>(
 /// seed, then the flush. Returns the updated parameters the replies
 /// carried, per group.
 fn drive_step(
-    mode: PipelineMode,
     rank: usize,
     step: u64,
     params: &[Vec<f32>],
@@ -314,18 +305,10 @@ fn drive_step(
         if let Some(rng) = jitter.as_deref_mut() {
             std::thread::sleep(Duration::from_micros(rng.gen_range(0..400)));
         }
-        let grads = grads_of(rank, step, group);
-        jobs.send(match mode {
-            PipelineMode::Dear => CommJob::RsUpdate {
-                group,
-                grads,
-                params: params[group].clone(),
-            },
-            PipelineMode::Wfbp => CommJob::AllReduce {
-                group,
-                grads,
-                params: params[group].clone(),
-            },
+        jobs.send(CommJob::Reduce {
+            group,
+            grads: grads_of(rank, step, group),
+            params: params[group].clone(),
         })
         .unwrap();
     }
@@ -361,15 +344,7 @@ fn run_world(
                         jitter_seed.map(|seed| StdRng::seed_from_u64(seed ^ (rank as u64) << 32));
                     let mut params = initial_params();
                     for step in steps {
-                        params = drive_step(
-                            setup.mode,
-                            rank,
-                            step,
-                            &params,
-                            jitter.as_mut(),
-                            &job_tx,
-                            &res_rx,
-                        );
+                        params = drive_step(rank, step, &params, jitter.as_mut(), &job_tx, &res_rx);
                     }
                     drop(job_tx);
                     let frames = sent.lock().unwrap().clone();
@@ -392,7 +367,6 @@ fn bits(groups: &[Vec<f32>]) -> Vec<Vec<u32>> {
 fn send_ahead_keeps_every_link_in_sequential_order_and_every_bit() {
     let cases = [
         (PipelineMode::Dear, ParallelismStrategy::Ddp),
-        (PipelineMode::Dear, ParallelismStrategy::Zero1),
         (PipelineMode::Dear, ParallelismStrategy::Zero2),
         (PipelineMode::Wfbp, ParallelismStrategy::Ddp),
     ];
@@ -443,7 +417,7 @@ fn send_ahead_keeps_every_link_in_sequential_order_and_every_bit() {
 
 #[test]
 fn window_is_full_on_a_monolithic_wire_and_closed_on_a_segmented_one() {
-    let (layout, _) = test_layout();
+    let layout = test_layout();
     // The largest chunk is ⌈129 / world⌉ elements.
     for world in [1usize, 2, 4] {
         let w = |seg| send_ahead_window(largest_chunk(&layout, world), seg);
@@ -457,12 +431,12 @@ fn window_is_full_on_a_monolithic_wire_and_closed_on_a_segmented_one() {
     assert_eq!(send_ahead_window(largest_chunk(&layout, 2), two), 0);
 }
 
-/// Posts `rank`'s `RsUpdate`s of `step` for the groups `which`, in backward
+/// Posts `rank`'s DeAR `Reduce`s of `step` for the groups `which`, in backward
 /// order, always from the initial parameters.
 fn post_rs(jobs: &Sender<CommJob>, rank: usize, step: u64, which: Range<usize>) {
     let params = initial_params();
     for group in which.rev() {
-        jobs.send(CommJob::RsUpdate {
+        jobs.send(CommJob::Reduce {
             group,
             grads: grads_of(rank, step, group),
             params: params[group].clone(),
@@ -535,7 +509,7 @@ fn failure_with_ops_in_flight_abandons_the_step_once_and_recovers() {
             }
         }
         assert_eq!(sent(), 4, "the abandoned step sent nothing after it failed");
-        let (_, total) = test_layout();
+        let total = test_layout().total_elements();
         for (rank, (jobs, _)) in ends.iter().enumerate() {
             jobs.send(CommJob::ImportOptimState(OptimState {
                 velocity: vec![0.0; total],

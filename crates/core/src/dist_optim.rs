@@ -7,7 +7,7 @@ use dear_collectives::{CollectiveError, DType, WorldChange};
 use dear_fusion::GroupTracker;
 use dear_minidnn::{softmax_cross_entropy, ParamStore, Sequential, Tensor};
 
-use crate::comm::{CommJob, CommLayout, CommResult, HyperParams, OptimKind, OptimState};
+use crate::comm::{CommJob, CommResult, HyperParams, OptimKind, OptimState};
 use crate::layout::GroupLayout;
 use crate::trace::{self, TaskKind};
 
@@ -19,8 +19,8 @@ pub enum PipelineMode {
     Dear,
     /// WFBP baseline: per-group all-reduce during backprop; once the last
     /// group is reduced the comm thread updates every group, whole, with
-    /// the same update rule and state layout as DeAR's world-1 shard, and
-    /// the step waits for it.
+    /// the same update rule as DeAR (its state covers every group whole),
+    /// and the step waits for it.
     Wfbp,
 }
 
@@ -351,20 +351,11 @@ impl DistOptim {
             let Some(done) = self.tracker.mark_ready(self.layout.item_of(li, pi)) else {
                 continue;
             };
-            let (grads, params) = (store.take_grads(done), store.take_params(done));
-            let job = match self.mode {
-                PipelineMode::Dear => CommJob::RsUpdate {
-                    group: done,
-                    grads,
-                    params,
-                },
-                PipelineMode::Wfbp => CommJob::AllReduce {
-                    group: done,
-                    grads,
-                    params,
-                },
-            };
-            self.post(job);
+            self.post(CommJob::Reduce {
+                group: done,
+                grads: store.take_grads(done),
+                params: store.take_params(done),
+            });
         }
     }
 
@@ -558,7 +549,7 @@ impl DistOptim {
         self.assert_synchronized("re-bucketing");
         let layout = GroupLayout::from_buffer_wire(net, buffer_bytes, self.wire);
         self.post(CommJob::Reconfigure {
-            layout: CommLayout::from(&layout),
+            layout: layout.clone(),
         });
         self.tracker = GroupTracker::new(layout.plan());
         self.layout = layout;
@@ -651,7 +642,7 @@ impl DistOptim {
         self.assert_synchronized("shard rebalance");
         self.check()?;
         self.post(CommJob::Reconfigure {
-            layout: CommLayout::from(&self.layout),
+            layout: self.layout.clone(),
         });
         // `Reconfigure` carries no reply of its own; the barrier queued
         // behind it both confirms its collectives succeeded and releases
@@ -672,19 +663,19 @@ mod tests {
     /// One group's circulating `(params, grads)` buffers.
     type GroupBuffers = (Vec<f32>, Vec<f32>);
 
-    /// What the step's `RsUpdate` jobs shipped as `params`, laid out like
+    /// What the step's `Reduce` jobs shipped as `params`, laid out like
     /// `Sequential::flat_params`; the jobs' buffers are returned per group.
     fn shipped(jobs: &Receiver<CommJob>, layout: &GroupLayout) -> (Vec<f32>, Vec<GroupBuffers>) {
         let mut flat = vec![f32::NAN; layout.total_elements()];
         let mut buffers = vec![(Vec::new(), Vec::new()); layout.num_groups()];
         for _ in 0..layout.num_groups() {
-            let CommJob::RsUpdate {
+            let CommJob::Reduce {
                 group,
                 grads,
                 params,
             } = jobs.try_recv().expect("one job per group")
             else {
-                panic!("expected an RsUpdate");
+                panic!("expected a Reduce");
             };
             assert_eq!(grads.len(), layout.group_elements(group));
             for &i in layout.items_of_group(group) {

@@ -212,8 +212,8 @@ impl<T: Tuner, C: Clock> OnlineTuning<T, C> {
 pub struct StrategyForecast {
     /// The strategy this forecast is for.
     pub strategy: ParallelismStrategy,
-    /// Predicted per-step RS → update → AG makespan. Identical across
-    /// `ddp`/`zero1`/`zero2` **by construction**: ZeRO on the decoupled
+    /// Predicted per-step RS → update → AG makespan. Identical for `ddp`
+    /// and `zero2` **by construction**: ZeRO on the decoupled
     /// pipeline reuses OP1's reduce-scatter and OP2's all-gather verbatim
     /// and every rank updates only its owned shard either way, so sharding
     /// moves no extra bytes and does no extra arithmetic. The forecast
@@ -226,7 +226,7 @@ pub struct StrategyForecast {
     /// factor.
     pub optim_state_bytes: usize,
     /// Predicted peak bytes of parameters parked on the comm thread
-    /// between OP1 and OP2: the full model under `ddp`/`zero1`, only the
+    /// between OP1 and OP2: the full model under `ddp`, only the
     /// owned chunk under `zero2` (the rest is rematerialized as zeros at
     /// all-gather time — bit-identical, since the ring only reads the
     /// owned chunk from this rank).
@@ -435,9 +435,7 @@ mod tests {
         let n = 1_000_000;
         let m = CostModel::ten_gbe();
         let ddp = forecast_strategy(&ParallelismStrategy::Ddp, &m, world, n, 2, 0.5);
-        let z1 = forecast_strategy(&ParallelismStrategy::Zero1, &m, world, n, 2, 0.5);
         let z2 = forecast_strategy(&ParallelismStrategy::Zero2, &m, world, n, 2, 0.5);
-        assert_eq!(ddp.step_time, z1.step_time, "zero1 must cost no step time");
         assert_eq!(ddp.step_time, z2.step_time, "zero2 must cost no step time");
         // And the step is RS + UPD + AG end to end on the critical path.
         let comm =
@@ -447,11 +445,9 @@ mod tests {
         // Memory: one ⌈n/world⌉ chunk per state vector, whatever the
         // strategy — the update never touches more.
         assert_eq!(ddp.optim_state_bytes, n.div_ceil(world) * 2 * 4);
-        assert_eq!(z1.optim_state_bytes, ddp.optim_state_bytes);
         assert_eq!(z2.optim_state_bytes, ddp.optim_state_bytes);
         // Stash: only zero2 sheds the parked parameters.
         assert_eq!(ddp.stash_bytes, n * 4);
-        assert_eq!(z1.stash_bytes, n * 4);
         assert_eq!(z2.stash_bytes, n.div_ceil(world) * 4);
     }
 }

@@ -46,13 +46,13 @@ options:
   --wire DTYPE         data-path wire precision: f32 (default), bf16 or
                        f16 (sets DEAR_WIRE_DTYPE; gradients cross the
                        socket at the narrow width, accumulated in f32)
-  --strategy NAME      parallelism strategy: ddp (default), zero1 or
-                       zero2 (sets DEAR_STRATEGY; zero1 shards the
-                       optimizer state across ranks on the decoupled
-                       pipeline, zero2 additionally keeps only the owned
+  --strategy NAME      parallelism strategy: ddp (default) or zero2
+                       (sets DEAR_STRATEGY; under DeAR both keep only the
+                       owned shard of the optimizer state, ~1/world of it
+                       per rank; zero2 also keeps only the owned
                        parameter shard resident between reduce-scatter
                        and all-gather — same losses bit-for-bit on the
-                       f32 wire, ~1/world the optimizer memory per rank)
+                       f32 wire)
 
 elastic options (any of these selects the supervised-restart path):
   --elastic-resize     survive peer loss by resizing in place: rank

@@ -129,9 +129,11 @@ pub struct NetConfig {
     /// on the wire), which degrades gracefully to all-TCP.
     /// Env: `DEAR_HOST_ID`.
     pub host_id: Option<u64>,
-    /// How model state is partitioned across the world: classic data
-    /// parallelism (`ddp`, the default) or ZeRO-style optimizer-state
-    /// sharding (`zero1`/`zero2`) on the same decoupled pipeline. Passed
+    /// How model state is partitioned across the world: data parallelism
+    /// (`ddp`, the default — under DeAR the optimizer state is already the
+    /// owned shard) or ZeRO-2 (`zero2`: the comm thread's stash between
+    /// reduce-scatter and all-gather is sharded too) on the same decoupled
+    /// pipeline. Passed
     /// through to the run's
     /// [`TrainConfig::strategy`](dear_core::TrainConfig).
     /// Env: `DEAR_STRATEGY`; CLI: `--strategy NAME`.
@@ -284,7 +286,7 @@ impl NetConfig {
         self
     }
 
-    /// Selects the parallelism strategy (`ddp`/`zero1`/`zero2`).
+    /// Selects the parallelism strategy (`ddp`/`zero2`).
     #[must_use]
     pub fn with_strategy(mut self, strategy: ParallelismStrategy) -> Self {
         self.strategy = strategy;
@@ -323,7 +325,7 @@ impl NetConfig {
     /// `DEAR_HOST_ID` (this rank's physical-host identity, for the
     /// shared-memory tier; unset = every rank on its own pseudo-host),
     /// `DEAR_STRATEGY`
-    /// (`ddp`/`zero1`/`zero2`, the parallelism strategy; an unknown name
+    /// (`ddp`/`zero2`, the parallelism strategy; an unknown name
     /// is a typed [`NetError::Config`], not a silent fallback), and
     /// `DEAR_TRACE` (Chrome-trace path prefix; empty/unset = recorder
     /// off).
@@ -586,8 +588,7 @@ mod tests {
         std::env::set_var("WORLD_SIZE", "2");
         for (raw, want) in [
             ("ddp", ParallelismStrategy::Ddp),
-            ("zero1", ParallelismStrategy::Zero1),
-            ("ZERO-1", ParallelismStrategy::Zero1),
+            ("DDP", ParallelismStrategy::Ddp),
             ("zero2", ParallelismStrategy::Zero2),
             ("Zero-2", ParallelismStrategy::Zero2),
         ] {
@@ -603,7 +604,8 @@ mod tests {
                 want
             );
         }
-        std::env::set_var("DEAR_STRATEGY", "zero9");
+        // There is no `zero1`: ZeRO-1 is what `ddp` does under DeAR.
+        std::env::set_var("DEAR_STRATEGY", "zero1");
         let err = NetConfig::from_env().expect_err("unknown strategy must be rejected");
         match &err {
             NetError::Config(msg) => {
@@ -611,7 +613,7 @@ mod tests {
                     msg.contains("DEAR_STRATEGY"),
                     "error names the variable: {msg}"
                 );
-                assert!(msg.contains("zero9"), "error echoes the bad value: {msg}");
+                assert!(msg.contains("zero1"), "error echoes the bad value: {msg}");
             }
             other => panic!("expected NetError::Config, got {other:?}"),
         }

@@ -144,7 +144,6 @@ fn steady_state_step_adds_no_large_allocation() {
     };
     for (mode, strategy) in [
         (PipelineMode::Dear, ParallelismStrategy::Ddp),
-        (PipelineMode::Dear, ParallelismStrategy::Zero1),
         (PipelineMode::Wfbp, ParallelismStrategy::Ddp),
     ] {
         let got = distributed_steps(config(mode, strategy));

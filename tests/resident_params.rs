@@ -99,11 +99,7 @@ fn resident_and_restaged_parameters_train_identically() {
         }
         let reference = reference.flat_params();
         for world in [2usize, 3] {
-            for strategy in [
-                ParallelismStrategy::Ddp,
-                ParallelismStrategy::Zero1,
-                ParallelismStrategy::Zero2,
-            ] {
+            for strategy in [ParallelismStrategy::Ddp, ParallelismStrategy::Zero2] {
                 let config = base.clone().with_strategy(strategy);
                 let resident = train(world, &config, false);
                 let restaged = train(world, &config, true);
