@@ -697,8 +697,6 @@ const POLL_TAIL: Duration = Duration::from_micros(250);
 pub struct DelayFabric<T> {
     inner: T,
     model: CostModel,
-    /// Scales injected delays (1.0 = real scale). Tests use small factors.
-    time_scale: f64,
     /// `busy_until[to]`: when the outgoing link to `to` finishes serializing
     /// the last message queued on it.
     busy_until: Mutex<Vec<Option<Instant>>>,
@@ -708,18 +706,10 @@ impl<T: Transport> DelayFabric<T> {
     /// Wraps `inner`, delaying each send per `model`.
     #[must_use]
     pub fn new(inner: T, model: CostModel) -> Self {
-        Self::with_scale(inner, model, 1.0)
-    }
-
-    /// Wraps `inner` with delays scaled by `time_scale` (useful to keep
-    /// tests fast while preserving relative timings).
-    #[must_use]
-    pub fn with_scale(inner: T, model: CostModel, time_scale: f64) -> Self {
         let world = inner.world_size();
         DelayFabric {
             inner,
             model,
-            time_scale,
             busy_until: Mutex::new(vec![None; world]),
         }
     }
@@ -748,7 +738,7 @@ impl<T: Transport> Transport for DelayFabric<T> {
         self.check_peer(to)?;
         // Charge the link for the actual (dtype-dependent) wire bytes.
         let bytes = msg.wire_bytes() as u64;
-        let wire = self.model.p2p(bytes).as_secs_f64() * self.time_scale;
+        let wire = self.model.p2p(bytes).as_secs_f64();
         let wire = std::time::Duration::from_secs_f64(wire.max(0.0));
         let now = Instant::now();
         let ready = {
@@ -985,11 +975,10 @@ mod tests {
         // one-op-at-a-time schedule: the receiver woke up late, then sent)
         // finds the link idle and starts from *now*: the gap is lost.
         let mut eps = LocalFabric::create(2);
-        let model = CostModel::new(20_000_000.0, 100.0, 0.0); // 20 ms + 100 ns/B
-        let scale = 0.5; // … halved, to stay fast
-        let b = DelayFabric::with_scale(eps.pop().unwrap(), model, scale);
-        let a = DelayFabric::with_scale(eps.pop().unwrap(), model, scale);
-        let wire = |elems: u64| Duration::from_secs_f64(model.p2p(4 * elems).as_secs_f64() * scale);
+        let model = CostModel::new(10_000_000.0, 50.0, 0.0); // 10 ms + 50 ns/B
+        let b = DelayFabric::new(eps.pop().unwrap(), model);
+        let a = DelayFabric::new(eps.pop().unwrap(), model);
+        let wire = |elems: u64| Duration::from_secs_f64(model.p2p(4 * elems).as_secs_f64());
         a.send(1, vec![1.0; 256].into()).unwrap();
         a.send(1, vec![2.0; 1024].into()).unwrap();
         // The stamps, read below the receiving decorator (which would

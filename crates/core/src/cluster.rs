@@ -4,7 +4,7 @@
 
 use crossbeam_channel::unbounded;
 
-use dear_collectives::{LocalFabric, SegmentConfig, Transport};
+use dear_collectives::{run_cluster, DType, Transport};
 use dear_minidnn::{Sequential, Sgd};
 
 use crate::comm::{run_comm_thread, CommJob, CommResult, HyperParams, OptimKind};
@@ -27,14 +27,13 @@ pub struct TrainConfig {
     pub optim: OptimKind,
     /// DeAR or the WFBP baseline.
     pub mode: PipelineMode,
-    /// Segment-pipelining config for the comm thread's collectives,
-    /// including the wire dtype. Monolithic f32 by default, where results
-    /// are bit-identical to unsegmented collectives; a narrow wire
-    /// (`segments.wire = DType::Bf16` / `DType::F16`) halves the bytes of
-    /// the gradient/parameter data path while every hop still accumulates
-    /// in f32. The control path (broadcast, barrier, optimizer-state
-    /// redistribution) always runs over an f32 wire regardless.
-    pub segments: SegmentConfig,
+    /// Wire dtype of the gradient/parameter data path. `F32` by default; a
+    /// narrow wire (`Bf16` / `F16`) halves its bytes — and fusion groups
+    /// are sized in wire bytes — while every hop still accumulates in f32.
+    /// The control path (broadcast, barrier, optimizer-state
+    /// redistribution) always runs over an f32 wire regardless. Set it with
+    /// [`TrainConfig::with_wire`], which checks that it is numeric.
+    pub wire: DType,
     /// What, beyond data parallelism, is sharded across the world (ZeRO
     /// stage selection). `Ddp` by default — bit-identical to the
     /// pre-strategy runtime. `Zero2` requires [`PipelineMode::Dear`].
@@ -50,7 +49,7 @@ impl Default for TrainConfig {
             fusion_buffer: Some(25 << 20),
             optim: OptimKind::Sgd,
             mode: PipelineMode::Dear,
-            segments: SegmentConfig::MONOLITHIC,
+            wire: DType::F32,
             strategy: ParallelismStrategy::Ddp,
         }
     }
@@ -66,8 +65,12 @@ impl TrainConfig {
     /// Panics if `wire` is not numeric (`U8` is an opaque container for
     /// compressed payloads, not a training wire format).
     #[must_use]
-    pub fn with_wire(mut self, wire: dear_collectives::DType) -> Self {
-        self.segments = self.segments.with_wire(wire);
+    pub fn with_wire(mut self, wire: DType) -> Self {
+        assert!(
+            wire.is_numeric(),
+            "wire dtype must be numeric (f32/bf16/f16), not {wire}"
+        );
+        self.wire = wire;
         self
     }
 
@@ -98,7 +101,6 @@ pub struct WorkerHandle {
     config: TrainConfig,
     jobs: crossbeam_channel::Sender<CommJob>,
     results: crossbeam_channel::Receiver<CommResult>,
-    layout_tx: crossbeam_channel::Sender<GroupLayout>,
     trace_scope: String,
 }
 
@@ -124,12 +126,6 @@ impl WorkerHandle {
         self.world
     }
 
-    /// The shared training configuration.
-    #[must_use]
-    pub fn config(&self) -> TrainConfig {
-        self.config.clone()
-    }
-
     /// Builds the distributed optimizer for `net` — the `dear.DistOptim`
     /// wrap of Listing 1. Consumes the handle; call once per worker, with
     /// identically-structured networks on every rank.
@@ -145,14 +141,8 @@ impl WorkerHandle {
         if let Err(e) = self.config.strategy.validate_mode(self.config.mode) {
             panic!("{e}");
         }
-        let layout = GroupLayout::from_buffer_wire(
-            net,
-            self.config.fusion_buffer,
-            self.config.segments.wire,
-        );
-        self.layout_tx
-            .send(layout.clone())
-            .expect("comm thread hung up before initialization");
+        let layout =
+            GroupLayout::from_buffer_wire(net, self.config.fusion_buffer, self.config.wire);
         DistOptim::new(
             self.rank,
             self.world,
@@ -162,7 +152,6 @@ impl WorkerHandle {
             self.results,
             self.config.optim,
             &self.trace_scope,
-            self.config.segments.wire,
         )
     }
 }
@@ -174,8 +163,9 @@ impl WorkerHandle {
 /// — build a transport (e.g. `dear-net`'s `TcpEndpoint` from `RANK` /
 /// `WORLD_SIZE` / `MASTER_ADDR`) and hand it here; [`run_training`] is the
 /// in-process convenience that calls this once per rank over a
-/// [`LocalFabric`]. To train over an emulated link, wrap every rank's
-/// endpoint in a [`dear_collectives::DelayFabric`] before handing it here.
+/// [`dear_collectives::LocalFabric`]. To train over an emulated link, wrap
+/// every rank's endpoint in a [`dear_collectives::DelayFabric`] before
+/// handing it here.
 ///
 /// # Panics
 ///
@@ -190,7 +180,6 @@ where
     let rank = transport.rank();
     let world = transport.world_size();
     let hyper = config.hyper();
-    let segments = config.segments;
     let strategy = config.strategy;
     let mode = config.mode;
     // Unique per worker so concurrent in-process clusters never share a
@@ -199,24 +188,18 @@ where
     let comm_scope = trace_scope.clone();
     let (job_tx, job_rx) = unbounded::<CommJob>();
     let (res_tx, res_rx) = unbounded::<CommResult>();
-    let (layout_tx, layout_rx) = unbounded::<GroupLayout>();
-    // Comm thread: waits for the worker's layout, then serves jobs until
-    // the worker drops its job sender.
+    // Comm thread: serves jobs — the first installs the worker's layout —
+    // until the worker drops its job sender.
     let comm_main = move || {
-        let Ok(layout) = layout_rx.recv() else {
-            return; // worker dropped its handle without training
-        };
         run_comm_thread(
             transport,
-            layout,
             hyper,
-            segments,
             strategy,
             mode,
             &comm_scope,
             &job_rx,
             &res_tx,
-        );
+        )
     };
     let comm = std::thread::Builder::new()
         .name(format!("dear-comm-r{rank}"))
@@ -228,7 +211,6 @@ where
         config,
         jobs: job_tx,
         results: res_rx,
-        layout_tx,
         trace_scope,
     };
     let out = f(handle);
@@ -238,7 +220,8 @@ where
 
 /// Spawns `world` workers (each with a companion comm thread over a shared
 /// in-process fabric), runs `f` on every rank, and returns the per-rank
-/// results in rank order.
+/// results in rank order: [`run_worker`] on every rank of a
+/// [`run_cluster`].
 ///
 /// # Panics
 ///
@@ -248,21 +231,7 @@ where
     F: Fn(WorkerHandle) -> R + Sync,
     R: Send,
 {
-    let endpoints = LocalFabric::create(world);
-    std::thread::scope(|s| {
-        let worker_handles: Vec<_> = endpoints
-            .into_iter()
-            .map(|ep| {
-                let f = &f;
-                let config = config.clone();
-                s.spawn(move || run_worker(ep, config, f))
-            })
-            .collect();
-        worker_handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    })
+    run_cluster(world, |ep| run_worker(ep, config.clone(), &f))
 }
 
 /// Single-process reference: trains `net` with plain S-SGD on the full
@@ -289,6 +258,7 @@ pub fn train_single_reference(
 mod tests {
     use super::*;
     use crate::comm::OptimState;
+    use dear_collectives::LocalFabric;
     use dear_minidnn::{BlobDataset, Linear, Relu};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -623,8 +593,10 @@ mod tests {
         // each update slightly, so ranks need not bit-match the f32
         // reference — but they must agree with *each other* (the all-gather
         // distributes one rank's updated shard to everyone) and the loss
-        // must still collapse.
-        use dear_collectives::DType;
+        // must still collapse. Halfway, a re-bucketing must keep sizing
+        // groups in bf16 bytes: at this budget the two wires group
+        // differently.
+        const REBUCKET: u64 = 256;
         let data = BlobDataset::new(6, 3, 0.3, 5);
         let config = TrainConfig {
             fusion_buffer: Some(512),
@@ -638,6 +610,15 @@ mod tests {
             let mut first = 0.0;
             let mut last = 0.0;
             for step in 0..60 {
+                if step == 30 {
+                    optim.synchronize(&mut net).unwrap();
+                    optim.set_fusion_buffer(&net, Some(REBUCKET));
+                    let groups = |wire| {
+                        GroupLayout::from_buffer_wire(&net, Some(REBUCKET), wire).num_groups()
+                    };
+                    assert_eq!(optim.num_groups(), groups(DType::Bf16));
+                    assert_ne!(optim.num_groups(), groups(DType::F32));
+                }
                 let (x, labels) = data.shard(step, 64, rank, 4);
                 let loss = optim.train_step(&mut net, &x, &labels).unwrap();
                 if step == 0 {
@@ -680,6 +661,27 @@ mod tests {
                 optim.broadcast_value(1, sent).unwrap()
             });
             assert_eq!(got, vec![probe; 4], "broadcast of {probe} not exact");
+        }
+    }
+
+    #[test]
+    fn agreed_step_is_exact_above_f32_precision() {
+        // Step counters ride the f32 control path, which holds integers
+        // exactly only below 2^24: a min of one f32 gave ranks at 2^24 + 1,
+        // + 3, + 5 and + 7 back 2^24, a step none of them holds a snapshot
+        // of. In the second case rank 3's low bits are the smallest, but
+        // its high bits are not the minimum: it must not win.
+        let base = 1u64 << 24;
+        for (steps, want) in [
+            ([base + 1, base + 3, base + 5, base + 7], base + 1),
+            ([2 * base + 3, base + 9, base + 2, 2 * base], base + 2),
+        ] {
+            let got = run_training(4, TrainConfig::default(), |handle| {
+                let net = build_net(3);
+                let mut optim = handle.into_optim(&net);
+                optim.agree_min_step(steps[optim.rank()]).unwrap()
+            });
+            assert_eq!(got, vec![want; 4], "min of {steps:?}");
         }
     }
 

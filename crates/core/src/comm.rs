@@ -20,8 +20,8 @@ use std::ops::Range;
 
 use dear_collectives::{
     chunk_range, compact_owned_shard, naive_all_reduce_seg, ring_advance, ring_all_reduce_seg,
-    ring_begin, ring_finish, ring_owned_chunk, tree_broadcast_seg, CollectiveError, DType,
-    ReduceOp, RingKind, RingOp, SegmentConfig, Transport, WorldChange, MIN_LINK_FRAMES,
+    ring_begin, ring_finish, ring_owned_chunk, tree_broadcast_seg, CollectiveError, ReduceOp,
+    RingKind, RingOp, SegmentConfig, Transport, WorldChange, MIN_LINK_FRAMES,
 };
 
 use crate::dist_optim::PipelineMode;
@@ -140,19 +140,17 @@ impl OptimStore {
     }
 
     /// Installs full-length (exchange-format) state, keeping the ranges
-    /// this rank updates.
+    /// this rank updates. An empty vector leaves its state unallocated.
     fn import(&mut self, layout: &GroupLayout, velocity: &[f32], second_moment: &[f32]) {
         let pack = |full: &[f32]| {
+            if full.is_empty() {
+                return Vec::new();
+            }
             let mut dense = vec![0.0f32; self.dense_len];
             self.for_each_run(layout, |d, g| dense[d].copy_from_slice(&full[g]));
             dense
         };
-        let second_moment = if second_moment.is_empty() {
-            Vec::new()
-        } else {
-            pack(second_moment)
-        };
-        (self.velocity, self.second_moment) = (pack(velocity), second_moment);
+        (self.velocity, self.second_moment) = (pack(velocity), pack(second_moment));
     }
 }
 
@@ -333,10 +331,12 @@ pub enum CommJob {
     },
     /// Synchronize all ranks.
     Barrier,
-    /// Install a new fusion layout (BO re-bucketing), or re-partition the
-    /// optimizer state after a resize under the current one. The state is
-    /// exported under the old layout and imported under the new one, so
-    /// it survives.
+    /// Install a fusion layout — the first one, which the comm thread
+    /// waits for holding the layout of no tensors, or a BO re-bucketing —
+    /// or re-partition the optimizer state after a resize under the current
+    /// one. The state is exported under the old layout and imported under
+    /// the new one, so it survives. The layout also sets the data path's
+    /// wire dtype.
     Reconfigure {
         /// The new layout.
         layout: GroupLayout,
@@ -363,7 +363,7 @@ pub enum CommJob {
     },
     /// Min-allreduce a step counter so every rank resumes from the same
     /// step after a resize, replying with [`CommResult::Step`]. The value
-    /// rides the f32 control path, so it must stay below 2^24.
+    /// rides the f32 control path in two 24-bit halves: exact below 2^48.
     AgreeStep(u64),
     /// Report the resident optimizer-state bytes on this rank, replying
     /// with [`CommResult::OptimBytes`]. Purely local — no communication —
@@ -420,8 +420,16 @@ pub enum CommResult {
 const SEND_AHEAD_WINDOW: usize = 2;
 
 // The head op and everything begun ahead of it each have one unreceived
-// message per link (per segment) at worst; a transport must take them all.
+// message per link at worst; a transport must take them all.
 const _: () = assert!(SEND_AHEAD_WINDOW < MIN_LINK_FRAMES);
+
+/// The control path (broadcast, barrier, step agreement, optimizer-state
+/// redistribution) must stay bit-exact whatever the run's wire dtype:
+/// `Broadcast` ships an f64 as two f32 bit-words (any rounding corrupts the
+/// value), and `Reconfigure` redistributes optimizer state that checkpoints
+/// expect unrounded. Only the data path (`Reduce` and `Flush`) rides the
+/// layout's wire.
+const CONTROL: SegmentConfig = SegmentConfig::MONOLITHIC;
 
 /// Elements of the largest chunk any group of `layout` splits into.
 fn largest_chunk(layout: &GroupLayout, world: usize) -> usize {
@@ -429,19 +437,6 @@ fn largest_chunk(layout: &GroupLayout, world: usize) -> usize {
         .map(|g| chunk_range(layout.group_elements(g), world, 0).len())
         .max()
         .unwrap_or(0)
-}
-
-/// How far ahead the comm thread may send when the largest chunk has
-/// `largest_chunk` elements: the full window while the head op plus a full
-/// window of ops ahead, each with that chunk's segments unreceived, fit
-/// the [`MIN_LINK_FRAMES`] every transport guarantees — else not at all (a
-/// segmented run falls back to one op at a time).
-fn send_ahead_window(largest_chunk: usize, segments: SegmentConfig) -> usize {
-    if (SEND_AHEAD_WINDOW + 1) * segments.num_segments(largest_chunk) <= MIN_LINK_FRAMES {
-        SEND_AHEAD_WINDOW
-    } else {
-        0
-    }
 }
 
 /// A ring collective the comm thread has begun and not yet finished,
@@ -475,16 +470,9 @@ fn op_label(kind: RingKind, group: usize) -> String {
 /// The state of one rank's comm thread (see [`run_comm_thread`]).
 struct CommThread<'a, T> {
     transport: T,
+    /// The installed fusion layout; its wire dtype is the data path's.
     layout: GroupLayout,
     hyper: HyperParams,
-    /// Segmenting and wire dtype of the gradient/parameter data path.
-    segments: SegmentConfig,
-    /// The control path must stay bit-exact regardless of the run's wire
-    /// dtype: `Broadcast` ships an f64 as two f32 bit-words (any rounding
-    /// corrupts the value), and `Reconfigure` redistributes optimizer state
-    /// that checkpoints expect unrounded. Only the data path (`Reduce` and
-    /// `Flush`) uses the narrow wire.
-    control: SegmentConfig,
     strategy: ParallelismStrategy,
     mode: PipelineMode,
     jobs: &'a Receiver<CommJob>,
@@ -507,14 +495,10 @@ struct CommThread<'a, T> {
     /// A collective failed and no resize has succeeded since: the step was
     /// abandoned, and what is left of it is dropped, not run.
     broken: bool,
-    /// Ops that may be begun ahead of the head ([`send_ahead_window`]); set
-    /// by [`Self::open_window`].
-    window: usize,
 }
 
 impl<T: Transport> CommThread<'_, T> {
     fn run(&mut self) {
-        self.open_window();
         loop {
             match self.pump() {
                 Ok(true) => continue,
@@ -539,16 +523,20 @@ impl<T: Transport> CommThread<'_, T> {
         }
     }
 
-    /// Sizes the send-ahead window for the current layout and world, and
-    /// stocks the transport's pool with the wire buffers a full window has
-    /// in use at once. How far ahead the thread actually gets depends on
-    /// when jobs arrive, so without the stock the first step to fill the
-    /// window — any step, however late — would have to allocate them.
+    /// The data path's collectives: monolithic, on the layout's wire.
+    fn data_path(&self) -> SegmentConfig {
+        SegmentConfig::MONOLITHIC.with_wire(self.layout.wire())
+    }
+
+    /// Stocks the transport's pool with the wire buffers a full send-ahead
+    /// window has in use at once under the current layout and world. How
+    /// far ahead the thread actually gets depends on when jobs arrive, so
+    /// without the stock the first step to fill the window — any step,
+    /// however late — would have to allocate them.
     fn open_window(&mut self) {
         let chunk = largest_chunk(&self.layout, self.world);
-        self.window = send_ahead_window(chunk, self.segments);
-        let bytes = chunk * self.segments.wire.size_bytes();
-        let stock: Vec<_> = (0..=self.window)
+        let bytes = chunk * self.layout.wire().size_bytes();
+        let stock: Vec<_> = (0..=SEND_AHEAD_WINDOW)
             .map(|_| self.transport.take_buffer(bytes))
             .collect();
         for buf in stock {
@@ -582,6 +570,7 @@ impl<T: Transport> CommThread<'_, T> {
     /// in flight, and the next job in line is not one.
     fn pump(&mut self) -> Result<bool, CollectiveError> {
         self.fill()?;
+        let data_path = self.data_path();
         let Some(head) = self.inflight.front_mut() else {
             return Ok(false);
         };
@@ -590,12 +579,7 @@ impl<T: Transport> CommThread<'_, T> {
             .span
             .take()
             .unwrap_or_else(|| trace::span(TaskKind::Communication, || op_label(kind, group)));
-        ring_advance(
-            &self.transport,
-            &mut head.ring,
-            &mut head.data,
-            self.segments,
-        )?;
+        ring_advance(&self.transport, &mut head.ring, &mut head.data, data_path)?;
         // The head has posted its last send: the ops behind it may post
         // their first before it blocks on its last receive.
         self.fill()?;
@@ -605,7 +589,7 @@ impl<T: Transport> CommThread<'_, T> {
             other,
             ..
         } = self.inflight.pop_front().expect("the head is in flight");
-        let valid = ring_finish(&self.transport, ring, &mut data, self.segments)?;
+        let valid = ring_finish(&self.transport, ring, &mut data, data_path)?;
         span.end();
         match kind {
             RingKind::ReduceScatter(_) => self.update_and_stash(group, valid, data, other),
@@ -628,9 +612,10 @@ impl<T: Transport> CommThread<'_, T> {
 
     /// Begins ring ops while the ordering rule and the window allow: the
     /// next op's first send may go out once every op before it has posted
-    /// its last, and at most `window` ops run ahead of the head.
+    /// its last, and at most [`SEND_AHEAD_WINDOW`] ops run ahead of the
+    /// head.
     fn fill(&mut self) -> Result<(), CollectiveError> {
-        while self.inflight.len() <= self.window
+        while self.inflight.len() <= SEND_AHEAD_WINDOW
             && self.inflight.back().is_none_or(|op| op.ring.all_sent())
         {
             match self.begin_next()? {
@@ -693,7 +678,7 @@ impl<T: Transport> CommThread<'_, T> {
             .inflight
             .is_empty()
             .then(|| trace::span(TaskKind::Communication, || op_label(kind, group)));
-        let ring = ring_begin(&self.transport, kind, &mut data, self.segments)?;
+        let ring = ring_begin(&self.transport, kind, &mut data, self.data_path())?;
         Ok(Some(InFlight {
             group,
             ring,
@@ -850,7 +835,7 @@ impl<T: Transport> CommThread<'_, T> {
                     f32::from_bits((bits >> 32) as u32),
                     f32::from_bits(bits as u32),
                 ];
-                tree_broadcast_seg(&self.transport, &mut buf, root, self.control)?;
+                tree_broadcast_seg(&self.transport, &mut buf, root, CONTROL)?;
                 let bits = (u64::from(buf[0].to_bits()) << 32) | u64::from(buf[1].to_bits());
                 bc.end();
                 self.reply(CommResult::Broadcast(f64::from_bits(bits)));
@@ -858,7 +843,7 @@ impl<T: Transport> CommThread<'_, T> {
             CommJob::Barrier => {
                 let sp = trace::span(TaskKind::Communication, || "BARRIER".to_string());
                 let mut token = [0.0f32];
-                naive_all_reduce_seg(&self.transport, &mut token, ReduceOp::Sum, self.control)?;
+                naive_all_reduce_seg(&self.transport, &mut token, ReduceOp::Sum, CONTROL)?;
                 sp.end();
                 self.reply(CommResult::BarrierDone);
             }
@@ -869,8 +854,10 @@ impl<T: Transport> CommThread<'_, T> {
                 let mut velocity = self.store.export_velocity(&self.layout);
                 let mut second_moment = self.store.export_second_moment(&self.layout);
                 // WFBP keeps the whole state on every rank: the new layout
-                // only re-orders it.
-                if self.mode == PipelineMode::Dear {
+                // only re-orders it. Nor is there state to move when the
+                // first layout is installed — a test every rank answers
+                // alike, unlike one on its own shard, which may be empty.
+                if self.mode == PipelineMode::Dear && self.layout.total_elements() > 0 {
                     // Shard ownership changes with the group boundaries (or
                     // the world size, after an in-place resize), so the
                     // optimizer state must move with it: each element's
@@ -883,12 +870,7 @@ impl<T: Transport> CommThread<'_, T> {
                     let sp = trace::span(TaskKind::Communication, || "REBALANCE".to_string());
                     for full in [&mut velocity, &mut second_moment] {
                         if !full.is_empty() {
-                            ring_all_reduce_seg(
-                                &self.transport,
-                                full,
-                                ReduceOp::Sum,
-                                self.control,
-                            )?;
+                            ring_all_reduce_seg(&self.transport, full, ReduceOp::Sum, CONTROL)?;
                         }
                     }
                     sp.end();
@@ -950,12 +932,21 @@ impl<T: Transport> CommThread<'_, T> {
             }
             CommJob::AgreeStep(step) => {
                 let sp = trace::span(TaskKind::Communication, || "AGREE-STEP".to_string());
-                // Min over the f32 control path — exact for counters below
-                // 2^24, far beyond any run this harness drives.
-                let mut buf = [step as f32];
-                naive_all_reduce_seg(&self.transport, &mut buf, ReduceOp::Min, self.control)?;
+                // f32 is exact only below 2^24: the min of the high 24 bits,
+                // then of the low 24 bits of the ranks that hold it (every
+                // other rank offers 2^24, above any low half).
+                let mut high = [(step >> 24) as f32];
+                naive_all_reduce_seg(&self.transport, &mut high, ReduceOp::Min, CONTROL)?;
+                let high = high[0] as u64;
+                let low = if step >> 24 == high {
+                    step & 0xFF_FFFF
+                } else {
+                    1 << 24
+                };
+                let mut low = [low as f32];
+                naive_all_reduce_seg(&self.transport, &mut low, ReduceOp::Min, CONTROL)?;
                 sp.end();
-                self.reply(CommResult::Step(buf[0] as u64));
+                self.reply(CommResult::Step((high << 24) | low[0] as u64));
             }
             CommJob::QueryOptimBytes => {
                 self.reply(CommResult::OptimBytes(self.store.resident_bytes()));
@@ -997,12 +988,13 @@ impl<T: Transport> CommThread<'_, T> {
 ///
 /// Nor does a training thread that hangs up: replies to nobody are dropped,
 /// and the thread returns when the job channel closes.
-#[allow(clippy::too_many_arguments)]
+///
+/// The thread starts on the layout of no tensors; the training side's
+/// first job is the [`CommJob::Reconfigure`] that installs its layout, and
+/// with it the data path's wire dtype.
 pub fn run_comm_thread<T: Transport>(
     transport: T,
-    layout: GroupLayout,
     hyper: HyperParams,
-    segments: SegmentConfig,
     strategy: ParallelismStrategy,
     mode: PipelineMode,
     trace_scope: &str,
@@ -1012,14 +1004,12 @@ pub fn run_comm_thread<T: Transport>(
     trace::set_thread_stream(trace_scope, "comm");
     let world = transport.world_size();
     let rank = transport.rank();
+    let layout = GroupLayout::empty();
     CommThread {
         store: OptimStore::new(&layout, rank, world, mode),
-        window: 0,
         transport,
         layout,
         hyper,
-        segments,
-        control: segments.with_wire(DType::F32),
         strategy,
         mode,
         jobs,
@@ -1049,16 +1039,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// A real layout with one tensor per entry of `lens`, given in group
-    /// (ready) order and grouped by `plan` — `FusionPlan::singletons` or
-    /// `FusionPlan::single_group`: a network of `Embedding::new(n, 1, ..)`
-    /// layers, pushed last-first. Global offsets run against group order.
-    pub(super) fn layout_of(lens: &[usize], plan: fn(usize) -> FusionPlan) -> GroupLayout {
+    /// A network with one tensor per entry of `lens`, given in ready order:
+    /// `Embedding::new(n, 1, ..)` layers, pushed last-first.
+    pub(super) fn net_of(lens: &[usize]) -> Sequential {
         let mut rng = StdRng::seed_from_u64(0);
-        let net = lens.iter().rev().fold(Sequential::new(), |net, &n| {
+        lens.iter().rev().fold(Sequential::new(), |net, &n| {
             net.push(Embedding::new(n, 1, &mut rng))
-        });
-        GroupLayout::new(&net, plan(lens.len()))
+        })
+    }
+
+    /// The layout of [`net_of`]`(lens)`, grouped by `plan` —
+    /// `FusionPlan::singletons` or `FusionPlan::single_group`, in group
+    /// (ready) order. Global offsets run against group order.
+    pub(super) fn layout_of(lens: &[usize], plan: fn(usize) -> FusionPlan) -> GroupLayout {
+        GroupLayout::new(&net_of(lens), plan(lens.len()))
     }
 
     /// Ragged items, so that every rank's owned chunk cuts items mid-way.
@@ -1248,17 +1242,17 @@ mod tests {
         let ep = eps.pop().unwrap();
         let (job_tx, job_rx) = unbounded();
         let (res_tx, res_rx) = unbounded();
+        let layout = layout_of(&[6], FusionPlan::singletons);
+        job_tx.send(CommJob::Reconfigure { layout }).unwrap();
         let comm = std::thread::spawn(move || {
             run_comm_thread(
                 ep,
-                layout_of(&[6], FusionPlan::singletons),
                 HyperParams {
                     lr: 0.1,
                     momentum: 0.9,
                     weight_decay: 0.0,
                     kind: OptimKind::Sgd,
                 },
-                SegmentConfig::MONOLITHIC,
                 ParallelismStrategy::Ddp,
                 PipelineMode::Dear,
                 &crate::trace::unique_scope(0),
@@ -1306,12 +1300,11 @@ mod tests {
             kind: OptimKind::Sgd,
         };
         let scope = crate::trace::unique_scope(0);
+        job_tx.send(CommJob::Reconfigure { layout }).unwrap();
         let comm = std::thread::spawn(move || {
             run_comm_thread(
                 ep,
-                layout,
                 hyper,
-                SegmentConfig::MONOLITHIC,
                 ParallelismStrategy::Ddp,
                 PipelineMode::Dear,
                 &scope,

@@ -8,15 +8,14 @@ use std::time::Duration;
 
 use crossbeam_channel::unbounded;
 use dear_collectives::{
-    ring_all_gather_seg, ring_reduce_scatter_seg, LocalEndpoint, LocalFabric, Message,
+    ring_all_gather_seg, ring_reduce_scatter_seg, DType, LocalEndpoint, LocalFabric, Message,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::tests::layout_of;
+use super::tests::net_of;
 use super::*;
 use crate::PipelineMode;
-use dear_fusion::FusionPlan;
 
 /// What one message looks like on the link: element count and the first
 /// eight payload bytes.
@@ -84,19 +83,20 @@ impl Transport for Probe {
 
 /// The schedule send-ahead replaced: every ring job runs start to end
 /// through the monolithic calls before the next one is looked at. Serves
-/// the ring job and the flush only.
-#[allow(clippy::too_many_arguments)]
+/// the first job's layout, then the ring job and the flush only.
 fn run_one_at_a_time<T: Transport>(
     transport: T,
-    layout: GroupLayout,
     hyper: HyperParams,
-    segments: SegmentConfig,
     strategy: ParallelismStrategy,
     mode: PipelineMode,
     _trace_scope: &str,
     jobs: &Receiver<CommJob>,
     results: &Sender<CommResult>,
 ) {
+    let Ok(CommJob::Reconfigure { layout }) = jobs.recv() else {
+        panic!("the first job installs the layout");
+    };
+    let segments = SegmentConfig::MONOLITHIC.with_wire(layout.wire());
     let (rank, world) = (transport.rank(), transport.world_size());
     let inv_p = 1.0 / world as f32;
     let adam = matches!(hyper.kind, OptimKind::Adam { .. });
@@ -202,9 +202,9 @@ fn run_one_at_a_time<T: Transport>(
 const GROUP_ELEMENTS: [usize; 7] = [37, 2, 64, 1, 129, 16, 5];
 const STEPS: u64 = 4;
 
-/// One group per entry of [`GROUP_ELEMENTS`], one tensor each.
-fn test_layout() -> GroupLayout {
-    layout_of(&GROUP_ELEMENTS, FusionPlan::singletons)
+/// One group per entry of [`GROUP_ELEMENTS`], one tensor each, on `wire`.
+fn test_layout(wire: DType) -> GroupLayout {
+    GroupLayout::from_buffer_wire(&net_of(&GROUP_ELEMENTS), None, wire)
 }
 
 fn test_hyper() -> HyperParams {
@@ -236,9 +236,7 @@ fn initial_params() -> Vec<Vec<f32>> {
 /// What a comm thread is run as: [`run_comm_thread`] or the reference.
 type CommFn = fn(
     Probe,
-    GroupLayout,
     HyperParams,
-    SegmentConfig,
     ParallelismStrategy,
     PipelineMode,
     &str,
@@ -252,11 +250,12 @@ struct Setup {
     comm: CommFn,
     mode: PipelineMode,
     strategy: ParallelismStrategy,
-    segments: SegmentConfig,
+    wire: DType,
 }
 
-/// Spawns rank `ep.rank()`'s comm thread over a probe, with whatever
-/// `queue` posts already waiting in its job channel when it starts.
+/// Spawns rank `ep.rank()`'s comm thread over a probe, with the layout job
+/// and whatever `queue` posts after it already waiting in its job channel
+/// when it starts.
 fn spawn_comm<'scope, 'env>(
     s: &'scope std::thread::Scope<'scope, 'env>,
     ep: LocalEndpoint,
@@ -264,18 +263,17 @@ fn spawn_comm<'scope, 'env>(
     setup: Setup,
     queue: impl FnOnce(&Sender<CommJob>),
 ) -> (Sender<CommJob>, Receiver<CommResult>, Arc<Mutex<SendLog>>) {
-    let layout = test_layout();
     let (probe, sent) = Probe::new(ep, fail_recv);
     let (job_tx, job_rx) = unbounded();
     let (res_tx, res_rx) = unbounded();
+    let layout = test_layout(setup.wire);
+    job_tx.send(CommJob::Reconfigure { layout }).unwrap();
     queue(&job_tx);
     s.spawn(move || {
         let scope = crate::trace::unique_scope(probe.rank());
         (setup.comm)(
             probe,
-            layout,
             test_hyper(),
-            setup.segments,
             setup.strategy,
             setup.mode,
             &scope,
@@ -370,23 +368,15 @@ fn send_ahead_keeps_every_link_in_sequential_order_and_every_bit() {
         (PipelineMode::Dear, ParallelismStrategy::Zero2),
         (PipelineMode::Wfbp, ParallelismStrategy::Ddp),
     ];
-    // The last two configs segment the wire: one frame per chunk still
-    // (send-ahead stays on), and many (it falls back to one op at a time).
-    let wires = [
-        SegmentConfig::MONOLITHIC,
-        SegmentConfig::MONOLITHIC.with_wire(DType::Bf16),
-        SegmentConfig::new(1 << 20),
-        SegmentConfig::new(64),
-    ];
     for world in [2usize, 3, 4] {
         for &(mode, strategy) in &cases {
-            for (i, &segments) in wires.iter().enumerate() {
-                let case = format!("world {world} {mode:?} {strategy:?} {segments:?}");
+            for (i, wire) in [DType::F32, DType::Bf16].into_iter().enumerate() {
+                let case = format!("world {world} {mode:?} {strategy:?} {wire}");
                 let setup = |comm| Setup {
                     comm,
                     mode,
                     strategy,
-                    segments,
+                    wire,
                 };
                 let reference = run_world(world, setup(run_one_at_a_time), None, 0..STEPS);
                 for seed in 0..2u64 {
@@ -415,22 +405,6 @@ fn send_ahead_keeps_every_link_in_sequential_order_and_every_bit() {
     }
 }
 
-#[test]
-fn window_is_full_on_a_monolithic_wire_and_closed_on_a_segmented_one() {
-    let layout = test_layout();
-    // The largest chunk is ⌈129 / world⌉ elements.
-    for world in [1usize, 2, 4] {
-        let w = |seg| send_ahead_window(largest_chunk(&layout, world), seg);
-        assert_eq!(w(SegmentConfig::MONOLITHIC), SEND_AHEAD_WINDOW);
-        assert_eq!(w(SegmentConfig::new(1 << 20)), SEND_AHEAD_WINDOW);
-        assert_eq!(w(SegmentConfig::new(64)), 0, "several frames per chunk");
-    }
-    // Two frames per chunk already overrun the floor with a window ahead.
-    let two = SegmentConfig::new(4 * 129_usize.div_ceil(2).div_ceil(2));
-    assert_eq!(two.num_segments(129_usize.div_ceil(2)), 2);
-    assert_eq!(send_ahead_window(largest_chunk(&layout, 2), two), 0);
-}
-
 /// Posts `rank`'s DeAR `Reduce`s of `step` for the groups `which`, in backward
 /// order, always from the initial parameters.
 fn post_rs(jobs: &Sender<CommJob>, rank: usize, step: u64, which: Range<usize>) {
@@ -453,7 +427,7 @@ fn failure_with_ops_in_flight_abandons_the_step_once_and_recovers() {
         comm,
         mode: PipelineMode::Dear,
         strategy: ParallelismStrategy::Ddp,
-        segments: SegmentConfig::MONOLITHIC,
+        wire: DType::F32,
     };
     let healthy = run_world(2, setup(run_one_at_a_time), None, 1..2);
 
@@ -509,7 +483,7 @@ fn failure_with_ops_in_flight_abandons_the_step_once_and_recovers() {
             }
         }
         assert_eq!(sent(), 4, "the abandoned step sent nothing after it failed");
-        let total = test_layout().total_elements();
+        let total = test_layout(DType::F32).total_elements();
         for (rank, (jobs, _)) in ends.iter().enumerate() {
             jobs.send(CommJob::ImportOptimState(OptimState {
                 velocity: vec![0.0; total],

@@ -3,7 +3,7 @@
 
 use crossbeam_channel::{Receiver, Sender};
 
-use dear_collectives::{CollectiveError, DType, WorldChange};
+use dear_collectives::{CollectiveError, WorldChange};
 use dear_fusion::GroupTracker;
 use dear_minidnn::{softmax_cross_entropy, ParamStore, Sequential, Tensor};
 
@@ -55,10 +55,6 @@ pub struct DistOptim {
     /// The configured update rule, re-sent with every hyper-parameter
     /// change.
     kind: OptimKind,
-    /// Wire dtype of the data path — re-bucketing sizes groups in wire
-    /// bytes, so the fusion search must know what a parameter costs on
-    /// the wire.
-    wire: DType,
     iter: u64,
     /// Start of the currently-open feed-forward trace segment, if tracing.
     fw_seg: Option<std::time::Instant>,
@@ -81,8 +77,9 @@ impl std::fmt::Debug for DistOptim {
 }
 
 impl DistOptim {
-    /// Builds the optimizer. Called by the cluster runner; see
-    /// [`crate::run_training`] for the user entry point.
+    /// Builds the optimizer and posts `layout` to the comm thread, which
+    /// holds the layout of no tensors until then. Called by the cluster
+    /// runner; see [`crate::run_training`] for the user entry point.
     #[must_use]
     #[allow(clippy::too_many_arguments)] // internal constructor, one call site
     pub(crate) fn new(
@@ -94,13 +91,12 @@ impl DistOptim {
         results: Receiver<CommResult>,
         kind: OptimKind,
         trace_scope: &str,
-        wire: DType,
     ) -> Self {
         // The training loop runs on the constructing thread; name its
         // stream so fw/bw spans pair with this worker's comm stream.
         trace::set_thread_stream(trace_scope, "compute");
         let tracker = GroupTracker::new(layout.plan());
-        DistOptim {
+        let optim = DistOptim {
             rank,
             world,
             mode,
@@ -110,11 +106,14 @@ impl DistOptim {
             results,
             pending: 0,
             kind,
-            wire,
             iter: 0,
             fw_seg: None,
             comm_failed: None,
-        }
+        };
+        optim.post(CommJob::Reconfigure {
+            layout: optim.layout.clone(),
+        });
+        optim
     }
 
     /// This worker's rank.
@@ -540,14 +539,15 @@ impl DistOptim {
     /// be called collectively at an iteration boundary after
     /// [`DistOptim::synchronize`], with the same value on every rank —
     /// pair with [`DistOptim::broadcast_value`]. The next step re-packs the
-    /// network's store to the new groups; parameters carry over.
+    /// network's store to the new groups; parameters carry over. Groups
+    /// are sized in bytes of the run's wire dtype, which stays the same.
     ///
     /// # Panics
     ///
     /// Panics if called with communication outstanding.
     pub fn set_fusion_buffer(&mut self, net: &Sequential, buffer_bytes: Option<u64>) {
         self.assert_synchronized("re-bucketing");
-        let layout = GroupLayout::from_buffer_wire(net, buffer_bytes, self.wire);
+        let layout = GroupLayout::from_buffer_wire(net, buffer_bytes, self.layout.wire());
         self.post(CommJob::Reconfigure {
             layout: layout.clone(),
         });
@@ -690,7 +690,8 @@ mod tests {
     }
 
     /// Rank 0 of 2 under DeAR over a four-group network, with the test
-    /// holding the comm thread's ends of both channels.
+    /// holding the comm thread's ends of both channels — the layout the
+    /// optimizer posted on construction already taken off.
     #[allow(clippy::type_complexity)]
     fn played() -> (
         DistOptim,
@@ -717,8 +718,13 @@ mod tests {
             res_rx,
             OptimKind::Sgd,
             &trace::unique_scope(0),
-            DType::F32,
         );
+        match job_rx.try_recv() {
+            Ok(CommJob::Reconfigure { layout: posted }) => {
+                assert_eq!(posted.segmentation(), layout.segmentation());
+            }
+            other => panic!("expected the layout first, got {other:?}"),
+        }
         (optim, net, layout, job_rx, res_tx)
     }
 

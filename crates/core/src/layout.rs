@@ -48,6 +48,8 @@ pub struct GroupLayout {
     segmentation: Vec<Vec<(usize, usize)>>,
     /// Total elements across the network.
     total_elements: usize,
+    /// The wire dtype the groups were sized for, and the data path's.
+    wire: DType,
 }
 
 impl GroupLayout {
@@ -132,7 +134,14 @@ impl GroupLayout {
             item_of,
             segmentation,
             total_elements,
+            wire: DType::F32,
         }
+    }
+
+    /// The layout of no tensors: what a comm thread holds until the first
+    /// layout is installed.
+    pub(crate) fn empty() -> Self {
+        GroupLayout::new(&Sequential::new(), FusionPlan::singletons(0))
     }
 
     /// Convenience: layout from a greedy buffer-threshold plan (`None`
@@ -171,13 +180,20 @@ impl GroupLayout {
             Some(b) => FusionPlan::by_buffer_bytes(&sizes, b),
             None => FusionPlan::singletons(sizes.len()),
         };
-        GroupLayout::new(net, plan)
+        let mut layout = GroupLayout::new(net, plan);
+        layout.wire = wire;
+        layout
     }
 
     /// The underlying plan.
     #[must_use]
     pub fn plan(&self) -> &FusionPlan {
         &self.plan
+    }
+
+    /// The wire dtype the groups were sized for — the data path's.
+    pub(crate) fn wire(&self) -> DType {
+        self.wire
     }
 
     /// Number of groups.

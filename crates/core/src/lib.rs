@@ -62,7 +62,7 @@ pub mod tuning;
 pub use checkpoint::{CheckpointError, CheckpointStore, TrainCheckpoint};
 pub use cluster::{run_training, run_worker, train_single_reference, TrainConfig, WorkerHandle};
 pub use comm::{HyperParams, OptimKind, OptimState};
-pub use dear_collectives::{DType, SegmentConfig};
+pub use dear_collectives::DType;
 pub use dear_fusion as fusion;
 pub use dist_optim::{DistOptim, PipelineMode};
 pub use layout::{GroupLayout, ItemSpec};

@@ -86,10 +86,8 @@ pub struct NetConfig {
     /// waits once this many frames are queued on that link. Never below
     /// [`MIN_LINK_FRAMES`]: the comm thread sends that far ahead of its
     /// receives, and two ranks doing so to each other over a shallower
-    /// ring would both block in `send`. A segmented run additionally needs
-    /// room for one chunk's segments (they are all queued before the
-    /// chunk's receives). TCP links do not read it — their depth is the
-    /// kernel's socket buffers plus the peer's unbounded inbox.
+    /// ring would both block in `send`. TCP links do not read it — their
+    /// depth is the kernel's socket buffers plus the peer's unbounded inbox.
     pub outbox_frames: usize,
     /// Heartbeat probe interval, or `None` to disable failure detection.
     /// When enabled, a monitor thread sends a liveness frame to every idle
@@ -107,7 +105,7 @@ pub struct NetConfig {
     pub generation: u64,
     /// Wire dtype for the training data path (`f32`/`bf16`/`f16`): the
     /// mixed-precision knob, passed through to the run's
-    /// [`SegmentConfig`](dear_collectives::SegmentConfig). Frames are
+    /// [`TrainConfig::wire`](dear_core::TrainConfig::wire). Frames are
     /// self-describing, so peers on different settings still interoperate.
     /// Env: `DEAR_WIRE_DTYPE`.
     pub wire: DType,

@@ -3,13 +3,13 @@
 //! before it takes any off. A bounded transport must hold that many without
 //! blocking `send`, or both ranks wait on each other until the send
 //! deadline. This drives real DeAR training over the shm and TCP fabrics at
-//! the **smallest queue depth the configuration accepts**, monolithic and
-//! segmented, and demands every step finish with no `Timeout` — and with
-//! the bits of the in-process fabric.
+//! the **smallest queue depth the configuration accepts** and demands every
+//! step finish with no `Timeout` — and with the bits of the in-process
+//! fabric.
 
 use std::time::Duration;
 
-use dear_collectives::{LocalFabric, SegmentConfig, Transport, MIN_LINK_FRAMES};
+use dear_collectives::{LocalFabric, Transport, MIN_LINK_FRAMES};
 use dear_core::{run_worker, PipelineMode, TrainConfig};
 use dear_minidnn::{BlobDataset, Linear, Relu, Sequential};
 use dear_net::{hash_params, tcp_loopback_with, NetConfig, ShmFabric};
@@ -40,13 +40,12 @@ fn floor_cfg(cfg: NetConfig) -> NetConfig {
 }
 
 /// Trains `STEPS` DeAR steps on every endpoint; the ranks' parameter hashes.
-fn train<T: Transport + Send + 'static>(endpoints: Vec<T>, segments: SegmentConfig) -> Vec<u64> {
+fn train<T: Transport + Send + 'static>(endpoints: Vec<T>) -> Vec<u64> {
     let config = TrainConfig {
         lr: 0.05,
         momentum: 0.9,
         fusion_buffer: None,
         mode: PipelineMode::Dear,
-        segments,
         ..TrainConfig::default()
     };
     let data = BlobDataset::new(8, 4, 0.4, 5);
@@ -85,30 +84,11 @@ fn smallest_accepted_queue_depth_never_blocks_the_send_ahead() {
         MIN_LINK_FRAMES,
         "the configuration floor is the shared constant"
     );
-    // Monolithic: the full window runs ahead, one frame per op. 512-byte
-    // segments cut the largest chunk (24·24/2 elements) into three frames:
-    // one op fits the floor, a window of them does not, so the comm thread
-    // must fall back to one op at a time. 32-byte segments cut it into
-    // more frames than the floor holds at all — a shm ring that small
-    // cannot carry such a run with or without send-ahead (every segment of
-    // a chunk is queued before the chunk's receives).
-    for segments in [
-        SegmentConfig::MONOLITHIC,
-        SegmentConfig::new(512),
-        SegmentConfig::new(32),
-    ] {
-        let reference = train(LocalFabric::create(WORLD), segments);
-        assert_eq!(reference[0], reference[1], "ranks diverged");
-        if segments.num_segments(24 * 24 / WORLD) <= MIN_LINK_FRAMES {
-            let shm = ShmFabric::with_config(
-                &floor_cfg(NetConfig::new(WORLD, 0, "127.0.0.1:0")),
-                &[0, 1],
-            );
-            assert_eq!(train(shm, segments), reference, "shm, {segments:?}");
-        }
-        // TCP readers drain the socket into an unbounded inbox, so even a
-        // chunk of many segments cannot wedge two senders.
-        let tcp = tcp_loopback_with(WORLD, floor_cfg).expect("loopback rendezvous");
-        assert_eq!(train(tcp, segments), reference, "tcp, {segments:?}");
-    }
+    // The full window runs ahead, one frame per op.
+    let reference = train(LocalFabric::create(WORLD));
+    assert_eq!(reference[0], reference[1], "ranks diverged");
+    let shm = ShmFabric::with_config(&floor_cfg(NetConfig::new(WORLD, 0, "127.0.0.1:0")), &[0, 1]);
+    assert_eq!(train(shm), reference, "shm");
+    let tcp = tcp_loopback_with(WORLD, floor_cfg).expect("loopback rendezvous");
+    assert_eq!(train(tcp), reference, "tcp");
 }

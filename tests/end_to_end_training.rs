@@ -104,7 +104,8 @@ fn training_over_emulated_network_still_converges() {
         fusion_buffer: Some(4 << 10),
         ..TrainConfig::default()
     };
-    let model = CostModel::new(20_000.0, 0.01, 0.0);
+    // A 20 µs, 0.01 ns/B link at 1/20 scale.
+    let model = CostModel::new(1_000.0, 0.000_5, 0.0);
     let worker = |handle: dear::WorkerHandle| {
         let rank = handle.rank();
         let mut net = build_net(2);
@@ -121,7 +122,7 @@ fn training_over_emulated_network_still_converges() {
         let ranks: Vec<_> = LocalFabric::create(3)
             .into_iter()
             .map(|ep| {
-                let link = DelayFabric::with_scale(ep, model, 0.05);
+                let link = DelayFabric::new(ep, model);
                 let config = config.clone();
                 s.spawn(move || run_worker(link, config, worker))
             })
