@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use dear_collectives::{naive_all_reduce_seg, ReduceOp, SegmentConfig, Transport};
+use dear_collectives::Transport;
 use dear_core::{run_worker, CheckpointStore, OptimState, TrainCheckpoint, TrainConfig};
 use dear_minidnn::{BlobDataset, Linear, Relu, Sequential};
 use dear_net::tcp_loopback;
@@ -139,14 +139,11 @@ fn one_restart(dir: &std::path::Path) -> (Duration, Duration) {
                 let rank = ep.rank();
                 let store = CheckpointStore::new(dir, rank).expect("store");
                 let ckpt = store.latest_valid().expect("seeded checkpoint");
-                let mut offer = [ckpt.step as f32];
-                naive_all_reduce_seg(&ep, &mut offer, ReduceOp::Min, SegmentConfig::MONOLITHIC)
-                    .expect("agreement");
-                assert_eq!(offer[0] as u64, ckpt.step, "stores were seeded in sync");
-                let resume = ckpt.step;
                 run_worker(ep, config, move |handle| {
                     let mut net = demo_net(7);
                     let mut optim = handle.into_optim(&net);
+                    let resume = optim.agree_min_step(ckpt.step).expect("agreement");
+                    assert_eq!(resume, ckpt.step, "stores were seeded in sync");
                     net.set_flat_params(&ckpt.params);
                     optim
                         .import_optim_state(ckpt.optim)

@@ -1,5 +1,6 @@
-//! α-β communication cost models (Thakur et al., Hockney) for every
-//! collective algorithm in this crate.
+//! α-β communication cost models (Thakur et al., Hockney) for the
+//! collectives the schedulers cost: the ring, its hierarchical composition
+//! and the double binary tree's two phases.
 //!
 //! The DeAR paper's analysis (Eqs. 3–5) uses the standard α-β model: a
 //! point-to-point message of `d` elements between two workers costs
@@ -223,94 +224,6 @@ impl CostModel {
         self.ring_reduce_scatter(bytes, world) + self.ring_all_gather(bytes, world)
     }
 
-    /// Recursive-halving reduce-scatter: `log₂(P)` rounds with halving
-    /// volumes, total `log₂(P)·α + (P−1)/P·d·β`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `world` is not a power of two.
-    #[must_use]
-    pub fn rhd_reduce_scatter(&self, bytes: u64, world: usize) -> SimDuration {
-        assert!(world.is_power_of_two(), "RHD requires a power-of-two world");
-        if world == 1 {
-            return SimDuration::ZERO;
-        }
-        let log_p = world.trailing_zeros() as f64;
-        let volume = bytes as f64 * (world - 1) as f64 / world as f64;
-        SimDuration::from_nanos(
-            (log_p * self.alpha_ns + volume * (self.beta_ns_per_byte + self.gamma_ns_per_byte))
-                .round() as u64,
-        )
-    }
-
-    /// Recursive-doubling all-gather: mirror of
-    /// [`CostModel::rhd_reduce_scatter`], without the reduction term.
-    #[must_use]
-    pub fn rhd_all_gather(&self, bytes: u64, world: usize) -> SimDuration {
-        assert!(world.is_power_of_two(), "RHD requires a power-of-two world");
-        if world == 1 {
-            return SimDuration::ZERO;
-        }
-        let log_p = world.trailing_zeros() as f64;
-        let volume = bytes as f64 * (world - 1) as f64 / world as f64;
-        SimDuration::from_nanos(
-            (log_p * self.alpha_ns + volume * self.beta_ns_per_byte).round() as u64,
-        )
-    }
-
-    /// Recursive halving-doubling all-reduce (Rabenseifner):
-    /// `2·log₂(P)·α + 2(P−1)/P·d·β`.
-    #[must_use]
-    pub fn rhd_all_reduce(&self, bytes: u64, world: usize) -> SimDuration {
-        self.rhd_reduce_scatter(bytes, world) + self.rhd_all_gather(bytes, world)
-    }
-
-    /// Binomial-tree reduce (to root): `⌈log₂(P)⌉(α + dβ)`.
-    #[must_use]
-    pub fn tree_reduce(&self, bytes: u64, world: usize) -> SimDuration {
-        assert!(world > 0, "world size must be positive");
-        let rounds = (world as f64).log2().ceil();
-        self.rounds(rounds, bytes as f64, true)
-    }
-
-    /// Binomial-tree broadcast (from root): `⌈log₂(P)⌉(α + dβ)`.
-    #[must_use]
-    pub fn tree_broadcast(&self, bytes: u64, world: usize) -> SimDuration {
-        assert!(world > 0, "world size must be positive");
-        let rounds = (world as f64).log2().ceil();
-        self.rounds(rounds, bytes as f64, false)
-    }
-
-    /// Double-binary-tree all-reduce (Sanders et al., used by NCCL at
-    /// scale): each of the two complementary trees carries half the data,
-    /// pipelined, so the bandwidth term stays `2dβ·(1/2·2)` = `2dβ` halved
-    /// per tree; we model `2⌈log₂(P)⌉α + 2·(d/2)·β` per tree executed
-    /// concurrently ⇒ `2⌈log₂(P)⌉α + d·β` serialized on a single NIC as
-    /// `2⌈log₂(P)⌉α + 2·(d/2)·β·2 / 2`.
-    ///
-    /// In effect: latency `2⌈log₂(P)⌉α`, bandwidth `2·d·β·(1/2)·2 = 2dβ` on
-    /// one shared link; we charge `2⌈log₂(P)⌉α + 2dβ` to stay conservative
-    /// and comparable to the ring's bandwidth term.
-    #[must_use]
-    pub fn double_binary_tree_all_reduce(&self, bytes: u64, world: usize) -> SimDuration {
-        assert!(world > 0, "world size must be positive");
-        if world == 1 {
-            return SimDuration::ZERO;
-        }
-        let rounds = 2.0 * (world as f64).log2().ceil();
-        SimDuration::from_nanos(
-            (rounds * self.alpha_ns
-                + 2.0 * bytes as f64 * (self.beta_ns_per_byte + 0.5 * self.gamma_ns_per_byte))
-                .round() as u64,
-        )
-    }
-
-    /// Naive all-reduce = tree reduce to rank 0 + tree broadcast.
-    #[must_use]
-    pub fn naive_all_reduce(&self, bytes: u64, world: usize) -> SimDuration {
-        self.tree_reduce(bytes, world) + self.tree_broadcast(bytes, world)
-    }
-
     /// Hierarchical (2-level) ring all-reduce over `nodes` nodes with
     /// `gpus_per_node` workers each: intra-node RS, inter-node AR over the
     /// scattered shard, intra-node AG. The intra-node phases use `intra`.
@@ -459,30 +372,11 @@ mod tests {
     }
 
     #[test]
-    fn rhd_beats_ring_on_latency_small_messages() {
-        let m = CostModel::ten_gbe();
-        assert!(m.rhd_all_reduce(1_000, 64) < m.ring_all_reduce(1_000, 64));
-    }
-
-    #[test]
-    fn rhd_matches_ring_bandwidth_term() {
-        // With α = 0 the two algorithms cost the same.
-        let m = CostModel::new(0.0, 0.8, 0.0);
-        assert_eq!(m.rhd_all_reduce(MB, 64), m.ring_all_reduce(MB, 64));
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn rhd_rejects_non_power_of_two() {
-        let _ = CostModel::ten_gbe().rhd_all_reduce(1, 6);
-    }
-
-    #[test]
     fn world_of_one_costs_nothing() {
         let m = CostModel::ten_gbe();
         assert_eq!(m.ring_all_reduce(MB, 1), SimDuration::ZERO);
-        assert_eq!(m.rhd_all_reduce(MB, 1), SimDuration::ZERO);
-        assert_eq!(m.double_binary_tree_all_reduce(MB, 1), SimDuration::ZERO);
+        assert_eq!(m.double_tree_reduce_phase(MB, 1), SimDuration::ZERO);
+        assert_eq!(m.double_tree_broadcast_phase(MB, 1), SimDuration::ZERO);
     }
 
     #[test]
@@ -492,9 +386,6 @@ mod tests {
             for bytes in [1_000, MB, 100 * MB] {
                 assert!(
                     m.all_reduce_bandwidth_bound(bytes, world) <= m.ring_all_reduce(bytes, world)
-                );
-                assert!(
-                    m.all_reduce_bandwidth_bound(bytes, world) <= m.rhd_all_reduce(bytes, world)
                 );
             }
         }
@@ -530,20 +421,6 @@ mod tests {
                 let phased = inter.hierarchical_rs_phase(&intra, bytes, nodes, g)
                     + inter.hierarchical_ag_phase(&intra, bytes, nodes, g);
                 assert_eq!(fused, phased, "{nodes}x{g} {bytes}B");
-            }
-        }
-    }
-
-    #[test]
-    fn double_tree_phases_compose_to_double_tree_all_reduce() {
-        let m = CostModel::ten_gbe();
-        for world in [2, 16, 64] {
-            for bytes in [MB, 64 * MB] {
-                assert_eq!(
-                    m.double_tree_reduce_phase(bytes, world)
-                        + m.double_tree_broadcast_phase(bytes, world),
-                    m.double_binary_tree_all_reduce(bytes, world)
-                );
             }
         }
     }

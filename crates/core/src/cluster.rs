@@ -587,6 +587,49 @@ mod tests {
     }
 
     #[test]
+    fn adam_rebalance_with_a_rank_that_owns_nothing() {
+        // Three ranks over two 2-element groups: rank 1's chunk is empty in
+        // both, so it holds no second moment. The rebalance must still
+        // enter every collective its peers enter, and — layout and world
+        // unchanged — leave the run bit-equal to one that never rebalanced.
+        let data = BlobDataset::new(1, 2, 0.4, 31);
+        let config = TrainConfig {
+            lr: 0.01,
+            fusion_buffer: None,
+            optim: OptimKind::adam_default(),
+            ..TrainConfig::default()
+        };
+        let data = &data;
+        let run = |rebalance: bool| {
+            run_with_recv_deadline(3, &config, move |handle| {
+                let rank = handle.rank();
+                let mut net =
+                    Sequential::new().push(Linear::new(1, 2, &mut StdRng::seed_from_u64(3)));
+                let mut optim = handle.into_optim(&net);
+                for step in 0..8 {
+                    if step == 4 {
+                        optim.synchronize(&mut net).unwrap();
+                        if rebalance {
+                            optim.rebalance_optim_state().unwrap();
+                        }
+                    }
+                    let (x, labels) = data.shard(step, 6, rank, 3);
+                    optim.train_step(&mut net, &x, &labels).unwrap();
+                }
+                optim.synchronize(&mut net).unwrap();
+                net.flat_params()
+            })
+        };
+        let bits = |ranks: Vec<Vec<f32>>| {
+            ranks
+                .into_iter()
+                .map(|p| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(run(true)), bits(run(false)));
+    }
+
+    #[test]
     fn bf16_wire_training_converges() {
         // Mixed precision on the wire: gradients cross the fabric as bf16
         // (half the bytes) but every hop accumulates in f32. That rounds

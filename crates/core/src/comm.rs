@@ -853,6 +853,13 @@ impl<T: Transport> CommThread<'_, T> {
                 }
                 let mut velocity = self.store.export_velocity(&self.layout);
                 let mut second_moment = self.store.export_second_moment(&self.layout);
+                // Whether a second moment exists is decided on values every
+                // rank shares, not on its own shard, which may be empty: a
+                // rank that owns nothing then still enters the all-reduce.
+                let adam = matches!(self.hyper.kind, OptimKind::Adam { .. });
+                if adam && self.adam_step > 0 && second_moment.is_empty() {
+                    second_moment = vec![0.0; self.layout.total_elements()];
+                }
                 // WFBP keeps the whole state on every rank: the new layout
                 // only re-orders it. Nor is there state to move when the
                 // first layout is installed — a test every rank answers

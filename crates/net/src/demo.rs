@@ -2,7 +2,7 @@
 //! over a real [`TcpEndpoint`], used by the multi-process smoke tests and
 //! as a copy-paste template for real deployments.
 
-use dear_collectives::{naive_all_reduce_seg, CollectiveError, ReduceOp, SegmentConfig, Transport};
+use dear_collectives::{CollectiveError, Transport};
 use dear_core::checkpoint::fnv1a64;
 use dear_core::fusion::RandomSearch;
 use dear_core::trace::{self, OverlapSummary};
@@ -272,44 +272,6 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
         ),
         None => None,
     };
-    // Agree on the resume point before training: each rank offers the step
-    // of its newest *valid* checkpoint (−1 = none), and the world takes the
-    // minimum, so every rank is guaranteed to hold the chosen one (a rank
-    // killed mid-save only ever lags the others, and retention keeps
-    // several steps back). −1 anywhere means a fresh start everywhere.
-    let (start, resume) = match &store {
-        Some(store) => {
-            let mine = store.latest_valid();
-            let mut offer = [mine.as_ref().map_or(-1.0, |c| c.step as f32)];
-            naive_all_reduce_seg(
-                &transport,
-                &mut offer,
-                ReduceOp::Min,
-                SegmentConfig::MONOLITHIC,
-            )
-            .map_err(|e| NetError::Protocol(format!("resume-step agreement: {e}")))?;
-            if offer[0] < 0.0 {
-                (0, None)
-            } else {
-                let agreed = offer[0] as u64;
-                let ckpt = match mine {
-                    Some(c) if c.step == agreed => c,
-                    _ => TrainCheckpoint::load(&store.path_for(agreed)).map_err(|e| {
-                        NetError::Config(format!(
-                            "loading agreed checkpoint for step {agreed}: {e}"
-                        ))
-                    })?,
-                };
-                eprintln!(
-                    "dear-demo rank={rank} resuming from checkpoint at step {agreed} \
-                     (generation {})",
-                    cfg.generation
-                );
-                (agreed, Some(ckpt))
-            }
-        }
-        None => (0, None),
-    };
     let data = BlobDataset::new(6, 3, 0.4, 99);
     let train_cfg = TrainConfig {
         fusion_buffer: Some(512), // several groups => real pipelining
@@ -324,6 +286,8 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
     // window's observation.
     let tune_window = cfg.demo.tune_window;
     let elastic = cfg.elastic_resize;
+    let generation = cfg.generation;
+    let training = |e: CollectiveError| NetError::Protocol(format!("training: {e}"));
     let (eval_loss, params_hash, optim_bytes, rank, world) =
         run_worker(transport, train_cfg, move |handle| {
             let mut net = demo_net(7);
@@ -332,9 +296,36 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
             let mut world = world;
             let mut tuning: Option<OnlineTuning<RandomSearch>> = (tune_window > 0)
                 .then(|| OnlineTuning::new(None, tune_window, (8 * world) as f64, fusion_hint));
-            if let Some(ckpt) = resume {
-                net.set_flat_params(&ckpt.params);
-                optim.import_optim_state(ckpt.optim)?;
+            // Agree on the resume point before training: each rank offers
+            // one past the step of its newest *valid* checkpoint (0 = none),
+            // and the world takes the minimum, so every rank is guaranteed
+            // to hold the chosen one (a rank killed mid-save only ever lags
+            // the others, and retention keeps several steps back). 0
+            // anywhere means a fresh start everywhere.
+            let mut start = 0;
+            if let Some(store) = &store {
+                let mine = store.latest_valid();
+                let offer = mine.as_ref().map_or(0, |c| c.step + 1);
+                let agreed = optim
+                    .agree_min_step(offer)
+                    .map_err(|e| NetError::Protocol(format!("resume-step agreement: {e}")))?;
+                if let Some(agreed) = agreed.checked_sub(1) {
+                    let ckpt = match mine {
+                        Some(c) if c.step == agreed => c,
+                        _ => TrainCheckpoint::load(&store.path_for(agreed)).map_err(|e| {
+                            NetError::Config(format!(
+                                "loading agreed checkpoint for step {agreed}: {e}"
+                            ))
+                        })?,
+                    };
+                    eprintln!(
+                        "dear-demo rank={rank} resuming from checkpoint at step {agreed} \
+                         (generation {generation})"
+                    );
+                    net.set_flat_params(&ckpt.params);
+                    optim.import_optim_state(ckpt.optim).map_err(training)?;
+                    start = agreed;
+                }
             }
             // Rollback anchors for in-place resize: the last TWO boundaries
             // this rank passed. A ring collective can complete on some
@@ -351,7 +342,7 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
             let mut step = start;
             let mut snap_step = start;
             let mut snap_params = net.flat_params();
-            let mut snap_optim = optim.export_optim_state()?;
+            let mut snap_optim = optim.export_optim_state().map_err(training)?;
             let mut prev_step = snap_step;
             let mut prev_params = snap_params.clone();
             let mut prev_optim = snap_optim.clone();
@@ -393,7 +384,7 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                     ),
                 }
                 net.set_flat_params(&snap_params);
-                optim.import_optim_state(snap_optim.clone())?;
+                optim.import_optim_state(snap_optim.clone()).map_err(training)?;
                 optim
                     .rebalance_optim_state()
                     .unwrap_or_else(|err| panic!("optimizer-shard rebalance failed: {err}"));
@@ -425,12 +416,14 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                                 recover!(e);
                                 continue;
                             }
-                            outcome => outcome?,
+                            outcome => outcome.map_err(training)?,
                         }
                         prev_step = snap_step;
                         prev_params = std::mem::replace(&mut snap_params, net.flat_params());
-                        prev_optim =
-                            std::mem::replace(&mut snap_optim, optim.export_optim_state()?);
+                        prev_optim = std::mem::replace(
+                            &mut snap_optim,
+                            optim.export_optim_state().map_err(training)?,
+                        );
                         snap_step = step;
                         // One write_all per line: stderr is unbuffered, so a
                         // multi-fragment eprintln! from 4 ranks sharing the
@@ -470,7 +463,7 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                             recover!(e);
                             continue;
                         }
-                        outcome => outcome?,
+                        outcome => outcome.map_err(training)?,
                     };
                     if let Some(t) = tuning.as_mut() {
                         if let Some(throughput) = t.on_step() {
@@ -487,20 +480,19 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
                         recover!(e);
                         continue;
                     }
-                    outcome => outcome?,
+                    outcome => outcome.map_err(training)?,
                 }
                 break 'run;
             }
             // Queried after the final synchronize, so the figure reflects the
             // steady resident state (the dense owned shard).
-            let optim_bytes = optim.optim_state_bytes()?;
+            let optim_bytes = optim.optim_state_bytes().map_err(training)?;
             let (x, labels) = data.batch(1_000_000, 64);
             let logits = net.forward(&x);
             let (loss, _) = softmax_cross_entropy(&logits, &labels);
             let hash = hash_params(&net.flat_params());
-            Ok::<_, CollectiveError>((loss, hash, optim_bytes, rank, world))
-        })
-        .map_err(|e| NetError::Protocol(format!("training: {e}")))?;
+            Ok((loss, hash, optim_bytes, rank, world))
+        })?;
     // End-of-run trace dump: one Perfetto-loadable file per rank plus a
     // greppable overlap summary line on stderr.
     if let Some(prefix) = trace::configured_path() {
@@ -550,6 +542,46 @@ mod tests {
         assert_eq!(choose_rollback(0, 6, 3), None);
         // Fresh start: both anchors sit at the start step.
         assert_eq!(choose_rollback(0, 0, 0), Some(Rollback::Current));
+    }
+
+    #[test]
+    fn resumes_at_a_step_past_f32_precision() {
+        // 2^24 + 1 is the first step an f32 cannot hold: the world must
+        // still agree on it exactly and resume from that checkpoint.
+        const STEP: u64 = (1 << 24) + 1;
+        let dir = std::env::temp_dir().join(format!("dear-demo-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = NetConfig::new(2, 0, "127.0.0.1:0");
+        cfg.demo.ckpt_dir = Some(dir.display().to_string());
+        cfg.demo.ckpt_every = 2;
+        let run = |steps: u64| {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = dear_collectives::LocalFabric::create(2)
+                    .into_iter()
+                    .map(|ep| s.spawn(|| run_demo_on(ep, &cfg, steps)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("demo rank panicked"))
+                    .collect::<Vec<_>>()
+            })
+        };
+        for summary in run(4) {
+            summary.expect("seeding run");
+        }
+        let mut hashes = Vec::new();
+        for rank in 0..2 {
+            let store = CheckpointStore::new(&dir, rank).unwrap();
+            let mut ckpt = store.latest_valid().expect("seeded checkpoint");
+            ckpt.step = STEP;
+            store.save(&ckpt).unwrap();
+            hashes.push(hash_params(&ckpt.params));
+        }
+        for (rank, summary) in run(STEP).into_iter().enumerate() {
+            let summary = summary.expect("resuming at 2^24 + 1");
+            assert_eq!(summary.params_hash, hashes[rank], "rank {rank}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
