@@ -80,10 +80,13 @@ pub use reduce::ReduceOp;
 pub use rhd::rhd_all_reduce_seg;
 pub use ring::{
     compact_owned_shard, ring_advance, ring_all_gather, ring_all_gather_seg, ring_all_reduce,
-    ring_all_reduce_seg, ring_begin, ring_finish, ring_owned_chunk, ring_reduce_scatter,
-    ring_reduce_scatter_seg, RingKind, RingOp,
+    ring_all_reduce_seg, ring_begin, ring_finish, ring_finish_with, ring_owned_chunk,
+    ring_reduce_scatter, ring_reduce_scatter_seg, RingKind, RingOp,
 };
-pub use segment::{recv_segmented_copy, recv_segmented_reduce, send_segmented, SegmentConfig};
+pub use segment::{
+    recv_segmented_copy, recv_segmented_reduce, send_segmented, Epilogue, SegmentConfig,
+    EPILOGUE_SLICE,
+};
 pub use topology::{HostMap, Placement};
 pub use transport::{
     run_cluster, BufferPool, DelayFabric, GroupTransport, LocalEndpoint, LocalFabric, Message,

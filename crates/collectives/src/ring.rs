@@ -11,7 +11,9 @@ use std::ops::Range;
 use crate::chunk::chunk_range;
 use crate::error::CollectiveError;
 use crate::reduce::ReduceOp;
-use crate::segment::{recv_segmented_copy, recv_segmented_reduce, send_segmented, SegmentConfig};
+use crate::segment::{
+    epilogue_slices, recv_segmented_into, send_segmented, Epilogue, SegmentConfig,
+};
 use crate::transport::Transport;
 
 /// The chunk index that [`ring_reduce_scatter`] leaves fully reduced on
@@ -109,23 +111,21 @@ impl RingOp {
         Ok(())
     }
 
-    /// Consumes the next round's receive, reducing or copying it in.
+    /// Consumes the next round's receive, reducing or copying it in, with
+    /// `epilogue` on the chunk it lands in.
     fn recv_round<T: Transport>(
         &mut self,
         t: &T,
         data: &mut [f32],
         seg: SegmentConfig,
+        epilogue: &mut impl Epilogue,
     ) -> Result<(), CollectiveError> {
         debug_assert_eq!(data.len(), self.len, "ring op handed a different buffer");
         let (rank, world) = (t.rank(), t.world_size());
         let (_, recv_idx, reduce) = self.round(rank, world, self.recvd);
         let range = chunk_range(data.len(), world, recv_idx);
-        let dst = &mut data[range];
         let prev = (rank + world - 1) % world;
-        match reduce {
-            Some(op) => recv_segmented_reduce(t, prev, dst, op, seg)?,
-            None => recv_segmented_copy(t, prev, dst, seg)?,
-        }
+        recv_segmented_into(t, prev, data, range, reduce, seg, epilogue)?;
         self.recvd += 1;
         Ok(())
     }
@@ -187,7 +187,7 @@ pub fn ring_advance<T: Transport>(
     seg: SegmentConfig,
 ) -> Result<(), CollectiveError> {
     while !ring.all_sent() {
-        ring.recv_round(t, data, seg)?;
+        ring.recv_round(t, data, seg, &mut ())?;
         ring.send_round(t, data, seg)?;
     }
     Ok(())
@@ -203,13 +203,38 @@ pub fn ring_advance<T: Transport>(
 /// As [`ring_advance`].
 pub fn ring_finish<T: Transport>(
     t: &T,
-    mut ring: RingOp,
+    ring: RingOp,
     data: &mut [f32],
     seg: SegmentConfig,
 ) -> Result<Range<usize>, CollectiveError> {
+    ring_finish_with(t, ring, data, seg, &mut ())
+}
+
+/// [`ring_finish`] with `epilogue` fused into the last receive: it sees the
+/// chunk that receive completes — after a reduce-scatter, the owned chunk —
+/// one slice at a time, each right after its last reduction, while the
+/// slice is still in cache (the collective computes what consumes its data
+/// as the data arrives). On one rank, where there is no receive, it sees
+/// the whole buffer, which is the owned chunk.
+///
+/// # Errors
+///
+/// As [`ring_advance`].
+pub fn ring_finish_with<T: Transport>(
+    t: &T,
+    mut ring: RingOp,
+    data: &mut [f32],
+    seg: SegmentConfig,
+    epilogue: &mut impl Epilogue,
+) -> Result<Range<usize>, CollectiveError> {
     ring_advance(t, &mut ring, data, seg)?;
     if ring.recvd < ring.rounds {
-        ring.recv_round(t, data, seg)?;
+        ring.recv_round(t, data, seg, epilogue)?;
+    } else {
+        epilogue.arrived();
+        for s in epilogue_slices(0..data.len()) {
+            epilogue.slice(s.clone(), &mut data[s]);
+        }
     }
     let (rank, world) = (t.rank(), t.world_size());
     Ok(match ring.kind {
@@ -539,6 +564,60 @@ mod tests {
         assert_eq!(sent_after_begin(2, ar), [false, false]);
         assert_eq!(sent_after_begin(3, rs), [false, false, false]);
         assert_eq!(sent_after_begin(1, ar), [true], "nothing to send at all");
+    }
+
+    #[test]
+    fn the_epilogue_sees_the_owned_chunk_reduced_slice_by_slice() {
+        // After `arrived`, the reduce-scatter's epilogue sees the owned
+        // chunk in consecutive slices of at most `EPILOGUE_SLICE` elements,
+        // each already holding its final sums (on one rank: the whole
+        // buffer, untouched); and the buffer ends as `ring_finish` leaves it.
+        struct Record {
+            arrived: bool,
+            slices: Vec<(Range<usize>, Vec<f32>)>,
+        }
+        impl Epilogue for Record {
+            fn arrived(&mut self) {
+                assert!(
+                    !self.arrived && self.slices.is_empty(),
+                    "arrived once, first"
+                );
+                self.arrived = true;
+            }
+            fn slice(&mut self, range: Range<usize>, values: &mut [f32]) {
+                assert!(self.arrived, "a slice before the payload arrived");
+                assert!(range.len() <= crate::segment::EPILOGUE_SLICE);
+                self.slices.push((range, values.to_vec()));
+            }
+        }
+        for world in [1, 2, 3, 4] {
+            let d = 2 * crate::segment::EPILOGUE_SLICE * world + 7;
+            let expect = expected_sum(world, d);
+            let results = run_cluster(world, |ep| {
+                let mut data = rank_data(ep.rank(), d);
+                let seg = SegmentConfig::MONOLITHIC;
+                let kind = RingKind::ReduceScatter(ReduceOp::Sum);
+                let ring = ring_begin(&ep, kind, &mut data, seg).unwrap();
+                let mut record = Record {
+                    arrived: false,
+                    slices: Vec::new(),
+                };
+                let owned = ring_finish_with(&ep, ring, &mut data, seg, &mut record).unwrap();
+                (owned, record.slices, data)
+            });
+            for (rank, (owned, slices, data)) in results.into_iter().enumerate() {
+                let case = format!("rank {rank}/{world}");
+                let mut at = owned.start;
+                for (range, values) in &slices {
+                    assert_eq!(range.start, at, "{case}: slices in order, no gaps");
+                    assert_eq!(values, &expect[range.clone()], "{case}: final sums");
+                    at = range.end;
+                }
+                assert_eq!(at, owned.end, "{case}: the whole owned chunk");
+                assert!(slices.len() >= 2, "{case}: several slices");
+                assert_eq!(data[owned.clone()], expect[owned], "{case}");
+            }
+        }
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! behind the reduction of earlier ones (see [`crate::CostModel`]'s
 //! segmented predictions).
 //!
-//! The three helpers here are the **only** place collective algorithms
-//! touch the wire, so the mixed-precision path lives here too:
+//! The helpers here are the **only** place collective algorithms touch
+//! the wire, so the mixed-precision path lives here too:
 //! [`send_segmented`] casts each segment once to the configured
-//! [`SegmentConfig::wire`] dtype, [`recv_segmented_reduce`] widens back to
-//! `f32` *as it accumulates* (the accumulator is never narrowed mid-
-//! collective — one cast per hop, rounding never cascades), and
-//! [`recv_segmented_copy`] widens on receipt. With the default
+//! [`SegmentConfig::wire`] dtype, and one receive — `recv_segmented_into`,
+//! behind [`recv_segmented_reduce`], [`recv_segmented_copy`] and the ring's
+//! fused [`Epilogue`] — widens back to `f32` *as it accumulates* (the
+//! accumulator is never narrowed mid-collective — one cast per hop,
+//! rounding never cascades) or, copying, on receipt. With the default
 //! [`DType::F32`] wire, segmented and monolithic runs are **bit-identical**:
 //! segments partition the chunk in order and every element is accumulated
 //! exactly once per step in the same order.
@@ -166,13 +167,90 @@ pub fn send_segmented<T: Transport>(
     Ok(())
 }
 
+/// Elements per slice of a receive that runs an [`Epilogue`]: 8 KiB of
+/// `f32`, so a slice's reduction and the epilogue's pass over it share the
+/// L1 cache. A constant, not a knob: the pieces are element-wise, so the
+/// results do not depend on it.
+pub const EPILOGUE_SLICE: usize = 2048;
+
+/// Work fused into a receive (see [`crate::ring_finish_with`]): it sees
+/// the received range one [`EPILOGUE_SLICE`]-element slice at a time, each
+/// right after the slice got its values, while they are still in cache.
+/// `()` is the receive without one.
+pub trait Epilogue {
+    /// The receive's first payload has arrived; nothing of it is reduced
+    /// or copied yet.
+    fn arrived(&mut self) {}
+
+    /// `values`, which are `data[range]`, have just been reduced or copied.
+    fn slice(&mut self, range: Range<usize>, values: &mut [f32]);
+}
+
+impl Epilogue for () {
+    fn slice(&mut self, _: Range<usize>, _: &mut [f32]) {}
+}
+
+/// `range` in consecutive slices of at most [`EPILOGUE_SLICE`] elements;
+/// one empty slice if `range` is empty, so an empty payload is still
+/// checked.
+pub(crate) fn epilogue_slices(range: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let slices = range.len().div_ceil(EPILOGUE_SLICE).max(1);
+    (0..slices).map(move |i| {
+        let lo = range.start + i * EPILOGUE_SLICE;
+        lo..(lo + EPILOGUE_SLICE).min(range.end)
+    })
+}
+
+/// Receives `data[range]` as the segments of `seg` from `from`, in order:
+/// with `op`, each element is widened to `f32` **as it accumulates** (the
+/// accumulate-in-f32 rule: one rounding on the sender's cast, none here);
+/// without, it is decoded (widened if the wire was narrow) in place. Each
+/// payload is decoded by its own dtype tag, so a peer on a different wire
+/// precision still lands correctly, and its bytes go back to the
+/// transport's pool. Element order matches the monolithic path exactly,
+/// and `epilogue` sees every slice as soon as it is done.
+///
+/// # Errors
+///
+/// Propagates transport errors; returns [`CollectiveError::SizeMismatch`]
+/// if a segment's length differs from the expected split.
+pub(crate) fn recv_segmented_into<T: Transport>(
+    t: &T,
+    from: usize,
+    data: &mut [f32],
+    range: Range<usize>,
+    op: Option<ReduceOp>,
+    seg: SegmentConfig,
+    epilogue: &mut impl Epilogue,
+) -> Result<(), CollectiveError> {
+    for (i, r) in seg.split(range).into_iter().enumerate() {
+        let incoming = t.recv(from)?;
+        if incoming.len() != r.len() {
+            return Err(CollectiveError::SizeMismatch {
+                expected: r.len(),
+                actual: incoming.len(),
+            });
+        }
+        let payload = incoming.into_payload();
+        if i == 0 {
+            epilogue.arrived();
+        }
+        for s in epilogue_slices(r.clone()) {
+            let (at, values) = (s.start - r.start, &mut data[s.clone()]);
+            match op {
+                Some(op) => payload.accumulate_part_into(at, values, op)?,
+                None => payload.decode_part_into(at, values)?,
+            }
+            epilogue.slice(s, values);
+        }
+        t.recycle_buffer(payload.into_bytes());
+    }
+    Ok(())
+}
+
 /// Receives the segments of `seg` from `from` in order, widening each
 /// element to `f32` **as it accumulates** into the matching slice of `dst`
-/// with `op` (the accumulate-in-f32 rule: one rounding on the sender's
-/// cast, none here) and recycling the payload bytes to the transport's
-/// pool. The payload is decoded by its own dtype tag, so a peer on a
-/// different wire precision still reduces correctly. Element order matches
-/// the monolithic path exactly.
+/// with `op`, and recycling the payload bytes to the transport's pool.
 ///
 /// # Errors
 ///
@@ -185,19 +263,8 @@ pub fn recv_segmented_reduce<T: Transport>(
     op: ReduceOp,
     seg: SegmentConfig,
 ) -> Result<(), CollectiveError> {
-    for r in seg.split(0..dst.len()) {
-        let incoming = t.recv(from)?;
-        if incoming.len() != r.len() {
-            return Err(CollectiveError::SizeMismatch {
-                expected: r.len(),
-                actual: incoming.len(),
-            });
-        }
-        let payload = incoming.into_payload();
-        payload.accumulate_into(&mut dst[r], op)?;
-        t.recycle_buffer(payload.into_bytes());
-    }
-    Ok(())
+    let all = 0..dst.len();
+    recv_segmented_into(t, from, dst, all, Some(op), seg, &mut ())
 }
 
 /// Receives the segments of `seg` from `from` in order, decoding (widening
@@ -214,19 +281,8 @@ pub fn recv_segmented_copy<T: Transport>(
     dst: &mut [f32],
     seg: SegmentConfig,
 ) -> Result<(), CollectiveError> {
-    for r in seg.split(0..dst.len()) {
-        let incoming = t.recv(from)?;
-        if incoming.len() != r.len() {
-            return Err(CollectiveError::SizeMismatch {
-                expected: r.len(),
-                actual: incoming.len(),
-            });
-        }
-        let payload = incoming.into_payload();
-        payload.decode_into(&mut dst[r])?;
-        t.recycle_buffer(payload.into_bytes());
-    }
-    Ok(())
+    let all = 0..dst.len();
+    recv_segmented_into(t, from, dst, all, None, seg, &mut ())
 }
 
 #[cfg(test)]

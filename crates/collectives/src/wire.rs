@@ -396,19 +396,48 @@ impl WireBuf {
     /// `dst.len() != len_elems`, and [`CollectiveError::WireFormat`] for an
     /// opaque ([`DType::U8`]) payload.
     pub fn decode_into(&self, dst: &mut [f32]) -> Result<(), CollectiveError> {
-        if dst.len() != self.len_elems {
-            return Err(CollectiveError::SizeMismatch {
-                expected: dst.len(),
-                actual: self.len_elems,
-            });
-        }
+        self.check_len(dst)?;
+        self.decode_part_into(0, dst)
+    }
+
+    /// [`WireBuf::decode_into`] of the elements `at..at + dst.len()`: a
+    /// receiver that works through a payload piece by piece.
+    pub(crate) fn decode_part_into(
+        &self,
+        at: usize,
+        dst: &mut [f32],
+    ) -> Result<(), CollectiveError> {
+        let src = self.part(at, dst.len())?;
         match self.dtype {
-            DType::F32 => simd::decode_f32(&self.bytes, dst),
-            DType::Bf16 => simd::decode_bf16(&self.bytes, dst),
-            DType::F16 => simd::decode_f16(&self.bytes, dst),
+            DType::F32 => simd::decode_f32(src, dst),
+            DType::Bf16 => simd::decode_bf16(src, dst),
+            DType::F16 => simd::decode_f16(src, dst),
             DType::U8 => return Err(opaque_payload_error(self.bytes.len())),
         }
         Ok(())
+    }
+
+    /// `SizeMismatch` unless `dst` holds exactly this payload's elements.
+    fn check_len(&self, dst: &[f32]) -> Result<(), CollectiveError> {
+        if dst.len() == self.len_elems {
+            Ok(())
+        } else {
+            Err(CollectiveError::SizeMismatch {
+                expected: dst.len(),
+                actual: self.len_elems,
+            })
+        }
+    }
+
+    /// The bytes of the elements `at..at + len`.
+    fn part(&self, at: usize, len: usize) -> Result<&[u8], CollectiveError> {
+        let size = self.dtype.size_bytes();
+        self.bytes
+            .get(at * size..(at + len) * size)
+            .ok_or(CollectiveError::SizeMismatch {
+                expected: at + len,
+                actual: self.len_elems,
+            })
     }
 
     /// Decodes to a fresh vector.
@@ -439,28 +468,35 @@ impl WireBuf {
     /// opaque ([`DType::U8`]) payload — both are peer-triggerable and must
     /// never panic the comm thread.
     pub fn accumulate_into(&self, dst: &mut [f32], op: ReduceOp) -> Result<(), CollectiveError> {
-        if dst.len() != self.len_elems {
-            return Err(CollectiveError::SizeMismatch {
-                expected: dst.len(),
-                actual: self.len_elems,
-            });
-        }
+        self.check_len(dst)?;
+        self.accumulate_part_into(0, dst, op)
+    }
+
+    /// [`WireBuf::accumulate_into`] of the elements `at..at + dst.len()`:
+    /// a receiver that works through a payload piece by piece.
+    pub(crate) fn accumulate_part_into(
+        &self,
+        at: usize,
+        dst: &mut [f32],
+        op: ReduceOp,
+    ) -> Result<(), CollectiveError> {
+        let src = self.part(at, dst.len())?;
         match (self.dtype, op) {
-            (DType::F32, ReduceOp::Sum) => simd::sum_f32_bytes(dst, &self.bytes),
-            (DType::Bf16, ReduceOp::Sum) => simd::sum_bf16(dst, &self.bytes),
-            (DType::F16, ReduceOp::Sum) => simd::sum_f16(dst, &self.bytes),
+            (DType::F32, ReduceOp::Sum) => simd::sum_f32_bytes(dst, src),
+            (DType::Bf16, ReduceOp::Sum) => simd::sum_bf16(dst, src),
+            (DType::F16, ReduceOp::Sum) => simd::sum_f16(dst, src),
             (DType::F32, _) => {
-                for (d, c) in dst.iter_mut().zip(self.bytes.chunks_exact(4)) {
+                for (d, c) in dst.iter_mut().zip(src.chunks_exact(4)) {
                     *d = op.combine(*d, f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
                 }
             }
             (DType::Bf16, _) => {
-                for (d, c) in dst.iter_mut().zip(self.bytes.chunks_exact(2)) {
+                for (d, c) in dst.iter_mut().zip(src.chunks_exact(2)) {
                     *d = op.combine(*d, bf16_to_f32(u16::from_le_bytes([c[0], c[1]])));
                 }
             }
             (DType::F16, _) => {
-                for (d, c) in dst.iter_mut().zip(self.bytes.chunks_exact(2)) {
+                for (d, c) in dst.iter_mut().zip(src.chunks_exact(2)) {
                     *d = op.combine(*d, f16_to_f32(u16::from_le_bytes([c[0], c[1]])));
                 }
             }

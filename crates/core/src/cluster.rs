@@ -17,7 +17,10 @@ use crate::strategy::ParallelismStrategy;
 pub struct TrainConfig {
     /// Learning rate.
     pub lr: f32,
-    /// Momentum coefficient in `[0, 1)`.
+    /// Momentum coefficient in `[0, 1)`. At 0 (the default) SGD keeps no
+    /// velocity: each rank's update is `p -= lr·(g + λp)` and holds no
+    /// optimizer state at all; above 0 a velocity of the rank's shard (DeAR)
+    /// or of the whole model (WFBP) is kept, starting from zeros.
     pub momentum: f32,
     /// L2 weight decay.
     pub weight_decay: f32,
@@ -1063,7 +1066,11 @@ mod tests {
                 optim.train_step(&mut net, &x, &labels).unwrap();
                 optim.synchronize(&mut net).unwrap();
                 if foreign_checkpoints {
-                    for (velocity, second, actual) in [(n + 3, 0, n + 3), (n, 1, 1), (0, 0, 0)] {
+                    // An empty vector is no state of its kind, not a
+                    // foreign one: only the second moment is wrong in the
+                    // last case.
+                    let cases = [(n + 3, 0, n + 3), (n, 1, 1), (0, n - 1, n - 1)];
+                    for (velocity, second, actual) in cases {
                         let state = OptimState {
                             velocity: vec![0.5; velocity],
                             second_moment: vec![0.5; second],
@@ -1162,6 +1169,147 @@ mod tests {
                     "{strategy:?} ({optim_kind:?}): the shards must partition the model"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn sgd_without_momentum_keeps_no_optimizer_state() {
+        // The resident-bytes query reads 0 under SGD without momentum, in
+        // either pipeline and under either strategy, and nothing is
+        // exported; with momentum it reads the velocity of the shard each
+        // rank owns (DeAR), the shards summing to the model, or of the
+        // whole model (WFBP).
+        let world = 3;
+        let data = BlobDataset::new(6, 3, 0.4, 61);
+        let cases = [
+            (PipelineMode::Dear, ParallelismStrategy::Ddp),
+            (PipelineMode::Dear, ParallelismStrategy::Zero2),
+            (PipelineMode::Wfbp, ParallelismStrategy::Ddp),
+        ];
+        for (mode, strategy) in cases {
+            for momentum in [0.0, 0.9] {
+                let config = TrainConfig {
+                    lr: 0.05,
+                    momentum,
+                    weight_decay: 1e-4,
+                    fusion_buffer: Some(512),
+                    mode,
+                    strategy,
+                    ..TrainConfig::default()
+                };
+                let out = run_training(world, config, |handle| {
+                    let rank = handle.rank();
+                    let mut net = build_net(7);
+                    let mut optim = handle.into_optim(&net);
+                    for step in 0..3 {
+                        let (x, labels) = data.shard(step, 30, rank, world);
+                        optim.train_step(&mut net, &x, &labels).unwrap();
+                    }
+                    optim.synchronize(&mut net).unwrap();
+                    (
+                        optim.optim_state_bytes().unwrap(),
+                        optim.export_optim_state().unwrap(),
+                        net.param_count() * 4,
+                        optim.num_groups(),
+                    )
+                });
+                let case = format!("{mode:?} {strategy:?} momentum {momentum}");
+                let (model, groups) = (out[0].2, out[0].3);
+                let resident: usize = out.iter().map(|r| r.0).sum();
+                if momentum == 0.0 {
+                    for (bytes, state, ..) in &out {
+                        assert_eq!(*bytes, 0, "{case}: resident optimizer bytes");
+                        assert!(state.velocity.is_empty(), "{case}: a velocity was exported");
+                        assert!(state.second_moment.is_empty(), "{case}");
+                    }
+                } else if mode == PipelineMode::Wfbp {
+                    assert!(out.iter().all(|r| r.0 == model), "{case}: a model per rank");
+                } else {
+                    let cap = (model / 4).div_ceil(world) * 4 + groups * 4;
+                    assert!(out.iter().all(|r| 0 < r.0 && r.0 <= cap), "{case}: a shard");
+                    assert_eq!(resident, model, "{case}: the shards partition the model");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_velocity_survives_sgd_without_momentum_and_seeds_a_later_momentum() {
+        // An imported velocity is kept through steps without momentum,
+        // untouched and exported unchanged, and the parameters move as if
+        // there were none. A later switch to momentum starts from it —
+        // from zeros, it would be `v = g`, the stateless step.
+        const K: u64 = 3;
+        let world = 2;
+        let data = BlobDataset::new(6, 3, 0.4, 63);
+        let config = TrainConfig {
+            lr: 0.05,
+            weight_decay: 1e-4,
+            fusion_buffer: Some(512),
+            ..TrainConfig::default()
+        };
+        // `import`: seed a velocity before step 0; `switch`: train step K
+        // with momentum.
+        let run = |import: bool, switch: bool| {
+            run_training(world, config.clone(), |handle| {
+                let rank = handle.rank();
+                let mut net = build_net(9);
+                let mut optim = handle.into_optim(&net);
+                let n = net.param_count();
+                let imported = OptimState {
+                    velocity: (0..n).map(|i| (i as f32 * 0.37).sin()).collect(),
+                    second_moment: Vec::new(),
+                    adam_step: 0,
+                };
+                if import {
+                    optim.import_optim_state(imported.clone()).unwrap();
+                }
+                for step in 0..K {
+                    let (x, labels) = data.shard(step, 16, rank, world);
+                    optim.train_step(&mut net, &x, &labels).unwrap();
+                }
+                optim.synchronize(&mut net).unwrap();
+                let kept = optim.export_optim_state().unwrap();
+                if switch {
+                    optim.set_hyper(config.lr, 0.9, config.weight_decay);
+                }
+                let (x, labels) = data.shard(K, 16, rank, world);
+                optim.train_step(&mut net, &x, &labels).unwrap();
+                optim.synchronize(&mut net).unwrap();
+                let after = optim.export_optim_state().unwrap();
+                (imported, kept, net.flat_params(), after)
+            })
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let plain = run(false, false);
+        let seeded = run(true, false);
+        let seeded_then_momentum = run(true, true);
+        let momentum_from_zeros = run(false, true);
+        for rank in 0..world {
+            let (imported, kept, params, after) = &seeded[rank];
+            // The owned shard of the imported velocity, unchanged.
+            assert!(kept.velocity.iter().any(|&v| v != 0.0), "rank {rank}");
+            for (k, (&got, &want)) in kept.velocity.iter().zip(&imported.velocity).enumerate() {
+                assert!(
+                    got.to_bits() == want.to_bits() || got == 0.0,
+                    "rank {rank} element {k}: {got} was imported as {want}"
+                );
+            }
+            assert_eq!(bits(&after.velocity), bits(&kept.velocity), "rank {rank}");
+            assert_eq!(
+                bits(params),
+                bits(&plain[rank].2),
+                "rank {rank}: parameters"
+            );
+            // Momentum from the kept velocity moves differently ...
+            let (_, _, params, after) = &seeded_then_momentum[rank];
+            assert_ne!(bits(params), bits(&plain[rank].2), "rank {rank}");
+            assert_ne!(bits(&after.velocity), bits(&kept.velocity), "rank {rank}");
+            // ... and from zeros it is the stateless step, `v = g`.
+            let (_, kept, params, after) = &momentum_from_zeros[rank];
+            assert!(kept.velocity.is_empty(), "rank {rank}");
+            assert_eq!(bits(params), bits(&plain[rank].2), "rank {rank}: v = g");
+            assert_eq!(after.velocity.len(), params.len(), "rank {rank}");
         }
     }
 

@@ -20,8 +20,9 @@ use std::ops::Range;
 
 use dear_collectives::{
     chunk_range, compact_owned_shard, naive_all_reduce_seg, ring_advance, ring_all_reduce_seg,
-    ring_begin, ring_finish, ring_owned_chunk, tree_broadcast_seg, CollectiveError, ReduceOp,
-    RingKind, RingOp, SegmentConfig, Transport, WorldChange, MIN_LINK_FRAMES,
+    ring_begin, ring_finish, ring_finish_with, ring_owned_chunk, tree_broadcast_seg,
+    CollectiveError, Epilogue, ReduceOp, RingKind, RingOp, SegmentConfig, Transport, WorldChange,
+    MIN_LINK_FRAMES,
 };
 
 use crate::dist_optim::PipelineMode;
@@ -36,15 +37,20 @@ use crate::trace::{self, TaskKind};
 /// them, so every strategy keeps the same layout. Items (global offsets)
 /// are read only at the exchange boundary: export and import speak the
 /// full-length format checkpoints and re-partitioning use.
+///
+/// A state vector exists once an update rule that reads it has run, or
+/// once one was imported; SGD without momentum reads none. Whether it
+/// exists is the same on every rank — they share the rule's history and
+/// their checkpoints — even where a rank's own part of it is empty.
 struct OptimStore {
     /// Per group: the range this rank updates, and where it starts in the
     /// state vectors.
     groups: Vec<(Range<usize>, usize)>,
     dense_len: usize,
-    /// Allocated by the first update.
-    velocity: Vec<f32>,
-    /// Allocated by the first Adam update.
-    second_moment: Vec<f32>,
+    /// SGD velocity / Adam first moment.
+    velocity: Option<Vec<f32>>,
+    /// Adam second moment.
+    second_moment: Option<Vec<f32>>,
 }
 
 impl OptimStore {
@@ -67,33 +73,54 @@ impl OptimStore {
         OptimStore {
             groups,
             dense_len,
-            velocity: Vec::new(),
-            second_moment: Vec::new(),
+            velocity: None,
+            second_moment: None,
         }
     }
 
     /// Resident optimizer-state bytes on this rank right now.
     fn resident_bytes(&self) -> usize {
-        (self.velocity.len() + self.second_moment.len()) * std::mem::size_of::<f32>()
+        [&self.velocity, &self.second_moment]
+            .into_iter()
+            .flatten()
+            .map(|v| v.len() * std::mem::size_of::<f32>())
+            .sum()
     }
 
-    /// The range of `group` this rank updates, and the group's velocity
-    /// and second-moment slices — the latter empty until Adam allocates
-    /// it. Allocates the vectors on first use.
-    fn group_state(&mut self, group: usize, adam: bool) -> (Range<usize>, &mut [f32], &mut [f32]) {
-        if self.velocity.len() != self.dense_len {
-            self.velocity = vec![0.0; self.dense_len];
-        }
-        if adam && self.second_moment.len() != self.dense_len {
-            self.second_moment = vec![0.0; self.dense_len];
+    /// The range of `group` this rank updates, and the group's slices of
+    /// the state vectors `hyper`'s rule reads — velocity, then second
+    /// moment; empty for a vector it does not read. Allocates a vector the
+    /// rule reads on first use, zeroed.
+    fn group_state(
+        &mut self,
+        group: usize,
+        hyper: &HyperParams,
+    ) -> (Range<usize>, &mut [f32], &mut [f32]) {
+        let (reads_velocity, reads_second) = match hyper.kind {
+            OptimKind::Sgd => (hyper.momentum != 0.0, false),
+            OptimKind::Adam { .. } => (true, true),
+        };
+        fn part(
+            state: &mut Option<Vec<f32>>,
+            reads: bool,
+            len: usize,
+            dense: Range<usize>,
+        ) -> &mut [f32] {
+            if !reads {
+                return &mut [];
+            }
+            &mut state.get_or_insert_with(|| vec![0.0; len])[dense]
         }
         let (owned, at) = self.groups[group].clone();
         let dense = at..at + owned.len();
-        let second = self
-            .second_moment
-            .get_mut(dense.clone())
-            .unwrap_or_default();
-        (owned, &mut self.velocity[dense], second)
+        let velocity = part(
+            &mut self.velocity,
+            reads_velocity,
+            self.dense_len,
+            dense.clone(),
+        );
+        let second_moment = part(&mut self.second_moment, reads_second, self.dense_len, dense);
+        (owned, velocity, second_moment)
     }
 
     /// Calls `f(dense, global)` for every run of an item inside a range
@@ -114,41 +141,36 @@ impl OptimStore {
         }
     }
 
-    /// `dense` in the full-length exchange format, zeros outside the
-    /// ranges this rank updates.
-    fn expand(&self, layout: &GroupLayout, dense: &[f32]) -> Vec<f32> {
+    /// `state` in the full-length exchange format, zeros outside the
+    /// ranges this rank updates; empty if it does not exist.
+    fn expand(&self, layout: &GroupLayout, state: Option<&[f32]>) -> Vec<f32> {
+        let Some(dense) = state else {
+            return Vec::new();
+        };
         let mut full = vec![0.0f32; layout.total_elements()];
         self.for_each_run(layout, |d, g| full[g].copy_from_slice(&dense[d]));
         full
     }
 
-    /// Full-length (exchange-format) copy of the velocity vector; zeros if
-    /// no update has run.
-    fn export_velocity(&self, layout: &GroupLayout) -> Vec<f32> {
-        if self.velocity.is_empty() {
-            return vec![0.0; layout.total_elements()];
-        }
-        self.expand(layout, &self.velocity)
-    }
-
-    /// Full-length copy of the second moment; empty if Adam never stepped.
-    fn export_second_moment(&self, layout: &GroupLayout) -> Vec<f32> {
-        if self.second_moment.is_empty() {
-            return Vec::new();
-        }
-        self.expand(layout, &self.second_moment)
+    /// Full-length (exchange-format) copies of the velocity and the second
+    /// moment; each empty if it does not exist.
+    fn export(&self, layout: &GroupLayout) -> (Vec<f32>, Vec<f32>) {
+        (
+            self.expand(layout, self.velocity.as_deref()),
+            self.expand(layout, self.second_moment.as_deref()),
+        )
     }
 
     /// Installs full-length (exchange-format) state, keeping the ranges
-    /// this rank updates. An empty vector leaves its state unallocated.
+    /// this rank updates. An empty vector installs no state.
     fn import(&mut self, layout: &GroupLayout, velocity: &[f32], second_moment: &[f32]) {
         let pack = |full: &[f32]| {
             if full.is_empty() {
-                return Vec::new();
+                return None;
             }
             let mut dense = vec![0.0f32; self.dense_len];
             self.for_each_run(layout, |d, g| dense[d].copy_from_slice(&full[g]));
-            dense
+            Some(dense)
         };
         (self.velocity, self.second_moment) = (pack(velocity), pack(second_moment));
     }
@@ -174,8 +196,8 @@ enum StashEntry {
 
 impl StashEntry {
     /// The full-length parameter buffer to all-gather, and the gradient
-    /// buffer to return with it (empty under ZeRO-2, whose reduce-scatter
-    /// consumed it — the training thread re-sizes an empty buffer).
+    /// buffer to return with it (empty under ZeRO-2, whose OP1 compacted
+    /// it into the chunk — the training thread re-sizes an empty buffer).
     fn into_buffers(self) -> (Vec<f32>, Vec<f32>) {
         match self {
             StashEntry::Full { params, grads } => (params, grads),
@@ -192,13 +214,15 @@ impl StashEntry {
     }
 }
 
-/// `OP1.UPD`: applies the optimizer to the part of one group this rank
-/// updates after the reduce-scatter (WFBP: the whole group). `params` and
-/// `grads` (the reduced sums) are that range of the group's buffers,
-/// `velocity` and `second_moment` the group's state slices (the second
-/// moment is read under Adam only). One zipped pass: the same per-element
-/// operations in the same order as an indexed loop, with the bounds checks
-/// hoisted out so the loop vectorises.
+/// `OP1.UPD`: applies the optimizer to a slice of the part of one group
+/// this rank updates (WFBP: of the whole group). `params` and `grads` (the
+/// reduced sums) are that slice of the group's buffers, `velocity` and
+/// `second_moment` its slices of the state vectors the rule reads (see
+/// [`OptimStore::group_state`]; empty for one it does not read). One zipped
+/// pass: the same per-element operations in the same order as an indexed
+/// loop, with the bounds checks hoisted out so the loop vectorises. Every
+/// element is updated on its own, so a range updated slice by slice ends
+/// bit-identical to one updated whole.
 fn update_owned_shard(
     params: &mut [f32],
     grads: &[f32],
@@ -210,6 +234,16 @@ fn update_owned_shard(
 ) {
     let (lr, wd) = (hyper.lr, hyper.weight_decay);
     match hyper.kind {
+        // Without momentum the velocity would only ever hold the step's
+        // gradient, so none is kept. On finite values this is the stateful
+        // `v = 0·v + g; p -= lr·v` bit for bit, except that a −0.0
+        // parameter meeting a −0.0 gradient sum may end +0.0 where that
+        // kept −0.0.
+        OptimKind::Sgd if hyper.momentum == 0.0 => {
+            for (p, &gsum) in params.iter_mut().zip(grads) {
+                *p -= lr * (gsum * inv_p + wd * *p);
+            }
+        }
         OptimKind::Sgd => {
             let momentum = hyper.momentum;
             for ((p, &gsum), v) in params.iter_mut().zip(grads).zip(velocity) {
@@ -238,6 +272,108 @@ fn update_owned_shard(
                 *p -= lr * m_hat / (v_hat.sqrt() + eps);
             }
         }
+    }
+}
+
+/// `OP1.UPD` of one group on this rank: the group's parameters and the
+/// optimizer state of the range of it this rank updates, applied a slice
+/// of reduced sums at a time.
+struct GroupUpdate<'a> {
+    /// The group's parameter buffer, whole.
+    params: &'a mut [f32],
+    /// Where the range this rank updates starts: the state slices' origin.
+    owned_start: usize,
+    velocity: &'a mut [f32],
+    second_moment: &'a mut [f32],
+    hyper: HyperParams,
+    inv_p: f32,
+    adam_step: u64,
+}
+
+impl<'a> GroupUpdate<'a> {
+    /// The update of `owned` of `group`'s `params`, with `store`'s state
+    /// under `hyper`'s rule, at Adam step `adam_step` in a world of
+    /// `world` ranks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owned` is not the range the store keeps state for — a
+    /// resize not followed by a rebalance.
+    fn new(
+        store: &'a mut OptimStore,
+        hyper: HyperParams,
+        group: usize,
+        owned: &Range<usize>,
+        params: &'a mut [f32],
+        world: usize,
+        adam_step: u64,
+    ) -> Self {
+        let (kept, velocity, second_moment) = store.group_state(group, &hyper);
+        assert_eq!(
+            *owned, kept,
+            "group {group}: the ring's owned range is not the optimizer state's \
+             (a resize must be followed by a rebalance)"
+        );
+        GroupUpdate {
+            params,
+            owned_start: owned.start,
+            velocity,
+            second_moment,
+            hyper,
+            inv_p: 1.0 / world as f32,
+            adam_step,
+        }
+    }
+
+    /// Updates `params[range]` from `gsums`, the reduced sums of `range`.
+    fn apply(&mut self, range: Range<usize>, gsums: &[f32]) {
+        /// `state[k]`, or nothing for a vector the rule does not read.
+        fn part(state: &mut [f32], k: Range<usize>) -> &mut [f32] {
+            if state.is_empty() {
+                state
+            } else {
+                &mut state[k]
+            }
+        }
+        let k = range.start - self.owned_start..range.end - self.owned_start;
+        update_owned_shard(
+            &mut self.params[range],
+            gsums,
+            part(self.velocity, k.clone()),
+            part(self.second_moment, k),
+            &self.hyper,
+            self.inv_p,
+            self.adam_step,
+        );
+    }
+}
+
+/// The rest of DeAR's OP1, fused into the reduce-scatter's last receive:
+/// `OP1.RS` ends when the owned chunk's payload has arrived, and `OP1.UPD`
+/// covers reducing that payload into the chunk and updating it, one slice
+/// at a time while the slice is in cache. The two spans do not nest.
+struct Op1Tail<'a> {
+    group: usize,
+    update: GroupUpdate<'a>,
+    /// Open until the payload arrives.
+    rs: Option<trace::Span>,
+    /// Open from then on.
+    upd: Option<trace::Span>,
+}
+
+impl Epilogue for Op1Tail<'_> {
+    fn arrived(&mut self) {
+        if let Some(rs) = self.rs.take() {
+            rs.end();
+        }
+        let group = self.group;
+        self.upd = Some(trace::span(TaskKind::Other, || {
+            format!("OP1.UPD[g{group}]")
+        }));
+    }
+
+    fn slice(&mut self, range: Range<usize>, reduced: &mut [f32]) {
+        self.update.apply(range, reduced);
     }
 }
 
@@ -275,7 +411,8 @@ impl OptimKind {
 pub struct HyperParams {
     /// Learning rate.
     pub lr: f32,
-    /// Momentum coefficient in `[0, 1)` (SGD only).
+    /// Momentum coefficient in `[0, 1)` (SGD only). At 0 the update keeps
+    /// no velocity.
     pub momentum: f32,
     /// L2 weight decay.
     pub weight_decay: f32,
@@ -285,15 +422,19 @@ pub struct HyperParams {
 
 /// The comm thread's sharded optimizer state, exportable for
 /// checkpointing and importable on resume. `velocity` doubles as Adam's
-/// first moment; `second_moment` is empty unless Adam has stepped. All
-/// vectors are keyed by **global flat offset**, with non-owned elements
-/// zero — each rank checkpoints and restores its own shard (under WFBP,
-/// every rank's shard is the whole model).
+/// first moment. A vector is empty when no state of its kind exists — the
+/// velocity until SGD with momentum or Adam has stepped (SGD without
+/// momentum keeps none), the second moment until Adam has — and is
+/// imported as such. A non-empty vector is keyed by **global flat
+/// offset**, with non-owned elements zero — each rank checkpoints and
+/// restores its own shard (under WFBP, every rank's shard is the whole
+/// model).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OptimState {
-    /// SGD velocity / Adam first moment, one element per model parameter.
+    /// SGD velocity / Adam first moment, one element per model parameter,
+    /// or empty.
     pub velocity: Vec<f32>,
-    /// Adam second moment (empty for SGD).
+    /// Adam second moment, one element per model parameter, or empty.
     pub second_moment: Vec<f32>,
     /// Adam step counter (bias correction), shared by all shards.
     pub adam_step: u64,
@@ -382,8 +523,8 @@ pub enum CommResult {
         /// Flat parameters.
         params: Vec<f32>,
         /// The group's gradient buffer, contents spent — the next
-        /// iteration's staging area. Empty under ZeRO-2, whose
-        /// reduce-scatter consumes the full-length buffer.
+        /// iteration's staging area. Empty under ZeRO-2, whose OP1
+        /// compacts the full-length buffer into the parked chunk.
         grads: Vec<f32>,
     },
     /// The broadcast value.
@@ -401,8 +542,9 @@ pub enum CommResult {
     Resized(Result<WorldChange, CollectiveError>),
     /// The agreed (minimum) step across the world.
     Step(u64),
-    /// Resident optimizer-state bytes on this rank (velocity plus second
-    /// moment, dense over the owned shard).
+    /// Resident optimizer-state bytes on this rank: velocity plus second
+    /// moment, dense over the owned shard, for the vectors that exist — 0
+    /// under SGD without momentum, which keeps none.
     OptimBytes(usize),
     /// A collective failed. The job that posted it was abandoned, and so
     /// was everything of the iteration held comm-side — ring ops begun
@@ -589,23 +731,27 @@ impl<T: Transport> CommThread<'_, T> {
             other,
             ..
         } = self.inflight.pop_front().expect("the head is in flight");
-        let valid = ring_finish(&self.transport, ring, &mut data, data_path)?;
+        if let RingKind::ReduceScatter(_) = kind {
+            self.finish_op1(group, ring, data, other, span)?;
+            return Ok(true);
+        }
+        ring_finish(&self.transport, ring, &mut data, data_path)?;
         span.end();
-        match kind {
-            RingKind::ReduceScatter(_) => self.update_and_stash(group, valid, data, other),
-            RingKind::AllGather { .. } => self.reply(CommResult::Params {
+        if let RingKind::AllGather { .. } = kind {
+            self.reply(CommResult::Params {
                 group,
                 params: data,
                 grads: other,
-            }),
+            });
+        } else {
             // WFBP: the sums wait in the stash for the flush's update.
-            RingKind::AllReduce(_) => self.stash.push((
+            self.stash.push((
                 group,
                 StashEntry::Full {
                     params: other,
                     grads: data,
                 },
-            )),
+            ));
         }
         Ok(true)
     }
@@ -688,42 +834,56 @@ impl<T: Transport> CommThread<'_, T> {
         }))
     }
 
-    /// The rest of DeAR's OP1 once the group's reduce-scatter has left
-    /// `owned` of `grads` reduced: `OP1.UPD`, then park the group for OP2.
-    fn update_and_stash(
+    /// DeAR's OP1 from the reduce-scatter's last receive on: the owned
+    /// chunk of `grads` is reduced and its parameters updated one slice at
+    /// a time as the payload comes in ([`Op1Tail`]), then the group is
+    /// parked for OP2. `rs` is the op's open `OP1.RS` span.
+    fn finish_op1(
         &mut self,
         group: usize,
-        owned: Range<usize>,
-        grads: Vec<f32>,
+        ring: RingOp,
+        mut grads: Vec<f32>,
         mut params: Vec<f32>,
-    ) {
-        if self.stash.is_empty() {
-            // First group of a new iteration: advance the Adam step (bias
-            // correction is per-iteration, shared by shards).
-            self.adam_step += 1;
-        }
-        // ZeRO-2 takes the RS-only completion point: the reduced shard is
-        // compacted and the full-length gradient buffer released before
-        // the update even starts. `gshift` re-bases group coordinates into
-        // `gbuf` — zero when the buffer is full-length, `owned.start` when
-        // it is the compact shard. Pure index arithmetic, so every strategy
-        // computes bit-identical updates.
-        let (gbuf, gshift) = if self.strategy.shards_grad_stash() {
-            (compact_owned_shard(grads, &owned), owned.start)
-        } else {
-            (grads, 0)
+        rs: trace::Span,
+    ) -> Result<(), CollectiveError> {
+        // The first group of a new iteration advances the Adam step (bias
+        // correction is per-iteration, shared by shards) — once it has
+        // been reduced and updated.
+        let adam_step = self.adam_step + u64::from(self.stash.is_empty());
+        let owned = chunk_range(
+            grads.len(),
+            self.world,
+            ring_owned_chunk(self.rank, self.world),
+        );
+        let data_path = self.data_path();
+        // Every element is owned by exactly one rank, so the union of the
+        // shards' updates is the full S-SGD update of Eq. 2.
+        let update = GroupUpdate::new(
+            &mut self.store,
+            self.hyper,
+            group,
+            &owned,
+            &mut params,
+            self.world,
+            adam_step,
+        );
+        let mut tail = Op1Tail {
+            group,
+            update,
+            rs: Some(rs),
+            upd: None,
         };
-        // Optimizer update on the owned shard only; every element is owned
-        // by exactly one rank, so the union of shards is the full S-SGD
-        // update of Eq. 2.
-        self.update(group, &owned, &gbuf, gshift, &mut params);
+        ring_finish_with(&self.transport, ring, &mut grads, data_path, &mut tail)?;
+        if let Some(upd) = tail.upd {
+            upd.end();
+        }
+        self.adam_step = adam_step;
         let entry = if self.strategy.shards_grad_stash() {
-            // Only the owned chunk is live between OP1 and OP2: the
-            // all-gather redistributes it and overwrites the rest. The
-            // spent compact shard is exactly that long, so it becomes the
-            // chunk's storage; the full-length parameter buffer is released
-            // here.
-            let mut chunk = gbuf;
+            // ZeRO-2: only the owned chunk is live between OP1 and OP2 —
+            // the all-gather redistributes it and overwrites the rest. The
+            // spent gradients, compacted to that chunk, become its storage;
+            // both full-length buffers are released here.
+            let mut chunk = compact_owned_shard(grads, &owned);
             chunk.copy_from_slice(&params[owned.clone()]);
             StashEntry::Shard {
                 owned,
@@ -731,64 +891,38 @@ impl<T: Transport> CommThread<'_, T> {
                 elements: self.layout.group_elements(group),
             }
         } else {
-            StashEntry::Full {
-                params,
-                grads: gbuf,
-            }
+            StashEntry::Full { params, grads }
         };
         self.stash.push((group, entry));
+        Ok(())
     }
 
     /// WFBP's flush, one per step: every all-reduced group is updated
-    /// whole — the store's range of every group is all of it — and goes
-    /// back to the training thread.
+    /// whole — the store's range of every group is all of it — under its
+    /// own `OP1.UPD` span, and goes back to the training thread.
     fn update_stash(&mut self) {
         self.adam_step += 1;
         while let Some((group, entry)) = self.stash.pop() {
             let (mut params, grads) = entry.into_buffers();
-            self.update(group, &(0..params.len()), &grads, 0, &mut params);
+            let upd = trace::span(TaskKind::Other, || format!("OP1.UPD[g{group}]"));
+            let whole = 0..params.len();
+            GroupUpdate::new(
+                &mut self.store,
+                self.hyper,
+                group,
+                &whole,
+                &mut params,
+                self.world,
+                self.adam_step,
+            )
+            .apply(whole, &grads);
+            upd.end();
             self.reply(CommResult::Params {
                 group,
                 params,
                 grads,
             });
         }
-    }
-
-    /// `OP1.UPD` of `owned` of `group` from the reduced sums in `gbuf`
-    /// (based at group coordinate `gshift`: zero for a full-length buffer,
-    /// `owned.start` for ZeRO-2's compact shard), under its own span.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `owned` is not the range the store keeps state for — a
-    /// resize not followed by a rebalance.
-    fn update(
-        &mut self,
-        group: usize,
-        owned: &Range<usize>,
-        gbuf: &[f32],
-        gshift: usize,
-        params: &mut [f32],
-    ) {
-        let upd = trace::span(TaskKind::Other, || format!("OP1.UPD[g{group}]"));
-        let adam = matches!(self.hyper.kind, OptimKind::Adam { .. });
-        let (kept, velocity, second_moment) = self.store.group_state(group, adam);
-        assert_eq!(
-            *owned, kept,
-            "group {group}: the ring's owned range is not the optimizer state's \
-             (a resize must be followed by a rebalance)"
-        );
-        update_owned_shard(
-            &mut params[owned.clone()],
-            &gbuf[owned.start - gshift..owned.end - gshift],
-            velocity,
-            second_moment,
-            &self.hyper,
-            1.0 / self.world as f32,
-            self.adam_step,
-        );
-        upd.end();
     }
 
     /// Whether no reduced group is stashed, i.e. the thread is at
@@ -851,15 +985,9 @@ impl<T: Transport> CommThread<'_, T> {
                 if !self.at_boundary("re-bucketing") {
                     return Ok(());
                 }
-                let mut velocity = self.store.export_velocity(&self.layout);
-                let mut second_moment = self.store.export_second_moment(&self.layout);
-                // Whether a second moment exists is decided on values every
-                // rank shares, not on its own shard, which may be empty: a
-                // rank that owns nothing then still enters the all-reduce.
-                let adam = matches!(self.hyper.kind, OptimKind::Adam { .. });
-                if adam && self.adam_step > 0 && second_moment.is_empty() {
-                    second_moment = vec![0.0; self.layout.total_elements()];
-                }
+                // A state vector exists on every rank or on none (see
+                // `OptimStore`), so every rank enters the same all-reduces.
+                let (mut velocity, mut second_moment) = self.store.export(&self.layout);
                 // WFBP keeps the whole state on every rank: the new layout
                 // only re-orders it. Nor is there state to move when the
                 // first layout is installed — a test every rank answers
@@ -899,9 +1027,10 @@ impl<T: Transport> CommThread<'_, T> {
                     // strategy, so the checkpoint layout is
                     // strategy-independent and a run can resume under a
                     // different strategy than it saved with.
+                    let (velocity, second_moment) = self.store.export(&self.layout);
                     self.reply(CommResult::OptimState(OptimState {
-                        velocity: self.store.export_velocity(&self.layout),
-                        second_moment: self.store.export_second_moment(&self.layout),
+                        velocity,
+                        second_moment,
                         adam_step: self.adam_step,
                     }));
                 }
@@ -1034,6 +1163,8 @@ pub fn run_comm_thread<T: Transport>(
 }
 
 #[cfg(test)]
+mod epilogue_tests;
+#[cfg(test)]
 mod send_ahead_tests;
 
 #[cfg(test)]
@@ -1067,13 +1198,13 @@ mod tests {
 
     /// The indexed scalar loop `update_owned_shard` replaced, kept as the
     /// ground truth it must match bit for bit: `owned` of a group's
-    /// `params`, from reduced sums `gbuf` based at group coordinate
-    /// `gshift`, with state slices that start at `owned.start`.
+    /// `params`, from the group's reduced sums `gsums`, with state slices
+    /// that start at `owned.start`. Stateful whatever the rule: SGD keeps
+    /// a velocity even without momentum.
     #[allow(clippy::too_many_arguments)]
     fn indexed_update(
         owned: &Range<usize>,
-        gbuf: &[f32],
-        gshift: usize,
+        gsums: &[f32],
         params: &mut [f32],
         velocity: &mut [f32],
         second_moment: &mut [f32],
@@ -1083,7 +1214,7 @@ mod tests {
     ) {
         for k in owned.clone() {
             let vi = k - owned.start;
-            let g = gbuf[k - gshift] * inv_p + hyper.weight_decay * params[k];
+            let g = gsums[k] * inv_p + hyper.weight_decay * params[k];
             match hyper.kind {
                 OptimKind::Sgd => {
                     velocity[vi] = hyper.momentum * velocity[vi] + g;
@@ -1102,85 +1233,174 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// SGD without and with momentum, with weight decay, and Adam.
+    pub(super) fn rules() -> [HyperParams; 3] {
+        let sgd = |momentum| HyperParams {
+            lr: 0.05,
+            momentum,
+            weight_decay: 1e-2,
+            kind: OptimKind::Sgd,
+        };
+        [
+            sgd(0.0),
+            sgd(0.9),
+            HyperParams {
+                kind: OptimKind::adam_default(),
+                ..sgd(0.0)
+            },
+        ]
+    }
+
     #[test]
     fn slice_updates_match_the_indexed_loops_bitwise() {
-        // One group of ragged items, cut by every rank's owned chunk; a
-        // full-length gradient buffer (Ddp) and a compact gradient shard,
-        // i.e. `gshift` ≠ 0 (Zero2); SGD with momentum and weight decay,
-        // and Adam over several steps.
+        // One group of ragged items, cut by every rank's owned chunk and
+        // updated in ragged slices, as the reduce-scatter's epilogue does;
+        // SGD without and with momentum, and Adam, over several steps. The
+        // old loop keeps a velocity under every rule; without momentum the
+        // store keeps none, and the parameters still agree to the bit.
         let layout = layout_of(&RAGGED, FusionPlan::single_group);
         let elements = layout.group_elements(0);
         let mut rng = StdRng::seed_from_u64(0xDEA2);
         let mut random =
             |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect() };
-        for kind in [OptimKind::Sgd, OptimKind::adam_default()] {
-            let adam = matches!(kind, OptimKind::Adam { .. });
-            let hyper = HyperParams {
-                lr: 0.05,
-                momentum: 0.9,
-                weight_decay: 1e-2,
-                kind,
-            };
-            for strategy in [ParallelismStrategy::Ddp, ParallelismStrategy::Zero2] {
-                for world in [2usize, 3, 5] {
-                    for rank in 0..world {
-                        let owned = chunk_range(elements, world, ring_owned_chunk(rank, world));
-                        // Zero2's gradient shard is compact: exactly the
-                        // owned chunk, based at `owned.start`.
-                        let (gshift, glen) = if strategy.shards_grad_stash() {
-                            (owned.start, owned.len())
-                        } else {
-                            (0, elements)
-                        };
-                        let mut fast = OptimStore::new(&layout, rank, world, PipelineMode::Dear);
-                        fast.velocity = random(fast.dense_len);
-                        let mut velocity = fast.velocity.clone();
-                        let mut second_moment = Vec::new();
-                        let mut fast_params = random(elements);
-                        let mut slow_params = fast_params.clone();
-                        for adam_step in 1..=3 {
-                            let gbuf = random(glen);
-                            if adam && adam_step == 1 {
-                                second_moment = vec![0.0; fast.dense_len];
+        for hyper in rules() {
+            let adam = matches!(hyper.kind, OptimKind::Adam { .. });
+            for world in [1usize, 2, 3, 5] {
+                for rank in 0..world {
+                    let owned = chunk_range(elements, world, ring_owned_chunk(rank, world));
+                    let mut fast = OptimStore::new(&layout, rank, world, PipelineMode::Dear);
+                    let mut velocity = random(owned.len());
+                    if hyper.momentum != 0.0 || adam {
+                        fast.velocity = Some(velocity.clone());
+                    }
+                    let mut second_moment = vec![0.0; owned.len()];
+                    let mut fast_params = random(elements);
+                    let mut slow_params = fast_params.clone();
+                    for adam_step in 1..=3 {
+                        let gsums = random(elements);
+                        let mut update = GroupUpdate::new(
+                            &mut fast,
+                            hyper,
+                            0,
+                            &owned,
+                            &mut fast_params,
+                            world,
+                            adam_step,
+                        );
+                        let mut at = owned.start;
+                        for cut in [1, 4, 2, 9].iter().cycle() {
+                            let end = (at + cut).min(owned.end);
+                            update.apply(at..end, &gsums[at..end]);
+                            if end == owned.end {
+                                break;
                             }
-                            let inv_p = 1.0 / world as f32;
-                            let (kept, v, m) = fast.group_state(0, adam);
-                            assert_eq!(kept, owned);
-                            update_owned_shard(
-                                &mut fast_params[owned.clone()],
-                                &gbuf[owned.start - gshift..owned.end - gshift],
-                                v,
-                                m,
-                                &hyper,
-                                inv_p,
-                                adam_step,
-                            );
-                            indexed_update(
-                                &owned,
-                                &gbuf,
-                                gshift,
-                                &mut slow_params,
-                                &mut velocity,
-                                &mut second_moment,
-                                &hyper,
-                                inv_p,
-                                adam_step,
-                            );
-                            let bits =
-                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                            let case = format!("{kind:?} {strategy:?} rank {rank}/{world}");
-                            assert_eq!(bits(&fast_params), bits(&slow_params), "params: {case}");
-                            assert_eq!(bits(&fast.velocity), bits(&velocity), "velocity: {case}");
-                            assert_eq!(
-                                bits(&fast.second_moment),
-                                bits(&second_moment),
-                                "second moment: {case}"
-                            );
+                            at = end;
+                        }
+                        indexed_update(
+                            &owned,
+                            &gsums,
+                            &mut slow_params,
+                            &mut velocity,
+                            &mut second_moment,
+                            &hyper,
+                            1.0 / world as f32,
+                            adam_step,
+                        );
+                        let case = format!("{hyper:?} rank {rank}/{world} step {adam_step}");
+                        assert_eq!(bits(&fast_params), bits(&slow_params), "params: {case}");
+                        if hyper.momentum == 0.0 && !adam {
+                            assert_eq!(fast.velocity, None, "{case}: a velocity was kept");
+                        } else {
+                            let v = fast.velocity.as_deref().unwrap();
+                            assert_eq!(bits(v), bits(&velocity), "velocity: {case}");
+                        }
+                        if adam {
+                            let m = fast.second_moment.as_deref().unwrap();
+                            assert_eq!(bits(m), bits(&second_moment), "second moment: {case}");
+                        } else {
+                            assert_eq!(fast.second_moment, None, "{case}");
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn stateless_sgd_differs_from_the_stateful_loop_only_at_signed_zeros() {
+        // Every pairing of finite parameters, gradient sums and old
+        // velocities from a grid of signed zeros, subnormals, ordinary and
+        // huge values: without momentum the update keeps no velocity, and
+        // the only parameter it leaves differently from `v = 0·v + g;
+        // p -= lr·v` is a −0.0 one meeting a −0.0 gradient sum.
+        let grid = [
+            0.0f32,
+            -0.0,
+            1.0,
+            -1.0,
+            0.375,
+            -3.5,
+            1e-40,
+            -1e-40,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e30,
+            -1e30,
+        ];
+        let mut exceptions = 0;
+        for (weight_decay, inv_p) in [(0.0, 1.0), (1e-2, 0.5), (1e-4, 1.0 / 3.0)] {
+            let hyper = HyperParams {
+                lr: 0.05,
+                momentum: 0.0,
+                weight_decay,
+                kind: OptimKind::Sgd,
+            };
+            for p in grid {
+                for gsum in grid {
+                    for v in grid {
+                        let mut stateless = [p];
+                        update_owned_shard(
+                            &mut stateless,
+                            &[gsum],
+                            &mut [],
+                            &mut [],
+                            &hyper,
+                            inv_p,
+                            1,
+                        );
+                        let mut stateful = [p];
+                        indexed_update(
+                            &(0..1),
+                            &[gsum],
+                            &mut stateful,
+                            &mut [v],
+                            &mut [],
+                            &hyper,
+                            inv_p,
+                            1,
+                        );
+                        if stateless[0].to_bits() != stateful[0].to_bits() {
+                            let signed_zero = |x: f32| x.to_bits() == (-0.0f32).to_bits();
+                            assert!(
+                                signed_zero(p) && signed_zero(gsum),
+                                "p {p:e} gsum {gsum:e} v {v:e} λ {weight_decay}: \
+                                 {:e} against {:e}",
+                                stateless[0],
+                                stateful[0]
+                            );
+                            assert_eq!(bits(&stateless), bits(&[0.0]), "{v:e}");
+                            assert_eq!(bits(&stateful), bits(&[-0.0]), "{v:e}");
+                            exceptions += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(exceptions > 0, "the (−0.0, −0.0) exception is real");
     }
 
     #[test]
@@ -1213,18 +1433,21 @@ mod tests {
                 store.import(&layout, &full, &negated);
                 let kept = store.groups[0].0.clone();
                 let in_group: Vec<f32> = kept.map(|k| 1.0 + k as f32).collect();
-                assert_eq!(store.velocity, in_group, "{case}: group coordinates");
-                let velocity = store.export_velocity(&layout);
-                let second = store.export_second_moment(&layout);
+                assert_eq!(store.velocity, Some(in_group), "{case}: group coordinates");
+                let (velocity, second) = store.export(&layout);
                 for (k, (&v, &m)) in velocity.iter().zip(&second).enumerate() {
                     assert!(v == full[k] || v == 0.0, "{case}: element {k}");
                     assert_eq!(m, -v, "{case}: element {k}");
                     summed[k] += v;
                 }
-                // What a rank exports, it imports back unchanged.
+                // What a rank exports, it imports back unchanged; no state
+                // is exported as none.
                 let mut again = OptimStore::new(&layout, rank, world, mode);
                 again.import(&layout, &velocity, &second);
                 assert_eq!(again.velocity, store.velocity, "{case}: round trip");
+                again.import(&layout, &[], &second);
+                assert_eq!(again.velocity, None, "{case}: no velocity");
+                assert_eq!(again.export(&layout).0, Vec::<f32>::new(), "{case}");
                 if mode == PipelineMode::Wfbp {
                     assert_eq!(velocity, full, "{case}: WFBP keeps everything");
                 }

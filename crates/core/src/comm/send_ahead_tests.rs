@@ -82,9 +82,12 @@ impl Transport for Probe {
 }
 
 /// The schedule send-ahead replaced: every ring job runs start to end
-/// through the monolithic calls before the next one is looked at. Serves
-/// the first job's layout, then the ring job and the flush only.
-fn run_one_at_a_time<T: Transport>(
+/// through the monolithic calls before the next one is looked at — and
+/// OP1 the way it ran before the update was fused into the receive: the
+/// reduce-scatter leaves the owned chunk reduced, ZeRO-2 compacts it, and
+/// a second pass updates it. Serves the first job's layout, then the ring
+/// jobs, the flush and optimizer-state exports only.
+pub(super) fn run_one_at_a_time<T: Transport>(
     transport: T,
     hyper: HyperParams,
     strategy: ParallelismStrategy,
@@ -99,12 +102,11 @@ fn run_one_at_a_time<T: Transport>(
     let segments = SegmentConfig::MONOLITHIC.with_wire(layout.wire());
     let (rank, world) = (transport.rank(), transport.world_size());
     let inv_p = 1.0 / world as f32;
-    let adam = matches!(hyper.kind, OptimKind::Adam { .. });
     let mut store = OptimStore::new(&layout, rank, world, mode);
     let mut adam_step = 0;
     let mut stash: Vec<(usize, StashEntry)> = Vec::new();
     let update = |store: &mut OptimStore, group, params: &mut [f32], gbuf: &[f32], gshift, step| {
-        let (owned, velocity, second_moment) = store.group_state(group, adam);
+        let (owned, velocity, second_moment) = store.group_state(group, &hyper);
         update_owned_shard(
             &mut params[owned.clone()],
             &gbuf[owned.start - gshift..owned.end - gshift],
@@ -191,6 +193,16 @@ fn run_one_at_a_time<T: Transport>(
                         })
                         .unwrap();
                 }
+            }
+            (CommJob::ExportOptimState, _) => {
+                let (velocity, second_moment) = store.export(&layout);
+                results
+                    .send(CommResult::OptimState(OptimState {
+                        velocity,
+                        second_moment,
+                        adam_step,
+                    }))
+                    .unwrap();
             }
             (other, _) => panic!("the reference serves ring jobs only, got {other:?}"),
         }

@@ -440,7 +440,7 @@ impl DistOptim {
     /// plus Adam second moment, dense over the owned shard: under DeAR
     /// ~`1/world` of the model per vector under every strategy, under WFBP
     /// the whole model per vector on every rank). Zero before the first
-    /// update. Purely local — no communication. This is what the ZeRO
+    /// update, and under SGD without momentum, which keeps no state. Purely local — no communication. This is what the ZeRO
     /// memory assertions read.
     ///
     /// # Errors
@@ -513,7 +513,7 @@ impl DistOptim {
     /// # Errors
     ///
     /// Returns [`CollectiveError::SizeMismatch`] if a vector of `state` is
-    /// not as long as the model (the second moment may also be empty): a
+    /// neither as long as the model nor empty (no state of that kind): a
     /// checkpoint of another model. Nothing was imported; the optimizer
     /// goes on as it was.
     ///
@@ -523,13 +523,11 @@ impl DistOptim {
     pub fn import_optim_state(&mut self, state: OptimState) -> Result<(), CollectiveError> {
         self.assert_synchronized("optimizer-state import");
         let expected = self.layout.total_elements();
-        if state.velocity.len() != expected {
-            let actual = state.velocity.len();
-            return Err(CollectiveError::SizeMismatch { expected, actual });
-        }
-        if !state.second_moment.is_empty() && state.second_moment.len() != expected {
-            let actual = state.second_moment.len();
-            return Err(CollectiveError::SizeMismatch { expected, actual });
+        for vector in [&state.velocity, &state.second_moment] {
+            if !vector.is_empty() && vector.len() != expected {
+                let actual = vector.len();
+                return Err(CollectiveError::SizeMismatch { expected, actual });
+            }
         }
         self.post(CommJob::ImportOptimState(state));
         Ok(())

@@ -1,7 +1,8 @@
 //! End-to-end check of the observability layer over a real in-process
 //! DeAR run: spans land on the right streams, OP1 spans never overlap on
-//! one stream, and measured exposed communication never exceeds total
-//! communication.
+//! one stream — the update fused into a reduce-scatter's last receive has
+//! a span of its own after it, not inside it — and measured exposed
+//! communication never exceeds total communication.
 
 use dear_core::trace::{self, OverlapSummary, TaskKind};
 use dear_core::{run_training, TrainConfig};
@@ -53,6 +54,7 @@ fn traced_dear_run_produces_serial_non_empty_streams() {
         tl.assert_streams_serial();
 
         let mut op1 = 0usize;
+        let mut upd = 0usize;
         let mut op2 = 0usize;
         let mut ff = 0usize;
         let mut bp = 0usize;
@@ -65,6 +67,10 @@ fn traced_dear_run_produces_serial_non_empty_streams() {
                 );
                 assert_eq!(task.kind, TaskKind::Communication);
                 op1 += 1;
+            }
+            if task.label.starts_with("OP1.UPD") {
+                assert!(stream.ends_with("/comm"), "OP1.UPD on {stream}");
+                upd += 1;
             }
             if task.label.starts_with("OP2.AG") {
                 op2 += 1;
@@ -79,6 +85,7 @@ fn traced_dear_run_produces_serial_non_empty_streams() {
             }
         }
         assert!(op1 > 0, "{scope}: no OP1 reduce-scatter spans recorded");
+        assert_eq!(upd, op1, "{scope}: one OP1.UPD span per OP1.RS span");
         assert!(op2 > 0, "{scope}: no OP2 all-gather spans recorded");
         assert!(ff >= steps as usize, "{scope}: missing feed-forward spans");
         assert_eq!(bp, steps as usize, "{scope}: missing backprop spans");

@@ -16,7 +16,8 @@ pub struct Sgd {
     lr: f32,
     momentum: f32,
     weight_decay: f32,
-    /// One velocity buffer per parameter tensor, allocated lazily.
+    /// One velocity buffer per parameter tensor, allocated lazily — with
+    /// momentum only: without, SGD keeps no state.
     velocity: Vec<Vec<f32>>,
 }
 
@@ -66,7 +67,8 @@ impl Sgd {
     }
 
     /// Applies one update step to every parameter of `net` from its current
-    /// gradients: `v ← μv + (g + λw)`, `w ← w − η·v`.
+    /// gradients: `v ← μv + (g + λw)`, `w ← w − η·v`; without momentum
+    /// `w ← w − η·(g + λw)`, keeping no `v`.
     pub fn step(&mut self, net: &mut Sequential) {
         Optimizer::step(self, net);
     }
@@ -81,6 +83,16 @@ impl Optimizer for Sgd {
             ..
         } = *self;
         net.store_mut().update(|idx, p, g| {
+            // Without momentum the velocity would only ever hold the step's
+            // gradient. On finite values this is the stateful loop bit for
+            // bit, except that a −0.0 weight meeting a −0.0 gradient may end
+            // +0.0 where that kept −0.0.
+            if momentum == 0.0 {
+                for (w, &g) in p.iter_mut().zip(g) {
+                    *w -= lr * (g + weight_decay * *w);
+                }
+                return;
+            }
             if self.velocity.len() <= idx {
                 self.velocity.push(vec![0.0; p.len()]);
             }
@@ -178,6 +190,69 @@ mod tests {
         let mut opt = Sgd::new(0.1);
         opt.set_lr(0.5);
         assert_eq!(opt.lr(), 0.5);
+    }
+
+    #[test]
+    fn sgd_without_momentum_is_the_stateful_loop_but_at_signed_zeros() {
+        // The stateful loop this rule replaced: `v ← 0·v + (g + λw)`,
+        // `w ← w − η·v`, from any old velocity. Over every pairing of a grid
+        // of finite weights, gradients and old velocities — signed zeros,
+        // subnormals, ordinary and huge values — the stateless step keeps
+        // no velocity and agrees to the bit, except for a −0.0 weight
+        // meeting a −0.0 gradient: the stateful `+0.0 + −0.0` made the
+        // velocity +0.0 and left the weight −0.0, the stateless step makes
+        // it +0.0.
+        let grid = [
+            0.0f32,
+            -0.0,
+            1.0,
+            -1.0,
+            0.375,
+            -3.5,
+            1e-40,
+            -1e-40,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e30,
+            -1e30,
+        ];
+        let cells: Vec<(f32, f32, f32)> = grid
+            .iter()
+            .flat_map(|&w| grid.iter().flat_map(move |&g| grid.map(|v| (w, g, v))))
+            .collect();
+        let lr = 0.05;
+        for weight_decay in [0.0, 1e-2] {
+            // One weight per cell: a single tensor holding the whole grid.
+            let mut net = Sequential::new().push(crate::Embedding::new(
+                cells.len(),
+                1,
+                &mut StdRng::seed_from_u64(0),
+            ));
+            let weights: Vec<f32> = cells.iter().map(|c| c.0).collect();
+            let grads: Vec<f32> = cells.iter().map(|c| c.1).collect();
+            net.set_flat_params(&weights);
+            net.store_mut().set_flat_grads(&grads);
+            let mut opt = Sgd::with_options(lr, 0.0, weight_decay);
+            opt.step(&mut net);
+            assert!(opt.velocity.is_empty(), "a velocity was kept");
+            let mut exceptions = 0;
+            for (&(w, g, v), got) in cells.iter().zip(net.flat_params()) {
+                let mut old = (w, v);
+                old.1 = 0.0 * old.1 + (g + weight_decay * old.0);
+                old.0 -= lr * old.1;
+                if got.to_bits() != old.0.to_bits() {
+                    let negative_zero = |x: f32| x.to_bits() == (-0.0f32).to_bits();
+                    assert!(
+                        negative_zero(w) && negative_zero(g),
+                        "w {w:e} g {g:e} v {v:e} λ {weight_decay}: {got:e}, not {:e}",
+                        old.0
+                    );
+                    assert_eq!((got.to_bits(), old.0.to_bits()), (0, (-0.0f32).to_bits()));
+                    exceptions += 1;
+                }
+            }
+            assert!(exceptions > 0, "the (−0.0, −0.0) exception is real");
+        }
     }
 
     #[test]

@@ -275,6 +275,9 @@ pub fn run_demo_on<T: Transport + Send + 'static>(
     let data = BlobDataset::new(6, 3, 0.4, 99);
     let train_cfg = TrainConfig {
         fusion_buffer: Some(512), // several groups => real pipelining
+        // Momentum, so that there is optimizer state to shard, checkpoint,
+        // restore and rebalance: SGD without it keeps none.
+        momentum: 0.9,
         ..TrainConfig::default()
     }
     .with_wire(cfg.wire)

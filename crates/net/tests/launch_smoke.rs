@@ -83,7 +83,8 @@ fn zero2_strategy_matches_ddp_losses_and_shards_optimizer_memory() {
     // the strategy.
     //
     // The demo net is a 6→16→8→3 MLP: 275 parameters in 6 tensors, one
-    // SGD velocity vector. A rank owns one chunk of every fusion group, at
+    // SGD velocity vector (the demo trains with momentum; without, SGD
+    // keeps no state). A rank owns one chunk of every fusion group, at
     // most one element of rounding per group, and a group holds at least
     // one tensor.
     const MODEL_BYTES: usize = 275 * 4;

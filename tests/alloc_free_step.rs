@@ -153,8 +153,8 @@ fn steady_state_step_adds_no_large_allocation() {
              plain forward + backward makes {plain} per replica"
         );
     }
-    // ZeRO-2 trades buffers for memory: its reduce-scatter consumes the
-    // gradient buffer and it parks only the owned chunk between OP1 and OP2,
+    // ZeRO-2 trades buffers for memory: its OP1 compacts the gradient
+    // buffer and it parks only the owned chunk between OP1 and OP2,
     // so each large group still costs up to three allocations a step (the
     // next gradient buffer, the compacting shrink, the rebuilt parameter
     // buffer).
