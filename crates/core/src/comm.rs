@@ -214,6 +214,19 @@ impl StashEntry {
     }
 }
 
+/// Adam's bias correction `1 − βᵗ` at step `t`, computed in f64: in f32,
+/// `1 − βᵗ` loses its precision once βᵗ ≈ 1 − 1e-7 (β₂ = 0.999 reaches that
+/// within ~7 steps of t where f32 rounding shows). `powi` takes an `i32`,
+/// so a step past `i32::MAX` — reachable through an imported state — takes
+/// the exact exponent instead of wrapping to a negative one.
+fn bias_correction(beta: f32, t: u64) -> f32 {
+    let beta_t = match i32::try_from(t) {
+        Ok(t) => f64::from(beta).powi(t),
+        Err(_) => f64::from(beta).powf(t as f64),
+    };
+    (1.0 - beta_t) as f32
+}
+
 /// `OP1.UPD`: applies the optimizer to a slice of the part of one group
 /// this rank updates (WFBP: of the whole group). `params` and `grads` (the
 /// reduced sums) are that slice of the group's buffers, `velocity` and
@@ -253,11 +266,8 @@ fn update_owned_shard(
             }
         }
         OptimKind::Adam { beta1, beta2, eps } => {
-            // Bias correction in f64: 1 − βᵗ underflows f32 precision once
-            // βᵗ ≈ 1 − 1e-7 (β₂ = 0.999 reaches that within ~7 steps of t
-            // where f32 rounding shows).
-            let bias1 = (1.0 - f64::from(beta1).powi(adam_step as i32)) as f32;
-            let bias2 = (1.0 - f64::from(beta2).powi(adam_step as i32)) as f32;
+            let bias1 = bias_correction(beta1, adam_step);
+            let bias2 = bias_correction(beta2, adam_step);
             for (((p, &gsum), m), s) in params
                 .iter_mut()
                 .zip(grads)
@@ -1401,6 +1411,37 @@ mod tests {
             }
         }
         assert!(exceptions > 0, "the (−0.0, −0.0) exception is real");
+    }
+
+    #[test]
+    fn adam_keeps_updating_past_two_to_the_31_steps() {
+        // At either step βᵗ is 0 in f64, so the correction is exactly 1.
+        // An `i32` exponent would wrap: βᵗ = inf and no update at all at
+        // 2^31 + 5, step 1's correction again at 2^32 + 1.
+        let hyper = HyperParams {
+            kind: OptimKind::adam_default(),
+            ..rules()[0]
+        };
+        let OptimKind::Adam { beta1, beta2, eps } = hyper.kind else {
+            unreachable!()
+        };
+        let (gsums, p0) = ([0.75f32, -2.0, 0.0, 3.5], [1.0f32, -0.5, 0.25, 0.0]);
+        for t in [(1u64 << 31) + 5, (1 << 32) + 1] {
+            let mut params = p0;
+            let (mut m, mut v) = ([0.0f32; 4], [0.0f32; 4]);
+            update_owned_shard(&mut params, &gsums, &mut m, &mut v, &hyper, 0.5, t);
+            let want: Vec<f32> = p0
+                .iter()
+                .zip(&gsums)
+                .map(|(&p, &gsum)| {
+                    let g = gsum * 0.5 + hyper.weight_decay * p;
+                    let m = beta1 * 0.0 + (1.0 - beta1) * g;
+                    let v = beta2 * 0.0 + (1.0 - beta2) * g * g;
+                    p - hyper.lr * (m / 1.0) / ((v / 1.0).sqrt() + eps)
+                })
+                .collect();
+            assert_eq!(bits(&params), bits(&want), "step {t}");
+        }
     }
 
     #[test]

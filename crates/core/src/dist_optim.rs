@@ -440,8 +440,9 @@ impl DistOptim {
     /// plus Adam second moment, dense over the owned shard: under DeAR
     /// ~`1/world` of the model per vector under every strategy, under WFBP
     /// the whole model per vector on every rank). Zero before the first
-    /// update, and under SGD without momentum, which keeps no state. Purely local — no communication. This is what the ZeRO
-    /// memory assertions read.
+    /// update, and under SGD without momentum, which keeps no state.
+    /// Purely local — no communication. This is what the ZeRO memory
+    /// assertions read.
     ///
     /// # Errors
     ///

@@ -83,11 +83,8 @@ impl Adam {
 impl Optimizer for Adam {
     fn step(&mut self, net: &mut Sequential) {
         self.step += 1;
-        // Bias correction in f64 (matches the comm-thread sharded Adam):
-        // 1 − βᵗ loses all precision in f32 once βᵗ rounds to 1.
-        let t = self.step as i32;
-        let bias1 = (1.0 - f64::from(self.beta1).powi(t)) as f32;
-        let bias2 = (1.0 - f64::from(self.beta2).powi(t)) as f32;
+        let bias1 = bias_correction(self.beta1, self.step);
+        let bias2 = bias_correction(self.beta2, self.step);
         let Adam {
             lr,
             beta1,
@@ -117,6 +114,18 @@ impl Optimizer for Adam {
             }
         });
     }
+}
+
+/// The bias correction `1 − βᵗ` at step `t`, in f64 as the comm thread's
+/// sharded Adam computes it: in f32, 1 − βᵗ loses all precision once βᵗ
+/// rounds to 1. `powi` takes an `i32`, so a step past `i32::MAX` takes the
+/// exact exponent instead of wrapping to a negative one.
+fn bias_correction(beta: f32, t: u64) -> f32 {
+    let beta_t = match i32::try_from(t) {
+        Ok(t) => f64::from(beta).powi(t),
+        Err(_) => f64::from(beta).powf(t as f64),
+    };
+    (1.0 - beta_t) as f32
 }
 
 #[cfg(test)]
@@ -190,6 +199,34 @@ mod tests {
             last
         };
         assert!(run_adam < run_sgd, "Adam {run_adam} >= SGD {run_sgd}");
+    }
+
+    #[test]
+    fn keeps_updating_past_two_to_the_31_steps() {
+        // At either step βᵗ is 0 in f64, so the correction is exactly 1.
+        // An `i32` exponent would wrap: βᵗ = inf and no update at all at
+        // 2^31 + 5, step 1's correction again at 2^32 + 1.
+        for t in [(1u64 << 31) + 5, (1 << 32) + 1] {
+            let mut net = quadratic_net(0);
+            let mut opt = Adam::new(0.05);
+            opt.step = t - 1;
+            let w = net.flat_params();
+            let g: Vec<f32> = (0..w.len()).map(|i| 0.5 - i as f32).collect();
+            net.store_mut().set_flat_grads(&g);
+            opt.step(&mut net);
+            assert_eq!(opt.steps(), t);
+            let want: Vec<u32> = w
+                .iter()
+                .zip(&g)
+                .map(|(&w, &g)| {
+                    let m = 0.9f32 * 0.0 + (1.0 - 0.9f32) * g;
+                    let v = 0.999f32 * 0.0 + (1.0 - 0.999f32) * g * g;
+                    (w - 0.05 * (m / 1.0) / ((v / 1.0).sqrt() + 1e-8)).to_bits()
+                })
+                .collect();
+            let got: Vec<u32> = net.flat_params().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "step {t}");
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Loss functions: softmax cross-entropy and mean squared error.
 
+use std::cmp::Ordering::Equal;
+
 use crate::tensor::Tensor;
 
 /// Softmax cross-entropy over logits, batched.
@@ -63,7 +65,8 @@ pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     (loss / n, grad)
 }
 
-/// Fraction of rows whose argmax matches the label.
+/// Fraction of rows whose argmax matches the label. A row with a NaN
+/// logit (a diverged network) has no argmax and counts as wrong.
 ///
 /// # Panics
 ///
@@ -78,10 +81,11 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
     let classes = logits.cols();
     let correct = (0..batch)
         .filter(|&r| {
-            let pred = (0..classes)
-                .max_by(|&a, &b| logits.at(r, a).partial_cmp(&logits.at(r, b)).unwrap())
-                .unwrap();
-            pred == labels[r]
+            let row = &logits.data()[r * classes..(r + 1) * classes];
+            // Past the NaN test every pair compares; ties go to the last.
+            !row.iter().any(|x| x.is_nan())
+                && (0..classes).max_by(|&a, &b| row[a].partial_cmp(&row[b]).unwrap_or(Equal))
+                    == Some(labels[r])
         })
         .count();
     correct as f32 / batch as f32
@@ -146,6 +150,13 @@ mod tests {
         let logits = Tensor::from_vec(&[2, 2], vec![0.9, 0.1, 0.2, 0.8]);
         assert_eq!(accuracy(&logits, &[0, 1]), 1.0);
         assert_eq!(accuracy(&logits, &[1, 1]), 0.5);
+    }
+
+    #[test]
+    fn a_nan_logit_counts_as_wrong() {
+        let logits = Tensor::from_vec(&[2, 3], vec![0.1, f32::NAN, 0.3, 0.7, 0.2, 0.1]);
+        assert_eq!(accuracy(&logits, &[2, 0]), 0.5);
+        assert_eq!(accuracy(&logits, &[1, 0]), 0.5);
     }
 
     #[test]

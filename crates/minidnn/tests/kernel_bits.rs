@@ -1,9 +1,11 @@
-//! The backward kernels compute what the loops they replaced computed, bit
+//! The dense kernels compute what the loops they replaced computed, bit
 //! for bit (DESIGN.md §4.3): `Tensor::matmul_t_slice` runs 16 output
 //! columns as lanes over a transposed weight panel and
 //! `Tensor::t_matmul_into` accumulates column blocks in registers, but per
 //! output element both keep the old loop's chain — same start value, same
-//! terms, same order. The old loops live on here, as the oracles.
+//! terms, same order. The old loops live on here, as the oracles, and so
+//! does the forward `Tensor::matmul_slice`'s own loop: its AVX2 stream must
+//! keep that chain too.
 //!
 //! Every case sweeps the whole shape grid: batch sizes on both sides of the
 //! two-rows-per-pass split and of the row block, inner dimensions that are
@@ -20,6 +22,27 @@ use dear_minidnn::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `x · W` as `Tensor::matmul_slice` computes it: i-k-j order into a
+/// zeroed output, rows of `W` whose activation is exactly zero skipped.
+fn oracle_matmul(a: &Tensor, rhs: &[f32]) -> Vec<f32> {
+    let (m, k) = (a.rows(), a.cols());
+    let n = rhs.len() / k;
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for kk in 0..k {
+            let av = a.data()[i * k + kk];
+            if av == 0.0 {
+                continue;
+            }
+            let row = &rhs[kk * n..(kk + 1) * n];
+            for (o, b) in out[i * n..(i + 1) * n].iter_mut().zip(row) {
+                *o += av * b;
+            }
+        }
+    }
+    out
+}
 
 /// `dy · Wᵀ` as `Tensor::matmul_t_slice` computed it before the lane kernel.
 fn oracle_matmul_t(a: &Tensor, rhs: &[f32]) -> Vec<f32> {
@@ -106,6 +129,21 @@ const WIDTHS: [usize; 8] = [1, 15, 16, 17, 31, 33, 80, 512];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn matmul_slice_keeps_every_chain(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (m, k, n) in grid() {
+            let non_finite = rng.gen_range(0..2) == 1;
+            let x = Tensor::from_vec(&[m, k], values(&mut rng, m * k, non_finite));
+            let w = values(&mut rng, k * n, non_finite);
+            let got = x.matmul_slice(&w);
+            prop_assert_eq!(got.shape(), &[m, n]);
+            if let Some(diff) = first_difference(got.data(), &oracle_matmul(&x, &w)) {
+                prop_assert!(false, "matmul_slice [{m}x{k}]·[{k}x{n}] {diff}");
+            }
+        }
+    }
 
     #[test]
     fn matmul_t_slice_keeps_every_chain(seed in any::<u64>()) {
