@@ -1,6 +1,6 @@
 //! Mixed-precision wire format at the paper's 25 MB fusion-buffer working
 //! set: what a bf16/f16 wire saves in bytes and in measured step time,
-//! over both fabrics.
+//! over both fabrics, on the trainer's one-message-per-hop ring.
 //!
 //! Written to `results/precision.txt`:
 //!
@@ -19,15 +19,14 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use dear_collectives::{
-    ring_all_reduce_seg, CollectiveError, CostModel, DType, DelayFabric, LocalFabric, Message,
-    ReduceOp, SegmentConfig, Transport,
+    ring_all_reduce_on_wire, CollectiveError, CostModel, DType, DelayFabric, LocalFabric, Message,
+    ReduceOp, Transport,
 };
 use dear_net::tcp_loopback_with;
 
 const WORLD: usize = 4;
 const BYTES: usize = 25 << 20;
 const ELEMS: usize = BYTES / 4;
-const SEGMENT: usize = 256 << 10;
 const ITERS: usize = 3;
 
 /// Counts payload wire bytes on the way out; otherwise a transparent
@@ -81,7 +80,7 @@ impl<T: Transport> Transport for Counting<T> {
 
 /// One synchronized 25 MB all-reduce across every rank of `eps`; returns
 /// the slowest rank's time (the step time a trainer would observe).
-fn timed_all_reduce<T: Transport + Sync>(eps: &[T], seg: SegmentConfig) -> Duration {
+fn timed_all_reduce<T: Transport + Sync>(eps: &[T], wire: DType) -> Duration {
     let barrier = Barrier::new(eps.len());
     std::thread::scope(|s| {
         let handles: Vec<_> = eps
@@ -95,7 +94,7 @@ fn timed_all_reduce<T: Transport + Sync>(eps: &[T], seg: SegmentConfig) -> Durat
                         .collect();
                     barrier.wait();
                     let t = Instant::now();
-                    ring_all_reduce_seg(ep, &mut data, ReduceOp::Sum, seg).unwrap();
+                    ring_all_reduce_on_wire(ep, &mut data, ReduceOp::Sum, wire).unwrap();
                     t.elapsed()
                 })
             })
@@ -110,14 +109,14 @@ fn timed_all_reduce<T: Transport + Sync>(eps: &[T], seg: SegmentConfig) -> Durat
 
 /// Mean measured time plus per-rank wire bytes for one all-reduce on the
 /// given (already Counting-wrapped) endpoints.
-fn measure<T: Transport + Sync>(eps: &[Counting<T>], seg: SegmentConfig) -> (f64, u64) {
-    let _ = timed_all_reduce(eps, seg); // warm-up: pools, page faults
+fn measure<T: Transport + Sync>(eps: &[Counting<T>], wire: DType) -> (f64, u64) {
+    let _ = timed_all_reduce(eps, wire); // warm-up: pools, page faults
     for ep in eps {
         ep.sent.store(0, Ordering::Relaxed);
     }
     let mut times = Vec::new();
     for _ in 0..ITERS {
-        times.push(timed_all_reduce(eps, seg));
+        times.push(timed_all_reduce(eps, wire));
     }
     let mean = times.iter().sum::<Duration>().as_secs_f64() * 1e3 / ITERS as f64;
     let per_rank = eps[0].sent.load(Ordering::Relaxed) / ITERS as u64;
@@ -152,9 +151,8 @@ fn main() {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# mixed-precision wire at {mb:.0} MB: segmented ring all-reduce, \
-         {WORLD} ranks, {} KiB segments, mean of {ITERS}, {cores} host core(s)",
-        SEGMENT >> 10
+        "# mixed-precision wire at {mb:.0} MB: ring all-reduce, one message \
+         per hop, {WORLD} ranks, mean of {ITERS}, {cores} host core(s)"
     );
     let _ = writeln!(
         out,
@@ -177,7 +175,7 @@ fn main() {
         wires
             .iter()
             .map(|&w| {
-                let (ms, bytes) = measure(eps, SegmentConfig::new(SEGMENT).with_wire(w));
+                let (ms, bytes) = measure(eps, w);
                 (w, ms, bytes)
             })
             .collect()
@@ -192,7 +190,7 @@ fn main() {
         wires
             .iter()
             .map(|&w| {
-                let (ms, bytes) = measure(&eps, SegmentConfig::new(SEGMENT).with_wire(w));
+                let (ms, bytes) = measure(&eps, w);
                 (w, ms, bytes)
             })
             .collect()

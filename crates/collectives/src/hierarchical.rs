@@ -13,11 +13,11 @@ use std::sync::Arc;
 use crate::error::CollectiveError;
 use crate::reduce::ReduceOp;
 use crate::ring::{
-    ring_all_gather_seg, ring_all_reduce_seg, ring_owned_chunk, ring_reduce_scatter_seg,
+    ring_all_gather_on_wire, ring_all_reduce_on_wire, ring_owned_chunk, ring_reduce_scatter_on_wire,
 };
-use crate::segment::SegmentConfig;
 use crate::topology::Placement;
 use crate::transport::{GroupTransport, Transport};
+use crate::wire::DType;
 
 /// Shape of a two-level cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,12 +93,12 @@ impl ClusterShape {
 
 /// Hierarchical ring all-reduce over `data`, in place, on the contiguous
 /// `nodes × gpus_per_node` rank blocks of `shape`:
-/// [`hierarchical_all_reduce_seg`] over [`Placement::from_shape`],
-/// unsegmented.
+/// [`hierarchical_all_reduce_on_wire`] over [`Placement::from_shape`], on
+/// the `f32` wire.
 ///
 /// # Errors
 ///
-/// As [`hierarchical_all_reduce_seg`].
+/// As [`hierarchical_all_reduce_on_wire`].
 pub fn hierarchical_all_reduce<T: Transport>(
     t: &T,
     shape: ClusterShape,
@@ -106,39 +106,38 @@ pub fn hierarchical_all_reduce<T: Transport>(
     op: ReduceOp,
 ) -> Result<(), CollectiveError> {
     let placement = Placement::from_shape(shape);
-    hierarchical_all_reduce_seg(t, &placement, data, op, SegmentConfig::MONOLITHIC)
+    hierarchical_all_reduce_on_wire(t, &placement, data, op, DType::F32)
 }
 
-/// Hierarchical ring all-reduce over `data`, in place, with segment
-/// pipelining passed through to every ring phase (bit-identical for any
-/// `seg`). The intra-node ring is the set of ranks `placement` says share
-/// a host: contiguous rank blocks under [`Placement::from_shape`], the
-/// ranks that actually do under a placement derived from a real
-/// [`HostMap`](crate::HostMap) — the intra phases then stay on the fast
-/// intra-host tier whatever the rank numbering.
+/// Hierarchical ring all-reduce over `data`, in place, every ring phase on
+/// the `wire` dtype. The intra-node ring is the set of ranks `placement`
+/// says share a host: contiguous rank blocks under
+/// [`Placement::from_shape`], the ranks that actually do under a placement
+/// derived from a real [`HostMap`](crate::HostMap) — the intra phases then
+/// stay on the fast intra-host tier whatever the rank numbering.
 ///
 /// # Errors
 ///
 /// Propagates transport errors; returns
 /// [`CollectiveError::UnsupportedWorld`] if the transport's world size does
 /// not match the placement's.
-pub fn hierarchical_all_reduce_seg<T: Transport>(
+pub fn hierarchical_all_reduce_on_wire<T: Transport>(
     t: &T,
     placement: &Placement,
     data: &mut [f32],
     op: ReduceOp,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<(), CollectiveError> {
     check_placement(t, placement)?;
     let intra = intra_group(t, placement);
-    let owned = ring_reduce_scatter_seg(&intra, data, op, seg)?;
+    let owned = ring_reduce_scatter_on_wire(&intra, data, op, wire)?;
     if let Some(cross) = cross_group(t, placement) {
         let mut shard = data[owned.clone()].to_vec();
-        ring_all_reduce_seg(&cross, &mut shard, op, seg)?;
+        ring_all_reduce_on_wire(&cross, &mut shard, op, wire)?;
         data[owned].copy_from_slice(&shard);
     }
     let owned_chunk = ring_owned_chunk(intra.rank(), placement.gpus_per_node());
-    ring_all_gather_seg(&intra, data, owned_chunk, seg)
+    ring_all_gather_on_wire(&intra, data, owned_chunk, wire)
 }
 
 fn check_placement<T: Transport>(t: &T, placement: &Placement) -> Result<(), CollectiveError> {
@@ -166,7 +165,7 @@ fn cross_group<'a, T: Transport>(t: &'a T, placement: &Placement) -> Option<Grou
 }
 
 /// Bookkeeping carried between the two decoupled phases of the
-/// hierarchical all-reduce (see [`hierarchical_reduce_scatter_phase_seg`]).
+/// hierarchical all-reduce (see [`hierarchical_reduce_scatter_phase`]).
 #[derive(Debug, Clone)]
 pub struct HierarchicalShard {
     /// Element range of `data` this rank owns after the intra-node
@@ -183,24 +182,24 @@ pub struct HierarchicalShard {
 /// flat ring's OP1.
 ///
 /// Pass the returned [`HierarchicalShard`] to
-/// [`hierarchical_all_gather_phase_seg`]; `data`'s non-owned chunks must be
+/// [`hierarchical_all_gather_phase`]; `data`'s non-owned chunks must be
 /// treated as garbage in between.
 ///
 /// # Errors
 ///
-/// As [`hierarchical_all_reduce_seg`].
-pub fn hierarchical_reduce_scatter_phase_seg<T: Transport>(
+/// As [`hierarchical_all_reduce_on_wire`].
+pub fn hierarchical_reduce_scatter_phase<T: Transport>(
     t: &T,
     placement: &Placement,
     data: &mut [f32],
     op: ReduceOp,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<HierarchicalShard, CollectiveError> {
     check_placement(t, placement)?;
-    let intra_owned = ring_reduce_scatter_seg(&intra_group(t, placement), data, op, seg)?;
+    let intra_owned = ring_reduce_scatter_on_wire(&intra_group(t, placement), data, op, wire)?;
     let mut shard = data[intra_owned.clone()].to_vec();
     if let Some(cross) = cross_group(t, placement) {
-        ring_reduce_scatter_seg(&cross, &mut shard, op, seg)?;
+        ring_reduce_scatter_on_wire(&cross, &mut shard, op, wire)?;
     }
     Ok(HierarchicalShard { intra_owned, shard })
 }
@@ -211,23 +210,23 @@ pub fn hierarchical_reduce_scatter_phase_seg<T: Transport>(
 ///
 /// # Errors
 ///
-/// As [`hierarchical_all_reduce_seg`].
-pub fn hierarchical_all_gather_phase_seg<T: Transport>(
+/// As [`hierarchical_all_reduce_on_wire`].
+pub fn hierarchical_all_gather_phase<T: Transport>(
     t: &T,
     placement: &Placement,
     data: &mut [f32],
     mut carry: HierarchicalShard,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<(), CollectiveError> {
     check_placement(t, placement)?;
     if let Some(cross) = cross_group(t, placement) {
         let owned_chunk = ring_owned_chunk(cross.rank(), placement.nodes());
-        ring_all_gather_seg(&cross, &mut carry.shard, owned_chunk, seg)?;
+        ring_all_gather_on_wire(&cross, &mut carry.shard, owned_chunk, wire)?;
     }
     data[carry.intra_owned].copy_from_slice(&carry.shard);
     let intra = intra_group(t, placement);
     let owned_chunk = ring_owned_chunk(intra.rank(), placement.gpus_per_node());
-    ring_all_gather_seg(&intra, data, owned_chunk, seg)
+    ring_all_gather_on_wire(&intra, data, owned_chunk, wire)
 }
 
 #[cfg(test)]
@@ -293,7 +292,7 @@ mod tests {
         let _ = ClusterShape::new(0, 4);
     }
 
-    const MONO: SegmentConfig = SegmentConfig::MONOLITHIC;
+    const F32: DType = DType::F32;
 
     #[test]
     fn decoupled_phases_compose_to_hierarchical_all_reduce() {
@@ -306,11 +305,10 @@ mod tests {
                 let mut data = rank_data(ep.rank(), d);
                 let op = ReduceOp::Sum;
                 let carry =
-                    hierarchical_reduce_scatter_phase_seg(&ep, &placement, &mut data, op, MONO)
-                        .unwrap();
+                    hierarchical_reduce_scatter_phase(&ep, &placement, &mut data, op, F32).unwrap();
                 // ... in DeAR, backprop of earlier layers and the next
                 // iteration's feed-forward happen between the phases ...
-                hierarchical_all_gather_phase_seg(&ep, &placement, &mut data, carry, MONO).unwrap();
+                hierarchical_all_gather_phase(&ep, &placement, &mut data, carry, F32).unwrap();
                 data
             });
             for (rank, data) in results.into_iter().enumerate() {
@@ -334,7 +332,7 @@ mod tests {
             let placement = placement.clone();
             let results = run_cluster(world, move |ep| {
                 let mut data = rank_data(ep.rank(), d);
-                hierarchical_all_reduce_seg(&ep, &placement, &mut data, ReduceOp::Sum, MONO)
+                hierarchical_all_reduce_on_wire(&ep, &placement, &mut data, ReduceOp::Sum, F32)
                     .unwrap();
                 data
             });
@@ -355,9 +353,9 @@ mod tests {
         let results = run_cluster(world, move |ep| {
             let mut data = rank_data(ep.rank(), d);
             let op = ReduceOp::Sum;
-            let carry = hierarchical_reduce_scatter_phase_seg(&ep, &placement, &mut data, op, MONO)
-                .unwrap();
-            hierarchical_all_gather_phase_seg(&ep, &placement, &mut data, carry, MONO).unwrap();
+            let carry =
+                hierarchical_reduce_scatter_phase(&ep, &placement, &mut data, op, F32).unwrap();
+            hierarchical_all_gather_phase(&ep, &placement, &mut data, carry, F32).unwrap();
             data
         });
         for (rank, data) in results.into_iter().enumerate() {
@@ -388,14 +386,9 @@ mod tests {
         let results = run_cluster(world, |ep| {
             let mut data = rank_data(ep.rank(), d);
             let placement = Placement::from_shape(shape);
-            let carry = hierarchical_reduce_scatter_phase_seg(
-                &ep,
-                &placement,
-                &mut data,
-                ReduceOp::Sum,
-                MONO,
-            )
-            .unwrap();
+            let carry =
+                hierarchical_reduce_scatter_phase(&ep, &placement, &mut data, ReduceOp::Sum, F32)
+                    .unwrap();
             (ep.rank(), carry)
         });
         for (rank, carry) in results {

@@ -11,8 +11,8 @@
 //! - [`ring_reduce_scatter`] / [`ring_all_gather`] / [`ring_all_reduce`]:
 //!   the decomposition DeAR exploits — `AR = RS ∘ AG` with identical cost
 //!   halves (paper Eqs. 3–5).
-//! - [`rhd_all_reduce_seg`], [`double_tree_all_reduce_seg`],
-//!   [`hierarchical_all_reduce_seg`], [`naive_all_reduce_seg`]: the other
+//! - [`rhd_all_reduce`], [`double_tree_all_reduce`],
+//!   [`hierarchical_all_reduce`], [`naive_all_reduce`]: the other
 //!   all-reduce families discussed in §VII-A, all of which also decouple
 //!   into two continuous operations.
 //!
@@ -21,9 +21,11 @@
 //! - [`run_cluster`]: a one-call harness that spawns one thread per rank,
 //!   each with its [`LocalEndpoint`].
 //!
-//! One function per collective: the one that takes a [`SegmentConfig`]
-//! ([`SegmentConfig::MONOLITHIC`] for one message per hop). Only the ring
-//! trio and [`hierarchical_all_reduce`] keep an unsegmented spelling.
+//! Every hop of every collective is one message carrying the whole slice
+//! it moves, cast on send to a wire [`DType`] and accumulated in `f32` on
+//! receipt. One function per collective, taking that `wire`; the ring
+//! trio and [`hierarchical_all_reduce`] also keep an `f32` spelling, whose
+//! wire-taking twins carry the `_on_wire` suffix.
 //!
 //! # Examples
 //!
@@ -55,10 +57,10 @@ mod compress;
 mod cost;
 mod error;
 mod hierarchical;
+mod hop;
 mod reduce;
 mod rhd;
 mod ring;
-mod segment;
 pub mod simd;
 mod topology;
 mod transport;
@@ -73,19 +75,16 @@ pub use compress::{
 pub use cost::{CostModel, NetworkPreset};
 pub use error::CollectiveError;
 pub use hierarchical::{
-    hierarchical_all_gather_phase_seg, hierarchical_all_reduce, hierarchical_all_reduce_seg,
-    hierarchical_reduce_scatter_phase_seg, ClusterShape, HierarchicalShard,
+    hierarchical_all_gather_phase, hierarchical_all_reduce, hierarchical_all_reduce_on_wire,
+    hierarchical_reduce_scatter_phase, ClusterShape, HierarchicalShard,
 };
+pub use hop::{Epilogue, EPILOGUE_SLICE};
 pub use reduce::ReduceOp;
-pub use rhd::rhd_all_reduce_seg;
+pub use rhd::rhd_all_reduce;
 pub use ring::{
-    compact_owned_shard, ring_advance, ring_all_gather, ring_all_gather_seg, ring_all_reduce,
-    ring_all_reduce_seg, ring_begin, ring_finish, ring_finish_with, ring_owned_chunk,
-    ring_reduce_scatter, ring_reduce_scatter_seg, RingKind, RingOp,
-};
-pub use segment::{
-    recv_segmented_copy, recv_segmented_reduce, send_segmented, Epilogue, SegmentConfig,
-    EPILOGUE_SLICE,
+    compact_owned_shard, ring_advance, ring_all_gather, ring_all_gather_on_wire, ring_all_reduce,
+    ring_all_reduce_on_wire, ring_begin, ring_finish, ring_finish_with, ring_owned_chunk,
+    ring_reduce_scatter, ring_reduce_scatter_on_wire, RingKind, RingOp,
 };
 pub use topology::{HostMap, Placement};
 pub use transport::{
@@ -93,7 +92,7 @@ pub use transport::{
     Transport, WorldChange, MIN_LINK_FRAMES,
 };
 pub use tree::{
-    double_tree_all_reduce_seg, double_tree_broadcast_phase_seg, double_tree_reduce_phase_seg,
-    naive_all_reduce_seg, tree_broadcast_seg, tree_reduce_seg,
+    double_tree_all_reduce, double_tree_broadcast_phase, double_tree_reduce_phase,
+    naive_all_reduce, tree_broadcast, tree_reduce,
 };
 pub use wire::{bf16_to_f32, f16_to_f32, f32_to_bf16, f32_to_f16, round_to_wire, DType, WireBuf};

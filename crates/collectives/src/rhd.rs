@@ -10,13 +10,13 @@
 //! core algorithm).
 
 use crate::error::CollectiveError;
+use crate::hop::{recv_hop_copy, recv_hop_reduce, send_hop};
 use crate::reduce::ReduceOp;
-use crate::segment::{recv_segmented_copy, recv_segmented_reduce, send_segmented, SegmentConfig};
 use crate::transport::Transport;
+use crate::wire::DType;
 
 /// Recursive halving-doubling all-reduce over `data`, in place, each
-/// exchanged half split per `seg` (see [`crate::SegmentConfig`];
-/// bit-identical for any `seg`).
+/// exchanged half cast to `wire` on send.
 ///
 /// After the call every rank's `data` holds the element-wise reduction
 /// across all ranks. Works for any world size ≥ 1.
@@ -25,11 +25,11 @@ use crate::transport::Transport;
 ///
 /// Propagates transport errors; returns [`CollectiveError::SizeMismatch`]
 /// if peers disagree on buffer lengths.
-pub fn rhd_all_reduce_seg<T: Transport>(
+pub fn rhd_all_reduce<T: Transport>(
     t: &T,
     data: &mut [f32],
     op: ReduceOp,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<(), CollectiveError> {
     let world = t.world_size();
     let rank = t.rank();
@@ -44,10 +44,10 @@ pub fn rhd_all_reduce_seg<T: Transport>(
     // plus all ranks >= 2*rem.
     let core_rank: Option<usize> = if rank < 2 * rem {
         if rank.is_multiple_of(2) {
-            send_segmented(t, rank + 1, data, seg)?;
+            send_hop(t, rank + 1, data, wire)?;
             None
         } else {
-            recv_segmented_reduce(t, rank - 1, data, op, seg)?;
+            recv_hop_reduce(t, rank - 1, data, op)?;
             Some(rank / 2)
         }
     } else {
@@ -80,8 +80,8 @@ pub fn rhd_all_reduce_seg<T: Transport>(
             } else {
                 (lo..mid, mid..hi)
             };
-            send_segmented(t, partner, &mut data[send_range], seg)?;
-            recv_segmented_reduce(t, partner, &mut data[keep_range.clone()], op, seg)?;
+            send_hop(t, partner, &mut data[send_range], wire)?;
+            recv_hop_reduce(t, partner, &mut data[keep_range.clone()], op)?;
             lo = keep_range.start;
             hi = keep_range.end;
             dist /= 2;
@@ -93,8 +93,8 @@ pub fn rhd_all_reduce_seg<T: Transport>(
             let partner = to_global(crank ^ dist);
             // The partner fills whichever side of [plo, phi) we do not hold.
             let recv_range = if plo < lo { plo..lo } else { hi..phi };
-            send_segmented(t, partner, &mut data[lo..hi], seg)?;
-            recv_segmented_copy(t, partner, &mut data[recv_range], seg)?;
+            send_hop(t, partner, &mut data[lo..hi], wire)?;
+            recv_hop_copy(t, partner, &mut data[recv_range])?;
             lo = plo;
             hi = phi;
             dist *= 2;
@@ -107,9 +107,9 @@ pub fn rhd_all_reduce_seg<T: Transport>(
     // even partners.
     if rank < 2 * rem {
         if !rank.is_multiple_of(2) {
-            send_segmented(t, rank - 1, data, seg)?;
+            send_hop(t, rank - 1, data, wire)?;
         } else {
-            recv_segmented_copy(t, rank + 1, data, seg)?;
+            recv_hop_copy(t, rank + 1, data)?;
         }
     }
     Ok(())
@@ -146,8 +146,7 @@ mod tests {
                 let expect = expected_sum(world, d);
                 let results = run_cluster(world, |ep| {
                     let mut data = rank_data(ep.rank(), d);
-                    rhd_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC)
-                        .unwrap();
+                    rhd_all_reduce(&ep, &mut data, ReduceOp::Sum, DType::F32).unwrap();
                     data
                 });
                 for (rank, data) in results.into_iter().enumerate() {
@@ -164,8 +163,7 @@ mod tests {
             let expect = expected_sum(world, d);
             let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
-                rhd_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC)
-                    .unwrap();
+                rhd_all_reduce(&ep, &mut data, ReduceOp::Sum, DType::F32).unwrap();
                 data
             });
             for (rank, data) in results.into_iter().enumerate() {
@@ -182,8 +180,7 @@ mod tests {
             let expect = expected_sum(world, d);
             let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
-                rhd_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC)
-                    .unwrap();
+                rhd_all_reduce(&ep, &mut data, ReduceOp::Sum, DType::F32).unwrap();
                 data
             });
             for data in results {
@@ -197,8 +194,7 @@ mod tests {
         for world in [2, 4, 6] {
             let results = run_cluster(world, |ep| {
                 let mut data: Vec<f32> = Vec::new();
-                rhd_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC)
-                    .unwrap();
+                rhd_all_reduce(&ep, &mut data, ReduceOp::Sum, DType::F32).unwrap();
                 data.len()
             });
             assert!(results.into_iter().all(|n| n == 0));

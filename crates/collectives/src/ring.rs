@@ -10,11 +10,10 @@ use std::ops::Range;
 
 use crate::chunk::chunk_range;
 use crate::error::CollectiveError;
+use crate::hop::{epilogue_slices, recv_hop_into, send_hop, Epilogue};
 use crate::reduce::ReduceOp;
-use crate::segment::{
-    epilogue_slices, recv_segmented_into, send_segmented, Epilogue, SegmentConfig,
-};
 use crate::transport::Transport;
+use crate::wire::DType;
 
 /// The chunk index that [`ring_reduce_scatter`] leaves fully reduced on
 /// `rank`.
@@ -50,10 +49,12 @@ pub enum RingKind {
 /// send before it blocks on this one's last receive.
 ///
 /// The op does not borrow the buffer; every call must be handed the same
-/// `data` (and the same transport and segment config) it was begun with.
+/// `data` (and the same transport) it was begun with.
 #[derive(Debug)]
 pub struct RingOp {
     kind: RingKind,
+    /// The dtype every send of the op is cast to, fixed at [`ring_begin`].
+    wire: DType,
     /// Buffer length the op was begun with.
     len: usize,
     /// Rounds in total: `P−1`, or `2(P−1)` for an all-reduce.
@@ -96,17 +97,12 @@ impl RingOp {
     }
 
     /// Posts the next round's send.
-    fn send_round<T: Transport>(
-        &mut self,
-        t: &T,
-        data: &mut [f32],
-        seg: SegmentConfig,
-    ) -> Result<(), CollectiveError> {
+    fn send_round<T: Transport>(&mut self, t: &T, data: &mut [f32]) -> Result<(), CollectiveError> {
         debug_assert_eq!(data.len(), self.len, "ring op handed a different buffer");
         let (rank, world) = (t.rank(), t.world_size());
         let (send_idx, _, _) = self.round(rank, world, self.sent);
         let range = chunk_range(data.len(), world, send_idx);
-        send_segmented(t, (rank + 1) % world, &mut data[range], seg)?;
+        send_hop(t, (rank + 1) % world, &mut data[range], self.wire)?;
         self.sent += 1;
         Ok(())
     }
@@ -117,7 +113,6 @@ impl RingOp {
         &mut self,
         t: &T,
         data: &mut [f32],
-        seg: SegmentConfig,
         epilogue: &mut impl Epilogue,
     ) -> Result<(), CollectiveError> {
         debug_assert_eq!(data.len(), self.len, "ring op handed a different buffer");
@@ -125,24 +120,26 @@ impl RingOp {
         let (_, recv_idx, reduce) = self.round(rank, world, self.recvd);
         let range = chunk_range(data.len(), world, recv_idx);
         let prev = (rank + world - 1) % world;
-        recv_segmented_into(t, prev, data, range, reduce, seg, epilogue)?;
+        recv_hop_into(t, prev, data, range, reduce, epilogue)?;
         self.recvd += 1;
         Ok(())
     }
 }
 
-/// Begins a ring collective over `data`: posts its first send — the only
-/// one that depends on no receive — and returns the op to drive with
-/// [`ring_advance`] and [`ring_finish`]. Never blocks on a receive.
+/// Begins a ring collective over `data` on the `wire` dtype: posts its
+/// first send — the only one that depends on no receive — and returns the
+/// op to drive with [`ring_advance`] and [`ring_finish`]. Never blocks on a
+/// receive.
 ///
-/// `begin → advance → finish` on one op is exactly the monolithic
-/// `ring_*_seg` call (those *are* this composition). Across ops on one
-/// rank, a caller may interleave under one rule: **an op may be begun once
-/// every earlier op has posted its last send** ([`RingOp::all_sent`]), and
-/// ops are finished in the order they were begun. Each op's messages then
-/// stay contiguous on the link, in the order a sequential caller would have
-/// produced them, so the peers — whatever their own interleaving — receive
-/// the same byte sequence, only earlier.
+/// `begin → advance → finish` on one op is exactly the one-call
+/// `ring_*_on_wire` collective (those *are* this composition). Across ops
+/// on one rank, a caller may interleave under one rule: **an op may be
+/// begun once every earlier op has posted its last send**
+/// ([`RingOp::all_sent`]), and ops are finished in the order they were
+/// begun. Each op's messages then stay contiguous on the link, in the
+/// order a sequential caller would have produced them, so the peers —
+/// whatever their own interleaving — receive the same byte sequence, only
+/// earlier.
 ///
 /// # Errors
 ///
@@ -151,11 +148,12 @@ pub fn ring_begin<T: Transport>(
     t: &T,
     kind: RingKind,
     data: &mut [f32],
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<RingOp, CollectiveError> {
     let hops = t.world_size() - 1;
     let mut ring = RingOp {
         kind,
+        wire,
         len: data.len(),
         rounds: match kind {
             RingKind::AllReduce(_) => 2 * hops,
@@ -165,7 +163,7 @@ pub fn ring_begin<T: Transport>(
         recvd: 0,
     };
     if !ring.all_sent() {
-        ring.send_round(t, data, seg)?;
+        ring.send_round(t, data)?;
     }
     Ok(ring)
 }
@@ -184,11 +182,10 @@ pub fn ring_advance<T: Transport>(
     t: &T,
     ring: &mut RingOp,
     data: &mut [f32],
-    seg: SegmentConfig,
 ) -> Result<(), CollectiveError> {
     while !ring.all_sent() {
-        ring.recv_round(t, data, seg, &mut ())?;
-        ring.send_round(t, data, seg)?;
+        ring.recv_round(t, data, &mut ())?;
+        ring.send_round(t, data)?;
     }
     Ok(())
 }
@@ -205,9 +202,8 @@ pub fn ring_finish<T: Transport>(
     t: &T,
     ring: RingOp,
     data: &mut [f32],
-    seg: SegmentConfig,
 ) -> Result<Range<usize>, CollectiveError> {
-    ring_finish_with(t, ring, data, seg, &mut ())
+    ring_finish_with(t, ring, data, &mut ())
 }
 
 /// [`ring_finish`] with `epilogue` fused into the last receive: it sees the
@@ -224,12 +220,11 @@ pub fn ring_finish_with<T: Transport>(
     t: &T,
     mut ring: RingOp,
     data: &mut [f32],
-    seg: SegmentConfig,
     epilogue: &mut impl Epilogue,
 ) -> Result<Range<usize>, CollectiveError> {
-    ring_advance(t, &mut ring, data, seg)?;
+    ring_advance(t, &mut ring, data)?;
     if ring.recvd < ring.rounds {
-        ring.recv_round(t, data, seg, epilogue)?;
+        ring.recv_round(t, data, epilogue)?;
     } else {
         epilogue.arrived();
         for s in epilogue_slices(0..data.len()) {
@@ -261,25 +256,23 @@ pub fn ring_reduce_scatter<T: Transport>(
     data: &mut [f32],
     op: ReduceOp,
 ) -> Result<Range<usize>, CollectiveError> {
-    ring_reduce_scatter_seg(t, data, op, SegmentConfig::MONOLITHIC)
+    ring_reduce_scatter_on_wire(t, data, op, DType::F32)
 }
 
-/// [`ring_reduce_scatter`] with segment pipelining: each step's chunk is
-/// split per `seg` and all segments are queued before the step's receives,
-/// so segment `k+1`'s serialization overlaps segment `k`'s reduction.
-/// Bit-identical to the monolithic call for any `seg`.
+/// [`ring_reduce_scatter`] with each hop's chunk cast to `wire` on send
+/// and accumulated in `f32` on receipt.
 ///
 /// # Errors
 ///
 /// As [`ring_reduce_scatter`].
-pub fn ring_reduce_scatter_seg<T: Transport>(
+pub fn ring_reduce_scatter_on_wire<T: Transport>(
     t: &T,
     data: &mut [f32],
     op: ReduceOp,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<Range<usize>, CollectiveError> {
-    let ring = ring_begin(t, RingKind::ReduceScatter(op), data, seg)?;
-    ring_finish(t, ring, data, seg)
+    let ring = ring_begin(t, RingKind::ReduceScatter(op), data, wire)?;
+    ring_finish(t, ring, data)
 }
 
 /// Releases everything of a reduce-scattered buffer but its owned chunk:
@@ -310,23 +303,24 @@ pub fn ring_all_gather<T: Transport>(
     data: &mut [f32],
     owned_chunk: usize,
 ) -> Result<(), CollectiveError> {
-    ring_all_gather_seg(t, data, owned_chunk, SegmentConfig::MONOLITHIC)
+    ring_all_gather_on_wire(t, data, owned_chunk, DType::F32)
 }
 
-/// [`ring_all_gather`] with segment pipelining (see
-/// [`ring_reduce_scatter_seg`]). Bit-identical to the monolithic call.
+/// [`ring_all_gather`] with each hop's chunk cast to `wire` on send; the
+/// owned chunk is rounded to the wire in place, so every rank ends with
+/// the same bits.
 ///
 /// # Errors
 ///
 /// As [`ring_all_gather`].
-pub fn ring_all_gather_seg<T: Transport>(
+pub fn ring_all_gather_on_wire<T: Transport>(
     t: &T,
     data: &mut [f32],
     owned_chunk: usize,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<(), CollectiveError> {
-    let ring = ring_begin(t, RingKind::AllGather { owned_chunk }, data, seg)?;
-    ring_finish(t, ring, data, seg).map(|_| ())
+    let ring = ring_begin(t, RingKind::AllGather { owned_chunk }, data, wire)?;
+    ring_finish(t, ring, data).map(|_| ())
 }
 
 /// Ring all-reduce: [`ring_reduce_scatter`] followed by [`ring_all_gather`].
@@ -342,26 +336,25 @@ pub fn ring_all_reduce<T: Transport>(
     data: &mut [f32],
     op: ReduceOp,
 ) -> Result<(), CollectiveError> {
-    ring_all_reduce_seg(t, data, op, SegmentConfig::MONOLITHIC)
+    ring_all_reduce_on_wire(t, data, op, DType::F32)
 }
 
-/// [`ring_all_reduce`] with segment pipelining in both phases.
-/// Bit-identical to the monolithic call for any `seg`. Runs its two phases
-/// as two ops; [`RingKind::AllReduce`] is the same message sequence as one
-/// op.
+/// [`ring_all_reduce`] on the `wire` dtype in both phases. Runs its two
+/// phases as two ops; [`RingKind::AllReduce`] is the same message sequence
+/// as one op.
 ///
 /// # Errors
 ///
 /// As [`ring_all_reduce`].
-pub fn ring_all_reduce_seg<T: Transport>(
+pub fn ring_all_reduce_on_wire<T: Transport>(
     t: &T,
     data: &mut [f32],
     op: ReduceOp,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<(), CollectiveError> {
-    ring_reduce_scatter_seg(t, data, op, seg)?;
+    ring_reduce_scatter_on_wire(t, data, op, wire)?;
     let owned = ring_owned_chunk(t.rank(), t.world_size());
-    ring_all_gather_seg(t, data, owned, seg)
+    ring_all_gather_on_wire(t, data, owned, wire)
 }
 
 #[cfg(test)]
@@ -463,58 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn segmented_matches_monolithic_when_segment_does_not_divide_chunk() {
-        // d=23, world=4 => chunks of 6/6/6/5 elements; 2-element (8-byte)
-        // segments leave a ragged tail in every chunk.
-        let world = 4;
-        let d = 23;
-        let seg = SegmentConfig::new(8);
-        let expect = expected_sum(world, d);
-        let results = run_cluster(world, |ep| {
-            let mut data = rank_data(ep.rank(), d);
-            ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
-            data
-        });
-        for data in results {
-            assert_eq!(data, expect);
-        }
-    }
-
-    #[test]
-    fn segment_larger_than_chunk_degenerates_to_monolithic() {
-        let world = 3;
-        let d = 12; // 4-element chunks = 16 bytes, far below the segment cap
-        let seg = SegmentConfig::new(1 << 20);
-        let expect = expected_sum(world, d);
-        let results = run_cluster(world, |ep| {
-            let mut data = rank_data(ep.rank(), d);
-            ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
-            data
-        });
-        for data in results {
-            assert_eq!(data, expect);
-        }
-    }
-
-    #[test]
-    fn segmented_handles_empty_chunks_when_d_below_world() {
-        // d < P: some ring steps move zero-length chunks; segmentation must
-        // still send exactly one (empty) message per step to stay lock-step.
-        let world = 6;
-        let d = 3;
-        let seg = SegmentConfig::new(4);
-        let expect = expected_sum(world, d);
-        let results = run_cluster(world, |ep| {
-            let mut data = rank_data(ep.rank(), d);
-            ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
-            data
-        });
-        for data in results {
-            assert_eq!(data, expect);
-        }
-    }
-
-    #[test]
     fn compacted_shard_is_the_owned_range_in_its_own_allocation() {
         // What a ZeRO-style caller keeps between OP1 and OP2: exactly the
         // owned range's reduced values, bitwise, in a buffer sized to them.
@@ -523,8 +464,7 @@ mod tests {
             let expect = expected_sum(world, d);
             let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
-                let seg = SegmentConfig::new(8);
-                let owned = ring_reduce_scatter_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
+                let owned = ring_reduce_scatter(&ep, &mut data, ReduceOp::Sum).unwrap();
                 let shard = compact_owned_shard(data, &owned);
                 (owned, shard)
             });
@@ -547,10 +487,9 @@ mod tests {
         let sent_after_begin = |world: usize, kind: fn(usize) -> RingKind| {
             run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), 12);
-                let seg = SegmentConfig::MONOLITHIC;
-                let ring = ring_begin(&ep, kind(ep.rank()), &mut data, seg).unwrap();
+                let ring = ring_begin(&ep, kind(ep.rank()), &mut data, DType::F32).unwrap();
                 let sent = ring.all_sent();
-                ring_finish(&ep, ring, &mut data, seg).unwrap();
+                ring_finish(&ep, ring, &mut data).unwrap();
                 sent
             })
         };
@@ -586,23 +525,22 @@ mod tests {
             }
             fn slice(&mut self, range: Range<usize>, values: &mut [f32]) {
                 assert!(self.arrived, "a slice before the payload arrived");
-                assert!(range.len() <= crate::segment::EPILOGUE_SLICE);
+                assert!(range.len() <= crate::hop::EPILOGUE_SLICE);
                 self.slices.push((range, values.to_vec()));
             }
         }
         for world in [1, 2, 3, 4] {
-            let d = 2 * crate::segment::EPILOGUE_SLICE * world + 7;
+            let d = 2 * crate::hop::EPILOGUE_SLICE * world + 7;
             let expect = expected_sum(world, d);
             let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
-                let seg = SegmentConfig::MONOLITHIC;
                 let kind = RingKind::ReduceScatter(ReduceOp::Sum);
-                let ring = ring_begin(&ep, kind, &mut data, seg).unwrap();
+                let ring = ring_begin(&ep, kind, &mut data, DType::F32).unwrap();
                 let mut record = Record {
                     arrived: false,
                     slices: Vec::new(),
                 };
-                let owned = ring_finish_with(&ep, ring, &mut data, seg, &mut record).unwrap();
+                let owned = ring_finish_with(&ep, ring, &mut data, &mut record).unwrap();
                 (owned, record.slices, data)
             });
             for (rank, (owned, slices, data)) in results.into_iter().enumerate() {

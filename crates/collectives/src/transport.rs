@@ -292,7 +292,7 @@ pub trait Transport {
 const POOL_CAP: usize = 64;
 
 /// Largest capacity a pooled buffer keeps. Sized to hold any sensible
-/// segment; together with [`POOL_CAP`] it bounds a pool at 256 MiB.
+/// message; together with [`POOL_CAP`] it bounds a pool at 256 MiB.
 const POOL_MAX_BUF_BYTES: usize = 4 << 20;
 
 /// The reusable wire-byte buffers behind [`Transport::take_buffer`] /
@@ -684,10 +684,10 @@ const POLL_TAIL: Duration = Duration::from_micros(250);
 ///
 /// The total per-hop cost is unchanged (every ring round still pays one
 /// `p2p` delay, as in the [`CostModel`]), but because the sending thread is
-/// never blocked, segment `k` of a pipelined collective can be serialized
-/// onto the link while the receiver is still reducing segment `k−1` — the
-/// overlap that NCCL-style segmentation exploits. Both sides of a link must
-/// be wrapped for the delay to be observed.
+/// never blocked, a message sent ahead — the next collective's first hop —
+/// is serialized onto the link while the receiver is still reducing the
+/// one before it. Both sides of a link must be wrapped for the delay to be
+/// observed.
 ///
 /// The wait is **sleep, then poll**: `recv` sleeps to within 250 µs of the
 /// stamp and reads the clock in a spin loop for the rest, so a

@@ -8,26 +8,28 @@
 //! demonstrate that.
 
 use crate::error::CollectiveError;
+use crate::hop::{recv_hop_copy, recv_hop_reduce, send_hop};
 use crate::reduce::ReduceOp;
-use crate::segment::{recv_segmented_copy, recv_segmented_reduce, send_segmented, SegmentConfig};
 use crate::transport::Transport;
+use crate::wire::DType;
 
-/// Binomial-tree reduce: after the call, `root` holds the element-wise
-/// reduction of `data` across all ranks; other ranks' buffers are unchanged
-/// except having been read. Each hop's message is split per `seg`
-/// (bit-identical for any `seg`).
+/// Binomial-tree reduce on the `wire` dtype: after the call, `root` holds
+/// the element-wise reduction of `data` across all ranks, and other ranks
+/// hold partial sums. An interior rank of the tree has accumulated its
+/// children into `data` before sending it on, and on a narrow `wire` every
+/// sender has rounded its `data` in place to the values it shipped.
 ///
 /// # Errors
 ///
 /// Propagates transport errors; returns [`CollectiveError::SizeMismatch`]
 /// if peers disagree on buffer length, and
 /// [`CollectiveError::InvalidRank`] if `root` is out of range.
-pub fn tree_reduce_seg<T: Transport>(
+pub fn tree_reduce<T: Transport>(
     t: &T,
     data: &mut [f32],
     root: usize,
     op: ReduceOp,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<(), CollectiveError> {
     let world = t.world_size();
     if root >= world {
@@ -43,33 +45,34 @@ pub fn tree_reduce_seg<T: Transport>(
         if vrank & mask != 0 {
             // Send accumulated data to the parent and exit.
             let parent = ((vrank ^ mask) + root) % world;
-            send_segmented(t, parent, data, seg)?;
+            send_hop(t, parent, data, wire)?;
             return Ok(());
         }
         let vchild = vrank | mask;
         if vchild < world {
             let child = (vchild + root) % world;
-            recv_segmented_reduce(t, child, data, op, seg)?;
+            recv_hop_reduce(t, child, data, op)?;
         }
         mask <<= 1;
     }
     Ok(())
 }
 
-/// Binomial-tree broadcast from `root`: after the call every rank's `data`
-/// equals `root`'s. Each hop's message is split per `seg` (bit-identical
-/// for any `seg`).
+/// Binomial-tree broadcast from `root` on the `wire` dtype: after the call
+/// every rank's `data` equals `root`'s. On a narrow `wire` the root first
+/// rounds its `data` in place to the values it ships, so every rank holds
+/// the same bits.
 ///
 /// # Errors
 ///
 /// Propagates transport errors; returns [`CollectiveError::SizeMismatch`]
 /// if peers disagree on buffer length, and
 /// [`CollectiveError::InvalidRank`] if `root` is out of range.
-pub fn tree_broadcast_seg<T: Transport>(
+pub fn tree_broadcast<T: Transport>(
     t: &T,
     data: &mut [f32],
     root: usize,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<(), CollectiveError> {
     let world = t.world_size();
     if root >= world {
@@ -90,7 +93,7 @@ pub fn tree_broadcast_seg<T: Transport>(
     if vrank != 0 {
         let parent_mask = vrank & vrank.wrapping_neg(); // lowest set bit
         let parent = ((vrank ^ parent_mask) + root) % world;
-        recv_segmented_copy(t, parent, data, seg)?;
+        recv_hop_copy(t, parent, data)?;
         // Only forward along masks below our own bit.
         mask = parent_mask >> 1;
     }
@@ -98,28 +101,28 @@ pub fn tree_broadcast_seg<T: Transport>(
         let vchild = vrank | mask;
         if vchild != vrank && vchild < world {
             let child = (vchild + root) % world;
-            send_segmented(t, child, data, seg)?;
+            send_hop(t, child, data, wire)?;
         }
         mask >>= 1;
     }
     Ok(())
 }
 
-/// Naive all-reduce: [`tree_reduce_seg`] to rank 0 followed by
-/// [`tree_broadcast_seg`] from rank 0. Used as a latency-optimal baseline
+/// Naive all-reduce: [`tree_reduce`] to rank 0 followed by
+/// [`tree_broadcast`] from rank 0. Used as a latency-optimal baseline
 /// for tiny messages and as a correctness cross-check.
 ///
 /// # Errors
 ///
 /// Propagates errors from the two phases.
-pub fn naive_all_reduce_seg<T: Transport>(
+pub fn naive_all_reduce<T: Transport>(
     t: &T,
     data: &mut [f32],
     op: ReduceOp,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<(), CollectiveError> {
-    tree_reduce_seg(t, data, 0, op, seg)?;
-    tree_broadcast_seg(t, data, 0, seg)
+    tree_reduce(t, data, 0, op, wire)?;
+    tree_broadcast(t, data, 0, wire)
 }
 
 /// Double-binary-tree all-reduce: the message is split in half; each half is
@@ -128,21 +131,21 @@ pub fn naive_all_reduce_seg<T: Transport>(
 /// concurrently and every rank does useful work in both trees.
 ///
 /// The decoupled phases are exposed separately as
-/// [`double_tree_reduce_phase_seg`] and [`double_tree_broadcast_phase_seg`],
+/// [`double_tree_reduce_phase`] and [`double_tree_broadcast_phase`],
 /// which is exactly the OP1/OP2 split DeAR's §VII-A describes for this
-/// algorithm. Each hop's message is split per `seg`.
+/// algorithm.
 ///
 /// # Errors
 ///
 /// Propagates errors from the phases.
-pub fn double_tree_all_reduce_seg<T: Transport>(
+pub fn double_tree_all_reduce<T: Transport>(
     t: &T,
     data: &mut [f32],
     op: ReduceOp,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<(), CollectiveError> {
-    double_tree_reduce_phase_seg(t, data, op, seg)?;
-    double_tree_broadcast_phase_seg(t, data, seg)
+    double_tree_reduce_phase(t, data, op, wire)?;
+    double_tree_broadcast_phase(t, data, wire)
 }
 
 /// Roots used by the two complementary trees.
@@ -159,11 +162,11 @@ fn double_tree_roots(world: usize) -> (usize, usize) {
 /// # Errors
 ///
 /// Propagates transport errors.
-pub fn double_tree_reduce_phase_seg<T: Transport>(
+pub fn double_tree_reduce_phase<T: Transport>(
     t: &T,
     data: &mut [f32],
     op: ReduceOp,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<(), CollectiveError> {
     let world = t.world_size();
     if world == 1 {
@@ -176,8 +179,8 @@ pub fn double_tree_reduce_phase_seg<T: Transport>(
     // reduces the high half rooted at world-1. Mirroring is achieved by
     // re-rooting the same binomial tree, which yields a different topology
     // and spreads load.
-    tree_reduce_seg(t, lo, root_a, op, seg)?;
-    tree_reduce_seg(t, hi, root_b, op, seg)?;
+    tree_reduce(t, lo, root_a, op, wire)?;
+    tree_reduce(t, hi, root_b, op, wire)?;
     Ok(())
 }
 
@@ -187,10 +190,10 @@ pub fn double_tree_reduce_phase_seg<T: Transport>(
 /// # Errors
 ///
 /// Propagates transport errors.
-pub fn double_tree_broadcast_phase_seg<T: Transport>(
+pub fn double_tree_broadcast_phase<T: Transport>(
     t: &T,
     data: &mut [f32],
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Result<(), CollectiveError> {
     let world = t.world_size();
     if world == 1 {
@@ -199,8 +202,8 @@ pub fn double_tree_broadcast_phase_seg<T: Transport>(
     let (root_a, root_b) = double_tree_roots(world);
     let mid = data.len() / 2;
     let (lo, hi) = data.split_at_mut(mid);
-    tree_broadcast_seg(t, lo, root_a, seg)?;
-    tree_broadcast_seg(t, hi, root_b, seg)?;
+    tree_broadcast(t, lo, root_a, wire)?;
+    tree_broadcast(t, hi, root_b, wire)?;
     Ok(())
 }
 
@@ -209,7 +212,7 @@ mod tests {
     use super::*;
     use crate::transport::run_cluster;
 
-    const MONO: SegmentConfig = SegmentConfig::MONOLITHIC;
+    const F32: DType = DType::F32;
 
     fn rank_data(rank: usize, d: usize) -> Vec<f32> {
         (0..d).map(|i| (rank * d + i) as f32).collect()
@@ -229,7 +232,7 @@ mod tests {
                 let expect = expected_sum(world, d);
                 let results = run_cluster(world, |ep| {
                     let mut data = rank_data(ep.rank(), d);
-                    tree_reduce_seg(&ep, &mut data, root, ReduceOp::Sum, MONO).unwrap();
+                    tree_reduce(&ep, &mut data, root, ReduceOp::Sum, F32).unwrap();
                     (ep.rank(), data)
                 });
                 for (rank, data) in results {
@@ -252,7 +255,7 @@ mod tests {
                     } else {
                         vec![0.0; d]
                     };
-                    tree_broadcast_seg(&ep, &mut data, root, MONO).unwrap();
+                    tree_broadcast(&ep, &mut data, root, F32).unwrap();
                     data
                 });
                 for data in results {
@@ -269,7 +272,7 @@ mod tests {
             let expect = expected_sum(world, d);
             let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
-                naive_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, MONO).unwrap();
+                naive_all_reduce(&ep, &mut data, ReduceOp::Sum, F32).unwrap();
                 data
             });
             for data in results {
@@ -285,7 +288,7 @@ mod tests {
                 let expect = expected_sum(world, d);
                 let results = run_cluster(world, |ep| {
                     let mut data = rank_data(ep.rank(), d);
-                    double_tree_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, MONO).unwrap();
+                    double_tree_all_reduce(&ep, &mut data, ReduceOp::Sum, F32).unwrap();
                     data
                 });
                 for data in results {
@@ -302,8 +305,8 @@ mod tests {
         let expect = expected_sum(world, d);
         let results = run_cluster(world, |ep| {
             let mut data = rank_data(ep.rank(), d);
-            double_tree_reduce_phase_seg(&ep, &mut data, ReduceOp::Sum, MONO).unwrap();
-            double_tree_broadcast_phase_seg(&ep, &mut data, MONO).unwrap();
+            double_tree_reduce_phase(&ep, &mut data, ReduceOp::Sum, F32).unwrap();
+            double_tree_broadcast_phase(&ep, &mut data, F32).unwrap();
             data
         });
         for data in results {
@@ -315,7 +318,7 @@ mod tests {
     fn invalid_root_is_rejected() {
         let results = run_cluster(2, |ep| {
             let mut data = vec![0.0];
-            tree_reduce_seg(&ep, &mut data, 9, ReduceOp::Sum, MONO).unwrap_err()
+            tree_reduce(&ep, &mut data, 9, ReduceOp::Sum, F32).unwrap_err()
         });
         for err in results {
             assert!(matches!(err, CollectiveError::InvalidRank { rank: 9, .. }));

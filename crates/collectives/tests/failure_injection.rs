@@ -5,22 +5,14 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dear_collectives::{
-    double_tree_all_reduce_seg, hierarchical_all_gather_phase_seg, hierarchical_all_reduce,
-    hierarchical_all_reduce_seg, hierarchical_reduce_scatter_phase_seg, naive_all_reduce_seg,
-    rhd_all_reduce_seg, ring_all_gather, ring_all_gather_seg, ring_all_reduce, ring_all_reduce_seg,
-    ring_reduce_scatter, ring_reduce_scatter_seg, tree_broadcast_seg, tree_reduce_seg,
-    ClusterShape, CollectiveError, LocalEndpoint, LocalFabric, Message, Placement, ReduceOp,
-    SegmentConfig, Transport,
+    double_tree_all_reduce, hierarchical_all_gather_phase, hierarchical_all_reduce,
+    hierarchical_all_reduce_on_wire, hierarchical_reduce_scatter_phase, naive_all_reduce,
+    rhd_all_reduce, ring_all_gather, ring_all_reduce, ring_reduce_scatter, tree_broadcast,
+    tree_reduce, ClusterShape, CollectiveError, DType, LocalEndpoint, LocalFabric, Message,
+    Placement, ReduceOp, Transport,
 };
 
-const MONO: SegmentConfig = SegmentConfig::MONOLITHIC;
-
-/// Small enough that every 16-element test buffer splits into several wire
-/// segments, exercising the mid-collective segment loops.
-const SEG: SegmentConfig = SegmentConfig {
-    max_segment_bytes: 8, // two f32s per segment
-    wire: dear_collectives::DType::F32,
-};
+const F32: DType = DType::F32;
 
 /// A transport whose sends start failing after a budget is exhausted.
 /// With a zero budget every rank fails on its first send, so no rank can
@@ -106,41 +98,37 @@ fn tree_collectives_surface_send_failure() {
     // In a tree, leaves send first and the root only receives; with a zero
     // send budget every non-root rank errors on its own send, and the root
     // errors on recv (its children died). Either way: an error, no panic.
-    for seg in [MONO, SEG] {
-        let results = run_failing(4, 0, |t| {
-            let mut data = vec![1.0f32; 16];
-            let reduce_err = tree_reduce_seg(&t, &mut data, 0, ReduceOp::Sum, seg).is_err();
-            // Broadcast from a root that cannot send.
-            let bcast_err = tree_broadcast_seg(&t, &mut data, t.rank(), seg).is_err();
-            (reduce_err, bcast_err)
-        });
-        // Rank 0 (root) may legitimately succeed at reduce only if all its
-        // children's messages arrived — impossible here, so everyone errs.
-        for (reduce_err, bcast_err) in results {
-            assert!(reduce_err && bcast_err, "seg {seg:?}");
-        }
+    let results = run_failing(4, 0, |t| {
+        let mut data = vec![1.0f32; 16];
+        let reduce_err = tree_reduce(&t, &mut data, 0, ReduceOp::Sum, F32).is_err();
+        // Broadcast from a root that cannot send.
+        let bcast_err = tree_broadcast(&t, &mut data, t.rank(), F32).is_err();
+        (reduce_err, bcast_err)
+    });
+    // Rank 0 (root) may legitimately succeed at reduce only if all its
+    // children's messages arrived — impossible here, so everyone errs.
+    for (reduce_err, bcast_err) in results {
+        assert!(reduce_err && bcast_err);
     }
 }
 
 #[test]
 fn remaining_all_reduce_variants_surface_send_failure() {
     let placement = Placement::from_shape(ClusterShape::new(2, 2));
-    for seg in [MONO, SEG] {
-        let errs = run_failing(4, 0, |t| {
-            let mut a = vec![1.0f32; 16];
-            let mut b = vec![1.0f32; 16];
-            let mut c = vec![1.0f32; 16];
-            let mut d = vec![1.0f32; 16];
-            (
-                rhd_all_reduce_seg(&t, &mut a, ReduceOp::Sum, seg).is_err(),
-                double_tree_all_reduce_seg(&t, &mut b, ReduceOp::Sum, seg).is_err(),
-                naive_all_reduce_seg(&t, &mut c, ReduceOp::Sum, seg).is_err(),
-                hierarchical_all_reduce_seg(&t, &placement, &mut d, ReduceOp::Sum, seg).is_err(),
-            )
-        });
-        for (rhd, dt, naive, hier) in errs {
-            assert!(rhd && dt && naive && hier, "seg {seg:?}");
-        }
+    let errs = run_failing(4, 0, |t| {
+        let mut a = vec![1.0f32; 16];
+        let mut b = vec![1.0f32; 16];
+        let mut c = vec![1.0f32; 16];
+        let mut d = vec![1.0f32; 16];
+        (
+            rhd_all_reduce(&t, &mut a, ReduceOp::Sum, F32).is_err(),
+            double_tree_all_reduce(&t, &mut b, ReduceOp::Sum, F32).is_err(),
+            naive_all_reduce(&t, &mut c, ReduceOp::Sum, F32).is_err(),
+            hierarchical_all_reduce_on_wire(&t, &placement, &mut d, ReduceOp::Sum, F32).is_err(),
+        )
+    });
+    for (rhd, dt, naive, hier) in errs {
+        assert!(rhd && dt && naive && hier);
     }
 }
 
@@ -157,43 +145,15 @@ fn hierarchical_surfaces_send_failure() {
 
 #[test]
 fn partial_budget_failures_error_on_every_rank_without_hanging() {
-    // Budget of one send per rank: the ring makes progress for one round,
-    // then fails. All ranks terminate with an error (the peer either
-    // stopped sending — recv error — or our own send failed).
-    let errs = run_failing(4, 1, |t| {
-        let mut data = vec![1.0f32; 16];
-        ring_all_reduce(&t, &mut data, ReduceOp::Sum).is_err()
-    });
-    assert!(errs.into_iter().all(|e| e));
-}
-
-#[test]
-fn segmented_ring_collectives_surface_send_failure() {
-    let errs = run_failing(4, 0, |t| {
-        let mut a = vec![1.0f32; 16];
-        let mut b = vec![1.0f32; 16];
-        let mut c = vec![1.0f32; 16];
-        (
-            ring_all_reduce_seg(&t, &mut a, ReduceOp::Sum, SEG).unwrap_err(),
-            ring_reduce_scatter_seg(&t, &mut b, ReduceOp::Sum, SEG).unwrap_err(),
-            ring_all_gather_seg(&t, &mut c, 0, SEG).unwrap_err(),
-        )
-    });
-    for (ar, rs, ag) in errs {
-        assert!(matches!(ar, CollectiveError::Disconnected { .. }));
-        assert!(matches!(rs, CollectiveError::Disconnected { .. }));
-        assert!(matches!(ag, CollectiveError::Disconnected { .. }));
-    }
-}
-
-#[test]
-fn segmented_partial_budget_failures_error_on_every_rank_without_hanging() {
-    // A few sends succeed, so the failure lands mid-collective — between
-    // segments of one chunk, the hardest spot to unwind from.
+    // A budget of a few of the ring's six sends per rank: the send after
+    // the budget fails mid-collective — inside the reduce-scatter (1), at
+    // the all-gather's first round (3), at its last (5).
+    // All ranks terminate with an error (the peer either stopped sending —
+    // recv error — or our own send failed).
     for budget in [1, 3, 5] {
         let errs = run_failing(4, budget, |t| {
             let mut data = vec![1.0f32; 16];
-            ring_all_reduce_seg(&t, &mut data, ReduceOp::Sum, SEG).is_err()
+            ring_all_reduce(&t, &mut data, ReduceOp::Sum).is_err()
         });
         assert!(errs.into_iter().all(|e| e), "budget {budget}");
     }
@@ -205,21 +165,19 @@ fn hierarchical_partial_budget_failures_error_on_every_rank_without_hanging() {
     // intra-node all-gather) crosses two GroupTransport views; a failure
     // landing inside the inter-node phase must still unwind every rank of
     // every node group. Budgets chosen to hit each phase: 0 = first intra
-    // send, 1–2 = mid intra ring, 3 = inter-node phase (the full monolithic
-    // 2×2 collective completes in 4 sends per rank, so 3 is the last
-    // failing budget there).
+    // send, 1–2 = mid intra ring, 3 = inter-node phase (the full 2×2
+    // collective completes in 4 sends per rank, so 3 is the last failing
+    // budget there).
     let placement = Placement::from_shape(ClusterShape::new(2, 2));
     for budget in [0usize, 1, 2, 3] {
-        for seg in [MONO, SEG] {
-            let errs = run_failing(4, budget, |t| {
-                let mut data = vec![1.0f32; 16];
-                hierarchical_all_reduce_seg(&t, &placement, &mut data, ReduceOp::Sum, seg).is_err()
-            });
-            assert!(
-                errs.into_iter().all(|e| e),
-                "budget {budget}, seg {seg:?}: some rank returned Ok"
-            );
-        }
+        let errs = run_failing(4, budget, |t| {
+            let mut data = vec![1.0f32; 16];
+            hierarchical_all_reduce_on_wire(&t, &placement, &mut data, ReduceOp::Sum, F32).is_err()
+        });
+        assert!(
+            errs.into_iter().all(|e| e),
+            "budget {budget}: some rank returned Ok"
+        );
     }
 }
 
@@ -231,20 +189,19 @@ fn hierarchical_phase_pair_surfaces_send_failure_in_either_phase() {
     let placement = Placement::from_shape(ClusterShape::new(2, 2));
     let errs = run_failing(4, 0, |t| {
         let mut data = vec![1.0f32; 8];
-        hierarchical_reduce_scatter_phase_seg(&t, &placement, &mut data, ReduceOp::Sum, MONO)
+        hierarchical_reduce_scatter_phase(&t, &placement, &mut data, ReduceOp::Sum, F32)
             .unwrap_err()
     });
     for e in errs {
         assert!(matches!(e, CollectiveError::Disconnected { .. }));
     }
     // Enough budget for OP1 (intra RS: 1 send, inter RS: 1 send per rank at
-    // world 2×2 with monolithic segments) but not OP2.
+    // world 2×2) but not OP2.
     let results = run_failing(4, 2, |t| {
         let mut data = vec![1.0f32; 8];
-        match hierarchical_reduce_scatter_phase_seg(&t, &placement, &mut data, ReduceOp::Sum, MONO)
-        {
+        match hierarchical_reduce_scatter_phase(&t, &placement, &mut data, ReduceOp::Sum, F32) {
             Ok(shard) => {
-                hierarchical_all_gather_phase_seg(&t, &placement, &mut data, shard, MONO).is_err()
+                hierarchical_all_gather_phase(&t, &placement, &mut data, shard, F32).is_err()
             }
             Err(_) => true, // budget exhausted already in OP1 on this rank
         }
@@ -268,7 +225,7 @@ fn recv_timeout_unblocks_a_rank_whose_peer_died_mid_collective() {
                         return true; // dies before participating
                     }
                     let mut data = vec![1.0f32; 16];
-                    let err = ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, SEG).unwrap_err();
+                    let err = ring_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap_err();
                     matches!(
                         err,
                         CollectiveError::Timeout { .. } | CollectiveError::Disconnected { .. }

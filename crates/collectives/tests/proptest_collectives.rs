@@ -2,30 +2,60 @@
 //! variant must equal the element-wise reduction across ranks for arbitrary
 //! data, world sizes, and buffer lengths — and the decoupled RS∘AG
 //! composition must be *bitwise* identical to the fused ring all-reduce.
+//! Every hop is one message carrying one whole slice.
 
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 use dear_collectives::{
-    bf16_to_f32, chunk_ranges, double_tree_all_reduce_seg, f16_to_f32, f32_to_bf16, f32_to_f16,
-    hierarchical_all_reduce, naive_all_reduce_seg, rhd_all_reduce_seg, ring_advance,
-    ring_all_gather, ring_all_gather_seg, ring_all_reduce, ring_all_reduce_seg, ring_begin,
-    ring_finish, ring_owned_chunk, ring_reduce_scatter, ring_reduce_scatter_seg, round_to_wire,
-    run_cluster, ClusterShape, CollectiveError, DType, LocalEndpoint, ReduceOp, RingKind, RingOp,
-    SegmentConfig, Transport,
+    bf16_to_f32, chunk_ranges, double_tree_all_reduce, f16_to_f32, f32_to_bf16, f32_to_f16,
+    hierarchical_all_reduce, naive_all_reduce, rhd_all_reduce, ring_advance, ring_all_gather,
+    ring_all_gather_on_wire, ring_all_reduce, ring_all_reduce_on_wire, ring_begin, ring_finish,
+    ring_owned_chunk, ring_reduce_scatter, ring_reduce_scatter_on_wire, round_to_wire, run_cluster,
+    tree_broadcast, tree_reduce, ClusterShape, CollectiveError, DType, LocalEndpoint, Message,
+    ReduceOp, RingKind, RingOp, Transport,
 };
 use proptest::prelude::*;
 
-/// One all-reduce family's segmented entry point; all four share it.
-type AllReduceSeg =
-    fn(&LocalEndpoint, &mut [f32], ReduceOp, SegmentConfig) -> Result<(), CollectiveError>;
+/// One all-reduce family's entry point; all four share it.
+type AllReduce = fn(&LocalEndpoint, &mut [f32], ReduceOp, DType) -> Result<(), CollectiveError>;
 
 /// Every flat all-reduce family, by name.
-const FAMILIES: [(&str, AllReduceSeg); 4] = [
-    ("ring", ring_all_reduce_seg),
-    ("rhd", rhd_all_reduce_seg),
-    ("double_binary_tree", double_tree_all_reduce_seg),
-    ("naive", naive_all_reduce_seg),
+const FAMILIES: [(&str, AllReduce); 4] = [
+    ("ring", ring_all_reduce_on_wire),
+    ("rhd", rhd_all_reduce),
+    ("double_binary_tree", double_tree_all_reduce),
+    ("naive", naive_all_reduce),
 ];
+
+/// A [`LocalEndpoint`] that logs every send as `(destination, wire bytes)`.
+struct Counting {
+    inner: LocalEndpoint,
+    sends: Mutex<Vec<(usize, usize)>>,
+}
+
+impl Counting {
+    /// The sends logged since the last call.
+    fn take_sends(&self) -> Vec<(usize, usize)> {
+        std::mem::take(&mut self.sends.lock().unwrap())
+    }
+}
+
+impl Transport for Counting {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+    fn world_size(&self) -> usize {
+        self.inner.world_size()
+    }
+    fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
+        self.sends.lock().unwrap().push((to, msg.wire_bytes()));
+        self.inner.send(to, msg)
+    }
+    fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
+        self.inner.recv(from)
+    }
+}
 
 /// Per-rank deterministic pseudo-random data.
 fn rank_data(rank: usize, d: usize, salt: u64) -> Vec<f32> {
@@ -60,7 +90,7 @@ fn reference_sum(world: usize, d: usize, salt: u64) -> Vec<f32> {
 fn run_split_phase<T: Transport>(
     t: &T,
     ops: Vec<(RingKind, Vec<f32>)>,
-    seg: SegmentConfig,
+    wire: DType,
     window: usize,
 ) -> Vec<Vec<f32>> {
     let mut queued: VecDeque<_> = ops.into();
@@ -72,7 +102,7 @@ fn run_split_phase<T: Transport>(
                 let Some((kind, mut data)) = queued.pop_front() else {
                     break;
                 };
-                let ring = ring_begin(t, kind, &mut data, seg).unwrap();
+                let ring = ring_begin(t, kind, &mut data, wire).unwrap();
                 inflight.push_back((ring, data));
             }
         };
@@ -80,11 +110,11 @@ fn run_split_phase<T: Transport>(
         let Some((ring, data)) = inflight.front_mut() else {
             return done;
         };
-        ring_advance(t, ring, data, seg).unwrap();
+        ring_advance(t, ring, data).unwrap();
         fill(&mut inflight);
         let (ring, mut data) = inflight.pop_front().unwrap();
         let kind = ring.kind();
-        let valid = ring_finish(t, ring, &mut data, seg).unwrap();
+        let valid = ring_finish(t, ring, &mut data).unwrap();
         let world = t.world_size();
         let expect = match kind {
             RingKind::ReduceScatter(_) => {
@@ -104,7 +134,6 @@ proptest! {
     fn split_phase_ring_ops_are_bitwise_the_monolithic_calls(
         world in 1usize..7,
         d in 0usize..120,
-        max_segment_bytes in 0usize..48,
         wire_idx in 0usize..3,
         window in 0usize..3,
         salt in any::<u64>(),
@@ -115,9 +144,8 @@ proptest! {
         // bits everywhere — partially-reduced garbage outside a
         // reduce-scatter's owned chunk included, so the two paths did the
         // same arithmetic in the same order, not merely reached the same
-        // sums. Segmented and not (0 = monolithic), f32 / bf16 / f16 wire.
+        // sums. On the f32, bf16 and f16 wires.
         let wire = [DType::F32, DType::Bf16, DType::F16][wire_idx];
-        let seg = SegmentConfig::new(max_segment_bytes).with_wire(wire);
         let ops = |rank: usize| -> Vec<(RingKind, Vec<f32>)> {
             let owned_chunk = ring_owned_chunk(rank, world);
             [
@@ -141,12 +169,12 @@ proptest! {
                 .map(|(kind, mut data)| {
                     match kind {
                         RingKind::ReduceScatter(op) => {
-                            ring_reduce_scatter_seg(&ep, &mut data, op, seg).map(|_| ())
+                            ring_reduce_scatter_on_wire(&ep, &mut data, op, wire).map(|_| ())
                         }
                         RingKind::AllGather { owned_chunk } => {
-                            ring_all_gather_seg(&ep, &mut data, owned_chunk, seg)
+                            ring_all_gather_on_wire(&ep, &mut data, owned_chunk, wire)
                         }
-                        RingKind::AllReduce(op) => ring_all_reduce_seg(&ep, &mut data, op, seg),
+                        RingKind::AllReduce(op) => ring_all_reduce_on_wire(&ep, &mut data, op, wire),
                     }
                     .unwrap();
                     data
@@ -154,7 +182,7 @@ proptest! {
                 .collect::<Vec<_>>()
         });
         let split = run_cluster(world, |ep| {
-            run_split_phase(&ep, ops(ep.rank()), seg, window)
+            run_split_phase(&ep, ops(ep.rank()), wire, window)
         });
         let bits = |runs: &[Vec<Vec<f32>>]| -> Vec<Vec<Vec<u32>>> {
             runs.iter()
@@ -185,7 +213,7 @@ proptest! {
         for (_, all_reduce) in FAMILIES {
             let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d, salt);
-                all_reduce(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC).unwrap();
+                all_reduce(&ep, &mut data, ReduceOp::Sum, DType::F32).unwrap();
                 data
             });
             outputs.push(results[0].clone());
@@ -295,54 +323,6 @@ proptest! {
     }
 
     #[test]
-    fn segmented_ring_is_bitwise_identical_to_monolithic(
-        world in 1usize..9,
-        d in 0usize..200,
-        max_segment_bytes in 1usize..256,
-        salt in any::<u64>(),
-    ) {
-        // Segment pipelining is a pure scheduling change: splitting each
-        // ring step's chunk into wire segments must not perturb a single
-        // bit of the result, for any segment size — including segments that
-        // don't divide the chunk, sub-element segment sizes (rounded up to
-        // one element), and segments larger than the whole chunk.
-        let monolithic = run_cluster(world, |ep| {
-            let mut data = rank_data(ep.rank(), d, salt);
-            ring_all_reduce(&ep, &mut data, ReduceOp::Sum).unwrap();
-            data
-        });
-        let seg = SegmentConfig::new(max_segment_bytes);
-        let segmented = run_cluster(world, |ep| {
-            let mut data = rank_data(ep.rank(), d, salt);
-            ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
-            data
-        });
-        prop_assert_eq!(monolithic, segmented);
-    }
-
-    #[test]
-    fn every_family_is_bitwise_identical_segmented(
-        world in 1usize..7,
-        d in 0usize..96,
-        max_segment_bytes in 4usize..64,
-        salt in any::<u64>(),
-    ) {
-        // Same property for every all-reduce family: segmenting a family's
-        // messages must produce the same bits as sending them whole.
-        let seg = SegmentConfig::new(max_segment_bytes);
-        for (family, all_reduce) in FAMILIES {
-            let run = |seg| {
-                run_cluster(world, |ep| {
-                    let mut data = rank_data(ep.rank(), d, salt);
-                    all_reduce(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
-                    data
-                })
-            };
-            prop_assert_eq!(run(SegmentConfig::MONOLITHIC), run(seg), "{}", family);
-        }
-    }
-
-    #[test]
     fn bf16_round_trip_error_is_bounded(x in -1.5e38f32..1.5e38) {
         // One wire trip costs at most one unit in the 8-bit significand:
         // |round(x) − x| ≤ 2⁻⁸·|x| for every finite input (bf16 keeps the
@@ -373,15 +353,13 @@ proptest! {
     fn narrow_wire_all_reduce_accumulates_in_f32(
         world in 1usize..8,
         d in 0usize..96,
-        max_segment_bytes in 1usize..96,
         salt in any::<u64>(),
         wire_idx in 0usize..2,
     ) {
         let wire = [DType::Bf16, DType::F16][wire_idx];
-        let seg = SegmentConfig::new(max_segment_bytes).with_wire(wire);
         let results = run_cluster(world, |ep| {
             let mut data = rank_data(ep.rank(), d, salt);
-            ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
+            ring_all_reduce_on_wire(&ep, &mut data, ReduceOp::Sum, wire).unwrap();
             data
         });
         // Lossy-at-the-sender: every rank must end bit-identical, because
@@ -440,10 +418,9 @@ proptest! {
             DType::Bf16 => bf16_to_f32(f32_to_bf16(v)),
             _ => f16_to_f32(f32_to_f16(v)),
         };
-        let seg = SegmentConfig::new(16).with_wire(wire);
         let results = run_cluster(2, |ep| {
             let mut data = rank_data(ep.rank(), d, salt);
-            ring_all_reduce_seg(&ep, &mut data, ReduceOp::Sum, seg).unwrap();
+            ring_all_reduce_on_wire(&ep, &mut data, ReduceOp::Sum, wire).unwrap();
             data
         });
         let x: Vec<Vec<f32>> = (0..2).map(|r| rank_data(r, d, salt)).collect();
@@ -458,6 +435,66 @@ proptest! {
                         r, i, owner, data[i], expect
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_hop_is_one_message_of_one_whole_slice(
+        world in 1usize..9,
+        d in 0usize..200,
+        wire_idx in 0usize..3,
+        root_pick in any::<usize>(),
+        salt in any::<u64>(),
+    ) {
+        // DeAR's Eqs. 3–5 at the message level: a ring reduce-scatter or
+        // all-gather is P−1 hops and an all-reduce 2(P−1), each hop one
+        // message to the successor carrying one whole chunk; a binomial
+        // tree reduce or broadcast is P−1 hops in all, each one message of
+        // the whole buffer. d < P (empty chunks) and d = 0 included.
+        let wire = [DType::F32, DType::Bf16, DType::F16][wire_idx];
+        let root = root_pick % world;
+        let bytes = |len: usize| len * wire.size_bytes();
+        let chunks = chunk_ranges(d, world);
+        let logs = run_cluster(world, |ep| {
+            let t = Counting { inner: ep, sends: Mutex::new(Vec::new()) };
+            let mut data = rank_data(t.rank(), d, salt);
+            let owned = ring_owned_chunk(t.rank(), world);
+            ring_reduce_scatter_on_wire(&t, &mut data, ReduceOp::Sum, wire).unwrap();
+            let rs = t.take_sends();
+            ring_all_gather_on_wire(&t, &mut data, owned, wire).unwrap();
+            let ag = t.take_sends();
+            ring_all_reduce_on_wire(&t, &mut data, ReduceOp::Sum, wire).unwrap();
+            let ar = t.take_sends();
+            tree_reduce(&t, &mut data, root, ReduceOp::Sum, wire).unwrap();
+            let reduce = t.take_sends();
+            tree_broadcast(&t, &mut data, root, wire).unwrap();
+            let broadcast = t.take_sends();
+            (rs, ag, ar, reduce, broadcast)
+        });
+        let (mut reduce_sends, mut broadcast_sends) = (Vec::new(), Vec::new());
+        for (rank, (rs, ag, ar, reduce, broadcast)) in logs.into_iter().enumerate() {
+            // Round r of a ring phase ships chunk (base − r) mod P, where
+            // base is the rank itself (reduce-scatter) or its owned chunk
+            // (all-gather).
+            let next = (rank + 1) % world;
+            let phase = |base: usize| -> Vec<(usize, usize)> {
+                (0..world - 1)
+                    .map(|r| (next, bytes(chunks[(base + world - r) % world].len())))
+                    .collect()
+            };
+            let owned = ring_owned_chunk(rank, world);
+            prop_assert_eq!(&rs, &phase(rank), "reduce-scatter, rank {}", rank);
+            prop_assert_eq!(&ag, &phase(owned), "all-gather, rank {}", rank);
+            let both: Vec<_> = phase(rank).into_iter().chain(phase(owned)).collect();
+            prop_assert_eq!(&ar, &both, "all-reduce, rank {}", rank);
+            reduce_sends.extend(reduce);
+            broadcast_sends.extend(broadcast);
+        }
+        for (name, sends) in [("reduce", reduce_sends), ("broadcast", broadcast_sends)] {
+            prop_assert_eq!(sends.len(), world - 1, "tree {} messages", name);
+            for (_, size) in sends {
+                prop_assert_eq!(size, bytes(d), "tree {} message bytes", name);
             }
         }
     }

@@ -19,10 +19,9 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use dear_collectives::{
-    chunk_range, compact_owned_shard, naive_all_reduce_seg, ring_advance, ring_all_reduce_seg,
-    ring_begin, ring_finish, ring_finish_with, ring_owned_chunk, tree_broadcast_seg,
-    CollectiveError, Epilogue, ReduceOp, RingKind, RingOp, SegmentConfig, Transport, WorldChange,
-    MIN_LINK_FRAMES,
+    chunk_range, compact_owned_shard, naive_all_reduce, ring_advance, ring_all_reduce_on_wire,
+    ring_begin, ring_finish, ring_finish_with, ring_owned_chunk, tree_broadcast, CollectiveError,
+    DType, Epilogue, ReduceOp, RingKind, RingOp, Transport, WorldChange, MIN_LINK_FRAMES,
 };
 
 use crate::dist_optim::PipelineMode;
@@ -581,7 +580,7 @@ const _: () = assert!(SEND_AHEAD_WINDOW < MIN_LINK_FRAMES);
 /// value), and `Reconfigure` redistributes optimizer state that checkpoints
 /// expect unrounded. Only the data path (`Reduce` and `Flush`) rides the
 /// layout's wire.
-const CONTROL: SegmentConfig = SegmentConfig::MONOLITHIC;
+const CONTROL: DType = DType::F32;
 
 /// Elements of the largest chunk any group of `layout` splits into.
 fn largest_chunk(layout: &GroupLayout, world: usize) -> usize {
@@ -675,11 +674,6 @@ impl<T: Transport> CommThread<'_, T> {
         }
     }
 
-    /// The data path's collectives: monolithic, on the layout's wire.
-    fn data_path(&self) -> SegmentConfig {
-        SegmentConfig::MONOLITHIC.with_wire(self.layout.wire())
-    }
-
     /// Stocks the transport's pool with the wire buffers a full send-ahead
     /// window has in use at once under the current layout and world. How
     /// far ahead the thread actually gets depends on when jobs arrive, so
@@ -722,7 +716,6 @@ impl<T: Transport> CommThread<'_, T> {
     /// in flight, and the next job in line is not one.
     fn pump(&mut self) -> Result<bool, CollectiveError> {
         self.fill()?;
-        let data_path = self.data_path();
         let Some(head) = self.inflight.front_mut() else {
             return Ok(false);
         };
@@ -731,7 +724,7 @@ impl<T: Transport> CommThread<'_, T> {
             .span
             .take()
             .unwrap_or_else(|| trace::span(TaskKind::Communication, || op_label(kind, group)));
-        ring_advance(&self.transport, &mut head.ring, &mut head.data, data_path)?;
+        ring_advance(&self.transport, &mut head.ring, &mut head.data)?;
         // The head has posted its last send: the ops behind it may post
         // their first before it blocks on its last receive.
         self.fill()?;
@@ -745,7 +738,7 @@ impl<T: Transport> CommThread<'_, T> {
             self.finish_op1(group, ring, data, other, span)?;
             return Ok(true);
         }
-        ring_finish(&self.transport, ring, &mut data, data_path)?;
+        ring_finish(&self.transport, ring, &mut data)?;
         span.end();
         if let RingKind::AllGather { .. } = kind {
             self.reply(CommResult::Params {
@@ -834,7 +827,7 @@ impl<T: Transport> CommThread<'_, T> {
             .inflight
             .is_empty()
             .then(|| trace::span(TaskKind::Communication, || op_label(kind, group)));
-        let ring = ring_begin(&self.transport, kind, &mut data, self.data_path())?;
+        let ring = ring_begin(&self.transport, kind, &mut data, self.layout.wire())?;
         Ok(Some(InFlight {
             group,
             ring,
@@ -865,7 +858,6 @@ impl<T: Transport> CommThread<'_, T> {
             self.world,
             ring_owned_chunk(self.rank, self.world),
         );
-        let data_path = self.data_path();
         // Every element is owned by exactly one rank, so the union of the
         // shards' updates is the full S-SGD update of Eq. 2.
         let update = GroupUpdate::new(
@@ -883,7 +875,7 @@ impl<T: Transport> CommThread<'_, T> {
             rs: Some(rs),
             upd: None,
         };
-        ring_finish_with(&self.transport, ring, &mut grads, data_path, &mut tail)?;
+        ring_finish_with(&self.transport, ring, &mut grads, &mut tail)?;
         if let Some(upd) = tail.upd {
             upd.end();
         }
@@ -979,7 +971,7 @@ impl<T: Transport> CommThread<'_, T> {
                     f32::from_bits((bits >> 32) as u32),
                     f32::from_bits(bits as u32),
                 ];
-                tree_broadcast_seg(&self.transport, &mut buf, root, CONTROL)?;
+                tree_broadcast(&self.transport, &mut buf, root, CONTROL)?;
                 let bits = (u64::from(buf[0].to_bits()) << 32) | u64::from(buf[1].to_bits());
                 bc.end();
                 self.reply(CommResult::Broadcast(f64::from_bits(bits)));
@@ -987,7 +979,7 @@ impl<T: Transport> CommThread<'_, T> {
             CommJob::Barrier => {
                 let sp = trace::span(TaskKind::Communication, || "BARRIER".to_string());
                 let mut token = [0.0f32];
-                naive_all_reduce_seg(&self.transport, &mut token, ReduceOp::Sum, CONTROL)?;
+                naive_all_reduce(&self.transport, &mut token, ReduceOp::Sum, CONTROL)?;
                 sp.end();
                 self.reply(CommResult::BarrierDone);
             }
@@ -1015,7 +1007,7 @@ impl<T: Transport> CommThread<'_, T> {
                     let sp = trace::span(TaskKind::Communication, || "REBALANCE".to_string());
                     for full in [&mut velocity, &mut second_moment] {
                         if !full.is_empty() {
-                            ring_all_reduce_seg(&self.transport, full, ReduceOp::Sum, CONTROL)?;
+                            ring_all_reduce_on_wire(&self.transport, full, ReduceOp::Sum, CONTROL)?;
                         }
                     }
                     sp.end();
@@ -1082,7 +1074,7 @@ impl<T: Transport> CommThread<'_, T> {
                 // then of the low 24 bits of the ranks that hold it (every
                 // other rank offers 2^24, above any low half).
                 let mut high = [(step >> 24) as f32];
-                naive_all_reduce_seg(&self.transport, &mut high, ReduceOp::Min, CONTROL)?;
+                naive_all_reduce(&self.transport, &mut high, ReduceOp::Min, CONTROL)?;
                 let high = high[0] as u64;
                 let low = if step >> 24 == high {
                     step & 0xFF_FFFF
@@ -1090,7 +1082,7 @@ impl<T: Transport> CommThread<'_, T> {
                     1 << 24
                 };
                 let mut low = [low as f32];
-                naive_all_reduce_seg(&self.transport, &mut low, ReduceOp::Min, CONTROL)?;
+                naive_all_reduce(&self.transport, &mut low, ReduceOp::Min, CONTROL)?;
                 sp.end();
                 self.reply(CommResult::Step((high << 24) | low[0] as u64));
             }

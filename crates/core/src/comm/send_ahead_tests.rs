@@ -1,6 +1,6 @@
 //! Cross-group send-ahead (DESIGN.md §4.18) against the schedule it
-//! replaced: one group at a time through the monolithic `ring_*_seg`
-//! calls, kept here as the reference. The tests play the training thread.
+//! replaced: one group at a time through the one-call `ring_*_on_wire`
+//! collectives, kept here as the reference. The tests play the training thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -8,7 +8,8 @@ use std::time::Duration;
 
 use crossbeam_channel::unbounded;
 use dear_collectives::{
-    ring_all_gather_seg, ring_reduce_scatter_seg, DType, LocalEndpoint, LocalFabric, Message,
+    ring_all_gather_on_wire, ring_reduce_scatter_on_wire, DType, LocalEndpoint, LocalFabric,
+    Message,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,7 +100,7 @@ pub(super) fn run_one_at_a_time<T: Transport>(
     let Ok(CommJob::Reconfigure { layout }) = jobs.recv() else {
         panic!("the first job installs the layout");
     };
-    let segments = SegmentConfig::MONOLITHIC.with_wire(layout.wire());
+    let wire = layout.wire();
     let (rank, world) = (transport.rank(), transport.world_size());
     let inv_p = 1.0 / world as f32;
     let mut store = OptimStore::new(&layout, rank, world, mode);
@@ -131,7 +132,7 @@ pub(super) fn run_one_at_a_time<T: Transport>(
                     adam_step += 1;
                 }
                 let owned =
-                    ring_reduce_scatter_seg(&transport, &mut grads, ReduceOp::Sum, segments)
+                    ring_reduce_scatter_on_wire(&transport, &mut grads, ReduceOp::Sum, wire)
                         .unwrap();
                 let (gbuf, gshift) = if strategy.shards_grad_stash() {
                     (compact_owned_shard(grads, &owned), owned.start)
@@ -163,7 +164,7 @@ pub(super) fn run_one_at_a_time<T: Transport>(
                 },
                 PipelineMode::Wfbp,
             ) => {
-                ring_all_reduce_seg(&transport, &mut grads, ReduceOp::Sum, segments).unwrap();
+                ring_all_reduce_on_wire(&transport, &mut grads, ReduceOp::Sum, wire).unwrap();
                 stash.push((group, StashEntry::Full { params, grads }));
             }
             (CommJob::Flush, PipelineMode::Wfbp) => {
@@ -184,7 +185,7 @@ pub(super) fn run_one_at_a_time<T: Transport>(
                 for (group, entry) in stash.drain(..).rev() {
                     let (mut params, grads) = entry.into_buffers();
                     let owned_chunk = ring_owned_chunk(rank, world);
-                    ring_all_gather_seg(&transport, &mut params, owned_chunk, segments).unwrap();
+                    ring_all_gather_on_wire(&transport, &mut params, owned_chunk, wire).unwrap();
                     results
                         .send(CommResult::Params {
                             group,

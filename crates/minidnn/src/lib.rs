@@ -54,7 +54,6 @@
 
 mod adam;
 mod attention;
-mod conv;
 mod data;
 mod embedding;
 pub mod gradcheck;
@@ -68,7 +67,6 @@ mod tensor;
 
 pub use adam::Adam;
 pub use attention::SelfAttention;
-pub use conv::Conv2d;
 pub use data::BlobDataset;
 pub use embedding::Embedding;
 pub use layer::{Layer, ParamShape};

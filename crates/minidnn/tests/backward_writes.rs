@@ -10,7 +10,7 @@
 //! activations (`-0.0` products, which `0.0 + …` turns into `+0.0`), and
 //! gradient slices pre-filled with NaN and other garbage.
 
-use dear_minidnn::{Conv2d, Embedding, Layer, LayerNorm, Linear, SelfAttention, Tensor};
+use dear_minidnn::{Embedding, Layer, LayerNorm, Linear, SelfAttention, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -145,49 +145,6 @@ fn layernorm_writes_what_zero_then_accumulate_computed() {
     }
     assert_eq!(bits(&grads[0]), bits(&gain));
     assert_eq!(bits(&grads[1]), bits(&bias));
-}
-
-#[test]
-fn conv2d_writes_what_zero_then_accumulate_computed() {
-    let mut rng = StdRng::seed_from_u64(3);
-    let (in_c, out_c, h, w, k, pad) = (2usize, 3usize, 4usize, 3usize, 3usize, 1usize);
-    let mut layer = Conv2d::new(in_c, out_c, h, w, k, pad, &mut rng);
-    let (oh, ow) = (layer.out_h(), layer.out_w());
-    let batch = 2;
-    let x = activations(&mut rng, batch, in_c * h * w, 5);
-    let dy = activations(&mut rng, batch, out_c * oh * ow, 4);
-    let (_, grads) = written(&mut layer, &x, &dy);
-
-    let mut dw = vec![0.0f32; out_c * in_c * k * k];
-    let mut db = vec![0.0f32; out_c];
-    for b in 0..batch {
-        for oc in 0..out_c {
-            for y in 0..oh {
-                for xx in 0..ow {
-                    let d = dy.at(b, oc * oh * ow + y * ow + xx);
-                    if d == 0.0 {
-                        continue;
-                    }
-                    db[oc] += d;
-                    for ic in 0..in_c {
-                        for kh in 0..k {
-                            for kw in 0..k {
-                                let ih = (y + kh) as isize - pad as isize;
-                                let iw = (xx + kw) as isize - pad as isize;
-                                if ih < 0 || iw < 0 || ih >= h as isize || iw >= w as isize {
-                                    continue;
-                                }
-                                let in_idx = ic * h * w + ih as usize * w + iw as usize;
-                                dw[(oc * in_c + ic) * k * k + kh * k + kw] += d * x.at(b, in_idx);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert_eq!(bits(&grads[0]), bits(&dw));
-    assert_eq!(bits(&grads[1]), bits(&db));
 }
 
 #[test]

@@ -1,14 +1,13 @@
 //! Property: every collective over real TCP sockets is **bit-identical**
 //! to the same collective over the in-process `LocalFabric`. The wire
-//! (LE `f32` framing, segmentation, per-peer ordering) must be a pure
+//! (LE `f32` framing, per-peer ordering) must be a pure
 //! transport concern — zero numerical footprint.
 
 use std::time::Duration;
 
 use dear_collectives::{
-    hierarchical_all_reduce_seg, rhd_all_reduce_seg, ring_all_reduce_seg, tree_broadcast_seg,
-    tree_reduce_seg, ClusterShape, DType, LocalFabric, Placement, ReduceOp, SegmentConfig,
-    Transport,
+    hierarchical_all_reduce_on_wire, rhd_all_reduce, ring_all_reduce_on_wire, tree_broadcast,
+    tree_reduce, ClusterShape, DType, LocalFabric, Placement, ReduceOp, Transport,
 };
 use dear_net::tcp_loopback_with;
 use proptest::prelude::*;
@@ -43,28 +42,28 @@ where
 /// Every supported all-reduce, over one fabric, back to back. Exercising
 /// them all on the *same* endpoints also checks that no collective leaves
 /// stray frames behind to corrupt the next one.
-fn all_algorithms<T: Transport>(t: &T, d: usize, salt: u64, seg: SegmentConfig) -> Vec<Vec<f32>> {
+fn all_algorithms<T: Transport>(t: &T, d: usize, salt: u64, wire: DType) -> Vec<Vec<f32>> {
     let world = t.world_size();
     let mut outs = Vec::new();
     let mut data = rank_data(t.rank(), d, salt);
-    ring_all_reduce_seg(t, &mut data, ReduceOp::Sum, seg).unwrap();
+    ring_all_reduce_on_wire(t, &mut data, ReduceOp::Sum, wire).unwrap();
     outs.push(data);
     let mut data = rank_data(t.rank(), d, salt);
-    rhd_all_reduce_seg(t, &mut data, ReduceOp::Sum, seg).unwrap();
+    rhd_all_reduce(t, &mut data, ReduceOp::Sum, wire).unwrap();
     outs.push(data);
     let mut data = rank_data(t.rank(), d, salt);
-    tree_reduce_seg(t, &mut data, 0, ReduceOp::Sum, seg).unwrap();
-    tree_broadcast_seg(t, &mut data, 0, seg).unwrap();
+    tree_reduce(t, &mut data, 0, ReduceOp::Sum, wire).unwrap();
+    tree_broadcast(t, &mut data, 0, wire).unwrap();
     outs.push(data);
     // Hierarchical needs a factorisation of the world; use the smallest
     // non-trivial node count so both the intra- and inter-node phases run.
     let nodes = (2..=world).find(|n| world.is_multiple_of(*n)).unwrap_or(1);
     let placement = Placement::from_shape(ClusterShape::new(nodes, world / nodes));
     let mut data = rank_data(t.rank(), d, salt);
-    hierarchical_all_reduce_seg(t, &placement, &mut data, ReduceOp::Sum, seg).unwrap();
+    hierarchical_all_reduce_on_wire(t, &placement, &mut data, ReduceOp::Sum, wire).unwrap();
     outs.push(data);
     let mut data = rank_data(t.rank(), d, salt);
-    ring_all_reduce_seg(t, &mut data, ReduceOp::Max, seg).unwrap();
+    ring_all_reduce_on_wire(t, &mut data, ReduceOp::Max, wire).unwrap();
     outs.push(data);
     outs
 }
@@ -77,19 +76,18 @@ proptest! {
     fn tcp_is_bit_identical_to_local_fabric(
         world in 1usize..6,
         d in 0usize..300,
-        max_segment_bytes in 0usize..128,
         salt in any::<u64>(),
     ) {
-        let seg = SegmentConfig::new(max_segment_bytes);
+        let wire = DType::F32;
         let local = run_ranks(LocalFabric::create(world), |ep| {
-            all_algorithms(ep, d, salt, seg)
+            all_algorithms(ep, d, salt, wire)
         });
         let tcp_eps = tcp_loopback_with(world, |mut cfg| {
             cfg.recv_timeout = Some(Duration::from_secs(60)); // hang guard
             cfg
         })
         .unwrap();
-        let tcp = run_ranks(tcp_eps, |ep| all_algorithms(ep, d, salt, seg));
+        let tcp = run_ranks(tcp_eps, |ep| all_algorithms(ep, d, salt, wire));
         // Bitwise equality, per rank, per algorithm, per element.
         for (rank, (l, t)) in local.iter().zip(&tcp).enumerate() {
             for (algo, (lv, tv)) in l.iter().zip(t).enumerate() {
@@ -110,7 +108,6 @@ proptest! {
     fn tcp_is_bit_identical_to_local_fabric_on_narrow_wires(
         world in 1usize..5,
         d in 0usize..200,
-        max_segment_bytes in 0usize..96,
         salt in any::<u64>(),
         wire_idx in 0usize..2,
     ) {
@@ -120,16 +117,15 @@ proptest! {
         // in-process fabric lands it — the TCP frame is a pure carrier of
         // the narrow bytes.
         let wire = [DType::Bf16, DType::F16][wire_idx];
-        let seg = SegmentConfig::new(max_segment_bytes).with_wire(wire);
         let local = run_ranks(LocalFabric::create(world), |ep| {
-            all_algorithms(ep, d, salt, seg)
+            all_algorithms(ep, d, salt, wire)
         });
         let tcp_eps = tcp_loopback_with(world, |mut cfg| {
             cfg.recv_timeout = Some(Duration::from_secs(60)); // hang guard
             cfg
         })
         .unwrap();
-        let tcp = run_ranks(tcp_eps, |ep| all_algorithms(ep, d, salt, seg));
+        let tcp = run_ranks(tcp_eps, |ep| all_algorithms(ep, d, salt, wire));
         for (rank, (l, t)) in local.iter().zip(&tcp).enumerate() {
             for (algo, (lv, tv)) in l.iter().zip(t).enumerate() {
                 prop_assert_eq!(lv.len(), tv.len());

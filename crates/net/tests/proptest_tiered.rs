@@ -9,9 +9,9 @@
 use std::time::Duration;
 
 use dear_collectives::{
-    double_tree_all_reduce_seg, hierarchical_all_reduce_seg, naive_all_reduce_seg,
-    rhd_all_reduce_seg, ring_all_reduce_seg, ClusterShape, DType, HostMap, LocalFabric, Placement,
-    ReduceOp, SegmentConfig, Transport,
+    double_tree_all_reduce, hierarchical_all_reduce_on_wire, naive_all_reduce, rhd_all_reduce,
+    ring_all_reduce_on_wire, ClusterShape, DType, HostMap, LocalFabric, Placement, ReduceOp,
+    Transport,
 };
 use dear_net::{tiered_loopback_with, ShmFabric};
 use proptest::prelude::*;
@@ -52,23 +52,23 @@ fn all_five<T: Transport>(
     placement: &Placement,
     d: usize,
     salt: u64,
-    seg: SegmentConfig,
+    wire: DType,
 ) -> Vec<Vec<f32>> {
     let mut outs = Vec::new();
     let mut data = rank_data(t.rank(), d, salt);
-    ring_all_reduce_seg(t, &mut data, ReduceOp::Sum, seg).unwrap();
+    ring_all_reduce_on_wire(t, &mut data, ReduceOp::Sum, wire).unwrap();
     outs.push(data);
     let mut data = rank_data(t.rank(), d, salt);
-    rhd_all_reduce_seg(t, &mut data, ReduceOp::Sum, seg).unwrap();
+    rhd_all_reduce(t, &mut data, ReduceOp::Sum, wire).unwrap();
     outs.push(data);
     let mut data = rank_data(t.rank(), d, salt);
-    double_tree_all_reduce_seg(t, &mut data, ReduceOp::Sum, seg).unwrap();
+    double_tree_all_reduce(t, &mut data, ReduceOp::Sum, wire).unwrap();
     outs.push(data);
     let mut data = rank_data(t.rank(), d, salt);
-    naive_all_reduce_seg(t, &mut data, ReduceOp::Sum, seg).unwrap();
+    naive_all_reduce(t, &mut data, ReduceOp::Sum, wire).unwrap();
     outs.push(data);
     let mut data = rank_data(t.rank(), d, salt);
-    hierarchical_all_reduce_seg(t, placement, &mut data, ReduceOp::Sum, seg).unwrap();
+    hierarchical_all_reduce_on_wire(t, placement, &mut data, ReduceOp::Sum, wire).unwrap();
     outs.push(data);
     outs
 }
@@ -108,19 +108,17 @@ proptest! {
     fn shm_is_bit_identical_to_local_fabric(
         world in 1usize..7,
         d in 0usize..300,
-        max_segment_bytes in 0usize..128,
         salt in any::<u64>(),
         wire_idx in 0usize..3,
     ) {
         let wire = [DType::F32, DType::Bf16, DType::F16][wire_idx];
-        let seg = SegmentConfig::new(max_segment_bytes).with_wire(wire);
         let nodes = (2..=world).find(|n| world.is_multiple_of(*n)).unwrap_or(1);
         let placement = &Placement::from_shape(ClusterShape::new(nodes, world / nodes));
         let local = run_ranks(LocalFabric::create(world), |ep| {
-            all_five(ep, placement, d, salt, seg)
+            all_five(ep, placement, d, salt, wire)
         });
         let shm = run_ranks(ShmFabric::create(world), |ep| {
-            all_five(ep, placement, d, salt, seg)
+            all_five(ep, placement, d, salt, wire)
         });
         assert_bit_identical(&local, &shm, "shm")?;
     }
@@ -130,7 +128,6 @@ proptest! {
         hosts in 1usize..3,
         ranks_per_host in 1usize..3,
         d in 0usize..200,
-        max_segment_bytes in 0usize..96,
         salt in any::<u64>(),
         wire_idx in 0usize..3,
     ) {
@@ -140,7 +137,6 @@ proptest! {
         // The hierarchical groups are the rendezvous' own host table, so
         // its intra-node rings are exactly the shm tier.
         let wire = [DType::F32, DType::Bf16, DType::F16][wire_idx];
-        let seg = SegmentConfig::new(max_segment_bytes).with_wire(wire);
         let tiered_eps = tiered_loopback_with(hosts, ranks_per_host, |mut cfg| {
             cfg.recv_timeout = Some(Duration::from_secs(60)); // hang guard
             cfg
@@ -149,9 +145,9 @@ proptest! {
         let placement = &HostMap::new(tiered_eps[0].host_ids().to_vec()).placement().unwrap();
         prop_assert_eq!((placement.nodes(), placement.gpus_per_node()), (hosts, ranks_per_host));
         let local = run_ranks(LocalFabric::create(hosts * ranks_per_host), |ep| {
-            all_five(ep, placement, d, salt, seg)
+            all_five(ep, placement, d, salt, wire)
         });
-        let tiered = run_ranks(tiered_eps, |ep| all_five(ep, placement, d, salt, seg));
+        let tiered = run_ranks(tiered_eps, |ep| all_five(ep, placement, d, salt, wire));
         assert_bit_identical(&local, &tiered, "tiered")?;
     }
 }

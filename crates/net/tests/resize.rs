@@ -17,9 +17,8 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 use dear_collectives::{
-    hierarchical_all_reduce_seg, naive_all_reduce_seg, rhd_all_reduce_seg, ring_all_reduce_seg,
-    tree_broadcast_seg, tree_reduce_seg, ClusterShape, LocalFabric, Placement, ReduceOp,
-    SegmentConfig, Transport, WorldChange,
+    hierarchical_all_reduce, naive_all_reduce, rhd_all_reduce, ring_all_reduce, tree_broadcast,
+    tree_reduce, ClusterShape, DType, LocalFabric, ReduceOp, Transport, WorldChange,
 };
 use dear_net::{tcp_loopback_with, tiered_loopback_with, NetConfig, TcpEndpoint};
 use proptest::prelude::*;
@@ -55,26 +54,27 @@ where
 /// Every all-reduce algorithm, back to back on one fabric: ring, RHD,
 /// tree (reduce+broadcast), naive, hierarchical. Running them all on the
 /// same endpoints also checks no algorithm leaves stray frames behind.
-fn all_algorithms<T: Transport>(t: &T, d: usize, salt: u64, seg: SegmentConfig) -> Vec<Vec<f32>> {
+fn all_algorithms<T: Transport>(t: &T, d: usize, salt: u64) -> Vec<Vec<f32>> {
     let world = t.world_size();
+    let wire = DType::F32;
     let mut outs = Vec::new();
     let mut data = rank_data(t.rank(), d, salt);
-    ring_all_reduce_seg(t, &mut data, ReduceOp::Sum, seg).unwrap();
+    ring_all_reduce(t, &mut data, ReduceOp::Sum).unwrap();
     outs.push(data);
     let mut data = rank_data(t.rank(), d, salt);
-    rhd_all_reduce_seg(t, &mut data, ReduceOp::Sum, seg).unwrap();
+    rhd_all_reduce(t, &mut data, ReduceOp::Sum, wire).unwrap();
     outs.push(data);
     let mut data = rank_data(t.rank(), d, salt);
-    tree_reduce_seg(t, &mut data, 0, ReduceOp::Sum, seg).unwrap();
-    tree_broadcast_seg(t, &mut data, 0, seg).unwrap();
+    tree_reduce(t, &mut data, 0, ReduceOp::Sum, wire).unwrap();
+    tree_broadcast(t, &mut data, 0, wire).unwrap();
     outs.push(data);
     let mut data = rank_data(t.rank(), d, salt);
-    naive_all_reduce_seg(t, &mut data, ReduceOp::Sum, seg).unwrap();
+    naive_all_reduce(t, &mut data, ReduceOp::Sum, wire).unwrap();
     outs.push(data);
     let nodes = (2..=world).find(|n| world.is_multiple_of(*n)).unwrap_or(1);
-    let placement = Placement::from_shape(ClusterShape::new(nodes, world / nodes));
+    let shape = ClusterShape::new(nodes, world / nodes);
     let mut data = rank_data(t.rank(), d, salt);
-    hierarchical_all_reduce_seg(t, &placement, &mut data, ReduceOp::Sum, seg).unwrap();
+    hierarchical_all_reduce(t, shape, &mut data, ReduceOp::Sum).unwrap();
     outs.push(data);
     outs
 }
@@ -142,17 +142,10 @@ fn resize_tweak(cfg: NetConfig) -> NetConfig {
 /// Shrink P→P−1: whichever rank dies, the survivors' resize rendezvous
 /// converges to dense ranks at generation 1, and every algorithm then
 /// behaves exactly like a fresh (P−1)-rank world.
-fn shrink_case(
-    world: usize,
-    victim: usize,
-    d: usize,
-    max_segment_bytes: usize,
-    salt: u64,
-) -> Result<(), String> {
+fn shrink_case(world: usize, victim: usize, d: usize, salt: u64) -> Result<(), String> {
     let victim = victim % world;
-    let seg = SegmentConfig::new(max_segment_bytes);
     let fresh = run_ranks(&LocalFabric::create(world - 1), |ep| {
-        all_algorithms(ep, d, salt, seg)
+        all_algorithms(ep, d, salt)
     });
     let mut eps = tcp_loopback_with(world, resize_tweak).unwrap();
     drop(eps.remove(victim));
@@ -170,7 +163,7 @@ fn shrink_case(
         prop_assert_eq!(c.new_world, world - 1);
         prop_assert_eq!(c.generation, 1);
     }
-    let resized = run_ranks(&eps, |ep| all_algorithms(ep, d, salt, seg));
+    let resized = run_ranks(&eps, |ep| all_algorithms(ep, d, salt));
     let new_ranks: Vec<usize> = changes.iter().map(|c| c.new_rank).collect();
     assert_matches_fresh(&resized, &new_ranks, &fresh)
 }
@@ -178,10 +171,9 @@ fn shrink_case(
 /// Grow P→P+1: a fresh joiner is admitted at the appended rank, the
 /// members converge to dense ranks, and every algorithm then behaves
 /// exactly like a fresh (P+1)-rank world.
-fn grow_case(world: usize, d: usize, max_segment_bytes: usize, salt: u64) -> Result<(), String> {
-    let seg = SegmentConfig::new(max_segment_bytes);
+fn grow_case(world: usize, d: usize, salt: u64) -> Result<(), String> {
     let fresh = run_ranks(&LocalFabric::create(world + 1), |ep| {
-        all_algorithms(ep, d, salt, seg)
+        all_algorithms(ep, d, salt)
     });
     let (mut eps, addr) = tcp_world_by_hand(world, &resize_tweak);
     let jcfg = resize_tweak(NetConfig::new(world, 1, addr));
@@ -207,7 +199,7 @@ fn grow_case(world: usize, d: usize, max_segment_bytes: usize, salt: u64) -> Res
     let mut new_ranks: Vec<usize> = changes.iter().map(|c| c.new_rank).collect();
     new_ranks.push(joiner.rank());
     eps.push(joiner);
-    let resized = run_ranks(&eps, |ep| all_algorithms(ep, d, salt, seg));
+    let resized = run_ranks(&eps, |ep| all_algorithms(ep, d, salt));
     assert_matches_fresh(&resized, &new_ranks, &fresh)
 }
 
@@ -221,20 +213,18 @@ proptest! {
         world in 3usize..6,
         victim in 0usize..6,
         d in 0usize..160,
-        max_segment_bytes in 0usize..96,
         salt in any::<u64>(),
     ) {
-        shrink_case(world, victim, d, max_segment_bytes, salt)?;
+        shrink_case(world, victim, d, salt)?;
     }
 
     #[test]
     fn grow_converges_to_dense_ranks_and_matches_a_fresh_world(
         world in 2usize..5,
         d in 0usize..160,
-        max_segment_bytes in 0usize..96,
         salt in any::<u64>(),
     ) {
-        grow_case(world, d, max_segment_bytes, salt)?;
+        grow_case(world, d, salt)?;
     }
 }
 
@@ -248,12 +238,9 @@ proptest! {
 /// fresh 3-rank world bit for bit.
 #[test]
 fn tiered_resize_survives_losing_a_co_located_rank() {
-    let seg = SegmentConfig::new(48);
     let salt = 0xD_EA_11;
     let d = 96;
-    let fresh = run_ranks(&LocalFabric::create(3), |ep| {
-        all_algorithms(ep, d, salt, seg)
-    });
+    let fresh = run_ranks(&LocalFabric::create(3), |ep| all_algorithms(ep, d, salt));
     // Hosts: {0, 1} on host 0, {2, 3} on host 1. Kill rank 1.
     let mut eps = tiered_loopback_with(2, 2, resize_tweak).unwrap();
     drop(eps.remove(1));
@@ -300,7 +287,7 @@ fn tiered_resize_survives_losing_a_co_located_rank() {
         "the intact host's pair must keep its shm tier"
     );
     // And the resized two-tier world still computes exactly.
-    let resized = run_ranks(&eps, |ep| all_algorithms(ep, d, salt, seg));
+    let resized = run_ranks(&eps, |ep| all_algorithms(ep, d, salt));
     let new_ranks: Vec<usize> = changes.iter().map(|c| c.new_rank).collect();
     assert_matches_fresh(&resized, &new_ranks, &fresh).unwrap();
 }

@@ -7,25 +7,24 @@
 //! Run with: `cargo run --release --example collective_playground`
 
 use dear::collectives::{
-    double_tree_all_reduce_seg, hierarchical_all_reduce, naive_all_reduce_seg, rhd_all_reduce_seg,
-    ring_all_reduce_seg, run_cluster, ClusterShape, CollectiveError, CostModel, LocalEndpoint,
-    ReduceOp, SegmentConfig, Transport,
+    double_tree_all_reduce, hierarchical_all_reduce, naive_all_reduce, rhd_all_reduce,
+    ring_all_reduce_on_wire, run_cluster, ClusterShape, CollectiveError, CostModel, DType,
+    LocalEndpoint, ReduceOp, Transport,
 };
 
-/// One all-reduce family's segmented entry point; all four share it.
-type AllReduceSeg =
-    fn(&LocalEndpoint, &mut [f32], ReduceOp, SegmentConfig) -> Result<(), CollectiveError>;
+/// One all-reduce family's entry point; all four share it.
+type AllReduce = fn(&LocalEndpoint, &mut [f32], ReduceOp, DType) -> Result<(), CollectiveError>;
 
 fn main() {
     let world = 8;
     let elems = 10_000;
 
     println!("== real execution: {world} ranks, {elems} elements per rank ==\n");
-    let families: [(&str, AllReduceSeg); 4] = [
-        ("ring", ring_all_reduce_seg),
-        ("rhd", rhd_all_reduce_seg),
-        ("double_binary_tree", double_tree_all_reduce_seg),
-        ("naive", naive_all_reduce_seg),
+    let families: [(&str, AllReduce); 4] = [
+        ("ring", ring_all_reduce_on_wire),
+        ("rhd", rhd_all_reduce),
+        ("double_binary_tree", double_tree_all_reduce),
+        ("naive", naive_all_reduce),
     ];
     let mut outputs = Vec::new();
     for (family, all_reduce) in families {
@@ -33,7 +32,7 @@ fn main() {
             let mut data: Vec<f32> = (0..elems)
                 .map(|i| ((ep.rank() + 1) * (i % 17 + 1)) as f32)
                 .collect();
-            all_reduce(&ep, &mut data, ReduceOp::Sum, SegmentConfig::MONOLITHIC).unwrap();
+            all_reduce(&ep, &mut data, ReduceOp::Sum, DType::F32).unwrap();
             data
         });
         println!(
