@@ -654,17 +654,66 @@ impl Transport for LocalEndpoint {
 }
 
 /// The last stretch of a [`DelayFabric`] delivery wait, polled instead of
-/// slept. `thread::sleep` returns late by a timer slack plus a wake-up: on
-/// the 2-vCPU reference host a 0.5–2 ms sleep overshoots by p50 105–138 µs /
-/// p90 140–210 µs when the CPUs are idle (p50 72 µs / p90 84–97 µs under
-/// two busy threads). The receiver sends its next message only after the
-/// wake-up and an idle link starts from *now*, so every late wake-up is
-/// time the emulated link sits idle — an α = 50 µs link behaves like a
-/// 150–250 µs one, and worse the less compute keeps the CPUs awake. The
-/// tail covers the idle p90 with a margin (at 150 µs one run in three still
-/// fell into the late mode); it costs at most this much of one CPU per
-/// message.
-const POLL_TAIL: Duration = Duration::from_micros(250);
+/// slept. `thread::sleep` returns late by a timer slack plus a wake-up, and
+/// the receiver sends its next message only after that wake-up: an idle
+/// link starts from *now*, so every late wake-up is time the emulated link
+/// sits idle. A waiting thread therefore first sets its own timer slack to
+/// 1 ns, which on the 2-vCPU reference host brings the overshoot of a
+/// 0.5–2 ms sleep from p50 ≈ 59 µs / p90 63–67 µs to 8–10 / 12–19 µs while
+/// two threads compute, and from 69–88 / 86–123 µs to 20–38 / 37–76 µs when
+/// the CPUs are idle. This tail covers the loaded p90 with a margin; a late
+/// idle wake-up still lands within ≈ 26 µs of the stamp, and none of 13
+/// `delay2_wfbp` runs fell into the late mode. It costs at most this much
+/// of one CPU per message.
+const POLL_TAIL: Duration = Duration::from_micros(50);
+
+/// The poll tail of a thread whose timer slack stays at the default 50 µs
+/// (the `prctl` failed, or the target is not Linux). A slept wait then
+/// overshoots by p90 86–210 µs on an idle host, depending on the session;
+/// this covers it with a margin (at 150 µs one `delay2_wfbp` run in three
+/// still fell into the late mode).
+const DEFAULT_SLACK_TAIL: Duration = Duration::from_micros(250);
+
+thread_local! {
+    /// This thread's poll tail, chosen once, on its first delivery wait.
+    static TAIL: Duration = if tighten_timer_slack() {
+        POLL_TAIL
+    } else {
+        DEFAULT_SLACK_TAIL
+    };
+}
+
+/// Returns at `at`, never before it: sleeps to within this thread's poll
+/// tail of it, then reads the clock in a spin loop.
+fn wait_until(at: Instant) {
+    let tail = TAIL.with(|&tail| tail);
+    let ahead = at.saturating_duration_since(Instant::now());
+    if let Some(sleep) = ahead.checked_sub(tail) {
+        std::thread::sleep(sleep);
+    }
+    while Instant::now() < at {
+        std::hint::spin_loop();
+    }
+}
+
+/// Sets the calling thread's timer slack to 1 ns, so that its sleeps end
+/// when asked instead of up to 50 µs later; returns whether it took.
+#[cfg(target_os = "linux")]
+fn tighten_timer_slack() -> bool {
+    use std::ffi::{c_int, c_ulong};
+    const PR_SET_TIMERSLACK: c_int = 29;
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+    // SAFETY: `PR_SET_TIMERSLACK` reads one unsigned long by value and
+    // changes only the calling thread's timer slack; no memory is shared.
+    unsafe { prctl(PR_SET_TIMERSLACK, 1 as c_ulong) == 0 }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn tighten_timer_slack() -> bool {
+    false
+}
 
 /// A transport decorator that injects α-β wall-clock delays, so that real
 /// threaded runs show network-like behaviour (startup latency per message
@@ -689,10 +738,13 @@ const POLL_TAIL: Duration = Duration::from_micros(250);
 /// one before it. Both sides of a link must be wrapped for the delay to be
 /// observed.
 ///
-/// The wait is **sleep, then poll**: `recv` sleeps to within 250 µs of the
-/// stamp and reads the clock in a spin loop for the rest, so a
-/// message is handed over at its stamp — never before it, and not a
-/// scheduler wake-up after it.
+/// The wait is **sleep, then poll**: `recv` sleeps to within 50 µs of the
+/// stamp and reads the clock in a spin loop for the rest, so a message is
+/// handed over at its stamp — never before it, and not a scheduler wake-up
+/// after it. The receiving thread's first wait sets its timer slack to 1 ns
+/// (Linux `prctl`), which is what makes a tail that short enough; a thread
+/// whose slack cannot be set polls the last 250 µs instead. Waiting thus
+/// costs little CPU, as a link served by a NIC would.
 #[derive(Debug)]
 pub struct DelayFabric<T> {
     inner: T,
@@ -757,13 +809,7 @@ impl<T: Transport> Transport for DelayFabric<T> {
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
         let msg = self.inner.recv(from)?;
         if let Some(at) = msg.deliver_at() {
-            let ahead = at.saturating_duration_since(Instant::now());
-            if let Some(sleep) = ahead.checked_sub(POLL_TAIL) {
-                std::thread::sleep(sleep);
-            }
-            while Instant::now() < at {
-                std::hint::spin_loop();
-            }
+            wait_until(at);
         }
         Ok(msg.without_deliver_at())
     }
@@ -1005,6 +1051,47 @@ mod tests {
         assert!(
             fourth - third >= wire(256) + Duration::from_micros(300),
             "the wake-up gap is time the link sat idle"
+        );
+    }
+
+    /// The calling thread's timer slack in ns. `/proc/thread-self` lists no
+    /// `timerslack_ns`, but `/proc/<tid>/` serves it for any thread, and a
+    /// thread may read its own without privilege.
+    #[cfg(target_os = "linux")]
+    fn timer_slack_ns() -> u64 {
+        let task = std::fs::read_link("/proc/thread-self").unwrap(); // <pid>/task/<tid>
+        let tid = task.file_name().unwrap().to_str().unwrap();
+        let slack = std::fs::read_to_string(format!("/proc/{tid}/timerslack_ns")).unwrap();
+        slack.trim().parse().unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn delay_fabric_tightens_the_timer_slack_of_the_waiting_thread_only() {
+        let mut eps = LocalFabric::create(2);
+        let model = CostModel::new(1_000_000.0, 0.0, 0.0); // 1 ms per message
+        let b = DelayFabric::new(eps.pop().unwrap(), model);
+        let a = DelayFabric::new(eps.pop().unwrap(), model);
+        let inherited = timer_slack_ns(); // 50 000 on a default system
+        a.send(1, vec![5.0].into()).unwrap();
+        let (before, after) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let before = timer_slack_ns();
+                assert_eq!(b.recv(0).unwrap(), vec![5.0]);
+                (before, timer_slack_ns())
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(
+            before, inherited,
+            "a new thread inherits its creator's slack"
+        );
+        assert_eq!(after, 1, "a delivery wait sets its thread's slack to 1 ns");
+        assert_eq!(
+            timer_slack_ns(),
+            inherited,
+            "the sending thread never waited and keeps its slack"
         );
     }
 

@@ -4,9 +4,13 @@
 //! idle link starts from "now", and the α it was asked to model silently
 //! grows by the overshoot of `thread::sleep` (DESIGN.md, "DelayFabric").
 //!
-//! A test binary of its own, with one test: the upper bound is a timing
-//! property, and neighbours polling on the same two cores would be
-//! measured with it.
+//! The wait also costs little CPU: a receiver sleeps to just short of the
+//! stamp and polls the clock only for the last stretch, so the echoing
+//! thread is on a CPU for a small share of its wall time.
+//!
+//! A test binary of its own, with one test: the upper bounds are timing
+//! properties, and neighbours polling on the same two cores would be
+//! measured with them.
 
 use std::time::{Duration, Instant};
 
@@ -14,19 +18,35 @@ use dear_collectives::{CostModel, DelayFabric, LocalFabric, Transport};
 
 const ROUNDS: u32 = 200;
 
-/// One ping-pong run; every round asserts the lower bound, the total is
-/// returned for the upper one.
-fn ping_pong(model: CostModel, wire: Duration) -> Duration {
+/// The share of its wall time the echoing thread may spend on a CPU. With
+/// the 50 µs poll tail of a 502 µs wait per 1 ms round trip it measures
+/// 5–8 %; with a 250 µs tail, 20–27 %.
+const MAX_ECHO_CPU: f64 = 0.12;
+
+/// This thread's time on a CPU: the first field of
+/// `/proc/thread-self/schedstat`, or `None` where the file is absent.
+fn thread_cpu() -> Option<Duration> {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    let nanos = stat.split_whitespace().next()?.parse().ok()?;
+    Some(Duration::from_nanos(nanos))
+}
+
+/// One ping-pong run; every round asserts the lower bound. Returns the
+/// total, for the upper one, and the echoing thread's CPU share of its
+/// wall time where the host reports it.
+fn ping_pong(model: CostModel, wire: Duration) -> (Duration, Option<f64>) {
     let mut eps = LocalFabric::create(2);
     let b = DelayFabric::new(eps.pop().unwrap(), model);
     let a = DelayFabric::new(eps.pop().unwrap(), model);
     let payload = vec![1.0f32; 256]; // 1 KiB on the f32 wire
     std::thread::scope(|s| {
-        s.spawn(|| {
+        let echo = s.spawn(|| {
+            let (cpu, wall) = (thread_cpu(), Instant::now());
             for _ in 0..ROUNDS {
                 let ping = b.recv(0).unwrap();
                 b.send(0, ping).unwrap();
             }
+            Some((thread_cpu()? - cpu?).as_secs_f64() / wall.elapsed().as_secs_f64())
         });
         let start = Instant::now();
         for _ in 0..ROUNDS {
@@ -44,7 +64,8 @@ fn ping_pong(model: CostModel, wire: Duration) -> Duration {
             );
             assert_eq!(pong, payload);
         }
-        start.elapsed()
+        let took = start.elapsed();
+        (took, echo.join().unwrap())
     })
 }
 
@@ -61,8 +82,18 @@ fn recv_is_never_early_and_ping_pong_runs_at_link_speed() {
     // run of three on time decides it.
     let mut runs = Vec::new();
     let on_time = (0..3).any(|_| {
-        runs.push(ping_pong(model, wire));
-        runs.last().is_some_and(|&took| took <= link + link / 10)
+        let (took, echo_cpu) = ping_pong(model, wire);
+        match echo_cpu {
+            Some(share) => assert!(
+                share <= MAX_ECHO_CPU,
+                "the echoing thread was on a CPU for {:.1} % of its wall time (bound {:.0} %)",
+                100.0 * share,
+                100.0 * MAX_ECHO_CPU
+            ),
+            None => eprintln!("no /proc/thread-self/schedstat: the CPU bound is not checked"),
+        }
+        runs.push(took);
+        took <= link + link / 10
     });
     assert!(
         on_time,
