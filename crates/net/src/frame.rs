@@ -419,6 +419,12 @@ impl Welcome {
         let rank = u32::from_le_bytes(body[0..4].try_into().expect("4 bytes"));
         let world = u32::from_le_bytes(body[4..8].try_into().expect("4 bytes"));
         let generation = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
+        // Every rank takes at least 14 bytes (an empty address's length, a
+        // host id and a previous rank): a larger claimed world is a short
+        // body, refused before anything is reserved for it.
+        if world as usize > (body.len() - 16) / 14 {
+            return Err(short());
+        }
         let mut addrs = Vec::with_capacity(world as usize);
         let mut at = 16usize;
         for _ in 0..world {
@@ -482,6 +488,7 @@ pub fn decode_ident(body: &[u8]) -> io::Result<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn frame_roundtrip_over_a_byte_pipe() {
@@ -721,5 +728,150 @@ mod tests {
             FrameKind::Heartbeat
         );
         assert_eq!(decode_generation(&body).unwrap(), 2);
+    }
+
+    #[test]
+    fn welcome_claiming_more_ranks_than_its_body_holds_is_invalid_data() {
+        // A 16-byte body claiming u32::MAX ranks: the decoder used to
+        // reserve its tables from `world` before reading them, and the
+        // failed allocation aborted the process.
+        let mut body = [0u8; 16];
+        body[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            Welcome::decode(&body).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+    }
+
+    /// A host or address string of one-, two- and three-byte characters.
+    fn text(picks: &[u8]) -> String {
+        picks
+            .iter()
+            .map(|&b| ['a', '.', '7', ':', 'é', '香'][usize::from(b) % 6])
+            .collect()
+    }
+
+    fn invalid(e: io::Error) -> bool {
+        e.kind() == io::ErrorKind::InvalidData
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn truncated_encodings_are_refused_or_decode_a_shorter_tail(
+            rank in any::<u32>(),
+            port in any::<u16>(),
+            generation in any::<u64>(),
+            host_id in any::<u64>(),
+            host in prop::collection::vec(any::<u8>(), 0..12),
+            addrs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 0..6),
+            table in prop::collection::vec(any::<(u64, u32)>(), 6),
+            elems in prop::collection::vec(any::<u32>(), 0..8),
+            wire in 0usize..3,
+        ) {
+            // Bodies whose every field has a length: any strict prefix is
+            // short.
+            let n = addrs.len();
+            let welcome = Welcome {
+                rank,
+                world: n as u32,
+                generation,
+                addrs: addrs.iter().map(|a| text(a)).collect(),
+                host_ids: table[..n].iter().map(|t| t.0).collect(),
+                prev_ranks: table[..n].iter().map(|t| t.1).collect(),
+            };
+            let bytes = welcome.encode();
+            prop_assert_eq!(Welcome::decode(&bytes).unwrap(), welcome);
+            for cut in 0..bytes.len() {
+                prop_assert!(Welcome::decode(&bytes[..cut]).is_err_and(invalid), "WELCOME cut at {}", cut);
+            }
+            let bytes = encode_generation(generation);
+            for cut in 0..bytes.len() {
+                prop_assert!(decode_generation(&bytes[..cut]).is_err_and(invalid));
+            }
+            let bytes = encode_ident(rank);
+            for cut in 0..bytes.len() {
+                prop_assert!(decode_ident(&bytes[..cut]).is_err_and(invalid));
+            }
+            // A HELLO's host runs to the end of the body: a prefix that
+            // cuts the fixed fields is short, a longer one is the same
+            // HELLO with a shorter host, or refused if it splits a
+            // character.
+            let hello = Hello { rank, port, generation, host_id, host: text(&host) };
+            let bytes = hello.encode();
+            prop_assert_eq!(Hello::decode(&bytes).unwrap(), hello);
+            for cut in 0..bytes.len() {
+                match Hello::decode(&bytes[..cut]) {
+                    Ok(h) => {
+                        prop_assert_eq!((h.rank, h.port, h.generation, h.host_id), (rank, port, generation, host_id));
+                        prop_assert_eq!(h.host.as_bytes(), &bytes[22..cut]);
+                    }
+                    Err(e) => {
+                        prop_assert!(invalid(e));
+                        prop_assert!(cut < 22 || std::str::from_utf8(&bytes[22..cut]).is_err());
+                    }
+                }
+            }
+            // Likewise a data body's elements: past the stamp and tag a
+            // prefix splits the same header, and a cut inside an element
+            // makes no payload.
+            let floats: Vec<f32> = elems.iter().map(|&b| f32::from_bits(b)).collect();
+            let payload = WireBuf::encode(&floats, [DType::F32, DType::Bf16, DType::F16][wire]);
+            let mut bytes = Vec::new();
+            encode_data_body(generation, &payload, &mut bytes);
+            for cut in 0..bytes.len() {
+                match split_data_body(&bytes[..cut]) {
+                    Ok((g, dtype, raw)) => {
+                        prop_assert_eq!((g, dtype), (generation, payload.dtype()));
+                        prop_assert_eq!(raw, &payload.bytes()[..cut - DATA_BODY_OVERHEAD]);
+                        prop_assert_eq!(
+                            WireBuf::from_raw(dtype, raw.to_vec()).is_ok(),
+                            raw.len() % dtype.size_bytes() == 0
+                        );
+                    }
+                    Err(e) => prop_assert!(invalid(e) && cut < DATA_BODY_OVERHEAD),
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_decode_or_fail_typed(
+            body in prop::collection::vec(any::<u8>(), 0..513),
+            kind in any::<u8>(),
+            len in any::<u16>(),
+        ) {
+            // Whatever a peer sends, no decoder panics or aborts.
+            let _ = Hello::decode(&body);
+            let _ = Welcome::decode(&body);
+            let _ = decode_generation(&body);
+            let _ = decode_ident(&body);
+            if let Ok((_, dtype, raw)) = split_data_body(&body) {
+                let _ = WireBuf::from_raw(dtype, raw.to_vec());
+            }
+            // A stream of one header, its length field at most 64 KiB,
+            // then whatever follows: a whole frame of a known kind reads,
+            // a short one is an EOF, an unknown kind is invalid.
+            let len = usize::from(len);
+            let mut stream = vec![kind];
+            stream.extend_from_slice(&(len as u32).to_le_bytes());
+            stream.extend_from_slice(&body);
+            let mut out = Vec::new();
+            match (FrameKind::from_u8(kind), read_frame(&mut &stream[..], &mut out)) {
+                (Some(want), Ok(got)) => {
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(&out[..], &body[..len]);
+                }
+                (Some(_), Err(e)) => {
+                    prop_assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+                    prop_assert!(body.len() < len);
+                }
+                (None, result) => prop_assert!(result.is_err_and(invalid)),
+            }
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! In-place elastic resize acceptance tests.
 //!
-//! Property layer: shrink (P→P−1) and grow (P→P+1) rendezvous always
-//! converge to dense ranks, and every all-reduce algorithm over the
-//! resized world is **bit-identical** to a fresh world of the same size —
-//! the resize must leave zero numerical or protocol residue.
+//! Property layer: a grow (P→P+1) rendezvous always converges to dense
+//! ranks, and every all-reduce algorithm over the resized world is
+//! **bit-identical** to a fresh world of the same size — the resize must
+//! leave zero numerical or protocol residue. Shrinking is a clause of the
+//! fabric contract (`transport_contract.rs`), run on every fabric.
 //!
 //! End-to-end layer: the real `dear-launch` binary runs a 4-rank demo
 //! world, one rank dies abruptly mid-training, and the survivors must
@@ -16,96 +17,12 @@ use std::net::TcpListener;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-use dear_collectives::{
-    hierarchical_all_reduce, naive_all_reduce, rhd_all_reduce, ring_all_reduce, tree_broadcast,
-    tree_reduce, ClusterShape, DType, LocalFabric, ReduceOp, Transport, WorldChange,
-};
-use dear_net::{tcp_loopback_with, tiered_loopback_with, NetConfig, TcpEndpoint};
+use dear_collectives::{DType, LocalFabric, Transport, WorldChange};
+use dear_net::{tiered_loopback_with, NetConfig, TcpEndpoint};
 use proptest::prelude::*;
 
-/// Per-rank deterministic pseudo-random data (same scheme as the TCP
-/// transparency proptests), keyed by the rank the endpoint holds *now* —
-/// after a resize that is the dense new rank.
-fn rank_data(rank: usize, d: usize, salt: u64) -> Vec<f32> {
-    (0..d)
-        .map(|i| {
-            let x = (rank as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(i as u64)
-                .wrapping_mul(salt | 1);
-            ((x % 4096) as f32 - 2048.0) / 32.0
-        })
-        .collect()
-}
-
-/// Runs `f` on every rank of a fabric, one thread per rank.
-fn run_ranks<T, R, F>(endpoints: &[T], f: F) -> Vec<R>
-where
-    T: Transport + Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    std::thread::scope(|s| {
-        let handles: Vec<_> = endpoints.iter().map(|ep| s.spawn(|| f(ep))).collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-}
-
-/// Every all-reduce algorithm, back to back on one fabric: ring, RHD,
-/// tree (reduce+broadcast), naive, hierarchical. Running them all on the
-/// same endpoints also checks no algorithm leaves stray frames behind.
-fn all_algorithms<T: Transport>(t: &T, d: usize, salt: u64) -> Vec<Vec<f32>> {
-    let world = t.world_size();
-    let wire = DType::F32;
-    let mut outs = Vec::new();
-    let mut data = rank_data(t.rank(), d, salt);
-    ring_all_reduce(t, &mut data, ReduceOp::Sum).unwrap();
-    outs.push(data);
-    let mut data = rank_data(t.rank(), d, salt);
-    rhd_all_reduce(t, &mut data, ReduceOp::Sum, wire).unwrap();
-    outs.push(data);
-    let mut data = rank_data(t.rank(), d, salt);
-    tree_reduce(t, &mut data, 0, ReduceOp::Sum, wire).unwrap();
-    tree_broadcast(t, &mut data, 0, wire).unwrap();
-    outs.push(data);
-    let mut data = rank_data(t.rank(), d, salt);
-    naive_all_reduce(t, &mut data, ReduceOp::Sum, wire).unwrap();
-    outs.push(data);
-    let nodes = (2..=world).find(|n| world.is_multiple_of(*n)).unwrap_or(1);
-    let shape = ClusterShape::new(nodes, world / nodes);
-    let mut data = rank_data(t.rank(), d, salt);
-    hierarchical_all_reduce(t, shape, &mut data, ReduceOp::Sum).unwrap();
-    outs.push(data);
-    outs
-}
-
-/// Asserts `resized[i]` (an endpoint holding dense rank `new_ranks[i]`)
-/// produced bit-for-bit what the same rank of a fresh world produced.
-fn assert_matches_fresh(
-    resized: &[Vec<Vec<f32>>],
-    new_ranks: &[usize],
-    fresh: &[Vec<Vec<f32>>],
-) -> Result<(), String> {
-    for (i, outs) in resized.iter().enumerate() {
-        let want = &fresh[new_ranks[i]];
-        for (algo, (got, exp)) in outs.iter().zip(want).enumerate() {
-            prop_assert_eq!(got.len(), exp.len());
-            for (e, (a, b)) in got.iter().zip(exp).enumerate() {
-                prop_assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "new rank {} algo {} elem {}: resized {} != fresh {}",
-                    new_ranks[i],
-                    algo,
-                    e,
-                    a,
-                    b
-                );
-            }
-        }
-    }
-    Ok(())
-}
+mod common;
+use common::{bit_identical, collectives, run};
 
 /// Builds a `world`-rank TCP mesh by hand so the test keeps the master
 /// address (a fresh joiner derives the resize rendezvous address from it).
@@ -139,41 +56,12 @@ fn resize_tweak(cfg: NetConfig) -> NetConfig {
     cfg
 }
 
-/// Shrink P→P−1: whichever rank dies, the survivors' resize rendezvous
-/// converges to dense ranks at generation 1, and every algorithm then
-/// behaves exactly like a fresh (P−1)-rank world.
-fn shrink_case(world: usize, victim: usize, d: usize, salt: u64) -> Result<(), String> {
-    let victim = victim % world;
-    let fresh = run_ranks(&LocalFabric::create(world - 1), |ep| {
-        all_algorithms(ep, d, salt)
-    });
-    let mut eps = tcp_loopback_with(world, resize_tweak).unwrap();
-    drop(eps.remove(victim));
-    let changes: Vec<WorldChange> = std::thread::scope(|s| {
-        let handles: Vec<_> = eps
-            .iter_mut()
-            .map(|ep| s.spawn(move || ep.reconfigure(None).unwrap()))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut dense: Vec<usize> = changes.iter().map(|c| c.new_rank).collect();
-    dense.sort_unstable();
-    prop_assert_eq!(dense, (0..world - 1).collect::<Vec<_>>());
-    for c in &changes {
-        prop_assert_eq!(c.new_world, world - 1);
-        prop_assert_eq!(c.generation, 1);
-    }
-    let resized = run_ranks(&eps, |ep| all_algorithms(ep, d, salt));
-    let new_ranks: Vec<usize> = changes.iter().map(|c| c.new_rank).collect();
-    assert_matches_fresh(&resized, &new_ranks, &fresh)
-}
-
 /// Grow P→P+1: a fresh joiner is admitted at the appended rank, the
 /// members converge to dense ranks, and every algorithm then behaves
 /// exactly like a fresh (P+1)-rank world.
 fn grow_case(world: usize, d: usize, salt: u64) -> Result<(), String> {
-    let fresh = run_ranks(&LocalFabric::create(world + 1), |ep| {
-        all_algorithms(ep, d, salt)
+    let fresh = run(&LocalFabric::create(world + 1), |ep| {
+        collectives(ep, d, salt, DType::F32)
     });
     let (mut eps, addr) = tcp_world_by_hand(world, &resize_tweak);
     let jcfg = resize_tweak(NetConfig::new(world, 1, addr));
@@ -196,27 +84,16 @@ fn grow_case(world: usize, d: usize, salt: u64) -> Result<(), String> {
         prop_assert_eq!(c.new_world, world + 1);
         prop_assert_eq!(c.generation, 1);
     }
-    let mut new_ranks: Vec<usize> = changes.iter().map(|c| c.new_rank).collect();
-    new_ranks.push(joiner.rank());
     eps.push(joiner);
-    let resized = run_ranks(&eps, |ep| all_algorithms(ep, d, salt));
-    assert_matches_fresh(&resized, &new_ranks, &fresh)
+    eps.sort_by_key(|ep| ep.rank());
+    let resized = run(&eps, |ep| collectives(ep, d, salt, DType::F32));
+    bit_identical(&fresh, &resized)
 }
 
 proptest! {
     // Every case stands up a real TCP mesh and pays a full resize window;
     // keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn shrink_converges_to_dense_ranks_and_matches_a_fresh_world(
-        world in 3usize..6,
-        victim in 0usize..6,
-        d in 0usize..160,
-        salt in any::<u64>(),
-    ) {
-        shrink_case(world, victim, d, salt)?;
-    }
 
     #[test]
     fn grow_converges_to_dense_ranks_and_matches_a_fresh_world(
@@ -240,7 +117,9 @@ proptest! {
 fn tiered_resize_survives_losing_a_co_located_rank() {
     let salt = 0xD_EA_11;
     let d = 96;
-    let fresh = run_ranks(&LocalFabric::create(3), |ep| all_algorithms(ep, d, salt));
+    let fresh = run(&LocalFabric::create(3), |ep| {
+        collectives(ep, d, salt, DType::F32)
+    });
     // Hosts: {0, 1} on host 0, {2, 3} on host 1. Kill rank 1.
     let mut eps = tiered_loopback_with(2, 2, resize_tweak).unwrap();
     drop(eps.remove(1));
@@ -287,9 +166,9 @@ fn tiered_resize_survives_losing_a_co_located_rank() {
         "the intact host's pair must keep its shm tier"
     );
     // And the resized two-tier world still computes exactly.
-    let resized = run_ranks(&eps, |ep| all_algorithms(ep, d, salt));
-    let new_ranks: Vec<usize> = changes.iter().map(|c| c.new_rank).collect();
-    assert_matches_fresh(&resized, &new_ranks, &fresh).unwrap();
+    eps.sort_by_key(|ep| ep.rank());
+    let resized = run(&eps, |ep| collectives(ep, d, salt, DType::F32));
+    bit_identical(&fresh, &resized).unwrap();
 }
 
 const LAUNCH: &str = env!("CARGO_BIN_EXE_dear-launch");
