@@ -67,3 +67,37 @@ where
         Ok(endpoints)
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn loopback_assigns_every_rank_once() {
+        let eps = tcp_loopback(5).unwrap();
+        assert_eq!(eps.len(), 5);
+        for (i, ep) in eps.iter().enumerate() {
+            assert_eq!(ep.rank(), i);
+            assert_eq!(ep.world_size(), 5);
+        }
+    }
+
+    #[test]
+    fn loopback_runs_a_real_all_reduce() {
+        let eps = tcp_loopback(4).unwrap();
+        std::thread::scope(|s| {
+            for ep in &eps {
+                s.spawn(move || {
+                    let mut data = vec![ep.rank() as f32 + 1.0; 32];
+                    dear_collectives::ring_all_reduce(
+                        ep,
+                        &mut data,
+                        dear_collectives::ReduceOp::Sum,
+                    )
+                    .unwrap();
+                    assert_eq!(data, vec![10.0; 32]); // 1+2+3+4
+                });
+            }
+        });
+    }
+}

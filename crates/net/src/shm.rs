@@ -758,6 +758,7 @@ impl Drop for ShmEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dear_collectives::{ring_all_reduce, ReduceOp};
 
     fn fast_cfg(world: usize) -> NetConfig {
         NetConfig::new(world, 0, "127.0.0.1:0")
@@ -894,5 +895,19 @@ mod tests {
         let victim = eps.remove(1);
         drop(victim);
         assert_eq!(eps[0].live_peers(), vec![2]);
+    }
+
+    #[test]
+    fn all_reduce_across_the_fabric_matches_the_analytic_sum() {
+        let eps = ShmFabric::create(4);
+        std::thread::scope(|s| {
+            for ep in &eps {
+                s.spawn(move || {
+                    let mut data = vec![ep.rank() as f32 + 1.0; 100];
+                    ring_all_reduce(ep, &mut data, ReduceOp::Sum).unwrap();
+                    assert_eq!(data, vec![10.0; 100]);
+                });
+            }
+        });
     }
 }

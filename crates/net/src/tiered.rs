@@ -407,6 +407,20 @@ mod tests {
     }
 
     #[test]
+    fn tiered_all_reduce_matches_analytic_sum() {
+        let eps = tiered_loopback_with(2, 2, fast).unwrap();
+        std::thread::scope(|s| {
+            for ep in &eps {
+                s.spawn(move || {
+                    let mut data = vec![ep.rank() as f32 + 1.0; 64];
+                    ring_all_reduce(ep, &mut data, ReduceOp::Sum).unwrap();
+                    assert_eq!(data, vec![10.0; 64]);
+                });
+            }
+        });
+    }
+
+    #[test]
     fn one_rank_hosts_degrade_to_pure_tcp() {
         let eps = tiered_loopback_with(3, 1, fast).unwrap();
         for ep in &eps {
