@@ -26,7 +26,12 @@ use crate::transport::Transport;
 use crate::wire::{DType, WireBuf};
 
 /// Sends `src` to `to` as one message, encoded to `wire` (cast-on-send;
-/// bit-exact for `f32`) into a byte buffer taken from the transport's pool.
+/// bit-exact for `f32`).
+///
+/// On the `f32` wire this is [`Transport::send_f32`]: a fabric that writes
+/// the message out before returning (TCP) sends straight from `src`, and
+/// the others encode into a buffer from the transport's pool. A narrow wire
+/// always encodes into a pooled buffer, because the same pass rounds `src`.
 ///
 /// On a narrow wire the sender's `src` is **rounded in place** to the wire
 /// values first ([`crate::wire::round_to_wire`] semantics, fused into the
@@ -51,6 +56,9 @@ pub(crate) fn send_hop<T: Transport>(
     src: &mut [f32],
     wire: DType,
 ) -> Result<(), CollectiveError> {
+    if wire == DType::F32 {
+        return t.send_f32(to, src);
+    }
     let bytes = t.take_buffer(src.len() * wire.size_bytes());
     // Encode and round in one pass: after this, `src` holds exactly the
     // values the payload carries (see `round_to_wire`).

@@ -195,7 +195,8 @@ pub const MIN_LINK_FRAMES: usize = 4;
 ///
 /// - **Order and bits.** Each link delivers in send order, independently
 ///   of every other link, and a payload arrives with the dtype and bytes
-///   it was sent with.
+///   it was sent with. [`Transport::send_f32`] is `send` of the slice's
+///   [`DType::F32`] encoding, whichever way a fabric ships it.
 /// - **Departure.** What a peer sent before its endpoint dropped is still
 ///   delivered; after it, `recv` from that peer returns
 ///   [`CollectiveError::Disconnected`], and sends to it fail (a socket or
@@ -226,6 +227,25 @@ pub trait Transport {
     /// equals this rank, and [`CollectiveError::Disconnected`] if the peer
     /// has hung up.
     fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError>;
+
+    /// Sends `src` to `to` as one [`DType::F32`] message: the peer receives
+    /// exactly what `send(to, WireBuf::encode(src, DType::F32).into())`
+    /// would deliver, with the same errors, in FIFO order with `send` on
+    /// the same link.
+    ///
+    /// The default encodes into a buffer from [`Transport::take_buffer`]
+    /// and calls [`Transport::send`]. A transport that writes the message
+    /// out before returning (TCP) overrides this to send straight from
+    /// `src`, skipping that copy; one that must hand the message over whole
+    /// keeps the default. A decorator that renumbers ranks forwards it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::send`].
+    fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
+        let bytes = self.take_buffer(std::mem::size_of_val(src));
+        self.send(to, WireBuf::encode_into(src, DType::F32, bytes).into())
+    }
 
     /// Receives the next message from `from`, blocking until it arrives.
     ///
@@ -918,6 +938,11 @@ impl<T: Transport> Transport for GroupTransport<'_, T> {
     fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
         self.check_peer(to)?;
         self.inner.send(self.members[to], msg)
+    }
+
+    fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
+        self.check_peer(to)?;
+        self.inner.send_f32(self.members[to], src)
     }
 
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {

@@ -79,6 +79,8 @@ use dear_collectives::{BufferPool, CollectiveError, Message, Transport, WireBuf,
 use dear_core::trace;
 
 use crate::config::{NetConfig, NetError};
+#[cfg(target_endian = "little")]
+use crate::frame::write_f32_data_frame;
 use crate::frame::{
     decode_generation, decode_ident, encode_generation, encode_ident, read_frame,
     read_frame_header, write_data_frame, write_frame, FrameKind, Hello, Welcome,
@@ -502,6 +504,53 @@ impl TcpEndpoint {
         h.aborted.map(|p| CollectiveError::Aborted { peer: p })
     }
 
+    /// Checks that a data frame of `wire_bytes` element bytes may go to `to`.
+    fn check_frame(&self, to: usize, wire_bytes: usize) -> Result<(), CollectiveError> {
+        self.check_peer(to)?;
+        if let Some(bytes) = oversize_bytes(wire_bytes) {
+            // The frame header's length field is a u32; letting this
+            // through would truncate on the wire and desynchronize the
+            // peer's stream.
+            return Err(CollectiveError::Oversize {
+                peer: to,
+                bytes,
+                max: MAX_FRAME_BYTES as u64,
+            });
+        }
+        Ok(())
+    }
+
+    /// Writes one whole frame to the checked peer `to` with `write`, under
+    /// the link's writer lock; latches the link on failure and counts the
+    /// bytes on success.
+    fn send_frame(
+        &self,
+        to: usize,
+        write: impl FnOnce(&mut TcpStream) -> io::Result<usize>,
+    ) -> Result<(), CollectiveError> {
+        let link = self.links[to].as_ref().expect("validated peer");
+        let wrote = {
+            let mut stream = link.writer.lock().expect("link poisoned");
+            let wrote = write(&mut stream);
+            latch_on_error(&stream, wrote)
+        };
+        match wrote {
+            Ok(n) => {
+                self.counters[to]
+                    .bytes_sent
+                    .fetch_add(n as u64, Ordering::Relaxed);
+                Ok(())
+            }
+            Err(e) => Err(self.failure_verdict(to).unwrap_or(match e.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => CollectiveError::Timeout {
+                    peer: to,
+                    millis: self.send_timeout.as_millis() as u64,
+                },
+                _ => CollectiveError::Disconnected { peer: to },
+            })),
+        }
+    }
+
     /// Every peer that has sent a frame from a foreign generation, in rank
     /// order, with the first foreign generation each one presented.
     /// Deterministic regardless of the order the mismatches arrived in —
@@ -781,43 +830,26 @@ impl Transport for TcpEndpoint {
     }
 
     fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
-        self.check_peer(to)?;
-        if let Some(bytes) = oversize_bytes(msg.wire_bytes()) {
-            // The frame header's length field is a u32; letting this
-            // through would truncate on the wire and desynchronize the
-            // peer's stream.
-            return Err(CollectiveError::Oversize {
-                peer: to,
-                bytes,
-                max: MAX_FRAME_BYTES as u64,
-            });
-        }
+        self.check_frame(to, msg.wire_bytes())?;
         // A fabric-local deliver-at stamp must never reach the wire; this
         // surfaces the composition bug as a typed error (see
         // `Message::into_wire_payload`).
         let payload = msg.into_wire_payload()?;
-        let link = self.links[to].as_ref().expect("validated peer");
-        let wrote = {
-            let mut stream = link.writer.lock().expect("link poisoned");
-            let wrote = write_data_frame(&mut *stream, self.generation, &payload);
-            latch_on_error(&stream, wrote)
-        };
+        let sent = self.send_frame(to, |stream| {
+            write_data_frame(stream, self.generation, &payload)
+        });
         self.pool.recycle(payload.into_bytes());
-        match wrote {
-            Ok(n) => {
-                self.counters[to]
-                    .bytes_sent
-                    .fetch_add(n as u64, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => Err(self.failure_verdict(to).unwrap_or(match e.kind() {
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => CollectiveError::Timeout {
-                    peer: to,
-                    millis: self.send_timeout.as_millis() as u64,
-                },
-                _ => CollectiveError::Disconnected { peer: to },
-            })),
-        }
+        sent
+    }
+
+    /// The frame goes out from `src` itself: `send` writes the message
+    /// before it returns, so a pooled copy of it would buy nothing.
+    #[cfg(target_endian = "little")]
+    fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
+        self.check_frame(to, std::mem::size_of_val(src))?;
+        self.send_frame(to, |stream| {
+            write_f32_data_frame(stream, self.generation, src)
+        })
     }
 
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {

@@ -154,13 +154,22 @@ pub fn data_frame_header(
     generation: u64,
     payload: &WireBuf,
 ) -> io::Result<[u8; DATA_HEADER_BYTES]> {
-    let body_len = DATA_BODY_OVERHEAD + payload.num_bytes();
+    data_header(generation, payload.dtype(), payload.num_bytes())
+}
+
+/// [`data_frame_header`] for `payload_bytes` element bytes of `dtype`.
+fn data_header(
+    generation: u64,
+    dtype: DType,
+    payload_bytes: usize,
+) -> io::Result<[u8; DATA_HEADER_BYTES]> {
+    let body_len = DATA_BODY_OVERHEAD + payload_bytes;
     check_body_len(body_len)?;
     let mut header = [0u8; DATA_HEADER_BYTES];
     header[0] = FrameKind::Data as u8;
     header[1..5].copy_from_slice(&(body_len as u32).to_le_bytes());
     header[5..13].copy_from_slice(&generation.to_le_bytes());
-    header[13] = payload.dtype().tag();
+    header[13] = dtype.tag();
     Ok(header)
 }
 
@@ -181,6 +190,31 @@ pub fn write_data_frame<W: Write>(
     let header = data_frame_header(generation, payload)?;
     write_all_vectored(w, &header, payload.bytes())?;
     Ok(DATA_HEADER_BYTES + payload.num_bytes())
+}
+
+/// Writes the [`FrameKind::Data`] frame that [`write_data_frame`] writes
+/// for `WireBuf::encode(src, DType::F32)`, straight from `src`'s memory:
+/// on a little-endian host an `f32`'s bytes are its wire encoding, so the
+/// element bytes are never copied before the kernel copies them out.
+///
+/// # Errors
+///
+/// Returns `InvalidData` for oversize payloads, before writing anything;
+/// otherwise propagates I/O errors from the underlying writer.
+#[cfg(target_endian = "little")]
+pub fn write_f32_data_frame<W: Write>(
+    w: &mut W,
+    generation: u64,
+    src: &[f32],
+) -> io::Result<usize> {
+    // SAFETY: f32 has no padding and u8 has alignment 1; the slice covers
+    // exactly the `size_of_val(src)` initialized bytes of `src`.
+    let bytes = unsafe {
+        std::slice::from_raw_parts(src.as_ptr().cast::<u8>(), std::mem::size_of_val(src))
+    };
+    let header = data_header(generation, DType::F32, bytes.len())?;
+    write_all_vectored(w, &header, bytes)?;
+    Ok(DATA_HEADER_BYTES + bytes.len())
 }
 
 /// Reads and validates one frame header, returning the kind and body
@@ -650,6 +684,37 @@ mod tests {
         assert_eq!(new, old);
         assert_eq!(written, new.len());
         assert_eq!(written, DATA_HEADER_BYTES + payload.num_bytes());
+    }
+
+    #[test]
+    #[cfg(target_endian = "little")]
+    fn f32_frame_from_the_slice_matches_the_encoded_frame() {
+        let nan = f32::from_bits(0x7FC0_1234);
+        for src in [&[][..], &[1.5, -0.0, nan, f32::from_bits(1), f32::MAX]] {
+            let mut encoded = Vec::new();
+            let n = write_data_frame(&mut encoded, 41, &WireBuf::encode(src, DType::F32)).unwrap();
+            let mut direct = Vec::new();
+            assert_eq!(write_f32_data_frame(&mut direct, 41, src).unwrap(), n);
+            assert_eq!(direct, encoded);
+            // Short writes are continued through the slice too.
+            let mut w = Trickle {
+                out: Vec::new(),
+                step: 3,
+            };
+            write_f32_data_frame(&mut w, 41, src).unwrap();
+            assert_eq!(w.out, encoded);
+        }
+        // One element past the frame limit is refused before a byte goes
+        // out. (The zeroed allocation is never touched, so it costs address
+        // space, not memory.)
+        let over = vec![0.0f32; (MAX_FRAME_BYTES - DATA_BODY_OVERHEAD) / 4 + 1];
+        let mut w = Trickle {
+            out: Vec::new(),
+            step: usize::MAX,
+        };
+        let err = write_f32_data_frame(&mut w, 0, &over).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(w.out.is_empty());
     }
 
     #[test]

@@ -33,7 +33,7 @@
 use std::time::{Duration, Instant};
 
 use dear_collectives::{
-    CollectiveError, CostModel, Message, NetworkPreset, Transport, WorldChange,
+    CollectiveError, CostModel, DType, Message, NetworkPreset, Transport, WireBuf, WorldChange,
 };
 
 use crate::config::NetConfig;
@@ -43,6 +43,12 @@ use crate::NetError;
 
 /// A two-tier endpoint: shm to co-located ranks, TCP to everyone else.
 /// See the [module docs](self).
+///
+/// One buffer pool serves both tiers, the TCP endpoint's: every buffer a
+/// send takes comes from it and every received payload goes back to it,
+/// whichever tier the message crossed. Taking from one tier's pool and
+/// recycling into the other's would leave the first empty, and every send
+/// from it would allocate.
 #[derive(Debug)]
 pub struct TieredEndpoint {
     tcp: TcpEndpoint,
@@ -136,6 +142,19 @@ impl Transport for TieredEndpoint {
 
     fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
         self.tier_for(to).send(to, msg)
+    }
+
+    /// TCP peers get the socket's direct write. An shm message must own its
+    /// bytes, so it is encoded into a buffer from *this* endpoint's pool:
+    /// the pool its receives recycle into. (The shm endpoint's own default
+    /// would draw on its own pool, which nothing refills, and allocate on
+    /// every send.)
+    fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
+        if !self.is_local(to) {
+            return self.tcp.send_f32(to, src);
+        }
+        let bytes = self.take_buffer(std::mem::size_of_val(src));
+        self.send(to, WireBuf::encode_into(src, DType::F32, bytes).into())
     }
 
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {

@@ -5,8 +5,9 @@
 //! what a fabric promises; this file is its executable statement. Each
 //! clause is one generic function over a factory `world → endpoints`
 //! (element `r` is rank `r`), and each fabric runs all of them through one
-//! `contract!` line. Clauses 2, 3 and 8 run as one case per condition
-//! they name (`c2_…`, `c3_…`, `c8_…`), so a failure says which one broke:
+//! `contract!` line. Clauses 2, 3, 8 and 10 run as one case per condition
+//! they name (`c2_…`, `c3_…`, `c8_…`, `c10_…`), so a failure says which
+//! one broke:
 //!
 //! 1. ranks are `0..world` and agree on `world_size`; a world of one works;
 //! 2. each link is FIFO and bit-exact (NaN payloads, −0.0, subnormals; a
@@ -27,7 +28,9 @@
 //!    see it `Disconnected`; their shrink gives them dense ranks and one
 //!    generation, drops all stale traffic, and leaves a world that computes
 //!    exactly what a fresh one does; a fabric told its survivors refuses a
-//!    bad list and stays as it was.
+//!    bad list and stays as it was;
+//! 10. `send_f32` is `send` of the slice's f32 encoding: the same bits
+//!     arrive, in FIFO order with `send`, and clauses 3 and 5's errors hold.
 //!
 //! An error names its peer as the fabric that detected it numbers it: a
 //! [`GroupTransport`] view reports its inner transport's rank
@@ -88,6 +91,10 @@ impl Transport for View {
 
     fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
         self.group().send(to, msg)
+    }
+
+    fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
+        self.group().send_f32(to, src)
     }
 
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
@@ -250,8 +257,29 @@ fn fifo<E: Endpoint>(world: impl Fn(usize) -> Vec<E>, n: usize, wires: &[DType])
     });
 }
 
+/// How a case hands `values` to a fabric.
+#[derive(Clone, Copy)]
+enum Via {
+    /// `send` of a `Message`.
+    Send,
+    /// `send_f32` of the slice (clause 10).
+    SendF32,
+}
+
+fn send_via<E: Endpoint>(
+    ep: &E,
+    to: usize,
+    values: &[f32],
+    via: Via,
+) -> Result<(), CollectiveError> {
+    match via {
+        Via::Send => ep.send(to, values.to_vec().into()),
+        Via::SendF32 => ep.send_f32(to, values),
+    }
+}
+
 /// Clause 3: each rank names itself, or ranks past the world.
-fn invalid_ranks<E: Endpoint>(world: impl Fn(usize) -> Vec<E>, itself: bool) {
+fn invalid_ranks<E: Endpoint>(world: impl Fn(usize) -> Vec<E>, itself: bool, via: Via) {
     for ep in &world(2) {
         let peers = if itself { vec![ep.rank()] } else { vec![2, 5] };
         for peer in peers {
@@ -259,7 +287,7 @@ fn invalid_ranks<E: Endpoint>(world: impl Fn(usize) -> Vec<E>, itself: bool) {
                 rank: peer,
                 world: 2,
             };
-            assert_eq!(ep.send(peer, vec![1.0].into()).unwrap_err(), invalid);
+            assert_eq!(send_via(ep, peer, &[1.0], via).unwrap_err(), invalid);
             assert_eq!(ep.recv(peer).unwrap_err(), invalid);
         }
     }
@@ -282,12 +310,12 @@ fn eager<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
 }
 
 /// Clause 5.
-fn departure<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+fn departure<E: Endpoint>(world: impl Fn(usize) -> Vec<E>, via: Via) {
     let mut eps = world(2);
     let stays = eps.pop().unwrap();
     let leaves = eps.pop().unwrap();
-    leaves.send(1, vec![42.0].into()).unwrap();
-    leaves.send(1, vec![43.0].into()).unwrap();
+    send_via(&leaves, 1, &[42.0], via).unwrap();
+    send_via(&leaves, 1, &[43.0], via).unwrap();
     drop(leaves);
     assert_eq!(stays.recv(0).unwrap(), vec![42.0]);
     assert_eq!(stays.recv(0).unwrap(), vec![43.0]);
@@ -298,7 +326,7 @@ fn departure<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
     // A socket or a ring may still take a message or two before the send
     // side notices.
     let refused = (0..200).find_map(|_| {
-        let sent = stays.send(0, vec![1.0].into()).err();
+        let sent = send_via(&stays, 0, &[1.0], via).err();
         if sent.is_none() {
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -353,6 +381,50 @@ fn pool<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
 }
 
 const WIRES: [DType; 3] = [DType::F32, DType::Bf16, DType::F16];
+
+/// Clause 10: what `send_f32` delivers is what `send` delivers for the
+/// slice's f32 encoding, bit for bit: NaN payloads, −0.0, subnormals and an
+/// empty slice, each sent both ways back to back.
+fn send_f32_is_send_of_its_encoding<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+    let eps = world(2);
+    let f32_probe = probe(0, 1, 0, DType::F32).to_f32_vec();
+    let payloads: [&[f32]; 4] = [
+        &f32_probe,
+        &[
+            f32::from_bits(0xFFBF_FFFF),
+            f32::from_bits(0x7F80_0001),
+            -0.0,
+        ],
+        &[f32::from_bits(1), f32::from_bits(0x807F_FFFF), 0.0],
+        &[],
+    ];
+    for src in payloads {
+        eps[0].send_f32(1, src).unwrap();
+        eps[0]
+            .send(1, WireBuf::encode(src, DType::F32).into())
+            .unwrap();
+        let direct = eps[1].recv(0).unwrap().into_payload();
+        let encoded = eps[1].recv(0).unwrap().into_payload();
+        assert_eq!(direct.dtype(), DType::F32);
+        assert_eq!(direct.len_elems(), src.len());
+        assert_eq!(direct, WireBuf::encode(src, DType::F32));
+        assert_eq!(direct, encoded);
+    }
+}
+
+/// Clause 10: `send_f32` and `send` share one FIFO link (as many messages
+/// as clause 4 lets a link hold before its receiver takes one).
+fn send_f32_keeps_fifo_with_send<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+    let eps = world(2);
+    let values = |k: usize| vec![k as f32; 1 + 16 * k];
+    for k in 0..MIN_LINK_FRAMES {
+        let via = if k % 2 == 0 { Via::SendF32 } else { Via::Send };
+        send_via(&eps[0], 1, &values(k), via).unwrap();
+    }
+    for k in 0..MIN_LINK_FRAMES {
+        assert_eq!(eps[1].recv(0).unwrap(), values(k), "message {k}");
+    }
+}
 
 /// Clause 8.
 fn transparent<E: Endpoint>(
@@ -500,12 +572,12 @@ macro_rules! contract {
 
             #[test]
             fn c3_self_is_an_invalid_peer() {
-                bounded(|| invalid_ranks($world, true));
+                bounded(|| invalid_ranks($world, true, Via::Send));
             }
 
             #[test]
             fn c3_out_of_range_peers_are_invalid() {
-                bounded(|| invalid_ranks($world, false));
+                bounded(|| invalid_ranks($world, false, Via::Send));
             }
 
             #[test]
@@ -515,7 +587,7 @@ macro_rules! contract {
 
             #[test]
             fn c5_a_departed_peer_is_drained_then_disconnected() {
-                bounded(|| departure($world));
+                bounded(|| departure($world, Via::Send));
             }
 
             #[test]
@@ -526,6 +598,31 @@ macro_rules! contract {
             #[test]
             fn c7_the_pool_hands_back_recycled_buffers() {
                 bounded(|| pool($world));
+            }
+
+            #[test]
+            fn c10_send_f32_delivers_the_f32_encoding() {
+                bounded(|| send_f32_is_send_of_its_encoding($world));
+            }
+
+            #[test]
+            fn c10_send_f32_keeps_fifo_with_send() {
+                bounded(|| send_f32_keeps_fifo_with_send($world));
+            }
+
+            #[test]
+            fn c10_send_f32_refuses_self() {
+                bounded(|| invalid_ranks($world, true, Via::SendF32));
+            }
+
+            #[test]
+            fn c10_send_f32_refuses_out_of_range_peers() {
+                bounded(|| invalid_ranks($world, false, Via::SendF32));
+            }
+
+            #[test]
+            fn c10_send_f32_to_a_departed_peer_is_disconnected() {
+                bounded(|| departure($world, Via::SendF32));
             }
 
             proptest! {
