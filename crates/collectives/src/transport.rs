@@ -349,11 +349,16 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// An empty buffer with room for `capacity_bytes`, reused if one is
-    /// pooled.
+    /// pooled: the most recently recycled buffer that already has the room,
+    /// else the most recently recycled one, grown. So a small message's
+    /// buffer is not regrown to a chunk while a chunk-sized one sits idle.
     #[must_use]
     pub fn take(&self, capacity_bytes: usize) -> Vec<u8> {
         let mut pool = self.bufs.lock().expect("buffer pool poisoned");
-        match pool.pop() {
+        let fits = pool
+            .iter()
+            .rposition(|buf| buf.capacity() >= capacity_bytes);
+        match fits.map(|at| pool.remove(at)).or_else(|| pool.pop()) {
             Some(mut buf) => {
                 buf.clear();
                 buf.reserve(capacity_bytes);
@@ -1176,6 +1181,27 @@ mod tests {
             pool.recycle(Vec::with_capacity(16));
         }
         assert_eq!(pool.bufs.lock().unwrap().len(), POOL_CAP);
+    }
+
+    #[test]
+    fn buffer_pool_takes_a_buffer_that_fits() {
+        let pool = BufferPool::default();
+        let chunk = 200 << 10;
+        let big = Vec::<u8>::with_capacity(chunk);
+        let (big_cap, big_ptr) = (big.capacity(), big.as_ptr());
+        pool.recycle(big);
+        pool.recycle(Vec::with_capacity(640));
+        // The 640 B buffer is the last one in, but only the big one fits:
+        // it comes back as it went in, no reallocation.
+        let again = pool.take(chunk);
+        assert_eq!((again.capacity(), again.as_ptr()), (big_cap, big_ptr));
+        // The small one is still pooled and serves a small take.
+        assert_eq!(pool.take(640).capacity(), 640);
+        // With nothing big enough, the last buffer in is grown.
+        pool.recycle(Vec::with_capacity(16));
+        pool.recycle(Vec::with_capacity(32));
+        assert!(pool.take(chunk).capacity() >= chunk);
+        assert_eq!(pool.take(0).capacity(), 16);
     }
 
     #[test]

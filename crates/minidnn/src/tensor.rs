@@ -216,8 +216,9 @@ impl Tensor {
     /// Every output element is the strictly ordered dot product
     /// `Σₖ self[i][k]·rhs[j][k]`, `k` ascending from `Iterator::sum`'s start
     /// value. A single such chain cannot be vectorised without reordering
-    /// it, so the kernel runs `LANES` of them — output columns — side by
-    /// side over a transposed panel of `rhs` (DESIGN.md §4.3).
+    /// it, so the kernel runs 8 of them — output columns — side by side:
+    /// per 8 k steps it transposes one 8×8 tile of `rhs` in registers and
+    /// advances every batch row's 8 chains from it (DESIGN.md §4.3).
     ///
     /// # Panics
     ///
@@ -228,7 +229,7 @@ impl Tensor {
         assert_eq!(rhs.len() % k, 0, "matmul_t operand is not {k} columns");
         let n = rhs.len() / k;
         // Every chain starts where `Iterator::sum` starts an `f32` one and
-        // is carried from k-block to k-block through `out`.
+        // is carried from tile to tile through `out`.
         let start: f32 = std::iter::empty::<f32>().sum();
         let mut out = Tensor::from_vec(&[m, n], vec![start; m * n]);
         #[cfg(target_arch = "x86_64")]
@@ -261,12 +262,12 @@ impl Tensor {
     }
 }
 
-/// Output columns [`Tensor::matmul_t_slice`] runs side by side, one
-/// strictly ordered sum per lane.
-const LANES: usize = 16;
-/// Depth of the transposed weight panel: `K_BLOCK × LANES` floats, 4 KiB of
-/// stack, packed once per k-block and read by every batch row.
-const K_BLOCK: usize = 64;
+/// Side of the weight tiles [`Tensor::matmul_t_slice`] transposes: it runs
+/// `TILE` output columns side by side, one strictly ordered sum per lane,
+/// `TILE` k steps per tile.
+const TILE: usize = 8;
+/// One `TILE × TILE` tile, transposed: `tile[kk][lane]`.
+type Tile = [[f32; TILE]; TILE];
 /// Output columns [`Tensor::t_matmul_into`] accumulates in registers.
 const T_BLOCK: usize = 32;
 /// Batch rows it gathers per pass; a longer batch carries through `out`.
@@ -279,7 +280,9 @@ const ROW_BLOCK: usize = 32;
 // (Rust never contracts them into a fused multiply-add), so both streams
 // compute every output element's chain with the same operations in the
 // same order and agree bit for bit (DESIGN.md §4.3). `#[inline(always)]`
-// is what puts a body, helpers included, into the wrapper's stream.
+// is what puts a body, helpers included, into the wrapper's stream. The one
+// piece with two bodies is `matmul_t_kernel`'s 8×8 tile transpose, a
+// permutation: portable here, intrinsics in `avx2`.
 
 /// `out = a @ rhs` for row-major `a: [m, k]` and `rhs: [k, n]`, `out`
 /// zeroed: every element accumulates `a[i][kk]·rhs[kk][j]` over the `kk`
@@ -354,101 +357,91 @@ fn t_matmul_kernel(x: &[f32], dy: &[f32], out: &mut [f32], m: usize, k: usize, n
     }
 }
 
-/// [`Tensor::matmul_t_slice`]'s body: `out = a @ rhsᵀ` for `a: [m, k]`
-/// and `rhs: [n, k]`, `out` filled with the chains' start value.
+/// [`Tensor::matmul_t_slice`]'s body on the baseline stream: `out = a @
+/// rhsᵀ` for `a: [m, k]` and `rhs: [n, k]`, `out` filled with the chains'
+/// start value.
 #[inline(always)]
 fn matmul_t_kernel(a: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut panel = [[0.0f32; LANES]; K_BLOCK];
-    let n_lanes = n - n % LANES;
-    for j0 in (0..n_lanes).step_by(LANES) {
-        for k0 in (0..k).step_by(K_BLOCK) {
-            let panel = &mut panel[..K_BLOCK.min(k - k0)];
-            pack_panel(panel, &rhs[j0 * k + k0..], k);
-            for i in (0..m).step_by(2) {
-                let a = &a[i * k + k0..];
-                let out = &mut out[i * n + j0..];
-                if i + 1 < m {
-                    advance_chains::<2>(panel, a, k, out, n);
-                } else {
-                    advance_chains::<1>(panel, a, k, out, n);
+    matmul_t_tiles(a, rhs, out, m, k, n, transpose_tile);
+}
+
+/// The body both streams share, given their tile transpose. Per strip of
+/// `TILE` output columns and per `TILE`-deep k step, one tile of `rhs` is
+/// transposed — `tile[kk][lane] = rhs[(j0 + lane) * k + k0 + kk]` — and
+/// every batch row's `TILE` chains advance from it: loaded from `out`,
+/// `a[i][kk]·tile[kk][lane]` added with `kk` ascending, stored back. Per
+/// element that is the scalar dot product's order; the lanes are
+/// independent, so the adds vectorise. The `k mod TILE` last steps of a
+/// strip and the `n mod TILE` last columns run the scalar chain.
+#[inline(always)]
+fn matmul_t_tiles(
+    a: &[f32],
+    rhs: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    transpose: impl Fn(&[f32], usize) -> Tile,
+) {
+    let (a, out) = (&a[..m * k], &mut out[..m * n]);
+    let (k_tiles, n_tiles) = (k - k % TILE, n - n % TILE);
+    for j0 in (0..n_tiles).step_by(TILE) {
+        let w = &rhs[j0 * k..][..TILE * k];
+        for k0 in (0..k_tiles).step_by(TILE) {
+            let tile = transpose(&w[k0..], k);
+            for i in 0..m {
+                // Accumulated in a local array: with `out`'s slice itself
+                // as the accumulator the baseline stream stays scalar.
+                let out = &mut out[i * n + j0..][..TILE];
+                let mut acc = [0.0f32; TILE];
+                acc.copy_from_slice(out);
+                for (a, col) in a[i * k + k0..][..TILE].iter().zip(&tile) {
+                    for (s, w) in acc.iter_mut().zip(col) {
+                        *s += a * w;
+                    }
+                }
+                out.copy_from_slice(&acc);
+            }
+        }
+        for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            for (o, w_row) in out_row[j0..j0 + TILE].iter_mut().zip(w.chunks_exact(k)) {
+                for (a, w) in a_row[k_tiles..].iter().zip(&w_row[k_tiles..]) {
+                    *o += a * w;
                 }
             }
         }
     }
     for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        for (j, o) in out_row.iter_mut().enumerate().skip(n_lanes) {
+        for (j, o) in out_row.iter_mut().enumerate().skip(n_tiles) {
             let b_row = &rhs[j * k..(j + 1) * k];
             *o = a_row.iter().zip(b_row).map(|(a, b)| a * b).sum();
         }
     }
 }
 
-/// `panel[kk][lane] = w[lane * k + kk]`: `LANES` rows of a row-major matrix
-/// of row length `k`, transposed so that one k step of all lanes is one
-/// contiguous row. Moved as 4×4 tiles, which compile to shuffles: an
-/// element at a time, the pack costs more than the arithmetic at batch 2.
+/// `tile[c][r] = w[r * stride + c]`: the `TILE × TILE` tile at the start
+/// of `w`, whose rows are `stride` apart, transposed.
 #[inline(always)]
-fn pack_panel(panel: &mut [[f32; LANES]], w: &[f32], k: usize) {
-    let depth = panel.len();
-    for l0 in (0..LANES).step_by(4) {
-        let rows: [&[f32]; 4] = std::array::from_fn(|r| &w[(l0 + r) * k..][..depth]);
-        let mut tiles = panel.chunks_exact_mut(4);
-        for (t, tile) in tiles.by_ref().enumerate() {
-            let src: [[f32; 4]; 4] =
-                std::array::from_fn(|r| std::array::from_fn(|c| rows[r][4 * t + c]));
-            for (c, p) in tile.iter_mut().enumerate() {
-                p[l0..l0 + 4].copy_from_slice(&[src[0][c], src[1][c], src[2][c], src[3][c]]);
-            }
-        }
-        for (p, kk) in tiles.into_remainder().iter_mut().zip(depth - depth % 4..) {
-            for (r, row) in rows.iter().enumerate() {
-                p[l0 + r] = row[kk];
-            }
-        }
-    }
-}
-
-/// Advances the `LANES` chains of `R` consecutive batch rows by one k-block:
-/// `out[r * n + lane] += a[r * k + kk] · panel[kk][lane]`, `kk` ascending —
-/// per element the order of the scalar dot product, with the lanes
-/// independent so the adds vectorise.
-#[inline(always)]
-fn advance_chains<const R: usize>(
-    panel: &[[f32; LANES]],
-    a: &[f32],
-    k: usize,
-    out: &mut [f32],
-    n: usize,
-) {
-    let a: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..][..panel.len()]);
-    let mut acc = [[0.0f32; LANES]; R];
-    for (r, acc) in acc.iter_mut().enumerate() {
-        acc.copy_from_slice(&out[r * n..][..LANES]);
-    }
-    for (kk, p) in panel.iter().enumerate() {
-        for (acc, a) in acc.iter_mut().zip(a) {
-            for (s, w) in acc.iter_mut().zip(p) {
-                *s += a[kk] * w;
-            }
-        }
-    }
-    for (r, acc) in acc.iter().enumerate() {
-        out[r * n..][..LANES].copy_from_slice(acc);
-    }
+fn transpose_tile(w: &[f32], stride: usize) -> Tile {
+    let rows: [&[f32]; TILE] = std::array::from_fn(|r| &w[r * stride..][..TILE]);
+    std::array::from_fn(|c| std::array::from_fn(|r| rows[r][c]))
 }
 
 /// Whether the kernels run on their AVX2 stream. std caches the answer:
 /// after the first call this is a load and a test.
 #[cfg(target_arch = "x86_64")]
 fn has_avx2() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
+    is_x86_feature_detected!("avx2")
 }
 
 /// The kernels compiled for AVX2. Calling one is `unsafe`: the host must
-/// have AVX2 ([`has_avx2`]). They touch memory only through the slices
-/// they are given.
+/// have AVX2 ([`has_avx2`]). They touch memory through the slices they are
+/// given, and `matmul_t_kernel`'s tile transpose through raw-pointer loads
+/// inside one slice it has bounds-checked.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::{Tile, TILE};
+
     macro_rules! avx2_stream {
         ($($kernel:ident),*) => {$(
             #[target_feature(enable = "avx2")]
@@ -465,14 +458,77 @@ mod avx2 {
         )*};
     }
 
-    avx2_stream!(matmul_kernel, t_matmul_kernel, matmul_t_kernel);
+    avx2_stream!(matmul_kernel, t_matmul_kernel);
+
+    /// [`super::matmul_t_kernel`] on this stream: the same body, with
+    /// [`transpose_tile`] as its transpose.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn matmul_t_kernel(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        super::matmul_t_tiles(a, b, out, m, k, n, |w, stride| transpose_tile(w, stride));
+    }
+
+    /// [`super::transpose_tile`] in eight loads, 24 shuffles and eight
+    /// stores. It only moves bits — every value, NaN payloads included,
+    /// comes out as it went in — so both streams feed the arithmetic the
+    /// same tile.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn transpose_tile(w: &[f32], stride: usize) -> Tile {
+        use std::arch::x86_64::{
+            _mm256_loadu_ps, _mm256_permute2f128_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
+            _mm256_unpackhi_ps, _mm256_unpacklo_ps,
+        };
+        let w = &w[..(TILE - 1) * stride + TILE];
+        // SAFETY: row `r` is the `TILE` floats from `r * stride`, which end
+        // at most at `(TILE - 1) * stride + TILE`, the length `w` was just
+        // cut to (and checked against).
+        let [r0, r1, r2, r3, r4, r5, r6, r7] =
+            std::array::from_fn(|r| unsafe { _mm256_loadu_ps(w.as_ptr().add(r * stride)) });
+        // Pairs of rows interleaved, per 128-bit half: `a0 b0 a1 b1 | a4 b4 a5 b5`.
+        let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+        let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+        let (t4, t5) = (_mm256_unpacklo_ps(r4, r5), _mm256_unpackhi_ps(r4, r5));
+        let (t6, t7) = (_mm256_unpacklo_ps(r6, r7), _mm256_unpackhi_ps(r6, r7));
+        // Quads: `a0 b0 c0 d0 | a4 b4 c4 d4`.
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        // Columns: the low halves give columns 0–3, the high halves 4–7.
+        let cols = [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ];
+        let mut tile = [[0.0; TILE]; TILE];
+        for (out, col) in tile.iter_mut().zip(cols) {
+            // SAFETY: `out` is `TILE` = 8 floats, one 256-bit store.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr(), col) };
+        }
+        tile
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn construction_and_accessors() {
@@ -564,9 +620,9 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(38);
         let grid = [1, 2, 3, 8, 32, 33, 70].into_iter().flat_map(|m| {
-            [1, 5, 63, 65, 100, 131]
+            [1, 5, 7, 8, 9, 63, 65, 100, 131]
                 .into_iter()
-                .flat_map(move |k| [1, 15, 16, 17, 31, 33, 80, 512].map(|n| (m, k, n)))
+                .flat_map(move |k| [1, 7, 8, 9, 15, 16, 17, 31, 33, 80, 512].map(|n| (m, k, n)))
         });
         for (case, dims @ (m, k, n)) in grid.enumerate() {
             let non_finite = case % 2 == 1;
@@ -593,6 +649,49 @@ mod tests {
             // SAFETY: as above.
             unsafe { avx2::matmul_t_kernel(&a, &w, &mut fast, m, k, n) };
             check("matmul_t", dims, &base, &fast);
+        }
+    }
+
+    /// The two tile transposes against each other and against their
+    /// definition, on tiles cut at several offsets and row strides out of
+    /// random bit patterns, a quarter of them NaNs with random sign and
+    /// payload (signalling ones among them). A transpose only moves bits,
+    /// so the comparison is `to_bits`, NaNs included.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_transpose_moves_the_same_bits() {
+        if !has_avx2() {
+            println!("skipped: this host has no AVX2, so the portable transpose is the only one");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(45);
+        let bits = |tile: &Tile| tile.map(|col| col.map(f32::to_bits));
+        for stride in [8, 9, 15, 16, 64, 131, 512] {
+            let w: Vec<f32> = (0..(TILE + 3) * stride)
+                .map(|_| match rng.next_u32() {
+                    // All-ones exponent, nonzero mantissa: a NaN.
+                    bits if bits % 4 == 0 => f32::from_bits(bits | 0x7f80_0001),
+                    bits => f32::from_bits(bits),
+                })
+                .collect();
+            for offset in [0, 1, 3, stride - 1, 2 * stride + 5] {
+                let w = &w[offset..];
+                let want: Tile =
+                    std::array::from_fn(|c| std::array::from_fn(|r| w[r * stride + c]));
+                let portable = transpose_tile(w, stride);
+                // SAFETY: the host has AVX2, checked at the top.
+                let fast = unsafe { avx2::transpose_tile(w, stride) };
+                assert_eq!(
+                    bits(&portable),
+                    bits(&want),
+                    "portable, stride {stride} at {offset}"
+                );
+                assert_eq!(
+                    bits(&fast),
+                    bits(&want),
+                    "avx2, stride {stride} at {offset}"
+                );
+            }
         }
     }
 

@@ -1,18 +1,19 @@
 //! The dense kernels compute what the loops they replaced computed, bit
-//! for bit (DESIGN.md §4.3): `Tensor::matmul_t_slice` runs 16 output
-//! columns as lanes over a transposed weight panel and
-//! `Tensor::t_matmul_into` accumulates column blocks in registers, but per
-//! output element both keep the old loop's chain — same start value, same
-//! terms, same order. The old loops live on here, as the oracles, and so
-//! does the forward `Tensor::matmul_slice`'s own loop: its AVX2 stream must
-//! keep that chain too.
+//! for bit (DESIGN.md §4.3): `Tensor::matmul_t_slice` runs 8 output
+//! columns as lanes, advancing them from one transposed 8×8 weight tile
+//! per 8 k steps, and `Tensor::t_matmul_into` accumulates column blocks in
+//! registers, but per output element both keep the old loop's chain — same
+//! start value, same terms, same order. The old loops live on here, as the
+//! oracles, and so does the forward `Tensor::matmul_slice`'s own loop: its
+//! AVX2 stream must keep that chain too.
 //!
-//! Every case sweeps the whole shape grid: batch sizes on both sides of the
-//! two-rows-per-pass split and of the row block, inner dimensions that are
-//! no multiple of the k-block or of a tile, output widths around the lane
-//! and column-block counts. Inputs carry exact zeros (a ReLU'd `dy`, the
-//! activations `t_matmul_into` skips), `-0.0` (so a chain's start value
-//! shows in its sign), and in half the cases ±inf and one NaN.
+//! Every case sweeps the whole shape grid: batch sizes on both sides of
+//! the row block; inner dimensions and output widths at the tile's edge
+//! (7, 8, 9: all scalar tail, one tile, one tile and a one-step tail),
+//! around the column-block count, and no multiple of either. Inputs carry
+//! exact zeros (a ReLU'd `dy`, the activations `t_matmul_into` skips),
+//! `-0.0` (so a chain's start value shows in its sign), and in half the
+//! cases ±inf and one NaN.
 //!
 //! NaNs compare as NaNs: which payload survives when two meet depends on
 //! operand order inside one `mulps`/`addps`, which neither Rust nor LLVM
@@ -44,7 +45,8 @@ fn oracle_matmul(a: &Tensor, rhs: &[f32]) -> Vec<f32> {
     out
 }
 
-/// `dy · Wᵀ` as `Tensor::matmul_t_slice` computed it before the lane kernel.
+/// `dy · Wᵀ` as `Tensor::matmul_t_slice` computed it before any lane kernel:
+/// one scalar dot product per output element.
 fn oracle_matmul_t(a: &Tensor, rhs: &[f32]) -> Vec<f32> {
     let (m, k) = (a.rows(), a.cols());
     let n = rhs.len() / k;
@@ -124,8 +126,8 @@ fn first_difference(got: &[f32], want: &[f32]) -> Option<String> {
 }
 
 const BATCHES: [usize; 7] = [1, 2, 3, 8, 32, 33, 70];
-const INNER: [usize; 6] = [1, 5, 63, 65, 100, 131];
-const WIDTHS: [usize; 8] = [1, 15, 16, 17, 31, 33, 80, 512];
+const INNER: [usize; 9] = [1, 5, 7, 8, 9, 63, 65, 100, 131];
+const WIDTHS: [usize; 11] = [1, 7, 8, 9, 15, 16, 17, 31, 33, 80, 512];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
