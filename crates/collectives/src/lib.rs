@@ -58,6 +58,7 @@ mod cost;
 mod error;
 mod hierarchical;
 mod hop;
+pub mod lease;
 mod reduce;
 mod rhd;
 mod ring;
@@ -79,6 +80,7 @@ pub use hierarchical::{
     hierarchical_reduce_scatter_phase, ClusterShape, HierarchicalShard,
 };
 pub use hop::{Epilogue, EPILOGUE_SLICE};
+pub use lease::{Lease, Loan, Parcel};
 pub use reduce::ReduceOp;
 pub use rhd::rhd_all_reduce;
 pub use ring::{

@@ -10,7 +10,7 @@
 //! core algorithm).
 
 use crate::error::CollectiveError;
-use crate::hop::{recv_hop_copy, recv_hop_reduce, send_hop};
+use crate::hop::{recv_hop_copy, recv_hop_reduce, send_hop, Chunks, Loans};
 use crate::reduce::ReduceOp;
 use crate::transport::Transport;
 use crate::wire::DType;
@@ -32,22 +32,50 @@ pub fn rhd_all_reduce<T: Transport>(
     wire: DType,
 ) -> Result<(), CollectiveError> {
     let world = t.world_size();
-    let rank = t.rank();
     if world == 1 {
         return Ok(());
     }
     let pof2 = prev_power_of_two(world);
     let rem = world - pof2;
+    let (buf, len) = (Chunks::of(data), data.len());
+    let mut loans = Loans::default();
+    // SAFETY: `data` is borrowed, and reached only through `buf`, for the
+    // whole call; every receive settles the loans on its range first, and
+    // `loans` is settled (or dropped, on an error) before the call returns.
+    unsafe {
+        halve_and_double(t, buf, 0..len, op, wire, pof2, rem, &mut loans)?;
+    }
+    loans.settle()
+}
 
+/// The body of [`rhd_all_reduce`] over `buf[all]`.
+///
+/// # Safety
+///
+/// As `send_hop`'s and `recv_hop_into`'s, for the buffer `buf` addresses.
+#[allow(clippy::too_many_arguments)]
+unsafe fn halve_and_double<T: Transport>(
+    t: &T,
+    buf: Chunks,
+    all: std::ops::Range<usize>,
+    op: ReduceOp,
+    wire: DType,
+    pof2: usize,
+    rem: usize,
+    loans: &mut Loans,
+) -> Result<(), CollectiveError> {
+    let rank = t.rank();
     // Fold step: ranks 0..2*rem pair up (even r sends to r+1, which reduces),
     // leaving a power-of-two active group: odd ranks of the folded prefix
     // plus all ranks >= 2*rem.
     let core_rank: Option<usize> = if rank < 2 * rem {
         if rank.is_multiple_of(2) {
-            send_hop(t, rank + 1, data, wire)?;
+            // SAFETY: this function's contract, with every loan in `loans`.
+            unsafe { send_hop(t, rank + 1, buf, all.clone(), wire, loans)? };
             None
         } else {
-            recv_hop_reduce(t, rank - 1, data, op)?;
+            // SAFETY: as above.
+            unsafe { recv_hop_reduce(t, rank - 1, buf, all.clone(), op, loans)? };
             Some(rank / 2)
         }
     } else {
@@ -68,7 +96,7 @@ pub fn rhd_all_reduce<T: Transport>(
         // the doubling phase (exact bookkeeping handles odd lengths).
         let mut segs: Vec<(usize, usize)> = Vec::new();
         let mut lo = 0usize;
-        let mut hi = data.len();
+        let mut hi = all.end;
         let mut dist = pof2 / 2;
         while dist >= 1 {
             segs.push((lo, hi));
@@ -80,8 +108,11 @@ pub fn rhd_all_reduce<T: Transport>(
             } else {
                 (lo..mid, mid..hi)
             };
-            send_hop(t, partner, &mut data[send_range], wire)?;
-            recv_hop_reduce(t, partner, &mut data[keep_range.clone()], op)?;
+            // SAFETY: as above; the halves are disjoint.
+            unsafe {
+                send_hop(t, partner, buf, send_range, wire, loans)?;
+                recv_hop_reduce(t, partner, buf, keep_range.clone(), op, loans)?;
+            }
             lo = keep_range.start;
             hi = keep_range.end;
             dist /= 2;
@@ -93,23 +124,29 @@ pub fn rhd_all_reduce<T: Transport>(
             let partner = to_global(crank ^ dist);
             // The partner fills whichever side of [plo, phi) we do not hold.
             let recv_range = if plo < lo { plo..lo } else { hi..phi };
-            send_hop(t, partner, &mut data[lo..hi], wire)?;
-            recv_hop_copy(t, partner, &mut data[recv_range])?;
+            // SAFETY: as above; the receive settles the halving's loans on
+            // `recv_range` first.
+            unsafe {
+                send_hop(t, partner, buf, lo..hi, wire, loans)?;
+                recv_hop_copy(t, partner, buf, recv_range, loans)?;
+            }
             lo = plo;
             hi = phi;
             dist *= 2;
         }
         debug_assert_eq!(lo, 0);
-        debug_assert_eq!(hi, data.len());
+        debug_assert_eq!(hi, all.end);
     }
 
     // Unfold step: the odd folded ranks send the final result back to their
     // even partners.
     if rank < 2 * rem {
         if !rank.is_multiple_of(2) {
-            send_hop(t, rank - 1, data, wire)?;
+            // SAFETY: as above.
+            unsafe { send_hop(t, rank - 1, buf, all, wire, loans)? };
         } else {
-            recv_hop_copy(t, rank + 1, data)?;
+            // SAFETY: as above.
+            unsafe { recv_hop_copy(t, rank + 1, buf, all, loans)? };
         }
     }
     Ok(())

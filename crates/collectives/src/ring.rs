@@ -10,7 +10,7 @@ use std::ops::Range;
 
 use crate::chunk::chunk_range;
 use crate::error::CollectiveError;
-use crate::hop::{epilogue_slices, recv_hop_into, send_hop, Epilogue};
+use crate::hop::{epilogue_slices, recv_hop_into, send_hop, Chunks, Epilogue, Loans};
 use crate::reduce::ReduceOp;
 use crate::transport::Transport;
 use crate::wire::DType;
@@ -49,7 +49,13 @@ pub enum RingKind {
 /// send before it blocks on this one's last receive.
 ///
 /// The op does not borrow the buffer; every call must be handed the same
-/// `data` (and the same transport) it was begun with.
+/// `data` (and the same transport) it was begun with. On the `f32` wire a
+/// send to an in-process peer lends its chunk (see
+/// [`Transport::lend_f32`]), and the op holds the loans: a receive settles
+/// those on its range before it writes there, [`ring_finish`] settles the
+/// rest before it returns, and dropping an unfinished op abandons them —
+/// each lease is revoked, or waited out if the peer is reading it — so an
+/// op dropped before its buffer leaves no reader behind.
 #[derive(Debug)]
 pub struct RingOp {
     kind: RingKind,
@@ -63,6 +69,8 @@ pub struct RingOp {
     sent: usize,
     /// Rounds whose receive has been consumed.
     recvd: usize,
+    /// The chunks this op has lent and not yet settled.
+    loans: Loans,
 }
 
 impl RingOp {
@@ -97,22 +105,46 @@ impl RingOp {
     }
 
     /// Posts the next round's send.
-    fn send_round<T: Transport>(&mut self, t: &T, data: &mut [f32]) -> Result<(), CollectiveError> {
+    ///
+    /// # Safety
+    ///
+    /// As [`ring_begin`], for the buffer `data` addresses.
+    unsafe fn send_round<T: Transport>(
+        &mut self,
+        t: &T,
+        data: Chunks,
+    ) -> Result<(), CollectiveError> {
         debug_assert_eq!(data.len(), self.len, "ring op handed a different buffer");
         let (rank, world) = (t.rank(), t.world_size());
         let (send_idx, _, _) = self.round(rank, world, self.sent);
         let range = chunk_range(data.len(), world, send_idx);
-        send_hop(t, (rank + 1) % world, &mut data[range], self.wire)?;
+        // SAFETY: the op's caller keeps the buffer alive and its own until
+        // the op is finished or dropped; the loan joins `self.loans`, which
+        // settles it first.
+        unsafe {
+            send_hop(
+                t,
+                (rank + 1) % world,
+                data,
+                range,
+                self.wire,
+                &mut self.loans,
+            )?
+        };
         self.sent += 1;
         Ok(())
     }
 
     /// Consumes the next round's receive, reducing or copying it in, with
     /// `epilogue` on the chunk it lands in.
-    fn recv_round<T: Transport>(
+    ///
+    /// # Safety
+    ///
+    /// As [`ring_begin`], for the buffer `data` addresses.
+    unsafe fn recv_round<T: Transport>(
         &mut self,
         t: &T,
-        data: &mut [f32],
+        data: Chunks,
         epilogue: &mut impl Epilogue,
     ) -> Result<(), CollectiveError> {
         debug_assert_eq!(data.len(), self.len, "ring op handed a different buffer");
@@ -120,9 +152,85 @@ impl RingOp {
         let (_, recv_idx, reduce) = self.round(rank, world, self.recvd);
         let range = chunk_range(data.len(), world, recv_idx);
         let prev = (rank + world - 1) % world;
-        recv_hop_into(t, prev, data, range, reduce, epilogue)?;
+        // SAFETY: as `send_round`; the receive settles this op's loans on
+        // `range` before it writes there.
+        unsafe { recv_hop_into(t, prev, data, range, reduce, epilogue, &mut self.loans)? };
         self.recvd += 1;
         Ok(())
+    }
+
+    /// # Safety
+    ///
+    /// As [`ring_begin`], for the buffer `data` addresses.
+    unsafe fn begin<T: Transport>(
+        t: &T,
+        kind: RingKind,
+        data: Chunks,
+        wire: DType,
+    ) -> Result<RingOp, CollectiveError> {
+        let hops = t.world_size() - 1;
+        let mut ring = RingOp {
+            kind,
+            wire,
+            len: data.len(),
+            rounds: match kind {
+                RingKind::AllReduce(_) => 2 * hops,
+                RingKind::ReduceScatter(_) | RingKind::AllGather { .. } => hops,
+            },
+            sent: 0,
+            recvd: 0,
+            loans: Loans::default(),
+        };
+        if !ring.all_sent() {
+            // SAFETY: forwarded.
+            unsafe { ring.send_round(t, data)? };
+        }
+        Ok(ring)
+    }
+
+    /// # Safety
+    ///
+    /// As [`ring_begin`], for the buffer `data` addresses.
+    unsafe fn advance<T: Transport>(&mut self, t: &T, data: Chunks) -> Result<(), CollectiveError> {
+        while !self.all_sent() {
+            // SAFETY: forwarded.
+            unsafe {
+                self.recv_round(t, data, &mut ())?;
+                self.send_round(t, data)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// # Safety
+    ///
+    /// As [`ring_begin`], for the buffer `data` addresses.
+    unsafe fn finish<T: Transport>(
+        mut self,
+        t: &T,
+        data: Chunks,
+        epilogue: &mut impl Epilogue,
+    ) -> Result<Range<usize>, CollectiveError> {
+        // SAFETY: forwarded.
+        unsafe { self.advance(t, data)? };
+        if self.recvd < self.rounds {
+            // SAFETY: forwarded.
+            unsafe { self.recv_round(t, data, epilogue)? };
+        } else {
+            epilogue.arrived();
+            for s in epilogue_slices(0..data.len()) {
+                // SAFETY: nothing is lent — nothing was sent.
+                epilogue.slice(s.clone(), unsafe { data.get_mut(s) });
+            }
+        }
+        self.loans.settle()?;
+        let (rank, world) = (t.rank(), t.world_size());
+        Ok(match self.kind {
+            RingKind::ReduceScatter(_) => {
+                chunk_range(data.len(), world, ring_owned_chunk(rank, world))
+            }
+            RingKind::AllGather { .. } | RingKind::AllReduce(_) => 0..data.len(),
+        })
     }
 }
 
@@ -141,31 +249,26 @@ impl RingOp {
 /// whatever their own interleaving — receive the same byte sequence, only
 /// earlier.
 ///
+/// # Safety
+///
+/// A peer may read `data`'s chunks in place until the op is finished or
+/// dropped (see [`RingOp`]). Until then `data` must be handed to every call
+/// of the op and must otherwise be left alone: not written, resized, moved
+/// out of or freed, and not reborrowed as a slice — the calls address it
+/// through [`Vec::as_mut_ptr`]. Dropping the op before `data` is enough to
+/// abandon it.
+///
 /// # Errors
 ///
 /// Propagates transport errors.
-pub fn ring_begin<T: Transport>(
+pub unsafe fn ring_begin<T: Transport>(
     t: &T,
     kind: RingKind,
-    data: &mut [f32],
+    data: &mut Vec<f32>,
     wire: DType,
 ) -> Result<RingOp, CollectiveError> {
-    let hops = t.world_size() - 1;
-    let mut ring = RingOp {
-        kind,
-        wire,
-        len: data.len(),
-        rounds: match kind {
-            RingKind::AllReduce(_) => 2 * hops,
-            RingKind::ReduceScatter(_) | RingKind::AllGather { .. } => hops,
-        },
-        sent: 0,
-        recvd: 0,
-    };
-    if !ring.all_sent() {
-        ring.send_round(t, data)?;
-    }
-    Ok(ring)
+    // SAFETY: the caller's contract.
+    unsafe { RingOp::begin(t, kind, Chunks::of_vec(data), wire) }
 }
 
 /// Drives `ring` until its last send is posted: each remaining round's
@@ -174,36 +277,44 @@ pub fn ring_begin<T: Transport>(
 /// a reduce-scatter or all-gather on two ranks, whose single send
 /// [`ring_begin`] already posted.
 ///
+/// # Safety
+///
+/// As [`ring_begin`]: `data` is the buffer the op was begun with.
+///
 /// # Errors
 ///
 /// Propagates transport errors; returns [`CollectiveError::SizeMismatch`] if
 /// a peer sent a chunk of unexpected length. The op is then dead: drop it.
-pub fn ring_advance<T: Transport>(
+pub unsafe fn ring_advance<T: Transport>(
     t: &T,
     ring: &mut RingOp,
-    data: &mut [f32],
+    data: &mut Vec<f32>,
 ) -> Result<(), CollectiveError> {
-    while !ring.all_sent() {
-        ring.recv_round(t, data, &mut ())?;
-        ring.send_round(t, data)?;
-    }
-    Ok(())
+    // SAFETY: the caller's contract.
+    unsafe { ring.advance(t, Chunks::of_vec(data)) }
 }
 
 /// Completes `ring`: whatever [`ring_advance`] has left to do, then the last
-/// receive. Returns the range of `data` that now holds final values — the
-/// owned chunk after a reduce-scatter (the rest is partially-reduced
-/// garbage), the whole buffer after an all-gather or all-reduce.
+/// receive, then the settle of every chunk the op lent. Returns the range
+/// of `data` that now holds final values — the owned chunk after a
+/// reduce-scatter (the rest is partially-reduced garbage), the whole
+/// buffer after an all-gather or all-reduce. On return `data` is the
+/// caller's again.
+///
+/// # Safety
+///
+/// As [`ring_advance`].
 ///
 /// # Errors
 ///
-/// As [`ring_advance`].
-pub fn ring_finish<T: Transport>(
+/// As [`ring_advance`], and a settle's error (see [`crate::Loan::settle`]).
+pub unsafe fn ring_finish<T: Transport>(
     t: &T,
     ring: RingOp,
-    data: &mut [f32],
+    data: &mut Vec<f32>,
 ) -> Result<Range<usize>, CollectiveError> {
-    ring_finish_with(t, ring, data, &mut ())
+    // SAFETY: the caller's contract.
+    unsafe { ring.finish(t, Chunks::of_vec(data), &mut ()) }
 }
 
 /// [`ring_finish`] with `epilogue` fused into the last receive: it sees the
@@ -213,29 +324,35 @@ pub fn ring_finish<T: Transport>(
 /// as the data arrives). On one rank, where there is no receive, it sees
 /// the whole buffer, which is the owned chunk.
 ///
-/// # Errors
+/// # Safety
 ///
 /// As [`ring_advance`].
-pub fn ring_finish_with<T: Transport>(
+///
+/// # Errors
+///
+/// As [`ring_finish`].
+pub unsafe fn ring_finish_with<T: Transport>(
     t: &T,
-    mut ring: RingOp,
-    data: &mut [f32],
+    ring: RingOp,
+    data: &mut Vec<f32>,
     epilogue: &mut impl Epilogue,
 ) -> Result<Range<usize>, CollectiveError> {
-    ring_advance(t, &mut ring, data)?;
-    if ring.recvd < ring.rounds {
-        ring.recv_round(t, data, epilogue)?;
-    } else {
-        epilogue.arrived();
-        for s in epilogue_slices(0..data.len()) {
-            epilogue.slice(s.clone(), &mut data[s]);
-        }
-    }
-    let (rank, world) = (t.rank(), t.world_size());
-    Ok(match ring.kind {
-        RingKind::ReduceScatter(_) => chunk_range(data.len(), world, ring_owned_chunk(rank, world)),
-        RingKind::AllGather { .. } | RingKind::AllReduce(_) => 0..data.len(),
-    })
+    // SAFETY: the caller's contract.
+    unsafe { ring.finish(t, Chunks::of_vec(data), epilogue) }
+}
+
+/// One whole ring collective over `data`, borrowed for the call: the
+/// composition every one-call ring collective is.
+fn ring_once<T: Transport>(
+    t: &T,
+    kind: RingKind,
+    data: &mut [f32],
+    wire: DType,
+) -> Result<Range<usize>, CollectiveError> {
+    let buf = Chunks::of(data);
+    // SAFETY: `data` is borrowed, and left alone, for the whole call, and
+    // the op is finished (its loans settled) or dropped before it returns.
+    unsafe { RingOp::begin(t, kind, buf, wire)?.finish(t, buf, &mut ()) }
 }
 
 /// Ring reduce-scatter over `data`, in place.
@@ -271,8 +388,7 @@ pub fn ring_reduce_scatter_on_wire<T: Transport>(
     op: ReduceOp,
     wire: DType,
 ) -> Result<Range<usize>, CollectiveError> {
-    let ring = ring_begin(t, RingKind::ReduceScatter(op), data, wire)?;
-    ring_finish(t, ring, data)
+    ring_once(t, RingKind::ReduceScatter(op), data, wire)
 }
 
 /// Releases everything of a reduce-scattered buffer but its owned chunk:
@@ -319,8 +435,7 @@ pub fn ring_all_gather_on_wire<T: Transport>(
     owned_chunk: usize,
     wire: DType,
 ) -> Result<(), CollectiveError> {
-    let ring = ring_begin(t, RingKind::AllGather { owned_chunk }, data, wire)?;
-    ring_finish(t, ring, data).map(|_| ())
+    ring_once(t, RingKind::AllGather { owned_chunk }, data, wire).map(|_| ())
 }
 
 /// Ring all-reduce: [`ring_reduce_scatter`] followed by [`ring_all_gather`].
@@ -487,10 +602,13 @@ mod tests {
         let sent_after_begin = |world: usize, kind: fn(usize) -> RingKind| {
             run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), 12);
-                let ring = ring_begin(&ep, kind(ep.rank()), &mut data, DType::F32).unwrap();
-                let sent = ring.all_sent();
-                ring_finish(&ep, ring, &mut data).unwrap();
-                sent
+                // SAFETY: `data` is left alone until the op is finished.
+                unsafe {
+                    let ring = ring_begin(&ep, kind(ep.rank()), &mut data, DType::F32).unwrap();
+                    let sent = ring.all_sent();
+                    ring_finish(&ep, ring, &mut data).unwrap();
+                    sent
+                }
             })
         };
         let rs: fn(usize) -> RingKind = |_| RingKind::ReduceScatter(ReduceOp::Sum);
@@ -535,12 +653,15 @@ mod tests {
             let results = run_cluster(world, |ep| {
                 let mut data = rank_data(ep.rank(), d);
                 let kind = RingKind::ReduceScatter(ReduceOp::Sum);
-                let ring = ring_begin(&ep, kind, &mut data, DType::F32).unwrap();
                 let mut record = Record {
                     arrived: false,
                     slices: Vec::new(),
                 };
-                let owned = ring_finish_with(&ep, ring, &mut data, &mut record).unwrap();
+                // SAFETY: `data` is left alone until the op is finished.
+                let owned = unsafe {
+                    let ring = ring_begin(&ep, kind, &mut data, DType::F32).unwrap();
+                    ring_finish_with(&ep, ring, &mut data, &mut record).unwrap()
+                };
                 (owned, record.slices, data)
             });
             for (rank, (owned, slices, data)) in results.into_iter().enumerate() {

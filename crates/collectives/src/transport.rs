@@ -13,6 +13,7 @@ use crossbeam_channel::{unbounded, Receiver, Sender};
 
 use crate::cost::CostModel;
 use crate::error::CollectiveError;
+use crate::lease::{Lease, Loan, Parcel};
 use crate::wire::{DType, WireBuf};
 
 /// A payload travelling between ranks: a dtype-tagged byte buffer
@@ -196,7 +197,13 @@ pub const MIN_LINK_FRAMES: usize = 4;
 /// - **Order and bits.** Each link delivers in send order, independently
 ///   of every other link, and a payload arrives with the dtype and bytes
 ///   it was sent with. [`Transport::send_f32`] is `send` of the slice's
-///   [`DType::F32`] encoding, whichever way a fabric ships it.
+///   [`DType::F32`] encoding, whichever way a fabric ships it, and so is
+///   [`Transport::lend_f32`].
+/// - **Loans.** A loan settles once the peer has read the lent chunk, or
+///   with an error once it cannot: the peer dropped it unread or departed
+///   (`Disconnected`), is wedged (`Aborted`), or has not taken it within
+///   the lender's receive deadline (`Timeout`). A settle never waits on a
+///   peer that is gone, and a lent chunk is never read after its settle.
 /// - **Departure.** What a peer sent before its endpoint dropped is still
 ///   delivered; after it, `recv` from that peer returns
 ///   [`CollectiveError::Disconnected`], and sends to it fail (a socket or
@@ -231,13 +238,15 @@ pub trait Transport {
     /// Sends `src` to `to` as one [`DType::F32`] message: the peer receives
     /// exactly what `send(to, WireBuf::encode(src, DType::F32).into())`
     /// would deliver, with the same errors, in FIFO order with `send` on
-    /// the same link.
+    /// the same link. When this returns, `src` is the caller's again.
     ///
     /// The default encodes into a buffer from [`Transport::take_buffer`]
     /// and calls [`Transport::send`]. A transport that writes the message
     /// out before returning (TCP) overrides this to send straight from
-    /// `src`, skipping that copy; one that must hand the message over whole
-    /// keeps the default. A decorator that renumbers ranks forwards it.
+    /// `src`, skipping that copy. An in-process fabric keeps the default
+    /// here and skips the copy in [`Transport::lend_f32`] instead, which a
+    /// caller uses when it can leave `src` untouched until the peer has
+    /// read it. A decorator that renumbers ranks forwards both.
     ///
     /// # Errors
     ///
@@ -245,6 +254,25 @@ pub trait Transport {
     fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
         let bytes = self.take_buffer(std::mem::size_of_val(src));
         self.send(to, WireBuf::encode_into(src, DType::F32, bytes).into())
+    }
+
+    /// [`Transport::send_f32`], except that a fabric whose peer shares this
+    /// process may **lend** `src` instead of copying it: the peer's hop
+    /// receive ([`Transport::recv_parcel`]) reduces or copies straight from
+    /// `src`, and the returned [`Loan`] is how the caller learns that it
+    /// has. `Ok(None)` means the message went out whole, as `send_f32`
+    /// sends it (the default, and every fabric that crosses a process).
+    /// What the peer receives, its order on the link and the errors are
+    /// `send_f32`'s; a `recv` of a lent message gets an owned copy.
+    ///
+    /// # Safety
+    ///
+    /// On `Ok(Some(loan))`, `src` must stay allocated and no element of it
+    /// may be written — nor reborrowed as `&mut` — until `loan` is settled
+    /// ([`Loan::settle`]) or dropped. The loan's `Drop` revokes or waits
+    /// out the lease, so dropping it before `src`'s buffer is enough.
+    unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
+        self.send_f32(to, src).map(|()| None)
     }
 
     /// Receives the next message from `from`, blocking until it arrives.
@@ -257,6 +285,19 @@ pub trait Transport {
     /// configured (see [`Transport::set_recv_timeout`]) and no message is
     /// queued before it expires.
     fn recv(&self, from: usize) -> Result<Message, CollectiveError>;
+
+    /// [`Transport::recv`] as a hop receive takes it: a chunk the peer lent
+    /// ([`Transport::lend_f32`]) stays a [`Parcel::Lent`] to read in place,
+    /// where `recv` would copy it. The default is `recv`; a fabric that
+    /// lends overrides both, and a decorator that renumbers ranks forwards
+    /// it (one that does not receives copies).
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::recv`].
+    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
+        self.recv(from).map(Parcel::Message)
+    }
 
     /// Sets a deadline for subsequent [`Transport::recv`] calls: when no
     /// message is queued within `timeout`, `recv` returns
@@ -396,9 +437,11 @@ pub struct LocalEndpoint {
     rank: usize,
     world: usize,
     /// `senders[to]` carries messages from this rank to `to`.
-    senders: Vec<Option<Sender<Message>>>,
-    /// `receivers[from]` carries messages from `from` to this rank.
-    receivers: Vec<Option<Receiver<Message>>>,
+    senders: Vec<Option<Sender<Parcel>>>,
+    /// `receivers[from]` carries messages from `from` to this rank. A
+    /// dropped receiver drops what is queued on it, so the leases there
+    /// settle as discarded and no lender waits on a departed endpoint.
+    receivers: Vec<Option<Receiver<Parcel>>>,
     pool: BufferPool,
     /// Optional deadline applied to every `recv` (see
     /// [`Transport::set_recv_timeout`]).
@@ -410,6 +453,17 @@ pub struct LocalEndpoint {
     /// incarnation) and the drain knows not to wait for a second marker.
     /// Reset to the new world size by a successful `reconfigure`.
     marker_seen: Mutex<Vec<bool>>,
+}
+
+impl LocalEndpoint {
+    /// Queues `parcel` for the validated peer `to`.
+    fn post(&self, to: usize, parcel: Parcel) -> Result<(), CollectiveError> {
+        self.senders[to]
+            .as_ref()
+            .expect("validated peer has a channel")
+            .send(parcel)
+            .map_err(|_| CollectiveError::Disconnected { peer: to })
+    }
 }
 
 impl fmt::Debug for LocalEndpoint {
@@ -449,10 +503,10 @@ impl LocalFabric {
     pub fn create(world: usize) -> Vec<LocalEndpoint> {
         assert!(world > 0, "world size must be positive");
         // channels[from][to]
-        let mut senders: Vec<Vec<Option<Sender<Message>>>> = (0..world)
+        let mut senders: Vec<Vec<Option<Sender<Parcel>>>> = (0..world)
             .map(|_| (0..world).map(|_| None).collect())
             .collect();
-        let mut receivers: Vec<Vec<Option<Receiver<Message>>>> = (0..world)
+        let mut receivers: Vec<Vec<Option<Receiver<Parcel>>>> = (0..world)
             .map(|_| (0..world).map(|_| None).collect())
             .collect();
         for from in 0..world {
@@ -528,14 +582,30 @@ impl Transport for LocalEndpoint {
 
     fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
         self.check_peer(to)?;
-        self.senders[to]
-            .as_ref()
-            .expect("validated peer has a channel")
-            .send(msg)
-            .map_err(|_| CollectiveError::Disconnected { peer: to })
+        self.post(to, Parcel::Message(msg))
+    }
+
+    /// Lends `src` to `to`: the peer's hop receive reduces from it in place.
+    /// A settle gives up after this endpoint's receive deadline; departure
+    /// needs no watch here, because a departed endpoint's queues drop (and
+    /// discard their leases) with it.
+    unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
+        self.check_peer(to)?;
+        let timeout = *self.recv_timeout.lock().expect("recv timeout poisoned");
+        // SAFETY: forwarded from the caller, who keeps `src` until the
+        // loan settles.
+        let (lease, loan) = unsafe { Lease::lend(src, to, timeout, None) };
+        // A refused lease drops, unread, with the error.
+        self.post(to, Parcel::Lent(lease))?;
+        Ok(Some(loan))
     }
 
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
+        self.recv_parcel(from)?
+            .into_message(|bytes| self.pool.take(bytes), from)
+    }
+
+    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
         self.check_peer(from)?;
         // A peer whose resize marker has already been seen has abandoned
         // this incarnation of the world: it sends nothing further until the
@@ -548,7 +618,7 @@ impl Transport for LocalEndpoint {
             .as_ref()
             .expect("validated peer has a channel");
         let timeout = *self.recv_timeout.lock().expect("recv timeout poisoned");
-        let msg = match timeout {
+        let parcel = match timeout {
             None => rx
                 .recv()
                 .map_err(|_| CollectiveError::Disconnected { peer: from }),
@@ -566,12 +636,14 @@ impl Transport for LocalEndpoint {
         // channel before the reconfigure drain runs. Latch it so the drain
         // (and every later pre-resize receive) knows, and fail this
         // collective — the marker means the peer has moved on.
-        let p = msg.payload();
-        if p.dtype() == DType::U8 && p.bytes() == LOCAL_RESIZE_MARKER {
-            self.marker_seen.lock().expect("marker latch poisoned")[from] = true;
-            return Err(CollectiveError::Aborted { peer: from });
+        if let Parcel::Message(msg) = &parcel {
+            let p = msg.payload();
+            if p.dtype() == DType::U8 && p.bytes() == LOCAL_RESIZE_MARKER {
+                self.marker_seen.lock().expect("marker latch poisoned")[from] = true;
+                return Err(CollectiveError::Aborted { peer: from });
+            }
         }
-        Ok(msg)
+        Ok(parcel)
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
@@ -663,11 +735,12 @@ impl Transport for LocalEndpoint {
                 if g == self.rank {
                     continue;
                 }
-                // `recv` latches the marker and reports it as `Aborted`
-                // whether the drain pulls it here or a failing collective
-                // consumed it earlier; either way this peer is flushed.
+                // `recv_parcel` latches the marker and reports it as
+                // `Aborted` whether the drain pulls it here or a failing
+                // collective consumed it earlier; either way this peer is
+                // flushed. Stale leases drop unread (or revoked).
                 loop {
-                    match self.recv(g) {
+                    match self.recv_parcel(g) {
                         Ok(_stale) => {}
                         Err(CollectiveError::Aborted { .. }) => break,
                         Err(e) => return Err(e),
@@ -950,9 +1023,20 @@ impl<T: Transport> Transport for GroupTransport<'_, T> {
         self.inner.send_f32(self.members[to], src)
     }
 
+    unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
+        self.check_peer(to)?;
+        // SAFETY: the caller's contract, passed on unchanged.
+        unsafe { self.inner.lend_f32(self.members[to], src) }
+    }
+
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
         self.check_peer(from)?;
         self.inner.recv(self.members[from])
+    }
+
+    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
+        self.check_peer(from)?;
+        self.inner.recv_parcel(self.members[from])
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {

@@ -8,7 +8,7 @@
 //! demonstrate that.
 
 use crate::error::CollectiveError;
-use crate::hop::{recv_hop_copy, recv_hop_reduce, send_hop};
+use crate::hop::{recv_hop_copy, recv_hop_reduce, send_hop, Chunks, Loans};
 use crate::reduce::ReduceOp;
 use crate::transport::Transport;
 use crate::wire::DType;
@@ -40,18 +40,23 @@ pub fn tree_reduce<T: Transport>(
     }
     // Re-root the binomial tree by rotating ranks so `root` maps to 0.
     let vrank = (t.rank() + world - root) % world;
+    let (buf, all) = (Chunks::of(data), 0..data.len());
+    let mut loans = Loans::default();
     let mut mask = 1usize;
     while mask < world {
         if vrank & mask != 0 {
             // Send accumulated data to the parent and exit.
             let parent = ((vrank ^ mask) + root) % world;
-            send_hop(t, parent, data, wire)?;
-            return Ok(());
+            // SAFETY: `data` is borrowed for the call, and the loan is
+            // settled (or dropped) before it returns.
+            unsafe { send_hop(t, parent, buf, all, wire, &mut loans)? };
+            return loans.settle();
         }
         let vchild = vrank | mask;
         if vchild < world {
             let child = (vchild + root) % world;
-            recv_hop_reduce(t, child, data, op)?;
+            // SAFETY: `data` is borrowed for the call; nothing is lent yet.
+            unsafe { recv_hop_reduce(t, child, buf, all.clone(), op, &mut loans)? };
         }
         mask <<= 1;
     }
@@ -89,11 +94,14 @@ pub fn tree_broadcast<T: Transport>(
         mask <<= 1;
     }
     mask >>= 1;
+    let (buf, all) = (Chunks::of(data), 0..data.len());
+    let mut loans = Loans::default();
     // Receive once from parent (the lowest set bit of vrank).
     if vrank != 0 {
         let parent_mask = vrank & vrank.wrapping_neg(); // lowest set bit
         let parent = ((vrank ^ parent_mask) + root) % world;
-        recv_hop_copy(t, parent, data)?;
+        // SAFETY: `data` is borrowed for the call; nothing is lent yet.
+        unsafe { recv_hop_copy(t, parent, buf, all.clone(), &mut loans)? };
         // Only forward along masks below our own bit.
         mask = parent_mask >> 1;
     }
@@ -101,11 +109,13 @@ pub fn tree_broadcast<T: Transport>(
         let vchild = vrank | mask;
         if vchild != vrank && vchild < world {
             let child = (vchild + root) % world;
-            send_hop(t, child, data, wire)?;
+            // SAFETY: `data` is borrowed for the call and only read from
+            // here on; the loans are settled (or dropped) before it returns.
+            unsafe { send_hop(t, child, buf, all.clone(), wire, &mut loans)? };
         }
         mask >>= 1;
     }
-    Ok(())
+    loans.settle()
 }
 
 /// Naive all-reduce: [`tree_reduce`] to rank 0 followed by

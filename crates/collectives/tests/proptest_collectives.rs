@@ -102,7 +102,9 @@ fn run_split_phase<T: Transport>(
                 let Some((kind, mut data)) = queued.pop_front() else {
                     break;
                 };
-                let ring = ring_begin(t, kind, &mut data, wire).unwrap();
+                // SAFETY: `data` travels with its op and is left alone
+                // until the op is finished.
+                let ring = unsafe { ring_begin(t, kind, &mut data, wire).unwrap() };
                 inflight.push_back((ring, data));
             }
         };
@@ -110,11 +112,13 @@ fn run_split_phase<T: Transport>(
         let Some((ring, data)) = inflight.front_mut() else {
             return done;
         };
-        ring_advance(t, ring, data).unwrap();
+        // SAFETY: as above.
+        unsafe { ring_advance(t, ring, data).unwrap() };
         fill(&mut inflight);
         let (ring, mut data) = inflight.pop_front().unwrap();
         let kind = ring.kind();
-        let valid = ring_finish(t, ring, &mut data).unwrap();
+        // SAFETY: as above.
+        let valid = unsafe { ring_finish(t, ring, &mut data).unwrap() };
         let world = t.world_size();
         let expect = match kind {
             RingKind::ReduceScatter(_) => {

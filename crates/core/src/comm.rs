@@ -592,6 +592,13 @@ fn largest_chunk(layout: &GroupLayout, world: usize) -> usize {
 
 /// A ring collective the comm thread has begun and not yet finished,
 /// with the group buffers that travel with it.
+///
+/// `data` keeps the contract of [`ring_begin`]: from `begin` to `finish` it
+/// is handed only to the ring calls, which address it through
+/// `Vec::as_mut_ptr` while the peer reads its lent chunks in place. `ring`
+/// is declared before `data`, so when [`CommThread::fail`] clears the ops
+/// in flight each op's loans are abandoned (revoked, or waited out) before
+/// its buffer is freed.
 struct InFlight {
     group: usize,
     ring: RingOp,
@@ -724,7 +731,9 @@ impl<T: Transport> CommThread<'_, T> {
             .span
             .take()
             .unwrap_or_else(|| trace::span(TaskKind::Communication, || op_label(kind, group)));
-        ring_advance(&self.transport, &mut head.ring, &mut head.data)?;
+        // SAFETY: `head.data` is the op's buffer, kept by `InFlight` (see
+        // there) until the op is finished or dropped.
+        unsafe { ring_advance(&self.transport, &mut head.ring, &mut head.data)? };
         // The head has posted its last send: the ops behind it may post
         // their first before it blocks on its last receive.
         self.fill()?;
@@ -738,7 +747,9 @@ impl<T: Transport> CommThread<'_, T> {
             self.finish_op1(group, ring, data, other, span)?;
             return Ok(true);
         }
-        ring_finish(&self.transport, ring, &mut data)?;
+        // SAFETY: `data` is the op's buffer, untouched since it left
+        // `InFlight`; `ring_finish` settles or drops every loan on it.
+        unsafe { ring_finish(&self.transport, ring, &mut data)? };
         span.end();
         if let RingKind::AllGather { .. } = kind {
             self.reply(CommResult::Params {
@@ -827,7 +838,9 @@ impl<T: Transport> CommThread<'_, T> {
             .inflight
             .is_empty()
             .then(|| trace::span(TaskKind::Communication, || op_label(kind, group)));
-        let ring = ring_begin(&self.transport, kind, &mut data, self.layout.wire())?;
+        // SAFETY: `data` moves into the op's `InFlight` next and stays
+        // there, left alone, until the op is finished or dropped.
+        let ring = unsafe { ring_begin(&self.transport, kind, &mut data, self.layout.wire())? };
         Ok(Some(InFlight {
             group,
             ring,
@@ -875,7 +888,9 @@ impl<T: Transport> CommThread<'_, T> {
             rs: Some(rs),
             upd: None,
         };
-        ring_finish_with(&self.transport, ring, &mut grads, &mut tail)?;
+        // SAFETY: `grads` is the op's buffer, untouched since it left
+        // `InFlight`; the epilogue writes `params`, another buffer.
+        unsafe { ring_finish_with(&self.transport, ring, &mut grads, &mut tail)? };
         if let Some(upd) = tail.upd {
             upd.end();
         }

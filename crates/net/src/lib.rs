@@ -49,6 +49,8 @@ mod config;
 mod demo;
 pub mod endpoint;
 pub mod frame;
+#[cfg(test)]
+mod interleave;
 mod launch;
 mod loopback;
 pub mod shm;

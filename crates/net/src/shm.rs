@@ -43,8 +43,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dear_collectives::lease::{AtomicCell, Liveness};
 use dear_collectives::{
-    BufferPool, CollectiveError, Message, Transport, WorldChange, MIN_LINK_FRAMES,
+    BufferPool, CollectiveError, Lease, Loan, Message, Parcel, Transport, WorldChange,
+    MIN_LINK_FRAMES,
 };
 
 use crate::config::NetConfig;
@@ -80,21 +82,92 @@ fn wait_step(spins: &mut u32) {
     }
 }
 
-/// A message as stored in a ring slot: the payload plus the sender's world
-/// generation (the shm analog of the TCP data frame's generation stamp).
+/// A message as stored in a ring slot: the parcel (an owned payload or a
+/// lent chunk) plus the sender's world generation (the shm analog of the
+/// TCP data frame's generation stamp).
 struct ShmMsg {
     generation: u64,
-    msg: Message,
+    msg: Parcel,
+}
+
+/// The memory a [`SpscRing`]'s sequence protocol runs on: the `std` atomics
+/// and an `UnsafeCell` in a build, instrumented ones under the interleaving
+/// checker (`interleave`), which runs this same protocol code.
+pub(crate) trait RingMem {
+    /// A sequence word or cursor.
+    type Word: AtomicCell<Value = usize>;
+    /// A slot's payload cell.
+    type Slot<T>: SlotCell<T>;
+    /// A word holding `value`.
+    fn word(value: usize) -> Self::Word;
+}
+
+/// A slot's payload cell, written and read only by whichever side the
+/// slot's sequence word designates.
+pub(crate) trait SlotCell<T> {
+    /// An empty cell.
+    fn empty() -> Self;
+    /// Stores `value` in the empty cell.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns the cell, and it is empty.
+    unsafe fn put(&self, value: T);
+    /// Reads the value in place.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns the cell, and it is full.
+    unsafe fn peek<R>(&self, read: impl FnOnce(&T) -> R) -> R;
+    /// Moves the value out, leaving the cell empty.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns the cell, and it is full.
+    unsafe fn take(&self) -> T;
+}
+
+/// [`RingMem`] of a build.
+pub(crate) struct StdMem;
+
+impl RingMem for StdMem {
+    type Word = AtomicUsize;
+    type Slot<T> = UnsafeCell<MaybeUninit<T>>;
+
+    fn word(value: usize) -> AtomicUsize {
+        AtomicUsize::new(value)
+    }
+}
+
+impl<T> SlotCell<T> for UnsafeCell<MaybeUninit<T>> {
+    fn empty() -> Self {
+        UnsafeCell::new(MaybeUninit::uninit())
+    }
+
+    unsafe fn put(&self, value: T) {
+        // SAFETY: the caller owns the empty cell.
+        unsafe { (*self.get()).write(value) };
+    }
+
+    unsafe fn peek<R>(&self, read: impl FnOnce(&T) -> R) -> R {
+        // SAFETY: the caller owns the full cell.
+        read(unsafe { (*self.get()).assume_init_ref() })
+    }
+
+    unsafe fn take(&self) -> T {
+        // SAFETY: the caller owns the full cell and leaves it empty.
+        unsafe { (*self.get()).assume_init_read() }
+    }
 }
 
 /// One slot of a ring: a sequence word that hands ownership back and forth
 /// between producer and consumer, and the payload cell it guards.
-struct RingSlot {
-    seq: AtomicUsize,
-    msg: UnsafeCell<MaybeUninit<ShmMsg>>,
+struct RingSlot<T, M: RingMem> {
+    seq: M::Word,
+    msg: M::Slot<T>,
 }
 
-/// A bounded single-producer / single-consumer queue of [`ShmMsg`]s.
+/// A bounded single-producer / single-consumer queue.
 ///
 /// Sequence-numbered slots: slot `i` is writable by the producer when
 /// `seq == pos` (its turn `pos`, where `pos % cap == i`) and readable by
@@ -102,14 +175,17 @@ struct RingSlot {
 /// cursor and never touch the other's, so the data path is wait-free on
 /// both sides; the `produce`/`consume` mutexes only serialize *same-side*
 /// aliasing (two threads misusing one endpoint), never sender against
-/// receiver.
-struct SpscRing {
+/// receiver. The `Release` store of `seq` and the other side's `Acquire`
+/// load of it order every access to the payload cell — and, for a lease
+/// riding in it, the sender's writes to the lent chunk before the
+/// receiver's reads.
+pub(crate) struct SpscRing<T, M: RingMem = StdMem> {
     mask: usize,
-    slots: Box<[RingSlot]>,
+    slots: Box<[RingSlot<T, M>]>,
     /// Producer cursor (next position to write).
-    tail: AtomicUsize,
+    tail: M::Word,
     /// Consumer cursor (next position to read).
-    head: AtomicUsize,
+    head: M::Word,
     /// Serializes producers (one logical producer; misuse guard).
     produce: Mutex<()>,
     /// Serializes consumers (one logical consumer; misuse guard).
@@ -119,29 +195,29 @@ struct SpscRing {
 // SAFETY: the sequence protocol makes every `msg` cell exclusively owned
 // by whichever side `seq` currently designates, with Release/Acquire
 // pairs ordering the hand-off; the side mutexes prevent intra-side races.
-unsafe impl Send for SpscRing {}
-unsafe impl Sync for SpscRing {}
+unsafe impl<T: Send, M: RingMem> Send for SpscRing<T, M> {}
+unsafe impl<T: Send, M: RingMem> Sync for SpscRing<T, M> {}
 
-impl SpscRing {
-    fn new(capacity: usize) -> SpscRing {
+impl<T, M: RingMem> SpscRing<T, M> {
+    pub(crate) fn new(capacity: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
         SpscRing {
             mask: cap - 1,
             slots: (0..cap)
                 .map(|i| RingSlot {
-                    seq: AtomicUsize::new(i),
-                    msg: UnsafeCell::new(MaybeUninit::uninit()),
+                    seq: M::word(i),
+                    msg: M::Slot::<T>::empty(),
                 })
                 .collect(),
-            tail: AtomicUsize::new(0),
-            head: AtomicUsize::new(0),
+            tail: M::word(0),
+            head: M::word(0),
             produce: Mutex::new(()),
             consume: Mutex::new(()),
         }
     }
 
     /// Attempts to enqueue; gives `msg` back when the ring is full.
-    fn try_push(&self, msg: ShmMsg) -> Result<(), ShmMsg> {
+    pub(crate) fn try_push(&self, msg: T) -> Result<(), T> {
         let _own = self.produce.lock().expect("producer guard poisoned");
         let pos = self.tail.load(Ordering::Relaxed);
         let slot = &self.slots[pos & self.mask];
@@ -149,44 +225,42 @@ impl SpscRing {
             return Err(msg); // consumer has not freed this slot yet
         }
         // SAFETY: `seq == pos` means the producer owns the cell.
-        unsafe { (*slot.msg.get()).write(msg) };
+        unsafe { slot.msg.put(msg) };
         slot.seq.store(pos + 1, Ordering::Release);
         self.tail.store(pos + 1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Dequeues the head message if `want` accepts it (judging by the
-    /// stamped generation); `None` when the ring is empty or the head is
-    /// kept. Lets a resize drain stop exactly at the first post-resize
-    /// message without a second handshake.
-    fn try_pop_if(&self, want: impl FnOnce(u64) -> bool) -> Option<ShmMsg> {
+    /// Dequeues the head message if `want` accepts it; `None` when the ring
+    /// is empty or the head is kept. Lets a resize drain stop exactly at the
+    /// first post-resize message without a second handshake.
+    pub(crate) fn try_pop_if(&self, want: impl FnOnce(&T) -> bool) -> Option<T> {
         let _own = self.consume.lock().expect("consumer guard poisoned");
         let pos = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[pos & self.mask];
         if slot.seq.load(Ordering::Acquire) != pos + 1 {
             return None; // empty
         }
-        // SAFETY: `seq == pos + 1` means the consumer owns the cell; the
-        // generation field is ours to read either way, and the value is
-        // only moved out when the predicate accepts it.
-        let generation = unsafe { (*slot.msg.get()).assume_init_ref().generation };
-        if !want(generation) {
+        // SAFETY: `seq == pos + 1` means the consumer owns the full cell;
+        // the value is only moved out when the predicate accepts it.
+        if !unsafe { slot.msg.peek(want) } {
             return None;
         }
-        let msg = unsafe { (*slot.msg.get()).assume_init_read() };
+        let msg = unsafe { slot.msg.take() };
         slot.seq.store(pos + self.mask + 1, Ordering::Release);
         self.head.store(pos + 1, Ordering::Relaxed);
         Some(msg)
     }
 
-    fn try_pop(&self) -> Option<ShmMsg> {
+    pub(crate) fn try_pop(&self) -> Option<T> {
         self.try_pop_if(|_| true)
     }
 }
 
-impl Drop for SpscRing {
+impl<T, M: RingMem> Drop for SpscRing<T, M> {
     fn drop(&mut self) {
-        // Undelivered messages still own heap payloads.
+        // Undelivered messages still own heap payloads, and a lease still
+        // queued is discarded, so its sender's settle ends.
         while self.try_pop().is_some() {}
     }
 }
@@ -212,7 +286,7 @@ struct GateState {
 struct ShmFabricInner {
     /// `rings[from][to]` carries messages between fabric slots; `None` on
     /// the diagonal.
-    rings: Vec<Vec<Option<SpscRing>>>,
+    rings: Vec<Vec<Option<SpscRing<ShmMsg>>>>,
     members: Vec<MemberState>,
     gate: Mutex<GateState>,
     gate_cv: Condvar,
@@ -242,6 +316,22 @@ impl ShmFabricInner {
         let allowance = interval * self.heartbeat_miss_budget.max(1);
         let last = self.members[slot].last_beat_ns.load(Ordering::Relaxed);
         self.nanos_since_epoch().saturating_sub(last) > allowance.as_nanos() as u64
+    }
+}
+
+impl Liveness for ShmFabricInner {
+    /// A departed member drops nothing it was lent (its inbound rings live
+    /// as long as the fabric), so a settle must not wait for it: departure
+    /// is `Disconnected` and a stale heartbeat `Aborted`, as a receive from
+    /// it would report.
+    fn check(&self, slot: usize, peer: usize) -> Result<(), CollectiveError> {
+        if self.members[slot].departed.load(Ordering::Acquire) {
+            Err(CollectiveError::Disconnected { peer })
+        } else if self.is_wedged(slot) {
+            Err(CollectiveError::Aborted { peer })
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -314,7 +404,7 @@ impl ShmFabric {
         let n = members.len();
         // The config field is public, so the builder's floor is re-applied.
         let capacity = cfg.outbox_frames.max(MIN_LINK_FRAMES);
-        let rings: Vec<Vec<Option<SpscRing>>> = (0..n)
+        let rings: Vec<Vec<Option<SpscRing<ShmMsg>>>> = (0..n)
             .map(|from| {
                 (0..n)
                     .map(|to| (from != to).then(|| SpscRing::new(capacity)))
@@ -538,7 +628,10 @@ impl ShmEndpoint {
             let ring = self.fabric.rings[from][self.slot]
                 .as_ref()
                 .expect("off-diagonal ring exists");
-            while ring.try_pop_if(|g| g != new_generation).is_some() {}
+            while ring
+                .try_pop_if(|m| m.generation != new_generation)
+                .is_some()
+            {}
         }
         let old_rank = self.rank;
         let old_world = self.world;
@@ -602,17 +695,10 @@ impl ShmEndpoint {
     }
 }
 
-impl Transport for ShmEndpoint {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn world_size(&self) -> usize {
-        self.world
-    }
-
-    fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
-        let slot = self.slot_of(to)?;
+impl ShmEndpoint {
+    /// Queues `msg` on the ring to the validated peer `to` at fabric slot
+    /// `slot`, waiting while the ring is full.
+    fn push(&self, to: usize, slot: usize, msg: Parcel) -> Result<(), CollectiveError> {
         // A send is liveness too: a rank deep in a long compute phase
         // between heartbeats still proves itself the moment it talks.
         self.fabric.beat(self.slot);
@@ -648,7 +734,55 @@ impl Transport for ShmEndpoint {
         }
     }
 
+    /// The parcel of a message popped from `from`'s ring, if it belongs to
+    /// this generation.
+    fn delivered(&self, from: usize, shm: ShmMsg) -> Result<Parcel, CollectiveError> {
+        if shm.generation != self.generation {
+            return Err(CollectiveError::StaleGeneration {
+                peer: from,
+                expected: self.generation,
+                actual: shm.generation,
+            });
+        }
+        Ok(shm.msg)
+    }
+}
+
+impl Transport for ShmEndpoint {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn world_size(&self) -> usize {
+        self.world
+    }
+
+    fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
+        let slot = self.slot_of(to)?;
+        self.push(to, slot, Parcel::Message(msg))
+    }
+
+    /// Lends `src` to `to`: the peer's hop receive reduces from it in place.
+    /// A settle gives up on the peer when it departs, when the failure
+    /// detector finds it wedged, or after this endpoint's receive deadline.
+    unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
+        let slot = self.slot_of(to)?;
+        let timeout = *self.recv_timeout.lock().expect("recv timeout poisoned");
+        let watch: Arc<dyn Liveness> = self.fabric.clone();
+        // SAFETY: forwarded from the caller, who keeps `src` until the
+        // loan settles.
+        let (lease, loan) = unsafe { Lease::lend(src, to, timeout, Some((watch, slot))) };
+        // A refused lease drops, unread, with the error.
+        self.push(to, slot, Parcel::Lent(lease))?;
+        Ok(Some(loan))
+    }
+
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
+        self.recv_parcel(from)?
+            .into_message(|bytes| self.pool.take(bytes), from)
+    }
+
+    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
         let slot = self.slot_of(from)?;
         let ring = self.fabric.rings[slot][self.slot]
             .as_ref()
@@ -658,14 +792,7 @@ impl Transport for ShmEndpoint {
         let mut spins = 0u32;
         loop {
             if let Some(shm) = ring.try_pop() {
-                if shm.generation != self.generation {
-                    return Err(CollectiveError::StaleGeneration {
-                        peer: from,
-                        expected: self.generation,
-                        actual: shm.generation,
-                    });
-                }
-                return Ok(shm.msg);
+                return self.delivered(from, shm);
             }
             // Empty ring: decide between waiting and failing, in the same
             // priority order as the TCP reader — graceful departure first,
@@ -674,14 +801,7 @@ impl Transport for ShmEndpoint {
                 // Re-check after the departure flag: messages sent before
                 // the peer dropped are still deliverable.
                 if let Some(shm) = ring.try_pop() {
-                    if shm.generation != self.generation {
-                        return Err(CollectiveError::StaleGeneration {
-                            peer: from,
-                            expected: self.generation,
-                            actual: shm.generation,
-                        });
-                    }
-                    return Ok(shm.msg);
+                    return self.delivered(from, shm);
                 }
                 return Err(CollectiveError::Disconnected { peer: from });
             }
@@ -752,6 +872,15 @@ impl Drop for ShmEndpoint {
         self.fabric.members[self.slot]
             .departed
             .store(true, Ordering::Release);
+        // Nobody will read what is queued for this endpoint: drop it, so
+        // the leases there are discarded now rather than with the fabric.
+        // (A lease pushed after this drain is revoked by its sender's
+        // settle, which sees the departure.)
+        for from in 0..self.fabric.members.len() {
+            if let Some(ring) = &self.fabric.rings[from][self.slot] {
+                while ring.try_pop().is_some() {}
+            }
+        }
     }
 }
 
@@ -845,7 +974,7 @@ mod tests {
         let ring = tx.fabric.rings[tx.slot][rx.slot].as_ref().unwrap();
         ring.try_push(ShmMsg {
             generation: 3,
-            msg: vec![9.0].into(),
+            msg: Parcel::Message(vec![9.0].into()),
         })
         .ok()
         .unwrap();

@@ -1,10 +1,11 @@
-//! Steady-state DeAR steps over the real fabrics make no large allocation:
-//! on TCP an f32 chunk goes to the socket straight from the collective's
-//! buffer and received payloads circulate through the endpoint's pool; on
-//! the tiered endpoint every send to an shm peer takes its buffer from the
-//! same pool that received payloads are recycled into. A send that drew on
-//! another pool (the shm tier's own, which nothing refills) would allocate
-//! a chunk-sized buffer every time.
+//! Steady-state DeAR steps over the real fabrics make no large allocation.
+//! On TCP an f32 chunk goes to the socket straight from the collective's
+//! buffer, and received payloads circulate through the endpoint's pool. On
+//! shm an f32 chunk is lent: the peer reduces straight from the sender's
+//! buffer, so a send takes no buffer at all — over `ShmFabric` alone and
+//! over the tiered endpoint's shm tier. A send that encoded into a buffer
+//! of a pool no receive refills would allocate a chunk-sized one every
+//! time.
 //!
 //! Each pool is stocked with 16 chunk-sized buffers before the run. How
 //! many a TCP rank holds at once depends on how far its reader threads run
@@ -22,7 +23,7 @@ use std::sync::Barrier;
 use dear_collectives::Transport;
 use dear_core::{run_worker, DistOptim, PipelineMode, TrainConfig};
 use dear_minidnn::{BlobDataset, Linear, Relu, Sequential};
-use dear_net::{tcp_loopback, tiered_loopback};
+use dear_net::{tcp_loopback, tiered_loopback, ShmFabric};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -150,9 +151,14 @@ fn steady_state_steps_over_tcp_and_shm_allocate_nothing_large() {
         tcp, 0,
         "tcp_loopback: {tcp} large allocations in {STEPS} steps"
     );
-    let shm = steady_steps(tiered_loopback(1, WORLD).unwrap());
+    let tiered = steady_steps(tiered_loopback(1, WORLD).unwrap());
+    assert_eq!(
+        tiered, 0,
+        "tiered_loopback(1, {WORLD}): {tiered} large allocations in {STEPS} steps"
+    );
+    let shm = steady_steps(ShmFabric::create(WORLD));
     assert_eq!(
         shm, 0,
-        "tiered_loopback(1, {WORLD}): {shm} large allocations in {STEPS} steps"
+        "ShmFabric::create({WORLD}): {shm} large allocations in {STEPS} steps"
     );
 }

@@ -5,9 +5,9 @@
 //! what a fabric promises; this file is its executable statement. Each
 //! clause is one generic function over a factory `world → endpoints`
 //! (element `r` is rank `r`), and each fabric runs all of them through one
-//! `contract!` line. Clauses 2, 3, 8 and 10 run as one case per condition
-//! they name (`c2_…`, `c3_…`, `c8_…`, `c10_…`), so a failure says which
-//! one broke:
+//! `contract!` line. Clauses 2, 3, 8, 10 and 11 run as one case per
+//! condition they name (`c2_…`, `c3_…`, `c8_…`, `c10_…`, `c11_…`), so a
+//! failure says which one broke:
 //!
 //! 1. ranks are `0..world` and agree on `world_size`; a world of one works;
 //! 2. each link is FIFO and bit-exact (NaN payloads, −0.0, subnormals; a
@@ -30,7 +30,14 @@
 //!    exactly what a fresh one does; a fabric told its survivors refuses a
 //!    bad list and stays as it was;
 //! 10. `send_f32` is `send` of the slice's f32 encoding: the same bits
-//!     arrive, in FIFO order with `send`, and clauses 3 and 5's errors hold.
+//!     arrive, in FIFO order with `send`, and clauses 3 and 5's errors hold;
+//! 11. `lend_f32` delivers what `send_f32` does, lent or not: a lent chunk
+//!     arrives bit for bit, in FIFO order with `send`; its loan settles at
+//!     once after the peer's receive, ends in `Disconnected` (or `Aborted`)
+//!     when the peer departs — also when the lease was still queued at a
+//!     dropped endpoint — and in `Timeout` past the lender's deadline, after
+//!     which the peer gets `Aborted`, never the chunk. A fabric that copies
+//!     (`lend_f32` returns no loan) passes it as clause 10.
 //!
 //! An error names its peer as the fabric that detected it numbers it: a
 //! [`GroupTransport`] view reports its inner transport's rank
@@ -40,14 +47,16 @@ use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use dear_collectives::{
-    CollectiveError, CostModel, DType, DelayFabric, GroupTransport, LocalEndpoint, LocalFabric,
-    Message, Transport, WireBuf, WorldChange, MIN_LINK_FRAMES,
+    CollectiveError, CostModel, DType, DelayFabric, GroupTransport, Loan, LocalEndpoint,
+    LocalFabric, Message, Parcel, Transport, WireBuf, WorldChange, MIN_LINK_FRAMES,
 };
 use dear_net::{
     tcp_loopback_with, tiered_loopback_with, NetConfig, ShmEndpoint, ShmFabric, TcpEndpoint,
     TieredEndpoint,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 mod common;
 use common::{bit_identical, collectives, run};
@@ -97,8 +106,17 @@ impl Transport for View {
         self.group().send_f32(to, src)
     }
 
+    unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
+        // SAFETY: the caller's contract, passed on unchanged.
+        unsafe { self.group().lend_f32(to, src) }
+    }
+
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
         self.group().recv(from)
+    }
+
+    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
+        self.group().recv_parcel(from)
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
@@ -426,6 +444,191 @@ fn send_f32_keeps_fifo_with_send<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
     }
 }
 
+/// Lends `src` to `to` (clause 11).
+fn lend<E: Endpoint>(ep: &E, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
+    // SAFETY: every case settles or drops its loans before `src` goes.
+    unsafe { ep.lend_f32(to, src) }
+}
+
+/// The bits a hop receive from `from` gets, lent or not.
+fn received_bits<E: Endpoint>(ep: &E, from: usize) -> Vec<u32> {
+    match ep.recv_parcel(from).unwrap() {
+        Parcel::Lent(lease) => lease
+            .read(|chunk| chunk.iter().map(|x| x.to_bits()).collect())
+            .expect("a lease nobody revoked is readable"),
+        Parcel::Message(msg) => {
+            let payload = msg.into_payload();
+            assert_eq!(payload.dtype(), DType::F32);
+            payload.to_f32_vec().iter().map(|x| x.to_bits()).collect()
+        }
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Clause 11: NaNs with random sign and payload, −0.0, subnormals and the
+/// empty chunk arrive bit for bit, through a hop receive and through `recv`;
+/// a fabric whose two ranks share the process (`lends`) lends every one.
+fn lent_chunks_arrive_bit_identical<E: Endpoint>(world: impl Fn(usize) -> Vec<E>, lends: bool) {
+    let eps = world(2);
+    let mut rng = StdRng::seed_from_u64(11);
+    let nans: Vec<f32> = (0..64)
+        .map(|_| {
+            let sign = if rng.gen_bool(0.5) { 0x8000_0000 } else { 0 };
+            let payload = rng.gen_range(1..0x0080_0000u32);
+            f32::from_bits(sign | 0x7F80_0000 | payload)
+        })
+        .collect();
+    let payloads: [&[f32]; 4] = [
+        &nans,
+        &[-0.0, 0.0, -0.0],
+        &[
+            f32::from_bits(1),
+            f32::from_bits(0x807F_FFFF),
+            -f32::MIN_POSITIVE / 3.0,
+        ],
+        &[],
+    ];
+    for src in payloads {
+        let loan = lend(&eps[0], 1, src).unwrap();
+        assert_eq!(loan.is_some(), lends, "lent");
+        assert_eq!(received_bits(&eps[1], 0), bits(src));
+        if let Some(loan) = loan {
+            assert_eq!(loan.settle(), Ok(()));
+        }
+        let loan = lend(&eps[0], 1, src).unwrap();
+        let copy = eps[1].recv(0).unwrap().into_payload();
+        assert_eq!(copy, WireBuf::encode(src, DType::F32), "`recv` gets a copy");
+        if let Some(loan) = loan {
+            assert_eq!(loan.settle(), Ok(()), "the copy released the lease");
+        }
+    }
+}
+
+/// Clause 11: lent chunks and `send`s share one FIFO link.
+fn lent_chunks_keep_fifo_with_send<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+    let eps = world(2);
+    let values: Vec<Vec<f32>> = (0..MIN_LINK_FRAMES)
+        .map(|k| vec![k as f32; 1 + 16 * k])
+        .collect();
+    let mut loans = Vec::new();
+    for (k, v) in values.iter().enumerate() {
+        if k % 2 == 0 {
+            loans.extend(lend(&eps[0], 1, v).unwrap());
+        } else {
+            eps[0].send(1, v.clone().into()).unwrap();
+        }
+    }
+    for (k, v) in values.iter().enumerate() {
+        assert_eq!(received_bits(&eps[1], 0), bits(v), "message {k}");
+    }
+    for loan in loans {
+        assert_eq!(loan.settle(), Ok(()));
+    }
+}
+
+/// Clause 11: a settle waiting on a peer ends when the peer departs; past
+/// the lender's deadline it revokes the lease, and the peer then gets
+/// `Aborted`, never the chunk.
+fn a_settle_gives_up_on_a_departed_or_late_peer<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+    let mut eps = world(2);
+    let src = vec![7.0f32; 256];
+    let loan = lend(&eps[0], 1, &src).unwrap();
+    let gone = [
+        CollectiveError::Disconnected {
+            peer: eps[0].reported(1),
+        },
+        CollectiveError::Aborted {
+            peer: eps[0].reported(1),
+        },
+    ];
+    let receiver = eps.pop().unwrap();
+    std::thread::scope(|s| {
+        let settle = s.spawn(move || loan.map(Loan::settle));
+        std::thread::sleep(Duration::from_millis(20));
+        drop(receiver);
+        if let Some(ended) = settle.join().unwrap() {
+            assert!(ended.as_ref().is_err_and(|e| gone.contains(e)), "{ended:?}");
+        }
+    });
+
+    let eps = world(2);
+    let d = Duration::from_millis(30);
+    assert!(eps[0].set_recv_timeout(Some(d)));
+    let mut src = vec![8.0f32; 256];
+    if let Some(loan) = lend(&eps[0], 1, &src).unwrap() {
+        assert_eq!(
+            loan.settle(),
+            Err(CollectiveError::Timeout {
+                peer: eps[0].reported(1),
+                millis: 30
+            })
+        );
+        src.fill(-1.0);
+        assert_eq!(
+            eps[1].recv(0).unwrap_err(),
+            CollectiveError::Aborted {
+                peer: eps[1].reported(0)
+            },
+            "a revoked lease is never read"
+        );
+    }
+}
+
+/// Clause 11: leases still queued at an endpoint that drops are released
+/// with it, so their settles end at once.
+fn a_lease_queued_at_a_dropped_endpoint_is_released<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+    let mut eps = world(2);
+    let first = vec![1.0f32; 64];
+    let second = vec![2.0f32; 64];
+    let loans: Vec<Loan> = [&first, &second]
+        .into_iter()
+        .flat_map(|src| {
+            eps[0].send(1, vec![0.5].into()).unwrap();
+            lend(&eps[0], 1, src).unwrap()
+        })
+        .collect();
+    drop(eps.pop());
+    for loan in loans {
+        let start = Instant::now();
+        assert_eq!(
+            loan.settle(),
+            Err(CollectiveError::Disconnected {
+                peer: eps[0].reported(1)
+            })
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "the settle waited"
+        );
+    }
+}
+
+/// Clause 11: once the peer's receive has returned, a settle does not wait
+/// (no deadline is set, so a settle that waited would hang).
+fn a_settle_after_the_receive_does_not_wait<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+    let eps = world(2);
+    let src = vec![3.0f32; 1024];
+    for hop in [true, false] {
+        let loan = lend(&eps[0], 1, &src).unwrap();
+        if hop {
+            assert_eq!(received_bits(&eps[1], 0), bits(&src));
+        } else {
+            assert_eq!(eps[1].recv(0).unwrap(), src);
+        }
+        if let Some(loan) = loan {
+            let start = Instant::now();
+            assert_eq!(loan.settle(), Ok(()));
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "the settle waited"
+            );
+        }
+    }
+}
+
 /// Clause 8.
 fn transparent<E: Endpoint>(
     world: impl Fn(usize) -> Vec<E>,
@@ -541,11 +744,12 @@ fn bad_survivor_lists<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
 }
 
 /// Instantiates every clause for one fabric: its factory, clause 8's
-/// worlds and case count (per wire family: f32, and bf16/f16), and, for a fabric that resizes, how it learns
-/// the survivors, whether it stamps generations, and clause 9's worlds and
-/// case count.
+/// worlds and case count (per wire family: f32, and bf16/f16), whether a
+/// world of two lends (clause 11), and, for a fabric that resizes, how it
+/// learns the survivors, whether it stamps generations, and clause 9's
+/// worlds and case count.
 macro_rules! contract {
-    ($name:ident: $world:expr, worlds $worlds:expr, cases $cases:expr
+    ($name:ident: $world:expr, worlds $worlds:expr, cases $cases:expr, lends $lends:expr
         $(; shrink $resize:ident, stamps $stamps:expr, worlds $sworlds:expr, cases $scases:expr)?) => {
         mod $name {
             use super::*;
@@ -625,6 +829,31 @@ macro_rules! contract {
                 bounded(|| departure($world, Via::SendF32));
             }
 
+            #[test]
+            fn c11_a_lent_chunk_arrives_bit_identical() {
+                bounded(|| lent_chunks_arrive_bit_identical($world, $lends));
+            }
+
+            #[test]
+            fn c11_lent_chunks_keep_fifo_with_send() {
+                bounded(|| lent_chunks_keep_fifo_with_send($world));
+            }
+
+            #[test]
+            fn c11_a_settle_gives_up_on_a_departed_or_late_peer() {
+                bounded(|| a_settle_gives_up_on_a_departed_or_late_peer($world));
+            }
+
+            #[test]
+            fn c11_a_lease_queued_at_a_dropped_endpoint_is_released() {
+                bounded(|| a_lease_queued_at_a_dropped_endpoint_is_released($world));
+            }
+
+            #[test]
+            fn c11_a_settle_after_the_receive_does_not_wait() {
+                bounded(|| a_settle_after_the_receive_does_not_wait($world));
+            }
+
             proptest! {
                 #![proptest_config(ProptestConfig::with_cases($cases))]
 
@@ -679,16 +908,16 @@ macro_rules! contract {
     };
 }
 
-contract!(local: LocalFabric::create, worlds 1usize..7, cases 4;
+contract!(local: LocalFabric::create, worlds 1usize..7, cases 4, lends true;
     shrink Explicit, stamps false, worlds 3usize..6, cases 8);
-contract!(delay: delayed, worlds 1usize..7, cases 4;
+contract!(delay: delayed, worlds 1usize..7, cases 4, lends false;
     shrink Explicit, stamps false, worlds 3usize..6, cases 4);
-contract!(group_view: views, worlds 1usize..7, cases 4);
-contract!(shm: shm, worlds 1usize..7, cases 4;
+contract!(group_view: views, worlds 1usize..7, cases 4, lends true);
+contract!(shm: shm, worlds 1usize..7, cases 4, lends true;
     shrink Explicit, stamps true, worlds 3usize..6, cases 8);
-contract!(tcp: tcp, worlds 1usize..6, cases 8;
+contract!(tcp: tcp, worlds 1usize..6, cases 8, lends false;
     shrink Discovered, stamps true, worlds 3usize..6, cases 4);
-contract!(tiered_1xn: tiered_1xn, worlds 1usize..3, cases 4;
+contract!(tiered_1xn: tiered_1xn, worlds 1usize..3, cases 4, lends true;
     shrink Discovered, stamps true, worlds 3usize..5, cases 2);
-contract!(tiered_2xn: tiered_2xn, worlds 1usize..5, cases 4;
+contract!(tiered_2xn: tiered_2xn, worlds 1usize..5, cases 4, lends false;
     shrink Discovered, stamps true, worlds 3usize..6, cases 2);
