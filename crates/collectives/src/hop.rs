@@ -7,7 +7,7 @@
 //! `d/P` chunk per ring phase). So both peers of a link agree on the
 //! message count by construction, and a collective never has more than one
 //! unreceived message per hop on a link, which is what lets a caller that
-//! sends ahead (the comm thread) size its window against
+//! sends ahead (the communication engine) size its window against
 //! [`crate::MIN_LINK_FRAMES`].
 //!
 //! The helpers here are the **only** place collective algorithms touch
@@ -108,6 +108,26 @@ impl Loans {
     /// Settles every loan.
     pub(crate) fn settle(&mut self) -> Result<(), CollectiveError> {
         self.0.drain(..).try_for_each(|(_, loan)| loan.settle())
+    }
+
+    /// Whether no loan is out.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Polls every loan ([`Loan::poll`]) and drops the settled ones:
+    /// `Ok(true)` once none is left.
+    pub(crate) fn poll(&mut self) -> Result<bool, CollectiveError> {
+        let mut i = 0;
+        while i < self.0.len() {
+            if self.0[i].1.poll()? {
+                // Settled: dropping it does nothing more.
+                drop(self.0.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        Ok(self.0.is_empty())
     }
 }
 
@@ -232,8 +252,34 @@ pub(crate) unsafe fn recv_hop_into<T: Transport>(
     epilogue: &mut impl Epilogue,
     loans: &mut Loans,
 ) -> Result<(), CollectiveError> {
-    loans.settle_overlapping(&range)?;
     let incoming = t.recv_parcel(from)?;
+    // SAFETY: forwarded.
+    unsafe { land_hop(t, from, incoming, buf, range, op, epilogue, loans) }
+}
+
+/// The second half of [`recv_hop_into`], for a parcel already taken off
+/// the link (by a poll): settles the loans on `range`, then reduces or
+/// copies `incoming` into it.
+///
+/// # Safety
+///
+/// As [`recv_hop_into`].
+///
+/// # Errors
+///
+/// As [`recv_hop_into`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn land_hop<T: Transport>(
+    t: &T,
+    from: usize,
+    incoming: Parcel,
+    buf: Chunks,
+    range: Range<usize>,
+    op: Option<ReduceOp>,
+    epilogue: &mut impl Epilogue,
+    loans: &mut Loans,
+) -> Result<(), CollectiveError> {
+    loans.settle_overlapping(&range)?;
     let actual = match &incoming {
         Parcel::Message(msg) => msg.len(),
         Parcel::Lent(lease) => lease.len(),

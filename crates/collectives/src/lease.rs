@@ -137,29 +137,42 @@ pub enum Settled {
     Revoked,
 }
 
-/// The sender's side: waits (`wait` once per poll) until the lease is
-/// released or discarded, or revokes it once `give_up` says so. On return
-/// the chunk is the sender's again: nobody is reading it, and every read
-/// of it happened before.
+/// One look at the sender's side of a lease: its fate once it is decided,
+/// `None` while the receiver may still read the chunk. A lease nobody has
+/// taken is revoked if `give_up` says so (asked only then); one the
+/// receiver is reading stays undecided until it is released.
+pub fn try_settle<C: AtomicCell<Value = u8>>(
+    state: &C,
+    give_up: impl FnOnce() -> bool,
+) -> Option<Settled> {
+    match state.load(Ordering::Acquire) {
+        RELEASED => return Some(Settled::Released),
+        DISCARDED => return Some(Settled::Discarded),
+        _ => {}
+    }
+    if !give_up() {
+        return None;
+    }
+    match state.compare_exchange(PUBLISHED, REVOKED, Ordering::Relaxed, Ordering::Acquire) {
+        Ok(_) => Some(Settled::Revoked),
+        Err(RELEASED) => Some(Settled::Released),
+        Err(DISCARDED) => Some(Settled::Discarded),
+        // TAKEN: the receiver is reading; its release decides.
+        Err(_) => None,
+    }
+}
+
+/// The sender's side: [`try_settle`] until the fate is decided, `wait`
+/// once between looks. On return the chunk is the sender's again: nobody
+/// is reading it, and every read of it happened before.
 pub fn settle<C: AtomicCell<Value = u8>>(
     state: &C,
     mut give_up: impl FnMut() -> bool,
     mut wait: impl FnMut(),
 ) -> Settled {
     loop {
-        match state.load(Ordering::Acquire) {
-            RELEASED => return Settled::Released,
-            DISCARDED => return Settled::Discarded,
-            _ => {}
-        }
-        if give_up() {
-            match state.compare_exchange(PUBLISHED, REVOKED, Ordering::Relaxed, Ordering::Acquire) {
-                Ok(_) => return Settled::Revoked,
-                Err(RELEASED) => return Settled::Released,
-                Err(DISCARDED) => return Settled::Discarded,
-                // TAKEN: the receiver is reading; its release ends the wait.
-                Err(_) => {}
-            }
+        if let Some(settled) = try_settle(state, &mut give_up) {
+            return settled;
         }
         wait();
     }
@@ -227,6 +240,7 @@ impl Lease {
             peer,
             timeout,
             watch,
+            polled_since: None,
         };
         (lease, loan)
     }
@@ -273,6 +287,9 @@ pub struct Loan {
     peer: usize,
     timeout: Option<Duration>,
     watch: Option<(Arc<dyn Liveness>, usize)>,
+    /// When [`Loan::poll`] first found the lease undecided: its deadline
+    /// runs from there.
+    polled_since: Option<Instant>,
 }
 
 impl std::fmt::Debug for Loan {
@@ -303,33 +320,12 @@ impl Loan {
     /// sending endpoint's receive deadline; in the last two cases the lease
     /// is revoked.
     pub fn settle(mut self) -> Result<(), CollectiveError> {
-        self.finish(false)
-    }
-
-    fn finish(&mut self, abandon: bool) -> Result<(), CollectiveError> {
-        let Some(state) = self.state.take() else {
-            return Ok(());
-        };
-        let peer = self.peer;
-        let deadline = self.timeout.map(|t| (Instant::now() + t, t));
-        let mut reason = None;
-        let give_up = || {
-            reason = if abandon {
-                Some(CollectiveError::Aborted { peer })
-            } else if let Some(Err(e)) = self.watch.as_ref().map(|(w, slot)| w.check(*slot, peer)) {
-                Some(e)
-            } else {
-                deadline
-                    .filter(|&(at, _)| Instant::now() >= at)
-                    .map(|(_, t)| CollectiveError::Timeout {
-                        peer,
-                        millis: t.as_millis() as u64,
-                    })
-            };
-            reason.is_some()
-        };
+        let since = Instant::now();
         let mut polls = 0u32;
-        let wait = || {
+        loop {
+            if let Some(settled) = self.look(false, since) {
+                return settled;
+            }
             polls = polls.saturating_add(1);
             if polls < SETTLE_SPINS {
                 std::hint::spin_loop();
@@ -338,18 +334,69 @@ impl Loan {
             } else {
                 std::thread::sleep(SETTLE_SLEEP);
             }
+        }
+    }
+
+    /// [`Loan::settle`] without the wait: `Ok(true)` once the receiver has
+    /// read the chunk (the chunk is then the sender's again), `Ok(false)`
+    /// while it may still read it. The deadline runs from the first poll
+    /// that finds the lease undecided.
+    ///
+    /// # Errors
+    ///
+    /// As [`Loan::settle`]; the chunk is the sender's again then too, and
+    /// every later poll returns `Ok(true)`.
+    pub fn poll(&mut self) -> Result<bool, CollectiveError> {
+        let since = *self.polled_since.get_or_insert_with(Instant::now);
+        match self.look(false, since) {
+            Some(settled) => settled.map(|()| true),
+            None => Ok(false),
+        }
+    }
+
+    /// One look at the lease ([`try_settle`]), giving up when the loan is
+    /// `abandon`ed, the fabric reports the peer gone, or the deadline
+    /// counted from `since` has passed. `None` while undecided (or if the
+    /// loan was settled before); once decided the loan is settled.
+    fn look(&mut self, abandon: bool, since: Instant) -> Option<Result<(), CollectiveError>> {
+        let state = self.state.as_ref()?;
+        let peer = self.peer;
+        let mut reason = None;
+        let give_up = || {
+            reason = if abandon {
+                Some(CollectiveError::Aborted { peer })
+            } else if let Some(Err(e)) = self.watch.as_ref().map(|(w, slot)| w.check(*slot, peer)) {
+                Some(e)
+            } else {
+                self.timeout
+                    .filter(|&t| since.elapsed() >= t)
+                    .map(|t| CollectiveError::Timeout {
+                        peer,
+                        millis: t.as_millis() as u64,
+                    })
+            };
+            reason.is_some()
         };
-        match settle(&*state, give_up, wait) {
+        let settled = try_settle(&**state, give_up)?;
+        self.state = None;
+        Some(match settled {
             Settled::Released => Ok(()),
             Settled::Discarded => Err(CollectiveError::Disconnected { peer }),
             Settled::Revoked => Err(reason.expect("a revoke has a reason")),
-        }
+        })
     }
 }
 
 impl Drop for Loan {
+    /// Revokes the lease unless the receiver is reading it, and then waits
+    /// for that read to end.
     fn drop(&mut self) {
-        let _ = self.finish(true);
+        let since = Instant::now();
+        while self.state.is_some() {
+            if self.look(true, since).is_none() {
+                std::thread::yield_now();
+            }
+        }
     }
 }
 

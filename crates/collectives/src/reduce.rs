@@ -33,7 +33,7 @@ impl ReduceOp {
 
     /// Accumulates `src` into `dst` element-wise: `dst[i] = op(dst[i], src[i])`.
     ///
-    /// Runs on the comm thread with peer-supplied sizes, so a mismatch is a
+    /// Runs on the training thread with peer-supplied sizes, so a mismatch is a
     /// typed error, never a panic — a panic here would abort the comm
     /// thread and defeat the non-panicking elastic recovery path.
     ///
@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn accumulate_length_mismatch_is_a_typed_error_not_a_panic() {
-        // A panic here would abort the comm thread; peer-supplied sizes
+        // A panic here would abort the training thread; peer-supplied sizes
         // must surface as a typed error the recovery path can handle.
         let err = ReduceOp::Sum
             .accumulate(&mut [0.0], &[1.0, 2.0])

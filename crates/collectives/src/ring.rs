@@ -10,7 +10,7 @@ use std::ops::Range;
 
 use crate::chunk::chunk_range;
 use crate::error::CollectiveError;
-use crate::hop::{epilogue_slices, recv_hop_into, send_hop, Chunks, Epilogue, Loans};
+use crate::hop::{epilogue_slices, land_hop, recv_hop_into, send_hop, Chunks, Epilogue, Loans};
 use crate::reduce::ReduceOp;
 use crate::transport::Transport;
 use crate::wire::DType;
@@ -69,8 +69,22 @@ pub struct RingOp {
     sent: usize,
     /// Rounds whose receive has been consumed.
     recvd: usize,
+    /// The last receive — on one rank, the epilogue over the whole buffer —
+    /// has run.
+    landed: bool,
     /// The chunks this op has lent and not yet settled.
     loans: Loans,
+}
+
+/// How long a ring step waits for a message that has not arrived.
+#[derive(Clone, Copy, PartialEq)]
+enum Wait {
+    /// Not at all: only what has arrived is consumed.
+    Never,
+    /// For the first receive, then only for what has arrived.
+    Once,
+    /// For every receive.
+    Always,
 }
 
 impl RingOp {
@@ -86,6 +100,35 @@ impl RingOp {
     #[must_use]
     pub fn all_sent(&self) -> bool {
         self.sent == self.rounds
+    }
+
+    /// Whether every receive of this op has been consumed (on one rank,
+    /// whether its epilogue has run): the values are final, and all that
+    /// may be left is the settle of the chunks it lent. A later op's
+    /// messages on the link come after this op's, so it is the next to
+    /// receive.
+    #[must_use]
+    pub fn landed(&self) -> bool {
+        self.landed
+    }
+
+    /// Whether a chunk this op lent is still out: after [`ring_begin`] on
+    /// a world of two or more, whether the transport lends its hops.
+    #[must_use]
+    pub fn lends(&self) -> bool {
+        !self.loans.is_empty()
+    }
+
+    /// Polls the settle of every chunk this op lent ([`crate::Loan::poll`]):
+    /// `Ok(true)` once none is out, so [`ring_finish`] will not wait. The
+    /// polled loans are settled as they are found released.
+    ///
+    /// # Errors
+    ///
+    /// A settle's error (see [`crate::Loan::settle`]). The op is then dead:
+    /// drop it.
+    pub fn poll_settled(&mut self) -> Result<bool, CollectiveError> {
+        self.loans.poll()
     }
 
     /// `(send chunk, receive chunk, reduction)` of round `r`; the reduction
@@ -136,7 +179,8 @@ impl RingOp {
     }
 
     /// Consumes the next round's receive, reducing or copying it in, with
-    /// `epilogue` on the chunk it lands in.
+    /// `epilogue` on the chunk it lands in: blocking if `wait`, else only
+    /// if it has arrived. `Ok(false)` when it has not.
     ///
     /// # Safety
     ///
@@ -146,17 +190,80 @@ impl RingOp {
         t: &T,
         data: Chunks,
         epilogue: &mut impl Epilogue,
-    ) -> Result<(), CollectiveError> {
+        wait: bool,
+    ) -> Result<bool, CollectiveError> {
         debug_assert_eq!(data.len(), self.len, "ring op handed a different buffer");
         let (rank, world) = (t.rank(), t.world_size());
         let (_, recv_idx, reduce) = self.round(rank, world, self.recvd);
         let range = chunk_range(data.len(), world, recv_idx);
         let prev = (rank + world - 1) % world;
-        // SAFETY: as `send_round`; the receive settles this op's loans on
-        // `range` before it writes there.
-        unsafe { recv_hop_into(t, prev, data, range, reduce, epilogue, &mut self.loans)? };
+        // SAFETY (both): as `send_round`; the receive settles this op's
+        // loans on `range` before it writes there.
+        if wait {
+            unsafe { recv_hop_into(t, prev, data, range, reduce, epilogue, &mut self.loans)? };
+        } else {
+            let Some(incoming) = t.try_recv_parcel(prev)? else {
+                return Ok(false);
+            };
+            unsafe {
+                land_hop(
+                    t,
+                    prev,
+                    incoming,
+                    data,
+                    range,
+                    reduce,
+                    epilogue,
+                    &mut self.loans,
+                )?;
+            };
+        }
         self.recvd += 1;
-        Ok(())
+        self.landed = self.recvd == self.rounds;
+        Ok(true)
+    }
+
+    /// Consumes receives as `wait` allows, each followed by the send it
+    /// unlocks, with `epilogue` fused into the last one (on one rank, run
+    /// over the whole buffer). Returns [`RingOp::landed`].
+    ///
+    /// # Safety
+    ///
+    /// As [`ring_begin`], for the buffer `data` addresses.
+    unsafe fn receive<T: Transport>(
+        &mut self,
+        t: &T,
+        data: Chunks,
+        epilogue: &mut impl Epilogue,
+        mut wait: Wait,
+    ) -> Result<bool, CollectiveError> {
+        if self.rounds == 0 && !self.landed {
+            epilogue.arrived();
+            for s in epilogue_slices(0..data.len()) {
+                // SAFETY: nothing is lent — nothing was sent.
+                epilogue.slice(s.clone(), unsafe { data.get_mut(s) });
+            }
+            self.landed = true;
+        }
+        while !self.landed {
+            let last = self.recvd + 1 == self.rounds;
+            // SAFETY (both): forwarded.
+            let got = if last {
+                unsafe { self.recv_round(t, data, epilogue, wait != Wait::Never)? }
+            } else {
+                unsafe { self.recv_round(t, data, &mut (), wait != Wait::Never)? }
+            };
+            if !got {
+                break;
+            }
+            if !self.all_sent() {
+                unsafe { self.send_round(t, data)? };
+            }
+            if wait == Wait::Once {
+                wait = Wait::Never;
+            }
+        }
+        Ok(self.landed)
     }
 
     /// # Safety
@@ -179,6 +286,7 @@ impl RingOp {
             },
             sent: 0,
             recvd: 0,
+            landed: false,
             loans: Loans::default(),
         };
         if !ring.all_sent() {
@@ -195,7 +303,7 @@ impl RingOp {
         while !self.all_sent() {
             // SAFETY: forwarded.
             unsafe {
-                self.recv_round(t, data, &mut ())?;
+                self.recv_round(t, data, &mut (), true)?;
                 self.send_round(t, data)?;
             }
         }
@@ -212,17 +320,7 @@ impl RingOp {
         epilogue: &mut impl Epilogue,
     ) -> Result<Range<usize>, CollectiveError> {
         // SAFETY: forwarded.
-        unsafe { self.advance(t, data)? };
-        if self.recvd < self.rounds {
-            // SAFETY: forwarded.
-            unsafe { self.recv_round(t, data, epilogue)? };
-        } else {
-            epilogue.arrived();
-            for s in epilogue_slices(0..data.len()) {
-                // SAFETY: nothing is lent — nothing was sent.
-                epilogue.slice(s.clone(), unsafe { data.get_mut(s) });
-            }
-        }
+        unsafe { self.receive(t, data, epilogue, Wait::Always)? };
         self.loans.settle()?;
         let (rank, world) = (t.rank(), t.world_size());
         Ok(match self.kind {
@@ -292,6 +390,57 @@ pub unsafe fn ring_advance<T: Transport>(
 ) -> Result<(), CollectiveError> {
     // SAFETY: the caller's contract.
     unsafe { ring.advance(t, Chunks::of_vec(data)) }
+}
+
+/// Drives `ring` as far as the messages that have **already arrived**
+/// take it, without blocking: each one is reduced or copied in, and the
+/// send it unlocks is posted; `epilogue` is fused into the last receive as
+/// in [`ring_finish_with`] (on one rank, where there is none, it runs over
+/// the whole buffer). Returns [`RingOp::landed`]. Ops begun back to back
+/// share the link, so only the oldest op that has not landed may be
+/// polled: the messages behind its next receive are a later op's.
+///
+/// The poll is [`Transport::try_recv_parcel`]. A transport whose poll
+/// never reports a message (the trait's default) makes no progress here;
+/// [`ring_wait`] or [`ring_finish`] then receive with a blocking call.
+///
+/// # Safety
+///
+/// As [`ring_advance`].
+///
+/// # Errors
+///
+/// As [`ring_advance`]. The op is then dead: drop it.
+pub unsafe fn ring_poll<T: Transport>(
+    t: &T,
+    ring: &mut RingOp,
+    data: &mut Vec<f32>,
+    epilogue: &mut impl Epilogue,
+) -> Result<bool, CollectiveError> {
+    // SAFETY: the caller's contract.
+    unsafe { ring.receive(t, Chunks::of_vec(data), epilogue, Wait::Never) }
+}
+
+/// [`ring_poll`] that first **waits** for the op's next message, so that a
+/// caller with nothing else to do blocks on the link instead of spinning.
+/// Returns [`RingOp::landed`]; a landed op returns at once.
+///
+/// # Safety
+///
+/// As [`ring_advance`].
+///
+/// # Errors
+///
+/// As [`ring_advance`], including a receive deadline's `Timeout`. The op
+/// is then dead: drop it.
+pub unsafe fn ring_wait<T: Transport>(
+    t: &T,
+    ring: &mut RingOp,
+    data: &mut Vec<f32>,
+    epilogue: &mut impl Epilogue,
+) -> Result<bool, CollectiveError> {
+    // SAFETY: the caller's contract.
+    unsafe { ring.receive(t, Chunks::of_vec(data), epilogue, Wait::Once) }
 }
 
 /// Completes `ring`: whatever [`ring_advance`] has left to do, then the last

@@ -36,7 +36,7 @@
 //! The kernels take equal-length slices and are infallible; the public
 //! entry points that face untrusted sizes ([`crate::ReduceOp::accumulate`],
 //! [`crate::WireBuf::accumulate_into`]) validate lengths first and return
-//! typed errors, so nothing here can panic on the comm thread in practice.
+//! typed errors, so nothing here can panic on the training thread in practice.
 
 use crate::wire::{bf16_to_f32, f16_to_f32, f32_to_bf16, f32_to_f16};
 

@@ -156,7 +156,7 @@ impl PartialEq<[f32]> for Message {
 /// What an in-place world resize did to this endpoint: the rank/world pair
 /// it held before, the dense rank it was reassigned, and the generation the
 /// resized world runs at. Returned by [`Transport::reconfigure`] so callers
-/// (e.g. a comm thread re-deriving shard ownership) can rebuild any state
+/// (e.g. a communication engine re-deriving shard ownership) can rebuild any state
 /// keyed on rank or world size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorldChange {
@@ -176,7 +176,7 @@ pub struct WorldChange {
 /// Fewest messages a [`Transport`] must accept on one link before `send`
 /// may wait for the peer to receive. Two ranks that each post this many
 /// sends to the other before either receives must both get through — the
-/// bound a caller that sends ahead of its receives (the comm thread's
+/// bound a caller that sends ahead of its receives (the communication engine's
 /// cross-group send-ahead, `dear-core`) sizes its window against, and the
 /// floor bounded transports clamp their queue depth to.
 pub const MIN_LINK_FRAMES: usize = 4;
@@ -299,6 +299,30 @@ pub trait Transport {
         self.recv(from).map(Parcel::Message)
     }
 
+    /// [`Transport::recv_parcel`] without the wait: the next message from
+    /// `from` if it has arrived, `Ok(None)` at once if it has not. A poll
+    /// and the receives share one FIFO link, and a message a poll returns
+    /// is off the link, as if received. A poll has no deadline: it never
+    /// returns `Timeout`.
+    ///
+    /// The default checks `from` and reports nothing, whatever is queued:
+    /// it takes nothing off the link, so a decorator that does not forward
+    /// the poll loses and reorders nothing. A caller that polls must
+    /// therefore fall back to a blocking receive before it waits for a
+    /// message (the training thread's `progress_until` in `dear-core`
+    /// does). A fabric overrides it, and a decorator that renumbers ranks
+    /// or observes the link forwards it.
+    ///
+    /// # Errors
+    ///
+    /// [`CollectiveError::InvalidRank`] as [`Transport::recv`];
+    /// [`CollectiveError::Disconnected`] once the peer has departed and
+    /// everything it sent before has been received; a fabric's own
+    /// verdicts (`Aborted`, `StaleGeneration`) as its `recv` reports them.
+    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
+        self.check_peer(from).map(|()| None)
+    }
+
     /// Sets a deadline for subsequent [`Transport::recv`] calls: when no
     /// message is queued within `timeout`, `recv` returns
     /// [`CollectiveError::Timeout`] instead of blocking forever — so a
@@ -368,6 +392,64 @@ pub trait Transport {
         } else {
             Ok(())
         }
+    }
+}
+
+/// A boxed transport is the transport it holds: every method forwards, so
+/// a runtime that stores its endpoint behind `Box<dyn Transport + Send>`
+/// keeps every override (lending, the poll) of the concrete fabric.
+impl<T: Transport + ?Sized> Transport for Box<T> {
+    fn rank(&self) -> usize {
+        (**self).rank()
+    }
+
+    fn world_size(&self) -> usize {
+        (**self).world_size()
+    }
+
+    fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
+        (**self).send(to, msg)
+    }
+
+    fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
+        (**self).send_f32(to, src)
+    }
+
+    unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
+        // SAFETY: the caller's contract, passed on unchanged.
+        unsafe { (**self).lend_f32(to, src) }
+    }
+
+    fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
+        (**self).recv(from)
+    }
+
+    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
+        (**self).recv_parcel(from)
+    }
+
+    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
+        (**self).try_recv_parcel(from)
+    }
+
+    fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
+        (**self).set_recv_timeout(timeout)
+    }
+
+    fn take_buffer(&self, capacity_bytes: usize) -> Vec<u8> {
+        (**self).take_buffer(capacity_bytes)
+    }
+
+    fn recycle_buffer(&self, buf: Vec<u8>) {
+        (**self).recycle_buffer(buf);
+    }
+
+    fn reconfigure(&mut self, survivors: Option<&[usize]>) -> Result<WorldChange, CollectiveError> {
+        (**self).reconfigure(survivors)
+    }
+
+    fn check_peer(&self, peer: usize) -> Result<(), CollectiveError> {
+        (**self).check_peer(peer)
     }
 }
 
@@ -463,6 +545,29 @@ impl LocalEndpoint {
             .expect("validated peer has a channel")
             .send(parcel)
             .map_err(|_| CollectiveError::Disconnected { peer: to })
+    }
+
+    /// The queue of the validated peer `from`.
+    fn inbox(&self, from: usize) -> &Receiver<Parcel> {
+        self.receivers[from]
+            .as_ref()
+            .expect("validated peer has a channel")
+    }
+
+    /// `parcel`, unless it is `from`'s resize flush marker. A still-failing
+    /// collective can pull the marker off the channel before the
+    /// reconfigure drain runs: it is latched, so that the drain (and every
+    /// later pre-resize receive) knows, and the receive fails — the marker
+    /// means the peer has moved on.
+    fn unless_marker(&self, from: usize, parcel: Parcel) -> Result<Parcel, CollectiveError> {
+        if let Parcel::Message(msg) = &parcel {
+            let p = msg.payload();
+            if p.dtype() == DType::U8 && p.bytes() == LOCAL_RESIZE_MARKER {
+                self.marker_seen.lock().expect("marker latch poisoned")[from] = true;
+                return Err(CollectiveError::Aborted { peer: from });
+            }
+        }
+        Ok(parcel)
     }
 }
 
@@ -614,9 +719,7 @@ impl Transport for LocalEndpoint {
         if self.marker_seen.lock().expect("marker latch poisoned")[from] {
             return Err(CollectiveError::Aborted { peer: from });
         }
-        let rx = self.receivers[from]
-            .as_ref()
-            .expect("validated peer has a channel");
+        let rx = self.inbox(from);
         let timeout = *self.recv_timeout.lock().expect("recv timeout poisoned");
         let parcel = match timeout {
             None => rx
@@ -632,18 +735,21 @@ impl Transport for LocalEndpoint {
                 }
             }),
         }?;
-        // A still-failing collective can pull the flush marker off the
-        // channel before the reconfigure drain runs. Latch it so the drain
-        // (and every later pre-resize receive) knows, and fail this
-        // collective — the marker means the peer has moved on.
-        if let Parcel::Message(msg) = &parcel {
-            let p = msg.payload();
-            if p.dtype() == DType::U8 && p.bytes() == LOCAL_RESIZE_MARKER {
-                self.marker_seen.lock().expect("marker latch poisoned")[from] = true;
-                return Err(CollectiveError::Aborted { peer: from });
+        self.unless_marker(from, parcel)
+    }
+
+    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
+        self.check_peer(from)?;
+        if self.marker_seen.lock().expect("marker latch poisoned")[from] {
+            return Err(CollectiveError::Aborted { peer: from });
+        }
+        match self.inbox(from).try_recv() {
+            Ok(parcel) => self.unless_marker(from, parcel).map(Some),
+            Err(crossbeam_channel::TryRecvError::Empty) => Ok(None),
+            Err(crossbeam_channel::TryRecvError::Disconnected) => {
+                Err(CollectiveError::Disconnected { peer: from })
             }
         }
-        Ok(parcel)
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
@@ -880,6 +986,9 @@ pub struct DelayFabric<T> {
     /// `busy_until[to]`: when the outgoing link to `to` finishes serializing
     /// the last message queued on it.
     busy_until: Mutex<Vec<Option<Instant>>>,
+    /// `held[from]`: a message a poll took off the link before its stamp.
+    /// It is the next one `from` delivers, to a later poll or `recv`.
+    held: Mutex<Vec<Option<Message>>>,
 }
 
 impl<T: Transport> DelayFabric<T> {
@@ -891,6 +1000,7 @@ impl<T: Transport> DelayFabric<T> {
             inner,
             model,
             busy_until: Mutex::new(vec![None; world]),
+            held: Mutex::new((0..world).map(|_| None).collect()),
         }
     }
 
@@ -935,11 +1045,35 @@ impl<T: Transport> Transport for DelayFabric<T> {
     }
 
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
-        let msg = self.inner.recv(from)?;
+        self.check_peer(from)?;
+        let held = self.held.lock().expect("held messages poisoned")[from].take();
+        let msg = match held {
+            Some(msg) => msg,
+            None => self.inner.recv(from)?,
+        };
         if let Some(at) = msg.deliver_at() {
             wait_until(at);
         }
         Ok(msg.without_deliver_at())
+    }
+
+    /// A message whose stamp has passed; one still on the emulated wire is
+    /// held back, in its place on the link, until a later poll or `recv`.
+    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
+        self.check_peer(from)?;
+        let mut held = self.held.lock().expect("held messages poisoned");
+        let msg = match held[from].take() {
+            Some(msg) => msg,
+            None => match self.inner.try_recv_parcel(from)? {
+                Some(parcel) => parcel.into_message(|bytes| self.inner.take_buffer(bytes), from)?,
+                None => return Ok(None),
+            },
+        };
+        if msg.deliver_at().is_some_and(|at| Instant::now() < at) {
+            held[from] = Some(msg);
+            return Ok(None);
+        }
+        Ok(Some(Parcel::Message(msg.without_deliver_at())))
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
@@ -960,6 +1094,8 @@ impl<T: Transport> Transport for DelayFabric<T> {
     fn reconfigure(&mut self, survivors: Option<&[usize]>) -> Result<WorldChange, CollectiveError> {
         let change = self.inner.reconfigure(survivors)?;
         *self.busy_until.lock().expect("link clock poisoned") = vec![None; change.new_world];
+        *self.held.lock().expect("held messages poisoned") =
+            (0..change.new_world).map(|_| None).collect();
         Ok(change)
     }
 }
@@ -1037,6 +1173,11 @@ impl<T: Transport> Transport for GroupTransport<'_, T> {
     fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
         self.check_peer(from)?;
         self.inner.recv_parcel(self.members[from])
+    }
+
+    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
+        self.check_peer(from)?;
+        self.inner.try_recv_parcel(self.members[from])
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {

@@ -221,7 +221,7 @@ pub fn round_to_wire(data: &mut [f32], wire: DType) {
 
 /// A typed error for a payload that cannot be interpreted as `f32`
 /// elements — an opaque [`DType::U8`] buffer arriving where a numeric one
-/// was expected. Peer-supplied, so it must never panic the comm thread.
+/// was expected. Peer-supplied, so it must never panic the training thread.
 fn opaque_payload_error(bytes: usize) -> CollectiveError {
     CollectiveError::WireFormat {
         dtype: DType::U8.name(),
@@ -387,7 +387,7 @@ impl WireBuf {
     /// Decodes (widening if narrow) into `dst` — the receive-side cast.
     /// Exact for every dtype: bf16/f16 → f32 widening never rounds.
     ///
-    /// Both failure modes are peer-triggerable on the comm thread (the
+    /// Both failure modes are peer-triggerable on the training thread (the
     /// payload arrived off the wire), so they are typed errors, not panics.
     ///
     /// # Errors
@@ -445,7 +445,7 @@ impl WireBuf {
     /// # Panics
     ///
     /// Panics for opaque ([`DType::U8`]) payloads — a convenience for
-    /// tests and local (not peer-facing) callers; the comm thread uses
+    /// tests and local (not peer-facing) callers; the training thread uses
     /// [`WireBuf::decode_into`], which returns a typed error instead.
     #[must_use]
     pub fn to_f32_vec(&self) -> Vec<f32> {
@@ -466,7 +466,7 @@ impl WireBuf {
     /// Returns [`CollectiveError::SizeMismatch`] if
     /// `dst.len() != len_elems`, and [`CollectiveError::WireFormat`] for an
     /// opaque ([`DType::U8`]) payload — both are peer-triggerable and must
-    /// never panic the comm thread.
+    /// never panic the training thread.
     pub fn accumulate_into(&self, dst: &mut [f32], op: ReduceOp) -> Result<(), CollectiveError> {
         self.check_len(dst)?;
         self.accumulate_part_into(0, dst, op)

@@ -17,7 +17,7 @@
 //!
 //! The format is also **strategy-independent**: [`OptimState`] is always
 //! the full-length exchange form, keyed by global offset (zeros outside
-//! this rank's shard), although the comm thread keeps the state in group
+//! this rank's shard), although the engine keeps the state in group
 //! coordinates — only the ranges it updates, group after group — and
 //! translates through the layout's items on export and import. A run checkpointed
 //! under one strategy therefore resumes under any other without a version

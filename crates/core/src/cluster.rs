@@ -1,13 +1,12 @@
-//! Cluster orchestration: spawn `P` worker threads (plus their comm
-//! threads) over a shared in-process fabric and run real distributed
-//! training.
-
-use crossbeam_channel::unbounded;
+//! Cluster orchestration: one worker per rank — a training thread that
+//! owns its rank's endpoint and drives the communication engine from its
+//! own layer hooks — over any fabric, or `P` of them over a shared
+//! in-process fabric, running real distributed training.
 
 use dear_collectives::{run_cluster, DType, Transport};
 use dear_minidnn::{Sequential, Sgd};
 
-use crate::comm::{run_comm_thread, CommJob, CommResult, HyperParams, OptimKind};
+use crate::comm::{CommEngine, HyperParams, OptimKind};
 use crate::dist_optim::{DistOptim, PipelineMode};
 use crate::layout::GroupLayout;
 use crate::strategy::ParallelismStrategy;
@@ -102,8 +101,7 @@ pub struct WorkerHandle {
     rank: usize,
     world: usize,
     config: TrainConfig,
-    jobs: crossbeam_channel::Sender<CommJob>,
-    results: crossbeam_channel::Receiver<CommResult>,
+    transport: Box<dyn Transport + Send>,
     trace_scope: String,
 }
 
@@ -146,35 +144,37 @@ impl WorkerHandle {
         }
         let layout =
             GroupLayout::from_buffer_wire(net, self.config.fusion_buffer, self.config.wire);
+        let engine = CommEngine::new(
+            self.transport,
+            self.config.hyper(),
+            self.config.strategy,
+            self.config.mode,
+            &self.trace_scope,
+        );
         DistOptim::new(
-            self.rank,
-            self.world,
+            engine,
             self.config.mode,
             layout,
-            self.jobs,
-            self.results,
             self.config.optim,
             &self.trace_scope,
         )
     }
 }
 
-/// Runs ONE rank of a distributed job over an arbitrary [`Transport`]: the
-/// comm thread is spawned around `transport`, `f` runs on the calling
-/// thread with a [`WorkerHandle`], and the comm thread is joined before
-/// returning. This is the entry point a real multi-process deployment uses
-/// — build a transport (e.g. `dear-net`'s `TcpEndpoint` from `RANK` /
-/// `WORLD_SIZE` / `MASTER_ADDR`) and hand it here; [`run_training`] is the
-/// in-process convenience that calls this once per rank over a
+/// Runs ONE rank of a distributed job over an arbitrary [`Transport`]: `f`
+/// runs on the calling thread with a [`WorkerHandle`] that owns
+/// `transport`, and the [`DistOptim`] it builds drives the rank's
+/// communication from the training step itself — no thread is spawned.
+/// This is the entry point a real multi-process deployment uses — build a
+/// transport (e.g. `dear-net`'s `TcpEndpoint` from `RANK` / `WORLD_SIZE` /
+/// `MASTER_ADDR`) and hand it here; [`run_training`] is the in-process
+/// convenience that calls this once per rank over a
 /// [`dear_collectives::LocalFabric`]. To train over an emulated link, wrap
 /// every rank's endpoint in a [`dear_collectives::DelayFabric`] before
 /// handing it here.
 ///
-/// # Panics
-///
-/// Panics if the comm thread panicked — a bug, not a failed collective,
-/// which it reports and outlives; by then the worker closure has usually
-/// already panicked itself on the dead job channel.
+/// A `DistOptim` dropped with communication outstanding finishes this
+/// rank's part of it first, so its peers are not left waiting.
 pub fn run_worker<T, F, R>(transport: T, config: TrainConfig, f: F) -> R
 where
     T: Transport + Send + 'static,
@@ -182,53 +182,24 @@ where
 {
     let rank = transport.rank();
     let world = transport.world_size();
-    let hyper = config.hyper();
-    let strategy = config.strategy;
-    let mode = config.mode;
-    // Unique per worker so concurrent in-process clusters never share a
-    // trace stream (see `trace`'s stream-naming contract).
-    let trace_scope = crate::trace::unique_scope(rank);
-    let comm_scope = trace_scope.clone();
-    let (job_tx, job_rx) = unbounded::<CommJob>();
-    let (res_tx, res_rx) = unbounded::<CommResult>();
-    // Comm thread: serves jobs — the first installs the worker's layout —
-    // until the worker drops its job sender.
-    let comm_main = move || {
-        run_comm_thread(
-            transport,
-            hyper,
-            strategy,
-            mode,
-            &comm_scope,
-            &job_rx,
-            &res_tx,
-        )
-    };
-    let comm = std::thread::Builder::new()
-        .name(format!("dear-comm-r{rank}"))
-        .spawn(comm_main)
-        .expect("spawning the comm thread");
-    let handle = WorkerHandle {
+    f(WorkerHandle {
         rank,
         world,
         config,
-        jobs: job_tx,
-        results: res_rx,
-        trace_scope,
-    };
-    let out = f(handle);
-    comm.join().expect("comm thread panicked");
-    out
+        transport: Box::new(transport),
+        // Unique per worker so concurrent in-process clusters never share
+        // a trace stream (see `trace`'s stream-naming contract).
+        trace_scope: crate::trace::unique_scope(rank),
+    })
 }
 
-/// Spawns `world` workers (each with a companion comm thread over a shared
-/// in-process fabric), runs `f` on every rank, and returns the per-rank
-/// results in rank order: [`run_worker`] on every rank of a
-/// [`run_cluster`].
+/// Spawns `world` workers over a shared in-process fabric, runs `f` on
+/// every rank, and returns the per-rank results in rank order:
+/// [`run_worker`] on every rank of a [`run_cluster`].
 ///
 /// # Panics
 ///
-/// Panics if any worker or comm thread panics.
+/// Panics if any worker panics.
 pub fn run_training<F, R>(world: usize, config: TrainConfig, f: F) -> Vec<R>
 where
     F: Fn(WorkerHandle) -> R + Sync,
@@ -518,7 +489,7 @@ mod tests {
     #[test]
     fn adam_rebucketing_preserves_moments() {
         // `set_fusion_buffer` mid-run (the BO path): the next step re-packs
-        // the network's store to the new groups and the comm thread
+        // the network's store to the new groups and the engine
         // re-partitions the moments. Trains 8 steps, re-buckets to `second`
         // (if given), trains 8 more.
         let data = BlobDataset::new(6, 3, 0.4, 125);
@@ -1045,7 +1016,7 @@ mod tests {
     #[test]
     fn a_checkpoint_of_another_model_is_refused_and_training_goes_on() {
         // A well-formed optimizer state of the wrong length must never
-        // reach the comm thread (which could only die of it, and take the
+        // reach the engine (which could only die of it, and take the
         // worker down at its next job): it is refused with a typed error,
         // nothing is imported, and the same `DistOptim` trains on exactly
         // as if it had never been asked.
@@ -1385,7 +1356,7 @@ mod tests {
     fn the_optimizer_state_exchange_format_is_pinned() {
         // The full-length, global-offset-keyed `OptimState` is what
         // checkpoints store and what a rebalance re-partitions, whatever
-        // layout the comm thread keeps the state in. Hash every rank's
+        // layout the engine keeps the state in. Hash every rank's
         // export of a world-3, fusion-256 run: a change to the exchange
         // format — or to the arithmetic behind it — breaks the pin.
         use crate::checkpoint::fnv1a64;

@@ -1,35 +1,38 @@
-//! The per-worker communication thread — the "communication package" box
+//! The per-worker communication engine — the "communication package" box
 //! of the paper's Fig. 4.
 //!
-//! Each worker (rank) owns one companion thread holding that rank's fabric
-//! endpoint. The training thread posts jobs; the comm thread executes the
-//! collectives asynchronously, which is what lets reduce-scatters overlap
-//! backprop (BackPipe) and all-gathers overlap the next feed-forward
-//! (FeedPipe) in *real wall-clock time*.
+//! Each worker (rank) owns one [`CommEngine`] holding that rank's fabric
+//! endpoint, and its training thread drives it: jobs are posted from the
+//! backprop hooks, and every layer hook moves the collectives in flight as
+//! far as the arrived messages take them. That is what lets reduce-scatters
+//! overlap backprop (BackPipe) and all-gathers overlap the next
+//! feed-forward (FeedPipe) in *real wall-clock time* without a second
+//! thread competing with the training thread for a core.
 //!
-//! The comm thread is also the only optimizer: in DeAR mode it updates the
-//! parameter shard this rank owns after the reduce-scatter (the paper's
+//! The engine is also the only optimizer: in DeAR mode it updates the
+//! parameter shard this rank owns as the reduce-scatter lands (the paper's
 //! implementation updates sharded parameters and all-gathers the *updated
 //! parameters*, the design §VII-B relates to ZeRO/FSDP), in WFBP mode every
 //! group, whole, after the step's last all-reduce.
 
-use crossbeam_channel::{Receiver, Sender};
-
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::Arc;
+use std::time::Duration;
 
 use dear_collectives::{
-    chunk_range, compact_owned_shard, naive_all_reduce, ring_advance, ring_all_reduce_on_wire,
-    ring_begin, ring_finish, ring_finish_with, ring_owned_chunk, tree_broadcast, CollectiveError,
-    DType, Epilogue, ReduceOp, RingKind, RingOp, Transport, WorldChange, MIN_LINK_FRAMES,
+    chunk_range, compact_owned_shard, naive_all_reduce, ring_all_reduce_on_wire, ring_begin,
+    ring_finish, ring_owned_chunk, ring_poll, ring_wait, tree_broadcast, CollectiveError, DType,
+    Epilogue, ReduceOp, RingKind, RingOp, Transport, WorldChange, MIN_LINK_FRAMES,
 };
+use dear_minidnn::ParamStore;
 
 use crate::dist_optim::PipelineMode;
 use crate::layout::GroupLayout;
 use crate::strategy::ParallelismStrategy;
 use crate::trace::{self, TaskKind};
 
-/// The comm thread's resident optimizer storage, in group coordinates:
+/// The engine's resident optimizer storage, in group coordinates:
 /// per group, the range this rank updates — DeAR's owned ring chunk,
 /// WFBP's whole group — with the state vectors holding those ranges back
 /// to back, group after group. `OP1.UPD` never touches an element outside
@@ -176,7 +179,7 @@ impl OptimStore {
 }
 
 /// A stashed group awaiting the flush: the group's circulating buffers
-/// parked comm-side between OP1 and OP2 (DESIGN.md §4.17), or under WFBP
+/// parked in the engine between OP1 and OP2 (DESIGN.md §4.17), or under WFBP
 /// between its all-reduce and the update.
 enum StashEntry {
     /// The parameter buffer (DeAR's updated, WFBP's to update) plus the
@@ -196,7 +199,7 @@ enum StashEntry {
 impl StashEntry {
     /// The full-length parameter buffer to all-gather, and the gradient
     /// buffer to return with it (empty under ZeRO-2, whose OP1 compacted
-    /// it into the chunk — the training thread re-sizes an empty buffer).
+    /// it into the chunk — the store re-sizes an empty buffer).
     fn into_buffers(self) -> (Vec<f32>, Vec<f32>) {
         match self {
             StashEntry::Full { params, grads } => (params, grads),
@@ -364,6 +367,8 @@ impl<'a> GroupUpdate<'a> {
 struct Op1Tail<'a> {
     group: usize,
     update: GroupUpdate<'a>,
+    /// The comm stream both spans land on.
+    stream: &'a Arc<str>,
     /// Open until the payload arrives.
     rs: Option<trace::Span>,
     /// Open from then on.
@@ -376,7 +381,7 @@ impl Epilogue for Op1Tail<'_> {
             rs.end();
         }
         let group = self.group;
-        self.upd = Some(trace::span(TaskKind::Other, || {
+        self.upd = Some(trace::span_on(self.stream, TaskKind::Other, || {
             format!("OP1.UPD[g{group}]")
         }));
     }
@@ -415,7 +420,7 @@ impl OptimKind {
     }
 }
 
-/// Optimizer hyper-parameters of the comm thread's update.
+/// Optimizer hyper-parameters of the engine's update.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyperParams {
     /// Learning rate.
@@ -429,7 +434,7 @@ pub struct HyperParams {
     pub kind: OptimKind,
 }
 
-/// The comm thread's sharded optimizer state, exportable for
+/// The engine's sharded optimizer state, exportable for
 /// checkpointing and importable on resume. `velocity` doubles as Adam's
 /// first moment. A vector is empty when no state of its kind exists — the
 /// velocity until SGD with momentum or Adam has stepped (SGD without
@@ -449,137 +454,67 @@ pub struct OptimState {
     pub adam_step: u64,
 }
 
-/// Jobs posted by the training thread.
-#[derive(Debug)]
-pub enum CommJob {
+/// Ring work queued behind the ops in flight, in program order.
+enum Job {
     /// A group's gradients are ready: the job *moves* the group's two
-    /// circulating buffers to the comm thread; the matching
-    /// [`CommResult::Params`] moves them back (DESIGN.md §4.17). DeAR
-    /// (OP1): reduce-scatter `grads`, update the owned shard of `params` in
-    /// place, stash both for the flush's all-gather. WFBP: all-reduce
-    /// `grads` in place to their sums and stash both for the flush's
-    /// update.
+    /// circulating buffers into the engine, and [`Home::put`] moves them
+    /// back (DESIGN.md §4.17). DeAR (OP1): reduce-scatter `grads`, update
+    /// the owned shard of `params` in place, stash both for the flush's
+    /// all-gather. WFBP: all-reduce `grads` in place to their sums and
+    /// stash both for the flush's update.
     Reduce {
-        /// Group id.
         group: usize,
-        /// Flat gradients (group order).
         grads: Vec<f32>,
-        /// Flat parameters (group order).
         params: Vec<f32>,
     },
-    /// The end of a step's communication, replying with one `Params` per
-    /// stashed group, in reverse stash order (forward order). DeAR: OP2,
-    /// the all-gather of every group's updated parameters. WFBP: the
-    /// update of every group, whole, from its all-reduced sums.
+    /// The end of a step's communication, taken once nothing is in flight.
+    /// DeAR: OP2, the all-gather of every stashed group, newest first
+    /// (forward order). WFBP: the update of every group, whole, from its
+    /// all-reduced sums.
     Flush,
-    /// Broadcast `value` from `root` to all ranks (BO buffer-size sync).
-    Broadcast {
-        /// Root rank.
-        root: usize,
-        /// The value broadcast (only the root's value matters).
-        value: f64,
-    },
-    /// Synchronize all ranks.
-    Barrier,
-    /// Install a fusion layout — the first one, which the comm thread
-    /// waits for holding the layout of no tensors, or a BO re-bucketing —
-    /// or re-partition the optimizer state after a resize under the current
-    /// one. The state is exported under the old layout and imported under
-    /// the new one, so it survives. The layout also sets the data path's
-    /// wire dtype.
-    Reconfigure {
-        /// The new layout.
-        layout: GroupLayout,
-    },
-    /// Replace the optimizer hyper-parameters (e.g. a learning-rate
-    /// schedule step). Applies to subsequent updates.
-    SetHyper(HyperParams),
-    /// Clone the sharded optimizer state for checkpointing, replying with
-    /// [`CommResult::OptimState`]. Must be posted at an iteration boundary.
-    ExportOptimState,
-    /// Replace the sharded optimizer state (checkpoint resume). Must be
-    /// posted at an iteration boundary, before the first `Reduce`.
-    ImportOptimState(OptimState),
-    /// In-place elastic resize: re-run rendezvous through
-    /// [`Transport::reconfigure`] and adopt the surviving world's new rank
-    /// and size, replying with [`CommResult::Resized`]. Must be posted at
-    /// an iteration boundary; a mid-step request is refused with a typed
-    /// error, never honoured.
-    ResizeWorld {
-        /// Explicit survivor list (old ranks) for transports that cannot
-        /// discover survivors themselves (e.g. the in-process fabric);
-        /// `None` lets the transport run its own membership protocol.
-        survivors: Option<Vec<usize>>,
-    },
-    /// Min-allreduce a step counter so every rank resumes from the same
-    /// step after a resize, replying with [`CommResult::Step`]. The value
-    /// rides the f32 control path in two 24-bit halves: exact below 2^48.
-    AgreeStep(u64),
-    /// Report the resident optimizer-state bytes on this rank, replying
-    /// with [`CommResult::OptimBytes`]. Purely local — no communication —
-    /// and valid at any time; this is what the ZeRO memory assertions read.
-    QueryOptimBytes,
 }
 
-/// Replies sent back to the training thread.
-#[derive(Debug)]
-pub enum CommResult {
-    /// Updated, complete parameters of one group, in the buffer its
-    /// `Reduce` shipped, together with that job's spent gradient buffer.
-    Params {
-        /// Group id.
-        group: usize,
-        /// Flat parameters.
-        params: Vec<f32>,
-        /// The group's gradient buffer, contents spent — the next
-        /// iteration's staging area. Empty under ZeRO-2, whose OP1
-        /// compacts the full-length buffer into the parked chunk.
-        grads: Vec<f32>,
-    },
-    /// The broadcast value.
-    Broadcast(f64),
-    /// Barrier completion.
-    BarrierDone,
-    /// The exported optimizer state.
-    OptimState(OptimState),
-    /// The outcome of a [`CommJob::ResizeWorld`] request. `Ok` carries the
-    /// adopted world change; `Err` means the resize was refused (mid-step)
-    /// or the rendezvous failed. Distinct from [`CommResult::Error`] so the
-    /// training thread can drain stale pre-failure results until it sees
-    /// this reply — the FIFO job channel guarantees everything enqueued
-    /// before the resize drains first.
-    Resized(Result<WorldChange, CollectiveError>),
-    /// The agreed (minimum) step across the world.
-    Step(u64),
-    /// Resident optimizer-state bytes on this rank: velocity plus second
-    /// moment, dense over the owned shard, for the vectors that exist — 0
-    /// under SGD without momentum, which keeps none.
-    OptimBytes(usize),
-    /// A collective failed. The job that posted it was abandoned, and so
-    /// was everything of the iteration held comm-side — ring ops begun
-    /// ahead, the stash — the step cannot be resumed. The transport stays
-    /// broken until a successful [`CommJob::ResizeWorld`] (or the worker
-    /// tears down and restarts); ring jobs posted before then are dropped
-    /// without a reply of their own.
-    Error(CollectiveError),
+/// Where the engine hands a group's buffers back: the training side's
+/// parameter store, whose segment the group is.
+pub(crate) trait Home {
+    /// Takes back `group`'s parameters, updated and complete, and its
+    /// gradient buffer, spent — the next iteration's staging area; empty
+    /// under ZeRO-2, whose OP1 compacts it into the stashed chunk.
+    fn put(&mut self, group: usize, params: Vec<f32>, grads: Vec<f32>);
 }
 
-/// Ring ops the comm thread may have begun beyond the one it is finishing
-/// (DESIGN.md §4.18). A constant, not a knob: two covers the one software
-/// wake-up a receive costs, and every op ahead holds a wire buffer (and,
-/// under ZeRO-2, a rebuilt parameter buffer) alive.
+impl Home for ParamStore {
+    fn put(&mut self, group: usize, params: Vec<f32>, grads: Vec<f32>) {
+        self.put_params(group, params);
+        self.put_grads(group, grads);
+    }
+}
+
+/// A home that drops what it is handed: where an engine dropped with work
+/// in flight sends its groups.
+struct Discard;
+
+impl Home for Discard {
+    fn put(&mut self, _: usize, _: Vec<f32>, _: Vec<f32>) {}
+}
+
+/// Ring ops the engine may have begun beyond the oldest one in flight
+/// (DESIGN.md §4.18). A constant, not a knob: every op ahead holds a group
+/// buffer on the wire (and, under ZeRO-2, a rebuilt parameter buffer), and
+/// on a lending fabric an op leaves the window only once its peer has read
+/// what it lent, which bounds the messages a link holds.
 const SEND_AHEAD_WINDOW: usize = 2;
 
-// The head op and everything begun ahead of it each have one unreceived
+// The oldest op and everything begun ahead of it each have one unreceived
 // message per link at worst; a transport must take them all.
 const _: () = assert!(SEND_AHEAD_WINDOW < MIN_LINK_FRAMES);
 
 /// The control path (broadcast, barrier, step agreement, optimizer-state
 /// redistribution) must stay bit-exact whatever the run's wire dtype:
-/// `Broadcast` ships an f64 as two f32 bit-words (any rounding corrupts the
-/// value), and `Reconfigure` redistributes optimizer state that checkpoints
-/// expect unrounded. Only the data path (`Reduce` and `Flush`) rides the
-/// layout's wire.
+/// `broadcast` ships an f64 as two f32 bit-words (any rounding corrupts the
+/// value), and `reconfigure` redistributes optimizer state that checkpoints
+/// expect unrounded. Only the data path (the ring jobs) rides the layout's
+/// wire.
 const CONTROL: DType = DType::F32;
 
 /// Elements of the largest chunk any group of `layout` splits into.
@@ -590,13 +525,13 @@ fn largest_chunk(layout: &GroupLayout, world: usize) -> usize {
         .unwrap_or(0)
 }
 
-/// A ring collective the comm thread has begun and not yet finished,
-/// with the group buffers that travel with it.
+/// A ring collective the engine has begun and not yet finished, with the
+/// group buffers that travel with it.
 ///
 /// `data` keeps the contract of [`ring_begin`]: from `begin` to `finish` it
 /// is handed only to the ring calls, which address it through
 /// `Vec::as_mut_ptr` while the peer reads its lent chunks in place. `ring`
-/// is declared before `data`, so when [`CommThread::fail`] clears the ops
+/// is declared before `data`, so when [`CommEngine::fail`] clears the ops
 /// in flight each op's loans are abandoned (revoked, or waited out) before
 /// its buffer is freed.
 struct InFlight {
@@ -609,10 +544,10 @@ struct InFlight {
     /// behind a reduce-scatter or an all-reduce, the spent gradients behind
     /// an all-gather.
     other: Vec<f32>,
-    /// The op's span, already open if it was begun with nothing in flight
-    /// (its own first send then belongs to it). An op begun ahead gets its
-    /// span when it becomes the head: its first send happened inside its
-    /// predecessor's span, and the comm stream stays serial.
+    /// The op's span, open from when it became the op that receives — the
+    /// oldest one that has not landed — to its landing. An op begun ahead
+    /// gets its span when its turn comes: its first send happened inside
+    /// its predecessor's span, and the comm stream stays serial.
     span: Option<trace::Span>,
 }
 
@@ -625,71 +560,227 @@ fn op_label(kind: RingKind, group: usize) -> String {
     }
 }
 
-/// The state of one rank's comm thread (see [`run_comm_thread`]).
-struct CommThread<'a, T> {
+/// One rank's communication engine — the "communication package" of the
+/// paper's Fig. 4 — owned and driven by the rank's training thread.
+///
+/// **Progress by polling.** The engine has no thread of its own: every
+/// call moves the ring ops in flight as far as the messages that have
+/// arrived and the loans the peer has released take them, and returns.
+/// [`CommEngine::post`] queues a group's ring job and makes progress;
+/// [`CommEngine::progress`], called at every layer hook of the training
+/// step, makes progress; [`CommEngine::progress_until`] makes progress
+/// until a condition holds, blocking on the link when there is nothing
+/// else to do — the feed-forward's wait for a group's parameters, the
+/// flush of a WFBP step and `synchronize`. So the rank that produces the
+/// data also moves it, and two ranks on two cores do not time-share four
+/// threads. Control calls (broadcast, barrier, resize, ...) are direct
+/// calls at an iteration boundary.
+///
+/// **Cross-group send-ahead** (DESIGN.md §4.18). The ring jobs — the
+/// reduce-scatters of DeAR's backprop (WFBP: all-reduces) and the
+/// all-gathers of its flush — run split-phase ([`ring_begin`] →
+/// [`ring_poll`] / [`ring_wait`] → [`ring_finish`]). A job is begun — its
+/// first send posted — as soon as every op before it has posted its last
+/// send, with at most [`SEND_AHEAD_WINDOW`] ops ahead of the oldest. That
+/// one rule keeps every op's messages contiguous on the link, in the order
+/// of the one-group-at-a-time schedule, so the peers need no tags and
+/// results are bit-identical. Ops receive in that order too, the oldest
+/// that has not landed first, and finish strictly in order: an op has
+/// **landed** when its last receive is consumed — DeAR's `OP1.UPD` runs
+/// fused into it ([`Op1Tail`]) — and it **finishes** (is stashed, or its
+/// group goes home) once every chunk it lent is released, which a poll
+/// finds ([`RingOp::poll_settled`]): the peer reads a lease when it makes
+/// progress itself. One `OP1.RS` / `OP1.UPD` / `OP2.AG` / `AR` span per
+/// group, serial on the rank's `…/comm` stream.
+///
+/// **Failures.** A collective failure abandons the step: the ops in flight,
+/// the queued jobs and the stash are dropped with their buffers, the error
+/// is returned once, and until a resize succeeds the engine drops the ring
+/// jobs of the abandoned step unrun.
+///
+/// The engine starts on the layout of no tensors; the training side's
+/// first call is the [`CommEngine::reconfigure`] that installs its layout,
+/// and with it the data path's wire dtype.
+pub(crate) struct CommEngine<T: Transport> {
     transport: T,
+    /// The rank's `…/comm` trace stream.
+    stream: Arc<str>,
     /// The installed fusion layout; its wire dtype is the data path's.
     layout: GroupLayout,
     hyper: HyperParams,
     strategy: ParallelismStrategy,
     mode: PipelineMode,
-    jobs: &'a Receiver<CommJob>,
-    results: &'a Sender<CommResult>,
     world: usize,
     rank: usize,
-    /// Optimizer state of the owned shard; re-packed on `Reconfigure`.
+    /// Optimizer state of the owned shard; re-packed on `reconfigure`.
     store: OptimStore,
     adam_step: u64,
+    /// The iteration's first reduce-scatter has landed and advanced the
+    /// Adam step (bias correction is per iteration, shared by shards).
+    stepped: bool,
     /// Groups reduced this iteration, in arrival (backward) order.
     stash: Vec<(usize, StashEntry)>,
-    /// Jobs taken off the channel and not yet started, in order.
-    backlog: VecDeque<CommJob>,
-    /// Ring ops begun and not yet finished, in order; the front is the one
-    /// being finished, the rest were begun ahead of it.
+    /// Ring jobs not yet begun, in order.
+    backlog: VecDeque<Job>,
+    /// Ring ops begun and not yet finished, in order.
     inflight: VecDeque<InFlight>,
-    /// A DeAR `Flush` is being served: the next ring ops are the stash's
+    /// A DeAR flush is being served: the next ring ops are the stash's
     /// all-gathers, newest entry first.
     flushing: bool,
     /// A collective failed and no resize has succeeded since: the step was
     /// abandoned, and what is left of it is dropped, not run.
     broken: bool,
+    /// The first op under the current layout and world has been begun
+    /// (see [`Self::stock_copies`]).
+    stocked: bool,
 }
 
-impl<T: Transport> CommThread<'_, T> {
-    fn run(&mut self) {
+impl<T: Transport> CommEngine<T> {
+    /// The engine of the rank `transport` is, on the layout of no tensors;
+    /// its spans land on `trace_scope`'s `comm` stream.
+    pub(crate) fn new(
+        transport: T,
+        hyper: HyperParams,
+        strategy: ParallelismStrategy,
+        mode: PipelineMode,
+        trace_scope: &str,
+    ) -> Self {
+        let (world, rank) = (transport.world_size(), transport.rank());
+        let layout = GroupLayout::empty();
+        CommEngine {
+            store: OptimStore::new(&layout, rank, world, mode),
+            transport,
+            stream: trace::stream(trace_scope, "comm"),
+            layout,
+            hyper,
+            strategy,
+            mode,
+            world,
+            rank,
+            adam_step: 0,
+            stepped: false,
+            stash: Vec::new(),
+            backlog: VecDeque::new(),
+            inflight: VecDeque::new(),
+            flushing: false,
+            broken: false,
+            stocked: false,
+        }
+    }
+
+    /// This rank.
+    pub(crate) fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// The world size.
+    pub(crate) fn world(&self) -> usize {
+        self.world
+    }
+
+    /// Whether work is outstanding that will finish without another post:
+    /// ring jobs queued or in flight, or a DeAR flush still gathering.
+    pub(crate) fn busy(&self) -> bool {
+        !self.backlog.is_empty() || !self.inflight.is_empty() || self.flushing
+    }
+
+    /// Queues `group`'s ring job — its buffers move in — and makes
+    /// progress. Dropped unrun while the engine is broken. An `Err` is a
+    /// collective failure: the step is abandoned (see [`CommEngine`]).
+    pub(crate) fn post(
+        &mut self,
+        group: usize,
+        grads: Vec<f32>,
+        params: Vec<f32>,
+        home: &mut impl Home,
+    ) -> Result<(), CollectiveError> {
+        debug_assert_eq!(grads.len(), self.layout.group_elements(group));
+        if !self.broken {
+            self.backlog.push_back(Job::Reduce {
+                group,
+                grads,
+                params,
+            });
+        }
+        self.progress(home)
+    }
+
+    /// Queues the end of the step's communication and makes progress.
+    pub(crate) fn flush(&mut self, home: &mut impl Home) -> Result<(), CollectiveError> {
+        if !self.broken {
+            self.backlog.push_back(Job::Flush);
+        }
+        self.progress(home)
+    }
+
+    /// Moves the ring ops in flight as far as the messages that have
+    /// arrived and the loans already released take them, begins the jobs
+    /// the window lets in, and hands finished groups `home`. Never blocks
+    /// on the link.
+    pub(crate) fn progress(&mut self, home: &mut impl Home) -> Result<(), CollectiveError> {
+        self.pump(home).map_err(|e| self.fail(e))
+    }
+
+    /// Makes progress until `done(home)` holds or no work is outstanding,
+    /// waiting on the link for the next message of the op that receives —
+    /// or, with every op landed, for the peer to release what they lent.
+    /// Fails as [`CommEngine::post`] does, a receive deadline included.
+    pub(crate) fn progress_until<H: Home>(
+        &mut self,
+        home: &mut H,
+        done: impl Fn(&H) -> bool,
+    ) -> Result<(), CollectiveError> {
+        let mut idle = 0u32;
         loop {
-            match self.pump() {
-                Ok(true) => continue,
-                Ok(false) => {}
-                Err(e) => {
-                    self.fail(e);
-                    continue;
-                }
+            self.progress(home)?;
+            if done(home) || !self.busy() {
+                return Ok(());
             }
-            // No ring op in flight and none next in line.
-            let Some(job) = self.backlog.pop_front() else {
-                match self.jobs.recv() {
-                    // Through the pump first: it may be a ring job.
-                    Ok(job) => self.backlog.push_back(job),
-                    Err(_) => return,
-                }
-                continue;
-            };
-            if let Err(e) = self.control(job) {
-                self.fail(e);
+            if self.inflight.iter().any(|op| !op.ring.landed()) {
+                self.receive(true).map_err(|e| self.fail(e))?;
+                idle = 0;
+            } else {
+                settle_wait(&mut idle);
             }
         }
     }
 
-    /// Stocks the transport's pool with the wire buffers a full send-ahead
-    /// window has in use at once under the current layout and world. How
-    /// far ahead the thread actually gets depends on when jobs arrive, so
-    /// without the stock the first step to fill the window — any step,
-    /// however late — would have to allocate them.
-    fn open_window(&mut self) {
+    /// Makes progress until no work is outstanding (see
+    /// [`CommEngine::progress_until`]).
+    pub(crate) fn drain(&mut self, home: &mut impl Home) -> Result<(), CollectiveError> {
+        self.progress_until(home, |_| false)
+    }
+
+    /// Abandons the step after a collective failure: drops every op in
+    /// flight, the queued jobs and the iteration's stash with their
+    /// buffers (the step is not resumable). Returns `e`, to report once.
+    fn fail(&mut self, e: CollectiveError) -> CollectiveError {
+        self.inflight.clear();
+        self.backlog.clear();
+        self.stash.clear();
+        self.flushing = false;
+        self.stepped = false;
+        self.broken = true;
+        e
+    }
+
+    fn pump(&mut self, home: &mut impl Home) -> Result<(), CollectiveError> {
+        loop {
+            let begun = self.fill(home)?;
+            let received = self.receive(false)?;
+            let finished = self.finish(home)?;
+            if !(begun || received || finished) {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Stocks the transport's pool with `count` buffers of the largest
+    /// chunk under the current layout and world.
+    fn stock(&mut self, count: usize) {
         let chunk = largest_chunk(&self.layout, self.world);
         let bytes = chunk * self.layout.wire().size_bytes();
-        let stock: Vec<_> = (0..=SEND_AHEAD_WINDOW)
+        let stock: Vec<_> = (0..count)
             .map(|_| self.transport.take_buffer(bytes))
             .collect();
         for buf in stock {
@@ -697,150 +788,116 @@ impl<T: Transport> CommThread<'_, T> {
         }
     }
 
-    /// Abandons the step after a collective failure: drops every op in
-    /// flight and the iteration's stash with their buffers (the step is not
-    /// resumable), and reports once. What is left of the step — in the
-    /// backlog or still to be posted — is dropped as it comes up, until a
-    /// resize succeeds.
-    fn fail(&mut self, e: CollectiveError) {
-        self.inflight.clear();
-        self.stash.clear();
-        self.flushing = false;
-        self.broken = true;
-        self.reply(CommResult::Error(e));
+    /// Stocks the pool with the wire buffers a full send-ahead window has
+    /// in use at once: how far ahead the engine gets depends on when the
+    /// jobs come, so without the stock the first step to fill the window —
+    /// any step, however late — would allocate them. The first op of the
+    /// layout tops it up if its hops copy ([`Self::stock_copies`]).
+    fn open_window(&mut self) {
+        self.stock(SEND_AHEAD_WINDOW + 1);
+        self.stocked = false;
     }
 
-    /// Best-effort: a training thread that dropped its `DistOptim` has
-    /// nobody left to tell, and its peers still need this rank's part of
-    /// the collectives already posted — the thread serves on until the job
-    /// channel closes.
-    fn reply(&self, result: CommResult) {
-        let _ = self.results.send(result);
-    }
-
-    /// Finishes the ring op at the head of the pipeline, sending ahead for
-    /// the ops behind it. `Ok(false)` when there is no ring op to run: none
-    /// in flight, and the next job in line is not one.
-    fn pump(&mut self) -> Result<bool, CollectiveError> {
-        self.fill()?;
-        let Some(head) = self.inflight.front_mut() else {
-            return Ok(false);
+    /// Called with the first op begun under a layout: if it lent nothing,
+    /// its hops copy, and on TCP every frame a reader thread takes off the
+    /// socket holds a pooled buffer until this rank lands it. One link then
+    /// holds at most the messages of two windows of ops — the peer begins
+    /// an op only once the one a window behind has landed on both sides —
+    /// plus the frame being read: the stock grows to that, during the first
+    /// step, instead of whenever a late step first reaches the mark. A
+    /// lending fabric takes no buffer for an f32 hop and stocks nothing
+    /// more.
+    fn stock_copies(&mut self, ring: &RingOp) {
+        if std::mem::replace(&mut self.stocked, true) || ring.lends() || self.world == 1 {
+            return;
+        }
+        let hops = self.world - 1;
+        let per_op = match self.mode {
+            PipelineMode::Dear => hops,
+            PipelineMode::Wfbp => 2 * hops,
         };
-        let (kind, group) = (head.ring.kind(), head.group);
-        let span = head
-            .span
-            .take()
-            .unwrap_or_else(|| trace::span(TaskKind::Communication, || op_label(kind, group)));
-        // SAFETY: `head.data` is the op's buffer, kept by `InFlight` (see
-        // there) until the op is finished or dropped.
-        unsafe { ring_advance(&self.transport, &mut head.ring, &mut head.data)? };
-        // The head has posted its last send: the ops behind it may post
-        // their first before it blocks on its last receive.
-        self.fill()?;
-        let InFlight {
-            ring,
-            mut data,
-            other,
-            ..
-        } = self.inflight.pop_front().expect("the head is in flight");
-        if let RingKind::ReduceScatter(_) = kind {
-            self.finish_op1(group, ring, data, other, span)?;
-            return Ok(true);
-        }
-        // SAFETY: `data` is the op's buffer, untouched since it left
-        // `InFlight`; `ring_finish` settles or drops every loan on it.
-        unsafe { ring_finish(&self.transport, ring, &mut data)? };
-        span.end();
-        if let RingKind::AllGather { .. } = kind {
-            self.reply(CommResult::Params {
-                group,
-                params: data,
-                grads: other,
-            });
-        } else {
-            // WFBP: the sums wait in the stash for the flush's update.
-            self.stash.push((
-                group,
-                StashEntry::Full {
-                    params: other,
-                    grads: data,
-                },
-            ));
-        }
-        Ok(true)
+        self.stock(2 * (SEND_AHEAD_WINDOW + 1) * per_op + 1);
     }
 
     /// Begins ring ops while the ordering rule and the window allow: the
     /// next op's first send may go out once every op before it has posted
     /// its last, and at most [`SEND_AHEAD_WINDOW`] ops run ahead of the
-    /// head.
-    fn fill(&mut self) -> Result<(), CollectiveError> {
+    /// oldest. Whether any was begun.
+    fn fill(&mut self, home: &mut impl Home) -> Result<bool, CollectiveError> {
+        let mut begun = false;
         while self.inflight.len() <= SEND_AHEAD_WINDOW
             && self.inflight.back().is_none_or(|op| op.ring.all_sent())
         {
-            match self.begin_next()? {
-                Some(op) => self.inflight.push_back(op),
-                None => break,
-            }
+            let Some(op) = self.begin_next(home)? else {
+                break;
+            };
+            self.inflight.push_back(op);
+            begun = true;
         }
-        Ok(())
+        Ok(begun)
     }
 
     /// Begins the next ring op in program order, if a ring op is what comes
     /// next: the newest stashed group's all-gather while flushing (forward
     /// order = reverse of backward arrival order, so the first layers'
-    /// parameters arrive first — FeedPipe), else the `Reduce` at the front
-    /// of the backlog: a reduce-scatter under DeAR, an all-reduce under
-    /// WFBP.
-    fn begin_next(&mut self) -> Result<Option<InFlight>, CollectiveError> {
-        let flushed = if self.flushing {
-            self.stash.pop()
-        } else {
-            None
-        };
-        let (group, kind, mut data, other) = if let Some((group, entry)) = flushed {
-            // ZeRO-2 rematerializes the full buffer only now that its send
-            // is due: zeros everywhere except the owned chunk, which is all
-            // the ring all-gather ever reads from this rank.
-            let (params, grads) = entry.into_buffers();
-            let owned_chunk = ring_owned_chunk(self.rank, self.world);
-            (group, RingKind::AllGather { owned_chunk }, params, grads)
-        } else {
-            self.flushing = false;
-            while let Ok(job) = self.jobs.try_recv() {
-                self.backlog.push_back(job);
+    /// parameters arrive first — FeedPipe), else the job at the front of
+    /// the backlog — a reduce-scatter under DeAR, an all-reduce under WFBP.
+    /// A flush is taken once nothing is in flight: DeAR's starts the
+    /// all-gathers, WFBP's updates the stash and sends it home.
+    fn begin_next(&mut self, home: &mut impl Home) -> Result<Option<InFlight>, CollectiveError> {
+        let (group, kind, mut data, other) = loop {
+            if self.flushing {
+                if let Some((group, entry)) = self.stash.pop() {
+                    // ZeRO-2 rematerializes the full buffer only now that its
+                    // send is due: zeros everywhere except the owned chunk,
+                    // which is all the ring all-gather reads from this rank.
+                    let (params, grads) = entry.into_buffers();
+                    let owned_chunk = ring_owned_chunk(self.rank, self.world);
+                    break (group, RingKind::AllGather { owned_chunk }, params, grads);
+                }
+                self.flushing = false;
             }
-            if self.broken {
-                return Ok(None);
-            }
-            match self.backlog.pop_front() {
-                Some(CommJob::Reduce {
-                    group,
-                    grads,
-                    params,
-                }) => {
+            match self.backlog.front() {
+                None => return Ok(None),
+                Some(Job::Flush) if !self.inflight.is_empty() => return Ok(None),
+                Some(Job::Flush) => {
+                    self.backlog.pop_front();
+                    match self.mode {
+                        PipelineMode::Dear => {
+                            self.flushing = true;
+                            self.stepped = false;
+                        }
+                        PipelineMode::Wfbp => self.update_stash(home),
+                    }
+                }
+                Some(Job::Reduce { .. }) => {
+                    let Some(Job::Reduce {
+                        group,
+                        grads,
+                        params,
+                    }) = self.backlog.pop_front()
+                    else {
+                        unreachable!("the front is a reduce");
+                    };
                     let kind = match self.mode {
                         PipelineMode::Dear => RingKind::ReduceScatter(ReduceOp::Sum),
                         PipelineMode::Wfbp => RingKind::AllReduce(ReduceOp::Sum),
                     };
-                    (group, kind, grads, params)
+                    break (group, kind, grads, params);
                 }
-                // Any other job waits until nothing is in flight.
-                Some(other) => {
-                    self.backlog.push_front(other);
-                    return Ok(None);
-                }
-                None => return Ok(None),
             }
         };
         debug_assert_eq!(data.len(), self.layout.group_elements(group));
-        let span = self
-            .inflight
-            .is_empty()
-            .then(|| trace::span(TaskKind::Communication, || op_label(kind, group)));
+        let receives_next = self.inflight.iter().all(|op| op.ring.landed());
+        let span = receives_next.then(|| {
+            trace::span_on(&self.stream, TaskKind::Communication, || {
+                op_label(kind, group)
+            })
+        });
         // SAFETY: `data` moves into the op's `InFlight` next and stays
         // there, left alone, until the op is finished or dropped.
         let ring = unsafe { ring_begin(&self.transport, kind, &mut data, self.layout.wire())? };
+        self.stock_copies(&ring);
         Ok(Some(InFlight {
             group,
             ring,
@@ -850,78 +907,143 @@ impl<T: Transport> CommThread<'_, T> {
         }))
     }
 
-    /// DeAR's OP1 from the reduce-scatter's last receive on: the owned
-    /// chunk of `grads` is reduced and its parameters updated one slice at
-    /// a time as the payload comes in ([`Op1Tail`]), then the group is
-    /// parked for OP2. `rs` is the op's open `OP1.RS` span.
-    fn finish_op1(
-        &mut self,
-        group: usize,
-        ring: RingOp,
-        mut grads: Vec<f32>,
-        mut params: Vec<f32>,
-        rs: trace::Span,
-    ) -> Result<(), CollectiveError> {
-        // The first group of a new iteration advances the Adam step (bias
-        // correction is per-iteration, shared by shards) — once it has
-        // been reduced and updated.
-        let adam_step = self.adam_step + u64::from(self.stash.is_empty());
-        let owned = chunk_range(
-            grads.len(),
-            self.world,
-            ring_owned_chunk(self.rank, self.world),
-        );
-        // Every element is owned by exactly one rank, so the union of the
-        // shards' updates is the full S-SGD update of Eq. 2.
-        let update = GroupUpdate::new(
-            &mut self.store,
-            self.hyper,
-            group,
-            &owned,
-            &mut params,
-            self.world,
-            adam_step,
-        );
-        let mut tail = Op1Tail {
-            group,
-            update,
-            rs: Some(rs),
-            upd: None,
+    /// Polls the op that receives — the oldest that has not landed — as
+    /// far as what has arrived takes it; with `wait`, its next receive
+    /// blocks. Whether it landed or posted its last send, either of which
+    /// lets the window move: the caller finishes and begins ops before the
+    /// next op receives, so a landing is followed by the sends it allows.
+    fn receive(&mut self, wait: bool) -> Result<bool, CollectiveError> {
+        let Some(op) = self.inflight.iter_mut().find(|op| !op.ring.landed()) else {
+            return Ok(false);
         };
-        // SAFETY: `grads` is the op's buffer, untouched since it left
-        // `InFlight`; the epilogue writes `params`, another buffer.
-        unsafe { ring_finish_with(&self.transport, ring, &mut grads, &mut tail)? };
-        if let Some(upd) = tail.upd {
-            upd.end();
+        let (kind, group) = (op.ring.kind(), op.group);
+        let stream = &self.stream;
+        if op.span.is_none() {
+            op.span = Some(trace::span_on(stream, TaskKind::Communication, || {
+                op_label(kind, group)
+            }));
         }
-        self.adam_step = adam_step;
-        let entry = if self.strategy.shards_grad_stash() {
-            // ZeRO-2: only the owned chunk is live between OP1 and OP2 —
-            // the all-gather redistributes it and overwrites the rest. The
-            // spent gradients, compacted to that chunk, become its storage;
-            // both full-length buffers are released here.
-            let mut chunk = compact_owned_shard(grads, &owned);
-            chunk.copy_from_slice(&params[owned.clone()]);
-            StashEntry::Shard {
-                owned,
-                chunk,
-                elements: self.layout.group_elements(group),
+        let was_sent = op.ring.all_sent();
+        let landed = if let RingKind::ReduceScatter(_) = kind {
+            // DeAR's OP1 lands with its update fused into the last
+            // receive. Every element is owned by exactly one rank, so
+            // the union of the shards' updates is the full S-SGD
+            // update of Eq. 2.
+            let rs = op.span.take();
+            let adam_step = self.adam_step + u64::from(!self.stepped);
+            let owned = chunk_range(
+                op.data.len(),
+                self.world,
+                ring_owned_chunk(self.rank, self.world),
+            );
+            let update = GroupUpdate::new(
+                &mut self.store,
+                self.hyper,
+                group,
+                &owned,
+                &mut op.other,
+                self.world,
+                adam_step,
+            );
+            let mut tail = Op1Tail {
+                group,
+                update,
+                stream,
+                rs,
+                upd: None,
+            };
+            // SAFETY: `op.data` is the op's buffer, kept by `InFlight`
+            // (see there); the epilogue writes `op.other`, another one.
+            let landed =
+                unsafe { step(&self.transport, &mut op.ring, &mut op.data, &mut tail, wait)? };
+            op.span = tail.rs.take();
+            if let Some(upd) = tail.upd {
+                upd.end();
             }
+            if landed {
+                self.adam_step = adam_step;
+                self.stepped = true;
+            }
+            landed
         } else {
-            StashEntry::Full { params, grads }
+            // SAFETY: as above.
+            let landed =
+                unsafe { step(&self.transport, &mut op.ring, &mut op.data, &mut (), wait)? };
+            if landed {
+                drop(op.span.take());
+            }
+            landed
         };
-        self.stash.push((group, entry));
-        Ok(())
+        Ok(landed || (!was_sent && op.ring.all_sent()))
+    }
+
+    /// Finishes the ops at the front that have landed and whose lent chunks
+    /// are all released: DeAR's reduce-scatter is stashed for OP2 (ZeRO-2
+    /// keeps only the owned chunk), WFBP's all-reduce is stashed for the
+    /// flush's update, and an all-gathered group goes home. Whether any
+    /// finished.
+    fn finish(&mut self, home: &mut impl Home) -> Result<bool, CollectiveError> {
+        let mut finished = false;
+        while let Some(front) = self.inflight.front_mut() {
+            if !front.ring.landed() || !front.ring.poll_settled()? {
+                break;
+            }
+            let InFlight {
+                group,
+                ring,
+                mut data,
+                other,
+                ..
+            } = self.inflight.pop_front().expect("the front is in flight");
+            let kind = ring.kind();
+            // SAFETY: `data` is the op's buffer, untouched since it left
+            // `InFlight`; the op has landed and lent nothing still out, so
+            // this neither receives nor waits.
+            let owned = unsafe { ring_finish(&self.transport, ring, &mut data)? };
+            let entry = match kind {
+                RingKind::AllGather { .. } => {
+                    home.put(group, data, other);
+                    finished = true;
+                    continue;
+                }
+                RingKind::ReduceScatter(_) if self.strategy.shards_grad_stash() => {
+                    // ZeRO-2: only the owned chunk is live between OP1 and
+                    // OP2 — the all-gather redistributes it and overwrites
+                    // the rest. The spent gradients, compacted to that
+                    // chunk, become its storage; both full-length buffers
+                    // are released here.
+                    let params = other;
+                    let mut chunk = compact_owned_shard(data, &owned);
+                    chunk.copy_from_slice(&params[owned.clone()]);
+                    StashEntry::Shard {
+                        owned,
+                        chunk,
+                        elements: self.layout.group_elements(group),
+                    }
+                }
+                // DeAR's updated parameters wait for OP2, WFBP's sums for
+                // the flush's update.
+                RingKind::ReduceScatter(_) | RingKind::AllReduce(_) => StashEntry::Full {
+                    params: other,
+                    grads: data,
+                },
+            };
+            self.stash.push((group, entry));
+            finished = true;
+        }
+        Ok(finished)
     }
 
     /// WFBP's flush, one per step: every all-reduced group is updated
     /// whole — the store's range of every group is all of it — under its
-    /// own `OP1.UPD` span, and goes back to the training thread.
-    fn update_stash(&mut self) {
+    /// own `OP1.UPD` span, and goes home.
+    fn update_stash(&mut self, home: &mut impl Home) {
         self.adam_step += 1;
         while let Some((group, entry)) = self.stash.pop() {
             let (mut params, grads) = entry.into_buffers();
-            let upd = trace::span(TaskKind::Other, || format!("OP1.UPD[g{group}]"));
+            let upd = trace::span_on(&self.stream, TaskKind::Other, || {
+                format!("OP1.UPD[g{group}]")
+            });
             let whole = 0..params.len();
             GroupUpdate::new(
                 &mut self.store,
@@ -934,261 +1056,255 @@ impl<T: Transport> CommThread<'_, T> {
             )
             .apply(whole, &grads);
             upd.end();
-            self.reply(CommResult::Params {
-                group,
-                params,
-                grads,
-            });
+            home.put(group, params, grads);
         }
     }
 
-    /// Whether no reduced group is stashed, i.e. the thread is at
-    /// an iteration boundary. If not, fails the request for `what` — and
-    /// only the request: boundary violations used to be `assert!`s that
-    /// panicked this thread (and with it the whole worker). The stash is
-    /// kept; the step itself is still healthy and can be flushed normally.
-    fn at_boundary(&self, what: &str) -> bool {
-        if !self.stash.is_empty() {
-            self.reply(CommResult::Error(CollectiveError::Reconfigure {
-                reason: format!(
-                    "{what} must happen at an iteration boundary; \
-                     a reduced group is still stashed"
-                ),
-            }));
+    /// `Err` unless no reduced group is stashed, i.e. the engine is at an
+    /// iteration boundary. Fails the request for `what` — and only the
+    /// request: the stash is kept, and the step can still be flushed.
+    fn at_boundary(&self, what: &str) -> Result<(), CollectiveError> {
+        if self.stash.is_empty() && !self.busy() {
+            return Ok(());
         }
-        self.stash.is_empty()
+        Err(CollectiveError::Reconfigure {
+            reason: format!(
+                "{what} must happen at an iteration boundary; \
+                 a reduced group is still stashed"
+            ),
+        })
     }
 
-    /// Serves a job that is not a ring op; only ever called with no ring op
-    /// in flight. An `Err` is a failed collective, for [`Self::fail`].
-    #[allow(clippy::too_many_lines)]
-    fn control(&mut self, job: CommJob) -> Result<(), CollectiveError> {
-        match job {
-            // The pump begins every ring job it finds at the front of the
-            // backlog — unless the transport is broken: the step these
-            // belong to was abandoned, and they go with it.
-            CommJob::Reduce { .. } => debug_assert!(self.broken),
-            CommJob::Flush if self.broken => {}
-            CommJob::Flush => match self.mode {
-                PipelineMode::Dear => self.flushing = true,
-                PipelineMode::Wfbp => self.update_stash(),
-            },
-            CommJob::Broadcast { root, value } => {
-                // The fabric carries f32, but BO broadcasts byte counts that
-                // exceed 2^24 (e.g. the paper's 25 MB buffer, 26_214_401
-                // bytes with headers) — an `as f32` cast rounds those, and a
-                // root-vs-peer mismatch splits the cluster into different
-                // fusion layouts. Ship the exact f64 as two f32 bit-words
-                // instead; tree_broadcast only copies, so bits survive.
-                let bc = trace::span(TaskKind::Communication, || "BCAST".to_string());
-                let bits = value.to_bits();
-                let mut buf = [
-                    f32::from_bits((bits >> 32) as u32),
-                    f32::from_bits(bits as u32),
-                ];
-                tree_broadcast(&self.transport, &mut buf, root, CONTROL)?;
-                let bits = (u64::from(buf[0].to_bits()) << 32) | u64::from(buf[1].to_bits());
-                bc.end();
-                self.reply(CommResult::Broadcast(f64::from_bits(bits)));
-            }
-            CommJob::Barrier => {
-                let sp = trace::span(TaskKind::Communication, || "BARRIER".to_string());
-                let mut token = [0.0f32];
-                naive_all_reduce(&self.transport, &mut token, ReduceOp::Sum, CONTROL)?;
-                sp.end();
-                self.reply(CommResult::BarrierDone);
-            }
-            CommJob::Reconfigure { layout } => {
-                if !self.at_boundary("re-bucketing") {
-                    return Ok(());
-                }
-                // A state vector exists on every rank or on none (see
-                // `OptimStore`), so every rank enters the same all-reduces.
-                let (mut velocity, mut second_moment) = self.store.export(&self.layout);
-                // WFBP keeps the whole state on every rank: the new layout
-                // only re-orders it. Nor is there state to move when the
-                // first layout is installed — a test every rank answers
-                // alike, unlike one on its own shard, which may be empty.
-                if self.mode == PipelineMode::Dear && self.layout.total_elements() > 0 {
-                    // Shard ownership changes with the group boundaries (or
-                    // the world size, after an in-place resize), so the
-                    // optimizer state must move with it: each element's
-                    // state lives only on its owner (zero elsewhere), so a
-                    // sum all-reduce reconstructs the full state, after
-                    // which each rank keeps only the shards it owns under
-                    // the new layout. A failure part-way leaves the state
-                    // half-reduced — recovery must go through a snapshot
-                    // import, never resume from here.
-                    let sp = trace::span(TaskKind::Communication, || "REBALANCE".to_string());
-                    for full in [&mut velocity, &mut second_moment] {
-                        if !full.is_empty() {
-                            ring_all_reduce_on_wire(&self.transport, full, ReduceOp::Sum, CONTROL)?;
-                        }
+    /// A control collective under a span of its own on the comm stream; a
+    /// failure breaks the engine like a ring op's.
+    fn control<R>(
+        &mut self,
+        label: &str,
+        run: impl FnOnce(&T) -> Result<R, CollectiveError>,
+    ) -> Result<R, CollectiveError> {
+        debug_assert!(!self.busy(), "{label} with ring work outstanding");
+        let span = trace::span_on(&self.stream, TaskKind::Communication, || label.to_string());
+        let out = run(&self.transport).map_err(|e| self.fail(e));
+        span.end();
+        out
+    }
+
+    /// Broadcasts `value` from `root` (BO buffer-size sync), bit-exact. A
+    /// failure breaks the engine, as every control collective's does.
+    pub(crate) fn broadcast(&mut self, root: usize, value: f64) -> Result<f64, CollectiveError> {
+        // The fabric carries f32, but BO broadcasts byte counts that exceed
+        // 2^24 (e.g. the paper's 25 MB buffer, 26_214_401 bytes with
+        // headers) — an `as f32` cast rounds those, and a root-vs-peer
+        // mismatch splits the cluster into different fusion layouts. Ship
+        // the exact f64 as two f32 bit-words instead; tree_broadcast only
+        // copies, so bits survive.
+        let bits = value.to_bits();
+        let mut buf = [
+            f32::from_bits((bits >> 32) as u32),
+            f32::from_bits(bits as u32),
+        ];
+        self.control("BCAST", |t| tree_broadcast(t, &mut buf, root, CONTROL))?;
+        let bits = (u64::from(buf[0].to_bits()) << 32) | u64::from(buf[1].to_bits());
+        Ok(f64::from_bits(bits))
+    }
+
+    /// Synchronizes all ranks.
+    pub(crate) fn barrier(&mut self) -> Result<(), CollectiveError> {
+        let mut token = [0.0f32];
+        self.control("BARRIER", |t| {
+            naive_all_reduce(t, &mut token, ReduceOp::Sum, CONTROL)
+        })
+    }
+
+    /// Min-allreduces a step counter so every rank resumes from the same
+    /// step after a resize. The value rides the f32 control path in two
+    /// 24-bit halves: exact below 2^48.
+    pub(crate) fn agree_step(&mut self, step: u64) -> Result<u64, CollectiveError> {
+        self.control("AGREE-STEP", |t| {
+            // f32 is exact only below 2^24: the min of the high 24 bits,
+            // then of the low 24 bits of the ranks that hold it (every
+            // other rank offers 2^24, above any low half).
+            let mut high = [(step >> 24) as f32];
+            naive_all_reduce(t, &mut high, ReduceOp::Min, CONTROL)?;
+            let high = high[0] as u64;
+            let low = if step >> 24 == high {
+                step & 0xFF_FFFF
+            } else {
+                1 << 24
+            };
+            let mut low = [low as f32];
+            naive_all_reduce(t, &mut low, ReduceOp::Min, CONTROL)?;
+            Ok((high << 24) | low[0] as u64)
+        })
+    }
+
+    /// Installs a fusion layout — the first one, or a BO re-bucketing — or
+    /// re-partitions the optimizer state after a resize under the current
+    /// one. The state is exported under the old layout and imported under
+    /// the new one, so it survives. The layout also sets the data path's
+    /// wire dtype. Refused off an iteration boundary; a failure of the
+    /// rebalance leaves the state half-reduced — recovery must go through
+    /// a snapshot import, never resume from here.
+    pub(crate) fn reconfigure(&mut self, layout: GroupLayout) -> Result<(), CollectiveError> {
+        self.at_boundary("re-bucketing")?;
+        // A state vector exists on every rank or on none (see
+        // `OptimStore`), so every rank enters the same all-reduces.
+        let (mut velocity, mut second_moment) = self.store.export(&self.layout);
+        // WFBP keeps the whole state on every rank: the new layout only
+        // re-orders it. Nor is there state to move when the first layout is
+        // installed — a test every rank answers alike, unlike one on its own
+        // shard, which may be empty.
+        if self.mode == PipelineMode::Dear && self.layout.total_elements() > 0 {
+            // Shard ownership changes with the group boundaries (or the
+            // world size, after an in-place resize), so the optimizer state
+            // must move with it: each element's state lives only on its
+            // owner (zero elsewhere), so a sum all-reduce reconstructs the
+            // full state, after which each rank keeps only the shards it
+            // owns under the new layout.
+            self.control("REBALANCE", |t| {
+                for full in [&mut velocity, &mut second_moment] {
+                    if !full.is_empty() {
+                        ring_all_reduce_on_wire(t, full, ReduceOp::Sum, CONTROL)?;
                     }
-                    sp.end();
                 }
-                self.store = OptimStore::new(&layout, self.rank, self.world, self.mode);
-                self.store.import(&layout, &velocity, &second_moment);
-                self.layout = layout;
-                self.open_window();
-            }
-            CommJob::SetHyper(hyper) => {
-                if self.at_boundary("a hyper-parameter change") {
-                    self.hyper = hyper;
-                }
-            }
-            CommJob::ExportOptimState => {
-                if self.at_boundary("an optimizer-state export") {
-                    // Always exported in the full-length exchange format
-                    // (zeros outside the owned shard) regardless of
-                    // strategy, so the checkpoint layout is
-                    // strategy-independent and a run can resume under a
-                    // different strategy than it saved with.
-                    let (velocity, second_moment) = self.store.export(&self.layout);
-                    self.reply(CommResult::OptimState(OptimState {
-                        velocity,
-                        second_moment,
-                        adam_step: self.adam_step,
-                    }));
-                }
-            }
-            CommJob::ImportOptimState(state) => {
-                // `DistOptim::import_optim_state` has checked the lengths.
-                if self.at_boundary("an optimizer-state import") {
-                    self.store
-                        .import(&self.layout, &state.velocity, &state.second_moment);
-                    self.adam_step = state.adam_step;
-                }
-            }
-            CommJob::ResizeWorld { survivors } => {
-                if !self.stash.is_empty() {
-                    // A mid-step resize fails the request, not the step:
-                    // the stash is kept so the caller can still flush the
-                    // iteration and retry at the boundary.
-                    self.reply(CommResult::Resized(Err(CollectiveError::Reconfigure {
-                        reason: "in-place resize must happen at an iteration boundary; \
-                                 a reduced group is still stashed"
-                            .to_string(),
-                    })));
-                    return Ok(());
-                }
-                let sp = trace::span(TaskKind::Communication, || "RESIZE".to_string());
-                let outcome = self.transport.reconfigure(survivors.as_deref());
-                sp.end();
-                if let Ok(change) = &outcome {
-                    self.world = change.new_world;
-                    self.rank = change.new_rank;
-                    self.open_window();
-                    self.broken = false;
-                }
-                self.reply(CommResult::Resized(outcome));
-            }
-            CommJob::AgreeStep(step) => {
-                let sp = trace::span(TaskKind::Communication, || "AGREE-STEP".to_string());
-                // f32 is exact only below 2^24: the min of the high 24 bits,
-                // then of the low 24 bits of the ranks that hold it (every
-                // other rank offers 2^24, above any low half).
-                let mut high = [(step >> 24) as f32];
-                naive_all_reduce(&self.transport, &mut high, ReduceOp::Min, CONTROL)?;
-                let high = high[0] as u64;
-                let low = if step >> 24 == high {
-                    step & 0xFF_FFFF
-                } else {
-                    1 << 24
-                };
-                let mut low = [low as f32];
-                naive_all_reduce(&self.transport, &mut low, ReduceOp::Min, CONTROL)?;
-                sp.end();
-                self.reply(CommResult::Step((high << 24) | low[0] as u64));
-            }
-            CommJob::QueryOptimBytes => {
-                self.reply(CommResult::OptimBytes(self.store.resident_bytes()));
-            }
+                Ok(())
+            })?;
         }
+        self.store = OptimStore::new(&layout, self.rank, self.world, self.mode);
+        self.store.import(&layout, &velocity, &second_moment);
+        self.layout = layout;
+        self.open_window();
         Ok(())
+    }
+
+    /// Replaces the optimizer hyper-parameters for subsequent updates.
+    /// Refused off an iteration boundary.
+    pub(crate) fn set_hyper(&mut self, hyper: HyperParams) -> Result<(), CollectiveError> {
+        self.at_boundary("a hyper-parameter change")?;
+        self.hyper = hyper;
+        Ok(())
+    }
+
+    /// The sharded optimizer state in the full-length exchange format
+    /// (zeros outside the owned shard) whatever the strategy, so the
+    /// checkpoint layout is strategy-independent and a run can resume under
+    /// a different strategy than it saved with.
+    /// Refused off an iteration boundary.
+    pub(crate) fn export(&self) -> Result<OptimState, CollectiveError> {
+        self.at_boundary("an optimizer-state export")?;
+        let (velocity, second_moment) = self.store.export(&self.layout);
+        Ok(OptimState {
+            velocity,
+            second_moment,
+            adam_step: self.adam_step,
+        })
+    }
+
+    /// Replaces the sharded optimizer state (checkpoint resume); the
+    /// lengths are the caller's to check.
+    /// Refused off an iteration boundary.
+    pub(crate) fn import(&mut self, state: &OptimState) -> Result<(), CollectiveError> {
+        self.at_boundary("an optimizer-state import")?;
+        self.store
+            .import(&self.layout, &state.velocity, &state.second_moment);
+        self.adam_step = state.adam_step;
+        Ok(())
+    }
+
+    /// In-place elastic resize: re-runs rendezvous through
+    /// [`Transport::reconfigure`] and adopts the surviving world's rank and
+    /// size, clearing a broken state. Refused off an iteration boundary —
+    /// the stash is kept, and the step can still be flushed and the resize
+    /// retried.
+    pub(crate) fn resize(
+        &mut self,
+        survivors: Option<&[usize]>,
+    ) -> Result<WorldChange, CollectiveError> {
+        self.at_boundary("in-place resize")?;
+        let span = trace::span_on(&self.stream, TaskKind::Communication, || {
+            "RESIZE".to_string()
+        });
+        let outcome = self.transport.reconfigure(survivors);
+        span.end();
+        let change = outcome?;
+        self.world = change.new_world;
+        self.rank = change.new_rank;
+        self.open_window();
+        self.broken = false;
+        Ok(change)
+    }
+
+    /// Resident optimizer-state bytes on this rank: velocity plus second
+    /// moment, dense over the owned shard, for the vectors that exist — 0
+    /// under SGD without momentum, which keeps none.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.store.resident_bytes()
     }
 }
 
-/// Runs the comm-thread event loop until the job channel closes.
-///
-/// **Cross-group send-ahead** (DESIGN.md §4.18). The ring jobs — the
-/// `Reduce`s (DeAR's reduce-scatters, WFBP's all-reduces) and the
-/// all-gathers of DeAR's `Flush` — run split-phase
-/// ([`ring_begin`] → [`ring_advance`] → [`ring_finish`]), and the thread
-/// does not wait out one group's last receive before it looks at the next
-/// group: once the op it is finishing has posted its last send, it begins
-/// the ops queued behind it — up to [`SEND_AHEAD_WINDOW`] of them, each as
-/// soon as its predecessor has posted *its* last send. That one rule keeps
-/// every op's messages contiguous on the link, in the order of the
-/// one-group-at-a-time schedule, so the peers need no tags to tell the
-/// messages apart and results are bit-identical; the link simply no longer
-/// idles for a wake-up between groups. On two ranks a reduce-scatter or
-/// all-gather is a single send, so the whole window is on the wire while
-/// the head's receive is awaited; an all-reduce's second send needs its
-/// first receive, so only its last wait is overlapped, and so is any op on
-/// more than two ranks. Ops finish — update, stash, reply — strictly in
-/// order, one `OP1.RS` / `OP1.UPD` / `OP2.AG` / `AR` span per group, serial
-/// on the comm stream. Every other job runs with nothing in flight — so
-/// does WFBP's `Flush`, whose `OP1.UPD` spans follow the last `AR`.
-///
-/// Collective failures do **not** kill this thread: the ops in flight and
-/// the iteration's comm-side stash are dropped (the step cannot be
-/// resumed), one [`CommResult::Error`] goes back to the training thread,
-/// which owns the recovery decision — resize the world in place
-/// ([`CommJob::ResizeWorld`]) or tear down — and until a resize succeeds
-/// the ring jobs still arriving from the abandoned step are dropped
-/// unrun.
-///
-/// Nor does a training thread that hangs up: replies to nobody are dropped,
-/// and the thread returns when the job channel closes.
-///
-/// The thread starts on the layout of no tensors; the training side's
-/// first job is the [`CommJob::Reconfigure`] that installs its layout, and
-/// with it the data path's wire dtype.
-pub fn run_comm_thread<T: Transport>(
-    transport: T,
-    hyper: HyperParams,
-    strategy: ParallelismStrategy,
-    mode: PipelineMode,
-    trace_scope: &str,
-    jobs: &Receiver<CommJob>,
-    results: &Sender<CommResult>,
-) {
-    trace::set_thread_stream(trace_scope, "comm");
-    let world = transport.world_size();
-    let rank = transport.rank();
-    let layout = GroupLayout::empty();
-    CommThread {
-        store: OptimStore::new(&layout, rank, world, mode),
-        transport,
-        layout,
-        hyper,
-        strategy,
-        mode,
-        jobs,
-        results,
-        world,
-        rank,
-        adam_step: 0,
-        stash: Vec::new(),
-        backlog: VecDeque::new(),
-        inflight: VecDeque::new(),
-        flushing: false,
-        broken: false,
+/// A peer that drops its engine with work outstanding still owes its part
+/// of the collectives it began: the engine finishes them, dropping the
+/// groups, before its transport goes — unless the thread is unwinding.
+impl<T: Transport> Drop for CommEngine<T> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = self.drain(&mut Discard);
+        }
     }
-    .run();
+}
+
+/// One [`ring_poll`], or with `wait` one [`ring_wait`], of `ring`.
+///
+/// # Safety
+///
+/// As [`ring_poll`].
+unsafe fn step<T: Transport>(
+    t: &T,
+    ring: &mut RingOp,
+    data: &mut Vec<f32>,
+    epilogue: &mut impl Epilogue,
+    wait: bool,
+) -> Result<bool, CollectiveError> {
+    // SAFETY: forwarded.
+    unsafe {
+        if wait {
+            ring_wait(t, ring, data, epilogue)
+        } else {
+            ring_poll(t, ring, data, epilogue)
+        }
+    }
+}
+
+/// Polls of a wait for the peer to release what it was lent that spin
+/// before they yield, then yields before they sleep: the peer reads a
+/// lease when it next makes progress, at one of its layer hooks.
+const SETTLE_SPINS: u32 = 256;
+const SETTLE_YIELDS: u32 = 4096;
+const SETTLE_SLEEP: Duration = Duration::from_micros(50);
+
+/// One step of that wait.
+fn settle_wait(polls: &mut u32) {
+    *polls = polls.saturating_add(1);
+    if *polls < SETTLE_SPINS {
+        std::hint::spin_loop();
+    } else if *polls < SETTLE_SPINS + SETTLE_YIELDS {
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(SETTLE_SLEEP);
+    }
 }
 
 #[cfg(test)]
 mod epilogue_tests;
+#[cfg(test)]
+mod pump_tests;
 #[cfg(test)]
 mod send_ahead_tests;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_channel::unbounded;
-    use dear_collectives::LocalFabric;
+    use dear_collectives::{LocalEndpoint, LocalFabric};
     use dear_fusion::FusionPlan;
     use dear_minidnn::{Embedding, Sequential};
     use rand::rngs::StdRng;
@@ -1510,6 +1626,27 @@ mod tests {
         }
     }
 
+    /// Rank `ep.rank()`'s engine under `hyper`, DeAR and DDP, on the
+    /// layout of one group of `elements`.
+    fn engine_of(
+        ep: LocalEndpoint,
+        hyper: HyperParams,
+        elements: usize,
+    ) -> CommEngine<LocalEndpoint> {
+        let scope = crate::trace::unique_scope(ep.rank());
+        let mut engine = CommEngine::new(
+            ep,
+            hyper,
+            ParallelismStrategy::Ddp,
+            PipelineMode::Dear,
+            &scope,
+        );
+        engine
+            .reconfigure(layout_of(&[elements], FusionPlan::singletons))
+            .unwrap();
+        engine
+    }
+
     #[test]
     fn an_update_after_a_resize_without_a_rebalance_panics() {
         // Rank 0 of 2 survives alone. Its ring now owns the whole group,
@@ -1517,117 +1654,61 @@ mod tests {
         // must refuse to run on state it does not have, never index it.
         let mut eps = LocalFabric::create(2);
         drop(eps.pop());
-        let ep = eps.pop().unwrap();
-        let (job_tx, job_rx) = unbounded();
-        let (res_tx, res_rx) = unbounded();
-        let layout = layout_of(&[6], FusionPlan::singletons);
-        job_tx.send(CommJob::Reconfigure { layout }).unwrap();
-        let comm = std::thread::spawn(move || {
-            run_comm_thread(
-                ep,
-                HyperParams {
-                    lr: 0.1,
-                    momentum: 0.9,
-                    weight_decay: 0.0,
-                    kind: OptimKind::Sgd,
-                },
-                ParallelismStrategy::Ddp,
-                PipelineMode::Dear,
-                &crate::trace::unique_scope(0),
-                &job_rx,
-                &res_tx,
-            );
-        });
-        job_tx
-            .send(CommJob::ResizeWorld {
-                survivors: Some(vec![0]),
-            })
-            .unwrap();
-        match res_rx.recv().unwrap() {
-            CommResult::Resized(Ok(change)) => assert_eq!(change.new_world, 1),
-            other => panic!("expected the resize, got {other:?}"),
-        }
-        job_tx
-            .send(CommJob::Reduce {
-                group: 0,
-                grads: vec![1.0; 6],
-                params: vec![0.0; 6],
-            })
-            .unwrap();
-        drop(job_tx);
-        let panic = comm.join().expect_err("the update must panic");
+        let hyper = HyperParams {
+            lr: 0.1,
+            momentum: 0.9,
+            weight_decay: 0.0,
+            kind: OptimKind::Sgd,
+        };
+        let mut engine = engine_of(eps.pop().unwrap(), hyper, 6);
+        let change = engine.resize(Some(&[0])).unwrap();
+        assert_eq!(change.new_world, 1);
+        let mut home = vec![Vec::new()];
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.post(0, vec![1.0; 6], vec![0.0; 6], &mut home)
+        }))
+        .expect_err("the update must panic");
         let message = panic.downcast_ref::<String>().expect("a formatted panic");
         assert!(message.contains("followed by a rebalance"), "{message}");
+        // The op is still in flight, and dropping the engine would run it
+        // — and panic — again.
+        std::mem::forget(engine);
     }
 
     #[test]
     fn mid_step_resize_is_refused_not_honoured() {
-        // A resize (or any other boundary-only request) posted while a
+        // A resize (or any other boundary-only request) made while a
         // reduce-scattered group is stashed must fail that request with a
         // typed error — the old behaviour was an assert that took the whole
-        // comm thread (and the process) down. The stash survives, so the
-        // step can still be flushed and the resize retried at the boundary.
-        let ep = LocalFabric::create(1).remove(0);
-        let (job_tx, job_rx) = unbounded();
-        let (res_tx, res_rx) = unbounded();
-        let layout = layout_of(&[4], FusionPlan::singletons);
+        // worker down. The stash survives, so the step can still be flushed
+        // and the resize retried at the boundary.
         let hyper = HyperParams {
             lr: 0.1,
             momentum: 0.0,
             weight_decay: 0.0,
             kind: OptimKind::Sgd,
         };
-        let scope = crate::trace::unique_scope(0);
-        job_tx.send(CommJob::Reconfigure { layout }).unwrap();
-        let comm = std::thread::spawn(move || {
-            run_comm_thread(
-                ep,
-                hyper,
-                ParallelismStrategy::Ddp,
-                PipelineMode::Dear,
-                &scope,
-                &job_rx,
-                &res_tx,
-            );
-        });
-        job_tx
-            .send(CommJob::Reduce {
-                group: 0,
-                grads: vec![1.0; 4],
-                params: vec![0.0; 4],
-            })
+        let mut engine = engine_of(LocalFabric::create(1).remove(0), hyper, 4);
+        let mut home = vec![Vec::new()];
+        engine
+            .post(0, vec![1.0; 4], vec![0.0; 4], &mut home)
             .unwrap();
-        job_tx
-            .send(CommJob::ResizeWorld { survivors: None })
-            .unwrap();
-        match res_rx.recv().unwrap() {
-            CommResult::Resized(Err(CollectiveError::Reconfigure { reason })) => {
+        match engine.resize(None) {
+            Err(CollectiveError::Reconfigure { reason }) => {
                 assert!(reason.contains("iteration boundary"), "{reason}");
             }
             other => panic!("expected a refused resize, got {other:?}"),
         }
-        // A boundary-only control job mid-step gets the same treatment.
-        job_tx
-            .send(CommJob::SetHyper(HyperParams {
-                lr: 0.2,
-                momentum: 0.0,
-                weight_decay: 0.0,
-                kind: OptimKind::Sgd,
-            }))
-            .unwrap();
-        match res_rx.recv().unwrap() {
-            CommResult::Error(CollectiveError::Reconfigure { reason }) => {
+        // A boundary-only control call mid-step gets the same treatment.
+        match engine.set_hyper(HyperParams { lr: 0.2, ..hyper }) {
+            Err(CollectiveError::Reconfigure { reason }) => {
                 assert!(reason.contains("iteration boundary"), "{reason}");
             }
             other => panic!("expected a refused hyper change, got {other:?}"),
         }
         // The stash was kept: the step still flushes normally.
-        job_tx.send(CommJob::Flush).unwrap();
-        match res_rx.recv().unwrap() {
-            CommResult::Params { group: 0, .. } => {}
-            other => panic!("expected the flushed group, got {other:?}"),
-        }
-        drop(job_tx);
-        comm.join().unwrap();
+        engine.flush(&mut home).unwrap();
+        engine.drain(&mut home).unwrap();
+        assert_eq!(home[0], [-0.1; 4], "the flushed group is home, updated");
     }
 }

@@ -5,27 +5,17 @@
 //! every wire, strategy and update rule, on ragged layouts whose owned
 //! chunks cut items mid-way.
 
-use crossbeam_channel::unbounded;
-use dear_collectives::{DType, LocalEndpoint, LocalFabric, EPILOGUE_SLICE};
+use dear_collectives::{DType, LocalFabric, EPILOGUE_SLICE};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use super::send_ahead_tests::run_one_at_a_time;
+use super::send_ahead_tests::{OneAtATime, Rank};
 use super::tests::{net_of, rules};
 use super::*;
 
 /// Steps per run: the second reads the state the first left.
 const STEPS: u64 = 2;
-
-/// What a comm thread is run as: [`run_comm_thread`] or the oracle.
-type CommFn = fn(
-    LocalEndpoint,
-    HyperParams,
-    ParallelismStrategy,
-    PipelineMode,
-    &str,
-    &Receiver<CommJob>,
-    &Sender<CommResult>,
-);
 
 /// `n` values in `[-2, 2)` from `seed` (a multiplicative hash: cheap in
 /// an unoptimised build, where the long item dominates the run time).
@@ -39,15 +29,29 @@ fn values(seed: u64, n: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Trains [`STEPS`] DeAR steps of seeded gradients on a `world`-rank
-/// fabric whose comm threads run as `comm`. Returns, per rank, the final
+/// How [`train`] runs a rank.
+#[derive(Clone, Copy)]
+pub(super) enum RunAs {
+    /// The one-group-at-a-time oracle.
+    Oracle,
+    /// The engine, posted to back to back.
+    Engine,
+    /// The engine, with `0..n` seeded polls and pauses of up to 50 µs
+    /// between posts, as layer hooks between gradients make them.
+    Hooks(u64),
+}
+
+/// Trains [`STEPS`] steps of seeded gradients on a `world`-rank local
+/// fabric, each rank run as `run_as`. Returns, per rank, the final
 /// parameters of every group and the exported optimizer state.
-fn train(
+#[allow(clippy::too_many_arguments)]
+pub(super) fn train(
     world: usize,
-    comm: CommFn,
+    run_as: RunAs,
     layout: &GroupLayout,
     hyper: HyperParams,
     strategy: ParallelismStrategy,
+    mode: PipelineMode,
     seed: u64,
 ) -> Vec<(Vec<Vec<f32>>, OptimState)> {
     let groups = layout.num_groups();
@@ -57,57 +61,43 @@ fn train(
             .map(|ep| {
                 s.spawn(move || {
                     let rank = ep.rank() as u64;
-                    let (job_tx, job_rx) = unbounded();
-                    let (res_tx, res_rx) = unbounded();
-                    job_tx
-                        .send(CommJob::Reconfigure {
-                            layout: layout.clone(),
-                        })
-                        .unwrap();
-                    let comm_thread = s.spawn(move || {
-                        let scope = crate::trace::unique_scope(rank as usize);
-                        comm(
-                            ep,
-                            hyper,
-                            strategy,
-                            PipelineMode::Dear,
-                            &scope,
-                            &job_rx,
-                            &res_tx,
-                        );
-                    });
+                    let scope = crate::trace::unique_scope(ep.rank());
+                    let mut runner: Box<dyn Rank> = match run_as {
+                        RunAs::Oracle => {
+                            Box::new(OneAtATime::new(ep, hyper, strategy, mode, layout.clone()))
+                        }
+                        RunAs::Engine | RunAs::Hooks(_) => {
+                            let mut engine = CommEngine::new(ep, hyper, strategy, mode, &scope);
+                            engine.reconfigure(layout.clone()).unwrap();
+                            Box::new(engine)
+                        }
+                    };
+                    let mut hooks = match run_as {
+                        RunAs::Hooks(n) => Some((StdRng::seed_from_u64(seed ^ rank), n)),
+                        _ => None,
+                    };
                     let mut params: Vec<Vec<f32>> = (0..groups)
                         .map(|g| values(seed ^ g as u64, layout.group_elements(g)))
                         .collect();
                     for step in 0..STEPS {
-                        for group in (0..groups).rev() {
-                            let at = rank << 40 ^ step << 20 ^ group as u64;
-                            job_tx
-                                .send(CommJob::Reduce {
-                                    group,
-                                    grads: values(seed ^ at, layout.group_elements(group)),
-                                    params: params[group].clone(),
-                                })
-                                .unwrap();
-                        }
-                        job_tx.send(CommJob::Flush).unwrap();
-                        for _ in 0..groups {
-                            match res_rx.recv().unwrap() {
-                                CommResult::Params {
-                                    group, params: p, ..
-                                } => params[group] = p,
-                                other => panic!("unexpected reply {other:?}"),
+                        let mut home = vec![Vec::new(); groups];
+                        for (group, p) in std::mem::take(&mut params).into_iter().enumerate().rev()
+                        {
+                            if let Some((rng, n)) = hooks.as_mut() {
+                                for _ in 0..rng.gen_range(0..*n) {
+                                    runner.progress(&mut home);
+                                    let pause = rng.gen_range(0..50);
+                                    std::thread::sleep(std::time::Duration::from_micros(pause));
+                                }
                             }
+                            let at = rank << 40 ^ step << 20 ^ group as u64;
+                            let grads = values(seed ^ at, layout.group_elements(group));
+                            runner.reduce(group, grads, p, &mut home);
                         }
+                        runner.end_step(&mut home);
+                        params = home;
                     }
-                    job_tx.send(CommJob::ExportOptimState).unwrap();
-                    let state = match res_rx.recv().unwrap() {
-                        CommResult::OptimState(state) => state,
-                        other => panic!("unexpected reply {other:?}"),
-                    };
-                    drop(job_tx);
-                    comm_thread.join().unwrap();
-                    (params, state)
+                    (params, runner.export())
                 })
             })
             .collect();
@@ -115,8 +105,53 @@ fn train(
     })
 }
 
-fn bits(v: &[f32]) -> Vec<u32> {
+pub(super) fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `got` against `want`, rank by rank, to the bit.
+pub(super) fn agree(
+    got: &[(Vec<Vec<f32>>, OptimState)],
+    want: &[(Vec<Vec<f32>>, OptimState)],
+    case: &str,
+) -> Result<(), String> {
+    for (rank, (got, want)) in got.iter().zip(want).enumerate() {
+        for (group, (g, w)) in got.0.iter().zip(&want.0).enumerate() {
+            prop_assert_eq!(bits(g), bits(w), "{}: rank {} group {}", case, rank, group);
+        }
+        let (g, w) = (&got.1, &want.1);
+        prop_assert_eq!(
+            bits(&g.velocity),
+            bits(&w.velocity),
+            "{}: rank {} velocity",
+            case,
+            rank
+        );
+        prop_assert_eq!(
+            bits(&g.second_moment),
+            bits(&w.second_moment),
+            "{}: rank {} second moment",
+            case,
+            rank
+        );
+        prop_assert_eq!(g.adam_step, w.adam_step, "{}: rank {}", case, rank);
+    }
+    Ok(())
+}
+
+/// A layout of the items `lens` with one item long enough that on two
+/// ranks an owned chunk is reduced and updated in two slices or more:
+/// several items per group, of ragged lengths, so every rank's owned chunk
+/// cuts items mid-way.
+pub(super) fn ragged_layout(
+    lens: &[usize],
+    long: usize,
+    buffer_bytes: u64,
+    wire: DType,
+) -> GroupLayout {
+    let mut lens = lens.to_vec();
+    lens.insert(lens.len() / 2, long);
+    GroupLayout::from_buffer_wire(&net_of(&lens), Some(buffer_bytes), wire)
 }
 
 proptest! {
@@ -129,30 +164,15 @@ proptest! {
         buffer_bytes in 8u64..320,
         seed in any::<u64>(),
     ) {
-        // One item long enough that on two ranks an owned chunk is reduced
-        // and updated in two slices or more.
-        let mut lens = lens;
-        lens.insert(lens.len() / 2, long);
         let strategies = [ParallelismStrategy::Ddp, ParallelismStrategy::Zero2];
         for world in [2usize, 3, 4, 6] {
             for wire in [DType::F32, DType::Bf16, DType::F16] {
-                // Several items per group, of ragged lengths: every rank's
-                // owned chunk cuts items mid-way.
-                let layout = GroupLayout::from_buffer_wire(&net_of(&lens), Some(buffer_bytes), wire);
+                let layout = ragged_layout(&lens, long, buffer_bytes, wire);
                 for hyper in rules() {
                     for strategy in strategies {
                         let case = format!("world {world} {wire} {strategy:?} {hyper:?}");
-                        let fused = train(world, run_comm_thread, &layout, hyper, strategy, seed);
-                        let oracle = train(world, run_one_at_a_time, &layout, hyper, strategy, seed);
-                        for (rank, (got, want)) in fused.iter().zip(&oracle).enumerate() {
-                            for (group, (g, w)) in got.0.iter().zip(&want.0).enumerate() {
-                                prop_assert_eq!(bits(g), bits(w), "{}: rank {} group {}", case, rank, group);
-                            }
-                            let (g, w) = (&got.1, &want.1);
-                            prop_assert_eq!(bits(&g.velocity), bits(&w.velocity), "{}: rank {} velocity", case, rank);
-                            prop_assert_eq!(bits(&g.second_moment), bits(&w.second_moment), "{}: rank {} second moment", case, rank);
-                            prop_assert_eq!(g.adam_step, w.adam_step, "{}: rank {}", case, rank);
-                        }
+                        let run = |run_as| train(world, run_as, &layout, hyper, strategy, PipelineMode::Dear, seed);
+                        agree(&run(RunAs::Engine), &run(RunAs::Oracle), &case)?;
                     }
                 }
             }

@@ -1,15 +1,16 @@
-//! Cross-group send-ahead (DESIGN.md §4.18) against the schedule it
-//! replaced: one group at a time through the one-call `ring_*_on_wire`
-//! collectives, kept here as the reference. The tests play the training thread.
+//! The engine's progress by polling, with cross-group send-ahead
+//! (DESIGN.md §4.18), against the schedule it replaced: one group at a time
+//! through the one-call `ring_*_on_wire` collectives, kept here as the
+//! reference. The tests play the training thread: they post a step's
+//! groups with seeded pauses and polls between them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crossbeam_channel::unbounded;
 use dear_collectives::{
     ring_all_gather_on_wire, ring_reduce_scatter_on_wire, DType, LocalEndpoint, LocalFabric,
-    Message,
+    Message, Parcel,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,8 +26,10 @@ type Frame = (usize, [u8; 8]);
 /// `log[to]`: the frames one endpoint sent to `to`, in order.
 type SendLog = Vec<Vec<Frame>>;
 
-/// Records every send per destination, and fails one chosen receive.
-struct Probe {
+/// Records every send per destination, and fails one chosen receive —
+/// blocking or polled. It forwards the poll but not the lending calls, so
+/// every chunk travels as a copy that the log sees.
+pub(super) struct Probe {
     inner: LocalEndpoint,
     sent: Arc<Mutex<SendLog>>,
     recvs: AtomicUsize,
@@ -44,6 +47,14 @@ impl Probe {
             fail_recv,
         };
         (probe, sent)
+    }
+
+    /// Counts one receive; the chosen one fails.
+    fn received(&self, from: usize) -> Result<(), CollectiveError> {
+        if Some(self.recvs.fetch_add(1, Ordering::SeqCst)) == self.fail_recv {
+            return Err(CollectiveError::Disconnected { peer: from });
+        }
+        Ok(())
     }
 }
 
@@ -63,10 +74,15 @@ impl Transport for Probe {
         self.inner.send(to, msg)
     }
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
-        if Some(self.recvs.fetch_add(1, Ordering::SeqCst)) == self.fail_recv {
-            return Err(CollectiveError::Disconnected { peer: from });
-        }
+        self.received(from)?;
         self.inner.recv(from)
+    }
+    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
+        let Some(parcel) = self.inner.try_recv_parcel(from)? else {
+            return Ok(None);
+        };
+        self.received(from)?;
+        Ok(Some(parcel))
     }
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
         self.inner.set_recv_timeout(timeout)
@@ -82,130 +98,173 @@ impl Transport for Probe {
     }
 }
 
+/// Where the tests keep a rank's groups: `params[group]`.
+impl Home for Vec<Vec<f32>> {
+    fn put(&mut self, group: usize, params: Vec<f32>, _grads: Vec<f32>) {
+        self[group] = params;
+    }
+}
+
+/// What the tests drive a rank as: the engine, or the reference.
+pub(super) trait Rank {
+    /// `group`'s gradients are ready.
+    fn reduce(&mut self, group: usize, grads: Vec<f32>, params: Vec<f32>, home: &mut Vec<Vec<f32>>);
+    /// Makes progress, as at a layer hook.
+    fn progress(&mut self, home: &mut Vec<Vec<f32>>);
+    /// Ends the step; every group is home on return.
+    fn end_step(&mut self, home: &mut Vec<Vec<f32>>);
+    /// The optimizer state, at a step boundary.
+    fn export(&mut self) -> OptimState;
+}
+
+impl<T: Transport> Rank for CommEngine<T> {
+    fn reduce(
+        &mut self,
+        group: usize,
+        grads: Vec<f32>,
+        params: Vec<f32>,
+        home: &mut Vec<Vec<f32>>,
+    ) {
+        self.post(group, grads, params, home).unwrap();
+    }
+    fn progress(&mut self, home: &mut Vec<Vec<f32>>) {
+        CommEngine::progress(self, home).unwrap();
+    }
+    fn end_step(&mut self, home: &mut Vec<Vec<f32>>) {
+        self.flush(home).unwrap();
+        self.drain(home).unwrap();
+    }
+    fn export(&mut self) -> OptimState {
+        CommEngine::export(self).unwrap()
+    }
+}
+
 /// The schedule send-ahead replaced: every ring job runs start to end
 /// through the monolithic calls before the next one is looked at — and
 /// OP1 the way it ran before the update was fused into the receive: the
 /// reduce-scatter leaves the owned chunk reduced, ZeRO-2 compacts it, and
-/// a second pass updates it. Serves the first job's layout, then the ring
-/// jobs, the flush and optimizer-state exports only.
-pub(super) fn run_one_at_a_time<T: Transport>(
+/// a second pass updates it.
+pub(super) struct OneAtATime<T> {
     transport: T,
     hyper: HyperParams,
     strategy: ParallelismStrategy,
     mode: PipelineMode,
-    _trace_scope: &str,
-    jobs: &Receiver<CommJob>,
-    results: &Sender<CommResult>,
-) {
-    let Ok(CommJob::Reconfigure { layout }) = jobs.recv() else {
-        panic!("the first job installs the layout");
-    };
-    let wire = layout.wire();
-    let (rank, world) = (transport.rank(), transport.world_size());
-    let inv_p = 1.0 / world as f32;
-    let mut store = OptimStore::new(&layout, rank, world, mode);
-    let mut adam_step = 0;
-    let mut stash: Vec<(usize, StashEntry)> = Vec::new();
-    let update = |store: &mut OptimStore, group, params: &mut [f32], gbuf: &[f32], gshift, step| {
-        let (owned, velocity, second_moment) = store.group_state(group, &hyper);
+    layout: GroupLayout,
+    store: OptimStore,
+    adam_step: u64,
+    stash: Vec<(usize, StashEntry)>,
+}
+
+impl<T: Transport> OneAtATime<T> {
+    pub(super) fn new(
+        transport: T,
+        hyper: HyperParams,
+        strategy: ParallelismStrategy,
+        mode: PipelineMode,
+        layout: GroupLayout,
+    ) -> Self {
+        let (rank, world) = (transport.rank(), transport.world_size());
+        OneAtATime {
+            store: OptimStore::new(&layout, rank, world, mode),
+            transport,
+            hyper,
+            strategy,
+            mode,
+            layout,
+            adam_step: 0,
+            stash: Vec::new(),
+        }
+    }
+
+    fn update(&mut self, group: usize, params: &mut [f32], gbuf: &[f32], gshift: usize) {
+        let inv_p = 1.0 / self.transport.world_size() as f32;
+        let (owned, velocity, second_moment) = self.store.group_state(group, &self.hyper);
         update_owned_shard(
             &mut params[owned.clone()],
             &gbuf[owned.start - gshift..owned.end - gshift],
             velocity,
             second_moment,
-            &hyper,
+            &self.hyper,
             inv_p,
-            step,
+            self.adam_step,
         );
-    };
-    while let Ok(job) = jobs.recv() {
-        match (job, mode) {
-            (
-                CommJob::Reduce {
-                    group,
-                    mut grads,
-                    mut params,
-                },
-                PipelineMode::Dear,
-            ) => {
-                if stash.is_empty() {
-                    adam_step += 1;
-                }
-                let owned =
-                    ring_reduce_scatter_on_wire(&transport, &mut grads, ReduceOp::Sum, wire)
-                        .unwrap();
-                let (gbuf, gshift) = if strategy.shards_grad_stash() {
-                    (compact_owned_shard(grads, &owned), owned.start)
-                } else {
-                    (grads, 0)
-                };
-                update(&mut store, group, &mut params, &gbuf, gshift, adam_step);
-                let entry = if strategy.shards_grad_stash() {
-                    let mut chunk = gbuf;
-                    chunk.copy_from_slice(&params[owned.clone()]);
-                    StashEntry::Shard {
-                        owned,
-                        chunk,
-                        elements: layout.group_elements(group),
-                    }
-                } else {
-                    StashEntry::Full {
-                        params,
-                        grads: gbuf,
-                    }
-                };
-                stash.push((group, entry));
+    }
+}
+
+impl<T: Transport> Rank for OneAtATime<T> {
+    fn reduce(
+        &mut self,
+        group: usize,
+        mut grads: Vec<f32>,
+        mut params: Vec<f32>,
+        _: &mut Vec<Vec<f32>>,
+    ) {
+        let wire = self.layout.wire();
+        if self.mode == PipelineMode::Wfbp {
+            ring_all_reduce_on_wire(&self.transport, &mut grads, ReduceOp::Sum, wire).unwrap();
+            self.stash.push((group, StashEntry::Full { params, grads }));
+            return;
+        }
+        if self.stash.is_empty() {
+            self.adam_step += 1;
+        }
+        let owned =
+            ring_reduce_scatter_on_wire(&self.transport, &mut grads, ReduceOp::Sum, wire).unwrap();
+        let (gbuf, gshift) = if self.strategy.shards_grad_stash() {
+            (compact_owned_shard(grads, &owned), owned.start)
+        } else {
+            (grads, 0)
+        };
+        self.update(group, &mut params, &gbuf, gshift);
+        let entry = if self.strategy.shards_grad_stash() {
+            let mut chunk = gbuf;
+            chunk.copy_from_slice(&params[owned.clone()]);
+            StashEntry::Shard {
+                owned,
+                chunk,
+                elements: self.layout.group_elements(group),
             }
-            (
-                CommJob::Reduce {
-                    group,
-                    mut grads,
-                    params,
-                },
-                PipelineMode::Wfbp,
-            ) => {
-                ring_all_reduce_on_wire(&transport, &mut grads, ReduceOp::Sum, wire).unwrap();
-                stash.push((group, StashEntry::Full { params, grads }));
+        } else {
+            StashEntry::Full {
+                params,
+                grads: gbuf,
             }
-            (CommJob::Flush, PipelineMode::Wfbp) => {
-                adam_step += 1;
-                for (group, entry) in stash.drain(..).rev() {
-                    let (mut params, grads) = entry.into_buffers();
-                    update(&mut store, group, &mut params, &grads, 0, adam_step);
-                    results
-                        .send(CommResult::Params {
-                            group,
-                            params,
-                            grads,
-                        })
-                        .unwrap();
-                }
-            }
-            (CommJob::Flush, PipelineMode::Dear) => {
-                for (group, entry) in stash.drain(..).rev() {
-                    let (mut params, grads) = entry.into_buffers();
+        };
+        self.stash.push((group, entry));
+    }
+
+    fn progress(&mut self, _: &mut Vec<Vec<f32>>) {}
+
+    fn end_step(&mut self, home: &mut Vec<Vec<f32>>) {
+        let (rank, world) = (self.transport.rank(), self.transport.world_size());
+        if self.mode == PipelineMode::Wfbp {
+            self.adam_step += 1;
+        }
+        while let Some((group, entry)) = self.stash.pop() {
+            let (mut params, grads) = entry.into_buffers();
+            match self.mode {
+                PipelineMode::Wfbp => self.update(group, &mut params, &grads, 0),
+                PipelineMode::Dear => {
                     let owned_chunk = ring_owned_chunk(rank, world);
-                    ring_all_gather_on_wire(&transport, &mut params, owned_chunk, wire).unwrap();
-                    results
-                        .send(CommResult::Params {
-                            group,
-                            params,
-                            grads,
-                        })
-                        .unwrap();
+                    ring_all_gather_on_wire(
+                        &self.transport,
+                        &mut params,
+                        owned_chunk,
+                        self.layout.wire(),
+                    )
+                    .unwrap();
                 }
             }
-            (CommJob::ExportOptimState, _) => {
-                let (velocity, second_moment) = store.export(&layout);
-                results
-                    .send(CommResult::OptimState(OptimState {
-                        velocity,
-                        second_moment,
-                        adam_step,
-                    }))
-                    .unwrap();
-            }
-            (other, _) => panic!("the reference serves ring jobs only, got {other:?}"),
+            home.put(group, params, grads);
+        }
+    }
+
+    fn export(&mut self) -> OptimState {
+        let (velocity, second_moment) = self.store.export(&self.layout);
+        OptimState {
+            velocity,
+            second_moment,
+            adam_step: self.adam_step,
         }
     }
 }
@@ -246,92 +305,57 @@ fn initial_params() -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// What a comm thread is run as: [`run_comm_thread`] or the reference.
-type CommFn = fn(
-    Probe,
-    HyperParams,
-    ParallelismStrategy,
-    PipelineMode,
-    &str,
-    &Receiver<CommJob>,
-    &Sender<CommResult>,
-);
-
-/// How a test world's comm threads are run.
+/// How a test world's ranks run.
 #[derive(Clone, Copy)]
 struct Setup {
-    comm: CommFn,
+    /// Whether they run as the engine (else as the reference).
+    engine: bool,
     mode: PipelineMode,
     strategy: ParallelismStrategy,
     wire: DType,
 }
 
-/// Spawns rank `ep.rank()`'s comm thread over a probe, with the layout job
-/// and whatever `queue` posts after it already waiting in its job channel
-/// when it starts.
-fn spawn_comm<'scope, 'env>(
-    s: &'scope std::thread::Scope<'scope, 'env>,
-    ep: LocalEndpoint,
-    fail_recv: Option<usize>,
-    setup: Setup,
-    queue: impl FnOnce(&Sender<CommJob>),
-) -> (Sender<CommJob>, Receiver<CommResult>, Arc<Mutex<SendLog>>) {
-    let (probe, sent) = Probe::new(ep, fail_recv);
-    let (job_tx, job_rx) = unbounded();
-    let (res_tx, res_rx) = unbounded();
-    let layout = test_layout(setup.wire);
-    job_tx.send(CommJob::Reconfigure { layout }).unwrap();
-    queue(&job_tx);
-    s.spawn(move || {
+impl Setup {
+    /// Rank `probe.rank()` of this setup, its layout installed.
+    fn rank(self, probe: Probe) -> Box<dyn Rank> {
+        let layout = test_layout(self.wire);
+        if !self.engine {
+            return Box::new(OneAtATime::new(
+                probe,
+                test_hyper(),
+                self.strategy,
+                self.mode,
+                layout,
+            ));
+        }
         let scope = crate::trace::unique_scope(probe.rank());
-        (setup.comm)(
-            probe,
-            test_hyper(),
-            setup.strategy,
-            setup.mode,
-            &scope,
-            &job_rx,
-            &res_tx,
-        );
-    });
-    (job_tx, res_rx, sent)
+        let mut engine = CommEngine::new(probe, test_hyper(), self.strategy, self.mode, &scope);
+        engine.reconfigure(layout).unwrap();
+        Box::new(engine)
+    }
 }
 
-/// One training step's worth of jobs for `rank`, posted in backward order
-/// with a seeded random pause before each (`jitter` set), so that how far
-/// the comm thread has got when a job arrives differs by rank, step and
-/// seed, then the flush. Returns the updated parameters the replies
-/// carried, per group.
+/// One training step for `rank`, posted in backward order with a seeded
+/// random pause before each (`jitter` set), so that how far the engine
+/// has got when a job is posted differs by rank, step and seed, then the
+/// end of the step. Returns the updated parameters, per group.
 fn drive_step(
     rank: usize,
     step: u64,
-    params: &[Vec<f32>],
+    params: Vec<Vec<f32>>,
     jitter: Option<&mut StdRng>,
-    jobs: &Sender<CommJob>,
-    results: &Receiver<CommResult>,
+    rank_under_test: &mut dyn Rank,
 ) -> Vec<Vec<f32>> {
-    let groups = GROUP_ELEMENTS.len();
+    let mut home = vec![Vec::new(); GROUP_ELEMENTS.len()];
     let mut jitter = jitter;
-    for group in (0..groups).rev() {
+    for (group, params) in params.into_iter().enumerate().rev() {
         if let Some(rng) = jitter.as_deref_mut() {
             std::thread::sleep(Duration::from_micros(rng.gen_range(0..400)));
         }
-        jobs.send(CommJob::Reduce {
-            group,
-            grads: grads_of(rank, step, group),
-            params: params[group].clone(),
-        })
-        .unwrap();
+        rank_under_test.reduce(group, grads_of(rank, step, group), params, &mut home);
     }
-    jobs.send(CommJob::Flush).unwrap();
-    let mut out = vec![Vec::new(); groups];
-    for _ in 0..groups {
-        match results.recv().unwrap() {
-            CommResult::Params { group, params, .. } => out[group] = params,
-            other => panic!("unexpected reply {other:?}"),
-        }
-    }
-    out
+    rank_under_test.end_step(&mut home);
+    home
 }
 
 /// Runs the steps `steps` on a `world`-rank fabric set up as `setup`.
@@ -348,16 +372,17 @@ fn run_world(
             .into_iter()
             .map(|ep| {
                 let rank = ep.rank();
-                let (job_tx, res_rx, sent) = spawn_comm(s, ep, None, setup, |_| ());
                 let steps = steps.clone();
                 s.spawn(move || {
+                    let (probe, sent) = Probe::new(ep, None);
+                    let mut under_test = setup.rank(probe);
                     let mut jitter =
                         jitter_seed.map(|seed| StdRng::seed_from_u64(seed ^ (rank as u64) << 32));
                     let mut params = initial_params();
                     for step in steps {
-                        params = drive_step(rank, step, &params, jitter.as_mut(), &job_tx, &res_rx);
+                        params = drive_step(rank, step, params, jitter.as_mut(), &mut *under_test);
                     }
-                    drop(job_tx);
+                    drop(under_test);
                     let frames = sent.lock().unwrap().clone();
                     (frames, params)
                 })
@@ -385,16 +410,16 @@ fn send_ahead_keeps_every_link_in_sequential_order_and_every_bit() {
         for &(mode, strategy) in &cases {
             for (i, wire) in [DType::F32, DType::Bf16].into_iter().enumerate() {
                 let case = format!("world {world} {mode:?} {strategy:?} {wire}");
-                let setup = |comm| Setup {
-                    comm,
+                let setup = |engine| Setup {
+                    engine,
                     mode,
                     strategy,
                     wire,
                 };
-                let reference = run_world(world, setup(run_one_at_a_time), None, 0..STEPS);
+                let reference = run_world(world, setup(false), None, 0..STEPS);
                 for seed in 0..2u64 {
                     let seed = seed + 10 * i as u64 + 100 * world as u64;
-                    let ahead = run_world(world, setup(run_comm_thread), Some(seed), 0..STEPS);
+                    let ahead = run_world(world, setup(true), Some(seed), 0..STEPS);
                     for (rank, (got, want)) in ahead.iter().zip(&reference).enumerate() {
                         for (to, (g, w)) in got.0.iter().zip(&want.0).enumerate() {
                             assert_eq!(g, w, "{case} seed {seed}: link {rank}→{to}");
@@ -418,110 +443,129 @@ fn send_ahead_keeps_every_link_in_sequential_order_and_every_bit() {
     }
 }
 
-/// Posts `rank`'s DeAR `Reduce`s of `step` for the groups `which`, in backward
-/// order, always from the initial parameters.
-fn post_rs(jobs: &Sender<CommJob>, rank: usize, step: u64, which: Range<usize>) {
+/// Posts `rank`'s DeAR reduce-scatters of `step` for the groups `which`,
+/// in backward order, always from the initial parameters; returns the
+/// errors the posts returned.
+fn post_rs(
+    engine: &mut CommEngine<Probe>,
+    home: &mut Vec<Vec<f32>>,
+    rank: usize,
+    step: u64,
+    which: Range<usize>,
+) -> Vec<CollectiveError> {
     let params = initial_params();
-    for group in which.rev() {
-        jobs.send(CommJob::Reduce {
-            group,
-            grads: grads_of(rank, step, group),
-            params: params[group].clone(),
+    which
+        .rev()
+        .filter_map(|group| {
+            let grads = grads_of(rank, step, group);
+            engine.post(group, grads, params[group].clone(), home).err()
         })
-        .unwrap();
-    }
+        .collect()
 }
 
 #[test]
 fn failure_with_ops_in_flight_abandons_the_step_once_and_recovers() {
     let groups = GROUP_ELEMENTS.len();
     // What a healthy world makes of step 1 from a clean optimizer state.
-    let setup = |comm| Setup {
-        comm,
+    let setup = Setup {
+        engine: false,
         mode: PipelineMode::Dear,
         strategy: ParallelismStrategy::Ddp,
         wire: DType::F32,
     };
-    let healthy = run_world(2, setup(run_one_at_a_time), None, 1..2);
+    let healthy = run_world(2, setup, None, 1..2);
+    let engine = |probe: Probe| {
+        let scope = crate::trace::unique_scope(probe.rank());
+        let mode = PipelineMode::Dear;
+        let mut engine =
+            CommEngine::new(probe, test_hyper(), ParallelismStrategy::Ddp, mode, &scope);
+        engine.reconfigure(test_layout(DType::F32)).unwrap();
+        engine
+    };
 
-    std::thread::scope(|s| {
-        let mut eps = LocalFabric::create(2);
-        let ep1 = eps.pop().unwrap();
-        let ep0 = eps.pop().unwrap();
-        // Rank 1 only learns of the failure by its peer going quiet.
-        ep1.set_recv_timeout(Some(Duration::from_millis(500)));
-        // On two ranks an op is one send and one receive, so rank 0's
-        // receive 1 is its second op's finish. Most of the step is queued
-        // before the thread starts: when that op is the head, the two
-        // after it have been begun.
-        let (jobs0, results0, sent0) =
-            spawn_comm(s, ep0, Some(1), setup(run_comm_thread), |jobs| {
-                post_rs(jobs, 0, 0, 2..groups);
-            });
-        let (jobs1, results1, _) = spawn_comm(s, ep1, None, setup(run_comm_thread), |jobs| {
-            post_rs(jobs, 1, 0, 0..groups);
-            jobs.send(CommJob::Flush).unwrap();
-        });
-        match results0.recv().unwrap() {
-            CommResult::Error(CollectiveError::Disconnected { peer: 1 }) => {}
-            other => panic!("expected the injected failure, got {other:?}"),
-        }
-        let sent = || sent0.lock().unwrap()[1].len();
-        assert_eq!(sent(), 4, "two ops and the two begun ahead of the second");
-        // The rest of the abandoned step still arrives; it must neither
-        // run nor wedge the thread.
-        post_rs(&jobs0, 0, 0, 0..2);
-        jobs0.send(CommJob::Flush).unwrap();
-        match results1.recv().unwrap() {
-            CommResult::Error(CollectiveError::Timeout { peer: 0, .. }) => {}
-            other => panic!("expected rank 1 to time out on its quiet peer, got {other:?}"),
-        }
-
-        // Recovery: resize (the fabric flushes what the step left on the
-        // links), roll the optimizer back, run a healthy step.
-        let ends = [(&jobs0, &results0), (&jobs1, &results1)];
-        for (jobs, _) in &ends {
-            jobs.send(CommJob::ResizeWorld {
-                survivors: Some(vec![0, 1]),
-            })
-            .unwrap();
-        }
-        for (rank, (_, results)) in ends.iter().enumerate() {
-            match results.recv().unwrap() {
-                CommResult::Resized(Ok(change)) => assert_eq!(change.new_world, 2),
-                other => panic!(
-                    "rank {rank}: the abandoned step must leave exactly one reply \
-                     — its error — before the resize's, got {other:?}"
-                ),
-            }
-        }
-        assert_eq!(sent(), 4, "the abandoned step sent nothing after it failed");
-        let total = test_layout(DType::F32).total_elements();
-        for (rank, (jobs, _)) in ends.iter().enumerate() {
-            jobs.send(CommJob::ImportOptimState(OptimState {
-                velocity: vec![0.0; total],
-                second_moment: Vec::new(),
-                adam_step: 0,
-            }))
-            .unwrap();
-            post_rs(jobs, rank, 1, 0..groups);
-            jobs.send(CommJob::Flush).unwrap();
-        }
-        for (rank, (_, results)) in ends.iter().enumerate() {
-            let mut got = vec![Vec::new(); groups];
-            for _ in 0..groups {
-                match results.recv().unwrap() {
-                    CommResult::Params { group, params, .. } => got[group] = params,
-                    other => panic!("rank {rank}: unexpected reply {other:?}"),
+    let mut eps = LocalFabric::create(2);
+    let ep1 = eps.pop().unwrap();
+    let ep0 = eps.pop().unwrap();
+    // Rank 1 only learns of the failure by its peer going quiet.
+    ep1.set_recv_timeout(Some(Duration::from_millis(500)));
+    // On two ranks an op is one send and one receive, so rank 0's receive
+    // 1 is its second op's: by then the first has finished and the window
+    // has let the op behind the second's two successors begin.
+    let (probe0, sent0) = Probe::new(ep0, Some(1));
+    let (probe1, _) = Probe::new(ep1, None);
+    // Rank 0 posts its part of the step before rank 1 sends a thing, so
+    // it receives nothing until the window is full.
+    let posted = std::sync::Barrier::new(2);
+    let mut engines = std::thread::scope(|s| {
+        let rank1 = s.spawn(|| {
+            let mut engine = engine(probe1);
+            posted.wait();
+            let mut home = initial_params();
+            let mut errors = post_rs(&mut engine, &mut home, 1, 0, 0..groups);
+            errors.extend(engine.flush(&mut home).err());
+            errors.extend(engine.drain(&mut home).err());
+            match &errors[..] {
+                [CollectiveError::Timeout { peer: 0, .. }] => {}
+                other => {
+                    panic!("expected rank 1 to time out on its quiet peer once, got {other:?}")
                 }
             }
+            engine
+        });
+        let mut engine0 = engine(probe0);
+        let mut home = initial_params();
+        let mut errors = post_rs(&mut engine0, &mut home, 0, 0, 2..groups);
+        posted.wait();
+        errors.extend(engine0.drain(&mut home).err());
+        let sent = sent0.lock().unwrap()[1].len();
+        assert_eq!(sent, 4, "two ops and the two begun ahead of the second");
+        // The rest of the abandoned step is dropped unrun.
+        errors.extend(post_rs(&mut engine0, &mut home, 0, 0, 0..2));
+        errors.extend(engine0.flush(&mut home).err());
+        errors.extend(engine0.drain(&mut home).err());
+        assert_eq!(
+            errors,
+            [CollectiveError::Disconnected { peer: 1 }],
+            "the abandoned step reports its failure exactly once"
+        );
+        [engine0, rank1.join().unwrap()]
+    });
+    let sent = || sent0.lock().unwrap()[1].len();
+    assert_eq!(sent(), 4, "the abandoned step sent nothing after it failed");
+
+    // Recovery: resize (the fabric flushes what the step left on the
+    // links), roll the optimizer back, run a healthy step.
+    std::thread::scope(|s| {
+        let total = test_layout(DType::F32).total_elements();
+        let handles: Vec<_> = engines
+            .iter_mut()
+            .enumerate()
+            .map(|(rank, engine)| {
+                s.spawn(move || {
+                    let change = engine.resize(Some(&[0, 1])).unwrap();
+                    assert_eq!(change.new_world, 2);
+                    engine
+                        .import(&OptimState {
+                            velocity: vec![0.0; total],
+                            second_moment: Vec::new(),
+                            adam_step: 0,
+                        })
+                        .unwrap();
+                    let mut home = vec![Vec::new(); groups];
+                    assert!(post_rs(engine, &mut home, rank, 1, 0..groups).is_empty());
+                    engine.flush(&mut home).unwrap();
+                    engine.drain(&mut home).unwrap();
+                    home
+                })
+            })
+            .collect();
+        for (rank, h) in handles.into_iter().enumerate() {
             assert_eq!(
-                bits(&got),
+                bits(&h.join().unwrap()),
                 bits(&healthy[rank].1),
                 "rank {rank}: the step after recovery is a clean one"
             );
-            assert!(results.try_recv().is_err(), "rank {rank}: a stray reply");
         }
-        assert_eq!(sent(), 4 + 2 * groups, "one send per op of the new step");
     });
+    assert_eq!(sent(), 4 + 2 * groups, "one send per op of the new step");
 }

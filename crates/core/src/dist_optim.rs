@@ -1,31 +1,56 @@
 //! `DistOptim` — the user-facing distributed optimizer of the paper's
-//! Listing 1, driving BackPipe and FeedPipe over the comm thread.
+//! Listing 1, driving BackPipe and FeedPipe through the rank's
+//! communication engine from the training step's layer hooks.
 
-use crossbeam_channel::{Receiver, Sender};
-
-use dear_collectives::{CollectiveError, WorldChange};
+use dear_collectives::{CollectiveError, Transport, WorldChange};
 use dear_fusion::GroupTracker;
 use dear_minidnn::{softmax_cross_entropy, ParamStore, Sequential, Tensor};
 
-use crate::comm::{CommJob, CommResult, HyperParams, OptimKind, OptimState};
+use crate::comm::{CommEngine, Home, HyperParams, OptimKind, OptimState};
 use crate::layout::GroupLayout;
 use crate::trace::{self, TaskKind};
 
 /// Which pipelining scheme the runtime uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineMode {
-    /// DeAR: reduce-scatter during backprop, shard update comm-side,
+    /// DeAR: reduce-scatter during backprop, shard update as it lands,
     /// all-gather of updated parameters during the next feed-forward.
     Dear,
     /// WFBP baseline: per-group all-reduce during backprop; once the last
-    /// group is reduced the comm thread updates every group, whole, with
-    /// the same update rule as DeAR (its state covers every group whole),
-    /// and the step waits for it.
+    /// group is reduced every group is updated, whole, with the same
+    /// update rule as DeAR (its state covers every group whole), and the
+    /// step waits for it.
     Wfbp,
 }
 
+/// The rank's communication engine, over whichever fabric the worker was
+/// given.
+pub(crate) type Engine = CommEngine<Box<dyn Transport + Send>>;
+
+/// Groups the engine finished while the step was being closed, held until
+/// the next forward or `synchronize` puts them in the store: between a
+/// DeAR step and either of those the network is not read, whatever the
+/// engine has got done.
+#[derive(Default)]
+struct Parked(Vec<(usize, Vec<f32>, Vec<f32>)>);
+
+impl Home for Parked {
+    fn put(&mut self, group: usize, params: Vec<f32>, grads: Vec<f32>) {
+        self.0.push((group, params, grads));
+    }
+}
+
+impl Parked {
+    /// Puts every parked group in `store`.
+    fn unpark(&mut self, store: &mut ParamStore) {
+        for (group, params, grads) in self.0.drain(..) {
+            store.put(group, params, grads);
+        }
+    }
+}
+
 /// The distributed optimizer: wraps a network's training step with
-/// asynchronous gradient communication.
+/// gradient communication that the step's own layer hooks drive.
 ///
 /// Mirrors the paper's Listing 1: construct once per worker, call
 /// [`DistOptim::train_step`] per mini-batch, and [`DistOptim::synchronize`]
@@ -34,33 +59,36 @@ pub enum PipelineMode {
 /// There is one copy of the model (DESIGN.md §4.17): the network's
 /// [`ParamStore`], packed so that every fusion group is one segment. A
 /// completed group's parameter and gradient buffers are *taken* out of the
-/// store and moved to the comm thread; its reply *puts* them back. Between
-/// the two — after a DeAR `train_step`, until `synchronize` — the network
-/// cannot be read: that is a panic, not a stale value.
+/// store and moved into the engine; when its communication is done they are
+/// *put* back. Between the two — after a DeAR `train_step`, until the next
+/// feed-forward reaches the group or `synchronize` — the network cannot be
+/// read: that is a panic, not a stale value.
+///
+/// **Who moves the data.** The engine has no thread: the training thread
+/// makes its progress at every backprop hook (`grad_ready`) and every
+/// feed-forward hook (`pre_forward`), and waits on the link only where the
+/// step needs a result — a layer's parameters (`FFWAIT`), WFBP's flush and
+/// `synchronize`.
 ///
 /// A failure of the fabric never panics a method here: it comes back as a
-/// typed error and latches until [`DistOptim::resize_world`]. The comm
-/// thread outlives such failures; only if it has itself died of a bug does
-/// every method that talks to it panic.
+/// typed error and latches until [`DistOptim::resize_world`].
 pub struct DistOptim {
     rank: usize,
     world: usize,
     mode: PipelineMode,
     layout: GroupLayout,
     tracker: GroupTracker,
-    jobs: Sender<CommJob>,
-    results: Receiver<CommResult>,
-    /// Outstanding `Params` results not yet received.
-    pending: usize,
+    engine: Engine,
+    parked: Parked,
     /// The configured update rule, re-sent with every hyper-parameter
     /// change.
     kind: OptimKind,
     iter: u64,
     /// Start of the currently-open feed-forward trace segment, if tracing.
     fw_seg: Option<std::time::Instant>,
-    /// First collective failure reported by the comm thread, latched until
-    /// a successful [`DistOptim::resize_world`] clears it. While set, the
-    /// fabric is broken: steps are refused with this error.
+    /// First collective failure, latched until a successful
+    /// [`DistOptim::resize_world`] clears it. While set, the fabric is
+    /// broken: steps are refused with this error.
     comm_failed: Option<CollectiveError>,
 }
 
@@ -77,43 +105,36 @@ impl std::fmt::Debug for DistOptim {
 }
 
 impl DistOptim {
-    /// Builds the optimizer and posts `layout` to the comm thread, which
-    /// holds the layout of no tensors until then. Called by the cluster
-    /// runner; see [`crate::run_training`] for the user entry point.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)] // internal constructor, one call site
+    /// Builds the optimizer around `engine` and installs `layout` in it
+    /// (the engine holds the layout of no tensors until then). Called by
+    /// the cluster runner; see [`crate::run_training`] for the user entry
+    /// point.
     pub(crate) fn new(
-        rank: usize,
-        world: usize,
+        mut engine: Engine,
         mode: PipelineMode,
         layout: GroupLayout,
-        jobs: Sender<CommJob>,
-        results: Receiver<CommResult>,
         kind: OptimKind,
         trace_scope: &str,
     ) -> Self {
         // The training loop runs on the constructing thread; name its
         // stream so fw/bw spans pair with this worker's comm stream.
         trace::set_thread_stream(trace_scope, "compute");
-        let tracker = GroupTracker::new(layout.plan());
-        let optim = DistOptim {
-            rank,
-            world,
+        engine
+            .reconfigure(layout.clone())
+            .expect("the first layout moves no optimizer state");
+        DistOptim {
+            rank: engine.rank(),
+            world: engine.world(),
             mode,
+            tracker: GroupTracker::new(layout.plan()),
             layout,
-            tracker,
-            jobs,
-            results,
-            pending: 0,
+            engine,
+            parked: Parked::default(),
             kind,
             iter: 0,
             fw_seg: None,
             comm_failed: None,
-        };
-        optim.post(CommJob::Reconfigure {
-            layout: optim.layout.clone(),
-        });
-        optim
+        }
     }
 
     /// This worker's rank.
@@ -140,25 +161,26 @@ impl DistOptim {
         self.layout.num_groups()
     }
 
-    /// The first collective failure reported by the comm thread, if the
-    /// fabric is currently broken. Cleared by [`DistOptim::resize_world`].
+    /// The first collective failure, if the fabric is currently broken.
+    /// Cleared by [`DistOptim::resize_world`].
     #[must_use]
     pub fn comm_failed(&self) -> Option<&CollectiveError> {
         self.comm_failed.as_ref()
     }
 
-    /// Records a comm-thread failure and releases every wait: the in-flight
-    /// iteration is abandoned and outstanding results will never arrive, so
-    /// the FeedPipe stops waiting and the forward pass stops with it. The
-    /// buffers the comm thread held went down with the step: those groups'
-    /// segments stay absent from the store until the caller's rollback
-    /// (`set_flat_params`) re-creates them — the caller must discard the
-    /// step and either resize or tear down.
-    fn comm_fail(&mut self, e: CollectiveError) {
-        if self.comm_failed.is_none() {
-            self.comm_failed = Some(e);
+    /// Latches the first failure of `outcome`. A failed collective
+    /// abandoned the in-flight iteration: the buffers the engine held — and
+    /// the groups parked for the next forward — went down with the step, so
+    /// those groups' segments stay absent from the
+    /// store until the caller's rollback (`set_flat_params`) re-creates
+    /// them — the caller must discard the step and either resize or tear
+    /// down.
+    fn latch<R>(&mut self, outcome: Result<R, CollectiveError>) -> Result<R, CollectiveError> {
+        if let Err(e) = &outcome {
+            self.comm_failed.get_or_insert_with(|| e.clone());
+            self.parked.0.clear();
         }
-        self.pending = 0;
+        outcome
     }
 
     /// `Err` with the latched failure while the fabric is broken.
@@ -169,78 +191,23 @@ impl DistOptim {
     /// Every control call is collective and made at an iteration boundary;
     /// one made with communication outstanding is a bug in the caller.
     fn assert_synchronized(&self, what: &str) {
-        assert_eq!(self.pending, 0, "{what} requires a synchronized state");
+        assert!(
+            !self.engine.busy() && self.parked.0.is_empty(),
+            "{what} requires a synchronized state"
+        );
     }
 
-    /// Posts a job that has no reply of its own. The comm thread outlives
-    /// every failure of the fabric; it is gone only if it panicked.
-    fn post(&self, job: CommJob) {
-        self.jobs.send(job).expect("comm thread hung up");
-    }
-
-    /// The one place results come off the channel. `take` has first
-    /// refusal; what it leaves is filed here: a group's buffers go back
-    /// into `store` (ZeRO-2 returns another parameter allocation than it
-    /// was sent, and no gradient buffer; the store makes one), an `Error`
-    /// latches. Anything else — a reply nobody asked for, buffers with no
-    /// store to put them in — means the two threads of this crate disagree
-    /// about their protocol. `None` unless `take` took the result.
-    fn recv<R>(
-        &mut self,
-        store: Option<&mut ParamStore>,
-        take: impl FnOnce(CommResult) -> Result<R, CommResult>,
-    ) -> Option<R> {
-        let result = self.results.recv().expect("comm thread hung up");
-        let unexpected = match (take(result), store) {
-            (Ok(reply), _) => return Some(reply),
-            (
-                Err(CommResult::Params {
-                    group,
-                    params,
-                    grads,
-                }),
-                Some(store),
-            ) => {
-                self.pending -= 1;
-                store.put_params(group, params);
-                store.put_grads(group, grads);
-                return None;
-            }
-            (Err(CommResult::Error(e)), _) => {
-                self.comm_fail(e);
-                return None;
-            }
-            (Err(other), _) => other,
-        };
-        panic!("unexpected comm result: {unexpected:?}");
-    }
-
-    /// Receives until no result is outstanding — each one filed in `store`
-    /// — or the step is abandoned (`comm_fail` zeroes `pending`: nothing
-    /// more is coming).
-    fn drain(&mut self, store: &mut ParamStore) {
-        while self.pending > 0 {
-            self.recv(Some(&mut *store), Err::<(), _>);
-        }
-    }
-
-    /// The one door for control calls: posts `job` and waits for the reply
-    /// `take` accepts. Refused with the latched error while the fabric is
-    /// broken — the result channel may then hold stragglers of the
-    /// abandoned step, which only [`DistOptim::resize_world`] drains — and
-    /// a [`CommResult::Error`] in place of the reply latches and is
-    /// returned.
+    /// The door for communicating control calls: refused with the latched
+    /// error while the fabric is broken; a failure of the call latches.
     fn request<R>(
         &mut self,
         what: &str,
-        job: CommJob,
-        take: impl FnOnce(CommResult) -> Result<R, CommResult>,
+        call: impl FnOnce(&mut Engine) -> Result<R, CollectiveError>,
     ) -> Result<R, CollectiveError> {
         self.assert_synchronized(what);
         self.check()?;
-        self.post(job);
-        let reply = self.recv(None, take);
-        reply.ok_or_else(|| self.comm_failed.clone().expect("an `Error` reply latches"))
+        let outcome = call(&mut self.engine);
+        self.latch(outcome)
     }
 
     /// Runs one training step — feed-forward (waiting just-in-time on the
@@ -257,13 +224,12 @@ impl DistOptim {
     ///
     /// # Errors
     ///
-    /// Returns the first collective failure the comm thread reported. The
-    /// error latches: further calls keep failing until a successful
-    /// [`DistOptim::resize_world`].
+    /// Returns the first collective failure. The error latches: further
+    /// calls keep failing until a successful [`DistOptim::resize_world`].
     ///
     /// # Panics
     ///
-    /// Panics if the comm thread has died or label/batch shapes mismatch.
+    /// Panics if label/batch shapes mismatch.
     pub fn train_step(
         &mut self,
         net: &mut Sequential,
@@ -293,14 +259,14 @@ impl DistOptim {
         if let Some(seg) = self.fw_seg.take() {
             trace::span_starting_at(seg, TaskKind::FeedForward, || format!("FF[{iter}]")).end();
         }
-        // The comm thread abandoned the step; `train_step` reports why.
+        // The step was abandoned; `train_step` reports why.
         let Some(logits) = logits else {
             return f32::NAN;
         };
         let (loss, dloss) = softmax_cross_entropy(&logits, labels);
         // BackPipe: communication launched as gradients become ready. The
-        // hook never blocks (jobs go to an unbounded channel), so this span
-        // is pure compute.
+        // hook never waits on the link, so this span is compute plus the
+        // engine's progress between layers.
         let bp = trace::span(TaskKind::Backprop, || format!("BP[{iter}]"));
         net.backward_with_hook(&dloss, |li, store| self.grad_ready(li, store));
         bp.end();
@@ -308,34 +274,36 @@ impl DistOptim {
         loss
     }
 
-    /// FeedPipe hook: before layer `li` computes, make sure the parameters
-    /// of the previous iteration's update are back in the store. `false`
-    /// if they will never be: the step was abandoned.
+    /// FeedPipe hook: before layer `li` computes, make progress and make
+    /// sure the parameters of the previous iteration's update are back in
+    /// the store. `false` if they will never be: the step was abandoned.
     fn pre_forward(&mut self, li: usize, store: &mut ParamStore) -> bool {
+        self.parked.unpark(store);
+        let progress = self.engine.progress(store);
+        let _ = self.latch(progress);
         for i in 0..self.layout.gating_groups(li).len() {
             self.wait_for_group(self.layout.gating_groups(li)[i], store);
         }
         self.comm_failed.is_none()
     }
 
-    /// Blocks until group `g`'s parameters have arrived, or the step is
-    /// abandoned.
+    /// Drives the engine until group `g`'s parameters are back, or the step
+    /// is abandoned.
     fn wait_for_group(&mut self, g: usize, store: &mut ParamStore) {
         if store.has_params(g) || self.comm_failed.is_some() {
             return;
         }
-        // Close the open feed-forward segment: time spent blocked here is a
+        // Close the open feed-forward segment: time spent waiting here is a
         // stall, not compute, and must not cover communication spans.
         let iter = self.iter;
         let wait = self.fw_seg.take().map(|seg| {
             trace::span_starting_at(seg, TaskKind::FeedForward, || format!("FF[{iter}]")).end();
             trace::span(TaskKind::Other, || format!("FFWAIT[g{g}]"))
         });
-        // If the comm thread abandons the step, the latched failure ends
-        // this wait.
-        while !store.has_params(g) && self.comm_failed.is_none() {
-            self.recv(Some(&mut *store), Err::<(), _>);
-        }
+        let back = self
+            .engine
+            .progress_until(store, |store: &ParamStore| store.has_params(g));
+        let _ = self.latch(back);
         if let Some(w) = wait {
             w.end();
             self.fw_seg = Some(std::time::Instant::now());
@@ -343,18 +311,22 @@ impl DistOptim {
     }
 
     /// BackPipe hook: layer `li` has written its gradients into the store.
-    /// Every group this completes is launched: its buffers leave the store
-    /// and move to the comm thread with the job.
+    /// Every group this completes is posted — its buffers leave the store
+    /// and move into the engine — and the engine makes progress either way.
     fn grad_ready(&mut self, li: usize, store: &mut ParamStore) {
+        let mut posted = false;
         for pi in 0..self.layout.num_params(li) {
             let Some(done) = self.tracker.mark_ready(self.layout.item_of(li, pi)) else {
                 continue;
             };
-            self.post(CommJob::Reduce {
-                group: done,
-                grads: store.take_grads(done),
-                params: store.take_params(done),
-            });
+            let (grads, params) = (store.take_grads(done), store.take_params(done));
+            let outcome = self.engine.post(done, grads, params, store);
+            let _ = self.latch(outcome);
+            posted = true;
+        }
+        if !posted {
+            let progress = self.engine.progress(store);
+            let _ = self.latch(progress);
         }
     }
 
@@ -366,10 +338,13 @@ impl DistOptim {
             self.tracker.all_complete(),
             "not all gradients were produced"
         );
-        self.post(CommJob::Flush);
-        self.pending += self.layout.num_groups();
+        let flushed = self.engine.flush(&mut self.parked);
+        let _ = self.latch(flushed);
         if self.mode == PipelineMode::Wfbp {
-            self.drain(net.store_mut());
+            let store = net.store_mut();
+            self.parked.unpark(store);
+            let drained = self.engine.drain(store);
+            let _ = self.latch(drained);
         }
         self.tracker.reset();
         self.iter += 1;
@@ -386,12 +361,10 @@ impl DistOptim {
     /// # Errors
     ///
     /// Returns the latched collective failure, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the comm thread has died.
     pub fn synchronize(&mut self, net: &mut Sequential) -> Result<(), CollectiveError> {
-        self.drain(net.store_mut());
+        self.parked.unpark(net.store_mut());
+        let drained = self.engine.drain(net.store_mut());
+        let _ = self.latch(drained);
         self.check()
     }
 
@@ -408,14 +381,7 @@ impl DistOptim {
     ///
     /// Panics if called with communication outstanding.
     pub fn broadcast_value(&mut self, root: usize, value: f64) -> Result<f64, CollectiveError> {
-        self.request(
-            "broadcast",
-            CommJob::Broadcast { root, value },
-            |r| match r {
-                CommResult::Broadcast(v) => Ok(v),
-                other => Err(other),
-            },
-        )
+        self.request("broadcast", |e| e.broadcast(root, value))
     }
 
     /// Synchronizes all ranks. Must be called collectively at an iteration
@@ -430,10 +396,7 @@ impl DistOptim {
     ///
     /// Panics if called with communication outstanding.
     pub fn barrier(&mut self) -> Result<(), CollectiveError> {
-        self.request("barrier", CommJob::Barrier, |r| match r {
-            CommResult::BarrierDone => Ok(()),
-            other => Err(other),
-        })
+        self.request("barrier", Engine::barrier)
     }
 
     /// The resident optimizer-state bytes on this rank right now (velocity
@@ -452,14 +415,7 @@ impl DistOptim {
     ///
     /// Panics if called with communication outstanding.
     pub fn optim_state_bytes(&mut self) -> Result<usize, CollectiveError> {
-        self.request(
-            "optimizer-byte query",
-            CommJob::QueryOptimBytes,
-            |r| match r {
-                CommResult::OptimBytes(bytes) => Ok(bytes),
-                other => Err(other),
-            },
-        )
+        self.request("optimizer-byte query", |e| Ok(e.resident_bytes()))
     }
 
     /// Replaces the optimizer hyper-parameters (learning-rate schedules,
@@ -476,18 +432,19 @@ impl DistOptim {
         self.assert_synchronized("hyper change");
         assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        self.post(CommJob::SetHyper(HyperParams {
+        let set = self.engine.set_hyper(HyperParams {
             lr,
             momentum,
             weight_decay,
             kind: self.kind,
-        }));
+        });
+        let _ = self.latch(set);
     }
 
-    /// Clones the comm thread's sharded optimizer state for checkpointing
-    /// (under WFBP every rank's shard is the whole model).
-    /// Must be called at an iteration boundary after
-    /// [`DistOptim::synchronize`]. Purely local — no communication.
+    /// Clones the sharded optimizer state for checkpointing (under WFBP
+    /// every rank's shard is the whole model). Must be called at an
+    /// iteration boundary after [`DistOptim::synchronize`]. Purely local —
+    /// no communication.
     ///
     /// # Errors
     ///
@@ -497,18 +454,11 @@ impl DistOptim {
     ///
     /// Panics if called with communication outstanding.
     pub fn export_optim_state(&mut self) -> Result<OptimState, CollectiveError> {
-        self.request(
-            "optimizer-state export",
-            CommJob::ExportOptimState,
-            |r| match r {
-                CommResult::OptimState(state) => Ok(state),
-                other => Err(other),
-            },
-        )
+        self.request("optimizer-state export", |e| e.export())
     }
 
-    /// Replaces the comm thread's sharded optimizer state (checkpoint
-    /// resume). Must be called at an iteration boundary before the next
+    /// Replaces the sharded optimizer state (checkpoint resume). Must be
+    /// called at an iteration boundary before the next
     /// [`DistOptim::train_step`]. Purely local — no communication.
     ///
     /// # Errors
@@ -530,8 +480,8 @@ impl DistOptim {
                 return Err(CollectiveError::SizeMismatch { expected, actual });
             }
         }
-        self.post(CommJob::ImportOptimState(state));
-        Ok(())
+        let imported = self.engine.import(&state);
+        self.latch(imported)
     }
 
     /// Installs a new fusion buffer size (the BO re-bucketing step). Must
@@ -540,6 +490,7 @@ impl DistOptim {
     /// pair with [`DistOptim::broadcast_value`]. The next step re-packs the
     /// network's store to the new groups; parameters carry over. Groups
     /// are sized in bytes of the run's wire dtype, which stays the same.
+    /// A failure of the optimizer state's redistribution latches.
     ///
     /// # Panics
     ///
@@ -547,27 +498,23 @@ impl DistOptim {
     pub fn set_fusion_buffer(&mut self, net: &Sequential, buffer_bytes: Option<u64>) {
         self.assert_synchronized("re-bucketing");
         let layout = GroupLayout::from_buffer_wire(net, buffer_bytes, self.layout.wire());
-        self.post(CommJob::Reconfigure {
-            layout: layout.clone(),
-        });
+        let installed = self.engine.reconfigure(layout.clone());
+        let _ = self.latch(installed);
         self.tracker = GroupTracker::new(layout.plan());
         self.layout = layout;
     }
 
     /// Resizes the world in place after peer loss (or to admit a late
-    /// joiner): re-runs rendezvous through the comm thread's transport and
+    /// joiner): re-runs rendezvous through the engine's transport and
     /// adopts the new dense rank and world size. Clears the latched failure
     /// on success, so training can continue on the survivors. Must be
     /// called concurrently by every surviving rank at an iteration
     /// boundary; pair with [`DistOptim::agree_min_step`], a rollback to a
     /// known-good snapshot, and [`DistOptim::rebalance_optim_state`].
     ///
-    /// This is the one call that talks to a broken comm thread: stale
-    /// results from the abandoned step (parameters, queued errors) are
-    /// drained and discarded together with the group buffers they carry
-    /// (the rollback's `set_flat_params` re-creates those segments) — the
-    /// FIFO job channel guarantees everything enqueued before the resize
-    /// replies first.
+    /// This is the one call that talks to a broken fabric. The groups the
+    /// abandoned step held were dropped with it; the rollback's
+    /// `set_flat_params` re-creates those segments.
     ///
     /// # Errors
     ///
@@ -578,23 +525,10 @@ impl DistOptim {
         &mut self,
         survivors: Option<Vec<usize>>,
     ) -> Result<WorldChange, CollectiveError> {
-        self.post(CommJob::ResizeWorld { survivors });
-        let change = loop {
-            // `take` takes every result: stragglers are dropped right here.
-            let resized = self.recv(None, |r| {
-                Ok(match r {
-                    CommResult::Resized(outcome) => Some(outcome),
-                    _straggler => None,
-                })
-            });
-            if let Some(outcome) = resized.flatten() {
-                break outcome?;
-            }
-        };
+        let change = self.engine.resize(survivors.as_deref())?;
         self.rank = change.new_rank;
         self.world = change.new_world;
         self.comm_failed = None;
-        self.pending = 0;
         self.tracker.reset();
         Ok(change)
     }
@@ -613,10 +547,7 @@ impl DistOptim {
     ///
     /// Panics if called with communication outstanding.
     pub fn agree_min_step(&mut self, step: u64) -> Result<u64, CollectiveError> {
-        self.request("step agreement", CommJob::AgreeStep(step), |r| match r {
-            CommResult::Step(s) => Ok(s),
-            other => Err(other),
-        })
+        self.request("step agreement", |e| e.agree_step(step))
     }
 
     /// Repartitions the sharded optimizer state across the (possibly just
@@ -632,20 +563,15 @@ impl DistOptim {
     /// Returns the collective failure if the rebalance broke mid-flight; in
     /// that case the optimizer state is half-reduced and only a snapshot
     /// import may repair it. Returns the latched failure, with nothing
-    /// posted, if the fabric was already broken.
+    /// run, if the fabric was already broken.
     ///
     /// # Panics
     ///
     /// Panics if called with communication outstanding.
     pub fn rebalance_optim_state(&mut self) -> Result<(), CollectiveError> {
-        self.assert_synchronized("shard rebalance");
-        self.check()?;
-        self.post(CommJob::Reconfigure {
-            layout: self.layout.clone(),
-        });
-        // `Reconfigure` carries no reply of its own; the barrier queued
-        // behind it both confirms its collectives succeeded and releases
-        // all ranks past the rebalance together.
+        let layout = self.layout.clone();
+        self.request("shard rebalance", |e| e.reconfigure(layout))?;
+        // The barrier releases all ranks past the rebalance together.
         self.barrier()
     }
 }
@@ -653,143 +579,187 @@ impl DistOptim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_channel::unbounded;
-    use dear_collectives::WorldChange;
+    use crate::comm::HyperParams;
+    use crate::strategy::ParallelismStrategy;
+    use dear_collectives::{chunk_range, Loan, LocalEndpoint, LocalFabric, Message, Parcel};
     use dear_minidnn::{Linear, Relu};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
 
-    /// One group's circulating `(params, grads)` buffers.
-    type GroupBuffers = (Vec<f32>, Vec<f32>);
-
-    /// What the step's `Reduce` jobs shipped as `params`, laid out like
-    /// `Sequential::flat_params`; the jobs' buffers are returned per group.
-    fn shipped(jobs: &Receiver<CommJob>, layout: &GroupLayout) -> (Vec<f32>, Vec<GroupBuffers>) {
-        let mut flat = vec![f32::NAN; layout.total_elements()];
-        let mut buffers = vec![(Vec::new(), Vec::new()); layout.num_groups()];
-        for _ in 0..layout.num_groups() {
-            let CommJob::Reduce {
-                group,
-                grads,
-                params,
-            } = jobs.try_recv().expect("one job per group")
-            else {
-                panic!("expected a Reduce");
-            };
-            assert_eq!(grads.len(), layout.group_elements(group));
-            for &i in layout.items_of_group(group) {
-                let it = layout.item(i);
-                flat[it.global_offset..it.global_offset + it.len]
-                    .copy_from_slice(&params[it.offset_in_group..it.offset_in_group + it.len]);
-            }
-            buffers[group] = (params, grads);
-        }
-        assert!(matches!(jobs.try_recv(), Ok(CommJob::Flush)));
-        (flat, buffers)
+    /// Counts what its endpoint puts on a link; forwards everything, the
+    /// lending calls and the poll too.
+    struct Counted {
+        inner: LocalEndpoint,
+        sends: Arc<AtomicUsize>,
     }
 
-    /// Rank 0 of 2 under DeAR over a four-group network, with the test
-    /// holding the comm thread's ends of both channels — the layout the
-    /// optimizer posted on construction already taken off.
-    #[allow(clippy::type_complexity)]
-    fn played() -> (
-        DistOptim,
-        Sequential,
-        GroupLayout,
-        Receiver<CommJob>,
-        Sender<CommResult>,
-    ) {
+    impl Transport for Counted {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn world_size(&self) -> usize {
+            self.inner.world_size()
+        }
+        fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
+            self.sends.fetch_add(1, Ordering::SeqCst);
+            self.inner.send(to, msg)
+        }
+        fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
+            self.sends.fetch_add(1, Ordering::SeqCst);
+            self.inner.send_f32(to, src)
+        }
+        unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
+            self.sends.fetch_add(1, Ordering::SeqCst);
+            // SAFETY: the caller's contract, passed on unchanged.
+            unsafe { self.inner.lend_f32(to, src) }
+        }
+        fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
+            self.inner.recv(from)
+        }
+        fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
+            self.inner.recv_parcel(from)
+        }
+        fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
+            self.inner.try_recv_parcel(from)
+        }
+        fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
+            self.inner.set_recv_timeout(timeout)
+        }
+        fn reconfigure(
+            &mut self,
+            survivors: Option<&[usize]>,
+        ) -> Result<WorldChange, CollectiveError> {
+            self.inner.reconfigure(survivors)
+        }
+    }
+
+    fn net() -> Sequential {
         let mut rng = StdRng::seed_from_u64(3);
-        let net = Sequential::new()
+        Sequential::new()
             .push(Linear::new(4, 3, &mut rng))
             .push(Relu::new())
-            .push(Linear::new(3, 2, &mut rng));
-        let layout = GroupLayout::from_buffer(&net, None);
-        assert_eq!(layout.num_groups(), 4);
-        let (job_tx, job_rx) = unbounded();
-        let (res_tx, res_rx) = unbounded();
-        let optim = DistOptim::new(
-            0,
-            2,
-            PipelineMode::Dear,
-            layout.clone(),
-            job_tx,
-            res_rx,
-            OptimKind::Sgd,
-            &trace::unique_scope(0),
-        );
-        match job_rx.try_recv() {
-            Ok(CommJob::Reconfigure { layout: posted }) => {
-                assert_eq!(posted.segmentation(), layout.segmentation());
-            }
-            other => panic!("expected the layout first, got {other:?}"),
-        }
-        (optim, net, layout, job_rx, res_tx)
+            .push(Linear::new(3, 2, &mut rng))
     }
 
-    fn resized_to_one() -> CommResult {
-        CommResult::Resized(Ok(WorldChange {
-            old_rank: 0,
-            old_world: 2,
-            new_rank: 0,
-            new_world: 1,
-            generation: 1,
-        }))
+    /// Rank `ep.rank()` under DeAR over a four-group network — one group
+    /// per tensor — with a counter of the messages it sends.
+    fn optim_of(ep: LocalEndpoint, net: &Sequential) -> (DistOptim, GroupLayout, Arc<AtomicUsize>) {
+        let layout = GroupLayout::from_buffer(net, None);
+        assert_eq!(layout.num_groups(), 4);
+        let sends = Arc::new(AtomicUsize::new(0));
+        let transport = Counted {
+            inner: ep,
+            sends: Arc::clone(&sends),
+        };
+        let hyper = HyperParams {
+            lr: 0.1,
+            momentum: 0.0,
+            weight_decay: 0.0,
+            kind: OptimKind::Sgd,
+        };
+        let scope = trace::unique_scope(0);
+        let engine = CommEngine::new(
+            Box::new(transport) as Box<dyn Transport + Send>,
+            hyper,
+            ParallelismStrategy::Ddp,
+            PipelineMode::Dear,
+            &scope,
+        );
+        let optim = DistOptim::new(
+            engine,
+            PipelineMode::Dear,
+            layout.clone(),
+            OptimKind::Sgd,
+            &scope,
+        );
+        (optim, layout, sends)
+    }
+
+    fn batch() -> (Tensor, [usize; 2]) {
+        let x = Tensor::from_vec(&[2, 4], vec![0.5, -1.0, 0.25, 2.0, 1.0, 0.0, -0.5, 0.75]);
+        (x, [0, 1])
+    }
+
+    /// Nowhere zero, so a placeholder could not pass for it.
+    fn initial(net: &Sequential) -> Vec<f32> {
+        (0..net.param_count())
+            .map(|i| 0.1 + 0.01 * i as f32)
+            .collect()
+    }
+
+    /// Plays rank 1 of 2 over its raw endpoint for one hop of rank 0's
+    /// ring op on `group`: reads what rank 0 sent — a lent chunk is read,
+    /// which releases it — unless `read` is off, then sends chunk
+    /// `chunk` of the group, each element `value`.
+    fn answer(
+        ep: &LocalEndpoint,
+        layout: &GroupLayout,
+        group: usize,
+        chunk: usize,
+        value: f32,
+        read: bool,
+    ) {
+        if read {
+            match ep.recv_parcel(0).unwrap() {
+                Parcel::Lent(lease) => lease.read(|_| ()).unwrap(),
+                Parcel::Message(_) => {}
+            }
+        }
+        let len = chunk_range(layout.group_elements(group), 2, chunk).len();
+        ep.send(0, vec![value; len].into()).unwrap();
     }
 
     #[test]
     fn only_delivered_parameters_are_ever_shipped_back() {
-        // The test plays the comm thread. Step 1 ships the store's own
-        // buffers; two of its four groups are answered, then the fabric
-        // fails. Step 2 must stop at the first layer whose group was lost:
+        // Rank 1 is played over its raw endpoint. Step 1 reduce-scatters
+        // all four groups; the flush's all-gathers of groups 3 and 2 (layer
+        // 0, forward order) are answered, group 1's chunk arrives but
+        // rank 1 leaves without reading rank 0's, and group 0's never
+        // comes. Step 2 must stop at the first layer whose group was lost:
         // the delivered groups are back in the store, the lost ones are
         // absent — reading them panics — and nothing is shipped, never a
-        // placeholder. A straggler drained by the resize does not bring a
-        // lost group back; the rollback does, and step 3 ships it.
-        let (mut optim, mut net, layout, job_rx, res_tx) = played();
-        let x = Tensor::from_vec(&[2, 4], vec![0.5, -1.0, 0.25, 2.0, 1.0, 0.0, -0.5, 0.75]);
-        let labels = [0usize, 1];
-        // Nowhere zero, so a shipped placeholder could not pass for it.
-        let initial: Vec<f32> = (0..net.param_count())
-            .map(|i| 0.1 + 0.01 * i as f32)
-            .collect();
+        // placeholder. The resize does not bring a lost group back; the
+        // rollback does, and step 3 is the step a fresh rank takes from it.
+        let mut eps = LocalFabric::create(2);
+        let ep1 = eps.pop().unwrap();
+        let mut net = net();
+        let (mut optim, layout, sends) = optim_of(eps.pop().unwrap(), &net);
+        let (x, labels) = batch();
+        let initial = initial(&net);
         net.set_flat_params(&initial);
-
+        let rank1 = std::thread::spawn({
+            let layout = layout.clone();
+            move || {
+                // Reduce-scatters in backward order: rank 1 sends chunk 1.
+                for group in 0..4 {
+                    answer(&ep1, &layout, group, 1, 0.0, true);
+                }
+                // All-gathers, newest group first: rank 1 sends chunk 0.
+                for group in [3, 2] {
+                    answer(&ep1, &layout, group, 0, 1.0, true);
+                }
+                answer(&ep1, &layout, 1, 0, 1.0, false);
+            }
+        });
         optim.train_step(&mut net, &x, &labels).unwrap();
-        let (flat, mut buffers) = shipped(&job_rx, &layout);
-        assert_eq!(flat, initial, "the first step ships the store's buffers");
         assert!((0..4).all(|g| !net.store().has_params(g)), "by move");
-
-        // Groups 3 and 2 (layer 0, forward order) come back "updated"; then
-        // failure.
-        for group in [3, 2] {
-            let (mut params, grads) = std::mem::take(&mut buffers[group]);
-            params.iter_mut().for_each(|p| *p += 1.0);
-            res_tx
-                .send(CommResult::Params {
-                    group,
-                    params,
-                    grads,
-                })
-                .unwrap();
-        }
-        res_tx
-            .send(CommResult::Error(CollectiveError::Disconnected { peer: 1 }))
-            .unwrap();
+        // Step 2's forward drives step 1's communication to the failure.
         assert!(optim.train_step(&mut net, &x, &labels).is_err());
+        rank1.join().unwrap();
         assert!(
-            job_rx.try_recv().is_err(),
-            "the abandoned step ships nothing"
+            sends.load(Ordering::SeqCst) <= 8,
+            "the abandoned step ships nothing: step 1 sent one chunk per \
+             reduce-scatter and all-gather"
         );
         for (pi, group) in [(0, 2), (1, 3)] {
-            let it = layout.item(layout.items_of_group(group)[0]);
-            let delivered: Vec<f32> = initial[it.global_offset..it.global_offset + it.len]
-                .iter()
-                .map(|p| p + 1.0)
-                .collect();
+            let got = net.store().param(0, pi);
+            let c0 = chunk_range(layout.group_elements(group), 2, 0);
             assert_eq!(
-                net.store().param(0, pi),
-                delivered,
+                got[c0.clone()],
+                vec![1.0; c0.len()][..],
                 "delivered group {group}"
             );
         }
@@ -798,70 +768,59 @@ mod tests {
         let message = lost.downcast_ref::<String>().expect("a formatted panic");
         assert!(message.contains("set_flat_params"), "{message}");
 
-        // A straggler of the abandoned step, then the resize reply.
-        res_tx
-            .send(CommResult::Params {
-                group: 0,
-                params: vec![0.0; layout.group_elements(0)],
-                grads: Vec::new(),
-            })
-            .unwrap();
-        res_tx.send(resized_to_one()).unwrap();
-        optim.resize_world(None).unwrap();
-        assert!(matches!(
-            job_rx.try_recv(),
-            Ok(CommJob::ResizeWorld { survivors: None })
-        ));
-        assert!(!net.store().has_params(0), "a straggler is not a delivery");
+        optim.resize_world(Some(vec![0])).unwrap();
+        assert!(!net.store().has_params(1), "a resize is not a delivery");
         net.set_flat_params(&initial);
+        optim.rebalance_optim_state().unwrap();
         optim.train_step(&mut net, &x, &labels).unwrap();
-        let (flat, _) = shipped(&job_rx, &layout);
-        assert_eq!(flat, initial, "the rollback is what the next step ships");
+        optim.synchronize(&mut net).unwrap();
+
+        let mut fresh_net = self::net();
+        fresh_net.set_flat_params(&initial);
+        let (mut fresh, _, _) = optim_of(LocalFabric::create(1).remove(0), &fresh_net);
+        fresh.train_step(&mut fresh_net, &x, &labels).unwrap();
+        fresh.synchronize(&mut fresh_net).unwrap();
+        assert_eq!(
+            net.flat_params(),
+            fresh_net.flat_params(),
+            "the rollback is what the next step trains from"
+        );
     }
 
     #[test]
     fn a_latched_failure_shuts_the_door_until_the_resize_drains() {
-        // The test plays the comm thread. A step fails; behind the error a
-        // `Params` straggler and a second `Error` are still queued. Every
-        // control call is refused with the latched error — nothing posted,
-        // nothing read: the straggler is not theirs to receive — and the
-        // resize, the one call that talks to a broken comm thread, drains
-        // both and succeeds.
-        let (mut optim, mut net, layout, job_rx, res_tx) = played();
-        let x = Tensor::from_vec(&[2, 4], vec![0.5, -1.0, 0.25, 2.0, 1.0, 0.0, -0.5, 0.75]);
-        optim.train_step(&mut net, &x, &[0, 1]).unwrap();
-        shipped(&job_rx, &layout);
-        let latched = CollectiveError::Disconnected { peer: 1 };
-        res_tx.send(CommResult::Error(latched.clone())).unwrap();
+        // Rank 1 is gone before the first step, which fails. Every control
+        // call is then refused with the latched error — nothing sent,
+        // nothing received — and the resize, the one call that talks to a
+        // broken fabric, succeeds and opens the door again.
+        let mut eps = LocalFabric::create(2);
+        drop(eps.pop());
+        let mut net = net();
+        let (mut optim, _, sends) = optim_of(eps.pop().unwrap(), &net);
+        let (x, labels) = batch();
+        let latched = optim.train_step(&mut net, &x, &labels).unwrap_err();
+        assert_eq!(latched, CollectiveError::Disconnected { peer: 1 });
+        let shipped = sends.load(Ordering::SeqCst);
         assert_eq!(optim.synchronize(&mut net), Err(latched.clone()));
-        res_tx
-            .send(CommResult::Params {
-                group: 0,
-                params: vec![0.0; layout.group_elements(0)],
-                grads: Vec::new(),
-            })
-            .unwrap();
-        let second = CollectiveError::Timeout {
-            peer: 1,
-            millis: 10,
-        };
-        res_tx.send(CommResult::Error(second)).unwrap();
-
+        assert_eq!(
+            optim.train_step(&mut net, &x, &labels),
+            Err(latched.clone())
+        );
         assert_eq!(optim.export_optim_state(), Err(latched.clone()));
         assert_eq!(optim.optim_state_bytes(), Err(latched.clone()));
         assert_eq!(optim.barrier(), Err(latched.clone()));
         assert_eq!(optim.agree_min_step(3), Err(latched.clone()));
         assert_eq!(optim.broadcast_value(0, 1.0), Err(latched.clone()));
         assert_eq!(optim.rebalance_optim_state(), Err(latched.clone()));
-        assert!(job_rx.try_recv().is_err(), "a refused call posts nothing");
+        assert_eq!(
+            sends.load(Ordering::SeqCst),
+            shipped,
+            "a refused call sends nothing"
+        );
         assert_eq!(optim.comm_failed(), Some(&latched), "the first error stays");
 
-        res_tx.send(resized_to_one()).unwrap();
-        assert_eq!(optim.resize_world(None).unwrap().new_world, 1);
+        assert_eq!(optim.resize_world(Some(vec![0])).unwrap().new_world, 1);
         assert!(optim.comm_failed().is_none());
-        assert!(!net.store().has_params(0), "a straggler is not a delivery");
-        // The channel is empty again: the next reply is the barrier's own.
-        res_tx.send(CommResult::BarrierDone).unwrap();
         optim.barrier().unwrap();
     }
 }

@@ -138,7 +138,7 @@ impl GroupLayout {
         }
     }
 
-    /// The layout of no tensors: what a comm thread holds until the first
+    /// The layout of no tensors: what an engine holds until the first
     /// layout is installed.
     pub(crate) fn empty() -> Self {
         GroupLayout::new(&Sequential::new(), FusionPlan::singletons(0))

@@ -3,7 +3,7 @@
 //!
 //! DeAR's decoupling — all-reduce = reduce-scatter ∘ all-gather — is the
 //! exact primitive pair ZeRO-1/2 is built from. After OP1.RS every rank
-//! holds the reduced gradients of the shard it owns; the comm thread
+//! holds the reduced gradients of the shard it owns; the engine
 //! already updates only that shard and OP2.AG redistributes the updated
 //! parameters. The strategies below only change *what state is resident*
 //! between those two points — the wire traffic is identical for both, so
@@ -23,7 +23,7 @@ pub enum ParallelismStrategy {
     /// optimizer state is already ZeRO-1's: the owned shard only.
     #[default]
     Ddp,
-    /// ZeRO stage 2: sharded residency of the comm-side gradient/parameter
+    /// ZeRO stage 2: sharded residency of the engine-side gradient/parameter
     /// stash between OP1.RS and OP2.AG — only the owned chunk of each
     /// fused group is kept; the full buffer is rematerialized just-in-time
     /// for the all-gather.
@@ -47,7 +47,7 @@ impl std::fmt::Display for StrategyError {
 impl std::error::Error for StrategyError {}
 
 impl ParallelismStrategy {
-    /// Whether the comm-side stash between OP1.RS and OP2.AG keeps only
+    /// Whether the engine-side stash between OP1.RS and OP2.AG keeps only
     /// the owned chunk of each group.
     #[must_use]
     pub fn shards_grad_stash(&self) -> bool {

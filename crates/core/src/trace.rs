@@ -2,8 +2,9 @@
 //!
 //! DeAR's claim is that OP1 (reduce-scatter) hides behind backprop and OP2
 //! (all-gather) behind the next feed-forward. The simulator can *predict*
-//! that overlap; this module *measures* it. The training thread, the comm
-//! thread, the checkpoint store and the TCP endpoint all emit spans into
+//! that overlap; this module *measures* it. The training thread, the
+//! engine it drives, the checkpoint store and the TCP endpoint all emit
+//! spans into
 //! one process-wide recorder; at the end of
 //! a run the spans are replayed into a [`dear_sim::Timeline`] so the exact
 //! same interval arithmetic ([`Timeline::exposed_time`]), no-overlap
@@ -22,9 +23,12 @@
 //!
 //! Streams are named `scope/role` — e.g. `s0.r2/compute`, `s0.r2/comm` —
 //! where the scope is unique per worker (so concurrent in-process clusters
-//! never interleave on one stream) and the role identifies the emitting
-//! thread. The comm thread's per-group `OP1.RS` / `OP2.AG` / `AR` spans
-//! *are* the transfers — one split-phase ring op each — and every control
+//! never interleave on one stream) and the role identifies the work: a
+//! training thread's own spans land on `compute`, and the spans of the
+//! communication engine it drives on `comm` ([`span_on`]). The engine's
+//! per-group `OP1.RS` / `OP2.AG` / `AR` spans are the transfers — one
+//! split-phase ring op each, from when it is the next to receive until it
+//! lands — and every control
 //! collective has a span of its own (`BCAST`, `BARRIER`, `RESIZE`,
 //! `AGREE-STEP`, `REBALANCE`). Overlap reports measure the `…/comm` streams
 //! only.
@@ -123,7 +127,7 @@ thread_local! {
 /// Names the calling thread's stream `scope/role` (e.g. `s0.r1/comm`);
 /// subsequent [`span`] calls from this thread land on that stream.
 pub fn set_thread_stream(scope: &str, role: &str) {
-    STREAM.with(|s| *s.borrow_mut() = Arc::from(format!("{scope}/{role}")));
+    STREAM.with(|s| *s.borrow_mut() = stream(scope, role));
 }
 
 /// Returns a process-unique scope name for one worker, `s<N>.r<rank>`.
@@ -193,6 +197,25 @@ pub fn span(kind: TaskKind, label: impl FnOnce() -> String) -> Span {
     let stream = STREAM.with(|s| s.borrow().clone());
     Span {
         rec: Some((stream, label(), kind, Instant::now())),
+    }
+}
+
+/// The stream `scope/role`, for [`span_on`].
+#[must_use]
+pub fn stream(scope: &str, role: &str) -> Arc<str> {
+    Arc::from(format!("{scope}/{role}"))
+}
+
+/// Like [`span`], but on `stream` instead of the calling thread's: for
+/// work a thread does in another role — the training thread driving its
+/// rank's communication lands it on that rank's `…/comm` stream.
+pub fn span_on(stream: &Arc<str>, kind: TaskKind, label: impl FnOnce() -> String) -> Span {
+    let t = tracer();
+    if !t.enabled.load(Ordering::Relaxed) {
+        return Span { rec: None };
+    }
+    Span {
+        rec: Some((Arc::clone(stream), label(), kind, Instant::now())),
     }
 }
 

@@ -225,7 +225,7 @@ pub struct StrategyForecast {
     /// at runtime can move this by a few elements per bucket, never by a
     /// factor.
     pub optim_state_bytes: usize,
-    /// Predicted peak bytes of parameters parked on the comm thread
+    /// Predicted peak bytes of parameters parked in the communication engine
     /// between OP1 and OP2: the full model under `ddp`, only the
     /// owned chunk under `zero2` (the rest is rematerialized as zeros at
     /// all-gather time — bit-identical, since the ring only reads the

@@ -84,7 +84,7 @@ pub struct NetConfig {
     pub recv_timeout: Option<Duration>,
     /// Depth of each shm ring, in frames: `send` to a co-located rank only
     /// waits once this many frames are queued on that link. Never below
-    /// [`MIN_LINK_FRAMES`]: the comm thread sends that far ahead of its
+    /// [`MIN_LINK_FRAMES`]: the communication engine sends that far ahead of its
     /// receives, and two ranks doing so to each other over a shallower
     /// ring would both block in `send`. TCP links do not read it — their
     /// depth is the kernel's socket buffers plus the peer's unbounded inbox.
@@ -129,7 +129,7 @@ pub struct NetConfig {
     pub host_id: Option<u64>,
     /// How model state is partitioned across the world: data parallelism
     /// (`ddp`, the default — under DeAR the optimizer state is already the
-    /// owned shard) or ZeRO-2 (`zero2`: the comm thread's stash between
+    /// owned shard) or ZeRO-2 (`zero2`: the engine's stash between
     /// reduce-scatter and all-gather is sharded too) on the same decoupled
     /// pipeline. Passed
     /// through to the run's

@@ -33,7 +33,7 @@ pub struct DemoSummary {
     pub params_hash: u64,
     /// The parallelism strategy the run trained under.
     pub strategy: ParallelismStrategy,
-    /// Bytes of optimizer state resident on this rank's comm thread at the
+    /// Bytes of optimizer state resident in this rank's communication engine at the
     /// end of the run — under DeAR, every strategy's owned shard, roughly
     /// `1/world` of the model per state vector, which the strategy smoke
     /// test asserts.

@@ -75,7 +75,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dear_collectives::{BufferPool, CollectiveError, Message, Transport, WireBuf, WorldChange};
+use dear_collectives::{
+    BufferPool, CollectiveError, Message, Parcel, Transport, WireBuf, WorldChange,
+};
 use dear_core::trace;
 
 use crate::config::{NetConfig, NetError};
@@ -879,6 +881,25 @@ impl Transport for TcpEndpoint {
             })?,
         };
         Ok(Message::new(payload))
+    }
+
+    /// What the peer's reader thread has put in the inbox. An empty inbox
+    /// whose reader has ended is the peer's departure (or the verdict that
+    /// ended it), as for `recv`.
+    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
+        self.check_peer(from)?;
+        let rx = self.inboxes[from]
+            .as_ref()
+            .expect("validated peer")
+            .lock()
+            .expect("inbox poisoned");
+        match rx.try_recv() {
+            Ok(payload) => Ok(Some(Parcel::Message(Message::new(payload)))),
+            Err(mpsc::TryRecvError::Empty) => Ok(None),
+            Err(mpsc::TryRecvError::Disconnected) => Err(self
+                .failure_verdict(from)
+                .unwrap_or(CollectiveError::Disconnected { peer: from })),
+        }
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {

@@ -906,6 +906,70 @@ mod tests {
         Ok(found)
     }
 
+    /// The lease hop with the sender's side as the training thread runs
+    /// it: it publishes the lease, then between stretches of other work
+    /// (a write to its next group's buffer) looks at the lease once
+    /// ([`lease::try_settle`], what `Loan::poll` runs) and writes the chunk
+    /// only after a look that found it settled. The receiver reads it, or
+    /// is found wedged first if `wedges`. Returns the outcomes seen.
+    fn polled_lease_hop(
+        wedges: bool,
+        give_up: fn(&Atomic<usize>) -> bool,
+    ) -> Result<BTreeSet<&'static str>, String> {
+        let outcomes = Arc::new(Mutex::new(BTreeSet::new()));
+        let seen = Arc::clone(&outcomes);
+        explore(BOUND, move || {
+            let ring = Arc::new(SpscRing::<ModelLease, ModelMem>::new(2));
+            let chunk = Arc::new(Plain::new("chunk"));
+            let next = Arc::new(Plain::new("next group"));
+            let state = Arc::new(Atomic::<u8>::new("lease", lease::PUBLISHED));
+            let wedged = Arc::new(Atomic::<usize>::new("wedged", 0));
+            let (tx, rx) = (Arc::clone(&ring), Arc::clone(&ring));
+            let (w_tx, w_rx) = (Arc::clone(&wedged), Arc::clone(&wedged));
+            let settled = Arc::new(Mutex::new(None));
+            let (s_out, outcomes) = (Arc::clone(&settled), Arc::clone(&seen));
+            Run {
+                threads: vec![
+                    Box::new(move || {
+                        chunk.write();
+                        let lease = ModelLease {
+                            state: Arc::clone(&state),
+                            chunk: Arc::clone(&chunk),
+                        };
+                        push(&tx, lease);
+                        let how = loop {
+                            next.write();
+                            if let Some(how) = lease::try_settle(&*state, || give_up(&w_tx)) {
+                                break how;
+                            }
+                            spin();
+                        };
+                        chunk.write();
+                        *s_out.lock().unwrap() = Some(how);
+                    }),
+                    Box::new(move || {
+                        let lease = pop(&rx);
+                        if wedges {
+                            w_rx.store(1, Ordering::Relaxed);
+                        }
+                        let _ = lease.read();
+                    }),
+                ],
+                finally: Box::new(move || {
+                    let how = settled.lock().unwrap().expect("the sender settled");
+                    outcomes.lock().unwrap().insert(match how {
+                        Settled::Released => "released",
+                        Settled::Discarded => "discarded",
+                        Settled::Revoked => "revoked",
+                    });
+                    drop(ring);
+                }),
+            }
+        })?;
+        let found = outcomes.lock().unwrap().clone();
+        Ok(found)
+    }
+
     fn never(_: &Atomic<usize>) -> bool {
         false
     }
@@ -948,5 +1012,20 @@ mod tests {
     fn a_lease_dropped_unread_settles_discarded() {
         let seen = lease_hop(false, true, never).unwrap();
         assert_eq!(seen, BTreeSet::from([("discarded", None)]));
+    }
+
+    #[test]
+    fn a_polled_settle_lets_the_sender_write_only_after_the_read() {
+        let seen = polled_lease_hop(false, never).unwrap();
+        assert_eq!(seen, BTreeSet::from(["released"]));
+    }
+
+    #[test]
+    fn a_polled_settle_that_gives_up_mid_read_waits_for_the_release() {
+        // A look that finds the lease TAKEN reports nothing, revoke or not:
+        // the sender goes on with other work and writes the chunk only once
+        // a later look finds it released.
+        let seen = polled_lease_hop(true, when_wedged).unwrap();
+        assert_eq!(seen, BTreeSet::from(["released", "revoked"]));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Everything the rest of the repository does over the in-process
 //! [`LocalFabric`](dear_collectives::LocalFabric) — ring / recursive
-//! halving-doubling / tree collectives, the DeAR comm thread, full
+//! halving-doubling / tree collectives, the DeAR communication engine, full
 //! training — also runs unchanged over this crate's [`TcpEndpoint`],
 //! because both implement the same
 //! [`Transport`](dear_collectives::Transport) trait. The pieces:

@@ -818,6 +818,28 @@ impl Transport for ShmEndpoint {
         }
     }
 
+    /// One look at `from`'s ring, in `recv_parcel`'s order: a queued
+    /// message, then departure, then the failure detector's verdict.
+    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
+        let slot = self.slot_of(from)?;
+        let ring = self.fabric.rings[slot][self.slot]
+            .as_ref()
+            .expect("off-diagonal ring exists");
+        if let Some(shm) = ring.try_pop() {
+            return self.delivered(from, shm).map(Some);
+        }
+        if self.fabric.members[slot].departed.load(Ordering::Acquire) {
+            return match ring.try_pop() {
+                Some(shm) => self.delivered(from, shm).map(Some),
+                None => Err(CollectiveError::Disconnected { peer: from }),
+            };
+        }
+        if self.fabric.is_wedged(slot) {
+            return Err(CollectiveError::Aborted { peer: from });
+        }
+        Ok(None)
+    }
+
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
         *self.recv_timeout.lock().expect("recv timeout poisoned") = timeout;
         true

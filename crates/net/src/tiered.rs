@@ -195,6 +195,10 @@ impl Transport for TieredEndpoint {
         self.tier_for(from).recv_parcel(from)
     }
 
+    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
+        self.tier_for(from).try_recv_parcel(from)
+    }
+
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
         let tcp_ok = self.tcp.set_recv_timeout(timeout);
         if let Some(shm) = &self.shm {

@@ -7,12 +7,12 @@
 //! of a pool no receive refills would allocate a chunk-sized one every
 //! time.
 //!
-//! Each pool is stocked with 16 chunk-sized buffers before the run. How
-//! many a TCP rank holds at once depends on how far its reader threads run
-//! ahead of its comm thread, so without the stock a late step can still
-//! grow the pool to a new high-water mark (1–3 allocations in 10 steps were
-//! seen); with it, a large allocation means a send drew on a pool that no
-//! receive refills.
+//! The pools hold only what the training runtime stocks them with. How
+//! many buffers a TCP rank holds at once depends on how far its reader
+//! threads run ahead of its training thread; the runtime stocks its pool to
+//! that bound during the first step, so a late step never grows the pool to
+//! a new high-water mark. A large allocation means a send drew on a pool
+//! that no receive refills, or the stock fell short of the readers.
 //!
 //! The counter is process-global, so this file holds a single test.
 
@@ -67,11 +67,6 @@ const WORLD: usize = 2;
 const BATCH: usize = 4;
 const WARMUP: u64 = 3;
 const STEPS: u64 = 10;
-/// Buffers of [`STOCK_BYTES`] each pool gets before the run.
-const STOCK: usize = 16;
-/// At least the largest chunk a hop moves (see [`build_net`]).
-const STOCK_BYTES: usize = 256 << 10;
-
 /// 64→320, 2×(320→320), 320→8 under a 256 KiB fusion buffer: each 400 KiB
 /// weight matrix is its own group, so every ring hop moves a 200 KiB chunk.
 fn build_net() -> Sequential {
@@ -85,16 +80,8 @@ fn build_net() -> Sequential {
     net.push(Linear::new(320, 8, &mut rng))
 }
 
-/// Fills `ep`'s pool with [`STOCK`] chunk-sized buffers.
-fn stock(ep: &impl Transport) {
-    let bufs: Vec<_> = (0..STOCK).map(|_| ep.take_buffer(STOCK_BYTES)).collect();
-    for buf in bufs {
-        ep.recycle_buffer(buf);
-    }
-}
-
 /// The counter's value with nothing in the process running: `synchronize`
-/// drains this rank's comm thread and two barriers surround the reading.
+/// drains this rank's communication and two barriers surround the reading.
 fn settled_count(optim: &mut DistOptim, net: &mut Sequential, barrier: &Barrier) -> usize {
     optim.synchronize(net).unwrap();
     barrier.wait();
@@ -106,7 +93,6 @@ fn settled_count(optim: &mut DistOptim, net: &mut Sequential, barrier: &Barrier)
 /// Large allocations the whole process makes while every rank of `eps`
 /// runs `STEPS` DeAR steps, after `WARMUP` of them.
 fn steady_steps<E: Transport + Send + 'static>(eps: Vec<E>) -> usize {
-    eps.iter().for_each(stock);
     let data = BlobDataset::new(64, 8, 0.4, 3);
     let barrier = Barrier::new(WORLD);
     let config = TrainConfig {

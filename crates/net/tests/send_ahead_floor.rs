@@ -1,4 +1,4 @@
-//! The comm thread sends ahead of its receives (DESIGN.md §4.18): with two
+//! The communication engine sends ahead of its receives (DESIGN.md §4.18): with two
 //! symmetric ranks, each puts up to a window's worth of frames on the link
 //! before it takes any off. A bounded transport must hold that many without
 //! blocking `send`, or both ranks wait on each other until the send

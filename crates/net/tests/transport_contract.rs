@@ -5,8 +5,8 @@
 //! what a fabric promises; this file is its executable statement. Each
 //! clause is one generic function over a factory `world → endpoints`
 //! (element `r` is rank `r`), and each fabric runs all of them through one
-//! `contract!` line. Clauses 2, 3, 8, 10 and 11 run as one case per
-//! condition they name (`c2_…`, `c3_…`, `c8_…`, `c10_…`, `c11_…`), so a
+//! `contract!` line. Clauses 2, 3, 8, 10, 11 and 12 run as one case per
+//! condition they name (`c2_…`, `c3_…`, `c8_…`, `c10_…`, `c11_…`, `c12_…`), so a
 //! failure says which one broke:
 //!
 //! 1. ranks are `0..world` and agree on `world_size`; a world of one works;
@@ -37,7 +37,13 @@
 //!     when the peer departs — also when the lease was still queued at a
 //!     dropped endpoint — and in `Timeout` past the lender's deadline, after
 //!     which the peer gets `Aborted`, never the chunk. A fabric that copies
-//!     (`lend_f32` returns no loan) passes it as clause 10.
+//!     (`lend_f32` returns no loan) passes it as clause 10;
+//! 12. `try_recv_parcel` is a receive that does not wait: with nothing
+//!     queued it reports nothing at once; what it returns comes in FIFO
+//!     order with `recv`, `recv_parcel` and lent chunks; it refuses self
+//!     and out-of-range peers; from a departed peer it drains what was sent
+//!     before, then reports `Disconnected`; and on `DelayFabric` it reports
+//!     nothing before a message's delivery stamp and the message after it.
 //!
 //! An error names its peer as the fabric that detected it numbers it: a
 //! [`GroupTransport`] view reports its inner transport's rank
@@ -117,6 +123,10 @@ impl Transport for View {
 
     fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
         self.group().recv_parcel(from)
+    }
+
+    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
+        self.group().try_recv_parcel(from)
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
@@ -629,6 +639,111 @@ fn a_settle_after_the_receive_does_not_wait<E: Endpoint>(world: impl Fn(usize) -
     }
 }
 
+/// The bits of a parcel, lent or not.
+fn parcel_bits(parcel: Parcel) -> Vec<u32> {
+    match parcel {
+        Parcel::Lent(lease) => lease
+            .read(bits)
+            .expect("a lease nobody revoked is readable"),
+        Parcel::Message(msg) => {
+            let payload = msg.into_payload();
+            assert_eq!(payload.dtype(), DType::F32);
+            bits(&payload.to_f32_vec())
+        }
+    }
+}
+
+/// Polls `from` until it reports a message or an error; a poll that keeps
+/// reporting nothing for ten seconds fails the case.
+fn poll<E: Endpoint>(ep: &E, from: usize) -> Result<Parcel, CollectiveError> {
+    let give_up = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(parcel) = ep.try_recv_parcel(from)? {
+            return Ok(parcel);
+        }
+        assert!(Instant::now() < give_up, "the poll never reported");
+        std::thread::sleep(Duration::from_micros(100));
+    }
+}
+
+/// Clause 12: with nothing queued a poll reports nothing, at once.
+fn an_idle_poll<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+    let eps = world(2);
+    for ep in &eps {
+        let start = Instant::now();
+        for _ in 0..100 {
+            assert!(ep.try_recv_parcel(1 - ep.rank()).unwrap().is_none());
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "a poll waited: {:?} for 100",
+            start.elapsed()
+        );
+    }
+}
+
+/// Clause 12: polls, `recv` and `recv_parcel` take one FIFO link of sends
+/// and lent chunks.
+fn polls_keep_fifo<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+    let eps = world(2);
+    let values: Vec<Vec<f32>> = (0..MIN_LINK_FRAMES)
+        .map(|k| vec![k as f32 - 0.5; 1 + 16 * k])
+        .collect();
+    let mut loans = Vec::new();
+    for (k, v) in values.iter().enumerate() {
+        if k % 2 == 0 {
+            loans.extend(lend(&eps[0], 1, v).unwrap());
+        } else {
+            eps[0].send(1, v.clone().into()).unwrap();
+        }
+    }
+    for (k, v) in values.iter().enumerate() {
+        let got = match k % 3 {
+            0 => parcel_bits(poll(&eps[1], 0).unwrap()),
+            1 => bits(&eps[1].recv(0).unwrap().into_payload().to_f32_vec()),
+            _ => received_bits(&eps[1], 0),
+        };
+        assert_eq!(got, bits(v), "message {k}");
+    }
+    assert!(
+        eps[1].try_recv_parcel(0).unwrap().is_none(),
+        "the link is empty"
+    );
+    for loan in loans {
+        assert_eq!(loan.settle(), Ok(()));
+    }
+}
+
+/// Clause 12: a poll of self or of a rank past the world is refused.
+fn polls_of_invalid_ranks<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+    for ep in &world(2) {
+        for peer in [ep.rank(), 2, 5] {
+            let invalid = CollectiveError::InvalidRank {
+                rank: peer,
+                world: 2,
+            };
+            assert_eq!(ep.try_recv_parcel(peer).unwrap_err(), invalid);
+        }
+    }
+}
+
+/// Clause 12: what a departed peer sent is polled, then `Disconnected`.
+fn polls_of_a_departed_peer<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+    let mut eps = world(2);
+    let stays = eps.pop().unwrap();
+    let leaves = eps.pop().unwrap();
+    leaves.send(1, vec![42.0].into()).unwrap();
+    leaves.send(1, vec![43.0].into()).unwrap();
+    drop(leaves);
+    for want in [42.0f32, 43.0] {
+        assert_eq!(parcel_bits(poll(&stays, 0).unwrap()), bits(&[want]));
+    }
+    let gone = CollectiveError::Disconnected {
+        peer: stays.reported(0),
+    };
+    assert_eq!(poll(&stays, 0).unwrap_err(), gone);
+}
+
 /// Clause 8.
 fn transparent<E: Endpoint>(
     world: impl Fn(usize) -> Vec<E>,
@@ -854,6 +969,26 @@ macro_rules! contract {
                 bounded(|| a_settle_after_the_receive_does_not_wait($world));
             }
 
+            #[test]
+            fn c12_an_idle_poll_reports_nothing_at_once() {
+                bounded(|| an_idle_poll($world));
+            }
+
+            #[test]
+            fn c12_polls_keep_fifo_with_receives_and_lent_chunks() {
+                bounded(|| polls_keep_fifo($world));
+            }
+
+            #[test]
+            fn c12_a_poll_refuses_self_and_out_of_range_peers() {
+                bounded(|| polls_of_invalid_ranks($world));
+            }
+
+            #[test]
+            fn c12_a_departed_peer_is_polled_dry_then_disconnected() {
+                bounded(|| polls_of_a_departed_peer($world));
+            }
+
             proptest! {
                 #![proptest_config(ProptestConfig::with_cases($cases))]
 
@@ -921,3 +1056,39 @@ contract!(tiered_1xn: tiered_1xn, worlds 1usize..3, cases 4, lends true;
     shrink Discovered, stamps true, worlds 3usize..5, cases 2);
 contract!(tiered_2xn: tiered_2xn, worlds 1usize..5, cases 4, lends false;
     shrink Discovered, stamps true, worlds 3usize..6, cases 2);
+
+/// Clause 12, for the fabric that stamps: a message still on the emulated
+/// wire is not polled, and stays first on its link; at its stamp the poll
+/// returns it.
+#[test]
+fn c12_delay_polls_a_message_at_its_stamp_not_before() {
+    bounded(|| {
+        let mut eps = LocalFabric::create(2);
+        let link = CostModel::new(40_000_000.0, 0.0, 0.0); // 40 ms per message
+        let b = DelayFabric::new(eps.pop().unwrap(), link);
+        let a = DelayFabric::new(eps.pop().unwrap(), link);
+        let sent = Instant::now();
+        a.send(1, vec![1.0].into()).unwrap();
+        a.send(1, vec![2.0].into()).unwrap();
+        assert!(
+            b.try_recv_parcel(0).unwrap().is_none(),
+            "polled before its stamp"
+        );
+        assert!(
+            b.try_recv_parcel(0).unwrap().is_none(),
+            "a held message stays held"
+        );
+        let first = poll(&b, 0).unwrap();
+        assert!(
+            sent.elapsed() >= Duration::from_millis(40),
+            "polled before its stamp"
+        );
+        assert_eq!(parcel_bits(first), bits(&[1.0]));
+        assert_eq!(
+            b.recv(0).unwrap(),
+            vec![2.0],
+            "the second is next, at its own stamp"
+        );
+        assert!(sent.elapsed() >= Duration::from_millis(80));
+    });
+}

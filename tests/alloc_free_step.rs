@@ -1,6 +1,6 @@
 //! The steady-state training step makes no large allocation: every fusion
 //! group's gradient and parameter buffers are segments of the network's
-//! store that circulate between the training thread and the comm thread
+//! store that circulate between the training thread and the communication engine
 //! (DESIGN.md §4.17), and backward writes weight gradients straight into
 //! them — so after warm-up neither the model's own forward + backward nor
 //! a distributed step allocates anything of a tensor's size.
@@ -90,7 +90,7 @@ fn plain_forward_backward() -> usize {
 }
 
 /// The counter's value with nothing in the process running: `synchronize`
-/// drains this rank's comm thread and two barriers surround the reading.
+/// drains this rank's communication engine and two barriers surround the reading.
 fn settled_count(optim: &mut DistOptim, net: &mut Sequential, barrier: &Barrier) -> usize {
     optim.synchronize(net).unwrap();
     barrier.wait();

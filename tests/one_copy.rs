@@ -1,6 +1,6 @@
 //! One copy of the model (DESIGN.md §4.17): the fusion-group buffers *are*
 //! the parameters and the gradients, so a rank at rest holds its
-//! parameters, its gradients, its optimizer state and the comm thread's
+//! parameters, its gradients, its optimizer state and the communication engine's
 //! stock of wire buffers — and no staging copy of anything.
 //!
 //! Measured as the bytes live in allocations of at least 64 KiB (the
@@ -94,7 +94,7 @@ fn resident_model_copies(mode: PipelineMode) -> f64 {
             let (x, labels) = data.shard(step, BATCH * WORLD, rank, WORLD);
             optim.train_step(&mut net, &x, &labels).unwrap();
         }
-        // `synchronize` drains this rank's comm thread; between the two
+        // `synchronize` drains this rank's communication engine; between the two
         // barriers nothing in the process runs.
         optim.synchronize(&mut net).unwrap();
         barrier.wait();
@@ -112,7 +112,7 @@ fn resident_model_copies(mode: PipelineMode) -> f64 {
 
 #[test]
 fn a_rank_at_rest_holds_one_copy_of_the_model() {
-    // DeAR (any strategy): parameters + gradients + the comm thread's
+    // DeAR (any strategy): parameters + gradients + the communication engine's
     // velocity over the shard it owns, 1/WORLD of a model = 2.5 models,
     // plus its stock of three wire buffers of half a group each: 2.84.
     // With a full-length velocity it read 3.34; with a staging copy of the
@@ -123,7 +123,7 @@ fn a_rank_at_rest_holds_one_copy_of_the_model() {
         dear <= 3.0,
         "DeAR: a rank at rest holds {dear:.2} models' worth of large buffers"
     );
-    // WFBP: parameters + gradients + the comm thread's full-length
+    // WFBP: parameters + gradients + the communication engine's full-length
     // velocity (every rank updates every element) and the wire stock: 3.34.
     let wfbp = resident_model_copies(PipelineMode::Wfbp);
     assert!(

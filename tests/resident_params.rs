@@ -1,5 +1,5 @@
 //! The ownership rule of the one resident copy (DESIGN.md §4.17): a group's
-//! parameters live in the network's store, leave it for the comm thread
+//! parameters live in the network's store, leave it for the communication engine
 //! when the group's gradients are complete and come back with the
 //! all-gather. Whether the caller takes them all back every step
 //! (`synchronize`) or lets the next forward pass collect them just in time,
