@@ -110,11 +110,6 @@ impl Loans {
         self.0.drain(..).try_for_each(|(_, loan)| loan.settle())
     }
 
-    /// Whether no loan is out.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// Polls every loan ([`Loan::poll`]) and drops the settled ones:
     /// `Ok(true)` once none is left.
     pub(crate) fn poll(&mut self) -> Result<bool, CollectiveError> {
@@ -195,7 +190,7 @@ pub(crate) unsafe fn send_hop<T: Transport>(
 /// results do not depend on it.
 pub const EPILOGUE_SLICE: usize = 2048;
 
-/// Work fused into a receive (see [`crate::ring_finish_with`]): it sees
+/// Work fused into a receive (see [`crate::ring_receive`]): it sees
 /// the received range one [`EPILOGUE_SLICE`]-element slice at a time, each
 /// right after the slice got its values, while they are still in cache.
 /// `()` is the receive without one.

@@ -303,10 +303,25 @@ impl std::fmt::Debug for Loan {
 
 /// Polls of a settle that spin before they yield, then yields before they
 /// sleep: a receiver that has the lease is mid-read and releases it within
-/// a reduction's time.
+/// a reduction's time; one that has not taken it yet takes it when it next
+/// makes progress.
 const SETTLE_SPINS: u32 = 256;
 const SETTLE_YIELDS: u32 = 4096;
 const SETTLE_SLEEP: Duration = Duration::from_micros(50);
+
+/// One wait between two looks of a settle that found the lease undecided,
+/// `polls` of them so far (counted here): a spin, then a yield, then a
+/// short sleep. Reset `polls` to 0 when the waiter made progress elsewhere.
+pub fn settle_backoff(polls: &mut u32) {
+    *polls = polls.saturating_add(1);
+    if *polls < SETTLE_SPINS {
+        std::hint::spin_loop();
+    } else if *polls < SETTLE_SPINS + SETTLE_YIELDS {
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(SETTLE_SLEEP);
+    }
+}
 
 impl Loan {
     /// Waits until the receiver has read the chunk. Afterwards the chunk is
@@ -326,14 +341,7 @@ impl Loan {
             if let Some(settled) = self.look(false, since) {
                 return settled;
             }
-            polls = polls.saturating_add(1);
-            if polls < SETTLE_SPINS {
-                std::hint::spin_loop();
-            } else if polls < SETTLE_SPINS + SETTLE_YIELDS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(SETTLE_SLEEP);
-            }
+            settle_backoff(&mut polls);
         }
     }
 

@@ -84,9 +84,9 @@ pub use lease::{Lease, Loan, Parcel};
 pub use reduce::ReduceOp;
 pub use rhd::rhd_all_reduce;
 pub use ring::{
-    compact_owned_shard, ring_advance, ring_all_gather, ring_all_gather_on_wire, ring_all_reduce,
-    ring_all_reduce_on_wire, ring_begin, ring_finish, ring_finish_with, ring_owned_chunk,
-    ring_poll, ring_reduce_scatter, ring_reduce_scatter_on_wire, ring_wait, RingKind, RingOp,
+    compact_owned_shard, ring_all_gather, ring_all_gather_on_wire, ring_all_reduce,
+    ring_all_reduce_on_wire, ring_begin, ring_finish, ring_owned_chunk, ring_receive,
+    ring_reduce_scatter, ring_reduce_scatter_on_wire, RingKind, RingOp,
 };
 pub use topology::{HostMap, Placement};
 pub use transport::{

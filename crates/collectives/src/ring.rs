@@ -112,13 +112,6 @@ impl RingOp {
         self.landed
     }
 
-    /// Whether a chunk this op lent is still out: after [`ring_begin`] on
-    /// a world of two or more, whether the transport lends its hops.
-    #[must_use]
-    pub fn lends(&self) -> bool {
-        !self.loans.is_empty()
-    }
-
     /// Polls the settle of every chunk this op lent ([`crate::Loan::poll`]):
     /// `Ok(true)` once none is out, so [`ring_finish`] will not wait. The
     /// polled loans are settled as they are found released.
@@ -299,20 +292,6 @@ impl RingOp {
     /// # Safety
     ///
     /// As [`ring_begin`], for the buffer `data` addresses.
-    unsafe fn advance<T: Transport>(&mut self, t: &T, data: Chunks) -> Result<(), CollectiveError> {
-        while !self.all_sent() {
-            // SAFETY: forwarded.
-            unsafe {
-                self.recv_round(t, data, &mut (), true)?;
-                self.send_round(t, data)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// # Safety
-    ///
-    /// As [`ring_begin`], for the buffer `data` addresses.
     unsafe fn finish<T: Transport>(
         mut self,
         t: &T,
@@ -334,18 +313,17 @@ impl RingOp {
 
 /// Begins a ring collective over `data` on the `wire` dtype: posts its
 /// first send — the only one that depends on no receive — and returns the
-/// op to drive with [`ring_advance`] and [`ring_finish`]. Never blocks on a
+/// op to drive with [`ring_receive`] and [`ring_finish`]. Never blocks on a
 /// receive.
 ///
-/// `begin → advance → finish` on one op is exactly the one-call
-/// `ring_*_on_wire` collective (those *are* this composition). Across ops
-/// on one rank, a caller may interleave under one rule: **an op may be
-/// begun once every earlier op has posted its last send**
-/// ([`RingOp::all_sent`]), and ops are finished in the order they were
-/// begun. Each op's messages then stay contiguous on the link, in the
-/// order a sequential caller would have produced them, so the peers —
-/// whatever their own interleaving — receive the same byte sequence, only
-/// earlier.
+/// `begin → finish` on one op is exactly the one-call `ring_*_on_wire`
+/// collective (those *are* this composition). Across ops on one rank, a
+/// caller may interleave under one rule: **an op may be begun once every
+/// earlier op has posted its last send** ([`RingOp::all_sent`]), and ops
+/// receive and finish in the order they were begun. Each op's messages
+/// then stay contiguous on the link, in the order a sequential caller
+/// would have produced them, so the peers — whatever their own
+/// interleaving — receive the same byte sequence, only earlier.
 ///
 /// # Safety
 ///
@@ -369,11 +347,25 @@ pub unsafe fn ring_begin<T: Transport>(
     unsafe { RingOp::begin(t, kind, Chunks::of_vec(data), wire) }
 }
 
-/// Drives `ring` until its last send is posted: each remaining round's
-/// receive, then the send that ships what it produced. On return only the
-/// last receive is outstanding and [`RingOp::all_sent`] holds. A no-op for
-/// a reduce-scatter or all-gather on two ranks, whose single send
-/// [`ring_begin`] already posted.
+/// Drives `ring` as far as the messages that have **already arrived** take
+/// it — with `wait`, after first waiting for its next one, so that a caller
+/// with nothing else to do blocks on the link instead of spinning. Each
+/// message is reduced or copied in and the send it unlocks is posted.
+/// Returns [`RingOp::landed`]; a landed op returns at once.
+///
+/// `epilogue` is fused into the last receive: it sees the chunk that
+/// receive completes — after a reduce-scatter, the owned chunk — one slice
+/// at a time, each right after its last reduction, while the slice is
+/// still in cache (the collective computes what consumes its data as the
+/// data arrives). On one rank, where there is no receive, it sees the
+/// whole buffer, which is the owned chunk.
+///
+/// Ops begun back to back share the link, so only the oldest op that has
+/// not landed may receive: the messages behind its next receive are a
+/// later op's. Without `wait` the receive is
+/// [`Transport::try_recv_parcel`]; a transport whose poll never reports a
+/// message (the trait's default) moves only with `wait` and in
+/// [`ring_finish`].
 ///
 /// # Safety
 ///
@@ -381,82 +373,34 @@ pub unsafe fn ring_begin<T: Transport>(
 ///
 /// # Errors
 ///
-/// Propagates transport errors; returns [`CollectiveError::SizeMismatch`] if
-/// a peer sent a chunk of unexpected length. The op is then dead: drop it.
-pub unsafe fn ring_advance<T: Transport>(
-    t: &T,
-    ring: &mut RingOp,
-    data: &mut Vec<f32>,
-) -> Result<(), CollectiveError> {
-    // SAFETY: the caller's contract.
-    unsafe { ring.advance(t, Chunks::of_vec(data)) }
-}
-
-/// Drives `ring` as far as the messages that have **already arrived**
-/// take it, without blocking: each one is reduced or copied in, and the
-/// send it unlocks is posted; `epilogue` is fused into the last receive as
-/// in [`ring_finish_with`] (on one rank, where there is none, it runs over
-/// the whole buffer). Returns [`RingOp::landed`]. Ops begun back to back
-/// share the link, so only the oldest op that has not landed may be
-/// polled: the messages behind its next receive are a later op's.
-///
-/// The poll is [`Transport::try_recv_parcel`]. A transport whose poll
-/// never reports a message (the trait's default) makes no progress here;
-/// [`ring_wait`] or [`ring_finish`] then receive with a blocking call.
-///
-/// # Safety
-///
-/// As [`ring_advance`].
-///
-/// # Errors
-///
-/// As [`ring_advance`]. The op is then dead: drop it.
-pub unsafe fn ring_poll<T: Transport>(
+/// Propagates transport errors, a receive deadline's `Timeout` included;
+/// returns [`CollectiveError::SizeMismatch`] if a peer sent a chunk of
+/// unexpected length. The op is then dead: drop it.
+pub unsafe fn ring_receive<T: Transport>(
     t: &T,
     ring: &mut RingOp,
     data: &mut Vec<f32>,
     epilogue: &mut impl Epilogue,
+    wait: bool,
 ) -> Result<bool, CollectiveError> {
+    let wait = if wait { Wait::Once } else { Wait::Never };
     // SAFETY: the caller's contract.
-    unsafe { ring.receive(t, Chunks::of_vec(data), epilogue, Wait::Never) }
+    unsafe { ring.receive(t, Chunks::of_vec(data), epilogue, wait) }
 }
 
-/// [`ring_poll`] that first **waits** for the op's next message, so that a
-/// caller with nothing else to do blocks on the link instead of spinning.
-/// Returns [`RingOp::landed`]; a landed op returns at once.
+/// Completes `ring`: whatever receives and sends it has left, then the
+/// settle of every chunk the op lent. Returns the range of `data` that now
+/// holds final values — the owned chunk after a reduce-scatter (the rest is
+/// partially-reduced garbage), the whole buffer after an all-gather or
+/// all-reduce. On return `data` is the caller's again.
 ///
 /// # Safety
 ///
-/// As [`ring_advance`].
+/// As [`ring_receive`].
 ///
 /// # Errors
 ///
-/// As [`ring_advance`], including a receive deadline's `Timeout`. The op
-/// is then dead: drop it.
-pub unsafe fn ring_wait<T: Transport>(
-    t: &T,
-    ring: &mut RingOp,
-    data: &mut Vec<f32>,
-    epilogue: &mut impl Epilogue,
-) -> Result<bool, CollectiveError> {
-    // SAFETY: the caller's contract.
-    unsafe { ring.receive(t, Chunks::of_vec(data), epilogue, Wait::Once) }
-}
-
-/// Completes `ring`: whatever [`ring_advance`] has left to do, then the last
-/// receive, then the settle of every chunk the op lent. Returns the range
-/// of `data` that now holds final values — the owned chunk after a
-/// reduce-scatter (the rest is partially-reduced garbage), the whole
-/// buffer after an all-gather or all-reduce. On return `data` is the
-/// caller's again.
-///
-/// # Safety
-///
-/// As [`ring_advance`].
-///
-/// # Errors
-///
-/// As [`ring_advance`], and a settle's error (see [`crate::Loan::settle`]).
+/// As [`ring_receive`], and a settle's error (see [`crate::Loan::settle`]).
 pub unsafe fn ring_finish<T: Transport>(
     t: &T,
     ring: RingOp,
@@ -464,30 +408,6 @@ pub unsafe fn ring_finish<T: Transport>(
 ) -> Result<Range<usize>, CollectiveError> {
     // SAFETY: the caller's contract.
     unsafe { ring.finish(t, Chunks::of_vec(data), &mut ()) }
-}
-
-/// [`ring_finish`] with `epilogue` fused into the last receive: it sees the
-/// chunk that receive completes — after a reduce-scatter, the owned chunk —
-/// one slice at a time, each right after its last reduction, while the
-/// slice is still in cache (the collective computes what consumes its data
-/// as the data arrives). On one rank, where there is no receive, it sees
-/// the whole buffer, which is the owned chunk.
-///
-/// # Safety
-///
-/// As [`ring_advance`].
-///
-/// # Errors
-///
-/// As [`ring_finish`].
-pub unsafe fn ring_finish_with<T: Transport>(
-    t: &T,
-    ring: RingOp,
-    data: &mut Vec<f32>,
-    epilogue: &mut impl Epilogue,
-) -> Result<Range<usize>, CollectiveError> {
-    // SAFETY: the caller's contract.
-    unsafe { ring.finish(t, Chunks::of_vec(data), epilogue) }
 }
 
 /// One whole ring collective over `data`, borrowed for the call: the
@@ -808,8 +728,9 @@ mod tests {
                 };
                 // SAFETY: `data` is left alone until the op is finished.
                 let owned = unsafe {
-                    let ring = ring_begin(&ep, kind, &mut data, DType::F32).unwrap();
-                    ring_finish_with(&ep, ring, &mut data, &mut record).unwrap()
+                    let mut ring = ring_begin(&ep, kind, &mut data, DType::F32).unwrap();
+                    while !ring_receive(&ep, &mut ring, &mut data, &mut record, true).unwrap() {}
+                    ring_finish(&ep, ring, &mut data).unwrap()
                 };
                 (owned, record.slices, data)
             });

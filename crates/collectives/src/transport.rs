@@ -356,6 +356,18 @@ pub trait Transport {
         drop(buf);
     }
 
+    /// Readies the pool for up to `messages` messages of up to `bytes` each
+    /// that peers have sent and this endpoint has not yet received, all at
+    /// once. A transport that reads ahead into pooled buffers (TCP's reader
+    /// threads take one per frame) stocks its pool for that many, so that
+    /// reaching the mark in some late collective takes no new buffer.
+    ///
+    /// The default does nothing: an unreceived message there holds no
+    /// buffer of this endpoint's pool. Decorators forward it.
+    fn reserve_receives(&self, messages: usize, bytes: usize) {
+        let _ = (messages, bytes);
+    }
+
     /// Reconfigures this endpoint **in place** for a resized world — after
     /// peer loss (shrink) or an admitted late joiner (grow) — and returns
     /// the [`WorldChange`] describing the rank/world transition.
@@ -442,6 +454,10 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
 
     fn recycle_buffer(&self, buf: Vec<u8>) {
         (**self).recycle_buffer(buf);
+    }
+
+    fn reserve_receives(&self, messages: usize, bytes: usize) {
+        (**self).reserve_receives(messages, bytes);
     }
 
     fn reconfigure(&mut self, survivors: Option<&[usize]>) -> Result<WorldChange, CollectiveError> {
@@ -1088,6 +1104,10 @@ impl<T: Transport> Transport for DelayFabric<T> {
         self.inner.recycle_buffer(buf);
     }
 
+    fn reserve_receives(&self, messages: usize, bytes: usize) {
+        self.inner.reserve_receives(messages, bytes);
+    }
+
     /// Forwards to the wrapped transport, then resets the per-link clocks
     /// for the resized world (old busy-until stamps belong to links that no
     /// longer exist under the dense renumbering).
@@ -1190,6 +1210,10 @@ impl<T: Transport> Transport for GroupTransport<'_, T> {
 
     fn recycle_buffer(&self, buf: Vec<u8>) {
         self.inner.recycle_buffer(buf);
+    }
+
+    fn reserve_receives(&self, messages: usize, bytes: usize) {
+        self.inner.reserve_receives(messages, bytes);
     }
 }
 

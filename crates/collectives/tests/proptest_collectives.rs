@@ -9,11 +9,11 @@ use std::sync::Mutex;
 
 use dear_collectives::{
     bf16_to_f32, chunk_ranges, double_tree_all_reduce, f16_to_f32, f32_to_bf16, f32_to_f16,
-    hierarchical_all_reduce, naive_all_reduce, rhd_all_reduce, ring_advance, ring_all_gather,
+    hierarchical_all_reduce, naive_all_reduce, rhd_all_reduce, ring_all_gather,
     ring_all_gather_on_wire, ring_all_reduce, ring_all_reduce_on_wire, ring_begin, ring_finish,
-    ring_owned_chunk, ring_reduce_scatter, ring_reduce_scatter_on_wire, round_to_wire, run_cluster,
-    tree_broadcast, tree_reduce, ClusterShape, CollectiveError, DType, LocalEndpoint, Message,
-    ReduceOp, RingKind, RingOp, Transport,
+    ring_owned_chunk, ring_receive, ring_reduce_scatter, ring_reduce_scatter_on_wire,
+    round_to_wire, run_cluster, tree_broadcast, tree_reduce, ClusterShape, CollectiveError, DType,
+    LocalEndpoint, Message, ReduceOp, RingKind, RingOp, Transport,
 };
 use proptest::prelude::*;
 
@@ -112,8 +112,10 @@ fn run_split_phase<T: Transport>(
         let Some((ring, data)) = inflight.front_mut() else {
             return done;
         };
-        // SAFETY: as above.
-        unsafe { ring_advance(t, ring, data).unwrap() };
+        while !ring.all_sent() {
+            // SAFETY: as above.
+            unsafe { ring_receive(t, ring, data, &mut (), true).unwrap() };
+        }
         fill(&mut inflight);
         let (ring, mut data) = inflight.pop_front().unwrap();
         let kind = ring.kind();

@@ -18,12 +18,12 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Duration;
 
+use dear_collectives::lease::settle_backoff;
 use dear_collectives::{
     chunk_range, compact_owned_shard, naive_all_reduce, ring_all_reduce_on_wire, ring_begin,
-    ring_finish, ring_owned_chunk, ring_poll, ring_wait, tree_broadcast, CollectiveError, DType,
-    Epilogue, ReduceOp, RingKind, RingOp, Transport, WorldChange, MIN_LINK_FRAMES,
+    ring_finish, ring_owned_chunk, ring_receive, tree_broadcast, CollectiveError, DType, Epilogue,
+    ReduceOp, RingKind, RingOp, Transport, WorldChange, MIN_LINK_FRAMES,
 };
 use dear_minidnn::ParamStore;
 
@@ -579,7 +579,7 @@ fn op_label(kind: RingKind, group: usize) -> String {
 /// **Cross-group send-ahead** (DESIGN.md §4.18). The ring jobs — the
 /// reduce-scatters of DeAR's backprop (WFBP: all-reduces) and the
 /// all-gathers of its flush — run split-phase ([`ring_begin`] →
-/// [`ring_poll`] / [`ring_wait`] → [`ring_finish`]). A job is begun — its
+/// [`ring_receive`] → [`ring_finish`]). A job is begun — its
 /// first send posted — as soon as every op before it has posted its last
 /// send, with at most [`SEND_AHEAD_WINDOW`] ops ahead of the oldest. That
 /// one rule keeps every op's messages contiguous on the link, in the order
@@ -630,9 +630,6 @@ pub(crate) struct CommEngine<T: Transport> {
     /// A collective failed and no resize has succeeded since: the step was
     /// abandoned, and what is left of it is dropped, not run.
     broken: bool,
-    /// The first op under the current layout and world has been begun
-    /// (see [`Self::stock_copies`]).
-    stocked: bool,
 }
 
 impl<T: Transport> CommEngine<T> {
@@ -664,7 +661,6 @@ impl<T: Transport> CommEngine<T> {
             inflight: VecDeque::new(),
             flushing: false,
             broken: false,
-            stocked: false,
         }
     }
 
@@ -740,7 +736,7 @@ impl<T: Transport> CommEngine<T> {
                 self.receive(true).map_err(|e| self.fail(e))?;
                 idle = 0;
             } else {
-                settle_wait(&mut idle);
+                settle_backoff(&mut idle);
             }
         }
     }
@@ -775,48 +771,29 @@ impl<T: Transport> CommEngine<T> {
         }
     }
 
-    /// Stocks the transport's pool with `count` buffers of the largest
-    /// chunk under the current layout and world.
-    fn stock(&mut self, count: usize) {
+    /// Stocks the transport's pool with the wire buffers a full send-ahead
+    /// window has in use at once, under the current layout and world: how
+    /// far ahead the engine gets depends on when the jobs come, so without
+    /// the stock the first step to fill the window — any step, however
+    /// late — would allocate them. And tells the transport how many
+    /// messages its link from the previous rank can hold unreceived: two
+    /// windows of ops' messages, since the peer begins an op only once the
+    /// one a window behind has landed on both sides.
+    fn open_window(&mut self) {
         let chunk = largest_chunk(&self.layout, self.world);
         let bytes = chunk * self.layout.wire().size_bytes();
-        let stock: Vec<_> = (0..count)
+        let stock: Vec<_> = (0..=SEND_AHEAD_WINDOW)
             .map(|_| self.transport.take_buffer(bytes))
             .collect();
         for buf in stock {
             self.transport.recycle_buffer(buf);
         }
-    }
-
-    /// Stocks the pool with the wire buffers a full send-ahead window has
-    /// in use at once: how far ahead the engine gets depends on when the
-    /// jobs come, so without the stock the first step to fill the window —
-    /// any step, however late — would allocate them. The first op of the
-    /// layout tops it up if its hops copy ([`Self::stock_copies`]).
-    fn open_window(&mut self) {
-        self.stock(SEND_AHEAD_WINDOW + 1);
-        self.stocked = false;
-    }
-
-    /// Called with the first op begun under a layout: if it lent nothing,
-    /// its hops copy, and on TCP every frame a reader thread takes off the
-    /// socket holds a pooled buffer until this rank lands it. One link then
-    /// holds at most the messages of two windows of ops — the peer begins
-    /// an op only once the one a window behind has landed on both sides —
-    /// plus the frame being read: the stock grows to that, during the first
-    /// step, instead of whenever a late step first reaches the mark. A
-    /// lending fabric takes no buffer for an f32 hop and stocks nothing
-    /// more.
-    fn stock_copies(&mut self, ring: &RingOp) {
-        if std::mem::replace(&mut self.stocked, true) || ring.lends() || self.world == 1 {
-            return;
-        }
-        let hops = self.world - 1;
-        let per_op = match self.mode {
-            PipelineMode::Dear => hops,
-            PipelineMode::Wfbp => 2 * hops,
+        let rounds = match self.mode {
+            PipelineMode::Dear => self.world - 1,
+            PipelineMode::Wfbp => 2 * (self.world - 1),
         };
-        self.stock(2 * (SEND_AHEAD_WINDOW + 1) * per_op + 1);
+        self.transport
+            .reserve_receives(2 * (SEND_AHEAD_WINDOW + 1) * rounds, bytes);
     }
 
     /// Begins ring ops while the ordering rule and the window allow: the
@@ -897,7 +874,6 @@ impl<T: Transport> CommEngine<T> {
         // SAFETY: `data` moves into the op's `InFlight` next and stays
         // there, left alone, until the op is finished or dropped.
         let ring = unsafe { ring_begin(&self.transport, kind, &mut data, self.layout.wire())? };
-        self.stock_copies(&ring);
         Ok(Some(InFlight {
             group,
             ring,
@@ -954,8 +930,9 @@ impl<T: Transport> CommEngine<T> {
             };
             // SAFETY: `op.data` is the op's buffer, kept by `InFlight`
             // (see there); the epilogue writes `op.other`, another one.
-            let landed =
-                unsafe { step(&self.transport, &mut op.ring, &mut op.data, &mut tail, wait)? };
+            let landed = unsafe {
+                ring_receive(&self.transport, &mut op.ring, &mut op.data, &mut tail, wait)?
+            };
             op.span = tail.rs.take();
             if let Some(upd) = tail.upd {
                 upd.end();
@@ -967,8 +944,9 @@ impl<T: Transport> CommEngine<T> {
             landed
         } else {
             // SAFETY: as above.
-            let landed =
-                unsafe { step(&self.transport, &mut op.ring, &mut op.data, &mut (), wait)? };
+            let landed = unsafe {
+                ring_receive(&self.transport, &mut op.ring, &mut op.data, &mut (), wait)?
+            };
             if landed {
                 drop(op.span.take());
             }
@@ -1250,47 +1228,6 @@ impl<T: Transport> Drop for CommEngine<T> {
         if !std::thread::panicking() {
             let _ = self.drain(&mut Discard);
         }
-    }
-}
-
-/// One [`ring_poll`], or with `wait` one [`ring_wait`], of `ring`.
-///
-/// # Safety
-///
-/// As [`ring_poll`].
-unsafe fn step<T: Transport>(
-    t: &T,
-    ring: &mut RingOp,
-    data: &mut Vec<f32>,
-    epilogue: &mut impl Epilogue,
-    wait: bool,
-) -> Result<bool, CollectiveError> {
-    // SAFETY: forwarded.
-    unsafe {
-        if wait {
-            ring_wait(t, ring, data, epilogue)
-        } else {
-            ring_poll(t, ring, data, epilogue)
-        }
-    }
-}
-
-/// Polls of a wait for the peer to release what it was lent that spin
-/// before they yield, then yields before they sleep: the peer reads a
-/// lease when it next makes progress, at one of its layer hooks.
-const SETTLE_SPINS: u32 = 256;
-const SETTLE_YIELDS: u32 = 4096;
-const SETTLE_SLEEP: Duration = Duration::from_micros(50);
-
-/// One step of that wait.
-fn settle_wait(polls: &mut u32) {
-    *polls = polls.saturating_add(1);
-    if *polls < SETTLE_SPINS {
-        std::hint::spin_loop();
-    } else if *polls < SETTLE_SPINS + SETTLE_YIELDS {
-        std::thread::yield_now();
-    } else {
-        std::thread::sleep(SETTLE_SLEEP);
     }
 }
 

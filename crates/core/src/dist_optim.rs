@@ -717,8 +717,7 @@ mod tests {
         // Rank 1 is played over its raw endpoint. Step 1 reduce-scatters
         // all four groups; the flush's all-gathers of groups 3 and 2 (layer
         // 0, forward order) are answered, group 1's chunk arrives but
-        // rank 1 leaves without reading rank 0's, and group 0's never
-        // comes. Step 2 must stop at the first layer whose group was lost:
+        // rank 1 drops rank 0's unread, and group 0's never comes. Step 2 must stop at the first layer whose group was lost:
         // the delivered groups are back in the store, the lost ones are
         // absent — reading them panics — and nothing is shipped, never a
         // placeholder. The resize does not bring a lost group back; the
@@ -741,7 +740,13 @@ mod tests {
                 for group in [3, 2] {
                     answer(&ep1, &layout, group, 0, 1.0, true);
                 }
+                // Group 1's chunk is dropped unread. Rank 1 leaves only once
+                // group 0's has come, which rank 0 sends after group 3 is
+                // home: were it gone sooner, that send could fail the step
+                // before group 2's arrived chunk was landed.
+                drop(ep1.recv_parcel(0).unwrap());
                 answer(&ep1, &layout, 1, 0, 1.0, false);
+                drop(ep1.recv_parcel(0).unwrap());
             }
         });
         optim.train_step(&mut net, &x, &labels).unwrap();

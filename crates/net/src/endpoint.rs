@@ -915,6 +915,17 @@ impl Transport for TcpEndpoint {
         self.pool.recycle(buf);
     }
 
+    /// Every frame a reader thread has read ahead holds a buffer of the
+    /// pool until this rank has landed it and recycled the buffer, so the
+    /// pool is stocked with one buffer for each of `messages` and one for
+    /// the message being landed while a reader takes the next.
+    fn reserve_receives(&self, messages: usize, bytes: usize) {
+        let stock: Vec<_> = (0..=messages).map(|_| self.pool.take(bytes)).collect();
+        for buf in stock {
+            self.pool.recycle(buf);
+        }
+    }
+
     /// In-place elastic resize: tears the old mesh down, re-runs rendezvous
     /// at generation `g+1` on a deterministically derived port (every
     /// survivor computes the same one, so no agreement on who survived is

@@ -215,6 +215,14 @@ impl Transport for TieredEndpoint {
         self.tcp.recycle_buffer(buf)
     }
 
+    /// Messages from TCP peers wait in the TCP tier's pool; on one host no
+    /// peer is reached over TCP, and nothing is stocked.
+    fn reserve_receives(&self, messages: usize, bytes: usize) {
+        if !self.all_local() {
+            self.tcp.reserve_receives(messages, bytes);
+        }
+    }
+
     /// Survives member loss across both tiers. The TCP rendezvous
     /// adjudicates first — it alone spans every host — and its WELCOME
     /// tables then drive the shm remap: co-located survivors are the new
