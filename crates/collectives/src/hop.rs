@@ -13,10 +13,10 @@
 //! The helpers here are the **only** place collective algorithms touch
 //! the wire, so the mixed-precision path lives here too: [`send_hop`]
 //! casts the slice once to the wire dtype, and one receive —
-//! [`recv_hop_into`], behind [`recv_hop_reduce`], [`recv_hop_copy`] and
-//! the ring's fused [`Epilogue`] — widens back to `f32` *as it
-//! accumulates* (the accumulator is never narrowed mid-collective — one
-//! cast per hop, rounding never cascades) or, copying, on receipt.
+//! [`recv_hop`], with or without the ring's fused [`Epilogue`] — widens
+//! back to `f32` *as it accumulates* (the accumulator is never narrowed
+//! mid-collective — one cast per hop, rounding never cascades) or, copying,
+//! on receipt.
 
 use std::ops::Range;
 
@@ -149,7 +149,7 @@ impl Loans {
 /// `buf` is alive and nothing else accesses `range` during the call. A lent
 /// range must then stay allocated and unwritten until its loan in `loans`
 /// is settled or dropped: receives into it go through
-/// [`recv_hop_into`] with the same `loans`, and `loans` is settled before
+/// [`recv_hop`] with the same `loans`, and `loans` is settled before
 /// the buffer is given back or dropped before it is freed.
 ///
 /// # Errors
@@ -228,6 +228,10 @@ pub(crate) fn epilogue_slices(range: Range<usize>) -> impl Iterator<Item = Range
 /// `epilogue` sees every slice as soon as it is done. The loans in `loans`
 /// on `range` are settled first.
 ///
+/// With `wait` it blocks until the message arrives; without, it takes the
+/// message only if it has ([`Transport::recv_parcel`]). `Ok(false)` when it
+/// has not, and then nothing was touched.
+///
 /// # Safety
 ///
 /// `buf` is alive, and nothing but `loans` holds or accesses `range` during
@@ -238,42 +242,20 @@ pub(crate) fn epilogue_slices(range: Range<usize>) -> impl Iterator<Item = Range
 /// Propagates transport errors; returns [`CollectiveError::SizeMismatch`]
 /// if the message's length differs from `range`'s, and
 /// [`CollectiveError::Aborted`] if the sender revoked its lease.
-pub(crate) unsafe fn recv_hop_into<T: Transport>(
-    t: &T,
-    from: usize,
-    buf: Chunks,
-    range: Range<usize>,
-    op: Option<ReduceOp>,
-    epilogue: &mut impl Epilogue,
-    loans: &mut Loans,
-) -> Result<(), CollectiveError> {
-    let incoming = t.recv_parcel(from)?;
-    // SAFETY: forwarded.
-    unsafe { land_hop(t, from, incoming, buf, range, op, epilogue, loans) }
-}
-
-/// The second half of [`recv_hop_into`], for a parcel already taken off
-/// the link (by a poll): settles the loans on `range`, then reduces or
-/// copies `incoming` into it.
-///
-/// # Safety
-///
-/// As [`recv_hop_into`].
-///
-/// # Errors
-///
-/// As [`recv_hop_into`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn land_hop<T: Transport>(
+pub(crate) unsafe fn recv_hop<T: Transport>(
     t: &T,
     from: usize,
-    incoming: Parcel,
     buf: Chunks,
     range: Range<usize>,
     op: Option<ReduceOp>,
     epilogue: &mut impl Epilogue,
     loans: &mut Loans,
-) -> Result<(), CollectiveError> {
+    wait: bool,
+) -> Result<bool, CollectiveError> {
+    let Some(incoming) = t.recv_parcel(from, wait)? else {
+        return Ok(false);
+    };
     loans.settle_overlapping(&range)?;
     let actual = match &incoming {
         Parcel::Message(msg) => msg.len(),
@@ -318,50 +300,7 @@ pub(crate) unsafe fn land_hop<T: Transport>(
             })
             .ok_or(CollectiveError::Aborted { peer: from })??,
     }
-    Ok(())
-}
-
-/// Receives one message from `from`, widening each element to `f32` **as
-/// it accumulates** into `buf[range]` with `op`.
-///
-/// # Safety
-///
-/// As [`recv_hop_into`].
-///
-/// # Errors
-///
-/// As [`recv_hop_into`].
-pub(crate) unsafe fn recv_hop_reduce<T: Transport>(
-    t: &T,
-    from: usize,
-    buf: Chunks,
-    range: Range<usize>,
-    op: ReduceOp,
-    loans: &mut Loans,
-) -> Result<(), CollectiveError> {
-    // SAFETY: forwarded.
-    unsafe { recv_hop_into(t, from, buf, range, Some(op), &mut (), loans) }
-}
-
-/// Receives one message from `from`, decoding it (widening if the wire was
-/// narrow) into `buf[range]`.
-///
-/// # Safety
-///
-/// As [`recv_hop_into`].
-///
-/// # Errors
-///
-/// As [`recv_hop_into`].
-pub(crate) unsafe fn recv_hop_copy<T: Transport>(
-    t: &T,
-    from: usize,
-    buf: Chunks,
-    range: Range<usize>,
-    loans: &mut Loans,
-) -> Result<(), CollectiveError> {
-    // SAFETY: forwarded.
-    unsafe { recv_hop_into(t, from, buf, range, None, &mut (), loans) }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -391,7 +330,7 @@ mod tests {
                 let (buf, all) = (Chunks::of(dst), 0..dst.len());
                 let mut loans = Loans::default();
                 // SAFETY: `dst` is borrowed for the whole hop.
-                unsafe { recv_hop_into(b, 0, buf, all, op, &mut (), &mut loans).unwrap() };
+                unsafe { recv_hop(b, 0, buf, all, op, &mut (), &mut loans, true).unwrap() };
             });
         });
     }
@@ -443,7 +382,7 @@ mod tests {
         // A lent chunk the receiver has not taken yet is a lease on the link.
         // SAFETY: the loan is settled before `src` goes.
         let loan = unsafe { a.lend_f32(1, &src).unwrap() }.expect("local peers lend");
-        assert!(matches!(b.recv_parcel(0), Ok(Parcel::Lent(l)) if l.len() == 4));
+        assert!(matches!(b.recv_parcel(0, true), Ok(Some(Parcel::Lent(l))) if l.len() == 4));
         assert_eq!(
             loan.settle(),
             Err(CollectiveError::Disconnected { peer: 1 })

@@ -301,30 +301,41 @@ impl std::fmt::Debug for Loan {
     }
 }
 
-/// Polls of a settle that spin before they yield, then yields before they
-/// sleep: a receiver that has the lease is mid-read and releases it within
-/// a reduction's time; one that has not taken it yet takes it when it next
-/// makes progress.
-const SETTLE_SPINS: u32 = 256;
-const SETTLE_YIELDS: u32 = 4096;
-const SETTLE_SLEEP: Duration = Duration::from_micros(50);
+/// Looks that spin before they yield: a peer already in its send (or, for a
+/// settle, mid-read of the lease) gets there within a few hundred looks,
+/// and spinning is short enough not to burn a core against a slow one.
+const BACKOFF_SPINS: u32 = 256;
 
-/// One wait between two looks of a settle that found the lease undecided,
-/// `polls` of them so far (counted here): a spin, then a yield, then a
-/// short sleep. Reset `polls` to 0 when the waiter made progress elsewhere.
+/// Looks that then yield before they sleep. On an oversubscribed host (more
+/// rank threads than cores) the peer cannot progress while this thread
+/// spins, and a sleep would quantize every hop to the sleep period:
+/// yielding hands the core straight to the peer instead, which is what
+/// makes a small message over shm beat the socket path.
+const BACKOFF_YIELDS: u32 = 4096;
+
+/// The wait between looks once both budgets are spent (the peer is
+/// genuinely slow, not merely descheduled). Coarse checks of liveness and
+/// deadlines between looks happen at this granularity.
+const BACKOFF_SLEEP: Duration = Duration::from_micros(50);
+
+/// One wait between two looks at what a peer thread will change — a lease
+/// to settle, an shm ring to pop or push — `polls` of them so far (counted
+/// here): a spin, then a yield, then a short sleep. Reset `polls` to 0 when
+/// the waiter made progress elsewhere.
 pub fn settle_backoff(polls: &mut u32) {
     *polls = polls.saturating_add(1);
-    if *polls < SETTLE_SPINS {
+    if *polls < BACKOFF_SPINS {
         std::hint::spin_loop();
-    } else if *polls < SETTLE_SPINS + SETTLE_YIELDS {
+    } else if *polls < BACKOFF_SPINS + BACKOFF_YIELDS {
         std::thread::yield_now();
     } else {
-        std::thread::sleep(SETTLE_SLEEP);
+        std::thread::sleep(BACKOFF_SLEEP);
     }
 }
 
 impl Loan {
-    /// Waits until the receiver has read the chunk. Afterwards the chunk is
+    /// Waits until the receiver has read the chunk: [`Loan::poll`] until it
+    /// is decided, on the [`settle_backoff`] ladder. Afterwards the chunk is
     /// the sender's to write or free, whatever the result.
     ///
     /// # Errors
@@ -332,17 +343,14 @@ impl Loan {
     /// [`CollectiveError::Disconnected`] if the receiver dropped the lease
     /// unread or departed, [`CollectiveError::Aborted`] if it is wedged, and
     /// [`CollectiveError::Timeout`] if it has not taken the lease within the
-    /// sending endpoint's receive deadline; in the last two cases the lease
-    /// is revoked.
+    /// sending endpoint's receive deadline, counted from the first look
+    /// that found it undecided; in the last two cases the lease is revoked.
     pub fn settle(mut self) -> Result<(), CollectiveError> {
-        let since = Instant::now();
         let mut polls = 0u32;
-        loop {
-            if let Some(settled) = self.look(false, since) {
-                return settled;
-            }
+        while !self.poll()? {
             settle_backoff(&mut polls);
         }
+        Ok(())
     }
 
     /// [`Loan::settle`] without the wait: `Ok(true)` once the receiver has
@@ -358,7 +366,7 @@ impl Loan {
         let since = *self.polled_since.get_or_insert_with(Instant::now);
         match self.look(false, since) {
             Some(settled) => settled.map(|()| true),
-            None => Ok(false),
+            None => Ok(self.state.is_none()),
         }
     }
 

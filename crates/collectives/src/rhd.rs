@@ -10,7 +10,7 @@
 //! core algorithm).
 
 use crate::error::CollectiveError;
-use crate::hop::{recv_hop_copy, recv_hop_reduce, send_hop, Chunks, Loans};
+use crate::hop::{recv_hop, send_hop, Chunks, Loans};
 use crate::reduce::ReduceOp;
 use crate::transport::Transport;
 use crate::wire::DType;
@@ -52,7 +52,7 @@ pub fn rhd_all_reduce<T: Transport>(
 ///
 /// # Safety
 ///
-/// As `send_hop`'s and `recv_hop_into`'s, for the buffer `buf` addresses.
+/// As `send_hop`'s and `recv_hop`'s, for the buffer `buf` addresses.
 #[allow(clippy::too_many_arguments)]
 unsafe fn halve_and_double<T: Transport>(
     t: &T,
@@ -75,7 +75,18 @@ unsafe fn halve_and_double<T: Transport>(
             None
         } else {
             // SAFETY: as above.
-            unsafe { recv_hop_reduce(t, rank - 1, buf, all.clone(), op, loans)? };
+            unsafe {
+                recv_hop(
+                    t,
+                    rank - 1,
+                    buf,
+                    all.clone(),
+                    Some(op),
+                    &mut (),
+                    loans,
+                    true,
+                )?
+            };
             Some(rank / 2)
         }
     } else {
@@ -111,7 +122,16 @@ unsafe fn halve_and_double<T: Transport>(
             // SAFETY: as above; the halves are disjoint.
             unsafe {
                 send_hop(t, partner, buf, send_range, wire, loans)?;
-                recv_hop_reduce(t, partner, buf, keep_range.clone(), op, loans)?;
+                recv_hop(
+                    t,
+                    partner,
+                    buf,
+                    keep_range.clone(),
+                    Some(op),
+                    &mut (),
+                    loans,
+                    true,
+                )?;
             }
             lo = keep_range.start;
             hi = keep_range.end;
@@ -128,7 +148,7 @@ unsafe fn halve_and_double<T: Transport>(
             // `recv_range` first.
             unsafe {
                 send_hop(t, partner, buf, lo..hi, wire, loans)?;
-                recv_hop_copy(t, partner, buf, recv_range, loans)?;
+                recv_hop(t, partner, buf, recv_range, None, &mut (), loans, true)?;
             }
             lo = plo;
             hi = phi;
@@ -146,7 +166,7 @@ unsafe fn halve_and_double<T: Transport>(
             unsafe { send_hop(t, rank - 1, buf, all, wire, loans)? };
         } else {
             // SAFETY: as above.
-            unsafe { recv_hop_copy(t, rank + 1, buf, all, loans)? };
+            unsafe { recv_hop(t, rank + 1, buf, all, None, &mut (), loans, true)? };
         }
     }
     Ok(())

@@ -10,7 +10,7 @@ use std::ops::Range;
 
 use crate::chunk::chunk_range;
 use crate::error::CollectiveError;
-use crate::hop::{epilogue_slices, land_hop, recv_hop_into, send_hop, Chunks, Epilogue, Loans};
+use crate::hop::{epilogue_slices, recv_hop, send_hop, Chunks, Epilogue, Loans};
 use crate::reduce::ReduceOp;
 use crate::transport::Transport;
 use crate::wire::DType;
@@ -190,26 +190,11 @@ impl RingOp {
         let (_, recv_idx, reduce) = self.round(rank, world, self.recvd);
         let range = chunk_range(data.len(), world, recv_idx);
         let prev = (rank + world - 1) % world;
-        // SAFETY (both): as `send_round`; the receive settles this op's
-        // loans on `range` before it writes there.
-        if wait {
-            unsafe { recv_hop_into(t, prev, data, range, reduce, epilogue, &mut self.loans)? };
-        } else {
-            let Some(incoming) = t.try_recv_parcel(prev)? else {
-                return Ok(false);
-            };
-            unsafe {
-                land_hop(
-                    t,
-                    prev,
-                    incoming,
-                    data,
-                    range,
-                    reduce,
-                    epilogue,
-                    &mut self.loans,
-                )?;
-            };
+        // SAFETY: as `send_round`; the receive settles this op's loans on
+        // `range` before it writes there.
+        let loans = &mut self.loans;
+        if !unsafe { recv_hop(t, prev, data, range, reduce, epilogue, loans, wait)? } {
+            return Ok(false);
         }
         self.recvd += 1;
         self.landed = self.recvd == self.rounds;
@@ -362,8 +347,8 @@ pub unsafe fn ring_begin<T: Transport>(
 ///
 /// Ops begun back to back share the link, so only the oldest op that has
 /// not landed may receive: the messages behind its next receive are a
-/// later op's. Without `wait` the receive is
-/// [`Transport::try_recv_parcel`]; a transport whose poll never reports a
+/// later op's. Without `wait` the receive is a poll
+/// ([`Transport::recv_parcel`]); a transport whose poll never reports a
 /// message (the trait's default) moves only with `wait` and in
 /// [`ring_finish`].
 ///

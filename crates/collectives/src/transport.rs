@@ -196,9 +196,8 @@ pub const MIN_LINK_FRAMES: usize = 4;
 ///
 /// - **Order and bits.** Each link delivers in send order, independently
 ///   of every other link, and a payload arrives with the dtype and bytes
-///   it was sent with. [`Transport::send_f32`] is `send` of the slice's
-///   [`DType::F32`] encoding, whichever way a fabric ships it, and so is
-///   [`Transport::lend_f32`].
+///   it was sent with. [`Transport::lend_f32`] is `send` of the slice's
+///   [`DType::F32`] encoding, whichever way a fabric ships it.
 /// - **Loans.** A loan settles once the peer has read the lent chunk, or
 ///   with an error once it cannot: the peer dropped it unread or departed
 ///   (`Disconnected`), is wedged (`Aborted`), or has not taken it within
@@ -217,8 +216,8 @@ pub const MIN_LINK_FRAMES: usize = 4;
 ///
 /// The executable statement of this contract is `dear-net`'s
 /// `tests/transport_contract.rs`: one generic case per clause, run against
-/// every fabric, [`DelayFabric`] and a [`GroupTransport`] view, each
-/// joining with one line.
+/// every fabric, [`DelayFabric`], a [`GroupTransport`] view and a decorator
+/// that keeps every provided method, each joining with one line.
 pub trait Transport {
     /// This endpoint's rank in `0..world_size()`.
     fn rank(&self) -> usize;
@@ -238,32 +237,18 @@ pub trait Transport {
     /// Sends `src` to `to` as one [`DType::F32`] message: the peer receives
     /// exactly what `send(to, WireBuf::encode(src, DType::F32).into())`
     /// would deliver, with the same errors, in FIFO order with `send` on
-    /// the same link. When this returns, `src` is the caller's again.
+    /// the same link. A fabric whose peer shares this process may **lend**
+    /// `src` instead of copying it: the peer's hop receive
+    /// ([`Transport::recv_parcel`]) reduces or copies straight from `src`,
+    /// and the returned [`Loan`] is how the caller learns that it has (a
+    /// `recv` of a lent message gets an owned copy). `Ok(None)` means the
+    /// message went out whole, and `src` is the caller's again.
     ///
     /// The default encodes into a buffer from [`Transport::take_buffer`]
     /// and calls [`Transport::send`]. A transport that writes the message
-    /// out before returning (TCP) overrides this to send straight from
-    /// `src`, skipping that copy. An in-process fabric keeps the default
-    /// here and skips the copy in [`Transport::lend_f32`] instead, which a
-    /// caller uses when it can leave `src` untouched until the peer has
-    /// read it. A decorator that renumbers ranks forwards both.
-    ///
-    /// # Errors
-    ///
-    /// As [`Transport::send`].
-    fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
-        let bytes = self.take_buffer(std::mem::size_of_val(src));
-        self.send(to, WireBuf::encode_into(src, DType::F32, bytes).into())
-    }
-
-    /// [`Transport::send_f32`], except that a fabric whose peer shares this
-    /// process may **lend** `src` instead of copying it: the peer's hop
-    /// receive ([`Transport::recv_parcel`]) reduces or copies straight from
-    /// `src`, and the returned [`Loan`] is how the caller learns that it
-    /// has. `Ok(None)` means the message went out whole, as `send_f32`
-    /// sends it (the default, and every fabric that crosses a process).
-    /// What the peer receives, its order on the link and the errors are
-    /// `send_f32`'s; a `recv` of a lent message gets an owned copy.
+    /// out before returning (TCP) overrides it to send straight from `src`,
+    /// skipping that copy; an in-process fabric overrides it to lend. A
+    /// decorator that renumbers ranks forwards it.
     ///
     /// # Safety
     ///
@@ -271,8 +256,14 @@ pub trait Transport {
     /// may be written — nor reborrowed as `&mut` — until `loan` is settled
     /// ([`Loan::settle`]) or dropped. The loan's `Drop` revokes or waits
     /// out the lease, so dropping it before `src`'s buffer is enough.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::send`].
     unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
-        self.send_f32(to, src).map(|()| None)
+        let bytes = self.take_buffer(std::mem::size_of_val(src));
+        self.send(to, WireBuf::encode_into(src, DType::F32, bytes).into())
+            .map(|()| None)
     }
 
     /// Receives the next message from `from`, blocking until it arrives.
@@ -288,39 +279,33 @@ pub trait Transport {
 
     /// [`Transport::recv`] as a hop receive takes it: a chunk the peer lent
     /// ([`Transport::lend_f32`]) stays a [`Parcel::Lent`] to read in place,
-    /// where `recv` would copy it. The default is `recv`; a fabric that
-    /// lends overrides both, and a decorator that renumbers ranks forwards
-    /// it (one that does not receives copies).
+    /// where `recv` would copy it. With `wait` it blocks as `recv` does and
+    /// never returns `Ok(None)`. Without, it is a poll: the next message if
+    /// it has arrived, `Ok(None)` at once if it has not, and never
+    /// `Timeout`. Polls and receives share one FIFO link, and a message a
+    /// poll returns is off the link, as if received.
+    ///
+    /// The default is `recv` with `wait`; without, it checks `from` and
+    /// reports nothing, whatever is queued. It takes nothing off the link,
+    /// so a decorator that does not forward this loses and reorders
+    /// nothing, but receives copies and never sees a poll report. A caller
+    /// that polls must therefore fall back to a waiting receive before it
+    /// waits for a message (the training thread's `progress_until` in
+    /// `dear-core` does). A fabric overrides it, and a decorator that
+    /// renumbers ranks or observes the link forwards it.
     ///
     /// # Errors
     ///
-    /// As [`Transport::recv`].
-    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
-        self.recv(from).map(Parcel::Message)
-    }
-
-    /// [`Transport::recv_parcel`] without the wait: the next message from
-    /// `from` if it has arrived, `Ok(None)` at once if it has not. A poll
-    /// and the receives share one FIFO link, and a message a poll returns
-    /// is off the link, as if received. A poll has no deadline: it never
-    /// returns `Timeout`.
-    ///
-    /// The default checks `from` and reports nothing, whatever is queued:
-    /// it takes nothing off the link, so a decorator that does not forward
-    /// the poll loses and reorders nothing. A caller that polls must
-    /// therefore fall back to a blocking receive before it waits for a
-    /// message (the training thread's `progress_until` in `dear-core`
-    /// does). A fabric overrides it, and a decorator that renumbers ranks
-    /// or observes the link forwards it.
-    ///
-    /// # Errors
-    ///
-    /// [`CollectiveError::InvalidRank`] as [`Transport::recv`];
-    /// [`CollectiveError::Disconnected`] once the peer has departed and
-    /// everything it sent before has been received; a fabric's own
-    /// verdicts (`Aborted`, `StaleGeneration`) as its `recv` reports them.
-    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
-        self.check_peer(from).map(|()| None)
+    /// As [`Transport::recv`]. A poll's `Disconnected` comes once the peer
+    /// has departed and everything it sent before has been received; a
+    /// fabric's own verdicts (`Aborted`, `StaleGeneration`) come as its
+    /// `recv` reports them.
+    fn recv_parcel(&self, from: usize, wait: bool) -> Result<Option<Parcel>, CollectiveError> {
+        if wait {
+            self.recv(from).map(|msg| Some(Parcel::Message(msg)))
+        } else {
+            self.check_peer(from).map(|()| None)
+        }
     }
 
     /// Sets a deadline for subsequent [`Transport::recv`] calls: when no
@@ -423,10 +408,6 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
         (**self).send(to, msg)
     }
 
-    fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
-        (**self).send_f32(to, src)
-    }
-
     unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
         // SAFETY: the caller's contract, passed on unchanged.
         unsafe { (**self).lend_f32(to, src) }
@@ -436,12 +417,8 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
         (**self).recv(from)
     }
 
-    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
-        (**self).recv_parcel(from)
-    }
-
-    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
-        (**self).try_recv_parcel(from)
+    fn recv_parcel(&self, from: usize, wait: bool) -> Result<Option<Parcel>, CollectiveError> {
+        (**self).recv_parcel(from, wait)
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
@@ -722,11 +699,13 @@ impl Transport for LocalEndpoint {
     }
 
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
-        self.recv_parcel(from)?
-            .into_message(|bytes| self.pool.take(bytes), from)
+        let parcel = self
+            .recv_parcel(from, true)?
+            .expect("a waiting receive returns a parcel");
+        parcel.into_message(|bytes| self.pool.take(bytes), from)
     }
 
-    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
+    fn recv_parcel(&self, from: usize, wait: bool) -> Result<Option<Parcel>, CollectiveError> {
         self.check_peer(from)?;
         // A peer whose resize marker has already been seen has abandoned
         // this incarnation of the world: it sends nothing further until the
@@ -736,36 +715,26 @@ impl Transport for LocalEndpoint {
             return Err(CollectiveError::Aborted { peer: from });
         }
         let rx = self.inbox(from);
-        let timeout = *self.recv_timeout.lock().expect("recv timeout poisoned");
-        let parcel = match timeout {
-            None => rx
-                .recv()
-                .map_err(|_| CollectiveError::Disconnected { peer: from }),
-            Some(dl) => rx.recv_timeout(dl).map_err(|e| match e {
-                crossbeam_channel::RecvTimeoutError::Timeout => CollectiveError::Timeout {
-                    peer: from,
-                    millis: dl.as_millis() as u64,
-                },
-                crossbeam_channel::RecvTimeoutError::Disconnected => {
-                    CollectiveError::Disconnected { peer: from }
-                }
-            }),
-        }?;
-        self.unless_marker(from, parcel)
-    }
-
-    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
-        self.check_peer(from)?;
-        if self.marker_seen.lock().expect("marker latch poisoned")[from] {
-            return Err(CollectiveError::Aborted { peer: from });
-        }
-        match self.inbox(from).try_recv() {
-            Ok(parcel) => self.unless_marker(from, parcel).map(Some),
-            Err(crossbeam_channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam_channel::TryRecvError::Disconnected) => {
-                Err(CollectiveError::Disconnected { peer: from })
+        let disconnected = CollectiveError::Disconnected { peer: from };
+        let parcel = if !wait {
+            match rx.try_recv() {
+                Ok(parcel) => parcel,
+                Err(crossbeam_channel::TryRecvError::Empty) => return Ok(None),
+                Err(crossbeam_channel::TryRecvError::Disconnected) => return Err(disconnected),
             }
-        }
+        } else {
+            match *self.recv_timeout.lock().expect("recv timeout poisoned") {
+                None => rx.recv().map_err(|_| disconnected)?,
+                Some(dl) => rx.recv_timeout(dl).map_err(|e| match e {
+                    crossbeam_channel::RecvTimeoutError::Timeout => CollectiveError::Timeout {
+                        peer: from,
+                        millis: dl.as_millis() as u64,
+                    },
+                    crossbeam_channel::RecvTimeoutError::Disconnected => disconnected,
+                })?,
+            }
+        };
+        self.unless_marker(from, parcel).map(Some)
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
@@ -862,7 +831,7 @@ impl Transport for LocalEndpoint {
                 // collective consumed it earlier; either way this peer is
                 // flushed. Stale leases drop unread (or revoked).
                 loop {
-                    match self.recv_parcel(g) {
+                    match self.recv_parcel(g, true) {
                         Ok(_stale) => {}
                         Err(CollectiveError::Aborted { .. }) => break,
                         Err(e) => return Err(e),
@@ -1061,33 +1030,31 @@ impl<T: Transport> Transport for DelayFabric<T> {
     }
 
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
+        let parcel = self
+            .recv_parcel(from, true)?
+            .expect("a waiting receive returns a parcel");
+        parcel.into_message(|bytes| self.inner.take_buffer(bytes), from)
+    }
+
+    /// Waits for a message's stamp; a poll instead holds back one still on
+    /// the emulated wire, in its place on the link, until a later receive.
+    fn recv_parcel(&self, from: usize, wait: bool) -> Result<Option<Parcel>, CollectiveError> {
         self.check_peer(from)?;
         let held = self.held.lock().expect("held messages poisoned")[from].take();
         let msg = match held {
             Some(msg) => msg,
-            None => self.inner.recv(from)?,
-        };
-        if let Some(at) = msg.deliver_at() {
-            wait_until(at);
-        }
-        Ok(msg.without_deliver_at())
-    }
-
-    /// A message whose stamp has passed; one still on the emulated wire is
-    /// held back, in its place on the link, until a later poll or `recv`.
-    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
-        self.check_peer(from)?;
-        let mut held = self.held.lock().expect("held messages poisoned");
-        let msg = match held[from].take() {
-            Some(msg) => msg,
-            None => match self.inner.try_recv_parcel(from)? {
+            None => match self.inner.recv_parcel(from, wait)? {
                 Some(parcel) => parcel.into_message(|bytes| self.inner.take_buffer(bytes), from)?,
                 None => return Ok(None),
             },
         };
-        if msg.deliver_at().is_some_and(|at| Instant::now() < at) {
-            held[from] = Some(msg);
-            return Ok(None);
+        if let Some(at) = msg.deliver_at() {
+            if wait {
+                wait_until(at);
+            } else if Instant::now() < at {
+                self.held.lock().expect("held messages poisoned")[from] = Some(msg);
+                return Ok(None);
+            }
         }
         Ok(Some(Parcel::Message(msg.without_deliver_at())))
     }
@@ -1174,11 +1141,6 @@ impl<T: Transport> Transport for GroupTransport<'_, T> {
         self.inner.send(self.members[to], msg)
     }
 
-    fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
-        self.check_peer(to)?;
-        self.inner.send_f32(self.members[to], src)
-    }
-
     unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
         self.check_peer(to)?;
         // SAFETY: the caller's contract, passed on unchanged.
@@ -1190,14 +1152,9 @@ impl<T: Transport> Transport for GroupTransport<'_, T> {
         self.inner.recv(self.members[from])
     }
 
-    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
+    fn recv_parcel(&self, from: usize, wait: bool) -> Result<Option<Parcel>, CollectiveError> {
         self.check_peer(from)?;
-        self.inner.recv_parcel(self.members[from])
-    }
-
-    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
-        self.check_peer(from)?;
-        self.inner.try_recv_parcel(self.members[from])
+        self.inner.recv_parcel(self.members[from], wait)
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {

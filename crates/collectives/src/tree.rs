@@ -8,7 +8,7 @@
 //! demonstrate that.
 
 use crate::error::CollectiveError;
-use crate::hop::{recv_hop_copy, recv_hop_reduce, send_hop, Chunks, Loans};
+use crate::hop::{recv_hop, send_hop, Chunks, Loans};
 use crate::reduce::ReduceOp;
 use crate::transport::Transport;
 use crate::wire::DType;
@@ -56,7 +56,18 @@ pub fn tree_reduce<T: Transport>(
         if vchild < world {
             let child = (vchild + root) % world;
             // SAFETY: `data` is borrowed for the call; nothing is lent yet.
-            unsafe { recv_hop_reduce(t, child, buf, all.clone(), op, &mut loans)? };
+            unsafe {
+                recv_hop(
+                    t,
+                    child,
+                    buf,
+                    all.clone(),
+                    Some(op),
+                    &mut (),
+                    &mut loans,
+                    true,
+                )?
+            };
         }
         mask <<= 1;
     }
@@ -101,7 +112,7 @@ pub fn tree_broadcast<T: Transport>(
         let parent_mask = vrank & vrank.wrapping_neg(); // lowest set bit
         let parent = ((vrank ^ parent_mask) + root) % world;
         // SAFETY: `data` is borrowed for the call; nothing is lent yet.
-        unsafe { recv_hop_copy(t, parent, buf, all.clone(), &mut loans)? };
+        unsafe { recv_hop(t, parent, buf, all.clone(), None, &mut (), &mut loans, true)? };
         // Only forward along masks below our own bit.
         mask = parent_mask >> 1;
     }

@@ -670,7 +670,7 @@ mod tests {
     #[test]
     fn mis_sized_and_opaque_payloads_are_typed_errors_not_panics() {
         // Both arrive off the wire, so they must surface as errors the
-        // comm thread can turn into a failed collective.
+        // communication engine can turn into a failed collective.
         let wb = WireBuf::from_f32(&[1.0, 2.0]);
         let mut short = vec![0.0f32; 1];
         assert!(matches!(

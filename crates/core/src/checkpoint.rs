@@ -2,9 +2,10 @@
 //! the elastic runtime.
 //!
 //! Each rank periodically serializes a [`TrainCheckpoint`] — model
-//! parameters, its shard of the comm-thread optimizer state, the step
-//! counter, opaque RNG state, and (on rank 0) the Bayesian-optimization
-//! tuner snapshot — to a binary file with a trailing FNV-1a checksum.
+//! parameters, its shard of the optimizer state that the training thread's
+//! communication engine keeps, the step counter, opaque RNG state, and (on
+//! rank 0) the Bayesian-optimization tuner snapshot — to a binary file with
+//! a trailing FNV-1a checksum.
 //! Writes are atomic (temp file + fsync + rename), so a worker killed
 //! mid-write never corrupts the previous checkpoint, and
 //! [`CheckpointStore::latest_valid`] skips torn or truncated files on
@@ -45,7 +46,7 @@ pub struct TrainCheckpoint {
     pub step: u64,
     /// Flat model parameters (layer order, as `Sequential::flat_params`).
     pub params: Vec<f32>,
-    /// This rank's shard of the comm-thread optimizer state.
+    /// This rank's shard of the communication engine's optimizer state.
     pub optim: OptimState,
     /// Opaque serialized RNG / data-order state (may be empty).
     pub rng: Vec<u8>,

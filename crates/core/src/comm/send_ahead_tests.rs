@@ -27,7 +27,7 @@ type Frame = (usize, [u8; 8]);
 type SendLog = Vec<Vec<Frame>>;
 
 /// Records every send per destination, and fails one chosen receive —
-/// blocking or polled. It forwards the poll but not the lending calls, so
+/// blocking or polled. It forwards `recv_parcel` but not `lend_f32`, so
 /// every chunk travels as a copy that the log sees.
 pub(super) struct Probe {
     inner: LocalEndpoint,
@@ -77,12 +77,12 @@ impl Transport for Probe {
         self.received(from)?;
         self.inner.recv(from)
     }
-    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
-        let Some(parcel) = self.inner.try_recv_parcel(from)? else {
-            return Ok(None);
-        };
-        self.received(from)?;
-        Ok(Some(parcel))
+    fn recv_parcel(&self, from: usize, wait: bool) -> Result<Option<Parcel>, CollectiveError> {
+        let parcel = self.inner.recv_parcel(from, wait)?;
+        if parcel.is_some() {
+            self.received(from)?;
+        }
+        Ok(parcel)
     }
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
         self.inner.set_recv_timeout(timeout)

@@ -589,8 +589,8 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// Counts what its endpoint puts on a link; forwards everything, the
-    /// lending calls and the poll too.
+    /// Counts what its endpoint puts on a link; forwards everything,
+    /// `lend_f32` and `recv_parcel` too.
     struct Counted {
         inner: LocalEndpoint,
         sends: Arc<AtomicUsize>,
@@ -607,10 +607,6 @@ mod tests {
             self.sends.fetch_add(1, Ordering::SeqCst);
             self.inner.send(to, msg)
         }
-        fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
-            self.sends.fetch_add(1, Ordering::SeqCst);
-            self.inner.send_f32(to, src)
-        }
         unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
             self.sends.fetch_add(1, Ordering::SeqCst);
             // SAFETY: the caller's contract, passed on unchanged.
@@ -619,11 +615,8 @@ mod tests {
         fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
             self.inner.recv(from)
         }
-        fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
-            self.inner.recv_parcel(from)
-        }
-        fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
-            self.inner.try_recv_parcel(from)
+        fn recv_parcel(&self, from: usize, wait: bool) -> Result<Option<Parcel>, CollectiveError> {
+            self.inner.recv_parcel(from, wait)
         }
         fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
             self.inner.set_recv_timeout(timeout)
@@ -703,9 +696,8 @@ mod tests {
         read: bool,
     ) {
         if read {
-            match ep.recv_parcel(0).unwrap() {
-                Parcel::Lent(lease) => lease.read(|_| ()).unwrap(),
-                Parcel::Message(_) => {}
+            if let Some(Parcel::Lent(lease)) = ep.recv_parcel(0, true).unwrap() {
+                lease.read(|_| ()).unwrap();
             }
         }
         let len = chunk_range(layout.group_elements(group), 2, chunk).len();
@@ -744,9 +736,9 @@ mod tests {
                 // group 0's has come, which rank 0 sends after group 3 is
                 // home: were it gone sooner, that send could fail the step
                 // before group 2's arrived chunk was landed.
-                drop(ep1.recv_parcel(0).unwrap());
+                drop(ep1.recv_parcel(0, true).unwrap());
                 answer(&ep1, &layout, 1, 0, 1.0, false);
-                drop(ep1.recv_parcel(0).unwrap());
+                drop(ep1.recv_parcel(0, true).unwrap());
             }
         });
         optim.train_step(&mut net, &x, &labels).unwrap();

@@ -13,8 +13,9 @@
 //! comes with the decoupling), and in WFBP mode — `Ddp` only — every rank
 //! updates, and keeps the state of, the whole model.
 
-/// How training state is partitioned across ranks: whether the comm
-/// thread's between-phase gradient / parameter stash is sharded too. The
+/// How training state is partitioned across ranks: whether the
+/// communication engine's between-phase gradient / parameter stash is
+/// sharded too. The
 /// collective schedule is the same decoupled RS ∘ AG pipeline in every
 /// case, and so is the optimizer state (DeAR's owned shard).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,10 +1,10 @@
 //! A decorator that observes a link and forwards only what a transport
 //! must have — `send`, `recv`, the deadline, the pool and the resize —
-//! leaves every provided method at its default: `send_f32` copies,
-//! `lend_f32` sends that copy, `recv_parcel` is `recv`, and the poll
-//! reports nothing. The training thread then makes no progress at its layer
-//! hooks and moves everything in its blocking waits (the feed-forward's
-//! wait for a group, the flush, `synchronize`). Training through it must
+//! leaves every provided method at its default: `lend_f32` sends a copy,
+//! a waiting `recv_parcel` is `recv`, and the poll (`recv_parcel` without
+//! `wait`) reports nothing. The training thread then makes no progress at
+//! its layer hooks and moves everything in its blocking waits (the
+//! feed-forward's wait for a group, the flush, `synchronize`). Training through it must
 //! neither hang nor change a bit: DeAR and WFBP on two and four ranks land
 //! where the plain fabric lands.
 

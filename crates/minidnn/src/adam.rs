@@ -116,8 +116,8 @@ impl Optimizer for Adam {
     }
 }
 
-/// The bias correction `1 − βᵗ` at step `t`, in f64 as the comm thread's
-/// sharded Adam computes it: in f32, 1 − βᵗ loses all precision once βᵗ
+/// The bias correction `1 − βᵗ` at step `t`, in f64 as the communication
+/// engine's sharded Adam computes it: in f32, 1 − βᵗ loses all precision once βᵗ
 /// rounds to 1. `powi` takes an `i32`, so a step past `i32::MAX` takes the
 /// exact exponent instead of wrapping to a negative one.
 fn bias_correction(beta: f32, t: u64) -> f32 {

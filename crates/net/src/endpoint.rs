@@ -76,7 +76,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dear_collectives::{
-    BufferPool, CollectiveError, Message, Parcel, Transport, WireBuf, WorldChange,
+    BufferPool, CollectiveError, Loan, Message, Parcel, Transport, WireBuf, WorldChange,
 };
 use dear_core::trace;
 
@@ -844,62 +844,55 @@ impl Transport for TcpEndpoint {
         sent
     }
 
-    /// The frame goes out from `src` itself: `send` writes the message
-    /// before it returns, so a pooled copy of it would buy nothing.
+    /// Never lends: the frame goes out from `src` itself. `send` writes the
+    /// message before it returns, so a pooled copy of it would buy nothing.
     #[cfg(target_endian = "little")]
-    fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
+    unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
         self.check_frame(to, std::mem::size_of_val(src))?;
         self.send_frame(to, |stream| {
             write_f32_data_frame(stream, self.generation, src)
         })
+        .map(|()| None)
     }
 
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
+        let parcel = self
+            .recv_parcel(from, true)?
+            .expect("a waiting receive returns a parcel");
+        parcel.into_message(|bytes| self.pool.take(bytes), from)
+    }
+
+    /// What the peer's reader thread has put in the inbox. An empty inbox
+    /// whose reader has ended is the peer's departure, or the verdict that
+    /// ended it.
+    fn recv_parcel(&self, from: usize, wait: bool) -> Result<Option<Parcel>, CollectiveError> {
         self.check_peer(from)?;
         let rx = self.inboxes[from]
             .as_ref()
             .expect("validated peer")
             .lock()
             .expect("inbox poisoned");
-        let timeout = *self.recv_timeout.lock().expect("recv timeout poisoned");
-        let payload = match timeout {
-            None => rx.recv().map_err(|_| {
-                self.failure_verdict(from)
-                    .unwrap_or(CollectiveError::Disconnected { peer: from })
-            })?,
-            Some(dl) => rx.recv_timeout(dl).map_err(|e| {
-                let plain = match e {
+        let disconnected = CollectiveError::Disconnected { peer: from };
+        let payload = if !wait {
+            match rx.try_recv() {
+                Ok(payload) => Ok(payload),
+                Err(mpsc::TryRecvError::Empty) => return Ok(None),
+                Err(mpsc::TryRecvError::Disconnected) => Err(disconnected),
+            }
+        } else {
+            match *self.recv_timeout.lock().expect("recv timeout poisoned") {
+                None => rx.recv().map_err(|_| disconnected),
+                Some(dl) => rx.recv_timeout(dl).map_err(|e| match e {
                     mpsc::RecvTimeoutError::Timeout => CollectiveError::Timeout {
                         peer: from,
                         millis: dl.as_millis() as u64,
                     },
-                    mpsc::RecvTimeoutError::Disconnected => {
-                        CollectiveError::Disconnected { peer: from }
-                    }
-                };
-                self.failure_verdict(from).unwrap_or(plain)
-            })?,
+                    mpsc::RecvTimeoutError::Disconnected => disconnected,
+                }),
+            }
         };
-        Ok(Message::new(payload))
-    }
-
-    /// What the peer's reader thread has put in the inbox. An empty inbox
-    /// whose reader has ended is the peer's departure (or the verdict that
-    /// ended it), as for `recv`.
-    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
-        self.check_peer(from)?;
-        let rx = self.inboxes[from]
-            .as_ref()
-            .expect("validated peer")
-            .lock()
-            .expect("inbox poisoned");
-        match rx.try_recv() {
-            Ok(payload) => Ok(Some(Parcel::Message(Message::new(payload)))),
-            Err(mpsc::TryRecvError::Empty) => Ok(None),
-            Err(mpsc::TryRecvError::Disconnected) => Err(self
-                .failure_verdict(from)
-                .unwrap_or(CollectiveError::Disconnected { peer: from })),
-        }
+        let payload = payload.map_err(|plain| self.failure_verdict(from).unwrap_or(plain))?;
+        Ok(Some(Parcel::Message(Message::new(payload))))
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {

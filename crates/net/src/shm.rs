@@ -43,44 +43,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dear_collectives::lease::{AtomicCell, Liveness};
+use dear_collectives::lease::{settle_backoff, AtomicCell, Liveness};
 use dear_collectives::{
     BufferPool, CollectiveError, Lease, Loan, Message, Parcel, Transport, WorldChange,
     MIN_LINK_FRAMES,
 };
 
 use crate::config::NetConfig;
-
-/// Iterations of busy-spinning before a waiter starts yielding between
-/// polls — long enough to catch a peer already in its send, short enough
-/// not to burn a core against a slow one.
-const SPIN_BUDGET: u32 = 256;
-
-/// Iterations of `yield_now` after the spin budget: on oversubscribed
-/// hosts (more rank threads than cores) the producer cannot progress
-/// while the consumer spins, and a sleep would quantize every hop to the
-/// sleep period — yielding hands the core straight to the peer instead,
-/// which is what makes small-message shm latency beat the socket path.
-const YIELD_BUDGET: u32 = 4096;
-
-/// Sleep between polls once both budgets are exhausted (the peer is
-/// genuinely slow, not merely descheduled). Coarse liveness checks
-/// (heartbeats, deadlines) happen at this granularity.
-const POLL_SLEEP: Duration = Duration::from_micros(50);
-
-/// One step of the spin → yield → sleep wait ladder shared by the send
-/// (full ring) and recv (empty ring) paths.
-fn wait_step(spins: &mut u32) {
-    if *spins < SPIN_BUDGET {
-        *spins += 1;
-        std::hint::spin_loop();
-    } else if *spins < SPIN_BUDGET + YIELD_BUDGET {
-        *spins += 1;
-        std::thread::yield_now();
-    } else {
-        std::thread::sleep(POLL_SLEEP);
-    }
-}
 
 /// A message as stored in a ring slot: the parcel (an owned payload or a
 /// lent chunk) plus the sender's world generation (the shm analog of the
@@ -710,7 +679,7 @@ impl ShmEndpoint {
             msg,
         };
         let deadline = Instant::now() + self.send_timeout;
-        let mut spins = 0u32;
+        let mut polls = 0u32;
         loop {
             match ring.try_push(msg) {
                 Ok(()) => return Ok(()),
@@ -730,7 +699,7 @@ impl ShmEndpoint {
                     millis: self.send_timeout.as_millis() as u64,
                 });
             }
-            wait_step(&mut spins);
+            settle_backoff(&mut polls);
         }
     }
 
@@ -778,21 +747,27 @@ impl Transport for ShmEndpoint {
     }
 
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
-        self.recv_parcel(from)?
-            .into_message(|bytes| self.pool.take(bytes), from)
+        let parcel = self
+            .recv_parcel(from, true)?
+            .expect("a waiting receive returns a parcel");
+        parcel.into_message(|bytes| self.pool.take(bytes), from)
     }
 
-    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
+    fn recv_parcel(&self, from: usize, wait: bool) -> Result<Option<Parcel>, CollectiveError> {
         let slot = self.slot_of(from)?;
         let ring = self.fabric.rings[slot][self.slot]
             .as_ref()
             .expect("off-diagonal ring exists");
-        let timeout = *self.recv_timeout.lock().expect("recv timeout poisoned");
+        let timeout = if wait {
+            *self.recv_timeout.lock().expect("recv timeout poisoned")
+        } else {
+            None
+        };
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mut spins = 0u32;
+        let mut polls = 0u32;
         loop {
             if let Some(shm) = ring.try_pop() {
-                return self.delivered(from, shm);
+                return self.delivered(from, shm).map(Some);
             }
             // Empty ring: decide between waiting and failing, in the same
             // priority order as the TCP reader — graceful departure first,
@@ -801,12 +776,15 @@ impl Transport for ShmEndpoint {
                 // Re-check after the departure flag: messages sent before
                 // the peer dropped are still deliverable.
                 if let Some(shm) = ring.try_pop() {
-                    return self.delivered(from, shm);
+                    return self.delivered(from, shm).map(Some);
                 }
                 return Err(CollectiveError::Disconnected { peer: from });
             }
             if self.fabric.is_wedged(slot) {
                 return Err(CollectiveError::Aborted { peer: from });
+            }
+            if !wait {
+                return Ok(None);
             }
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(CollectiveError::Timeout {
@@ -814,30 +792,8 @@ impl Transport for ShmEndpoint {
                     millis: timeout.expect("deadline implies timeout").as_millis() as u64,
                 });
             }
-            wait_step(&mut spins);
+            settle_backoff(&mut polls);
         }
-    }
-
-    /// One look at `from`'s ring, in `recv_parcel`'s order: a queued
-    /// message, then departure, then the failure detector's verdict.
-    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
-        let slot = self.slot_of(from)?;
-        let ring = self.fabric.rings[slot][self.slot]
-            .as_ref()
-            .expect("off-diagonal ring exists");
-        if let Some(shm) = ring.try_pop() {
-            return self.delivered(from, shm).map(Some);
-        }
-        if self.fabric.members[slot].departed.load(Ordering::Acquire) {
-            return match ring.try_pop() {
-                Some(shm) => self.delivered(from, shm).map(Some),
-                None => Err(CollectiveError::Disconnected { peer: from }),
-            };
-        }
-        if self.fabric.is_wedged(slot) {
-            return Err(CollectiveError::Aborted { peer: from });
-        }
-        Ok(None)
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {

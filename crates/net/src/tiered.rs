@@ -150,53 +150,45 @@ impl Transport for TieredEndpoint {
         self.tier_for(to).send(to, msg)
     }
 
-    /// TCP peers get the socket's direct write. An shm message must own its
-    /// bytes, so it is encoded into a buffer from *this* endpoint's pool:
-    /// the pool its receives recycle into. (The shm endpoint's own default
+    /// TCP peers get the socket's direct write. Shm peers are lent the
+    /// chunk when every peer is on this host. In a world with a TCP hop
+    /// they get a copy instead: the ring runs at the TCP hops' pace there,
+    /// so the copy a lease saves is off the critical path, while its settle
+    /// makes the lender wait — spinning — for the peer whose next hop is a
+    /// socket write. On the 2-vCPU reference host `tiered4_dear` (2 hosts ×
+    /// 2 ranks) ran 5 % fewer `samples_per_s` with its shm hops lending
+    /// (slower in 12 of 14 alternating pairs) and level with the copy (8
+    /// pairs), while `shm2_dear` (one host) runs 14 % more with them
+    /// lending.
+    ///
+    /// The copy is encoded into a buffer from *this* endpoint's pool: the
+    /// pool its receives recycle into. (The shm endpoint's own default
     /// would draw on its own pool, which nothing refills, and allocate on
     /// every send.)
-    fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
-        if !self.is_local(to) {
-            return self.tcp.send_f32(to, src);
-        }
-        let bytes = self.take_buffer(std::mem::size_of_val(src));
-        self.send(to, WireBuf::encode_into(src, DType::F32, bytes).into())
-    }
-
-    /// TCP peers get the socket's direct write. Shm peers are lent the
-    /// chunk when every peer is on this host; in a world with a TCP hop
-    /// they get `send_f32`'s copy instead. There the ring runs at the TCP
-    /// hops' pace, so the copy a lease saves is off the critical path,
-    /// while its settle makes the lender wait — spinning — for the peer
-    /// whose next hop is a socket write. On the 2-vCPU reference host
-    /// `tiered4_dear` (2 hosts × 2 ranks) ran 5 % fewer `samples_per_s`
-    /// with its shm hops lending (slower in 12 of 14 alternating pairs)
-    /// and level with the copy (8 pairs), while `shm2_dear` (one host)
-    /// runs 14 % more with them lending.
     unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
         match &self.shm {
-            // SAFETY: the caller's contract, passed on unchanged.
+            // SAFETY (both): the caller's contract, passed on unchanged.
             Some(shm) if self.is_local(to) && self.all_local() => unsafe { shm.lend_f32(to, src) },
-            _ => self.send_f32(to, src).map(|()| None),
+            Some(shm) if self.is_local(to) => {
+                let bytes = self.take_buffer(std::mem::size_of_val(src));
+                shm.send(to, WireBuf::encode_into(src, DType::F32, bytes).into())
+                    .map(|()| None)
+            }
+            _ => unsafe { self.tcp.lend_f32(to, src) },
         }
     }
 
     /// A chunk an shm peer lent is copied into a buffer from the TCP pool,
     /// the one this endpoint's receives recycle into.
     fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
-        if !self.is_local(from) {
-            return self.tcp.recv(from);
-        }
-        self.recv_parcel(from)?
-            .into_message(|bytes| self.take_buffer(bytes), from)
+        let parcel = self
+            .recv_parcel(from, true)?
+            .expect("a waiting receive returns a parcel");
+        parcel.into_message(|bytes| self.take_buffer(bytes), from)
     }
 
-    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
-        self.tier_for(from).recv_parcel(from)
-    }
-
-    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
-        self.tier_for(from).try_recv_parcel(from)
+    fn recv_parcel(&self, from: usize, wait: bool) -> Result<Option<Parcel>, CollectiveError> {
+        self.tier_for(from).recv_parcel(from, wait)
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {

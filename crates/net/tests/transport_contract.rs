@@ -29,21 +29,27 @@
 //!    generation, drops all stale traffic, and leaves a world that computes
 //!    exactly what a fresh one does; a fabric told its survivors refuses a
 //!    bad list and stays as it was;
-//! 10. `send_f32` is `send` of the slice's f32 encoding: the same bits
-//!     arrive, in FIFO order with `send`, and clauses 3 and 5's errors hold;
-//! 11. `lend_f32` delivers what `send_f32` does, lent or not: a lent chunk
-//!     arrives bit for bit, in FIFO order with `send`; its loan settles at
-//!     once after the peer's receive, ends in `Disconnected` (or `Aborted`)
-//!     when the peer departs — also when the lease was still queued at a
-//!     dropped endpoint — and in `Timeout` past the lender's deadline, after
-//!     which the peer gets `Aborted`, never the chunk. A fabric that copies
+//! 10. `lend_f32` that returns no loan is `send` of the slice's f32
+//!     encoding: the same bits arrive, in FIFO order with `send`, and
+//!     clauses 3 and 5's errors hold (a fabric that lends passes it too,
+//!     its lent chunks read by `recv` as copies);
+//! 11. what `lend_f32` lends is what it would have sent: a lent chunk
+//!     arrives bit for bit through a hop receive (`recv_parcel`) and, copied,
+//!     through `recv`, in FIFO order with `send`; its loan settles at once
+//!     after the peer's receive, ends in `Disconnected` (or `Aborted`) when
+//!     the peer departs — also when the lease was still queued at a dropped
+//!     endpoint — and in `Timeout` past the lender's deadline, after which
+//!     the peer gets `Aborted`, never the chunk. A fabric that copies
 //!     (`lend_f32` returns no loan) passes it as clause 10;
-//! 12. `try_recv_parcel` is a receive that does not wait: with nothing
-//!     queued it reports nothing at once; what it returns comes in FIFO
-//!     order with `recv`, `recv_parcel` and lent chunks; it refuses self
-//!     and out-of-range peers; from a departed peer it drains what was sent
-//!     before, then reports `Disconnected`; and on `DelayFabric` it reports
-//!     nothing before a message's delivery stamp and the message after it.
+//! 12. `recv_parcel` without `wait` is a receive that does not wait: with
+//!     nothing queued it reports nothing at once, and it refuses self and
+//!     out-of-range peers. On a transport that polls, what it returns comes
+//!     in FIFO order with `recv`, waiting `recv_parcel`s and lent chunks;
+//!     from a departed peer it drains what was sent before, then reports
+//!     `Disconnected`; and on `DelayFabric` it reports nothing before a
+//!     message's delivery stamp and the message after it. On one that keeps
+//!     the trait's default it takes nothing off the link: a message polled
+//!     a hundred times is still the next one a waiting receive delivers.
 //!
 //! An error names its peer as the fabric that detected it numbers it: a
 //! [`GroupTransport`] view reports its inner transport's rank
@@ -108,10 +114,6 @@ impl Transport for View {
         self.group().send(to, msg)
     }
 
-    fn send_f32(&self, to: usize, src: &[f32]) -> Result<(), CollectiveError> {
-        self.group().send_f32(to, src)
-    }
-
     unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
         // SAFETY: the caller's contract, passed on unchanged.
         unsafe { self.group().lend_f32(to, src) }
@@ -121,12 +123,8 @@ impl Transport for View {
         self.group().recv(from)
     }
 
-    fn recv_parcel(&self, from: usize) -> Result<Parcel, CollectiveError> {
-        self.group().recv_parcel(from)
-    }
-
-    fn try_recv_parcel(&self, from: usize) -> Result<Option<Parcel>, CollectiveError> {
-        self.group().try_recv_parcel(from)
+    fn recv_parcel(&self, from: usize, wait: bool) -> Result<Option<Parcel>, CollectiveError> {
+        self.group().recv_parcel(from, wait)
     }
 
     fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
@@ -146,6 +144,57 @@ impl Endpoint for View {
     fn reported(&self, peer: usize) -> usize {
         self.members[peer]
     }
+}
+
+/// A decorator that observes its link the way a tracing layer does: it
+/// implements only what a transport must and forwards the deadline, the
+/// pool and the resize, so `lend_f32` and `recv_parcel` are the trait's
+/// defaults — it copies, and its poll reports nothing.
+struct Observer {
+    inner: LocalEndpoint,
+}
+
+impl Transport for Observer {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+
+    fn world_size(&self) -> usize {
+        self.inner.world_size()
+    }
+
+    fn send(&self, to: usize, msg: Message) -> Result<(), CollectiveError> {
+        self.inner.send(to, msg)
+    }
+
+    fn recv(&self, from: usize) -> Result<Message, CollectiveError> {
+        self.inner.recv(from)
+    }
+
+    fn set_recv_timeout(&self, timeout: Option<Duration>) -> bool {
+        self.inner.set_recv_timeout(timeout)
+    }
+
+    fn take_buffer(&self, capacity_bytes: usize) -> Vec<u8> {
+        self.inner.take_buffer(capacity_bytes)
+    }
+
+    fn recycle_buffer(&self, buf: Vec<u8>) {
+        self.inner.recycle_buffer(buf);
+    }
+
+    fn reconfigure(&mut self, survivors: Option<&[usize]>) -> Result<WorldChange, CollectiveError> {
+        self.inner.reconfigure(survivors)
+    }
+}
+
+impl Endpoint for Observer {}
+
+fn observed(world: usize) -> Vec<Observer> {
+    LocalFabric::create(world)
+        .into_iter()
+        .map(|inner| Observer { inner })
+        .collect()
 }
 
 fn views(world: usize) -> Vec<View> {
@@ -290,19 +339,20 @@ fn fifo<E: Endpoint>(world: impl Fn(usize) -> Vec<E>, n: usize, wires: &[DType])
 enum Via {
     /// `send` of a `Message`.
     Send,
-    /// `send_f32` of the slice (clause 10).
-    SendF32,
+    /// `lend_f32` of the slice (clause 10).
+    LendF32,
 }
 
+/// Sends `values` to `to` as `via` says; the loan of a lent chunk.
 fn send_via<E: Endpoint>(
     ep: &E,
     to: usize,
     values: &[f32],
     via: Via,
-) -> Result<(), CollectiveError> {
+) -> Result<Option<Loan>, CollectiveError> {
     match via {
-        Via::Send => ep.send(to, values.to_vec().into()),
-        Via::SendF32 => ep.send_f32(to, values),
+        Via::Send => ep.send(to, values.to_vec().into()).map(|()| None),
+        Via::LendF32 => lend(ep, to, values),
     }
 }
 
@@ -342,11 +392,17 @@ fn departure<E: Endpoint>(world: impl Fn(usize) -> Vec<E>, via: Via) {
     let mut eps = world(2);
     let stays = eps.pop().unwrap();
     let leaves = eps.pop().unwrap();
-    send_via(&leaves, 1, &[42.0], via).unwrap();
-    send_via(&leaves, 1, &[43.0], via).unwrap();
+    let (first, second) = ([42.0f32], [43.0f32]);
+    let loans = [
+        send_via(&leaves, 1, &first, via).unwrap(),
+        send_via(&leaves, 1, &second, via).unwrap(),
+    ];
     drop(leaves);
     assert_eq!(stays.recv(0).unwrap(), vec![42.0]);
     assert_eq!(stays.recv(0).unwrap(), vec![43.0]);
+    for loan in loans.into_iter().flatten() {
+        assert_eq!(loan.settle(), Ok(()), "the copies released the leases");
+    }
     let gone = CollectiveError::Disconnected {
         peer: stays.reported(0),
     };
@@ -410,7 +466,7 @@ fn pool<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
 
 const WIRES: [DType; 3] = [DType::F32, DType::Bf16, DType::F16];
 
-/// Clause 10: what `send_f32` delivers is what `send` delivers for the
+/// Clause 10: what `lend_f32` delivers is what `send` delivers for the
 /// slice's f32 encoding, bit for bit: NaN payloads, −0.0, subnormals and an
 /// empty slice, each sent both ways back to back.
 fn send_f32_is_send_of_its_encoding<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
@@ -427,7 +483,7 @@ fn send_f32_is_send_of_its_encoding<E: Endpoint>(world: impl Fn(usize) -> Vec<E>
         &[],
     ];
     for src in payloads {
-        eps[0].send_f32(1, src).unwrap();
+        let loan = lend(&eps[0], 1, src).unwrap();
         eps[0]
             .send(1, WireBuf::encode(src, DType::F32).into())
             .unwrap();
@@ -437,20 +493,9 @@ fn send_f32_is_send_of_its_encoding<E: Endpoint>(world: impl Fn(usize) -> Vec<E>
         assert_eq!(direct.len_elems(), src.len());
         assert_eq!(direct, WireBuf::encode(src, DType::F32));
         assert_eq!(direct, encoded);
-    }
-}
-
-/// Clause 10: `send_f32` and `send` share one FIFO link (as many messages
-/// as clause 4 lets a link hold before its receiver takes one).
-fn send_f32_keeps_fifo_with_send<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
-    let eps = world(2);
-    let values = |k: usize| vec![k as f32; 1 + 16 * k];
-    for k in 0..MIN_LINK_FRAMES {
-        let via = if k % 2 == 0 { Via::SendF32 } else { Via::Send };
-        send_via(&eps[0], 1, &values(k), via).unwrap();
-    }
-    for k in 0..MIN_LINK_FRAMES {
-        assert_eq!(eps[1].recv(0).unwrap(), values(k), "message {k}");
+        if let Some(loan) = loan {
+            assert_eq!(loan.settle(), Ok(()));
+        }
     }
 }
 
@@ -462,16 +507,8 @@ fn lend<E: Endpoint>(ep: &E, to: usize, src: &[f32]) -> Result<Option<Loan>, Col
 
 /// The bits a hop receive from `from` gets, lent or not.
 fn received_bits<E: Endpoint>(ep: &E, from: usize) -> Vec<u32> {
-    match ep.recv_parcel(from).unwrap() {
-        Parcel::Lent(lease) => lease
-            .read(|chunk| chunk.iter().map(|x| x.to_bits()).collect())
-            .expect("a lease nobody revoked is readable"),
-        Parcel::Message(msg) => {
-            let payload = msg.into_payload();
-            assert_eq!(payload.dtype(), DType::F32);
-            payload.to_f32_vec().iter().map(|x| x.to_bits()).collect()
-        }
-    }
+    let parcel = ep.recv_parcel(from, true).unwrap();
+    parcel_bits(parcel.expect("a waiting receive returns a parcel"))
 }
 
 fn bits(values: &[f32]) -> Vec<u32> {
@@ -517,22 +554,26 @@ fn lent_chunks_arrive_bit_identical<E: Endpoint>(world: impl Fn(usize) -> Vec<E>
     }
 }
 
-/// Clause 11: lent chunks and `send`s share one FIFO link.
-fn lent_chunks_keep_fifo_with_send<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+/// Clauses 10 and 11: `lend_f32` and `send` share one FIFO link (as many
+/// messages as clause 4 lets a link hold before its receiver takes one),
+/// received by `recv` or, with `hop`, by the hop receive.
+fn lends_keep_fifo_with_send<E: Endpoint>(world: impl Fn(usize) -> Vec<E>, hop: bool) {
     let eps = world(2);
     let values: Vec<Vec<f32>> = (0..MIN_LINK_FRAMES)
         .map(|k| vec![k as f32; 1 + 16 * k])
         .collect();
     let mut loans = Vec::new();
     for (k, v) in values.iter().enumerate() {
-        if k % 2 == 0 {
-            loans.extend(lend(&eps[0], 1, v).unwrap());
-        } else {
-            eps[0].send(1, v.clone().into()).unwrap();
-        }
+        let via = if k % 2 == 0 { Via::LendF32 } else { Via::Send };
+        loans.extend(send_via(&eps[0], 1, v, via).unwrap());
     }
     for (k, v) in values.iter().enumerate() {
-        assert_eq!(received_bits(&eps[1], 0), bits(v), "message {k}");
+        let got = if hop {
+            received_bits(&eps[1], 0)
+        } else {
+            bits(&eps[1].recv(0).unwrap().into_payload().to_f32_vec())
+        };
+        assert_eq!(got, bits(v), "message {k}");
     }
     for loan in loans {
         assert_eq!(loan.settle(), Ok(()));
@@ -658,7 +699,7 @@ fn parcel_bits(parcel: Parcel) -> Vec<u32> {
 fn poll<E: Endpoint>(ep: &E, from: usize) -> Result<Parcel, CollectiveError> {
     let give_up = Instant::now() + Duration::from_secs(10);
     loop {
-        if let Some(parcel) = ep.try_recv_parcel(from)? {
+        if let Some(parcel) = ep.recv_parcel(from, false)? {
             return Ok(parcel);
         }
         assert!(Instant::now() < give_up, "the poll never reported");
@@ -672,7 +713,7 @@ fn an_idle_poll<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
     for ep in &eps {
         let start = Instant::now();
         for _ in 0..100 {
-            assert!(ep.try_recv_parcel(1 - ep.rank()).unwrap().is_none());
+            assert!(ep.recv_parcel(1 - ep.rank(), false).unwrap().is_none());
         }
         assert!(
             start.elapsed() < Duration::from_secs(1),
@@ -682,8 +723,8 @@ fn an_idle_poll<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
     }
 }
 
-/// Clause 12: polls, `recv` and `recv_parcel` take one FIFO link of sends
-/// and lent chunks.
+/// Clause 12: polls, `recv` and waiting `recv_parcel`s take one FIFO link
+/// of sends and lent chunks.
 fn polls_keep_fifo<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
     let eps = world(2);
     let values: Vec<Vec<f32>> = (0..MIN_LINK_FRAMES)
@@ -706,7 +747,7 @@ fn polls_keep_fifo<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
         assert_eq!(got, bits(v), "message {k}");
     }
     assert!(
-        eps[1].try_recv_parcel(0).unwrap().is_none(),
+        eps[1].recv_parcel(0, false).unwrap().is_none(),
         "the link is empty"
     );
     for loan in loans {
@@ -722,8 +763,32 @@ fn polls_of_invalid_ranks<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
                 rank: peer,
                 world: 2,
             };
-            assert_eq!(ep.try_recv_parcel(peer).unwrap_err(), invalid);
+            assert_eq!(ep.recv_parcel(peer, false).unwrap_err(), invalid);
         }
+    }
+}
+
+/// Clause 12, for a transport that keeps the default poll: a message
+/// polled a hundred times is still on the link, and the waiting receives
+/// deliver every message in order.
+fn polls_take_nothing_off_the_link<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
+    let eps = world(2);
+    let values: Vec<Vec<f32>> = (0..MIN_LINK_FRAMES)
+        .map(|k| vec![k as f32 + 0.5; 1 + 16 * k])
+        .collect();
+    for v in &values {
+        eps[0].send(1, v.clone().into()).unwrap();
+    }
+    for (k, v) in values.iter().enumerate() {
+        for _ in 0..100 {
+            assert!(eps[1].recv_parcel(0, false).unwrap().is_none());
+        }
+        let got = if k % 2 == 0 {
+            bits(&eps[1].recv(0).unwrap().into_payload().to_f32_vec())
+        } else {
+            received_bits(&eps[1], 0)
+        };
+        assert_eq!(got, bits(v), "message {k}");
     }
 }
 
@@ -860,11 +925,13 @@ fn bad_survivor_lists<E: Endpoint>(world: impl Fn(usize) -> Vec<E>) {
 
 /// Instantiates every clause for one fabric: its factory, clause 8's
 /// worlds and case count (per wire family: f32, and bf16/f16), whether a
-/// world of two lends (clause 11), and, for a fabric that resizes, how it
-/// learns the survivors, whether it stamps generations, and clause 9's
-/// worlds and case count.
+/// world of two lends (clause 11), whether its poll reports what has
+/// arrived (clause 12), and, for a fabric that resizes, how it learns the
+/// survivors, whether it stamps generations, and clause 9's worlds and
+/// case count.
 macro_rules! contract {
-    ($name:ident: $world:expr, worlds $worlds:expr, cases $cases:expr, lends $lends:expr
+    ($name:ident: $world:expr, worlds $worlds:expr, cases $cases:expr, lends $lends:expr,
+        polls $polls:tt
         $(; shrink $resize:ident, stamps $stamps:expr, worlds $sworlds:expr, cases $scases:expr)?) => {
         mod $name {
             use super::*;
@@ -926,22 +993,22 @@ macro_rules! contract {
 
             #[test]
             fn c10_send_f32_keeps_fifo_with_send() {
-                bounded(|| send_f32_keeps_fifo_with_send($world));
+                bounded(|| lends_keep_fifo_with_send($world, false));
             }
 
             #[test]
             fn c10_send_f32_refuses_self() {
-                bounded(|| invalid_ranks($world, true, Via::SendF32));
+                bounded(|| invalid_ranks($world, true, Via::LendF32));
             }
 
             #[test]
             fn c10_send_f32_refuses_out_of_range_peers() {
-                bounded(|| invalid_ranks($world, false, Via::SendF32));
+                bounded(|| invalid_ranks($world, false, Via::LendF32));
             }
 
             #[test]
             fn c10_send_f32_to_a_departed_peer_is_disconnected() {
-                bounded(|| departure($world, Via::SendF32));
+                bounded(|| departure($world, Via::LendF32));
             }
 
             #[test]
@@ -951,7 +1018,7 @@ macro_rules! contract {
 
             #[test]
             fn c11_lent_chunks_keep_fifo_with_send() {
-                bounded(|| lent_chunks_keep_fifo_with_send($world));
+                bounded(|| lends_keep_fifo_with_send($world, true));
             }
 
             #[test]
@@ -975,19 +1042,11 @@ macro_rules! contract {
             }
 
             #[test]
-            fn c12_polls_keep_fifo_with_receives_and_lent_chunks() {
-                bounded(|| polls_keep_fifo($world));
-            }
-
-            #[test]
             fn c12_a_poll_refuses_self_and_out_of_range_peers() {
                 bounded(|| polls_of_invalid_ranks($world));
             }
 
-            #[test]
-            fn c12_a_departed_peer_is_polled_dry_then_disconnected() {
-                bounded(|| polls_of_a_departed_peer($world));
-            }
+            contract!(@polls $polls, $world);
 
             proptest! {
                 #![proptest_config(ProptestConfig::with_cases($cases))]
@@ -1013,6 +1072,23 @@ macro_rules! contract {
             }
 
             $(contract!(@shrink $resize, $world, $stamps, $sworlds, $scases);)?
+        }
+    };
+    (@polls true, $world:expr) => {
+        #[test]
+        fn c12_polls_keep_fifo_with_receives_and_lent_chunks() {
+            bounded(|| polls_keep_fifo($world));
+        }
+
+        #[test]
+        fn c12_a_departed_peer_is_polled_dry_then_disconnected() {
+            bounded(|| polls_of_a_departed_peer($world));
+        }
+    };
+    (@polls false, $world:expr) => {
+        #[test]
+        fn c12_a_poll_takes_nothing_off_the_link() {
+            bounded(|| polls_take_nothing_off_the_link($world));
         }
     };
     (@shrink Explicit, $world:expr, $stamps:expr, $worlds:expr, $cases:expr) => {
@@ -1043,18 +1119,19 @@ macro_rules! contract {
     };
 }
 
-contract!(local: LocalFabric::create, worlds 1usize..7, cases 4, lends true;
+contract!(local: LocalFabric::create, worlds 1usize..7, cases 4, lends true, polls true;
     shrink Explicit, stamps false, worlds 3usize..6, cases 8);
-contract!(delay: delayed, worlds 1usize..7, cases 4, lends false;
+contract!(delay: delayed, worlds 1usize..7, cases 4, lends false, polls true;
     shrink Explicit, stamps false, worlds 3usize..6, cases 4);
-contract!(group_view: views, worlds 1usize..7, cases 4, lends true);
-contract!(shm: shm, worlds 1usize..7, cases 4, lends true;
+contract!(group_view: views, worlds 1usize..7, cases 4, lends true, polls true);
+contract!(observer: observed, worlds 1usize..7, cases 4, lends false, polls false);
+contract!(shm: shm, worlds 1usize..7, cases 4, lends true, polls true;
     shrink Explicit, stamps true, worlds 3usize..6, cases 8);
-contract!(tcp: tcp, worlds 1usize..6, cases 8, lends false;
+contract!(tcp: tcp, worlds 1usize..6, cases 8, lends false, polls true;
     shrink Discovered, stamps true, worlds 3usize..6, cases 4);
-contract!(tiered_1xn: tiered_1xn, worlds 1usize..3, cases 4, lends true;
+contract!(tiered_1xn: tiered_1xn, worlds 1usize..3, cases 4, lends true, polls true;
     shrink Discovered, stamps true, worlds 3usize..5, cases 2);
-contract!(tiered_2xn: tiered_2xn, worlds 1usize..5, cases 4, lends false;
+contract!(tiered_2xn: tiered_2xn, worlds 1usize..5, cases 4, lends false, polls true;
     shrink Discovered, stamps true, worlds 3usize..6, cases 2);
 
 /// Clause 12, for the fabric that stamps: a message still on the emulated
@@ -1071,11 +1148,11 @@ fn c12_delay_polls_a_message_at_its_stamp_not_before() {
         a.send(1, vec![1.0].into()).unwrap();
         a.send(1, vec![2.0].into()).unwrap();
         assert!(
-            b.try_recv_parcel(0).unwrap().is_none(),
+            b.recv_parcel(0, false).unwrap().is_none(),
             "polled before its stamp"
         );
         assert!(
-            b.try_recv_parcel(0).unwrap().is_none(),
+            b.recv_parcel(0, false).unwrap().is_none(),
             "a held message stays held"
         );
         let first = poll(&b, 0).unwrap();
