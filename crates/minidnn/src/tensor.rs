@@ -153,10 +153,10 @@ impl Tensor {
         #[cfg(target_arch = "x86_64")]
         if has_avx2() {
             // SAFETY: the host has AVX2, checked just above.
-            unsafe { avx2::matmul_kernel(&self.data, rhs, &mut out.data, m, k, n) };
+            unsafe { avx2::matmul_kernel(&self.data, rhs, &mut out.data, (m, k, n)) };
             return out;
         }
-        matmul_kernel(&self.data, rhs, &mut out.data, m, k, n);
+        matmul_kernel(&self.data, rhs, &mut out.data, (m, k, n));
         out
     }
 
@@ -176,9 +176,7 @@ impl Tensor {
     /// gradient produced where the collective reads it. Every element is
     /// the chain `0.0 + Σᵢ self[i][k]·other[i][j]` over the rows `i` with
     /// `self[i][k] ≠ 0`, in row order — what accumulating into a zeroed
-    /// buffer computes, without the zeroing sweep and without a pass over
-    /// the output row per batch row: a block of columns accumulates over
-    /// the batch in registers and is written once.
+    /// buffer computes, with no zeroing sweep and each element written once.
     ///
     /// # Panics
     ///
@@ -192,10 +190,10 @@ impl Tensor {
         #[cfg(target_arch = "x86_64")]
         if has_avx2() {
             // SAFETY: the host has AVX2, checked just above.
-            unsafe { avx2::t_matmul_kernel(&self.data, &other.data, out, m, k, n) };
+            unsafe { avx2::t_matmul_kernel(&self.data, &other.data, out, (m, k, n)) };
             return;
         }
-        t_matmul_kernel(&self.data, &other.data, out, m, k, n);
+        t_matmul_kernel(&self.data, &other.data, out, (m, k, n));
     }
 
     /// `self @ otherᵀ` (used for input gradients: `dy · Wᵀ`).
@@ -235,10 +233,10 @@ impl Tensor {
         #[cfg(target_arch = "x86_64")]
         if has_avx2() {
             // SAFETY: the host has AVX2, checked just above.
-            unsafe { avx2::matmul_t_kernel(&self.data, rhs, &mut out.data, m, k, n) };
+            unsafe { avx2::matmul_t_kernel(&self.data, rhs, &mut out.data, (m, k, n)) };
             return out;
         }
-        matmul_t_kernel(&self.data, rhs, &mut out.data, m, k, n);
+        matmul_t_kernel(&self.data, rhs, &mut out.data, (m, k, n), transpose_tile);
         out
     }
 
@@ -268,119 +266,122 @@ impl Tensor {
 const TILE: usize = 8;
 /// One `TILE × TILE` tile, transposed: `tile[kk][lane]`.
 type Tile = [[f32; TILE]; TILE];
-/// Output columns [`Tensor::t_matmul_into`] accumulates in registers.
-const T_BLOCK: usize = 32;
-/// Batch rows it gathers per pass; a longer batch carries through `out`.
-const ROW_BLOCK: usize = 32;
+/// Output columns [`accumulate_row`] accumulates in registers.
+const T_BLOCK: usize = 64;
+/// Terms gathered per pass: batch rows (weight gradient), `k` steps (forward).
+const GATHER: usize = 32;
+/// A product's `(m, k, n)`: `a` is `[m, k]`; each body's doc gives the rest.
+type Dims = (usize, usize, usize);
+/// One pass's gathered terms: `(coefficient, offset of its source row)`.
+type Live = [(f32, usize); GATHER];
 
 // The three kernels below are each one source compiled twice: called
 // directly they run on the baseline instruction stream (SSE2 on x86-64),
 // and through `avx2`'s wrappers, which the methods above pick per call when
-// the host has AVX2, on 256-bit vectors. The products stay `a * b` then `+`
-// (Rust never contracts them into a fused multiply-add), so both streams
-// compute every output element's chain with the same operations in the
-// same order and agree bit for bit (DESIGN.md §4.3). `#[inline(always)]`
-// is what puts a body, helpers included, into the wrapper's stream. The one
-// piece with two bodies is `matmul_t_kernel`'s 8×8 tile transpose, a
-// permutation: portable here, intrinsics in `avx2`.
+// the host has AVX2, on 256-bit vectors; `#[inline(always)]` puts a body,
+// helpers included, into its wrapper's stream. The products stay `a * b`
+// then `+` (Rust never contracts them into a fused multiply-add), so both
+// streams compute every output element's chain with the same operations
+// in the same order and agree bit for bit (DESIGN.md §4.3). The forward
+// and the weight gradient are one body, [`accumulate_row`], over different
+// gathers; the one piece with two bodies is `matmul_t_kernel`'s 8×8 tile
+// transpose, a permutation: portable here, intrinsics in `avx2`.
 
-/// `out = a @ rhs` for row-major `a: [m, k]` and `rhs: [k, n]`, `out`
-/// zeroed: every element accumulates `a[i][kk]·rhs[kk][j]` over the `kk`
-/// with `a[i][kk] ≠ 0`, ascending.
+/// [`Tensor::matmul_slice`]'s body: `out = a @ rhs` for row-major `a: [m,
+/// k]` and `rhs: [k, n]`, whatever `out` held. Element `(i, j)` is `0.0 +
+/// Σ a[i][kk]·rhs[kk][j]` over the `kk` with `a[i][kk] ≠ 0`, ascending.
+/// The `k` chunks are the outer loop, so every batch row reads the same
+/// strip of `GATHER` rows of `rhs` while it is in cache.
 #[inline(always)]
-fn matmul_kernel(a: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    // i-k-j loop order for cache-friendly row-major access.
-    for i in 0..m {
-        for kk in 0..k {
-            let a = a[i * k + kk];
-            if a == 0.0 {
-                continue;
-            }
-            let row = &rhs[kk * n..(kk + 1) * n];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (o, b) in out_row.iter_mut().zip(row) {
-                *o += a * b;
-            }
+fn matmul_kernel(a: &[f32], rhs: &[f32], out: &mut [f32], (m, k, n): Dims) {
+    let mut live: Live = [(0.0, 0); GATHER];
+    for k0 in (0..k).step_by(GATHER) {
+        for i in 0..m {
+            let terms = (k0..k.min(k0 + GATHER)).map(|kk| (a[i * k + kk], kk * n));
+            let live = gather(&mut live, terms);
+            accumulate_row(&mut out[i * n..(i + 1) * n], live, rhs, k0 == 0);
         }
     }
 }
 
 /// [`Tensor::t_matmul_into`]'s body: `out = xᵀ @ dy` for `x: [m, k]` and
-/// `dy: [m, n]`, whatever `out` held.
+/// `dy: [m, n]`, whatever `out` held. Element `(kk, j)` is `0.0 + Σ
+/// x[i][kk]·dy[i][j]` over the `i` with `x[i][kk] ≠ 0`, ascending.
 #[inline(always)]
-fn t_matmul_kernel(x: &[f32], dy: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let n_blocks = n - n % T_BLOCK;
-    // The rows of one row block that contribute to gradient row `kk`:
-    // (activation, offset of the row in `dy`). Gathered once per `kk`,
-    // so the column blocks below run without a data-dependent branch.
-    let mut live = [(0.0f32, 0usize); ROW_BLOCK];
-    for (kk, out_row) in out.chunks_exact_mut(n).enumerate() {
+fn t_matmul_kernel(x: &[f32], dy: &[f32], out: &mut [f32], (m, k, n): Dims) {
+    let mut live: Live = [(0.0, 0); GATHER];
+    for kk in 0..k {
         // `max(1)`: an empty batch still writes its zeros.
-        for i0 in (0..m.max(1)).step_by(ROW_BLOCK) {
-            let mut count = 0;
-            for i in i0..m.min(i0 + ROW_BLOCK) {
-                let a = x[i * k + kk];
-                live[count] = (a, i * n);
-                count += usize::from(a != 0.0);
-            }
-            let live = &live[..count];
-            // A chain starts from `0.0` (a `-0.0` first product comes
-            // out `+0.0`, an untouched element stays `0.0`), runs in
-            // registers and is stored once; only a batch longer than a
-            // row block picks it up from `out` again.
-            for (block, j0) in out_row
-                .chunks_exact_mut(T_BLOCK)
-                .zip((0..).step_by(T_BLOCK))
-            {
-                let mut acc = [0.0f32; T_BLOCK];
-                if i0 > 0 {
-                    acc.copy_from_slice(block);
-                }
-                for &(a, at) in live {
-                    for (s, b) in acc.iter_mut().zip(&dy[at + j0..][..T_BLOCK]) {
-                        *s += a * b;
-                    }
-                }
-                block.copy_from_slice(&acc);
-            }
-            // The `n % T_BLOCK` last columns, accumulated in place.
-            let tail = &mut out_row[n_blocks..];
-            if i0 == 0 {
-                tail.fill(0.0);
-            }
-            for &(a, at) in live {
-                for (o, b) in tail.iter_mut().zip(&dy[at + n_blocks..at + n]) {
-                    *o += a * b;
-                }
-            }
+        for i0 in (0..m.max(1)).step_by(GATHER) {
+            let terms = (i0..m.min(i0 + GATHER)).map(|i| (x[i * k + kk], i * n));
+            let live = gather(&mut live, terms);
+            accumulate_row(&mut out[kk * n..(kk + 1) * n], live, dy, i0 == 0);
         }
     }
 }
 
-/// [`Tensor::matmul_t_slice`]'s body on the baseline stream: `out = a @
-/// rhsᵀ` for `a: [m, k]` and `rhs: [n, k]`, `out` filled with the chains'
-/// start value.
+/// The terms whose coefficient is not exactly zero, in order: gathered
+/// first, so [`accumulate_row`]'s column blocks run without a branch on
+/// the data (tested per block, it mispredicts half the time after a ReLU).
 #[inline(always)]
-fn matmul_t_kernel(a: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_t_tiles(a, rhs, out, m, k, n, transpose_tile);
+fn gather(live: &mut Live, terms: impl Iterator<Item = (f32, usize)>) -> &[(f32, usize)] {
+    let mut count = 0;
+    for (a, at) in terms {
+        live[count] = (a, at);
+        count += usize::from(a != 0.0);
+    }
+    &live[..count]
 }
 
-/// The body both streams share, given their tile transpose. Per strip of
-/// `TILE` output columns and per `TILE`-deep k step, one tile of `rhs` is
-/// transposed — `tile[kk][lane] = rhs[(j0 + lane) * k + k0 + kk]` — and
-/// every batch row's `TILE` chains advance from it: loaded from `out`,
-/// `a[i][kk]·tile[kk][lane]` added with `kk` ascending, stored back. Per
-/// element that is the scalar dot product's order; the lanes are
-/// independent, so the adds vectorise. The `k mod TILE` last steps of a
-/// strip and the `n mod TILE` last columns run the scalar chain.
+/// Both gathered products' body: adds `a · src[at..at + n]` into `out`,
+/// `n` long, for every `(a, at)` of `live` in order. With `first` every
+/// chain starts from `0.0` (a `-0.0` first product comes out `+0.0`, an
+/// element nothing reaches `0.0`), otherwise from `out`. A block of
+/// `T_BLOCK` columns accumulates in a local array and is stored once (with
+/// `out`'s slice as the accumulator the baseline stream stays scalar); the
+/// `n mod T_BLOCK` last columns accumulate in place.
 #[inline(always)]
-fn matmul_t_tiles(
+fn accumulate_row(out: &mut [f32], live: &[(f32, usize)], src: &[f32], first: bool) {
+    let (n, n_blocks) = (out.len(), out.len() - out.len() % T_BLOCK);
+    for (block, j0) in out.chunks_exact_mut(T_BLOCK).zip((0..).step_by(T_BLOCK)) {
+        let mut acc = [0.0f32; T_BLOCK];
+        if !first {
+            acc.copy_from_slice(block);
+        }
+        for &(a, at) in live {
+            for (s, b) in acc.iter_mut().zip(&src[at + j0..][..T_BLOCK]) {
+                *s += a * b;
+            }
+        }
+        block.copy_from_slice(&acc);
+    }
+    let tail = &mut out[n_blocks..];
+    if first {
+        tail.fill(0.0);
+    }
+    for &(a, at) in live {
+        for (o, b) in tail.iter_mut().zip(&src[at + n_blocks..at + n]) {
+            *o += a * b;
+        }
+    }
+}
+
+/// [`Tensor::matmul_t_slice`]'s body, given its stream's tile transpose:
+/// `out = a @ rhsᵀ` for `a: [m, k]` and `rhs: [n, k]`, `out` filled with
+/// the chains' start value. Per strip of `TILE` output columns and per
+/// `TILE`-deep k step, one tile of `rhs` is transposed — `tile[kk][lane] =
+/// rhs[(j0 + lane) * k + k0 + kk]` — and every batch row's `TILE` chains
+/// advance from it: loaded from `out`, `a[i][kk]·tile[kk][lane]` added with
+/// `kk` ascending, stored back. Per element that is the scalar dot
+/// product's order; the lanes are independent, so the adds vectorise. The
+/// `k mod TILE` last steps of a strip and the `n mod TILE` last columns run
+/// the scalar chain.
+#[inline(always)]
+fn matmul_t_kernel(
     a: &[f32],
     rhs: &[f32],
     out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
+    (m, k, n): Dims,
     transpose: impl Fn(&[f32], usize) -> Tile,
 ) {
     let (a, out) = (&a[..m * k], &mut out[..m * n]);
@@ -440,38 +441,25 @@ fn has_avx2() -> bool {
 /// inside one slice it has bounds-checked.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{Tile, TILE};
+    use super::{Dims, Tile, TILE};
 
-    macro_rules! avx2_stream {
-        ($($kernel:ident),*) => {$(
-            #[target_feature(enable = "avx2")]
-            pub(super) fn $kernel(
-                a: &[f32],
-                b: &[f32],
-                out: &mut [f32],
-                m: usize,
-                k: usize,
-                n: usize,
-            ) {
-                super::$kernel(a, b, out, m, k, n);
-            }
-        )*};
+    /// [`super::matmul_kernel`] on this stream.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn matmul_kernel(a: &[f32], rhs: &[f32], out: &mut [f32], dims: Dims) {
+        super::matmul_kernel(a, rhs, out, dims);
     }
 
-    avx2_stream!(matmul_kernel, t_matmul_kernel);
+    /// [`super::t_matmul_kernel`] on this stream.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn t_matmul_kernel(x: &[f32], dy: &[f32], out: &mut [f32], dims: Dims) {
+        super::t_matmul_kernel(x, dy, out, dims);
+    }
 
     /// [`super::matmul_t_kernel`] on this stream: the same body, with
     /// [`transpose_tile`] as its transpose.
     #[target_feature(enable = "avx2")]
-    pub(super) fn matmul_t_kernel(
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        super::matmul_t_tiles(a, b, out, m, k, n, |w, stride| transpose_tile(w, stride));
+    pub(super) fn matmul_t_kernel(a: &[f32], b: &[f32], out: &mut [f32], dims: Dims) {
+        super::matmul_t_kernel(a, b, out, dims, |w, stride| transpose_tile(w, stride));
     }
 
     /// [`super::transpose_tile`] in eight loads, 24 shuffles and eight
@@ -610,7 +598,7 @@ mod tests {
             println!("skipped: this host has no AVX2, so the baseline stream is the only one");
             return;
         }
-        let check = |kernel: &str, (m, k, n): (usize, usize, usize), base: &[f32], fast: &[f32]| {
+        let check = |kernel: &str, (m, k, n): Dims, base: &[f32], fast: &[f32]| {
             for (at, (b, f)) in base.iter().zip(fast).enumerate() {
                 assert!(
                     b.to_bits() == f.to_bits() || (b.is_nan() && f.is_nan()),
@@ -619,35 +607,46 @@ mod tests {
             }
         };
         let mut rng = StdRng::seed_from_u64(38);
+        let widths = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 80, 128, 512];
         let grid = [1, 2, 3, 8, 32, 33, 70].into_iter().flat_map(|m| {
-            [1, 5, 7, 8, 9, 63, 65, 100, 131]
-                .into_iter()
-                .flat_map(move |k| [1, 7, 8, 9, 15, 16, 17, 31, 33, 80, 512].map(|n| (m, k, n)))
+            let inner = [1, 5, 7, 8, 9, 32, 33, 63, 64, 65, 100, 131].into_iter();
+            inner.flat_map(move |k| widths.map(|n| (m, k, n)))
         });
         for (case, dims @ (m, k, n)) in grid.enumerate() {
             let non_finite = case % 2 == 1;
-            let a = values(&mut rng, m * k, non_finite);
+            let mut a = values(&mut rng, m * k, non_finite);
+            // A batch row with no activation and an activation no row has,
+            // where they leave the product something to compute.
+            let dead = (m > 1 && k > 1).then(|| rng.gen_range(0..m));
+            if let Some(row) = dead {
+                a[row * k..][..k].fill(0.0);
+                let col = rng.gen_range(0..k);
+                a.iter_mut().skip(col).step_by(k).for_each(|v| *v = 0.0);
+            }
             // `[k, n]` for the forward product, `[n, k]` for `matmul_t`.
             let w = values(&mut rng, k * n, non_finite);
             let dy = values(&mut rng, m * n, non_finite);
 
-            let (mut base, mut fast) = (vec![0.0; m * n], vec![0.0; m * n]);
-            matmul_kernel(&a, &w, &mut base, m, k, n);
+            let (mut base, mut fast) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+            matmul_kernel(&a, &w, &mut base, dims);
             // SAFETY: the host has AVX2, checked at the top.
-            unsafe { avx2::matmul_kernel(&a, &w, &mut fast, m, k, n) };
+            unsafe { avx2::matmul_kernel(&a, &w, &mut fast, dims) };
             check("matmul", dims, &base, &fast);
+            if let Some(row) = dead {
+                assert!(base[row * n..][..n].iter().all(|v| v.to_bits() == 0));
+            }
 
             let (mut base, mut fast) = (vec![f32::NAN; k * n], vec![f32::NAN; k * n]);
-            t_matmul_kernel(&a, &dy, &mut base, m, k, n);
+            t_matmul_kernel(&a, &dy, &mut base, dims);
             // SAFETY: as above.
-            unsafe { avx2::t_matmul_kernel(&a, &dy, &mut fast, m, k, n) };
+            unsafe { avx2::t_matmul_kernel(&a, &dy, &mut fast, dims) };
             check("t_matmul", dims, &base, &fast);
 
             let start: f32 = std::iter::empty::<f32>().sum();
             let (mut base, mut fast) = (vec![start; m * n], vec![start; m * n]);
-            matmul_t_kernel(&a, &w, &mut base, m, k, n);
+            matmul_t_kernel(&a, &w, &mut base, dims, transpose_tile);
             // SAFETY: as above.
-            unsafe { avx2::matmul_t_kernel(&a, &w, &mut fast, m, k, n) };
+            unsafe { avx2::matmul_t_kernel(&a, &w, &mut fast, dims) };
             check("matmul_t", dims, &base, &fast);
         }
     }

@@ -1,19 +1,20 @@
 //! The dense kernels compute what the loops they replaced computed, bit
 //! for bit (DESIGN.md §4.3): `Tensor::matmul_t_slice` runs 8 output
 //! columns as lanes, advancing them from one transposed 8×8 weight tile
-//! per 8 k steps, and `Tensor::t_matmul_into` accumulates column blocks in
-//! registers, but per output element both keep the old loop's chain — same
-//! start value, same terms, same order. The old loops live on here, as the
-//! oracles, and so does the forward `Tensor::matmul_slice`'s own loop: its
-//! AVX2 stream must keep that chain too.
+//! per 8 k steps, and `Tensor::matmul_slice` and `Tensor::t_matmul_into`
+//! gather their nonzero coefficients and accumulate column blocks in
+//! registers, but per output element each keeps the old loop's chain —
+//! same start value, same terms, same order. The old loops live on here
+//! only as the oracles.
 //!
 //! Every case sweeps the whole shape grid: batch sizes on both sides of
-//! the row block; inner dimensions and output widths at the tile's edge
-//! (7, 8, 9: all scalar tail, one tile, one tile and a one-step tail),
-//! around the column-block count, and no multiple of either. Inputs carry
-//! exact zeros (a ReLU'd `dy`, the activations `t_matmul_into` skips),
-//! `-0.0` (so a chain's start value shows in its sign), and in half the
-//! cases ±inf and one NaN.
+//! the 32-row gather; inner dimensions and output widths at the tile's edge
+//! (7, 8, 9: all scalar tail, one tile, one tile and a one-step tail), at
+//! the edges of the 32-step gather (32, 33, 64) and of the 64-column block
+//! (32, 64, 128), and no multiple of either. Inputs carry exact zeros (a
+//! ReLU'd `dy`, the activations the gathers skip, a batch row and an
+//! activation column of nothing but zeros), `-0.0` (so a chain's start
+//! value shows in its sign), and in half the cases ±inf and one NaN.
 //!
 //! NaNs compare as NaNs: which payload survives when two meet depends on
 //! operand order inside one `mulps`/`addps`, which neither Rust nor LLVM
@@ -24,8 +25,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// `x · W` as `Tensor::matmul_slice` computes it: i-k-j order into a
-/// zeroed output, rows of `W` whose activation is exactly zero skipped.
+/// `x · W` as `Tensor::matmul_slice` computed it before the gathered
+/// kernel: i-k-j order into a zeroed output, one pass over the output row
+/// per activation, rows of `W` whose activation is exactly zero skipped.
 fn oracle_matmul(a: &Tensor, rhs: &[f32]) -> Vec<f32> {
     let (m, k) = (a.rows(), a.cols());
     let n = rhs.len() / k;
@@ -126,8 +128,8 @@ fn first_difference(got: &[f32], want: &[f32]) -> Option<String> {
 }
 
 const BATCHES: [usize; 7] = [1, 2, 3, 8, 32, 33, 70];
-const INNER: [usize; 9] = [1, 5, 7, 8, 9, 63, 65, 100, 131];
-const WIDTHS: [usize; 11] = [1, 7, 8, 9, 15, 16, 17, 31, 33, 80, 512];
+const INNER: [usize; 12] = [1, 5, 7, 8, 9, 32, 33, 63, 64, 65, 100, 131];
+const WIDTHS: [usize; 14] = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 80, 128, 512];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
@@ -137,7 +139,16 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for (m, k, n) in grid() {
             let non_finite = rng.gen_range(0..2) == 1;
-            let x = Tensor::from_vec(&[m, k], values(&mut rng, m * k, non_finite));
+            let mut x = values(&mut rng, m * k, non_finite);
+            // A batch row with no activation (its output row accumulates
+            // nothing and must come out `+0.0`) and an activation no row
+            // has, where they leave the product something to compute.
+            if m > 1 && k > 1 {
+                let (row, col) = (rng.gen_range(0..m), rng.gen_range(0..k));
+                x[row * k..][..k].fill(0.0);
+                x.iter_mut().skip(col).step_by(k).for_each(|v| *v = 0.0);
+            }
+            let x = Tensor::from_vec(&[m, k], x);
             let w = values(&mut rng, k * n, non_finite);
             let got = x.matmul_slice(&w);
             prop_assert_eq!(got.shape(), &[m, n]);
