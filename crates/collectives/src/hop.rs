@@ -306,7 +306,7 @@ pub(crate) unsafe fn recv_hop<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LocalFabric;
+    use crate::LocalFabric;
 
     /// One hop of `src` from `a` to `b`, reduced into or copied over `dst`.
     fn hop<T: Transport + Sync>(

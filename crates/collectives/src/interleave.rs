@@ -3,9 +3,10 @@
 //! exploring every schedule up to a preemption bound, and reports a race
 //! when two conflicting plain accesses are not ordered by happens-before.
 //!
-//! The code under test is the real code — the shm ring's sequence protocol
-//! ([`crate::shm::SpscRing`], generic over [`RingMem`]) and the lease's
-//! transitions (`dear_collectives::lease`, generic over [`AtomicCell`]) —
+//! The code under test is the real code — the in-process fabric's ring
+//! ([`crate::shm::SpscRing`], generic over [`RingMem`]: its sequence
+//! protocol and the resize drain) and the lease's transitions
+//! ([`crate::lease`], generic over [`AtomicCell`]) —
 //! run on this module's [`Atomic`] words and [`Plain`] locations instead of
 //! `std`'s. Every operation on them is a scheduling point; model threads
 //! are OS threads that pass one baton, so exactly one runs at a time and
@@ -30,8 +31,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 
-use dear_collectives::lease::AtomicCell;
-
+use crate::lease::AtomicCell;
 use crate::shm::{RingMem, SlotCell};
 
 /// A vector clock: `0[t]` is how much of thread `t`'s history is known.
@@ -703,9 +703,8 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
-    use dear_collectives::lease::{self, Settled};
-
-    use crate::shm::SpscRing;
+    use crate::lease::{self, Settled};
+    use crate::shm::{SpscRing, Stamped};
 
     /// Preemptions per schedule in the ring and lease scenarios.
     const BOUND: usize = 3;
@@ -821,6 +820,54 @@ mod tests {
         assert!(seen.schedules > 100, "{seen:?}");
     }
 
+    /// A message of the new generation: dropping it is taking it off the
+    /// ring unread, which only the resize drain does.
+    struct Fresh;
+
+    impl Drop for Fresh {
+        fn drop(&mut self) {
+            panic!("the drain took the new generation's first message");
+        }
+    }
+
+    /// What the drain scenario's ring carries: a stale message, or the
+    /// survivor's first one of the new generation.
+    fn message(generation: u64) -> Stamped<Option<Fresh>> {
+        Stamped {
+            generation,
+            msg: (generation == 1).then(|| Fresh),
+        }
+    }
+
+    #[test]
+    fn the_resize_drain_stops_at_the_first_new_generation_message() {
+        // A survivor past the gate drains its inbound ring of the old
+        // generation while the peer, past the gate too, already pushes its
+        // first message of the new one — into a slot the drain frees, as
+        // the ring is full of stale messages. The drain must take both
+        // stale messages and leave the new one, whichever runs first.
+        let seen = explore(BOUND, || {
+            let ring = Arc::new(SpscRing::<Stamped<Option<Fresh>>, ModelMem>::new(2));
+            push(&ring, message(0));
+            push(&ring, message(0));
+            let (tx, rx) = (Arc::clone(&ring), Arc::clone(&ring));
+            Run {
+                threads: vec![
+                    Box::new(move || push(&tx, message(1))),
+                    Box::new(move || rx.drain_stale(1)),
+                ],
+                finally: Box::new(move || {
+                    let kept = ring.try_pop().expect("the new message stays on the ring");
+                    assert_eq!(kept.generation, 1, "the drain left a stale message");
+                    std::mem::forget(kept);
+                    assert!(ring.try_pop().is_none());
+                }),
+            }
+        })
+        .unwrap();
+        assert!(seen.schedules > 10, "{seen:?}");
+    }
+
     /// A lease as it rides the shm ring: the state word and the lent chunk.
     struct ModelLease {
         state: Arc<Atomic<u8>>,
@@ -873,7 +920,13 @@ mod tests {
                             chunk: Arc::clone(&chunk),
                         };
                         push(&tx, lease);
-                        let how = lease::settle(&*state, || give_up(&w_tx), spin);
+                        // As `Loan::settle`: a look, then a wait, until decided.
+                        let how = loop {
+                            if let Some(how) = lease::try_settle(&*state, || give_up(&w_tx)) {
+                                break how;
+                            }
+                            spin();
+                        };
                         chunk.write();
                         *s_out.lock().unwrap() = Some(how);
                     }),

@@ -9,10 +9,10 @@
 //! the loan is **settled**, and the state word says when that is:
 //!
 //! - the receiver moves it `PUBLISHED → TAKEN → RELEASED` around its read
-//!   ([`borrow`]), or `PUBLISHED → DISCARDED` when the lease is dropped
-//!   unread ([`discard`]: a queue dropped with its endpoint, a resize drain);
+//!   (`borrow`), or `PUBLISHED → DISCARDED` when the lease is dropped
+//!   unread (`discard`: a queue dropped with its endpoint, a resize drain);
 //! - the sender moves it `PUBLISHED → REVOKED` when it gives up on the
-//!   receiver ([`settle`]: the peer departed or is wedged, the deadline
+//!   receiver (`try_settle`: the peer departed or is wedged, the deadline
 //!   passed, or the op was abandoned).
 //!
 //! One compare-exchange from `PUBLISHED` decides each lease's fate, so a
@@ -22,9 +22,10 @@
 //! and the settle's load acquires it, so every read of the chunk happens
 //! before the sender's next write to it.
 //!
-//! The transitions are written once, generic over [`AtomicCell`], so that
-//! `dear-net`'s interleaving checker runs this very code under its own
-//! atomics and reports any two unordered accesses to the chunk.
+//! The transitions are written once, generic over `AtomicCell`, so that
+//! the crate's interleaving checker (`interleave`, a test module) runs this
+//! very code under its own atomics and reports any two unordered accesses
+//! to the chunk.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -36,7 +37,7 @@ use crate::wire::{DType, WireBuf};
 
 /// The atomic operations a lock-free protocol here is written against: the
 /// `std` atomics in a build, an instrumented cell in a model checker.
-pub trait AtomicCell {
+pub(crate) trait AtomicCell {
     /// The value the cell holds.
     type Value: Copy + Eq;
 
@@ -90,20 +91,23 @@ std_atomic_cell!(AtomicU8, u8);
 std_atomic_cell!(AtomicUsize, usize);
 
 /// The lease is out; nobody has decided its fate yet.
-pub const PUBLISHED: u8 = 0;
+pub(crate) const PUBLISHED: u8 = 0;
 /// The receiver is reading the chunk.
-pub const TAKEN: u8 = 1;
+pub(crate) const TAKEN: u8 = 1;
 /// The receiver has read the chunk and is done with it.
-pub const RELEASED: u8 = 2;
+pub(crate) const RELEASED: u8 = 2;
 /// The receiver dropped the lease unread.
-pub const DISCARDED: u8 = 3;
+pub(crate) const DISCARDED: u8 = 3;
 /// The sender gave up on the receiver; the chunk is never read.
-pub const REVOKED: u8 = 4;
+pub(crate) const REVOKED: u8 = 4;
 
 /// The receiver's side: runs `read` on the lent chunk unless the sender has
 /// revoked the lease (then `None`), and releases the lease after it — also
 /// when `read` unwinds.
-pub fn borrow<C: AtomicCell<Value = u8>, R>(state: &C, read: impl FnOnce() -> R) -> Option<R> {
+pub(crate) fn borrow<C: AtomicCell<Value = u8>, R>(
+    state: &C,
+    read: impl FnOnce() -> R,
+) -> Option<R> {
     if state
         .compare_exchange(PUBLISHED, TAKEN, Ordering::Acquire, Ordering::Relaxed)
         .is_err()
@@ -122,13 +126,13 @@ pub fn borrow<C: AtomicCell<Value = u8>, R>(state: &C, read: impl FnOnce() -> R)
 
 /// The receiver's side of a lease dropped unread: settles it as
 /// [`DISCARDED`], unless it was already read or revoked.
-pub fn discard<C: AtomicCell<Value = u8>>(state: &C) {
+pub(crate) fn discard<C: AtomicCell<Value = u8>>(state: &C) {
     let _ = state.compare_exchange(PUBLISHED, DISCARDED, Ordering::Release, Ordering::Relaxed);
 }
 
 /// How a settle ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Settled {
+pub(crate) enum Settled {
     /// The receiver read the chunk.
     Released,
     /// The receiver dropped the lease unread.
@@ -141,7 +145,7 @@ pub enum Settled {
 /// `None` while the receiver may still read the chunk. A lease nobody has
 /// taken is revoked if `give_up` says so (asked only then); one the
 /// receiver is reading stays undecided until it is released.
-pub fn try_settle<C: AtomicCell<Value = u8>>(
+pub(crate) fn try_settle<C: AtomicCell<Value = u8>>(
     state: &C,
     give_up: impl FnOnce() -> bool,
 ) -> Option<Settled> {
@@ -162,24 +166,8 @@ pub fn try_settle<C: AtomicCell<Value = u8>>(
     }
 }
 
-/// The sender's side: [`try_settle`] until the fate is decided, `wait`
-/// once between looks. On return the chunk is the sender's again: nobody
-/// is reading it, and every read of it happened before.
-pub fn settle<C: AtomicCell<Value = u8>>(
-    state: &C,
-    mut give_up: impl FnMut() -> bool,
-    mut wait: impl FnMut(),
-) -> Settled {
-    loop {
-        if let Some(settled) = try_settle(state, &mut give_up) {
-            return settled;
-        }
-        wait();
-    }
-}
-
 /// What a lending fabric tells a settle about the receiving end of a link.
-pub trait Liveness: Send + Sync {
+pub(crate) trait Liveness: Send + Sync {
     /// `Err` once the endpoint at `slot` can no longer release what it was
     /// lent: [`CollectiveError::Disconnected`] when it departed,
     /// [`CollectiveError::Aborted`] when it is wedged — both naming `peer`.
@@ -192,7 +180,7 @@ pub trait Liveness: Send + Sync {
 
 /// A chunk of `f32`s lent by an in-process sender: the receiver reads it
 /// where it lies, then releases it. Dropping a lease unread releases it too
-/// (as [`DISCARDED`]), so a queue that drops with its endpoint leaves no
+/// (as `DISCARDED`), so a queue that drops with its endpoint leaves no
 /// sender waiting.
 pub struct Lease {
     src: *const f32,
@@ -223,7 +211,7 @@ impl Lease {
     /// the loan is settled or dropped; the receiver reads it in place until
     /// then. Nothing that asserts exclusive access to those elements (a
     /// `&mut` covering them) may be made meanwhile either.
-    pub unsafe fn lend(
+    pub(crate) unsafe fn lend(
         src: &[f32],
         peer: usize,
         timeout: Option<Duration>,

@@ -58,10 +58,13 @@ mod cost;
 mod error;
 mod hierarchical;
 mod hop;
+#[cfg(test)]
+mod interleave;
 pub mod lease;
 mod reduce;
 mod rhd;
 mod ring;
+mod shm;
 pub mod simd;
 mod topology;
 mod transport;
@@ -88,10 +91,11 @@ pub use ring::{
     ring_all_reduce_on_wire, ring_begin, ring_finish, ring_owned_chunk, ring_receive,
     ring_reduce_scatter, ring_reduce_scatter_on_wire, RingKind, RingOp,
 };
+pub use shm::{FabricConfig, LocalEndpoint, LocalFabric};
 pub use topology::{HostMap, Placement};
 pub use transport::{
-    run_cluster, BufferPool, DelayFabric, GroupTransport, LocalEndpoint, LocalFabric, Message,
-    Transport, WorldChange, MIN_LINK_FRAMES,
+    run_cluster, BufferPool, DelayFabric, GroupTransport, Message, Transport, WorldChange,
+    MIN_LINK_FRAMES,
 };
 pub use tree::{
     double_tree_all_reduce, double_tree_broadcast_phase, double_tree_reduce_phase,

@@ -760,11 +760,14 @@ impl<T: Transport> CommEngine<T> {
         e
     }
 
+    /// Finishes, begins, then receives, until none of the three moves: an
+    /// op that landed — here or in `progress_until`'s waiting receive — is
+    /// finished and the send it lets in begun before the next op receives.
     fn pump(&mut self, home: &mut impl Home) -> Result<(), CollectiveError> {
         loop {
+            let finished = self.finish(home)?;
             let begun = self.fill(home)?;
             let received = self.receive(false)?;
-            let finished = self.finish(home)?;
             if !(begun || received || finished) {
                 return Ok(());
             }

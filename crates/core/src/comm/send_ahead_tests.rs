@@ -4,7 +4,7 @@
 //! reference. The tests play the training thread: they post a step's
 //! groups with seeded pauses and polls between them.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -35,6 +35,8 @@ pub(super) struct Probe {
     recvs: AtomicUsize,
     /// Index (over this endpoint's receives) of the receive to fail.
     fail_recv: Option<usize>,
+    /// Set once a receive has waited on the link.
+    waited: Arc<AtomicBool>,
 }
 
 impl Probe {
@@ -45,6 +47,7 @@ impl Probe {
             sent: Arc::clone(&sent),
             recvs: AtomicUsize::new(0),
             fail_recv,
+            waited: Arc::default(),
         };
         (probe, sent)
     }
@@ -78,6 +81,9 @@ impl Transport for Probe {
         self.inner.recv(from)
     }
     fn recv_parcel(&self, from: usize, wait: bool) -> Result<Option<Parcel>, CollectiveError> {
+        if wait {
+            self.waited.store(true, Ordering::SeqCst);
+        }
         let parcel = self.inner.recv_parcel(from, wait)?;
         if parcel.is_some() {
             self.received(from)?;
@@ -463,6 +469,49 @@ fn post_rs(
         .collect()
 }
 
+/// A DeAR engine over `probe`, installed with the test layout.
+fn engine(probe: Probe) -> CommEngine<Probe> {
+    let scope = crate::trace::unique_scope(probe.rank());
+    let mode = PipelineMode::Dear;
+    let mut engine = CommEngine::new(probe, test_hyper(), ParallelismStrategy::Ddp, mode, &scope);
+    engine.reconfigure(test_layout(DType::F32)).unwrap();
+    engine
+}
+
+#[test]
+fn a_landing_in_a_waiting_receive_begins_the_next_send_before_the_next_receive() {
+    // Rank 0 begins three reduce-scatters (the window is full) and waits on
+    // the link before rank 1 sends a thing. When the first op lands in that
+    // waiting receive, the send it lets in goes out before the second op
+    // receives — which fails here, so the log shows the order.
+    let groups = GROUP_ELEMENTS.len();
+    let mut eps = LocalFabric::create(2);
+    let ep1 = eps.pop().unwrap();
+    // Rank 1's engine drains on drop; rank 0 sends it nothing more.
+    ep1.set_recv_timeout(Some(Duration::from_millis(100)));
+    let (probe0, sent0) = Probe::new(eps.pop().unwrap(), Some(1));
+    let waited = Arc::clone(&probe0.waited);
+    let mut engine0 = engine(probe0);
+    let mut engine1 = engine(Probe::new(ep1, None).0);
+    let mut home = initial_params();
+    assert!(post_rs(&mut engine0, &mut home, 0, 0, 2..groups).is_empty());
+    assert_eq!(sent0.lock().unwrap()[1].len(), 3, "the window is full");
+    let failed = std::thread::scope(|s| {
+        let rank0 = s.spawn(|| engine0.drain(&mut home));
+        while !waited.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(post_rs(&mut engine1, &mut initial_params(), 1, 0, 0..groups).is_empty());
+        rank0.join().unwrap()
+    });
+    assert_eq!(failed, Err(CollectiveError::Disconnected { peer: 1 }));
+    assert_eq!(
+        sent0.lock().unwrap()[1].len(),
+        4,
+        "the first op's landing begins the fourth op's send before the second op receives"
+    );
+}
+
 #[test]
 fn failure_with_ops_in_flight_abandons_the_step_once_and_recovers() {
     let groups = GROUP_ELEMENTS.len();
@@ -474,14 +523,6 @@ fn failure_with_ops_in_flight_abandons_the_step_once_and_recovers() {
         wire: DType::F32,
     };
     let healthy = run_world(2, setup, None, 1..2);
-    let engine = |probe: Probe| {
-        let scope = crate::trace::unique_scope(probe.rank());
-        let mode = PipelineMode::Dear;
-        let mut engine =
-            CommEngine::new(probe, test_hyper(), ParallelismStrategy::Ddp, mode, &scope);
-        engine.reconfigure(test_layout(DType::F32)).unwrap();
-        engine
-    };
 
     let mut eps = LocalFabric::create(2);
     let ep1 = eps.pop().unwrap();

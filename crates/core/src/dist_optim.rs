@@ -721,6 +721,7 @@ mod tests {
         let (x, labels) = batch();
         let initial = initial(&net);
         net.set_flat_params(&initial);
+        let (stepped, step_returned) = std::sync::mpsc::channel();
         let rank1 = std::thread::spawn({
             let layout = layout.clone();
             move || {
@@ -732,16 +733,21 @@ mod tests {
                 for group in [3, 2] {
                     answer(&ep1, &layout, group, 0, 1.0, true);
                 }
-                // Group 1's chunk is dropped unread. Rank 1 leaves only once
+                // Group 1's chunk is dropped unread, once step 1 has
+                // returned: rank 0 may lend it during step 1's backward, and
+                // a lease discarded while step 1 still polls its loan fails
+                // step 1 itself. Rank 1 leaves only once
                 // group 0's has come, which rank 0 sends after group 3 is
                 // home: were it gone sooner, that send could fail the step
                 // before group 2's arrived chunk was landed.
+                step_returned.recv().unwrap();
                 drop(ep1.recv_parcel(0, true).unwrap());
                 answer(&ep1, &layout, 1, 0, 1.0, false);
                 drop(ep1.recv_parcel(0, true).unwrap());
             }
         });
         optim.train_step(&mut net, &x, &labels).unwrap();
+        stepped.send(()).unwrap();
         assert!((0..4).all(|g| !net.store().has_params(g)), "by move");
         // Step 2's forward drives step 1's communication to the failure.
         assert!(optim.train_step(&mut net, &x, &labels).is_err());

@@ -44,10 +44,9 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-use crossbeam_channel::{unbounded, Receiver, Sender};
 
 pub use dear_sim::{SimDuration, SimTime, StreamId, TaskKind, Timeline};
 
@@ -73,7 +72,8 @@ struct Tracer {
     enabled: AtomicBool,
     epoch: Instant,
     tx: Sender<TraceEvent>,
-    rx: Receiver<TraceEvent>,
+    /// Behind a lock: a `std` receiver is not `Sync`.
+    rx: Mutex<Receiver<TraceEvent>>,
     collected: Mutex<Vec<TraceEvent>>,
     counters: Mutex<BTreeMap<String, f64>>,
     path: Mutex<Option<PathBuf>>,
@@ -84,12 +84,12 @@ static NEXT_SCOPE: AtomicU64 = AtomicU64::new(0);
 
 fn tracer() -> &'static Tracer {
     TRACER.get_or_init(|| {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         Tracer {
             enabled: AtomicBool::new(false),
             epoch: Instant::now(),
             tx,
-            rx,
+            rx: Mutex::new(rx),
             collected: Mutex::new(Vec::new()),
             counters: Mutex::new(BTreeMap::new()),
             path: Mutex::new(None),
@@ -113,7 +113,8 @@ impl Tracer {
     /// Moves everything queued on the channel into `collected`.
     fn drain(&self) {
         let mut collected = self.collected.lock().unwrap();
-        while let Ok(ev) = self.rx.try_recv() {
+        let rx = self.rx.lock().unwrap();
+        while let Ok(ev) = rx.try_recv() {
             collected.push(ev);
         }
     }

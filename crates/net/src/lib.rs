@@ -49,8 +49,6 @@ mod config;
 mod demo;
 pub mod endpoint;
 pub mod frame;
-#[cfg(test)]
-mod interleave;
 mod launch;
 mod loopback;
 pub mod shm;
