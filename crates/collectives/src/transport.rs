@@ -1162,4 +1162,33 @@ mod tests {
         let eps = LocalFabric::create(2);
         let _ = GroupTransport::new(&eps[0], Arc::new(vec![0, 0]));
     }
+
+    #[test]
+    fn reconfigure_flushes_stale_in_flight_messages() {
+        let mut eps = LocalFabric::create(3);
+        let dead = eps.remove(1);
+        // Abandoned collectives left payloads queued between the survivors
+        // in both directions — post-resize receives must never see them.
+        eps[0].send(2, vec![66.6; 4].into()).unwrap();
+        eps[1].send(0, vec![77.7; 4].into()).unwrap();
+        drop(dead);
+        let survivors = [0usize, 2];
+        std::thread::scope(|s| {
+            for ep in &mut eps {
+                s.spawn(move || ep.reconfigure(Some(&survivors)).unwrap());
+            }
+        });
+        // The first post-resize exchange sees fresh data only.
+        std::thread::scope(|s| {
+            let (a, b) = eps.split_at_mut(1);
+            s.spawn(|| {
+                a[0].send(1, vec![1.0].into()).unwrap();
+                assert_eq!(a[0].recv(1).unwrap(), vec![2.0]);
+            });
+            s.spawn(|| {
+                b[0].send(0, vec![2.0].into()).unwrap();
+                assert_eq!(b[0].recv(0).unwrap(), vec![1.0]);
+            });
+        });
+    }
 }
