@@ -538,17 +538,6 @@ impl LocalEndpoint {
         self.peer_slots.get(peer).copied().flatten().is_some()
     }
 
-    /// Global ranks of the fellow members that have not departed, in
-    /// ascending order. The survivor set a tiered resize intersects with
-    /// the TCP rendezvous' verdict.
-    #[must_use]
-    pub fn live_peers(&self) -> Vec<usize> {
-        (0..self.world)
-            .filter(|&r| r != self.rank)
-            .filter(|&r| self.peer_slots[r].is_some_and(|s| !self.fabric.departed(s)))
-            .collect()
-    }
-
     /// Stops this endpoint's heartbeat thread **without** marking it
     /// departed — to every peer the endpoint now looks wedged, exactly like
     /// a thread stuck in a syscall. Test hook for the failure detector; a
@@ -986,15 +975,6 @@ mod tests {
             s.spawn(|| a[0].send(0, vec![5.0].into()).unwrap());
             s.spawn(|| assert_eq!(b[0].recv(2).unwrap(), vec![5.0]));
         });
-    }
-
-    #[test]
-    fn live_peers_tracks_departures() {
-        let mut eps = LocalFabric::create(3);
-        assert_eq!(eps[0].live_peers(), vec![1, 2]);
-        let victim = eps.remove(1);
-        drop(victim);
-        assert_eq!(eps[0].live_peers(), vec![2]);
     }
 
     #[test]

@@ -33,8 +33,7 @@
 use std::time::{Duration, Instant};
 
 use dear_collectives::{
-    CollectiveError, CostModel, DType, Loan, Message, NetworkPreset, Parcel, Transport, WireBuf,
-    WorldChange,
+    CollectiveError, CostModel, Loan, Message, NetworkPreset, Parcel, Transport, WorldChange,
 };
 
 use crate::config::NetConfig;
@@ -150,32 +149,13 @@ impl Transport for TieredEndpoint {
         self.tier_for(to).send(to, msg)
     }
 
-    /// TCP peers get the socket's direct write. Shm peers are lent the
-    /// chunk when every peer is on this host. In a world with a TCP hop
-    /// they get a copy instead: the ring runs at the TCP hops' pace there,
-    /// so the copy a lease saves is off the critical path, while its settle
-    /// makes the lender wait — spinning — for the peer whose next hop is a
-    /// socket write. On the 2-vCPU reference host `tiered4_dear` (2 hosts ×
-    /// 2 ranks) ran 5 % fewer `samples_per_s` with its shm hops lending
-    /// (slower in 12 of 14 alternating pairs) and level with the copy (8
-    /// pairs), while `shm2_dear` (one host) runs 14 % more with them
-    /// lending.
-    ///
-    /// The copy is encoded into a buffer from *this* endpoint's pool: the
-    /// pool its receives recycle into. (The shm endpoint's own default
-    /// would draw on its own pool, which nothing refills, and allocate on
-    /// every send.)
+    /// Each hop goes to its tier's own `lend_f32`: a co-located peer is
+    /// lent the chunk (its `recv_parcel` reduces from it in place), whether
+    /// or not the world also has TCP hops; a TCP peer gets the socket's
+    /// direct write and no loan. No hop takes a buffer from a pool.
     unsafe fn lend_f32(&self, to: usize, src: &[f32]) -> Result<Option<Loan>, CollectiveError> {
-        match &self.shm {
-            // SAFETY (both): the caller's contract, passed on unchanged.
-            Some(shm) if self.is_local(to) && self.all_local() => unsafe { shm.lend_f32(to, src) },
-            Some(shm) if self.is_local(to) => {
-                let bytes = self.take_buffer(std::mem::size_of_val(src));
-                shm.send(to, WireBuf::encode_into(src, DType::F32, bytes).into())
-                    .map(|()| None)
-            }
-            _ => unsafe { self.tcp.lend_f32(to, src) },
-        }
+        // SAFETY: the caller's contract, passed on unchanged.
+        unsafe { self.tier_for(to).lend_f32(to, src) }
     }
 
     /// A chunk an shm peer lent is copied into a buffer from the TCP pool,

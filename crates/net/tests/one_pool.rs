@@ -3,9 +3,9 @@
 //! buffer, and received payloads circulate through the endpoint's pool. On
 //! shm an f32 chunk is lent: the peer reduces straight from the sender's
 //! buffer, so a send takes no buffer at all — over `ShmFabric` alone and
-//! over the tiered endpoint's shm tier. A send that encoded into a buffer
-//! of a pool no receive refills would allocate a chunk-sized one every
-//! time.
+//! over the tiered endpoint's shm tier, in a one-host world and in one whose
+//! ring also has TCP hops. A send that encoded into a buffer of a pool no
+//! receive refills would allocate a chunk-sized one every time.
 //!
 //! The pools hold only what the training runtime stocks them with. How
 //! many buffers a TCP rank holds at once depends on how far its reader
@@ -63,6 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Ranks of every world but the two-host one.
 const WORLD: usize = 2;
 const BATCH: usize = 4;
 const WARMUP: u64 = 3;
@@ -93,8 +94,9 @@ fn settled_count(optim: &mut DistOptim, net: &mut Sequential, barrier: &Barrier)
 /// Large allocations the whole process makes while every rank of `eps`
 /// runs `STEPS` DeAR steps, after `WARMUP` of them.
 fn steady_steps<E: Transport + Send + 'static>(eps: Vec<E>) -> usize {
+    let world = eps.len();
     let data = BlobDataset::new(64, 8, 0.4, 3);
-    let barrier = Barrier::new(WORLD);
+    let barrier = Barrier::new(world);
     let config = TrainConfig {
         lr: 0.01,
         fusion_buffer: Some(256 << 10),
@@ -116,7 +118,7 @@ fn steady_steps<E: Transport + Send + 'static>(eps: Vec<E>) -> usize {
                             if step == WARMUP {
                                 before = settled_count(&mut optim, &mut net, barrier);
                             }
-                            let (x, labels) = data.shard(step, BATCH * WORLD, rank, WORLD);
+                            let (x, labels) = data.shard(step, BATCH * world, rank, world);
                             optim.train_step(&mut net, &x, &labels).unwrap();
                         }
                         settled_count(&mut optim, &mut net, barrier) - before
@@ -126,7 +128,10 @@ fn steady_steps<E: Transport + Send + 'static>(eps: Vec<E>) -> usize {
             .collect();
         ranks.into_iter().map(|r| r.join().unwrap()).collect()
     });
-    assert_eq!(counts[0], counts[1], "the counter moved during a reading");
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "the counter moved during a reading: {counts:?}"
+    );
     counts[0]
 }
 
@@ -141,6 +146,11 @@ fn steady_state_steps_over_tcp_and_shm_allocate_nothing_large() {
     assert_eq!(
         tiered, 0,
         "tiered_loopback(1, {WORLD}): {tiered} large allocations in {STEPS} steps"
+    );
+    let mixed = steady_steps(tiered_loopback(2, 2).unwrap());
+    assert_eq!(
+        mixed, 0,
+        "tiered_loopback(2, 2): {mixed} large allocations in {STEPS} steps"
     );
     let shm = steady_steps(ShmFabric::create(WORLD));
     assert_eq!(

@@ -15,9 +15,12 @@
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::process::Command;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use dear_collectives::{DType, LocalFabric, Transport, WorldChange};
+use dear_collectives::{
+    ring_all_reduce, CollectiveError, DType, LocalFabric, ReduceOp, Transport, WorldChange,
+};
 use dear_net::{tiered_loopback_with, NetConfig, TcpEndpoint};
 use proptest::prelude::*;
 
@@ -48,11 +51,14 @@ fn tcp_world_by_hand(
     (eps, addr)
 }
 
+/// The receive deadline of a resize test: a guard against a hang only.
+const HANG_GUARD: Duration = Duration::from_secs(60);
+
 fn resize_tweak(cfg: NetConfig) -> NetConfig {
     let mut cfg = cfg
         .with_connect_timeout(Duration::from_secs(10))
         .with_resize_window(Duration::from_millis(400));
-    cfg.recv_timeout = Some(Duration::from_secs(60)); // hang guard
+    cfg.recv_timeout = Some(HANG_GUARD);
     cfg
 }
 
@@ -166,6 +172,89 @@ fn tiered_resize_survives_losing_a_co_located_rank() {
         "the intact host's pair must keep its shm tier"
     );
     // And the resized two-tier world still computes exactly.
+    eps.sort_by_key(|ep| ep.rank());
+    let resized = run(&eps, |ep| collectives(ep, d, salt, DType::F32));
+    bit_identical(&fresh, &resized).unwrap();
+}
+
+/// The mirror case with a loan out: on the same 2 × 2 world, rank 2 dies
+/// on host 1 while the survivors run a ring all-reduce, and rank 0 on
+/// host 0 has lent its shm peer, rank 1, chunks that rank 1 has not
+/// received, because rank 1 joins only after rank 2 is gone. Every
+/// survivor's collective must end in a typed error within its receive
+/// deadline, the outstanding loans settled or revoked rather than hung.
+/// The survivors then resize in place and match a fresh 3-rank world bit
+/// for bit.
+#[test]
+fn tiered_resize_survives_a_departure_on_the_other_host_with_a_loan_out() {
+    let salt = 0xB0_12_0E;
+    let d = 96;
+    let deadline = Duration::from_secs(2);
+    let fresh = run(&LocalFabric::create(3), |ep| {
+        collectives(ep, d, salt, DType::F32)
+    });
+    let mut eps = tiered_loopback_with(2, 2, resize_tweak).unwrap();
+    for ep in &eps {
+        ep.set_recv_timeout(Some(deadline));
+    }
+    let victim = eps.remove(2);
+    let gone = Barrier::new(2);
+    let start = Instant::now();
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let gone = &gone;
+        s.spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            drop(victim);
+            gone.wait();
+        });
+        let handles: Vec<_> = eps
+            .iter()
+            .map(|ep| {
+                s.spawn(move || {
+                    if ep.rank() == 1 {
+                        gone.wait();
+                    }
+                    let mut data = vec![ep.rank() as f32; 4096];
+                    let out = ring_all_reduce(ep, &mut data, ReduceOp::Sum);
+                    (ep.rank(), out, start.elapsed())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (rank, out, elapsed) in outcomes {
+        assert!(
+            matches!(
+                out,
+                Err(CollectiveError::Timeout { .. }
+                    | CollectiveError::Disconnected { .. }
+                    | CollectiveError::Aborted { .. })
+            ),
+            "rank {rank}: {out:?}"
+        );
+        assert!(
+            elapsed < 3 * deadline,
+            "rank {rank}: the collective ended after {elapsed:?}: {out:?}"
+        );
+    }
+    for ep in &eps {
+        ep.set_recv_timeout(Some(HANG_GUARD));
+    }
+    let changes: Vec<WorldChange> = std::thread::scope(|s| {
+        let handles: Vec<_> = eps
+            .iter_mut()
+            .map(|ep| s.spawn(move || ep.reconfigure(None).unwrap()))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for c in &changes {
+        assert_eq!((c.new_world, c.generation), (3, 1));
+    }
+    assert!(
+        eps[0].is_local(changes[1].new_rank),
+        "host 0 keeps its shm pair"
+    );
+    assert!((0..3).all(|p| !eps[2].is_local(p)), "host 1 lost its pair");
     eps.sort_by_key(|ep| ep.rank());
     let resized = run(&eps, |ep| collectives(ep, d, salt, DType::F32));
     bit_identical(&fresh, &resized).unwrap();

@@ -516,10 +516,11 @@ fn bits(values: &[f32]) -> Vec<u32> {
 }
 
 /// Clause 11: NaNs with random sign and payload, −0.0, subnormals and the
-/// empty chunk arrive bit for bit, through a hop receive and through `recv`;
-/// a fabric whose two ranks share the process (`lends`) lends every one.
-fn lent_chunks_arrive_bit_identical<E: Endpoint>(world: impl Fn(usize) -> Vec<E>, lends: bool) {
-    let eps = world(2);
+/// empty chunk arrive bit for bit from rank 0, through a hop receive and
+/// through `recv`, at each `(peer, lends)` of `links`; rank 0 lends every
+/// one to a peer marked `lends` (a fabric whose two ranks share a host
+/// does) and none to the others.
+fn lent_chunks_arrive_bit_identical<E: Endpoint>(eps: &[E], links: &[(usize, bool)]) {
     let mut rng = StdRng::seed_from_u64(11);
     let nans: Vec<f32> = (0..64)
         .map(|_| {
@@ -539,17 +540,19 @@ fn lent_chunks_arrive_bit_identical<E: Endpoint>(world: impl Fn(usize) -> Vec<E>
         &[],
     ];
     for src in payloads {
-        let loan = lend(&eps[0], 1, src).unwrap();
-        assert_eq!(loan.is_some(), lends, "lent");
-        assert_eq!(received_bits(&eps[1], 0), bits(src));
-        if let Some(loan) = loan {
-            assert_eq!(loan.settle(), Ok(()));
-        }
-        let loan = lend(&eps[0], 1, src).unwrap();
-        let copy = eps[1].recv(0).unwrap().into_payload();
-        assert_eq!(copy, WireBuf::encode(src, DType::F32), "`recv` gets a copy");
-        if let Some(loan) = loan {
-            assert_eq!(loan.settle(), Ok(()), "the copy released the lease");
+        for &(to, lends) in links {
+            let loan = lend(&eps[0], to, src).unwrap();
+            assert_eq!(loan.is_some(), lends, "lent to {to}");
+            assert_eq!(received_bits(&eps[to], 0), bits(src));
+            if let Some(loan) = loan {
+                assert_eq!(loan.settle(), Ok(()));
+            }
+            let loan = lend(&eps[0], to, src).unwrap();
+            let copy = eps[to].recv(0).unwrap().into_payload();
+            assert_eq!(copy, WireBuf::encode(src, DType::F32), "`recv` gets a copy");
+            if let Some(loan) = loan {
+                assert_eq!(loan.settle(), Ok(()), "the copy released the lease");
+            }
         }
     }
 }
@@ -1013,7 +1016,7 @@ macro_rules! contract {
 
             #[test]
             fn c11_a_lent_chunk_arrives_bit_identical() {
-                bounded(|| lent_chunks_arrive_bit_identical($world, $lends));
+                bounded(|| lent_chunks_arrive_bit_identical(&$world(2), &[(1, $lends)]));
             }
 
             #[test]
@@ -1133,6 +1136,16 @@ contract!(tiered_1xn: tiered_1xn, worlds 1usize..3, cases 4, lends true, polls t
     shrink Discovered, stamps true, worlds 3usize..5, cases 2);
 contract!(tiered_2xn: tiered_2xn, worlds 1usize..5, cases 4, lends false, polls true;
     shrink Discovered, stamps true, worlds 3usize..6, cases 2);
+
+/// Clause 11 with both tiers in one world: on 2 hosts × 2 ranks, rank 0
+/// lends to its co-located peer and writes to the other host's ranks, and
+/// every chunk arrives bit for bit either way.
+#[test]
+fn c11_a_mixed_tiered_world_lends_on_its_shm_hops_only() {
+    bounded(|| {
+        lent_chunks_arrive_bit_identical(&tiered_2xn(4), &[(1, true), (2, false), (3, false)]);
+    });
+}
 
 /// Clause 12, for the fabric that stamps: a message still on the emulated
 /// wire is not polled, and stays first on its link; at its stamp the poll
